@@ -1237,7 +1237,7 @@ impl Database {
 
     /// One kernel pass over a grouped submission's remaining calls:
     /// admit, enroll, classify in one index walk per touched shard (see
-    /// [`ShardedKernel::request_batch_located`] and
+    /// [`ShardedKernel::request_batch_enrolled`] and
     /// [`crate::SchedulerKernel::request_batch`]).
     ///
     /// On [`BatchPass::MustWait`] the blocking terminator is the
@@ -1265,19 +1265,12 @@ impl Database {
         let locs_kept = run.locs.clone();
         // Deliver before `?` (see `exec_call_raw`): a rejected batch may
         // still have settled other sessions' waiters.
-        let outcome = match &run.declared {
-            Some(declared) => self.shared.kernel.request_batch_declared_enrolled(
-                id,
-                std::mem::take(&mut run.calls),
-                std::mem::take(&mut run.locs),
-                declared,
-            ),
-            None => self.shared.kernel.request_batch_enrolled(
-                id,
-                std::mem::take(&mut run.calls),
-                std::mem::take(&mut run.locs),
-            ),
-        };
+        let outcome = self.shared.kernel.request_batch_enrolled(
+            id,
+            std::mem::take(&mut run.calls),
+            std::mem::take(&mut run.locs),
+            run.declared.as_ref(),
+        );
         self.deliver_events();
         let outcome = outcome?;
         run.results.extend(outcome.executed);

@@ -25,7 +25,7 @@ use crate::events::{
 };
 use crate::history::HistoryRecorder;
 use crate::object::{Classification, ManagedObject, ObjectId};
-use crate::policy::{CycleDetector, SchedulerConfig, UndeclaredPolicy, VictimPolicy};
+use crate::policy::{SchedulerConfig, UndeclaredPolicy, VictimPolicy};
 use crate::shard::GlobalGraph;
 use crate::stats::KernelStats;
 use crate::txn::{BatchCall, ExecutedOp, PendingRequest, TxnId, TxnRecord, TxnState};
@@ -121,15 +121,13 @@ impl SchedulerKernel {
         } else {
             None
         };
-        let mut graph = DependencyGraph::new();
-        graph.set_reorder_strategy(config.reorder);
         SchedulerKernel {
             config,
             objects: Vec::new(),
             object_names: HashMap::new(),
             txns: HashMap::new(),
             finished: HashMap::new(),
-            graph,
+            graph: DependencyGraph::new(),
             next_txn_id: 0,
             next_seq: 0,
             next_commit_index: 0,
@@ -1254,9 +1252,8 @@ impl SchedulerKernel {
         }
     }
 
-    /// Dispatch the per-request cycle check to the configured detector.
-    /// Both paths count towards [`Self::cycle_checks`] and are proven
-    /// behaviourally identical by differential tests.
+    /// The per-request cycle check: the incremental detector on the
+    /// shard-local graph, counted by [`Self::cycle_checks`].
     ///
     /// While the shard is entangled, a locally negative verdict is
     /// **escalated**: the same hypothetical edges are checked against the
@@ -1273,10 +1270,7 @@ impl SchedulerKernel {
     /// (wait-for for the blocking branch, commit-dep for the recoverable
     /// branch).
     fn cycle_would_close(&mut self, from: TxnId, targets: &[TxnId], kind: EdgeKind) -> bool {
-        let local = match self.config.cycle_detector {
-            CycleDetector::Incremental => self.graph.would_close_cycle(from, targets),
-            CycleDetector::SccOracle => self.graph.would_close_cycle_oracle(from, targets),
-        };
+        let local = self.graph.would_close_cycle(from, targets);
         if local || !self.entangled {
             return local;
         }

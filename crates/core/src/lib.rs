@@ -102,11 +102,10 @@ pub use history::{
 pub use kernel::SchedulerKernel;
 pub use object::{BlockedRequest, Classification, LogEntry, ManagedObject, ObjectId};
 pub use policy::{
-    ConflictPolicy, CycleDetector, RecoveryStrategy, SchedulerConfig, UndeclaredPolicy,
-    VictimPolicy,
+    ConflictPolicy, RecoveryStrategy, SchedulerConfig, UndeclaredPolicy, VictimPolicy,
 };
 pub use sbcc_adt::AccessSet;
-pub use sbcc_graph::{OrderTelemetry, ReorderStrategy};
+pub use sbcc_graph::OrderTelemetry;
 pub use sbcc_wal::{FsyncPolicy, WalConfig};
 /// The write-ahead-log crate, re-exported for crash-image surgery in
 /// tests and tools (log-file paths, record codec).

@@ -1,7 +1,6 @@
 //! Scheduler configuration: conflict policy, recovery strategy, fairness and
 //! victim selection.
 
-use sbcc_graph::ReorderStrategy;
 use std::fmt;
 
 /// Which semantic relation defines a conflict.
@@ -66,29 +65,6 @@ impl RecoveryStrategy {
 impl fmt::Display for RecoveryStrategy {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.label())
-    }
-}
-
-/// Which algorithm answers the per-request "would this close a cycle?"
-/// question on the dependency graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum CycleDetector {
-    /// The incremental detector: a topological order is maintained across
-    /// edge inserts (Pearce–Kelly) and each check is pruned by it —
-    /// amortised near-constant on the scheduler's workload. The default.
-    Incremental,
-    /// The pre-incremental path: a from-scratch Tarjan SCC pass over a
-    /// snapshot of the graph per check. Retained for benchmarks and
-    /// differential tests; behaviourally identical, asymptotically slower.
-    SccOracle,
-}
-
-impl fmt::Display for CycleDetector {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CycleDetector::Incremental => write!(f, "incremental"),
-            CycleDetector::SccOracle => write!(f, "scc-oracle"),
-        }
     }
 }
 
@@ -160,12 +136,6 @@ pub struct SchedulerConfig {
     pub recovery: RecoveryStrategy,
     /// Victim selection when a cycle is detected.
     pub victim: VictimPolicy,
-    /// Cycle-detection algorithm for the per-request checks.
-    pub cycle_detector: CycleDetector,
-    /// How the dependency graph repairs topological-order violations
-    /// (gap-labeled by default; the dense redistribution is retained as a
-    /// benchmark baseline, exactly like [`CycleDetector::SccOracle`]).
-    pub reorder: ReorderStrategy,
     /// Record the full execution history (needed by the serializability
     /// checker; adds memory proportional to the number of operations).
     pub record_history: bool,
@@ -188,8 +158,6 @@ impl Default for SchedulerConfig {
             fair_scheduling: true,
             recovery: RecoveryStrategy::IntentionsList,
             victim: VictimPolicy::Requester,
-            cycle_detector: CycleDetector::Incremental,
-            reorder: ReorderStrategy::GapLabel,
             record_history: true,
             max_retries: 10_000,
             undeclared: UndeclaredPolicy::Escalate,
@@ -230,18 +198,6 @@ impl SchedulerConfig {
         self
     }
 
-    /// Builder-style: set the cycle-detection algorithm.
-    pub fn with_cycle_detector(mut self, detector: CycleDetector) -> Self {
-        self.cycle_detector = detector;
-        self
-    }
-
-    /// Builder-style: set the order-violation repair strategy.
-    pub fn with_reorder(mut self, reorder: ReorderStrategy) -> Self {
-        self.reorder = reorder;
-        self
-    }
-
     /// Builder-style: enable or disable history recording.
     pub fn with_history(mut self, record: bool) -> Self {
         self.record_history = record;
@@ -273,8 +229,6 @@ mod tests {
         assert!(c.fair_scheduling);
         assert_eq!(c.recovery, RecoveryStrategy::IntentionsList);
         assert_eq!(c.victim, VictimPolicy::Requester);
-        assert_eq!(c.cycle_detector, CycleDetector::Incremental);
-        assert_eq!(c.reorder, ReorderStrategy::GapLabel);
         assert!(c.record_history);
         assert_eq!(c.max_retries, 10_000);
         assert_eq!(c.undeclared, UndeclaredPolicy::Escalate);
@@ -300,8 +254,6 @@ mod tests {
             .with_fair_scheduling(false)
             .with_recovery(RecoveryStrategy::UndoReplay)
             .with_victim(VictimPolicy::Youngest)
-            .with_cycle_detector(CycleDetector::SccOracle)
-            .with_reorder(ReorderStrategy::DenseRedistribute)
             .with_history(false)
             .with_max_retries(7)
             .with_undeclared(UndeclaredPolicy::Abort);
@@ -309,8 +261,6 @@ mod tests {
         assert!(!c.fair_scheduling);
         assert_eq!(c.recovery, RecoveryStrategy::UndoReplay);
         assert_eq!(c.victim, VictimPolicy::Youngest);
-        assert_eq!(c.cycle_detector, CycleDetector::SccOracle);
-        assert_eq!(c.reorder, ReorderStrategy::DenseRedistribute);
         assert!(!c.record_history);
         assert_eq!(c.max_retries, 7);
         assert_eq!(c.undeclared, UndeclaredPolicy::Abort);
@@ -324,8 +274,6 @@ mod tests {
         assert_eq!(RecoveryStrategy::UndoReplay.to_string(), "undo-replay");
         assert_eq!(VictimPolicy::Requester.to_string(), "requester");
         assert_eq!(VictimPolicy::Youngest.to_string(), "youngest");
-        assert_eq!(CycleDetector::Incremental.to_string(), "incremental");
-        assert_eq!(CycleDetector::SccOracle.to_string(), "scc-oracle");
         assert_eq!(UndeclaredPolicy::Escalate.to_string(), "escalate");
         assert_eq!(UndeclaredPolicy::Abort.to_string(), "abort");
     }

@@ -315,18 +315,6 @@ impl GlobalGraph {
         GlobalGraph::default()
     }
 
-    /// An empty escalation graph using the given violation-repair
-    /// strategy — [`ShardedKernel::new`] passes the same
-    /// [`crate::SchedulerConfig::reorder`] the shard kernels run, so an
-    /// old-vs-new comparison stays pure across the escalation path too.
-    pub fn with_reorder(reorder: sbcc_graph::ReorderStrategy) -> Self {
-        let mut graph = DependencyGraph::new();
-        graph.set_reorder_strategy(reorder);
-        GlobalGraph {
-            graph: Mutex::new(graph),
-        }
-    }
-
     pub(crate) fn add_edge(&self, from: TxnId, to: TxnId, kind: EdgeKind) {
         self.graph.lock().add_edge(from, to, kind);
     }
@@ -593,7 +581,7 @@ impl ShardedKernel {
     pub fn new(config: DatabaseConfig) -> Self {
         let shard_count = config.shards.resolve();
         assert!(shard_count >= 1, "at least one shard is required");
-        let global = Arc::new(GlobalGraph::with_reorder(config.scheduler.reorder));
+        let global = Arc::new(GlobalGraph::new());
         let commit_clock = Arc::new(AtomicU64::new(0));
         let version_floor = Arc::new(AtomicU64::new(u64::MAX));
         let shards = (0..shard_count)
@@ -990,9 +978,9 @@ impl ShardedKernel {
     // Requests
     // ------------------------------------------------------------------
 
-    /// Request an operation by global object id (resolves the shard
-    /// through the directory; sessions use [`Self::request_located`] with
-    /// the handle-resident location instead).
+    /// Request an operation by global object id: resolves the shard
+    /// through the directory and enrolls on first touch. Sessions, which
+    /// cache both, call [`Self::request_enrolled`] instead.
     pub fn request(
         &self,
         txn: TxnId,
@@ -1002,16 +990,6 @@ impl ShardedKernel {
         let loc = self
             .object_loc(object)
             .ok_or_else(|| CoreError::UnknownObject(format!("{object}")))?;
-        self.request_located(txn, loc, call)
-    }
-
-    /// Request an operation at a known location (enrolls on first touch).
-    pub fn request_located(
-        &self,
-        txn: TxnId,
-        loc: ObjectLoc,
-        call: OpCall,
-    ) -> Result<RequestOutcome, CoreError> {
         self.ensure_enrolled(txn, loc.shard, "request an operation")?;
         self.request_enrolled(txn, loc, call)
     }
@@ -1051,86 +1029,48 @@ impl ShardedKernel {
         result
     }
 
-    /// Grouped submission across shards: the batch is split into maximal
-    /// same-shard runs, each classified by its shard in one pass
-    /// ([`SchedulerKernel::request_batch`]), strictly in submission order.
-    /// The documented partial-admission semantics of [`BatchOutcome`] are
-    /// preserved: indices in the outcome refer to the submitted batch, and
-    /// a blocking or aborting terminator hands back the unprocessed suffix
-    /// (including the untouched later runs).
+    /// Grouped submission by global object id: resolves every call's shard
+    /// through the directory, enrolls in each touched shard, then runs
+    /// [`Self::request_batch_enrolled`] undeclared.
     pub fn request_batch(
         &self,
         txn: TxnId,
         calls: Vec<BatchCall>,
     ) -> Result<BatchOutcome, CoreError> {
-        let locs: Result<Vec<ObjectLoc>, CoreError> = calls
+        let locs = calls
             .iter()
             .map(|bc| {
                 self.object_loc(bc.object)
                     .ok_or_else(|| CoreError::UnknownObject(format!("{}", bc.object)))
             })
-            .collect();
-        self.request_batch_located(txn, calls, locs?)
+            .collect::<Result<Vec<ObjectLoc>, CoreError>>()?;
+        for run in locs.chunk_by(|a, b| a.shard == b.shard) {
+            self.ensure_enrolled(txn, run[0].shard, "submit a batch")?;
+        }
+        self.request_batch_enrolled(txn, calls, locs, None)
     }
 
-    /// [`Self::request_batch`] with pre-resolved locations (`locs[i]` must
-    /// locate `calls[i].object`).
-    pub fn request_batch_located(
-        &self,
-        txn: TxnId,
-        calls: Vec<BatchCall>,
-        locs: Vec<ObjectLoc>,
-    ) -> Result<BatchOutcome, CoreError> {
-        self.request_batch_inner(txn, calls, locs, true, None)
-    }
-
-    /// [`Self::request_batch_located`] for a transaction the caller has
-    /// already enrolled in every touched shard (the session layer's cached
-    /// fast path — no coordinator lock per shard run).
-    pub fn request_batch_enrolled(
-        &self,
-        txn: TxnId,
-        calls: Vec<BatchCall>,
-        locs: Vec<ObjectLoc>,
-    ) -> Result<BatchOutcome, CoreError> {
-        self.request_batch_inner(txn, calls, locs, false, None)
-    }
-
-    /// [`Self::request_batch_located`] with a **declared** read/write
-    /// footprint: each same-shard run is handed its projection of the
-    /// declaration and goes through
+    /// Grouped submission across shards for a transaction the caller has
+    /// already enrolled in every touched shard (`locs[i]` must locate
+    /// `calls[i].object`). The batch is split into maximal same-shard
+    /// runs, each classified by its shard in one pass
+    /// ([`SchedulerKernel::request_batch`]), strictly in submission order.
+    /// The documented partial-admission semantics of [`BatchOutcome`] are
+    /// preserved: indices in the outcome refer to the submitted batch, and
+    /// a blocking or aborting terminator hands back the unprocessed suffix
+    /// (including the untouched later runs).
+    ///
+    /// With a **declared** read/write footprint each same-shard run is
+    /// handed its projection of the declaration and goes through
     /// [`SchedulerKernel::request_batch_declared`] — group admission when
     /// the declared footprint is quiescent, classifier fallback/escalation
     /// (or an [`AbortReason::UndeclaredAccess`] abort, per policy)
     /// otherwise.
-    pub fn request_batch_declared(
-        &self,
-        txn: TxnId,
-        calls: Vec<BatchCall>,
-        locs: Vec<ObjectLoc>,
-        declared: &sbcc_adt::AccessSet<ObjectLoc>,
-    ) -> Result<BatchOutcome, CoreError> {
-        self.request_batch_inner(txn, calls, locs, true, Some(declared))
-    }
-
-    /// [`Self::request_batch_declared`] for a transaction already enrolled
-    /// in every touched shard.
-    pub fn request_batch_declared_enrolled(
-        &self,
-        txn: TxnId,
-        calls: Vec<BatchCall>,
-        locs: Vec<ObjectLoc>,
-        declared: &sbcc_adt::AccessSet<ObjectLoc>,
-    ) -> Result<BatchOutcome, CoreError> {
-        self.request_batch_inner(txn, calls, locs, false, Some(declared))
-    }
-
-    fn request_batch_inner(
+    pub fn request_batch_enrolled(
         &self,
         txn: TxnId,
         mut calls: Vec<BatchCall>,
         locs: Vec<ObjectLoc>,
-        enroll: bool,
         declared: Option<&sbcc_adt::AccessSet<ObjectLoc>>,
     ) -> Result<BatchOutcome, CoreError> {
         assert_eq!(calls.len(), locs.len(), "one location per call");
@@ -1158,9 +1098,6 @@ impl ShardedKernel {
             let mut end = start + 1;
             while end < total && locs[end].shard == shard {
                 end += 1;
-            }
-            if enroll {
-                self.ensure_enrolled(txn, shard, "submit a batch")?;
             }
             // Localize the run by moving the payloads out of the original
             // slots (the suffix after a stop is reconstructed below).
@@ -2332,37 +2269,6 @@ mod tests {
         assert_eq!(kernel.object_count(), 16);
         assert!(kernel.register("obj0", Counter::new()).is_err(), "duplicate name");
         assert!(kernel.object_loc(ObjectId(99)).is_none());
-    }
-
-    #[test]
-    fn escalation_graph_honours_the_configured_reorder_strategy() {
-        use sbcc_graph::ReorderStrategy;
-        // T2 is created above T1, so the edge 1 -> 2 violates the order;
-        // which repair runs must follow the configured strategy, not the
-        // graph-crate default.
-        let dense = GlobalGraph::with_reorder(ReorderStrategy::DenseRedistribute);
-        dense.add_edge(TxnId(1), TxnId(2), EdgeKind::WaitFor);
-        let t = dense.reorder_telemetry();
-        assert_eq!(t.violations, 1);
-        assert_eq!(t.slow_path_allocs, 1, "the dense repair allocates");
-
-        let gap = GlobalGraph::with_reorder(ReorderStrategy::GapLabel);
-        gap.add_edge(TxnId(1), TxnId(2), EdgeKind::WaitFor);
-        let t = gap.reorder_telemetry();
-        assert_eq!(t.violations, 1);
-        assert_eq!(t.slow_path_allocs, 0, "the gap repair does not");
-
-        // And ShardedKernel::new threads the scheduler knob through.
-        let kernel = ShardedKernel::new(
-            DatabaseConfig::new(
-                SchedulerConfig::default().with_reorder(ReorderStrategy::DenseRedistribute),
-            )
-            .with_shards(2),
-        );
-        kernel
-            .global
-            .add_edge(TxnId(1), TxnId(2), EdgeKind::WaitFor);
-        assert_eq!(kernel.global.reorder_telemetry().slow_path_allocs, 1);
     }
 
     #[test]

@@ -11,9 +11,8 @@
 //!
 //! Two entry points:
 //!
-//! * [`closed_loop_txns`] — a fixed per-connection transaction count,
-//!   used by the `net_closedloop_{1,4}conn` entries of
-//!   `repro --bench-kernel` (deterministic work volume per repetition);
+//! * [`closed_loop_txns`] — a fixed per-connection transaction count
+//!   (deterministic work volume, so a test can assert the exact total);
 //! * [`closed_loop_timed`] — a wall-clock budget, used by
 //!   `repro --bench-net` for multi-process runs against `repro --serve`.
 
@@ -163,11 +162,10 @@ pub fn closed_loop_timed(
     run_closed_loop(addr, conns, ops_per_txn, None, Some(budget))
 }
 
-/// The `net_closedloop_{n}conn` kernel-bench workload: spin up an
-/// in-process server on a fresh database, drive it with `conns`
-/// closed-loop connections over real sockets, tear it down. Returns
-/// the work-item count (wire operations + commits); panics on any
-/// leaked session or connection — a benchmark must also be leak-free.
+/// Spin up an in-process server on a fresh database, drive it with
+/// `conns` closed-loop connections over real sockets, tear it down.
+/// Returns the work-item count (wire operations + commits); panics on
+/// any leaked session or connection.
 pub fn net_closedloop_workload(conns: usize, txns_per_conn: u64, ops_per_txn: u64) -> u64 {
     let server = Server::start(
         AsyncDatabase::new(SchedulerConfig::default()),

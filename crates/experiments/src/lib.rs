@@ -2,8 +2,7 @@
 //!
 //! The `repro` binary regenerates every table (I–X) and figure (4–18) of
 //! *Semantics-Based Concurrency Control: Beyond Commutativity*. This library
-//! part holds the machinery so it can be unit-tested and reused by the
-//! benchmark crate:
+//! part holds the machinery so it can be unit-tested:
 //!
 //! * [`tables`] — renders the compatibility tables (Tables I–VIII) straight
 //!   from the data-type definitions and the parameter tables (IX and X) from
@@ -12,11 +11,9 @@
 //!   formats them as the series the paper plots;
 //! * [`summary`] — recomputes the Section 5.6 headline claims (peak
 //!   throughput improvements, thrashing onset, ratio orderings);
-//! * [`bench_kernel`] — deterministic kernel-throughput workloads dumped to
-//!   `BENCH_kernel.json` so successive PRs have a perf trajectory;
-//! * [`bench_net`] — the closed-loop network benchmark behind
-//!   `repro --serve` / `repro --bench-net` and the `net_closedloop_*`
-//!   kernel-bench entries;
+//! * [`bench_net`] — the closed-loop network smoke behind
+//!   `repro --serve` / `repro --bench-net` (performance numbers come from
+//!   `bench/`, not from here);
 //! * [`crash`] — the crash-recovery smoke workload behind
 //!   `repro --crash-workload` / `repro --crash-recover`: a fixed
 //!   transaction sequence against a write-ahead-logged database, plus
@@ -25,7 +22,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bench_kernel;
 pub mod bench_net;
 pub mod crash;
 pub mod figures;
@@ -33,6 +29,5 @@ pub mod output;
 pub mod summary;
 pub mod tables;
 
-pub use bench_kernel::{run_all as run_kernel_bench, BenchResult};
 pub use figures::{Figure, FigureId, Scale, SeriesSpec};
 pub use output::{format_table, SeriesTable};

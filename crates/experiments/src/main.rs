@@ -6,7 +6,6 @@
 //! repro --figures            reproduce every figure
 //! repro --summary            recompute the Section 5.6 headline claims
 //! repro --all                tables + figures + summary
-//! repro --bench-kernel       measure kernel throughput, write BENCH_kernel.json
 //! repro --serve              run the wire-protocol TCP server
 //! repro --bench-net          closed-loop network benchmark (multi-process capable)
 //! repro --dst                explore seeds in the deterministic-simulation harness
@@ -25,7 +24,7 @@
 //!   --csv                    emit CSV instead of aligned text
 //! ```
 
-use sbcc_experiments::{bench_kernel, bench_net};
+use sbcc_experiments::bench_net;
 use sbcc_experiments::figures::{FigureId, FigureRunner, Scale};
 use sbcc_experiments::summary::compute_summary;
 use sbcc_experiments::tables::render_table;
@@ -44,8 +43,6 @@ struct Args {
     completions: Option<u64>,
     mpl: Option<Vec<usize>>,
     csv: bool,
-    bench_kernel: bool,
-    bench_out: Option<String>,
     serve: bool,
     bench_net: bool,
     addr: Option<String>,
@@ -91,10 +88,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--figures" => args.all_figures = true,
             "--summary" => args.summary = true,
             "--all" => args.all = true,
-            "--bench-kernel" => args.bench_kernel = true,
-            "--bench-out" => {
-                args.bench_out = Some(take_value(&mut i)?);
-            }
             "--serve" => args.serve = true,
             "--bench-net" => args.bench_net = true,
             "--addr" => {
@@ -179,8 +172,6 @@ fn usage() -> &'static str {
        repro --figures                      reproduce every figure\n\
        repro --summary                      recompute the Section 5.6 claims\n\
        repro --all                          tables + figures + summary\n\
-       repro --bench-kernel                 measure kernel throughput, write BENCH_kernel.json\n\
-         [--bench-out PATH]                 override the output path\n\
        repro --serve                        run the wire-protocol TCP server over a fresh\n\
          [--addr A]                         database; bind A (default 127.0.0.1:0; the\n\
          [--serve-for-ms N]                 chosen port is printed), exit after N ms\n\
@@ -464,7 +455,6 @@ fn main() -> ExitCode {
             && args.figures.is_empty()
             && !args.all_figures
             && !args.summary
-            && !args.bench_kernel
             && !args.serve
             && !args.bench_net
             && !args.dst
@@ -495,24 +485,6 @@ fn main() -> ExitCode {
             Ok(()) => {}
             Err(code) => return code,
         }
-    }
-
-    if args.bench_kernel {
-        let out_path = args.bench_out.clone().unwrap_or_else(|| "BENCH_kernel.json".to_owned());
-        eprintln!(
-            "# measuring kernel throughput ({} mode)",
-            if args.quick { "quick" } else { "standard" }
-        );
-        let results = bench_kernel::run_all(args.quick);
-        for r in &results {
-            println!("{:<44} {:>14.1} ops/s  ({} ops in {:.2}s)", r.name, r.ops_per_sec, r.ops, r.elapsed_secs);
-        }
-        let json = bench_kernel::to_json(&results);
-        if let Err(e) = std::fs::write(&out_path, json) {
-            eprintln!("error: cannot write {out_path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("# wrote {out_path}");
     }
 
     // Tables.

@@ -39,7 +39,7 @@
 //!   verify the allocation-free claim. The pre-gap dense redistribution (which
 //!   re-packed the union of both regions into their existing positions,
 //!   allocating on every violation) is retained behind
-//!   [`ReorderStrategy::DenseRedistribute`] as a benchmark baseline.
+//!   [`ReorderStrategy::DenseRedistribute`] as the differential-test reference.
 //! * [`DependencyGraph::would_close_cycle`] exploits the same invariant:
 //!   a path from a target `t` back to `from` can only run through nodes
 //!   with `ord > ord(from)` (labels strictly decrease along every edge),
@@ -58,8 +58,7 @@
 //! [`crate::cycle::has_cycle_scc`] (a from-scratch Tarjan SCC pass) is kept
 //! as the property-test oracle, and
 //! [`DependencyGraph::would_close_cycle_oracle`] exposes an oracle-backed
-//! check so benchmarks and differential tests can run the old and new paths
-//! side by side.
+//! check so differential tests can run the old and new paths side by side.
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -692,8 +691,8 @@ impl<N: NodeId> DependencyGraph<N> {
         }
     }
 
-    /// The pre-gap dense Pearce–Kelly repair, retained as the benchmark
-    /// baseline behind [`ReorderStrategy::DenseRedistribute`]: discover the
+    /// The pre-gap dense Pearce–Kelly repair, retained as the test
+    /// reference behind [`ReorderStrategy::DenseRedistribute`]: discover the
     /// forward region (transitive dependencies of `to` at or above
     /// `ord(from)`) and the backward region (transitive dependants of
     /// `from` at or below `ord(to)`), then redistribute the union's
@@ -1135,9 +1134,8 @@ impl<N: NodeId> DependencyGraph<N> {
     /// a from-scratch Tarjan SCC pass. The insert closes a cycle *through
     /// the new edges* exactly when `from` ends up in the same strongly
     /// connected component as one of the targets. This is the
-    /// pre-incremental "old path", retained for differential tests and the
-    /// old-vs-new benchmark; it must always agree with the incremental
-    /// check.
+    /// pre-incremental "old path", retained for differential tests; it
+    /// must always agree with the incremental check.
     pub fn would_close_cycle_oracle(&mut self, from: N, targets: &[N]) -> bool {
         self.cycle_checks += 1;
         let mut adj = self.to_adjacency();

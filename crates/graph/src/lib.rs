@@ -36,7 +36,7 @@
 //! allocation, whenever the region holds at most 32 nodes. The
 //! [`graph::OrderTelemetry`] counters prove the claim at runtime, and
 //! [`graph::ReorderStrategy::DenseRedistribute`] keeps the pre-gap repair
-//! alive as a benchmark baseline.
+//! alive as the reference the differential tests compare against.
 //!
 //! | operation | dense redistribute (pre-gap) | gap-labeled |
 //! |---|---|---|

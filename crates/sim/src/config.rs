@@ -127,10 +127,10 @@ pub struct SimParams {
     /// per-call submission; what changes is timing — and note the cost
     /// model's bias: the simulator charges **zero** overhead per
     /// submission, so batching's real-world win (fewer kernel round trips
-    /// and lock acquisitions; see `BENCH_kernel.json`) is invisible here,
-    /// while its cost — operations enter the uncommitted logs *before*
-    /// their service time elapses, widening every transaction's conflict
-    /// window — is fully modelled. Under heavy data contention batched
+    /// and lock acquisitions; `pair.batched_over_percall` in `bench/`) is
+    /// invisible here, while its cost — operations enter the uncommitted
+    /// logs *before* their service time elapses, widening every
+    /// transaction's conflict window — is fully modelled. Under heavy data contention batched
     /// simulated throughput can therefore trail per-call.
     pub batch_submission: bool,
     /// Stop the run after this many transactions have completed
@@ -145,7 +145,7 @@ pub struct SimParams {
     /// same dependencies, cycles spanning shards are refused through the
     /// escalation graph). The simulator charges no time for shard
     /// coordination, so simulated throughput measures admission behaviour,
-    /// not lock contention — use `repro --bench-kernel` for the wall-clock
+    /// not lock contention — use `bash bench/run.sh` for the wall-clock
     /// story.
     pub shards: usize,
 }

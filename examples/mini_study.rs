@@ -76,8 +76,8 @@ fn main() {
     // Shard-count sweep: the sharded kernel admits identically (the
     // differential suite pins that), so simulated throughput stays flat —
     // what changes is the admission bookkeeping, reported here via the
-    // per-shard snapshot. Wall-clock scaling lives in `repro
-    // --bench-kernel` (`sharded_*` workloads).
+    // per-shard snapshot. Wall-clock numbers live in `bench/`
+    // (`bash bench/run.sh`).
     println!("\nShard-count sweep (mpl = 50, recoverability):");
     println!(
         "{:>8} {:>12} {:>14} {:>18} {:>18}",

@@ -14,11 +14,11 @@ fn concurrent_counter_increments_never_lose_updates() {
     let threads = 8;
     let per_thread = 50i64;
 
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         for _ in 0..threads {
             let db = db.clone();
             let counter = counter.clone();
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 for _ in 0..per_thread {
                     let t = db.begin();
                     t.exec(&counter, CounterOp::Increment(1)).unwrap();
@@ -26,8 +26,7 @@ fn concurrent_counter_increments_never_lose_updates() {
                 }
             });
         }
-    })
-    .expect("threads join");
+    });
 
     let t = db.begin();
     let value = t.exec(&counter, CounterOp::Read).unwrap();
@@ -60,12 +59,12 @@ fn concurrent_bank_transfers_preserve_the_total_balance() {
     setup.commit().unwrap();
 
     let retries = Arc::new(AtomicI64::new(0));
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         for worker in 0..6 {
             let db = db.clone();
             let accounts = accounts.clone();
             let retries = retries.clone();
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 let mut transferred = 0;
                 let mut attempt = 0u64;
                 while transferred < 20 {
@@ -86,8 +85,7 @@ fn concurrent_bank_transfers_preserve_the_total_balance() {
                 }
             });
         }
-    })
-    .expect("threads join");
+    });
 
     // Total balance is conserved.
     let t = db.begin();
@@ -161,11 +159,11 @@ fn concurrent_transfers_through_the_run_helper_always_complete() {
     seed.submit().unwrap();
     setup.commit().unwrap();
 
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         for worker in 0..4i64 {
             let db = db.clone();
             let accounts = accounts.clone();
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 for round in 0..10i64 {
                     let from = (worker + round) % n_accounts;
                     let to = (from + 1) % n_accounts;
@@ -192,8 +190,7 @@ fn concurrent_transfers_through_the_run_helper_always_complete() {
                 }
             });
         }
-    })
-    .expect("threads join");
+    });
 
     let total = db
         .run(|txn| {
@@ -219,7 +216,7 @@ fn mixed_producers_and_auditors_on_sets_and_stacks() {
     let log = db.register("log", Stack::new());
     let seen = db.register("seen", Set::new());
 
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         // Producers push log entries and insert into the set — all
         // recoverable or commutative, so they never block each other. Each
         // producer transaction is one two-call batch.
@@ -227,7 +224,7 @@ fn mixed_producers_and_auditors_on_sets_and_stacks() {
             let db = db.clone();
             let log = log.clone();
             let seen = seen.clone();
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 for i in 0..30 {
                     let t = db.begin();
                     let id = p * 1_000 + i;
@@ -245,7 +242,7 @@ fn mixed_producers_and_auditors_on_sets_and_stacks() {
         // cycle — both are acceptable, it simply retries).
         let db_a = db.clone();
         let log_a = log.clone();
-        scope.spawn(move |_| {
+        scope.spawn(move || {
             let mut reads = 0;
             let mut attempts = 0;
             while reads < 5 && attempts < 1_000 {
@@ -263,8 +260,7 @@ fn mixed_producers_and_auditors_on_sets_and_stacks() {
                 }
             }
         });
-    })
-    .expect("threads join");
+    });
 
     // Every produced id is visible exactly once.
     let t = db.begin();

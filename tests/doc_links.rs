@@ -3,7 +3,8 @@
 //! directory that actually exists, so the docs cannot rot when a PR moves
 //! a seam. CI runs this as its own leg (`cargo test -p sbcc --test
 //! doc_links`) next to the rustdoc `-D warnings` pass, which covers the
-//! intra-doc links on the Rust side.
+//! intra-doc links on the Rust side. The same leg checks that every
+//! `repro --flag` the docs show still exists in `repro --help`.
 
 use std::path::Path;
 
@@ -75,8 +76,64 @@ fn readme_covers_the_required_sections() {
         "cargo build --release && cargo test -q", // the tier-1 command
         "ARCHITECTURE.md",
         "ROADMAP.md",
-        "BENCH_kernel.json",
+        "BENCHMARK.json",
+        "bench/README.md",
     ] {
         assert!(readme.contains(needle), "README.md must mention {needle:?}");
     }
+}
+
+/// The `--flag`s a document attributes to the `repro` binary: every flag
+/// in the run of `--flag [value]` tokens that follows a word ending in
+/// `repro` (`repro --serve --addr A`, `--bin repro -- --table 3`).
+fn repro_flags(markdown: &str) -> Vec<String> {
+    let trim = |tok: &str| {
+        tok.trim_matches(|c: char| !(c.is_ascii_alphanumeric() || c == '-')).to_owned()
+    };
+    let mut flags = Vec::new();
+    let mut tokens = markdown.split_whitespace().map(trim).peekable();
+    while let Some(tok) = tokens.next() {
+        if !tok.ends_with("repro") {
+            continue;
+        }
+        let mut value_allowed = false;
+        while let Some(next) = tokens.peek() {
+            if next.len() > 2 && next.starts_with("--") {
+                flags.push(next.clone());
+                value_allowed = true;
+            } else if next == "--" || value_allowed {
+                // cargo's `--` separator, or the one value a flag may take.
+                value_allowed = false;
+            } else {
+                break;
+            }
+            tokens.next();
+        }
+    }
+    flags
+}
+
+/// A flag retired from `repro` must not survive in the docs that describe
+/// the present tree. (CHANGES.md and ROADMAP.md are exempt: history lines
+/// keep the names of retired flags and open items name future ones.)
+#[test]
+fn repro_flags_in_the_docs_exist_in_the_usage_text() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let main = std::fs::read_to_string(root.join("crates/experiments/src/main.rs"))
+        .expect("repro's main.rs exists");
+    let usage = main.split("fn usage()").nth(1).expect("main.rs defines usage()");
+    let usage = usage.split("\nfn ").next().unwrap_or(usage);
+    let mut checked = 0usize;
+    let mut stale = Vec::new();
+    for doc in ["README.md", "ARCHITECTURE.md"] {
+        let text = std::fs::read_to_string(root.join(doc)).expect("root doc exists");
+        for flag in repro_flags(&text) {
+            checked += 1;
+            if !usage.contains(&flag) {
+                stale.push(format!("{doc}: repro {flag}"));
+            }
+        }
+    }
+    assert!(checked >= 5, "the docs should show repro invocations (found {checked} flags)");
+    assert!(stale.is_empty(), "flags missing from `repro --help`:\n{}", stale.join("\n"));
 }
