@@ -192,8 +192,7 @@ struct ConnShared {
     events: StdMutex<VecDeque<ConnEvent>>,
     router_waker: StdMutex<Option<Waker>>,
     closed: AtomicBool,
-    /// One slot per parked [`Closed`] future (`None` = free for reuse).
-    close_wakers: StdMutex<Vec<Option<Waker>>>,
+    close_wakers: StdMutex<Vec<Waker>>,
     /// Live transactions on this connection: admission control reads it,
     /// the reader only runs its inactivity countdown while it is > 0.
     live_txns: AtomicUsize,
@@ -233,8 +232,8 @@ impl ConnShared {
     fn mark_closed(&self) {
         self.closed.store(true, Ordering::Release);
         self.wake_router();
-        let wakers = std::mem::take(&mut *self.close_wakers.lock().unwrap());
-        for w in wakers.into_iter().flatten() {
+        let wakers: Vec<Waker> = std::mem::take(&mut *self.close_wakers.lock().unwrap());
+        for w in wakers {
             w.wake();
         }
     }
@@ -246,57 +245,23 @@ impl ConnShared {
 /// the async layer's cancellation abort.
 struct Closed {
     conn: Arc<ConnShared>,
-    /// This future's slot in [`ConnShared::close_wakers`] once it has
-    /// parked. The executor hands every poll a fresh waker, so a re-poll
-    /// overwrites the slot instead of registering again, and drop frees
-    /// it: the list stays as long as the number of parked futures.
-    slot: Option<usize>,
-}
-
-impl Closed {
-    fn new(conn: &Arc<ConnShared>) -> Self {
-        Closed {
-            conn: conn.clone(),
-            slot: None,
-        }
-    }
 }
 
 impl Future for Closed {
     type Output = ();
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        let this = self.get_mut();
-        if this.conn.closed.load(Ordering::Acquire) {
+        if self.conn.closed.load(Ordering::Acquire) {
             return Poll::Ready(());
         }
-        let mut wakers = this.conn.close_wakers.lock().unwrap();
-        if this.conn.closed.load(Ordering::Acquire) {
+        let mut wakers = self.conn.close_wakers.lock().unwrap();
+        if self.conn.closed.load(Ordering::Acquire) {
             return Poll::Ready(());
         }
-        // Not closed under the lock, so `mark_closed` has not drained the
-        // list yet and a slot claimed earlier is still this future's.
-        let slot = *this.slot.get_or_insert_with(|| {
-            wakers.iter().position(Option::is_none).unwrap_or_else(|| {
-                wakers.push(None);
-                wakers.len() - 1
-            })
-        });
-        wakers[slot] = Some(cx.waker().clone());
+        if !wakers.iter().any(|w| w.will_wake(cx.waker())) {
+            wakers.push(cx.waker().clone());
+        }
         Poll::Pending
-    }
-}
-
-impl Drop for Closed {
-    fn drop(&mut self) {
-        let Some(slot) = self.slot else { return };
-        // Poisoned only if a poll panicked; there is nothing to free then.
-        if let Ok(mut wakers) = self.conn.close_wakers.lock() {
-            // After `mark_closed` drained the list the slot is gone already.
-            if let Some(entry) = wakers.get_mut(slot) {
-                *entry = None;
-            }
-        }
     }
 }
 
@@ -929,7 +894,7 @@ async fn txn_task(
             NextWork {
                 queue: queue.clone(),
             },
-            Closed::new(&conn),
+            Closed { conn: conn.clone() },
         )
         .await;
         let work = match next {
@@ -941,7 +906,7 @@ async fn txn_task(
         };
         match work {
             TxnWork::Exec { id, handle, call } => {
-                let raced = race(txn.exec_call(&handle, call), Closed::new(&conn)).await;
+                let raced = race(txn.exec_call(&handle, call), Closed { conn: conn.clone() }).await;
                 match raced {
                     RaceWinner::Left(Ok(result)) => {
                         write_frame(&writer, &conn, &Response::Result(result).encode(id));
@@ -966,7 +931,7 @@ async fn txn_task(
                 let mut outcome = None;
                 for (handle, call) in ops {
                     let raced =
-                        race(txn.exec_call(&handle, call), Closed::new(&conn)).await;
+                        race(txn.exec_call(&handle, call), Closed { conn: conn.clone() }).await;
                     match raced {
                         RaceWinner::Left(Ok(result)) => results.push(result),
                         RaceWinner::Left(Err(e)) => {
@@ -1002,7 +967,7 @@ async fn txn_task(
                 for (handle, call) in &ops {
                     batch.add_call(handle, call.clone());
                 }
-                let raced = race(batch.submit(), Closed::new(&conn)).await;
+                let raced = race(batch.submit(), Closed { conn: conn.clone() }).await;
                 let resp = match raced {
                     RaceWinner::Left(Ok(results)) => Response::Results(results),
                     RaceWinner::Left(Err(e)) => error_response(&e),
@@ -1048,53 +1013,5 @@ async fn auto_abort(shared: &Arc<ServerShared>, txn: &AsyncTransaction) {
     if matches!(txn.state(), Some(TxnState::Active) | Some(TxnState::Blocked)) {
         let session = txn.clone();
         let _ = session.abort().await;
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::task::Wake;
-
-    struct CountWake(AtomicUsize);
-
-    impl Wake for CountWake {
-        fn wake(self: Arc<Self>) {
-            self.0.fetch_add(1, Ordering::SeqCst);
-        }
-    }
-
-    /// Poll with a waker of its own, as the executor does on every poll.
-    fn poll_fresh(closed: &mut Closed) -> (Poll<()>, Arc<CountWake>) {
-        let count = Arc::new(CountWake(AtomicUsize::new(0)));
-        let waker = Waker::from(count.clone());
-        let poll = Pin::new(closed).poll(&mut Context::from_waker(&waker));
-        (poll, count)
-    }
-
-    #[test]
-    fn closed_holds_one_waker_slot_however_often_it_is_polled() {
-        let conn = Arc::new(ConnShared::new());
-        let mut closed = Closed::new(&conn);
-        let mut last = None;
-        for _ in 0..1000 {
-            let (poll, count) = poll_fresh(&mut closed);
-            assert!(poll.is_pending());
-            last = Some(count);
-        }
-        assert_eq!(conn.close_wakers.lock().unwrap().len(), 1);
-
-        // A second parked future takes a slot of its own and frees it on
-        // drop, so the next one reuses it.
-        for _ in 0..3 {
-            let mut other = Closed::new(&conn);
-            assert!(poll_fresh(&mut other).0.is_pending());
-            assert_eq!(conn.close_wakers.lock().unwrap().len(), 2);
-        }
-
-        conn.mark_closed();
-        let last = last.expect("polled at least once");
-        assert_eq!(last.0.load(Ordering::SeqCst), 1, "the latest waker is woken, once");
-        assert!(poll_fresh(&mut closed).0.is_ready());
     }
 }
