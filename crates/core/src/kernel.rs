@@ -527,16 +527,7 @@ impl SchedulerKernel {
         call: OpCall,
     ) -> Result<RequestOutcome, CoreError> {
         self.ensure_object(object)?;
-        let state = self
-            .txn_state(txn)
-            .ok_or(CoreError::UnknownTransaction(txn))?;
-        if state != TxnState::Active {
-            return Err(CoreError::InvalidState {
-                txn,
-                state,
-                action: "request an operation",
-            });
-        }
+        self.ensure_active(txn, "request an operation")?;
         self.stats.requests += 1;
         let epoch = self.termination_epoch;
         let outcome = self.process_request(txn, object, call, false, None);
@@ -573,16 +564,7 @@ impl SchedulerKernel {
         for bc in &calls {
             self.ensure_object(bc.object)?;
         }
-        let state = self
-            .txn_state(txn)
-            .ok_or(CoreError::UnknownTransaction(txn))?;
-        if state != TxnState::Active {
-            return Err(CoreError::InvalidState {
-                txn,
-                state,
-                action: "submit a batch",
-            });
-        }
+        self.ensure_active(txn, "submit a batch")?;
         self.stats.batches += 1;
 
         let mut calls = calls;
@@ -707,16 +689,7 @@ impl SchedulerKernel {
         for obj in declared.objects() {
             self.ensure_object(*obj)?;
         }
-        let state = self
-            .txn_state(txn)
-            .ok_or(CoreError::UnknownTransaction(txn))?;
-        if state != TxnState::Active {
-            return Err(CoreError::InvalidState {
-                txn,
-                state,
-                action: "submit a batch",
-            });
-        }
+        self.ensure_active(txn, "submit a batch")?;
         self.stats.declared_batches += 1;
 
         // Pass 1: coverage. A write declaration admits any call; a read
@@ -808,16 +781,7 @@ impl SchedulerKernel {
     /// Commit a transaction. Depending on outstanding commit dependencies
     /// this is an actual commit or a pseudo-commit.
     pub fn commit(&mut self, txn: TxnId) -> Result<CommitOutcome, CoreError> {
-        let state = self
-            .txn_state(txn)
-            .ok_or(CoreError::UnknownTransaction(txn))?;
-        if state != TxnState::Active {
-            return Err(CoreError::InvalidState {
-                txn,
-                state,
-                action: "commit",
-            });
-        }
+        self.ensure_active(txn, "commit")?;
         debug_assert!(
             !self.txns.get(&txn).map(|r| r.coordinated).unwrap_or(false),
             "multi-shard transactions commit through the coordinator, not Self::commit"
@@ -1054,6 +1018,17 @@ impl SchedulerKernel {
             if let Some(global) = &self.escalation {
                 global.clear_out_edges(txn, EdgeKind::WaitFor);
             }
+        }
+    }
+
+    /// The prologue of every submission and of commit: the transaction
+    /// exists and is `Active`.
+    #[inline]
+    fn ensure_active(&self, txn: TxnId, action: &'static str) -> Result<(), CoreError> {
+        match self.txn_state(txn) {
+            Some(TxnState::Active) => Ok(()),
+            Some(state) => Err(CoreError::InvalidState { txn, state, action }),
+            None => Err(CoreError::UnknownTransaction(txn)),
         }
     }
 

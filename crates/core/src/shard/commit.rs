@@ -27,35 +27,16 @@ impl ShardedKernel {
     /// fast path inside their shard; multi-shard transactions run the
     /// cross-shard vote described in the module documentation.
     pub fn commit(&self, txn: TxnId) -> Result<CommitOutcome, CoreError> {
-        let enrolled: Vec<u32> = {
-            let enroll = self.enroll.lock();
-            match enroll.live.get(&txn) {
-                Some(rec) => {
-                    if rec.pseudo {
-                        return Err(CoreError::InvalidState {
-                            txn,
-                            state: TxnState::PseudoCommitted,
-                            action: "commit",
-                        });
-                    }
-                    rec.shards.clone()
-                }
-                None => return Err(Self::missing_txn_error(&enroll, txn, "commit")),
-            }
-        };
+        let enrolled = self.live_shards(txn, "commit")?;
         // SSI commit-entry gate: decide dangerous structures and publish
         // the writer entries *before* any shard applies the commit (a
         // pseudo-commit is a promise, so nothing may be vetoed after it).
-        if self.ssi_enabled.load(Ordering::SeqCst) != 0 {
-            self.ssi_commit_entry(txn, &enrolled)?;
-        }
+        self.ssi_commit_entry(txn, &enrolled)?;
         match enrolled.len() {
             0 => {
                 // The transaction never touched an object: a trivially
                 // empty commit.
-                if self.claim(txn, TermFate::Committed).is_some() {
-                    self.count_termination(TermFate::Committed);
-                }
+                self.terminate(txn, TermFate::Committed);
                 Ok(CommitOutcome::Committed)
             }
             1 => {
@@ -71,15 +52,13 @@ impl ShardedKernel {
                 };
                 match &result {
                     Ok(CommitOutcome::Committed) => {
-                        if self.claim(txn, TermFate::Committed).is_some() {
-                            self.count_termination(TermFate::Committed);
-                        }
+                        self.terminate(txn, TermFate::Committed);
                     }
                     Ok(CommitOutcome::PseudoCommitted { .. }) => {
                         if let Some(rec) = self.enroll.lock().live.get_mut(&txn) {
                             rec.pseudo = true;
                         }
-                        self.ssi_mark_pseudo(txn);
+                        self.ssi.mark_pseudo(txn);
                         self.lifecycle.pseudo_commits.fetch_add(1, Ordering::Relaxed);
                     }
                     Err(_) => {}
@@ -131,39 +110,15 @@ impl ShardedKernel {
             deps.sort_unstable();
             deps.dedup();
             if deps.is_empty() {
-                // Durability first: the transaction's fragments and the
-                // cross-shard marker must be on disk before any shard
-                // applies the commit in-memory, or a crash between the
-                // per-shard applications could acknowledge state the log
-                // cannot reproduce.
-                self.wal_log_multi(txn, enrolled);
-                // Phase 2a: unanimous — apply the actual commit shard by
-                // shard (the termination lock keeps the per-shard commit
-                // orders of concurrent multi-shard commits consistent).
-                // One stamp for every shard's fold, drawn under the
-                // termination lock: snapshot begins also serialize
-                // against this lock, so the multi-shard commit is
-                // atomic from every snapshot's point of view.
-                let stamp = self.commit_clock.fetch_add(1, Ordering::SeqCst) + 1;
-                for &s in enrolled {
-                    // Between two per-shard applications the transaction
-                    // is committed in a prefix of its shards only.
-                    chaos::reach(ChaosPoint::VoteApply, Some(txn));
-                    let mut kernel = self.lock_shard(s);
-                    kernel.commit_coordinated(txn, stamp);
-                    let fx = drain_fx(&mut kernel);
-                    drop(kernel);
-                    fxs.push((s, fx));
-                }
-                if self.claim(txn, TermFate::Committed).is_some() {
-                    self.count_termination(TermFate::Committed);
-                }
+                // Phase 2a: unanimous — apply the actual commit in
+                // every shard.
+                (fxs, _) = self.apply_coordinated(txn, enrolled, Some(ChaosPoint::VoteApply));
                 CommitOutcome::Committed
             } else {
                 // Phase 2b: outstanding dependencies — pseudo-commit in
                 // every shard; re-voted when a shard's local out-degree
                 // drops to zero.
-                self.ssi_mark_pseudo(txn);
+                self.ssi.mark_pseudo(txn);
                 for &s in enrolled {
                     let mut kernel = self.lock_shard(s);
                     let marked = kernel.pseudo_commit_coordinated(txn);
@@ -193,41 +148,55 @@ impl ShardedKernel {
 
     /// Explicitly abort an active or blocked transaction (all shards).
     pub fn abort(&self, txn: TxnId) -> Result<(), CoreError> {
-        let enrolled: Vec<u32> = {
-            let enroll = self.enroll.lock();
-            match enroll.live.get(&txn) {
-                Some(rec) => {
-                    if rec.pseudo {
-                        return Err(CoreError::InvalidState {
-                            txn,
-                            state: TxnState::PseudoCommitted,
-                            action: "abort",
-                        });
-                    }
-                    rec.shards.clone()
-                }
-                None => return Err(Self::missing_txn_error(&enroll, txn, "abort")),
-            }
-        };
-        match enrolled.len() {
-            0 => {
-                if self.claim(txn, TermFate::Aborted(AbortReason::Explicit)).is_some() {
-                    self.count_termination(TermFate::Aborted(AbortReason::Explicit));
-                }
+        let enrolled = self.live_shards(txn, "abort")?;
+        self.abort_enrolled(txn, &enrolled, AbortReason::Explicit)
+    }
+
+    /// The prologue of every session-initiated termination: the shards a
+    /// live transaction is enrolled in, or the error naming why `action`
+    /// is refused (already pseudo-committed, terminated, or unknown).
+    pub(super) fn live_shards(
+        &self,
+        txn: TxnId,
+        action: &'static str,
+    ) -> Result<Vec<u32>, CoreError> {
+        let enroll = self.enroll.lock();
+        match enroll.live.get(&txn) {
+            Some(rec) if rec.pseudo => Err(CoreError::InvalidState {
+                txn,
+                state: TxnState::PseudoCommitted,
+                action,
+            }),
+            Some(rec) => Ok(rec.shards.clone()),
+            None => Err(Self::missing_txn_error(&enroll, txn, action)),
+        }
+    }
+
+    /// Abort a live transaction for `reason` in every shard of `enrolled`
+    /// (as returned by [`Self::live_shards`]). Only ever runs on the
+    /// transaction's own session thread: an explicit abort, or the SSI
+    /// guard refusing the operation in hand.
+    pub(super) fn abort_enrolled(
+        &self,
+        txn: TxnId,
+        enrolled: &[u32],
+        reason: AbortReason,
+    ) -> Result<(), CoreError> {
+        let fate = TermFate::Aborted(reason);
+        match *enrolled {
+            [] => {
+                self.terminate(txn, fate);
                 Ok(())
             }
-            1 => {
-                let shard = enrolled[0];
+            [shard] => {
                 let (result, fx) = {
                     let mut kernel = self.lock_shard(shard);
-                    let result = kernel.abort(txn);
+                    let result = kernel.abort_with(txn, reason);
                     let fx = drain_fx(&mut kernel);
                     (result, fx)
                 };
-                if result.is_ok()
-                    && self.claim(txn, TermFate::Aborted(AbortReason::Explicit)).is_some()
-                {
-                    self.count_termination(TermFate::Aborted(AbortReason::Explicit));
+                if result.is_ok() {
+                    self.terminate(txn, fate);
                 }
                 self.absorb(shard, None, fx);
                 result
@@ -236,17 +205,15 @@ impl ShardedKernel {
                 let mut fxs: Vec<(u32, ShardFx)> = Vec::new();
                 {
                     let _termination = self.termination.lock();
-                    for &s in &enrolled {
+                    for &s in enrolled {
                         let mut kernel = self.lock_shard(s);
-                        kernel.abort_coordinated(txn, AbortReason::Explicit);
+                        kernel.abort_coordinated(txn, reason);
                         let fx = drain_fx(&mut kernel);
                         drop(kernel);
                         fxs.push((s, fx));
                     }
                 }
-                if self.claim(txn, TermFate::Aborted(AbortReason::Explicit)).is_some() {
-                    self.count_termination(TermFate::Aborted(AbortReason::Explicit));
-                }
+                self.terminate(txn, fate);
                 for (shard, fx) in fxs {
                     self.absorb(shard, None, fx);
                 }
@@ -255,88 +222,15 @@ impl ShardedKernel {
         }
     }
 
-    /// Abort `txn` with [`AbortReason::SsiConflict`] in every shard it is
-    /// enrolled in; returns the session-facing error. Mirrors
-    /// [`Self::abort`] (the transaction is live and not pseudo-committed:
-    /// dangerous structures are decided strictly before commit entry).
-    pub(super) fn ssi_abort(&self, txn: TxnId) -> CoreError {
-        let reason = AbortReason::SsiConflict;
-        let fate = TermFate::Aborted(reason);
-        let enrolled: Vec<u32> = self
-            .enroll
-            .lock()
-            .live
-            .get(&txn)
-            .map(|r| r.shards.clone())
-            .unwrap_or_default();
-        match enrolled.len() {
-            0 => {
-                if self.claim(txn, fate).is_some() {
-                    self.count_termination(fate);
-                }
-            }
-            1 => {
-                let shard = enrolled[0];
-                let (result, fx) = {
-                    let mut kernel = self.lock_shard(shard);
-                    let result = kernel.abort_with(txn, reason);
-                    let fx = drain_fx(&mut kernel);
-                    (result, fx)
-                };
-                if result.is_ok() && self.claim(txn, fate).is_some() {
-                    self.count_termination(fate);
-                }
-                self.absorb(shard, None, fx);
-            }
-            _ => {
-                let mut fxs: Vec<(u32, ShardFx)> = Vec::new();
-                {
-                    let _termination = self.termination.lock();
-                    for &s in &enrolled {
-                        let mut kernel = self.lock_shard(s);
-                        kernel.abort_coordinated(txn, reason);
-                        let fx = drain_fx(&mut kernel);
-                        drop(kernel);
-                        fxs.push((s, fx));
-                    }
-                }
-                if self.claim(txn, fate).is_some() {
-                    self.count_termination(fate);
-                }
-                for (shard, fx) in fxs {
-                    self.absorb(shard, None, fx);
-                }
-            }
-        }
-        CoreError::Aborted { txn, reason }
-    }
-
     // ------------------------------------------------------------------
     // Coordination internals
     // ------------------------------------------------------------------
 
-    /// Claim a termination: atomically move the transaction from the live
-    /// to the finished map. Exactly one caller wins; it is responsible for
-    /// the lifecycle counters and for completing the termination in the
-    /// transaction's other shards.
-    fn claim(&self, txn: TxnId, fate: TermFate) -> Option<Vec<u32>> {
-        let mut enroll = self.enroll.lock();
-        let rec = enroll.live.remove(&txn)?;
-        let state = match fate {
-            TermFate::Committed => TxnState::Committed,
-            TermFate::Aborted(_) => TxnState::Aborted,
-        };
-        enroll.finished.insert(txn, state);
-        if self.ssi_enabled.load(Ordering::SeqCst) != 0 {
-            // Finalize under the enrollment lock (enroll → ssi is the
-            // one permitted nesting): stamp or retract the transaction's
-            // SSI footprint and clear everything at quiescence.
-            self.ssi_finalize(txn, fate, enroll.live.is_empty());
-        }
-        Some(rec.shards)
-    }
-
-    fn count_termination(&self, fate: TermFate) {
+    /// Terminate `txn` at the coordinator: claim the termination and, when
+    /// this caller won it, count it. Returns the shards the transaction
+    /// was enrolled in (`None`: another path already completed it).
+    fn terminate(&self, txn: TxnId, fate: TermFate) -> Option<Vec<u32>> {
+        let shards = self.claim(txn, fate)?;
         let counter = match fate {
             TermFate::Committed => &self.lifecycle.commits,
             TermFate::Aborted(AbortReason::DeadlockCycle) => &self.lifecycle.aborts_deadlock,
@@ -351,6 +245,25 @@ impl ShardedKernel {
             TermFate::Aborted(AbortReason::Explicit) => &self.lifecycle.aborts_explicit,
         };
         counter.fetch_add(1, Ordering::Relaxed);
+        Some(shards)
+    }
+
+    /// Claim a termination: atomically move the transaction from the live
+    /// to the finished map. Exactly one caller wins; it is responsible for
+    /// completing the termination in the transaction's other shards.
+    fn claim(&self, txn: TxnId, fate: TermFate) -> Option<Vec<u32>> {
+        let mut enroll = self.enroll.lock();
+        let rec = enroll.live.remove(&txn)?;
+        let state = match fate {
+            TermFate::Committed => TxnState::Committed,
+            TermFate::Aborted(_) => TxnState::Aborted,
+        };
+        enroll.finished.insert(txn, state);
+        // Finalize under the enrollment lock (enroll → ssi is the one
+        // permitted nesting): stamp or retract the transaction's SSI
+        // footprint and clear everything at quiescence.
+        self.ssi.finalize(txn, fate, enroll.live.is_empty());
+        Some(rec.shards)
     }
 
     /// Process the side effects of a shard pass to fixpoint: forward the
@@ -392,10 +305,9 @@ impl ShardedKernel {
                 self.publish_events(fx.events);
             }
             if let Some((txn, fate, origin_shard)) = terminations.pop() {
-                let Some(shards) = self.claim(txn, fate) else {
+                let Some(shards) = self.terminate(txn, fate) else {
                     continue; // already completed by another path
                 };
-                self.count_termination(fate);
                 if let TermFate::Aborted(reason) = fate {
                     // Aborts of multi-shard transactions originate in one
                     // shard (the requester's own thread, or a retry in the
@@ -465,6 +377,46 @@ impl ShardedKernel {
         wal.commit_marker(gid);
     }
 
+    /// Apply a decided (unanimous) multi-shard commit; the caller holds
+    /// the termination lock, which keeps the per-shard commit orders of
+    /// concurrent multi-shard commits consistent. Returns the side effects
+    /// of the applications and whether this call won the termination.
+    ///
+    /// Durability first: the transaction's fragments and the cross-shard
+    /// marker must be on disk before any shard applies the commit
+    /// in-memory, or a crash between the per-shard applications could
+    /// acknowledge state the log cannot reproduce. Then **one** stamp for
+    /// every shard's fold: snapshot begins also serialize against the
+    /// termination lock, so the multi-shard commit is atomic from every
+    /// snapshot's point of view.
+    ///
+    /// `between` is the yield point announced before each per-shard
+    /// application (the transaction is then committed in a prefix of its
+    /// shards only). The direct vote names one; the re-vote passes `None`
+    /// — its pinned DST schedules were recorded without it.
+    fn apply_coordinated(
+        &self,
+        txn: TxnId,
+        shards: &[u32],
+        between: Option<ChaosPoint>,
+    ) -> (Vec<(u32, ShardFx)>, bool) {
+        self.wal_log_multi(txn, shards);
+        let stamp = self.commit_clock.fetch_add(1, Ordering::SeqCst) + 1;
+        let mut fxs = Vec::new();
+        for &s in shards {
+            if let Some(point) = between {
+                chaos::reach(point, Some(txn));
+            }
+            let mut kernel = self.lock_shard(s);
+            kernel.commit_coordinated(txn, stamp);
+            let fx = drain_fx(&mut kernel);
+            drop(kernel);
+            fxs.push((s, fx));
+        }
+        let won = self.terminate(txn, TermFate::Committed).is_some();
+        (fxs, won)
+    }
+
     /// Re-run the commit vote for a coordinated pseudo-committed
     /// transaction; on a unanimous (empty) dependency union, apply its
     /// actual commit shard by shard. Returns the side effects of the
@@ -487,23 +439,10 @@ impl ShardedKernel {
                 return Vec::new(); // still waiting; a later settle re-votes
             }
         }
-        // Same durability-before-visibility step as the direct unanimous
-        // vote in `commit_multi` (the session's pseudo-commit ack made no
-        // durability promise, so nobody waits on this).
-        self.wal_log_multi(txn, &shards);
-        // Like the direct unanimous vote: one stamp for every shard's
-        // fold, drawn under the termination lock.
-        let stamp = self.commit_clock.fetch_add(1, Ordering::SeqCst) + 1;
-        let mut fxs = Vec::new();
-        for &s in &shards {
-            let mut kernel = self.lock_shard(s);
-            kernel.commit_coordinated(txn, stamp);
-            let fx = drain_fx(&mut kernel);
-            drop(kernel);
-            fxs.push((s, fx));
-        }
-        if self.claim(txn, TermFate::Committed).is_some() {
-            self.count_termination(TermFate::Committed);
+        // The session's pseudo-commit ack made no durability promise, so
+        // nobody waits on the log here.
+        let (fxs, won) = self.apply_coordinated(txn, &shards, None);
+        if won {
             self.publish_events(vec![KernelEvent::Committed { txn }]);
         }
         fxs

@@ -88,7 +88,7 @@ use crate::object::ObjectId;
 use crate::stats::{KernelStats, ShardStats, StatsSnapshot};
 use crate::txn::{BatchCall, TxnId, TxnState};
 use sbcc_adt::{AdtObject, AdtSpec, OpCall, SemanticObject};
-use ssi::{SsiState, SsiTxn};
+use ssi::SsiTable;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -177,16 +177,9 @@ pub struct ShardedKernel {
     /// termination lock so cross-shard snapshots never observe a
     /// half-applied multi-shard commit.
     commit_clock: Arc<AtomicU64>,
-    /// The version-GC floor, shared with every shard kernel: the minimum
-    /// begin stamp over live snapshot transactions (`u64::MAX` when none
-    /// are live, letting commits drop superseded versions immediately).
-    version_floor: Arc<AtomicU64>,
-    /// Lock-free gate for the SSI machinery: non-zero while snapshot
-    /// transactions may be live. Checked with one load on every request
-    /// and commit so purely classified workloads never touch `ssi`.
-    ssi_enabled: AtomicU64,
-    /// SSI rw-antidependency bookkeeping (see [`SsiState`]).
-    ssi: Mutex<SsiState>,
+    /// The SSI guard: rw-antidependency bookkeeping, its lock-free gate
+    /// and the version-GC floor the shard kernels prune against.
+    ssi: SsiTable,
     /// The write-ahead log, attached once by [`crate::Database`] after
     /// replay (see [`Self::attach_wal`]). Registrations and multi-shard
     /// commits log through this handle; single-shard commits log through
@@ -212,12 +205,12 @@ impl ShardedKernel {
         assert!(shard_count >= 1, "at least one shard is required");
         let global = Arc::new(GlobalGraph::new());
         let commit_clock = Arc::new(AtomicU64::new(0));
-        let version_floor = Arc::new(AtomicU64::new(u64::MAX));
+        let ssi = SsiTable::new(commit_clock.clone());
         let shards = (0..shard_count)
             .map(|_| {
                 let mut kernel = SchedulerKernel::new(config.scheduler.clone());
                 kernel.attach_escalation(global.clone());
-                kernel.attach_stamps(commit_clock.clone(), version_floor.clone());
+                kernel.attach_stamps(commit_clock.clone(), ssi.floor_handle());
                 ShardCell {
                     kernel: Mutex::new(kernel),
                     lock_acquisitions: AtomicU64::new(0),
@@ -236,9 +229,7 @@ impl ShardedKernel {
             next_txn: AtomicU64::new(0),
             lifecycle: Lifecycle::default(),
             commit_clock,
-            version_floor,
-            ssi_enabled: AtomicU64::new(0),
-            ssi: Mutex::new(SsiState::default()),
+            ssi,
             wal: std::sync::OnceLock::new(),
         }
     }
@@ -394,27 +385,7 @@ impl ShardedKernel {
         let id = TxnId(self.next_txn.fetch_add(1, Ordering::Relaxed) + 1);
         self.enroll.lock().live.insert(id, EnrollRec::default());
         self.lifecycle.begun.fetch_add(1, Ordering::Relaxed);
-        if self.ssi_enabled.load(Ordering::SeqCst) != 0 {
-            // Stamp the begin while snapshots are live: the SIREAD scan at
-            // commit entry skips readers that committed at or below this
-            // stamp (they finished before this transaction did anything,
-            // so no rw-antidependency between concurrent transactions can
-            // involve them). Without the stamp a committed-but-flagged
-            // reader's marks would doom every later writer that touches
-            // its read set until full quiescence — retried transactions
-            // would starve in an abort storm. The enroll insert above
-            // happens first, so the quiescence sweep (which requires an
-            // empty live set) can never clear this record out from under
-            // us.
-            let begin = self.commit_clock.load(Ordering::SeqCst);
-            self.ssi.lock().txns.insert(
-                id,
-                SsiTxn {
-                    begin,
-                    ..SsiTxn::default()
-                },
-            );
-        }
+        self.ssi.begin(id);
         id
     }
 
@@ -435,44 +406,7 @@ impl ShardedKernel {
         let _termination = self.termination.lock();
         self.enroll.lock().live.insert(id, EnrollRec::default());
         chaos::reach(ChaosPoint::SnapshotStamp, Some(id));
-        let provisional = self.commit_clock.load(Ordering::SeqCst);
-        {
-            let mut ssi = self.ssi.lock();
-            ssi.txns.insert(
-                id,
-                SsiTxn {
-                    begin: provisional,
-                    snapshot: true,
-                    ..SsiTxn::default()
-                },
-            );
-            let floor = ssi
-                .txns
-                .values()
-                .filter(|t| t.snapshot && t.committed.is_none())
-                .map(|t| t.begin)
-                .min()
-                .unwrap_or(provisional);
-            self.version_floor.store(floor, Ordering::SeqCst);
-            self.ssi_enabled.store(1, Ordering::SeqCst);
-        }
-        // Re-read the clock *after* publishing the floor: every commit
-        // folds by first drawing its stamp (`fetch_add`) and then loading
-        // the floor, so in the SeqCst total order any fold stamped above
-        // this begin loads the floor after the store above and prunes at
-        // or below it — the version this snapshot needs can never be
-        // dropped out from under it. (A fold stamped at or below the
-        // begin may see the old floor, which is harmless: its result is
-        // part of the snapshot.)
-        let begin = self.commit_clock.load(Ordering::SeqCst);
-        if begin != provisional {
-            self.ssi
-                .lock()
-                .txns
-                .get_mut(&id)
-                .expect("snapshot record was just inserted")
-                .begin = begin;
-        }
+        let begin = self.ssi.begin_snapshot(id);
         (id, begin)
     }
 
@@ -632,12 +566,12 @@ impl ShardedKernel {
         loc: ObjectLoc,
         call: OpCall,
     ) -> Result<RequestOutcome, CoreError> {
-        let ssi_on = self.ssi_enabled.load(Ordering::SeqCst) != 0;
+        let ssi_on = self.ssi.enabled();
         let (result, fx, object_stamp) = {
             let mut kernel = self.lock_shard(loc.shard);
             let result = kernel.request(txn, loc.local, call);
             // Read the object's committed stamp under the same lock hold:
-            // the late concurrent-write check in `ssi_note_classified`
+            // the late concurrent-write check in `SsiTable::note_classified`
             // compares it against the snapshot's begin stamp.
             let object_stamp = if ssi_on {
                 kernel.object_commit_stamp(loc.local)
@@ -648,7 +582,7 @@ impl ShardedKernel {
             (result, fx, object_stamp)
         };
         if let (Some(stamp), Ok(outcome)) = (object_stamp, &result) {
-            self.ssi_note_classified(txn, outcome, stamp);
+            self.ssi.note_classified(txn, outcome, stamp);
         }
         let requester = match &result {
             Ok(RequestOutcome::Aborted { reason }) => Some((txn, *reason)),
@@ -715,9 +649,7 @@ impl ShardedKernel {
                 stopped: None,
             });
         }
-        if self.ssi_enabled.load(Ordering::SeqCst) != 0 {
-            self.ssi_note_batch(txn);
-        }
+        self.ssi.note_batch(txn);
         let total = calls.len();
         let mut executed = Vec::with_capacity(total);
         let mut all_deps: Vec<TxnId> = Vec::new();
