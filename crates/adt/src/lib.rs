@@ -40,6 +40,7 @@
 
 pub mod abstract_obj;
 pub mod access;
+pub mod codec;
 pub mod compat;
 pub mod counter;
 pub mod op;

@@ -32,18 +32,21 @@
 //! | `0x88` | [`Response::Pong`] | — |
 //! | `0xEE` | [`Response::Error`] | [`ErrorCode`] byte, detail string |
 //!
-//! Strings are `u32` length + UTF-8 bytes. [`Value`]s are a tag byte
-//! (null / bool / int / str) + payload; [`OpCall`] is `u32` op kind +
-//! `u32` param count + params; [`OpResult`] mirrors its five variants.
+//! Strings, values, [`OpCall`]s and [`OpResult`]s use the layout of
+//! [`sbcc_adt::codec`], which the write-ahead log shares: strings are
+//! `u32` length + UTF-8 bytes, a value is a tag byte (null / bool / int /
+//! str) + payload, a call is `u32` op kind + `u32` param count + params,
+//! a result mirrors its five variants.
 //!
 //! Everything here is pure encoding — no sockets. [`FrameBuffer`] is the
 //! incremental reassembler both the server's reader threads and the
 //! client use: feed it arbitrary byte chunks, take out whole frame
 //! bodies.
 
+use sbcc_adt::codec::{put_call, put_result, put_str, put_u32, put_u64, CodecError, Reader};
 use sbcc_adt::{
     AdtObject, Counter, FifoQueue, OpCall, OpResult, Page, SemanticObject, Set, Stack,
-    TableObject, Value,
+    TableObject,
 };
 use std::fmt;
 
@@ -96,6 +99,17 @@ impl fmt::Display for ProtoError {
 }
 
 impl std::error::Error for ProtoError {}
+
+impl From<CodecError> for ProtoError {
+    fn from(e: CodecError) -> Self {
+        match e {
+            CodecError::Truncated => ProtoError::Truncated,
+            CodecError::BadUtf8 => ProtoError::BadUtf8,
+            CodecError::UnknownTag(what, tag) => ProtoError::UnknownTag(what, tag),
+            CodecError::TrailingBytes => ProtoError::TrailingBytes,
+        }
+    }
+}
 
 /// The ADT a [`Request::Register`] instantiates server-side. Tags are
 /// part of the wire protocol.
@@ -364,58 +378,6 @@ pub enum Response {
 // Encoding
 // ---------------------------------------------------------------------
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn put_value(out: &mut Vec<u8>, v: &Value) {
-    match v {
-        Value::Null => out.push(0),
-        Value::Bool(b) => {
-            out.push(1);
-            out.push(u8::from(*b));
-        }
-        Value::Int(i) => {
-            out.push(2);
-            out.extend_from_slice(&i.to_le_bytes());
-        }
-        Value::Str(s) => {
-            out.push(3);
-            put_str(out, s);
-        }
-    }
-}
-
-fn put_call(out: &mut Vec<u8>, call: &OpCall) {
-    put_u32(out, call.kind as u32);
-    put_u32(out, call.params.len() as u32);
-    for p in &call.params {
-        put_value(out, p);
-    }
-}
-
-fn put_result(out: &mut Vec<u8>, r: &OpResult) {
-    match r {
-        OpResult::Ok => out.push(0),
-        OpResult::Success => out.push(1),
-        OpResult::Failure => out.push(2),
-        OpResult::Value(v) => {
-            out.push(3);
-            put_value(out, v);
-        }
-        OpResult::Null => out.push(4),
-    }
-}
-
 /// Wrap an encoded body (request id + opcode + payload already in
 /// `body`) into a full frame with its length prefix.
 fn finish_frame(body: Vec<u8>) -> Vec<u8> {
@@ -539,90 +501,6 @@ impl Response {
 // ---------------------------------------------------------------------
 // Decoding
 // ---------------------------------------------------------------------
-
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], ProtoError> {
-        let end = self.pos.checked_add(n).ok_or(ProtoError::Truncated)?;
-        if end > self.buf.len() {
-            return Err(ProtoError::Truncated);
-        }
-        let slice = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-
-    fn u8(&mut self) -> Result<u8, ProtoError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, ProtoError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, ProtoError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn i64(&mut self) -> Result<i64, ProtoError> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn string(&mut self) -> Result<String, ProtoError> {
-        let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| ProtoError::BadUtf8)
-    }
-
-    fn value(&mut self) -> Result<Value, ProtoError> {
-        Ok(match self.u8()? {
-            0 => Value::Null,
-            1 => Value::Bool(self.u8()? != 0),
-            2 => Value::Int(self.i64()?),
-            3 => Value::Str(self.string()?),
-            other => return Err(ProtoError::UnknownTag("value", other)),
-        })
-    }
-
-    fn call(&mut self) -> Result<OpCall, ProtoError> {
-        let kind = self.u32()? as usize;
-        let count = self.u32()? as usize;
-        // Cap the pre-allocation by what the buffer could possibly hold
-        // (1 byte per value minimum) so a lying count cannot balloon.
-        let mut params = Vec::with_capacity(count.min(self.buf.len() - self.pos));
-        for _ in 0..count {
-            params.push(self.value()?);
-        }
-        Ok(OpCall { kind, params })
-    }
-
-    fn result(&mut self) -> Result<OpResult, ProtoError> {
-        Ok(match self.u8()? {
-            0 => OpResult::Ok,
-            1 => OpResult::Success,
-            2 => OpResult::Failure,
-            3 => OpResult::Value(self.value()?),
-            4 => OpResult::Null,
-            other => return Err(ProtoError::UnknownTag("op result", other)),
-        })
-    }
-
-    fn finish(self) -> Result<(), ProtoError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(ProtoError::TrailingBytes)
-        }
-    }
-}
 
 impl Request {
     /// Decode a frame body (length prefix already stripped) into the
@@ -795,7 +673,7 @@ impl FrameBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sbcc_adt::{AdtOp, CounterOp, StackOp};
+    use sbcc_adt::{AdtOp, CounterOp, StackOp, Value};
 
     fn roundtrip_request(req: Request) {
         let frame = req.encode(77);
@@ -891,6 +769,40 @@ mod tests {
             code: ErrorCode::Busy,
             detail: "32 transactions in flight".into(),
         });
+    }
+
+    /// Frame bytes captured before the codec moved into `sbcc_adt::codec`:
+    /// the wire format is whatever these say, not whatever `encode` does.
+    #[test]
+    fn golden_frames_pin_the_wire_format() {
+        let exec = Request::Exec {
+            txn: 42,
+            object: "jobs".into(),
+            call: StackOp::Push(Value::Int(-7)).to_call(),
+        };
+        let exec_frame: [u8; 46] = [
+            0x2a, 0, 0, 0, // body length
+            0x4d, 0, 0, 0, 0, 0, 0, 0, // request id 77
+            0x04, // Exec
+            0x2a, 0, 0, 0, 0, 0, 0, 0, // txn 42
+            4, 0, 0, 0, b'j', b'o', b'b', b's', // object
+            0, 0, 0, 0, // op kind (Push)
+            1, 0, 0, 0, // one parameter
+            2, 0xf9, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, // Int(-7)
+        ];
+        assert_eq!(exec.encode(77), exec_frame);
+        assert_eq!(Request::decode(&exec_frame[4..]), Ok((77, exec)));
+
+        let result = Response::Result(OpResult::Value(Value::Str("x".into())));
+        let result_frame: [u8; 20] = [
+            0x10, 0, 0, 0, // body length
+            0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, // request id
+            0x84, // Result
+            3, // OpResult::Value
+            3, 1, 0, 0, 0, b'x', // Str("x")
+        ];
+        assert_eq!(result.encode(u64::MAX), result_frame);
+        assert_eq!(Response::decode(&result_frame[4..]), Ok((u64::MAX, result)));
     }
 
     #[test]

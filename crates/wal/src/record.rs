@@ -19,13 +19,15 @@
 //! Marker:    gid: u64
 //! ```
 //!
-//! Strings are `u32` length + UTF-8 bytes. A record that cannot be fully
+//! Strings, calls and results use the layout of [`sbcc_adt::codec`],
+//! which the wire protocol shares. A record that cannot be fully
 //! decoded (short frame, bad checksum, malformed body) ends the parse:
 //! [`parse_log`] returns every record before it plus the byte offset of
 //! the valid prefix, which recovery truncates the file to — the torn-tail
 //! contract.
 
-use sbcc_adt::{OpCall, OpResult, Value};
+use sbcc_adt::codec::{put_call, put_result, put_str, put_u32, put_u64, CodecError, Reader};
+use sbcc_adt::{OpCall, OpResult};
 
 /// Upper bound on one record body; anything larger is treated as
 /// corruption (a torn length prefix would otherwise ask for gigabytes).
@@ -130,58 +132,6 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 // Writers
 // ---------------------------------------------------------------------
 
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(buf: &mut Vec<u8>, s: &str) {
-    put_u32(buf, s.len() as u32);
-    buf.extend_from_slice(s.as_bytes());
-}
-
-fn put_value(buf: &mut Vec<u8>, v: &Value) {
-    match v {
-        Value::Null => buf.push(0),
-        Value::Bool(b) => {
-            buf.push(1);
-            buf.push(u8::from(*b));
-        }
-        Value::Int(i) => {
-            buf.push(2);
-            put_u64(buf, *i as u64);
-        }
-        Value::Str(s) => {
-            buf.push(3);
-            put_str(buf, s);
-        }
-    }
-}
-
-fn put_call(buf: &mut Vec<u8>, call: &OpCall) {
-    put_u32(buf, call.kind as u32);
-    put_u32(buf, call.params.len() as u32);
-    for p in &call.params {
-        put_value(buf, p);
-    }
-}
-
-fn put_result(buf: &mut Vec<u8>, result: &OpResult) {
-    match result {
-        OpResult::Ok => buf.push(0),
-        OpResult::Success => buf.push(1),
-        OpResult::Failure => buf.push(2),
-        OpResult::Value(v) => {
-            buf.push(3);
-            put_value(buf, v);
-        }
-        OpResult::Null => buf.push(4),
-    }
-}
-
 /// Encode one record into its framed wire form.
 pub fn encode_record(seq: u64, record: &WalRecord) -> Vec<u8> {
     let mut body = Vec::with_capacity(64);
@@ -225,84 +175,7 @@ pub fn encode_record(seq: u64, record: &WalRecord) -> Vec<u8> {
 // Reader
 // ---------------------------------------------------------------------
 
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        if self.buf.len() - self.pos < n {
-            return Err("body shorter than its encoding".to_owned());
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| "string is not UTF-8".to_owned())
-    }
-
-    fn value(&mut self) -> Result<Value, String> {
-        Ok(match self.u8()? {
-            0 => Value::Null,
-            1 => Value::Bool(self.u8()? != 0),
-            2 => Value::Int(self.u64()? as i64),
-            3 => Value::Str(self.string()?),
-            tag => return Err(format!("unknown value tag {tag}")),
-        })
-    }
-
-    fn call(&mut self) -> Result<OpCall, String> {
-        let kind = self.u32()? as usize;
-        let n = self.u32()? as usize;
-        let mut params = Vec::with_capacity(n.min(64));
-        for _ in 0..n {
-            params.push(self.value()?);
-        }
-        Ok(OpCall { kind, params })
-    }
-
-    fn result(&mut self) -> Result<OpResult, String> {
-        Ok(match self.u8()? {
-            0 => OpResult::Ok,
-            1 => OpResult::Success,
-            2 => OpResult::Failure,
-            3 => OpResult::Value(self.value()?),
-            4 => OpResult::Null,
-            tag => return Err(format!("unknown result tag {tag}")),
-        })
-    }
-
-    fn finish(self) -> Result<(), String> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err("trailing bytes after the record body".to_owned())
-        }
-    }
-}
-
-fn decode_body(body: &[u8]) -> Result<SequencedRecord, String> {
+fn decode_body(body: &[u8]) -> Result<SequencedRecord, CodecError> {
     let mut r = Reader::new(body);
     let seq = r.u64()?;
     let record = match r.u8()? {
@@ -314,7 +187,7 @@ fn decode_body(body: &[u8]) -> Result<SequencedRecord, String> {
             let multi_gid = match r.u8()? {
                 0 => None,
                 1 => Some(r.u64()?),
-                tag => return Err(format!("unknown multi flag {tag}")),
+                tag => return Err(CodecError::UnknownTag("multi flag", tag)),
             };
             let n = r.u32()? as usize;
             let mut ops = Vec::with_capacity(n.min(1024));
@@ -328,7 +201,7 @@ fn decode_body(body: &[u8]) -> Result<SequencedRecord, String> {
             WalRecord::Commit { multi_gid, ops }
         }
         TAG_MARKER => WalRecord::Marker { gid: r.u64()? },
-        tag => return Err(format!("unknown record tag {tag}")),
+        tag => return Err(CodecError::UnknownTag("record", tag)),
     };
     r.finish()?;
     Ok(SequencedRecord { seq, record })
@@ -364,7 +237,7 @@ pub fn parse_log(bytes: &[u8]) -> ParsedLog {
         }
         match decode_body(body) {
             Ok(rec) => records.push(rec),
-            Err(e) => break Some(e),
+            Err(e) => break Some(e.to_string()),
         }
         pos += frame_len;
     };
@@ -378,6 +251,7 @@ pub fn parse_log(bytes: &[u8]) -> ParsedLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sbcc_adt::Value;
 
     fn sample_records() -> Vec<SequencedRecord> {
         vec![
@@ -447,6 +321,48 @@ mod tests {
         let parsed = parse_log(&bytes);
         assert_eq!(parsed.records, records);
         assert_eq!(parsed.valid_len, bytes.len());
+        assert!(parsed.torn.is_none());
+    }
+
+    /// Record bytes captured before the codec moved into
+    /// `sbcc_adt::codec`: the on-disk format is whatever these say.
+    #[test]
+    fn golden_commit_record_pins_the_disk_format() {
+        let record = WalRecord::Commit {
+            multi_gid: Some(99),
+            ops: vec![LoggedOp {
+                object: "journal".to_owned(),
+                call: OpCall {
+                    kind: 0,
+                    params: vec![
+                        Value::Int(-7),
+                        Value::Str("x".to_owned()),
+                        Value::Bool(true),
+                        Value::Null,
+                    ],
+                },
+                result: OpResult::Value(Value::Int(3)),
+            }],
+        };
+        let golden: [u8; 81] = [
+            0x45, 0, 0, 0, // body length
+            2, 0, 0, 0, 0, 0, 0, 0, // seq
+            2, // Commit
+            1, 0x63, 0, 0, 0, 0, 0, 0, 0, // multi, gid 99
+            1, 0, 0, 0, // one op
+            7, 0, 0, 0, b'j', b'o', b'u', b'r', b'n', b'a', b'l', // object
+            0, 0, 0, 0, // op kind
+            4, 0, 0, 0, // four parameters
+            2, 0xf9, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, // Int(-7)
+            3, 1, 0, 0, 0, b'x', // Str("x")
+            1, 1, // Bool(true)
+            0, // Null
+            3, 2, 3, 0, 0, 0, 0, 0, 0, 0, // result Value(Int(3))
+            0xe2, 0x4c, 0x07, 0x0b, 0x01, 0x91, 0x1d, 0x61, // fnv1a64(body)
+        ];
+        assert_eq!(encode_record(2, &record), golden);
+        let parsed = parse_log(&golden);
+        assert_eq!(parsed.records, vec![SequencedRecord { seq: 2, record }]);
         assert!(parsed.torn.is_none());
     }
 
