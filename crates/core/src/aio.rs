@@ -111,9 +111,7 @@
 //! assert_eq!(top, OpResult::Value(Value::Int(42)));
 //! ```
 
-use crate::db::{
-    BatchCalls, BatchPass, BatchRun, Database, Handle, ObjectHandle, SessionCore, WaiterSlot,
-};
+use crate::db::{Batch, BatchPass, Database, Handle, ObjectHandle, SessionCore, WaiterSlot};
 use crate::errors::CoreError;
 use crate::events::{CommitOutcome, RequestOutcome};
 use crate::policy::SchedulerConfig;
@@ -298,16 +296,7 @@ impl AsyncDatabase {
             // state before its abort event (with the reason) reaches the
             // session layer — and also covers cancellation aborts of this
             // attempt's own operation futures.
-            let retryable = err.is_scheduler_abort_of(id)
-                || matches!(
-                    err,
-                    CoreError::InvalidState {
-                        txn: t,
-                        state: TxnState::Aborted,
-                        ..
-                    } if t == id
-                );
-            if !retryable {
+            if !err.is_retryable_for(id) {
                 return Err(err);
             }
             if attempts > max_retries {
@@ -488,10 +477,7 @@ impl AsyncTransaction {
     /// Start building a grouped submission. See [`AsyncBatch`] (and
     /// [`crate::Batch`] for the shared partial-admission semantics).
     pub fn batch(&self) -> AsyncBatch {
-        AsyncBatch {
-            txn: self.clone(),
-            group: BatchCalls::default(),
-        }
+        Batch::new(self.clone())
     }
 
     /// Commit the transaction (actual or pseudo-commit, per the
@@ -614,90 +600,28 @@ impl Drop for Settled {
 // AsyncBatch
 // ---------------------------------------------------------------------
 
-/// Builder for an async grouped submission: the futures counterpart of
-/// [`crate::Batch`], with identical partial-admission semantics (the two
-/// share the batch state machine; only the waiting differs). Calls
-/// execute in the order they were added; [`AsyncBatch::submit`] resolves
-/// once every call has executed, suspending as often as needed.
-#[derive(Debug)]
-pub struct AsyncBatch {
-    txn: AsyncTransaction,
-    /// The call/location bookkeeping shared with the sync [`crate::Batch`].
-    group: BatchCalls,
-}
+/// Builder for an async grouped submission: [`crate::Batch`] over an
+/// [`AsyncTransaction`], with identical builder methods and
+/// partial-admission semantics (the two share the batch state machine;
+/// only the waiting differs). Calls execute in the order they were added;
+/// `submit` resolves once every call has executed, suspending as often as
+/// needed.
+pub type AsyncBatch = Batch<AsyncTransaction>;
 
-impl AsyncBatch {
-    /// Append a typed operation (chaining form).
-    pub fn op<A: AdtSpec>(mut self, object: &Handle<A>, op: A::Op) -> Self {
-        self.add_op(object, op);
-        self
-    }
-
-    /// Append an erased call (chaining form).
-    pub fn call(mut self, object: &ObjectHandle, call: OpCall) -> Self {
-        self.add_call(object, call);
-        self
-    }
-
-    /// Append a typed operation (mutating form, for loops).
-    pub fn add_op<A: AdtSpec>(&mut self, object: &Handle<A>, op: A::Op) {
-        self.add_call(object, op.to_call());
-    }
-
-    /// Append an erased call (mutating form, for loops).
-    pub fn add_call(&mut self, object: &ObjectHandle, call: OpCall) {
-        self.group.push(object, call);
-    }
-
-    /// Declare that this batch only *reads* `object` (chaining form); see
-    /// [`crate::Batch::declare_read`] for the group-admission contract —
-    /// the async builder shares it verbatim.
-    pub fn declare_read(mut self, object: &ObjectHandle) -> Self {
-        self.add_declare_read(object);
-        self
-    }
-
-    /// Declare that this batch may *write* `object` (chaining form; a
-    /// write declaration covers reads too).
-    pub fn declare_write(mut self, object: &ObjectHandle) -> Self {
-        self.add_declare_write(object);
-        self
-    }
-
-    /// Declare a read access (mutating form, for loops).
-    pub fn add_declare_read(&mut self, object: &ObjectHandle) {
-        self.group.declare_read(object);
-    }
-
-    /// Declare a write access (mutating form, for loops).
-    pub fn add_declare_write(&mut self, object: &ObjectHandle) {
-        self.group.declare_write(object);
-    }
-
-    /// Number of calls queued so far.
-    pub fn len(&self) -> usize {
-        self.group.len()
-    }
-
-    /// `true` when no calls are queued.
-    pub fn is_empty(&self) -> bool {
-        self.group.is_empty()
-    }
-
+impl Batch<AsyncTransaction> {
     /// Submit the group; the future resolves once **every** call has
     /// executed, with one result per call in submission order, or with
     /// the abort error if the scheduler aborts the transaction along the
     /// way.
     pub async fn submit(self) -> Result<Vec<OpResult>, CoreError> {
-        if self.group.is_empty() {
+        if self.is_empty() {
             return Ok(Vec::new());
         }
-        let txn = self.txn;
+        let Batch { txn, mut run } = self;
         let inner = &txn.inner;
-        let mut run = BatchRun::new(self.group);
         loop {
             match inner.db.batch_pass(&inner.core, &mut run)? {
-                BatchPass::Complete => return Ok(run.into_results()),
+                BatchPass::Complete => return Ok(run.results),
                 BatchPass::MustWait => {
                     // Guard the session against concurrent submissions
                     // from other clones while the terminator is pending,
@@ -706,7 +630,7 @@ impl AsyncBatch {
                     let outcome = txn.settled()?.await;
                     inner.core.set_pending(false);
                     if inner.db.batch_resume(&inner.core, &mut run, outcome)? {
-                        return Ok(run.into_results());
+                        return Ok(run.results);
                     }
                 }
             }

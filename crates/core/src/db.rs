@@ -52,23 +52,6 @@
 //! breakdown. See the [`crate::shard`] module docs for the sharding
 //! invariants and the cross-shard commit protocol.
 //!
-//! # Migration from the PR-1 free-function API
-//!
-//! | old call                           | session call                          |
-//! |------------------------------------|---------------------------------------|
-//! | `db.begin() -> TxnId`              | `db.begin() -> Transaction`           |
-//! | `db.invoke(txn, &h, op)`           | `txn.exec(&h, op)`                    |
-//! | `db.invoke_call(txn, &h, call)`    | `txn.exec_call(&h, call)`             |
-//! | `db.try_invoke_call(txn, &h, call)`| `txn.try_exec_call(&h, call)`         |
-//! | `db.commit(txn)`                   | `txn.commit()`                        |
-//! | `db.abort(txn)`                    | `txn.abort()` (or just drop the guard)|
-//! | *(n/a)*                            | `db.run(\|txn\| …)`                   |
-//! | *(n/a)*                            | `txn.batch().op(…).op(…).submit()`    |
-//!
-//! PR-3 note: `db.with_kernel(|k| …)` (which borrowed *the* kernel) is
-//! replaced by [`Database::with_sharded_kernel`] /
-//! [`crate::shard::ShardedKernel::with_shard`].
-//!
 //! # Blocking and wakeups
 //!
 //! A blocked request parks the calling OS thread until a conflicting
@@ -413,11 +396,6 @@ struct Shared {
     /// exist while `T` has a parked/pending request, and `T`'s own session
     /// thread — the only reader of `T`'s entries — is not submitting then.
     delivered_count: std::sync::atomic::AtomicUsize,
-    /// Cached [`crate::shard::DECLARED_ENV`] reading: when `true`, batches
-    /// submitted without an explicit declaration derive one from their own
-    /// call list (every touched object declared written), routing the
-    /// whole workload through the group-admission path.
-    declare_by_default: bool,
 }
 
 impl Shared {
@@ -493,7 +471,6 @@ impl Database {
                 kernel: ShardedKernel::new(config),
                 sessions: Mutex::new(SessionState::default()),
                 delivered_count: std::sync::atomic::AtomicUsize::new(0),
-                declare_by_default: crate::shard::declared_from_env(),
             }),
         };
         if let Some(wal_config) = wal_config {
@@ -515,7 +492,19 @@ impl Database {
     /// log replays deterministically from the empty state).
     fn replay(&self, records: &[sbcc_wal::SequencedRecord]) -> Result<(), CoreError> {
         let mut handles: HashMap<&str, ObjectHandle> = HashMap::new();
-        let mut replayed_multis: std::collections::HashSet<u64> = std::collections::HashSet::new();
+        // A multi-shard commit is logged as one fragment per touched
+        // shard; gather each group's operations up front, in log order,
+        // so replay walks the log once however many groups it holds.
+        let mut multis: HashMap<u64, Vec<&sbcc_wal::LoggedOp>> = HashMap::new();
+        for rec in records {
+            if let sbcc_wal::WalRecord::Commit {
+                multi_gid: Some(gid),
+                ops,
+            } = &rec.record
+            {
+                multis.entry(*gid).or_default().extend(ops);
+            }
+        }
         for rec in records {
             match &rec.record {
                 sbcc_wal::WalRecord::Register { name, type_name } => {
@@ -530,32 +519,19 @@ impl Database {
                     handles.insert(name, handle);
                 }
                 sbcc_wal::WalRecord::Commit { multi_gid, ops } => {
-                    // A multi-shard commit is logged as one fragment per
-                    // touched shard; replay them as the single transaction
-                    // they were. The fragments are gathered at the first
+                    // The fragments of a multi-shard commit replay as the
+                    // single transaction they were, at the first
                     // fragment's position: any record logged between two
                     // fragments was classified against the multi's
                     // then-uncommitted operations, so it commutes with
                     // them and the reorder is state-invisible.
-                    let mut gathered: Vec<&sbcc_wal::LoggedOp> = Vec::new();
-                    if let Some(gid) = multi_gid {
-                        if !replayed_multis.insert(*gid) {
-                            continue;
-                        }
-                        for other in records {
-                            if let sbcc_wal::WalRecord::Commit {
-                                multi_gid: Some(g),
-                                ops,
-                            } = &other.record
-                            {
-                                if g == gid {
-                                    gathered.extend(ops.iter());
-                                }
-                            }
-                        }
-                    } else {
-                        gathered.extend(ops.iter());
-                    }
+                    let gathered: Vec<&sbcc_wal::LoggedOp> = match multi_gid {
+                        Some(gid) => match multis.remove(gid) {
+                            Some(ops) => ops,
+                            None => continue, // a later fragment: already replayed
+                        },
+                        None => ops.iter().collect(),
+                    };
                     // Replay the whole commit as one *declared* batch —
                     // every logged object declared written. Sequential
                     // replay means the footprint is always quiescent, so
@@ -861,16 +837,7 @@ impl Database {
             // `Aborted` without this closure's involvement by the
             // scheduler — the guard API offers the closure no way to abort
             // it — so both are scheduler aborts and retried like one.
-            let retryable = err.is_scheduler_abort_of(id)
-                || matches!(
-                    err,
-                    CoreError::InvalidState {
-                        txn: t,
-                        state: TxnState::Aborted,
-                        ..
-                    } if t == id
-                );
-            if !retryable {
+            if !err.is_retryable_for(id) {
                 return Err(err);
             }
             if attempts > max_retries {
@@ -1259,9 +1226,6 @@ impl Database {
             self.check_loc(*loc)?;
             self.ensure_session_enrolled(txn, loc.shard, "submit a batch")?;
         }
-        if self.shared.declare_by_default {
-            run.declare_from_calls();
-        }
         let locs_kept = run.locs.clone();
         // Deliver before `?` (see `exec_call_raw`): a rejected batch may
         // still have settled other sessions' waiters.
@@ -1318,16 +1282,15 @@ impl Database {
     fn submit_batch_raw(
         &self,
         txn: &SessionCore,
-        group: BatchCalls,
+        mut run: BatchRun,
     ) -> Result<Vec<OpResult>, CoreError> {
-        let mut run = BatchRun::new(group);
         loop {
             match self.batch_pass(txn, &mut run)? {
-                BatchPass::Complete => return Ok(run.into_results()),
+                BatchPass::Complete => return Ok(run.results),
                 BatchPass::MustWait => {
                     let outcome = self.park_for_outcome(txn.id);
                     if self.batch_resume(txn, &mut run, outcome)? {
-                        return Ok(run.into_results());
+                        return Ok(run.results);
                     }
                 }
             }
@@ -1521,7 +1484,7 @@ impl Transaction {
     }
 
     /// Start building a grouped submission. See [`Batch`].
-    pub fn batch(&self) -> Batch<'_> {
+    pub fn batch(&self) -> Batch<&Transaction> {
         Batch::new(self)
     }
 
@@ -1556,101 +1519,23 @@ impl Drop for Transaction {
     }
 }
 
-/// The builder core shared by the sync ([`Batch`]) and async
-/// ([`crate::aio::AsyncBatch`]) batch builders: the queued calls with
-/// their shard locations, kept parallel. One implementation of the
-/// call/location bookkeeping, so the two front-ends cannot diverge.
+/// The state of a grouped submission, shared by the sync and async batch
+/// loops ([`Database::batch_pass`] / [`Database::batch_resume`]): the
+/// calls still to run with their shard locations, the declared footprint,
+/// and the results accumulated so far.
 #[derive(Debug, Default)]
-pub(crate) struct BatchCalls {
+pub(crate) struct BatchRun {
     calls: Vec<BatchCall>,
     /// Shard locations, parallel to `calls` (handles carry them, so a
     /// batch never consults the object directory).
     locs: Vec<ObjectLoc>,
     /// The declared access footprint, when the caller promised one (see
     /// [`sbcc_adt::AccessSet`]); `None` submits through the classified
-    /// path.
+    /// path. Carried across every pass of the run (a resumed suffix
+    /// re-submits under the same declaration).
     declared: Option<AccessSet<ObjectLoc>>,
-}
-
-impl BatchCalls {
-    /// Append a call aimed at the handle's object.
-    pub(crate) fn push(&mut self, object: &ObjectHandle, call: OpCall) {
-        self.calls.push(BatchCall::new(object.id(), call));
-        self.locs.push(object.loc());
-    }
-
-    /// Declare a read-only access to the handle's object.
-    pub(crate) fn declare_read(&mut self, object: &ObjectHandle) {
-        self.declared
-            .get_or_insert_with(AccessSet::new)
-            .declare_read(object.loc());
-    }
-
-    /// Declare a write access to the handle's object (covers reads too).
-    pub(crate) fn declare_write(&mut self, object: &ObjectHandle) {
-        self.declared
-            .get_or_insert_with(AccessSet::new)
-            .declare_write(object.loc());
-    }
-
-    /// Number of calls queued so far.
-    pub(crate) fn len(&self) -> usize {
-        self.calls.len()
-    }
-
-    /// `true` when no calls are queued.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.calls.is_empty()
-    }
-}
-
-/// The mutable state of an in-flight grouped submission, shared by the
-/// sync ([`Batch::submit`]) and async
-/// ([`crate::aio::AsyncBatch::submit`]) batch loops: the remaining calls
-/// with their shard locations, plus the results accumulated so far.
-/// Driven by [`Database::batch_pass`] / [`Database::batch_resume`].
-#[derive(Debug)]
-pub(crate) struct BatchRun {
-    calls: Vec<BatchCall>,
-    /// Shard locations, parallel to `calls`.
-    locs: Vec<ObjectLoc>,
-    /// The declared footprint, carried across every pass of the run (a
-    /// resumed suffix re-submits under the same declaration).
-    declared: Option<AccessSet<ObjectLoc>>,
-    results: Vec<OpResult>,
-}
-
-impl BatchRun {
-    pub(crate) fn new(group: BatchCalls) -> Self {
-        debug_assert_eq!(group.calls.len(), group.locs.len(), "one location per call");
-        let capacity = group.calls.len();
-        BatchRun {
-            calls: group.calls,
-            locs: group.locs,
-            declared: group.declared,
-            results: Vec::with_capacity(capacity),
-        }
-    }
-
-    /// With no explicit declaration, derive one from the run's own call
-    /// list — every touched object declared written, which trivially
-    /// covers every call. Used by the `SBCC_DECLARED=1` leg to route
-    /// existing workloads through group admission unchanged.
-    pub(crate) fn declare_from_calls(&mut self) {
-        if self.declared.is_none() {
-            let mut derived = AccessSet::new();
-            for loc in &self.locs {
-                derived.declare_write(*loc);
-            }
-            self.declared = Some(derived);
-        }
-    }
-
-    /// The accumulated results (one per submitted call, in order) of a
-    /// completed run.
-    pub(crate) fn into_results(self) -> Vec<OpResult> {
-        self.results
-    }
+    /// One result per executed call, in submission order.
+    pub(crate) results: Vec<OpResult>,
 }
 
 /// What a [`Database::batch_pass`] left behind.
@@ -1677,17 +1562,22 @@ pub(crate) enum BatchPass {
 /// transaction is aborted (see
 /// [`crate::BatchOutcome`] for the precise kernel-level
 /// semantics).
+///
+/// `S` is the session handle the batch submits through: `&Transaction`
+/// for the sync front-end ([`Transaction::batch`]), an
+/// [`crate::aio::AsyncTransaction`] for the async one
+/// ([`crate::aio::AsyncBatch`]). Everything but `submit` is shared.
 #[derive(Debug)]
-pub struct Batch<'t> {
-    txn: &'t Transaction,
-    group: BatchCalls,
+pub struct Batch<S> {
+    pub(crate) txn: S,
+    pub(crate) run: BatchRun,
 }
 
-impl Batch<'_> {
-    pub(crate) fn new(txn: &Transaction) -> Batch<'_> {
+impl<S> Batch<S> {
+    pub(crate) fn new(txn: S) -> Self {
         Batch {
             txn,
-            group: BatchCalls::default(),
+            run: BatchRun::default(),
         }
     }
 
@@ -1710,7 +1600,8 @@ impl Batch<'_> {
 
     /// Append an erased call (mutating form, for loops).
     pub fn add_call(&mut self, object: &ObjectHandle, call: OpCall) {
-        self.group.push(object, call);
+        self.run.calls.push(BatchCall::new(object.id(), call));
+        self.run.locs.push(object.loc());
     }
 
     /// Declare that this batch only *reads* `object` (chaining form).
@@ -1740,32 +1631,40 @@ impl Batch<'_> {
 
     /// Declare a read access (mutating form, for loops).
     pub fn add_declare_read(&mut self, object: &ObjectHandle) {
-        self.group.declare_read(object);
+        self.run
+            .declared
+            .get_or_insert_with(AccessSet::new)
+            .declare_read(object.loc());
     }
 
     /// Declare a write access (mutating form, for loops).
     pub fn add_declare_write(&mut self, object: &ObjectHandle) {
-        self.group.declare_write(object);
+        self.run
+            .declared
+            .get_or_insert_with(AccessSet::new)
+            .declare_write(object.loc());
     }
 
     /// Number of calls queued so far.
     pub fn len(&self) -> usize {
-        self.group.len()
+        self.run.calls.len()
     }
 
     /// `true` when no calls are queued.
     pub fn is_empty(&self) -> bool {
-        self.group.is_empty()
+        self.run.calls.is_empty()
     }
+}
 
+impl Batch<&Transaction> {
     /// Submit the group, blocking until **every** call has executed.
     /// Returns one result per call, in submission order, or the abort
     /// error if the scheduler aborts the transaction along the way.
     pub fn submit(self) -> Result<Vec<OpResult>, CoreError> {
-        if self.group.is_empty() {
+        if self.is_empty() {
             return Ok(Vec::new());
         }
-        self.txn.db.submit_batch_raw(&self.txn.core, self.group)
+        self.txn.db.submit_batch_raw(&self.txn.core, self.run)
     }
 }
 

@@ -96,6 +96,20 @@ impl CoreError {
             CoreError::Aborted { txn: t, reason } if *t == txn && reason.is_scheduler_initiated()
         )
     }
+
+    /// `true` when a closure runner whose current attempt drives `txn`
+    /// restarts the attempt on this error: a scheduler abort of `txn`, or
+    /// `txn` found already `Aborted` (the scheduler terminated it out from
+    /// under the attempt — the guard API gives the body no way to do so
+    /// itself). The retry-classes table on [`crate::Database::run`] is the
+    /// contract.
+    pub fn is_retryable_for(&self, txn: TxnId) -> bool {
+        self.is_scheduler_abort_of(txn)
+            || matches!(
+                self,
+                CoreError::InvalidState { txn: t, state: TxnState::Aborted, .. } if *t == txn
+            )
+    }
 }
 
 impl std::error::Error for CoreError {}
@@ -145,6 +159,19 @@ mod tests {
         };
         assert!(!explicit.is_scheduler_abort_of(t), "explicit aborts are not retried");
         assert!(!CoreError::UnknownTransaction(t).is_scheduler_abort_of(t));
+
+        // The retry rule adds exactly one class: the attempt's own
+        // transaction found already aborted.
+        assert!(scheduler.is_retryable_for(t));
+        assert!(!explicit.is_retryable_for(t));
+        let raced = |txn, state| CoreError::InvalidState {
+            txn,
+            state,
+            action: "commit",
+        };
+        assert!(raced(t, TxnState::Aborted).is_retryable_for(t));
+        assert!(!raced(TxnId(8), TxnState::Aborted).is_retryable_for(t));
+        assert!(!raced(t, TxnState::Blocked).is_retryable_for(t));
     }
 
     #[test]

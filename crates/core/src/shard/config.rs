@@ -18,26 +18,6 @@ pub const WAL_ENV: &str = "SBCC_WAL";
 /// (`never` / `group` / `always`).
 pub const WAL_FSYNC_ENV: &str = "SBCC_WAL_FSYNC";
 
-/// Environment variable turning on **declaration by default** (`1` or
-/// `true`): session-layer batches submitted without an explicit access
-/// declaration derive one from their own call list (every touched object
-/// declared written), routing the whole suite through the group-admission
-/// path. Used by CI's `SBCC_DECLARED=1` leg; see
-/// [`crate::db::Batch::declare_write`].
-pub const DECLARED_ENV: &str = "SBCC_DECLARED";
-
-/// `true` when [`DECLARED_ENV`] requests declaration-by-default. Read
-/// per call (not cached) so tests can flip it; the session layer caches
-/// the answer per database.
-pub fn declared_from_env() -> bool {
-    std::env::var(DECLARED_ENV)
-        .map(|v| {
-            let v = v.trim();
-            v == "1" || v.eq_ignore_ascii_case("true")
-        })
-        .unwrap_or(false)
-}
-
 /// The shard count of a [`DatabaseConfig`]: either a fixed number of
 /// kernels or `Auto`, which resolves to the machine's available
 /// parallelism at [`crate::ShardedKernel::new`] time.

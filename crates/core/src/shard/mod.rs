@@ -75,8 +75,7 @@ mod escalation;
 mod ssi;
 
 pub use config::{
-    declared_from_env, shard_of_name, DatabaseConfig, ObjectLoc, ShardCount, DECLARED_ENV,
-    SHARDS_ENV, WAL_ENV, WAL_FSYNC_ENV,
+    shard_of_name, DatabaseConfig, ObjectLoc, ShardCount, SHARDS_ENV, WAL_ENV, WAL_FSYNC_ENV,
 };
 pub use escalation::GlobalGraph;
 

@@ -344,13 +344,7 @@ proptest! {
                         + st_d.declared_escalations + st_d.aborts_undeclared,
                     "declared batches must partition across the outcomes"
                 );
-                // Under SBCC_DECLARED=1 the reference run derives all-write
-                // declarations for its undeclared batches (that is the
-                // knob's whole point), so only assert the undeclared
-                // reference when the env leaves batches alone.
-                if std::env::var("SBCC_DECLARED").is_err() {
-                    prop_assert_eq!(st_c.declared_batches, 0, "reference run declares nothing");
-                }
+                prop_assert_eq!(st_c.declared_batches, 0, "reference run declares nothing");
             }
         }
     }

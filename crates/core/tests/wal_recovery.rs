@@ -555,6 +555,39 @@ fn multi_shard_commit_is_all_or_nothing_at_recovery() {
     assert!(!di[i].as_ref().unwrap().contains('7'), "surviving fragment dropped: {di:?}");
 }
 
+/// Recovery gathers every multi-shard group in one pass over the log; a
+/// log dominated by multi-shard commits (interleaved with single-shard
+/// ones, so fragments of different groups are not adjacent in the merged
+/// order) must still recover to exactly the uncrashed state.
+#[test]
+fn hundreds_of_multi_shard_commits_recover_to_the_uncrashed_state() {
+    const MULTIS: usize = 300;
+    let (i, j) = cross_shard_pair();
+    let workload = |db: &Database| {
+        let objects = register_all(db);
+        for k in 0..MULTIS {
+            let txn = db.begin();
+            let v = Value::Int(k as i64);
+            txn.exec(&objects.stacks[i], StackOp::Push(v.clone())).unwrap();
+            txn.exec(&objects.stacks[j], StackOp::Push(v)).unwrap();
+            assert_eq!(txn.commit().unwrap(), CommitOutcome::Committed);
+            if k % 4 == 0 {
+                run_txn(db, &objects, k);
+            }
+        }
+    };
+    let dir = ScratchDir::new("many-multi");
+    let never = WalConfig::new(dir.path()).with_fsync(FsyncPolicy::Never);
+    workload(&Database::with_config(config(4, Some(never))));
+    let reference = Database::with_config(config(4, None));
+    workload(&reference);
+
+    let (_scratch, recovered) = recover(dir.path(), 4);
+    assert_eq!(digests(&recovered), digests(&reference));
+    assert_eq!(recovered.stats().commits, reference.stats().commits);
+    assert_eq!(recovered.stats().commits, (MULTIS + MULTIS.div_ceil(4)) as u64);
+}
+
 // ---------------------------------------------------------------------
 // Continuity: recover, append, recover again.
 // ---------------------------------------------------------------------

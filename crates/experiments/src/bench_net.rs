@@ -9,17 +9,13 @@
 //! sheds are retried with a short backoff and counted, never silently
 //! swallowed.
 //!
-//! Two entry points:
-//!
-//! * [`closed_loop_txns`] — a fixed per-connection transaction count
-//!   (deterministic work volume, so a test can assert the exact total);
-//! * [`closed_loop_timed`] — a wall-clock budget, used by
-//!   `repro --bench-net` for multi-process runs against `repro --serve`.
+//! One entry point, [`closed_loop_timed`]: a wall-clock budget, used by
+//! `repro --bench-net` for multi-process runs against `repro --serve`
+//! (CI's network smoke). Performance numbers come from `bench/`, not
+//! from here.
 
 use sbcc_adt::{AdtOp, CounterOp};
-use sbcc_core::aio::AsyncDatabase;
-use sbcc_core::SchedulerConfig;
-use sbcc_net::{AdtType, NetClient, Server, ServerConfig};
+use sbcc_net::{AdtType, NetClient};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -67,12 +63,11 @@ impl NetBenchReport {
 }
 
 /// Per-connection loop: commit transactions until `keep_going` says
-/// stop (checked between transactions) or the fixed count is reached.
+/// stop (checked between transactions).
 fn connection_loop(
     addr: SocketAddr,
     conn_index: usize,
     ops_per_txn: u64,
-    txn_limit: Option<u64>,
     keep_going: Arc<AtomicBool>,
 ) -> (u64, u64, u64) {
     let mut client = NetClient::connect(addr, "bench").expect("connect bench client");
@@ -82,7 +77,7 @@ fn connection_loop(
         .expect("register bench counter");
     let call = CounterOp::Increment(1).to_call();
     let (mut txns, mut ops, mut busy) = (0u64, 0u64, 0u64);
-    while keep_going.load(Ordering::Relaxed) && txn_limit.map_or(true, |limit| txns < limit) {
+    while keep_going.load(Ordering::Relaxed) {
         let txn = loop {
             match client.begin() {
                 Ok(t) => break t,
@@ -105,25 +100,24 @@ fn connection_loop(
     (txns, ops, busy)
 }
 
-fn run_closed_loop(
+/// Closed loop with a wall-clock budget — each connection commits as
+/// many transactions as it can before the budget expires.
+pub fn closed_loop_timed(
     addr: SocketAddr,
     conns: usize,
     ops_per_txn: u64,
-    txn_limit: Option<u64>,
-    budget: Option<Duration>,
+    budget: Duration,
 ) -> NetBenchReport {
     let keep_going = Arc::new(AtomicBool::new(true));
     let start = Instant::now();
     let threads: Vec<_> = (0..conns.max(1))
         .map(|i| {
             let keep_going = keep_going.clone();
-            std::thread::spawn(move || connection_loop(addr, i, ops_per_txn, txn_limit, keep_going))
+            std::thread::spawn(move || connection_loop(addr, i, ops_per_txn, keep_going))
         })
         .collect();
-    if let Some(budget) = budget {
-        std::thread::sleep(budget);
-        keep_going.store(false, Ordering::Relaxed);
-    }
+    std::thread::sleep(budget);
+    keep_going.store(false, Ordering::Relaxed);
     let (mut txns, mut ops, mut busy) = (0u64, 0u64, 0u64);
     for t in threads {
         let (t_txns, t_ops, t_busy) = t.join().expect("bench connection thread");
@@ -140,59 +134,12 @@ fn run_closed_loop(
     }
 }
 
-/// Closed loop with a fixed transaction count per connection — a
-/// deterministic work volume, suitable for repeated measurement.
-pub fn closed_loop_txns(
-    addr: SocketAddr,
-    conns: usize,
-    txns_per_conn: u64,
-    ops_per_txn: u64,
-) -> NetBenchReport {
-    run_closed_loop(addr, conns, ops_per_txn, Some(txns_per_conn), None)
-}
-
-/// Closed loop with a wall-clock budget — each connection commits as
-/// many transactions as it can before the budget expires.
-pub fn closed_loop_timed(
-    addr: SocketAddr,
-    conns: usize,
-    ops_per_txn: u64,
-    budget: Duration,
-) -> NetBenchReport {
-    run_closed_loop(addr, conns, ops_per_txn, None, Some(budget))
-}
-
-/// Spin up an in-process server on a fresh database, drive it with
-/// `conns` closed-loop connections over real sockets, tear it down.
-/// Returns the work-item count (wire operations + commits); panics on
-/// any leaked session or connection.
-pub fn net_closedloop_workload(conns: usize, txns_per_conn: u64, ops_per_txn: u64) -> u64 {
-    let server = Server::start(
-        AsyncDatabase::new(SchedulerConfig::default()),
-        ServerConfig::default().with_workers(2),
-    )
-    .expect("bind bench server");
-    let report = closed_loop_txns(server.local_addr(), conns, txns_per_conn, ops_per_txn);
-    let stats = server.shutdown();
-    assert_eq!(stats.transactions_in_flight, 0, "bench leaked sessions");
-    assert_eq!(stats.connections_open, 0, "bench leaked connections");
-    assert_eq!(
-        report.txns_committed,
-        conns.max(1) as u64 * txns_per_conn,
-        "closed loop must commit its full volume"
-    );
-    report.ops_executed + report.txns_committed
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn closedloop_workload_commits_its_exact_volume() {
-        // 2 conns x 3 txns x 4 ops = 24 ops + 6 commits.
-        assert_eq!(net_closedloop_workload(2, 3, 4), 30);
-    }
+    use sbcc_core::aio::AsyncDatabase;
+    use sbcc_core::SchedulerConfig;
+    use sbcc_net::{Server, ServerConfig};
 
     #[test]
     fn timed_loop_stops_and_reports() {

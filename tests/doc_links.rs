@@ -4,7 +4,8 @@
 //! a seam. CI runs this as its own leg (`cargo test -p sbcc --test
 //! doc_links`) next to the rustdoc `-D warnings` pass, which covers the
 //! intra-doc links on the Rust side. The same leg checks that every
-//! `repro --flag` the docs show still exists in `repro --help`.
+//! `repro --flag` the docs show still exists in `repro --help`, and that
+//! every source file the docs name in backticks still exists.
 
 use std::path::Path;
 
@@ -81,6 +82,62 @@ fn readme_covers_the_required_sections() {
     ] {
         assert!(readme.contains(needle), "README.md must mention {needle:?}");
     }
+}
+
+/// The Rust source files a document names in inline code spans:
+/// `crates/…/x.rs` or `bench/…/x.rs`, with an optional `:line` suffix
+/// stripped and one `{a,b}` group expanded.
+fn source_paths(markdown: &str) -> Vec<String> {
+    let mut paths = Vec::new();
+    let mut in_code_block = false;
+    for line in markdown.lines() {
+        if line.trim_start().starts_with("```") {
+            in_code_block = !in_code_block;
+            continue;
+        }
+        if in_code_block {
+            continue;
+        }
+        for span in line.split('`').skip(1).step_by(2) {
+            let path = span.split(':').next().unwrap_or(span);
+            let named = (path.starts_with("crates/") || path.starts_with("bench/"))
+                && path.ends_with(".rs")
+                && !path.contains(char::is_whitespace);
+            if !named {
+                continue;
+            }
+            match (path.find('{'), path.find('}')) {
+                (Some(open), Some(close)) if open < close => {
+                    for alt in path[open + 1..close].split(',') {
+                        paths.push(format!("{}{alt}{}", &path[..open], &path[close + 1..]));
+                    }
+                }
+                _ => paths.push(path.to_owned()),
+            }
+        }
+    }
+    paths
+}
+
+/// A source file that moved or split must not leave its old path behind
+/// in the docs that describe the present tree (CHANGES.md is history and
+/// keeps the names of retired files).
+#[test]
+fn source_files_named_in_the_docs_exist() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut checked = 0usize;
+    let mut missing = Vec::new();
+    for doc in ["README.md", "ARCHITECTURE.md", "ROADMAP.md"] {
+        let text = std::fs::read_to_string(root.join(doc)).expect("root doc exists");
+        for path in source_paths(&text) {
+            checked += 1;
+            if !root.join(&path).is_file() {
+                missing.push(format!("{doc}: `{path}`"));
+            }
+        }
+    }
+    assert!(checked >= 10, "the docs should name source files (found {checked})");
+    assert!(missing.is_empty(), "source files named in the docs but absent:\n{}", missing.join("\n"));
 }
 
 /// The `--flag`s a document attributes to the `repro` binary: every flag
