@@ -1277,26 +1277,6 @@ impl Database {
         }
     }
 
-    /// Submit a group of calls, blocking as often as needed until every
-    /// call has executed (or the transaction aborts).
-    fn submit_batch_raw(
-        &self,
-        txn: &SessionCore,
-        mut run: BatchRun,
-    ) -> Result<Vec<OpResult>, CoreError> {
-        loop {
-            match self.batch_pass(txn, &mut run)? {
-                BatchPass::Complete => return Ok(run.results),
-                BatchPass::MustWait => {
-                    let outcome = self.park_for_outcome(txn.id);
-                    if self.batch_resume(txn, &mut run, outcome)? {
-                        return Ok(run.results);
-                    }
-                }
-            }
-        }
-    }
-
     pub(crate) fn commit_raw(&self, txn: TxnId) -> Result<CommitOutcome, CoreError> {
         let _ = self.shared.take_delivered(txn);
         // Deliver before `?`: a commit whose vote aborts the *committer*
@@ -1664,7 +1644,18 @@ impl Batch<&Transaction> {
         if self.is_empty() {
             return Ok(Vec::new());
         }
-        self.txn.db.submit_batch_raw(&self.txn.core, self.run)
+        let Batch { txn, mut run } = self;
+        loop {
+            match txn.db.batch_pass(&txn.core, &mut run)? {
+                BatchPass::Complete => return Ok(run.results),
+                BatchPass::MustWait => {
+                    let outcome = txn.db.park_for_outcome(txn.id());
+                    if txn.db.batch_resume(&txn.core, &mut run, outcome)? {
+                        return Ok(run.results);
+                    }
+                }
+            }
+        }
     }
 }
 
