@@ -222,50 +222,18 @@ impl<'a> Reader<'a> {
 mod tests {
     use super::*;
 
-    fn sample_call() -> OpCall {
-        OpCall {
-            kind: 0,
-            params: vec![
-                Value::Int(-7),
-                Value::Str("x".to_owned()),
-                Value::Bool(true),
-                Value::Null,
-            ],
-        }
-    }
-
-    /// The bytes of one call and one result, pinned: both the wire and the
-    /// log embed exactly these, so a change here changes both formats.
+    /// The byte layout itself is pinned by the golden vectors beside the
+    /// wire and log round-trip tests; this covers what both now share on
+    /// the way in: untrusted bytes are refused, never trusted.
     #[test]
-    fn call_and_result_bytes_are_pinned() {
-        let mut out = Vec::new();
-        put_call(&mut out, &sample_call());
-        assert_eq!(
-            out,
-            [
-                0, 0, 0, 0, // kind
-                4, 0, 0, 0, // param count
-                2, 0xf9, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, // Int(-7)
-                3, 1, 0, 0, 0, b'x', // Str("x")
-                1, 1, // Bool(true)
-                0, // Null
-            ]
-        );
-        let mut r = Reader::new(&out);
-        assert_eq!(r.call(), Ok(sample_call()));
-        assert_eq!(r.finish(), Ok(()));
-
-        let mut out = Vec::new();
-        put_result(&mut out, &OpResult::Value(Value::Int(3)));
-        assert_eq!(out, [3, 2, 3, 0, 0, 0, 0, 0, 0, 0]);
-        assert_eq!(Reader::new(&out).result(), Ok(OpResult::Value(Value::Int(3))));
-    }
-
-    #[test]
-    fn hostile_bytes_are_refused_not_trusted() {
-        // Every cut of a valid call is a truncation.
+    fn hostile_bytes_are_refused() {
+        let call = OpCall {
+            kind: 2,
+            params: vec![Value::Int(-7), Value::Str("x".to_owned()), Value::Bool(true), Value::Null],
+        };
         let mut bytes = Vec::new();
-        put_call(&mut bytes, &sample_call());
+        put_call(&mut bytes, &call);
+        assert_eq!(Reader::new(&bytes).call(), Ok(call));
         for cut in 0..bytes.len() {
             assert_eq!(Reader::new(&bytes[..cut]).call(), Err(CodecError::Truncated));
         }
@@ -282,6 +250,5 @@ mod tests {
         assert_eq!(Reader::new(&[7]).result(), Err(CodecError::UnknownTag("op result", 7)));
         assert_eq!(Reader::new(&[2, 0, 0, 0, 0xff, 0xfe]).string(), Err(CodecError::BadUtf8));
         assert_eq!(Reader::new(&[0]).finish(), Err(CodecError::TrailingBytes));
-        assert!(CodecError::UnknownTag("value", 9).to_string().contains("0x09"));
     }
 }

@@ -62,20 +62,6 @@ struct SsiTxn {
     writes: Vec<ObjectLoc>,
 }
 
-impl SsiTxn {
-    /// `true` when this snapshot transaction must abort instead of going
-    /// on: it was doomed while away, or its own sticky flags closed.
-    fn is_pivot(&self) -> bool {
-        self.doomed || (self.in_conflict && self.out_conflict)
-    }
-
-    /// `true` while the transaction can still be chosen as the victim of a
-    /// dangerous structure (neither pseudo- nor fully committed).
-    fn abortable(&self) -> bool {
-        self.committed.is_none() && !self.pseudo
-    }
-}
-
 #[derive(Debug, Default)]
 struct SsiState {
     txns: HashMap<TxnId, SsiTxn>,
@@ -233,12 +219,6 @@ impl SsiTable {
         begin
     }
 
-    /// The begin stamp of a live snapshot transaction.
-    pub(super) fn snapshot_begin(&self, txn: TxnId) -> Option<u64> {
-        let ssi = self.state.lock();
-        ssi.txns.get(&txn).filter(|r| r.snapshot).map(|r| r.begin)
-    }
-
     /// Gate a snapshot read: the transaction's begin stamp, or the reason
     /// it may not read (a dangerous structure formed around it while it
     /// was away — another pivot doomed it, or its own sticky flags
@@ -246,13 +226,10 @@ impl SsiTable {
     fn read_gate(&self, txn: TxnId) -> Result<u64, SsiRefusal> {
         let ssi = self.state.lock();
         match ssi.txns.get(&txn) {
-            Some(r) if r.snapshot => {
-                if r.is_pivot() {
-                    Err(SsiRefusal::Doomed)
-                } else {
-                    Ok(r.begin)
-                }
+            Some(r) if r.snapshot && (r.doomed || (r.in_conflict && r.out_conflict)) => {
+                Err(SsiRefusal::Doomed)
             }
+            Some(r) if r.snapshot => Ok(r.begin),
             _ => Err(SsiRefusal::Unknown),
         }
     }
@@ -299,7 +276,7 @@ impl SsiTable {
                 // writer aborts itself at its next SSI interaction; an
                 // unabortable one (pseudo- or fully committed) forces
                 // this reader out instead.
-                if wrec.abortable() {
+                if wrec.committed.is_none() && !wrec.pseudo {
                     wrec.doomed = true;
                 } else {
                     doom_self = true;
@@ -386,7 +363,7 @@ impl SsiTable {
         let mut ssi = self.state.lock();
         let (snapshot, begin) = match ssi.txns.get(&txn) {
             Some(r) => {
-                if r.snapshot && r.is_pivot() {
+                if r.snapshot && (r.doomed || (r.in_conflict && r.out_conflict)) {
                     doom_self = true;
                 }
                 (r.snapshot, r.begin)
@@ -431,7 +408,7 @@ impl SsiTable {
                 in_edge = true;
                 if rrec.in_conflict {
                     // Dangerous structure pivoting at the reader.
-                    if rrec.abortable() {
+                    if rrec.committed.is_none() && !rrec.pseudo {
                         rrec.doomed = true;
                     } else {
                         doom_self = true;
@@ -624,11 +601,6 @@ impl ShardedKernel {
         }
     }
 
-    /// The begin stamp of a live snapshot transaction.
-    pub fn snapshot_begin_stamp(&self, txn: TxnId) -> Option<u64> {
-        self.ssi.snapshot_begin(txn)
-    }
-
     /// The current value of the global commit clock.
     pub fn current_stamp(&self) -> u64 {
         self.commit_clock.load(Ordering::SeqCst)
@@ -689,10 +661,10 @@ mod tests {
         assert_eq!(begin, 7);
         assert!(table.enabled());
         assert_eq!(table.floor(), 7);
-        assert_eq!(table.snapshot_begin(TxnId(2)), Some(7));
-        // While enabled, classified transactions are stamped.
+        // While enabled, classified transactions are stamped — but only
+        // snapshot transactions may read through the gate.
         table.begin(TxnId(3));
-        assert_eq!(table.snapshot_begin(TxnId(3)), None);
+        assert_eq!(table.read_gate(TxnId(3)), Err(SsiRefusal::Unknown));
 
         // T2 reads `loc`, T3 then commits a write to it: an rw edge
         // T2 → T3, recorded as a SIREAD mark and a writer entry.

@@ -378,6 +378,24 @@ pub enum Response {
 // Encoding
 // ---------------------------------------------------------------------
 
+/// The `(object, call)` list of the two batch opcodes.
+fn put_ops(out: &mut Vec<u8>, ops: &[(String, OpCall)]) {
+    put_u32(out, ops.len() as u32);
+    for (object, call) in ops {
+        put_str(out, object);
+        put_call(out, call);
+    }
+}
+
+fn read_ops(r: &mut Reader<'_>) -> Result<Vec<(String, OpCall)>, ProtoError> {
+    let count = r.u32()? as usize;
+    let mut ops = Vec::with_capacity(count.min(r.remaining()));
+    for _ in 0..count {
+        ops.push((r.string()?, r.call()?));
+    }
+    Ok(ops)
+}
+
 /// Wrap an encoded body (request id + opcode + payload already in
 /// `body`) into a full frame with its length prefix.
 fn finish_frame(body: Vec<u8>) -> Vec<u8> {
@@ -414,11 +432,7 @@ impl Request {
             Request::ExecBatch { txn, ops } => {
                 b.push(0x05);
                 put_u64(&mut b, *txn);
-                put_u32(&mut b, ops.len() as u32);
-                for (object, call) in ops {
-                    put_str(&mut b, object);
-                    put_call(&mut b, call);
-                }
+                put_ops(&mut b, ops);
             }
             Request::Commit { txn } => {
                 b.push(0x06);
@@ -438,11 +452,7 @@ impl Request {
             } => {
                 b.push(0x0A);
                 put_u64(&mut b, *txn);
-                put_u32(&mut b, ops.len() as u32);
-                for (object, call) in ops {
-                    put_str(&mut b, object);
-                    put_call(&mut b, call);
-                }
+                put_ops(&mut b, ops);
                 for names in [reads, writes] {
                     put_u32(&mut b, names.len() as u32);
                     for name in names {
@@ -523,30 +533,17 @@ impl Request {
                 object: r.string()?,
                 call: r.call()?,
             },
-            0x05 => {
-                let txn = r.u64()?;
-                let count = r.u32()? as usize;
-                let mut ops = Vec::with_capacity(count.min(body.len()));
-                for _ in 0..count {
-                    let object = r.string()?;
-                    let call = r.call()?;
-                    ops.push((object, call));
-                }
-                Request::ExecBatch { txn, ops }
-            }
+            0x05 => Request::ExecBatch {
+                txn: r.u64()?,
+                ops: read_ops(&mut r)?,
+            },
             0x06 => Request::Commit { txn: r.u64()? },
             0x07 => Request::Abort { txn: r.u64()? },
             0x08 => Request::Ping,
             0x09 => Request::BeginSnapshot,
             0x0A => {
                 let txn = r.u64()?;
-                let count = r.u32()? as usize;
-                let mut ops = Vec::with_capacity(count.min(body.len()));
-                for _ in 0..count {
-                    let object = r.string()?;
-                    let call = r.call()?;
-                    ops.push((object, call));
-                }
+                let ops = read_ops(&mut r)?;
                 let mut sets = [Vec::new(), Vec::new()];
                 for set in &mut sets {
                     let count = r.u32()? as usize;

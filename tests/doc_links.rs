@@ -86,7 +86,7 @@ fn readme_covers_the_required_sections() {
 
 /// The Rust source files a document names in inline code spans:
 /// `crates/…/x.rs` or `bench/…/x.rs`, with an optional `:line` suffix
-/// stripped and one `{a,b}` group expanded.
+/// stripped (`{a,b}` shorthands are not paths and are skipped).
 fn source_paths(markdown: &str) -> Vec<String> {
     let mut paths = Vec::new();
     let mut in_code_block = false;
@@ -102,17 +102,9 @@ fn source_paths(markdown: &str) -> Vec<String> {
             let path = span.split(':').next().unwrap_or(span);
             let named = (path.starts_with("crates/") || path.starts_with("bench/"))
                 && path.ends_with(".rs")
-                && !path.contains(char::is_whitespace);
-            if !named {
-                continue;
-            }
-            match (path.find('{'), path.find('}')) {
-                (Some(open), Some(close)) if open < close => {
-                    for alt in path[open + 1..close].split(',') {
-                        paths.push(format!("{}{alt}{}", &path[..open], &path[close + 1..]));
-                    }
-                }
-                _ => paths.push(path.to_owned()),
+                && !path.contains(|c: char| c.is_whitespace() || c == '{');
+            if named {
+                paths.push(path.to_owned());
             }
         }
     }
