@@ -1,22 +1,15 @@
 //! Declared access sets: the footprint a batch *promises* to stay inside.
 //!
-//! Block-STM-style schedulers build their dependency graphs from declared
-//! read/write sets instead of inspecting each operation as it arrives.
-//! [`AccessSet`] is the declaration carrier for this codebase's variant:
-//! a batch may attach one to its submission, and the scheduler admits the
-//! whole group in a single pass over the declared footprint when it is
-//! disjoint from every live transaction — **zero per-op classification**.
+//! **Kernel residue.** Nothing above `SchedulerKernel` submits
+//! declarations any more (sessions, wire, recovery and DST all go through
+//! the classifier); [`AccessSet`] stays because the frozen `bench/` probes
+//! build one for the kernel's declared-batch entry point, and leaves with
+//! them.
 //!
-//! A declaration is a promise, never a proof: the scheduler re-checks
-//! every call against the declared set at admission and falls back to the
-//! semantic classifier (or aborts, per policy) the moment an operation
-//! touches an undeclared object. Mis-declaration is therefore detected,
-//! not trusted — which is what makes the fast path safe to expose to
-//! arbitrary clients, including remote ones on the wire protocol.
-//!
-//! The key type is generic: the kernel declares in local `ObjectId`s, the
-//! session layer in shard-qualified locations, and the wire protocol in
-//! registration names. [`AccessSet::project`] converts between them.
+//! A declaration is a promise, never a proof: the kernel re-checks every
+//! call against the declared set at admission and falls back to the
+//! semantic classifier the moment an operation touches an undeclared
+//! object.
 
 /// A declared read/write footprint over objects of key type `T`.
 ///
@@ -127,26 +120,6 @@ impl<T: Ord> AccessSet<T> {
     pub fn objects(&self) -> impl Iterator<Item = &T> {
         self.reads.iter().chain(self.writes.iter())
     }
-
-    /// Re-key the declaration through `f`, dropping entries it maps to
-    /// `None`. This is how one declaration travels the stack: session
-    /// locations project to per-shard local ids (dropping other shards'
-    /// entries), wire-protocol names project to resolved handles, and so
-    /// on. Read/write polarity is preserved.
-    pub fn project<U: Ord>(&self, mut f: impl FnMut(&T) -> Option<U>) -> AccessSet<U> {
-        let mut out = AccessSet::new();
-        for r in &self.reads {
-            if let Some(u) = f(r) {
-                out.declare_read(u);
-            }
-        }
-        for w in &self.writes {
-            if let Some(u) = f(w) {
-                out.declare_write(u);
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -193,17 +166,5 @@ mod tests {
         assert_eq!(set.reads(), &[8]);
         assert_eq!(set.writes(), &[7]);
         assert_eq!(set.objects().copied().collect::<Vec<_>>(), vec![8, 7]);
-    }
-
-    #[test]
-    fn project_rekeys_and_filters() {
-        let set = AccessSet::from_parts(vec![1u32, 10], vec![2, 20]);
-        // Keep only the small keys, re-keyed as strings.
-        let projected = set.project(|k| (*k < 10).then(|| format!("o{k}")));
-        assert_eq!(projected.reads(), &["o1".to_owned()]);
-        assert_eq!(projected.writes(), &["o2".to_owned()]);
-        // The empty projection is empty.
-        assert!(set.project(|_| None::<u8>).is_empty());
-        assert!(AccessSet::<u8>::default().is_empty());
     }
 }

@@ -100,10 +100,6 @@ pub enum ChaosPoint {
     /// conflict flags (read-time writer scan, commit-time SIREAD scan, or
     /// classified-op in-flag check).
     SsiEdge,
-    /// A *declared* batch run is about to take its shard lock for the
-    /// group-admission window (coverage scan, disjointness scan, whole-
-    /// group execution — all under that one hold).
-    GroupAdmit,
     /// A cooperative [`sync::Mutex`] found the lock held and yields before
     /// retrying.
     LockContended,
@@ -126,7 +122,6 @@ impl fmt::Display for ChaosPoint {
             ChaosPoint::SnapshotStamp => "snapshot-stamp",
             ChaosPoint::SnapshotRead => "snapshot-read",
             ChaosPoint::SsiEdge => "ssi-edge",
-            ChaosPoint::GroupAdmit => "group-admit",
             ChaosPoint::LockContended => "lock-contended",
             ChaosPoint::CondvarWait => "condvar-wait",
         })

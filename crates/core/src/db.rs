@@ -117,7 +117,7 @@ use crate::policy::SchedulerConfig;
 use crate::shard::{DatabaseConfig, ObjectLoc, ShardedKernel};
 use crate::stats::{KernelStats, StatsSnapshot};
 use crate::txn::{BatchCall, TxnId, TxnState};
-use sbcc_adt::{AccessSet, AdtOp, AdtSpec, OpCall, OpResult, SemanticObject};
+use sbcc_adt::{AdtOp, AdtSpec, OpCall, OpResult, SemanticObject};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::marker::PhantomData;
@@ -532,13 +532,9 @@ impl Database {
                         },
                         None => ops.iter().collect(),
                     };
-                    // Replay the whole commit as one *declared* batch —
-                    // every logged object declared written. Sequential
-                    // replay means the footprint is always quiescent, so
-                    // each recovered transaction is group-admitted in a
-                    // single scan with zero per-op classification; the
-                    // per-op result comparison below still validates every
-                    // call against the log.
+                    // Replay the whole commit as one batch; the per-op
+                    // result comparison below validates every call
+                    // against the log.
                     let txn = self.begin();
                     let mut batch = txn.batch();
                     for op in &gathered {
@@ -548,7 +544,6 @@ impl Database {
                                 op.object
                             ))
                         })?;
-                        batch.add_declare_write(handle);
                         batch.add_call(handle, op.call.clone());
                     }
                     let results = batch.submit()?;
@@ -1233,7 +1228,6 @@ impl Database {
             id,
             std::mem::take(&mut run.calls),
             std::mem::take(&mut run.locs),
-            run.declared.as_ref(),
         );
         self.deliver_events();
         let outcome = outcome?;
@@ -1501,19 +1495,14 @@ impl Drop for Transaction {
 
 /// The state of a grouped submission, shared by the sync and async batch
 /// loops ([`Database::batch_pass`] / [`Database::batch_resume`]): the
-/// calls still to run with their shard locations, the declared footprint,
-/// and the results accumulated so far.
+/// calls still to run with their shard locations and the results
+/// accumulated so far.
 #[derive(Debug, Default)]
 pub(crate) struct BatchRun {
     calls: Vec<BatchCall>,
     /// Shard locations, parallel to `calls` (handles carry them, so a
     /// batch never consults the object directory).
     locs: Vec<ObjectLoc>,
-    /// The declared access footprint, when the caller promised one (see
-    /// [`sbcc_adt::AccessSet`]); `None` submits through the classified
-    /// path. Carried across every pass of the run (a resumed suffix
-    /// re-submits under the same declaration).
-    declared: Option<AccessSet<ObjectLoc>>,
     /// One result per executed call, in submission order.
     pub(crate) results: Vec<OpResult>,
 }
@@ -1582,47 +1571,6 @@ impl<S> Batch<S> {
     pub fn add_call(&mut self, object: &ObjectHandle, call: OpCall) {
         self.run.calls.push(BatchCall::new(object.id(), call));
         self.run.locs.push(object.loc());
-    }
-
-    /// Declare that this batch only *reads* `object` (chaining form).
-    ///
-    /// Declaring any access opts the batch into Block-STM-style group
-    /// admission: when the whole declared footprint is untouched by other
-    /// live transactions, the kernel admits every call in a single
-    /// footprint scan with zero per-op classification. The declaration is
-    /// a promise, never a proof — a call outside it is detected at
-    /// admission and the batch escalates to the classifier (or the
-    /// transaction aborts with
-    /// [`crate::AbortReason::UndeclaredAccess`], per
-    /// [`crate::UndeclaredPolicy`]). A mutating call on a read-declared
-    /// object counts as outside the declaration.
-    pub fn declare_read(mut self, object: &ObjectHandle) -> Self {
-        self.add_declare_read(object);
-        self
-    }
-
-    /// Declare that this batch may *write* `object` (chaining form; a
-    /// write declaration covers reads too). See [`Batch::declare_read`]
-    /// for the group-admission contract.
-    pub fn declare_write(mut self, object: &ObjectHandle) -> Self {
-        self.add_declare_write(object);
-        self
-    }
-
-    /// Declare a read access (mutating form, for loops).
-    pub fn add_declare_read(&mut self, object: &ObjectHandle) {
-        self.run
-            .declared
-            .get_or_insert_with(AccessSet::new)
-            .declare_read(object.loc());
-    }
-
-    /// Declare a write access (mutating form, for loops).
-    pub fn add_declare_write(&mut self, object: &ObjectHandle) {
-        self.run
-            .declared
-            .get_or_insert_with(AccessSet::new)
-            .declare_write(object.loc());
     }
 
     /// Number of calls queued so far.

@@ -29,13 +29,6 @@ pub enum AbortReason {
     /// rw-antidependency to concurrent transactions — Cahill's pivot test)
     /// and was aborted to preserve serializability.
     SsiConflict,
-    /// A declared batch touched an object outside its declared access set
-    /// and the scheduler is configured with
-    /// [`crate::UndeclaredPolicy::Abort`]: the mis-declaration was detected
-    /// at admission and the transaction aborted instead of being silently
-    /// trusted. Scheduler-initiated, so retry loops restart it (typically
-    /// with a corrected declaration or none at all).
-    UndeclaredAccess,
     /// The application explicitly aborted the transaction.
     Explicit,
 }
@@ -57,7 +50,6 @@ impl fmt::Display for AbortReason {
             AbortReason::CommitDependencyCycle => write!(f, "commit-dependency cycle"),
             AbortReason::VictimSelected => write!(f, "selected as cycle victim"),
             AbortReason::SsiConflict => write!(f, "ssi rw-antidependency conflict"),
-            AbortReason::UndeclaredAccess => write!(f, "undeclared access"),
             AbortReason::Explicit => write!(f, "explicit abort"),
         }
     }
@@ -298,12 +290,7 @@ mod tests {
             AbortReason::SsiConflict.to_string(),
             "ssi rw-antidependency conflict"
         );
-        assert_eq!(
-            AbortReason::UndeclaredAccess.to_string(),
-            "undeclared access"
-        );
         assert!(AbortReason::SsiConflict.is_scheduler_initiated());
-        assert!(AbortReason::UndeclaredAccess.is_scheduler_initiated());
         assert!(!AbortReason::Explicit.is_scheduler_initiated());
     }
 

@@ -25,7 +25,7 @@ use crate::events::{
 };
 use crate::history::HistoryRecorder;
 use crate::object::{Classification, ManagedObject, ObjectId};
-use crate::policy::{SchedulerConfig, UndeclaredPolicy, VictimPolicy};
+use crate::policy::{SchedulerConfig, VictimPolicy};
 use crate::shard::GlobalGraph;
 use crate::stats::KernelStats;
 use crate::txn::{BatchCall, ExecutedOp, PendingRequest, TxnId, TxnRecord, TxnState};
@@ -48,9 +48,6 @@ struct FinishedTxn {
     /// operations to log (the caller passes it to `Wal::wait_durable`
     /// after releasing the shard lock).
     wal_ticket: Option<u64>,
-    /// Global commit stamp the transaction's effects were folded under
-    /// (`None` for aborts).
-    commit_stamp: Option<u64>,
 }
 
 /// The scheduler kernel. See the module documentation for an overview.
@@ -259,19 +256,6 @@ impl SchedulerKernel {
         self.objects.get(id.0 as usize).map(|o| o.initial_state())
     }
 
-    /// Number of uncommitted operations currently logged on an object.
-    pub fn object_log_len(&self, id: ObjectId) -> usize {
-        self.objects.get(id.0 as usize).map(|o| o.log_len()).unwrap_or(0)
-    }
-
-    /// Number of blocked requests queued on an object.
-    pub fn object_blocked_len(&self, id: ObjectId) -> usize {
-        self.objects
-            .get(id.0 as usize)
-            .map(|o| o.blocked_len())
-            .unwrap_or(0)
-    }
-
     // ------------------------------------------------------------------
     // Transaction life cycle
     // ------------------------------------------------------------------
@@ -318,11 +302,6 @@ impl SchedulerKernel {
             let escalated = global.mirror_all(&self.graph);
             self.stats.escalated_edges += escalated;
         }
-    }
-
-    /// `true` while the shard mirrors its graph into the escalation graph.
-    pub fn is_entangled(&self) -> bool {
-        self.entangled
     }
 
     /// Adopt an externally assigned transaction id (cross-shard enrollment:
@@ -643,40 +622,23 @@ impl SchedulerKernel {
         })
     }
 
-    /// Request a group of operations whose read/write footprint the caller
-    /// has **declared** up front (Block-STM style; see
-    /// [`sbcc_adt::AccessSet`]).
+    /// Request a group of operations under a caller-declared read/write
+    /// footprint ([`sbcc_adt::AccessSet`]).
     ///
-    /// The declaration is a promise, never a proof — the kernel checks it
-    /// in two passes before trusting anything:
+    /// **Residue.** Nothing above the kernel submits declarations any
+    /// more; this entry point, `AccessSet` and the four `declared_*`
+    /// counters stay only because the frozen `bench/` probes compile
+    /// against them, and leave with those probes.
     ///
-    /// 1. **Coverage**: every call must target a declared object, and a
-    ///    call on a read-declared object must be a pure observer
-    ///    (`is_readonly`). The first violation is a mis-declaration;
-    ///    depending on [`UndeclaredPolicy`] the batch either *escalates*
-    ///    to the per-op classifier ([`Self::request_batch`], declaration
-    ///    discarded) or the transaction aborts with
-    ///    [`AbortReason::UndeclaredAccess`].
-    /// 2. **Disjointness**: every declared object must be quiescent — no
-    ///    uncommitted operations of *other* live transactions and no
-    ///    blocked requests queued. When any declared object is busy the
-    ///    batch *falls back* to the classifier (a correct declaration,
-    ///    just not a disjoint one — the classifier may still admit it via
-    ///    recoverability).
-    ///
-    /// Only when both pass does the fast path fire: the whole group is
-    /// admitted in that single footprint scan and executed with **zero
-    /// per-op classification**, no graph edges and no cycle checks. This
-    /// is behaviourally identical to the classified path on the same
-    /// state — a quiescent footprint classifies every call as
-    /// conflict-free and dependency-free (an equivalence the
-    /// declared-vs-classified differential suite pins down) — it just
-    /// skips computing that answer per call.
-    ///
-    /// Both checks and the executions happen atomically under the
-    /// caller's exclusive access (`&mut self`; one shard-lock hold in the
-    /// sharded database), so the admitted group cannot interleave with
-    /// anything.
+    /// The declaration is a promise, never a proof. A call outside it (a
+    /// write declaration covers any call, a read declaration only
+    /// `is_readonly` ones) *escalates* the batch to [`Self::request_batch`];
+    /// a declared object with other transactions' uncommitted operations or
+    /// blocked requests makes it *fall back* to [`Self::request_batch`]
+    /// too. Only a covered, quiescent footprint is group-admitted: every
+    /// call executes with no classification, graph edge or cycle check —
+    /// the answer the classifier would have computed per call on that
+    /// state (pinned by `tests/declared_vs_classified.rs`).
     pub fn request_batch_declared(
         &mut self,
         txn: TxnId,
@@ -692,43 +654,21 @@ impl SchedulerKernel {
         self.ensure_active(txn, "submit a batch")?;
         self.stats.declared_batches += 1;
 
-        // Pass 1: coverage. A write declaration admits any call; a read
-        // declaration only admits pure observers of the data type.
-        let violation = calls.iter().position(|bc| {
-            !(declared.covers_write(&bc.object)
+        let covered = calls.iter().all(|bc| {
+            declared.covers_write(&bc.object)
                 || (declared.covers_read(&bc.object)
                     && self
                         .object_ref(bc.object)
                         .committed_state()
-                        .is_readonly(&bc.call)))
+                        .is_readonly(&bc.call))
         });
-        if let Some(index) = violation {
-            return match self.config.undeclared {
-                UndeclaredPolicy::Escalate => {
-                    self.stats.declared_escalations += 1;
-                    self.request_batch(txn, calls)
-                }
-                UndeclaredPolicy::Abort => {
-                    let mut calls = calls;
-                    let rest = calls.split_off(index + 1);
-                    self.abort_internal(txn, AbortReason::UndeclaredAccess);
-                    self.settle();
-                    Ok(BatchOutcome {
-                        executed: Vec::new(),
-                        commit_deps: Vec::new(),
-                        stopped: Some(BatchStop::Aborted {
-                            index,
-                            reason: AbortReason::UndeclaredAccess,
-                            rest,
-                        }),
-                    })
-                }
-            };
+        if !covered {
+            self.stats.declared_escalations += 1;
+            return self.request_batch(txn, calls);
         }
 
-        // Pass 2: disjointness of the declared footprint from every live
-        // transaction. The transaction's own earlier operations do not
-        // disqualify an object — classification ignores them too.
+        // The transaction's own earlier operations do not disqualify an
+        // object — classification ignores them too.
         let disjoint = declared.objects().all(|obj| {
             let o = self.object_ref(*obj);
             o.blocked_len() == 0 && !o.log().iter().any(|e| e.txn != txn)
@@ -738,9 +678,8 @@ impl SchedulerKernel {
             return self.request_batch(txn, calls);
         }
 
-        // Fast path: group admission. Counters advance exactly as the
-        // classified path would on this (conflict-free) state, so the two
-        // modes stay stat-comparable.
+        // Group admission. Counters advance exactly as the classified path
+        // would on this (conflict-free) state.
         self.stats.declared_admitted += 1;
         self.stats.batches += 1;
         let mut executed: Vec<OpResult> = Vec::with_capacity(calls.len());
@@ -748,18 +687,6 @@ impl SchedulerKernel {
             self.stats.requests += 1;
             self.stats.batched_calls += 1;
             executed.push(self.execute_op(txn, bc.object, bc.call));
-        }
-        let rec = self.txns.get_mut(&txn).expect("checked above");
-        match &mut rec.declared {
-            Some(union) => {
-                for r in declared.reads() {
-                    union.declare_read(*r);
-                }
-                for w in declared.writes() {
-                    union.declare_write(*w);
-                }
-            }
-            none => *none = Some(declared.clone()),
         }
         Ok(BatchOutcome {
             executed,
@@ -905,12 +832,6 @@ impl SchedulerKernel {
         out.sort_unstable();
         out.dedup();
         out
-    }
-
-    /// The global commit stamp of a committed transaction (`None` while
-    /// live, or for aborts).
-    pub fn commit_stamp_of(&self, txn: TxnId) -> Option<u64> {
-        self.finished.get(&txn).and_then(|f| f.commit_stamp)
     }
 
     // ------------------------------------------------------------------
@@ -1376,7 +1297,6 @@ impl SchedulerKernel {
                 state: TxnState::Committed,
                 executed_ops: rec.executed_ops(),
                 wal_ticket,
-                commit_stamp: Some(stamp),
             },
         );
         if let Some(h) = &mut self.history {
@@ -1407,7 +1327,6 @@ impl SchedulerKernel {
             AbortReason::CommitDependencyCycle => self.stats.aborts_commit_cycle += 1,
             AbortReason::VictimSelected => self.stats.aborts_victim += 1,
             AbortReason::SsiConflict => self.stats.aborts_ssi += 1,
-            AbortReason::UndeclaredAccess => self.stats.aborts_undeclared += 1,
             AbortReason::Explicit => self.stats.aborts_explicit += 1,
         }
         self.finished.insert(
@@ -1416,7 +1335,6 @@ impl SchedulerKernel {
                 state: TxnState::Aborted,
                 executed_ops: rec.executed_ops(),
                 wal_ticket: None,
-                commit_stamp: None,
             },
         );
         if let Some(h) = &mut self.history {

@@ -101,10 +101,7 @@ pub use history::{
 };
 pub use kernel::SchedulerKernel;
 pub use object::{BlockedRequest, Classification, LogEntry, ManagedObject, ObjectId};
-pub use policy::{
-    ConflictPolicy, RecoveryStrategy, SchedulerConfig, UndeclaredPolicy, VictimPolicy,
-};
-pub use sbcc_adt::AccessSet;
+pub use policy::{ConflictPolicy, RecoveryStrategy, SchedulerConfig, VictimPolicy};
 pub use sbcc_graph::OrderTelemetry;
 pub use sbcc_wal::{FsyncPolicy, WalConfig};
 /// The write-ahead-log crate, re-exported for crash-image surgery in

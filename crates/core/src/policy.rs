@@ -88,40 +88,6 @@ impl fmt::Display for VictimPolicy {
     }
 }
 
-/// What the scheduler does when a *declared* batch submits an operation
-/// on an object outside its declared access set (a mis-declaration —
-/// detected at admission, never trusted; see [`sbcc_adt::AccessSet`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum UndeclaredPolicy {
-    /// Demote the batch to the per-op semantic classifier — the
-    /// declaration is discarded and every call goes through the normal
-    /// commutativity/recoverability machinery. Correct but slower; the
-    /// forgiving default.
-    Escalate,
-    /// Abort the transaction with
-    /// [`crate::AbortReason::UndeclaredAccess`] (scheduler-initiated, so
-    /// retry loops restart it). The strict mode a deployment can use to
-    /// surface broken declarations instead of silently paying the
-    /// classified path.
-    Abort,
-}
-
-impl UndeclaredPolicy {
-    /// Short label used in experiment output.
-    pub fn label(self) -> &'static str {
-        match self {
-            UndeclaredPolicy::Escalate => "escalate",
-            UndeclaredPolicy::Abort => "abort",
-        }
-    }
-}
-
-impl fmt::Display for UndeclaredPolicy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.label())
-    }
-}
-
 /// Complete scheduler configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SchedulerConfig {
@@ -147,8 +113,6 @@ pub struct SchedulerConfig {
     /// adversarial schedules and fault-injection harnesses surface as an
     /// error instead of a livelock.
     pub max_retries: usize,
-    /// What to do when a declared batch touches an undeclared object.
-    pub undeclared: UndeclaredPolicy,
 }
 
 impl Default for SchedulerConfig {
@@ -160,7 +124,6 @@ impl Default for SchedulerConfig {
             victim: VictimPolicy::Requester,
             record_history: true,
             max_retries: 10_000,
-            undeclared: UndeclaredPolicy::Escalate,
         }
     }
 }
@@ -209,13 +172,6 @@ impl SchedulerConfig {
         self.max_retries = max_retries;
         self
     }
-
-    /// Builder-style: set the undeclared-access policy for declared
-    /// batches.
-    pub fn with_undeclared(mut self, undeclared: UndeclaredPolicy) -> Self {
-        self.undeclared = undeclared;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -231,7 +187,6 @@ mod tests {
         assert_eq!(c.victim, VictimPolicy::Requester);
         assert!(c.record_history);
         assert_eq!(c.max_retries, 10_000);
-        assert_eq!(c.undeclared, UndeclaredPolicy::Escalate);
     }
 
     #[test]
@@ -255,15 +210,13 @@ mod tests {
             .with_recovery(RecoveryStrategy::UndoReplay)
             .with_victim(VictimPolicy::Youngest)
             .with_history(false)
-            .with_max_retries(7)
-            .with_undeclared(UndeclaredPolicy::Abort);
+            .with_max_retries(7);
         assert_eq!(c.policy, ConflictPolicy::CommutativityOnly);
         assert!(!c.fair_scheduling);
         assert_eq!(c.recovery, RecoveryStrategy::UndoReplay);
         assert_eq!(c.victim, VictimPolicy::Youngest);
         assert!(!c.record_history);
         assert_eq!(c.max_retries, 7);
-        assert_eq!(c.undeclared, UndeclaredPolicy::Abort);
     }
 
     #[test]
@@ -274,7 +227,5 @@ mod tests {
         assert_eq!(RecoveryStrategy::UndoReplay.to_string(), "undo-replay");
         assert_eq!(VictimPolicy::Requester.to_string(), "requester");
         assert_eq!(VictimPolicy::Youngest.to_string(), "youngest");
-        assert_eq!(UndeclaredPolicy::Escalate.to_string(), "escalate");
-        assert_eq!(UndeclaredPolicy::Abort.to_string(), "abort");
     }
 }

@@ -239,9 +239,6 @@ impl ShardedKernel {
             }
             TermFate::Aborted(AbortReason::VictimSelected) => &self.lifecycle.aborts_victim,
             TermFate::Aborted(AbortReason::SsiConflict) => &self.lifecycle.aborts_ssi,
-            TermFate::Aborted(AbortReason::UndeclaredAccess) => {
-                &self.lifecycle.aborts_undeclared
-            }
             TermFate::Aborted(AbortReason::Explicit) => &self.lifecycle.aborts_explicit,
         };
         counter.fetch_add(1, Ordering::Relaxed);

@@ -125,7 +125,6 @@ struct Lifecycle {
     aborts_commit_cycle: AtomicU64,
     aborts_victim: AtomicU64,
     aborts_ssi: AtomicU64,
-    aborts_undeclared: AtomicU64,
     aborts_explicit: AtomicU64,
 }
 
@@ -593,7 +592,7 @@ impl ShardedKernel {
 
     /// Grouped submission by global object id: resolves every call's shard
     /// through the directory, enrolls in each touched shard, then runs
-    /// [`Self::request_batch_enrolled`] undeclared.
+    /// [`Self::request_batch_enrolled`].
     pub fn request_batch(
         &self,
         txn: TxnId,
@@ -609,7 +608,7 @@ impl ShardedKernel {
         for run in locs.chunk_by(|a, b| a.shard == b.shard) {
             self.ensure_enrolled(txn, run[0].shard, "submit a batch")?;
         }
-        self.request_batch_enrolled(txn, calls, locs, None)
+        self.request_batch_enrolled(txn, calls, locs)
     }
 
     /// Grouped submission across shards for a transaction the caller has
@@ -621,19 +620,11 @@ impl ShardedKernel {
     /// preserved: indices in the outcome refer to the submitted batch, and
     /// a blocking or aborting terminator hands back the unprocessed suffix
     /// (including the untouched later runs).
-    ///
-    /// With a **declared** read/write footprint each same-shard run is
-    /// handed its projection of the declaration and goes through
-    /// [`SchedulerKernel::request_batch_declared`] — group admission when
-    /// the declared footprint is quiescent, classifier fallback/escalation
-    /// (or an [`crate::AbortReason::UndeclaredAccess`] abort, per policy)
-    /// otherwise.
     pub fn request_batch_enrolled(
         &self,
         txn: TxnId,
         mut calls: Vec<BatchCall>,
         locs: Vec<ObjectLoc>,
-        declared: Option<&sbcc_adt::AccessSet<ObjectLoc>>,
     ) -> Result<BatchOutcome, CoreError> {
         assert_eq!(calls.len(), locs.len(), "one location per call");
         if calls.is_empty() {
@@ -669,21 +660,9 @@ impl ShardedKernel {
                     )
                 })
                 .collect();
-            // Project the declaration onto this shard (other shards'
-            // declared objects are simply invisible here) before taking
-            // the lock; the whole group-admission window — coverage scan,
-            // disjointness scan, group execution — runs under one hold.
-            let local_declared =
-                declared.map(|d| d.project(|loc| (loc.shard == shard).then_some(loc.local)));
-            if local_declared.is_some() {
-                chaos::reach(ChaosPoint::GroupAdmit, Some(txn));
-            }
             let (result, fx) = {
                 let mut kernel = self.lock_shard(shard);
-                let result = match &local_declared {
-                    Some(d) => kernel.request_batch_declared(txn, run, d),
-                    None => kernel.request_batch(txn, run),
-                };
+                let result = kernel.request_batch(txn, run);
                 let fx = drain_fx(&mut kernel);
                 (result, fx)
             };
@@ -778,7 +757,6 @@ impl ShardedKernel {
             self.lifecycle.aborts_commit_cycle.load(Ordering::Relaxed);
         aggregate.aborts_victim = self.lifecycle.aborts_victim.load(Ordering::Relaxed);
         aggregate.aborts_ssi = self.lifecycle.aborts_ssi.load(Ordering::Relaxed);
-        aggregate.aborts_undeclared = self.lifecycle.aborts_undeclared.load(Ordering::Relaxed);
         aggregate.aborts_explicit = self.lifecycle.aborts_explicit.load(Ordering::Relaxed);
     }
 

@@ -24,8 +24,11 @@ pub struct KernelStats {
     /// is always a subset of `requests` (a blocked batch's unprocessed
     /// suffix is not counted until its resumption pass processes it).
     pub batched_calls: u64,
-    /// Batch passes that arrived with a declared access set (whether or not
-    /// the fast path ended up applying).
+    /// Calls of the kernel's declared-batch entry point — residue kept for
+    /// the frozen `bench/` probes; nothing above the kernel submits
+    /// declarations, so on a database this and the three counters below
+    /// stay 0.
+    /// `declared_batches = declared_admitted + declared_fallbacks + declared_escalations`.
     pub declared_batches: u64,
     /// Declared batch passes admitted wholesale by the group-admission fast
     /// path: the declared footprint was disjoint from every live
@@ -37,9 +40,8 @@ pub struct KernelStats {
     /// transactions (a correct declaration, just not a disjoint one).
     pub declared_fallbacks: u64,
     /// Declared batch passes whose calls escaped the declared footprint
-    /// and were escalated to the per-op classifier under
-    /// [`crate::UndeclaredPolicy::Escalate`] (mis-declarations detected and
-    /// demoted, never trusted).
+    /// and were escalated to the per-op classifier (mis-declarations
+    /// detected and demoted, never trusted).
     pub declared_escalations: u64,
     /// Operations actually executed (including executions that happen when a
     /// blocked request is finally admitted).
@@ -69,9 +71,7 @@ pub struct KernelStats {
     /// structure (both in- and out-rw-antidependencies; see
     /// [`crate::AbortReason::SsiConflict`]).
     pub aborts_ssi: u64,
-    /// Aborts of declared batches that touched an object outside their
-    /// declared access set, under [`crate::UndeclaredPolicy::Abort`] (see
-    /// [`crate::AbortReason::UndeclaredAccess`]).
+    /// Always 0; read by `bench/`, leaves with it.
     pub aborts_undeclared: u64,
     /// Explicit, application-requested aborts.
     pub aborts_explicit: u64,
@@ -118,7 +118,6 @@ impl KernelStats {
         self.aborts_commit_cycle += other.aborts_commit_cycle;
         self.aborts_victim += other.aborts_victim;
         self.aborts_ssi += other.aborts_ssi;
-        self.aborts_undeclared += other.aborts_undeclared;
         self.aborts_explicit += other.aborts_explicit;
         self.snapshot_reads += other.snapshot_reads;
         self.versions_pruned += other.versions_pruned;
@@ -133,7 +132,6 @@ impl KernelStats {
             + self.aborts_commit_cycle
             + self.aborts_victim
             + self.aborts_ssi
-            + self.aborts_undeclared
             + self.aborts_explicit
     }
 
@@ -143,7 +141,6 @@ impl KernelStats {
             + self.aborts_commit_cycle
             + self.aborts_victim
             + self.aborts_ssi
-            + self.aborts_undeclared
     }
 
     /// Blocks per commit (the paper's *blocking ratio*); zero when nothing
@@ -168,7 +165,7 @@ impl KernelStats {
     /// One-line human-readable summary.
     pub fn summary(&self) -> String {
         format!(
-            "txns={} requests={} batches={}/{} declared(batches={}, admitted={}, fallbacks={}, escalations={}) executed={} snapshot-reads={} blocks={} unblocks={} commit-deps={} commits={} pseudo={} aborts(deadlock={}, cycle={}, victim={}, ssi={}, undeclared={}, explicit={}) versions-pruned={}",
+            "txns={} requests={} batches={}/{} declared(batches={}, admitted={}, fallbacks={}, escalations={}) executed={} snapshot-reads={} blocks={} unblocks={} commit-deps={} commits={} pseudo={} aborts(deadlock={}, cycle={}, victim={}, ssi={}, explicit={}) versions-pruned={}",
             self.transactions_begun,
             self.requests,
             self.batches,
@@ -188,7 +185,6 @@ impl KernelStats {
             self.aborts_commit_cycle,
             self.aborts_victim,
             self.aborts_ssi,
-            self.aborts_undeclared,
             self.aborts_explicit,
             self.versions_pruned,
         )
@@ -348,7 +344,6 @@ mod tests {
         b.declared_admitted = 4;
         b.declared_fallbacks = 1;
         b.declared_escalations = 1;
-        b.aborts_undeclared = 2;
         a.accumulate(&b);
         assert_eq!(a.requests, 7);
         assert_eq!(a.commits, 1);
@@ -358,7 +353,6 @@ mod tests {
         assert_eq!(a.declared_admitted, 4);
         assert_eq!(a.declared_fallbacks, 1);
         assert_eq!(a.declared_escalations, 1);
-        assert_eq!(a.aborts_undeclared, 2);
     }
 
     #[test]
@@ -414,8 +408,7 @@ mod tests {
         s.aborts_deadlock = 1;
         s.aborts_commit_cycle = 2;
         s.aborts_victim = 1;
-        s.aborts_ssi = 4;
-        s.aborts_undeclared = 4;
+        s.aborts_ssi = 8;
         s.aborts_explicit = 5;
         assert_eq!(s.total_aborts(), 17);
         assert_eq!(s.scheduler_aborts(), 12);
@@ -430,7 +423,6 @@ mod tests {
             pseudo_commits: 2,
             snapshot_reads: 7,
             aborts_ssi: 1,
-            aborts_undeclared: 6,
             declared_batches: 9,
             declared_admitted: 8,
             versions_pruned: 4,
@@ -441,7 +433,6 @@ mod tests {
         assert!(text.contains("pseudo=2"));
         assert!(text.contains("snapshot-reads=7"));
         assert!(text.contains("ssi=1"));
-        assert!(text.contains("undeclared=6"));
         assert!(text.contains("declared(batches=9, admitted=8"));
         assert!(text.contains("versions-pruned=4"));
     }

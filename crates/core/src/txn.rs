@@ -1,7 +1,7 @@
 //! Transaction identifiers, states and per-transaction bookkeeping.
 
 use crate::object::ObjectId;
-use sbcc_adt::{AccessSet, OpCall, OpResult};
+use sbcc_adt::{OpCall, OpResult};
 use std::collections::HashSet;
 use std::fmt;
 
@@ -143,12 +143,6 @@ pub struct TxnRecord {
     /// step of a multi-shard commit runs *before* the per-shard in-memory
     /// applications); tells the kernel's commit path not to log it again.
     pub wal_logged: bool,
-    /// Union of the access sets this transaction's *declared* batches have
-    /// promised so far (`None` until the first declared batch). Kept for
-    /// introspection and as the seam for footprint-driven object placement
-    /// (see ROADMAP): the scheduler itself re-derives admission decisions
-    /// per batch and never trusts this union.
-    pub declared: Option<AccessSet<ObjectId>>,
 }
 
 impl TxnRecord {
@@ -164,7 +158,6 @@ impl TxnRecord {
             commit_index: None,
             coordinated: false,
             wal_logged: false,
-            declared: None,
         }
     }
 

@@ -1,257 +1,164 @@
-//! Differential tests for declared access sets and group admission.
+//! Kernel-level differential: `SchedulerKernel::request_batch_declared`
+//! ≡ `SchedulerKernel::request_batch`.
 //!
-//! House-style oracle: **declared ≡ classified**. A batch submitted with
-//! its read/write footprint declared up front must be behaviourally
-//! identical to the same batch submitted through the per-op classifier —
-//! same per-operation results, same transaction fates, same final
-//! committed object states, same lifecycle counters (declared
-//! bookkeeping aside) — at shard counts 1 and 4, under both
-//! [`UndeclaredPolicy`] arms. The scripts deliberately include **wrong
-//! declarations** (an accessed object missing from the footprint): under
-//! `Escalate` the kernel must detect the lie and fall back to the
-//! classifier with no observable difference; under `Abort` the
-//! transaction must die with [`AbortReason::UndeclaredAccess`] before
-//! any call of the offending batch executes, which the classified
-//! reference mirrors with an explicit abort at the same point.
+//! The declared entry point is kernel residue kept for the frozen `bench/`
+//! probes (nothing above the kernel calls it). While it exists it must be
+//! behaviourally identical to the classifier: the same generated schedule
+//! — several live transactions, so footprints are busy as well as
+//! quiescent, and declarations that are exact, over-approximate or
+//! **lying** (a touched object missing) — must produce the same per-batch
+//! outcomes, transaction fates, committed states and counters (the four
+//! `declared_*` ones aside) on both entry points.
 
 use proptest::prelude::*;
 use sbcc_adt::{
-    AdtObject, AdtOp, Counter, CounterOp, OpCall, Page, PageOp, Set, SetOp, Stack, StackOp,
-    TableObject, TableOp, Value,
+    AccessSet, AdtOp, Counter, CounterOp, OpCall, OpResult, Page, PageOp, Set, SetOp, Stack,
+    StackOp, TableObject, TableOp, Value,
 };
 use sbcc_core::{
-    AbortReason, CommitOutcome, CoreError, Database, DatabaseConfig, KernelStats, ObjectHandle,
-    SchedulerConfig, ShardCount, UndeclaredPolicy,
+    BatchCall, CommitOutcome, KernelStats, ObjectId, SchedulerConfig, SchedulerKernel, TxnId,
+    TxnState,
 };
 
 const N_OBJECTS: usize = 5;
+const SLOTS: usize = 3;
 
-fn config(shards: usize, undeclared: UndeclaredPolicy) -> DatabaseConfig {
-    DatabaseConfig {
-        scheduler: SchedulerConfig::default().with_undeclared(undeclared),
-        shards: ShardCount::Fixed(shards),
-        wal: None,
-    }
+/// A kernel with one object of each data type; `ObjectId(i)` is object `i`.
+fn kernel() -> SchedulerKernel {
+    let mut k = SchedulerKernel::new(SchedulerConfig::default());
+    k.register("stack", Stack::new()).unwrap();
+    k.register("set", Set::new()).unwrap();
+    k.register("counter", Counter::new()).unwrap();
+    k.register("table", TableObject::new()).unwrap();
+    k.register("page", Page::new()).unwrap();
+    k
 }
 
-fn object_names() -> Vec<String> {
-    vec![
-        "stack".to_owned(),
-        "set".to_owned(),
-        "counter".to_owned(),
-        "table".to_owned(),
-        "page".to_owned(),
-    ]
-}
+const STACK: ObjectId = ObjectId(0);
+const COUNTER: ObjectId = ObjectId(2);
+const PAGE: ObjectId = ObjectId(4);
 
-fn register_all(db: &Database) -> Vec<ObjectHandle> {
-    vec![
-        db.register_object("stack", Box::new(AdtObject::new(Stack::new()))).unwrap(),
-        db.register_object("set", Box::new(AdtObject::new(Set::new()))).unwrap(),
-        db.register_object("counter", Box::new(AdtObject::new(Counter::new()))).unwrap(),
-        db.register_object("table", Box::new(AdtObject::new(TableObject::new()))).unwrap(),
-        db.register_object("page", Box::new(AdtObject::new(Page::new()))).unwrap(),
-    ]
-}
-
-/// One committed-state digest per object.
-fn digests(db: &Database) -> Vec<Option<String>> {
-    object_names()
-        .iter()
-        .map(|name| {
-            db.with_sharded_kernel(|k| {
-                k.object_id(name)
-                    .and_then(|id| k.with_object_committed(id, |o| o.debug_state()))
-            })
-        })
-        .collect()
+fn writes(objects: &[ObjectId]) -> AccessSet<ObjectId> {
+    AccessSet::from_parts(Vec::new(), objects.to_vec())
 }
 
 /// How a batch declares its footprint.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Decl {
-    /// Every touched object declared written — always a correct
-    /// (over-approximate) declaration.
+    /// Every touched object declared written — always correct.
     WriteAll,
-    /// Objects the batch only reads declared read, the rest written. A
-    /// mis-predicted read-only flag harmlessly escalates — the
-    /// declaration is a promise, never trusted.
+    /// Objects the batch only reads declared read, the rest written.
     Precise,
-    /// One touched object silently dropped from the footprint — a
-    /// deliberate lie. Only effective when the batch touches ≥ 2
-    /// distinct objects (dropping the sole object would leave no
-    /// declaration at all and thus the plain classified path).
+    /// One touched object dropped from the footprint — a lie the coverage
+    /// scan must catch.
     DropOne,
 }
 
-/// One generated call: object index, the call, and whether the strategy
-/// considers it a write (used to build `Precise` declarations).
+/// One generated call: object index, the call, and whether it mutates.
 type SpecOp = (usize, OpCall, bool);
 
 #[derive(Debug, Clone)]
-struct BatchSpec {
-    ops: Vec<SpecOp>,
-    decl: Decl,
+enum Step {
+    Batch {
+        slot: usize,
+        ops: Vec<SpecOp>,
+        decl: Decl,
+    },
+    Commit {
+        slot: usize,
+    },
+    Abort {
+        slot: usize,
+    },
 }
 
-impl BatchSpec {
-    /// Distinct touched objects, ascending.
-    fn footprint(&self) -> Vec<usize> {
-        let mut objs: Vec<usize> = self.ops.iter().map(|(o, _, _)| *o).collect();
-        objs.sort_unstable();
-        objs.dedup();
-        objs
+fn declaration(ops: &[SpecOp], decl: Decl) -> AccessSet<ObjectId> {
+    let mut touched: Vec<usize> = ops.iter().map(|(o, _, _)| *o).collect();
+    touched.sort_unstable();
+    touched.dedup();
+    if decl == Decl::DropOne {
+        touched.pop();
     }
-
-    /// Whether this batch's declaration really lies (a `DropOne` with a
-    /// droppable object). Shared by both drivers so the classified
-    /// reference mirrors the abort at exactly the admissions that lie.
-    fn lies(&self) -> bool {
-        self.decl == Decl::DropOne && self.footprint().len() >= 2
-    }
-}
-
-/// The outcome trace of one batch submission, comparable across runs.
-fn trace_results(results: Result<Vec<sbcc_adt::OpResult>, String>) -> String {
-    match results {
-        Ok(rs) => rs.iter().map(|r| format!("{r};")).collect(),
-        Err(e) => format!("error:{e}"),
-    }
-}
-
-/// Run one scripted workload. `declared` picks the submission mode: with
-/// declarations (group admission) or the plain classified batch path.
-/// The schedule is sequential — one live transaction at a time — so no
-/// call can block and both modes are driven identically.
-fn run(
-    scripts: &[Vec<BatchSpec>],
-    shards: usize,
-    policy: UndeclaredPolicy,
-    declared: bool,
-) -> (Vec<String>, Vec<String>, Vec<Option<String>>, KernelStats) {
-    let db = Database::with_config(config(shards, policy));
-    let handles = register_all(&db);
-    let mut traces = Vec::new();
-    let mut fates = Vec::new();
-    for script in scripts {
-        // Option-wrapped: the classified reference's explicit abort
-        // consumes the transaction mid-script.
-        let mut txn = Some(db.begin());
-        let mut dead = false;
-        for spec in script {
-            if dead {
-                traces.push("skipped".to_owned());
-                continue;
-            }
-            if declared {
-                let mut batch = txn.as_ref().unwrap().batch();
-                let footprint = spec.footprint();
-                match spec.decl {
-                    Decl::WriteAll => {
-                        for o in &footprint {
-                            batch.add_declare_write(&handles[*o]);
-                        }
-                    }
-                    Decl::Precise => {
-                        for o in &footprint {
-                            let all_reads = spec
-                                .ops
-                                .iter()
-                                .filter(|(obj, _, _)| obj == o)
-                                .all(|(_, _, is_write)| !is_write);
-                            if all_reads {
-                                batch.add_declare_read(&handles[*o]);
-                            } else {
-                                batch.add_declare_write(&handles[*o]);
-                            }
-                        }
-                    }
-                    Decl::DropOne => {
-                        let keep = if spec.lies() {
-                            &footprint[..footprint.len() - 1]
-                        } else {
-                            &footprint[..]
-                        };
-                        for o in keep {
-                            batch.add_declare_write(&handles[*o]);
-                        }
-                    }
-                }
-                for (o, call, _) in &spec.ops {
-                    batch.add_call(&handles[*o], call.clone());
-                }
-                match batch.submit() {
-                    Ok(rs) => traces.push(trace_results(Ok(rs))),
-                    Err(CoreError::Aborted {
-                        reason: AbortReason::UndeclaredAccess,
-                        ..
-                    }) => {
-                        assert_eq!(
-                            policy,
-                            UndeclaredPolicy::Abort,
-                            "escalate policy must never abort on a lie"
-                        );
-                        assert!(spec.lies(), "only lying declarations may abort");
-                        traces.push("aborted".to_owned());
-                        dead = true;
-                    }
-                    Err(other) => panic!("unexpected batch error: {other}"),
-                }
-            } else if spec.lies() && policy == UndeclaredPolicy::Abort {
-                // The classified reference for an aborting lie: the whole
-                // batch is refused before any call executes, killing the
-                // transaction at the same point.
-                txn.take().unwrap().abort().unwrap();
-                traces.push("aborted".to_owned());
-                dead = true;
-            } else {
-                let mut batch = txn.as_ref().unwrap().batch();
-                for (o, call, _) in &spec.ops {
-                    batch.add_call(&handles[*o], call.clone());
-                }
-                traces.push(trace_results(batch.submit().map_err(|e| e.to_string())));
-            }
-        }
-        if dead {
-            fates.push("aborted".to_owned());
-            drop(txn);
+    let mut set = AccessSet::new();
+    for o in touched {
+        let mutated = ops.iter().any(|(obj, _, is_write)| *obj == o && *is_write);
+        if decl == Decl::Precise && !mutated {
+            set.declare_read(ObjectId(o as u32));
         } else {
-            assert_eq!(
-                txn.take().unwrap().commit().unwrap(),
-                CommitOutcome::Committed
-            );
-            fates.push("committed".to_owned());
+            set.declare_write(ObjectId(o as u32));
         }
     }
-    db.verify_serializable().unwrap();
-    (traces, fates, digests(&db), db.stats())
+    set
 }
 
-/// Strip the counters the two submission modes may legitimately differ
-/// on, keeping the full transaction lifecycle comparable:
-///
-/// * the declared-admission bookkeeping itself;
-/// * the execution-volume counters (`requests`, `batches`,
-///   `batched_calls`, `operations_executed`) — a multi-shard batch is
-///   admitted shard-run by shard-run, so an aborting lie may execute a
-///   rolled-back prefix on the shards before the lying one, which the
-///   classified reference (refusing before any call) never runs;
-/// * the abort attribution a mirrored refusal splits across kinds
-///   (`UndeclaredAccess` on the declared side, explicit on the
-///   reference), merged rather than dropped.
-fn comparable(stats: &KernelStats) -> KernelStats {
-    let mut s = stats.clone();
-    s.declared_batches = 0;
-    s.declared_admitted = 0;
-    s.declared_fallbacks = 0;
-    s.declared_escalations = 0;
-    s.requests = 0;
-    s.batches = 0;
-    s.batched_calls = 0;
-    s.operations_executed = 0;
-    s.aborts_explicit += s.aborts_undeclared;
-    s.aborts_undeclared = 0;
-    s
+/// What one run leaves behind: per-step outcomes, every transaction's
+/// fate, the committed state of every object, the counters.
+type Observed = (Vec<String>, Vec<Option<TxnState>>, Vec<String>, KernelStats);
+
+/// Drive one schedule through a fresh kernel, submitting batches through
+/// the declared entry point or the classifier. A slot whose transaction is
+/// no longer active (blocked, aborted by the scheduler, terminated) gets
+/// it aborted if need be and a fresh one begun, so every step is legal.
+fn run(steps: &[Step], declared: bool) -> Observed {
+    let mut k = kernel();
+    let mut begun: Vec<TxnId> = Vec::new();
+    let mut slots: Vec<TxnId> = Vec::new();
+    for _ in 0..SLOTS {
+        let t = k.begin();
+        begun.push(t);
+        slots.push(t);
+    }
+    let mut trace = Vec::new();
+    for step in steps {
+        let slot = match step {
+            Step::Batch { slot, .. } | Step::Commit { slot } | Step::Abort { slot } => *slot,
+        };
+        if k.txn_state(slots[slot]) != Some(TxnState::Active) {
+            if k.txn_state(slots[slot]) == Some(TxnState::Blocked) {
+                k.abort(slots[slot]).unwrap();
+            }
+            slots[slot] = k.begin();
+            begun.push(slots[slot]);
+        }
+        let txn = slots[slot];
+        trace.push(match step {
+            Step::Batch { ops, decl, .. } => {
+                let calls: Vec<BatchCall> = ops
+                    .iter()
+                    .map(|(o, call, _)| BatchCall::new(ObjectId(*o as u32), call.clone()))
+                    .collect();
+                let outcome = if declared {
+                    k.request_batch_declared(txn, calls, &declaration(ops, *decl))
+                } else {
+                    k.request_batch(txn, calls)
+                };
+                format!("{outcome:?}")
+            }
+            Step::Commit { .. } => format!("{:?}", k.commit(txn)),
+            Step::Abort { .. } => format!("{:?}", k.abort(txn)),
+        });
+    }
+    for txn in slots {
+        if matches!(k.txn_state(txn), Some(TxnState::Active | TxnState::Blocked)) {
+            k.abort(txn).unwrap();
+        }
+    }
+    k.check_invariants().unwrap();
+    let fates = begun.iter().map(|t| k.txn_state(*t)).collect();
+    let states = (0..N_OBJECTS)
+        .map(|o| k.object_committed_state(ObjectId(o as u32)).unwrap().debug_state())
+        .collect();
+    (trace, fates, states, k.stats().clone())
+}
+
+fn without_declared_counters(stats: &KernelStats) -> KernelStats {
+    KernelStats {
+        declared_batches: 0,
+        declared_admitted: 0,
+        declared_fallbacks: 0,
+        declared_escalations: 0,
+        ..stats.clone()
+    }
 }
 
 fn arb_spec_op(object: usize) -> BoxedStrategy<SpecOp> {
@@ -289,245 +196,146 @@ fn arb_spec_op(object: usize) -> BoxedStrategy<SpecOp> {
     }
 }
 
-fn arb_batch() -> impl Strategy<Value = BatchSpec> {
-    let ops = proptest::collection::vec(
-        (0..N_OBJECTS).prop_flat_map(arb_spec_op),
-        1..6,
-    );
-    let decl = prop_oneof![
-        Just(Decl::WriteAll),
-        Just(Decl::Precise),
-        Just(Decl::DropOne),
-    ];
-    (ops, decl).prop_map(|(ops, decl)| BatchSpec { ops, decl })
-}
-
-fn arb_scripts() -> impl Strategy<Value = Vec<Vec<BatchSpec>>> {
-    proptest::collection::vec(proptest::collection::vec(arb_batch(), 1..4), 1..5)
+fn arb_step() -> impl Strategy<Value = Step> {
+    let ops = proptest::collection::vec((0..N_OBJECTS).prop_flat_map(arb_spec_op), 1..5);
+    let decl = prop_oneof![Just(Decl::WriteAll), Just(Decl::Precise), Just(Decl::DropOne)];
+    // Four batches to two commits to one abort.
+    (0u8..7, 0..SLOTS, ops, decl).prop_map(|(kind, slot, ops, decl)| match kind {
+        0..=3 => Step::Batch { slot, ops, decl },
+        4 | 5 => Step::Commit { slot },
+        _ => Step::Abort { slot },
+    })
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The headline property, at 1 **and** 4 shards, under both
-    /// undeclared-access policies: declared submission produces exactly
-    /// the classified path's results, fates, final committed states and
-    /// lifecycle counters.
     #[test]
-    fn declared_equals_classified(scripts in arb_scripts()) {
-        for shards in [1usize, 4] {
-            for policy in [UndeclaredPolicy::Escalate, UndeclaredPolicy::Abort] {
-                let (tr_d, f_d, dg_d, st_d) = run(&scripts, shards, policy, true);
-                let (tr_c, f_c, dg_c, st_c) = run(&scripts, shards, policy, false);
-                prop_assert_eq!(
-                    &tr_d, &tr_c,
-                    "per-batch results diverge at {} shard(s) under {}", shards, policy
-                );
-                prop_assert_eq!(
-                    &f_d, &f_c,
-                    "transaction fates diverge at {} shard(s) under {}", shards, policy
-                );
-                prop_assert_eq!(
-                    &dg_d, &dg_c,
-                    "final committed states diverge at {} shard(s) under {}", shards, policy
-                );
-                prop_assert_eq!(
-                    comparable(&st_d), comparable(&st_c),
-                    "lifecycle counters diverge at {} shard(s) under {}", shards, policy
-                );
-                // Bookkeeping sanity on the declared side: every batch
-                // with a declaration was counted, and each one either
-                // group-admitted, fell back, or escalated.
-                prop_assert_eq!(
-                    st_d.declared_batches,
-                    st_d.declared_admitted + st_d.declared_fallbacks
-                        + st_d.declared_escalations + st_d.aborts_undeclared,
-                    "declared batches must partition across the outcomes"
-                );
-                prop_assert_eq!(st_c.declared_batches, 0, "reference run declares nothing");
-            }
-        }
+    fn declared_equals_classified(steps in proptest::collection::vec(arb_step(), 1..24)) {
+        let (tr_d, f_d, st_d, stats_d) = run(&steps, true);
+        let (tr_c, f_c, st_c, stats_c) = run(&steps, false);
+        prop_assert_eq!(&tr_d, &tr_c, "per-step outcomes diverge");
+        prop_assert_eq!(&f_d, &f_c, "transaction fates diverge");
+        prop_assert_eq!(&st_d, &st_c, "committed states diverge");
+        prop_assert_eq!(
+            without_declared_counters(&stats_d), stats_c.clone(),
+            "counters diverge"
+        );
+        let batches = steps.iter().filter(|s| matches!(s, Step::Batch { .. })).count() as u64;
+        prop_assert_eq!(stats_d.declared_batches, batches);
+        prop_assert_eq!(
+            stats_d.declared_batches,
+            stats_d.declared_admitted + stats_d.declared_fallbacks + stats_d.declared_escalations,
+            "declared batches must partition across the outcomes"
+        );
+        prop_assert_eq!(stats_d.aborts_undeclared, 0);
     }
 }
 
 // ---------------------------------------------------------------------
-// Pinned scenarios (deterministic)
+// Pinned scenarios: each of the three outcomes actually happens.
 // ---------------------------------------------------------------------
 
-/// A quiescent, correctly declared batch takes the zero-classification
-/// fast path: the whole group admits in one footprint scan.
 #[test]
 fn quiescent_declared_batch_group_admits() {
-    let db = Database::with_config(config(1, UndeclaredPolicy::Escalate));
-    let handles = register_all(&db);
-
-    let txn = db.begin();
-    let results = txn
-        .batch()
-        .declare_write(&handles[0])
-        .declare_write(&handles[2])
-        .call(&handles[0], StackOp::Push(Value::Int(7)).to_call())
-        .call(&handles[2], CounterOp::Increment(3).to_call())
-        .call(&handles[2], CounterOp::Read.to_call())
-        .submit()
+    let mut k = kernel();
+    let txn = k.begin();
+    let outcome = k
+        .request_batch_declared(
+            txn,
+            vec![
+                BatchCall::new(STACK, StackOp::Push(Value::Int(7)).to_call()),
+                BatchCall::new(COUNTER, CounterOp::Increment(3).to_call()),
+                BatchCall::new(COUNTER, CounterOp::Read.to_call()),
+            ],
+            &writes(&[STACK, COUNTER]),
+        )
         .unwrap();
+    assert!(outcome.is_complete());
     assert_eq!(
-        results,
-        vec![
-            sbcc_adt::OpResult::Ok,
-            sbcc_adt::OpResult::Ok,
-            sbcc_adt::OpResult::Value(Value::Int(3)),
-        ]
+        outcome.executed,
+        vec![OpResult::Ok, OpResult::Ok, OpResult::Value(Value::Int(3))]
     );
-    assert_eq!(txn.commit().unwrap(), CommitOutcome::Committed);
-
-    let stats = db.stats();
-    assert_eq!(stats.declared_batches, 1);
-    assert_eq!(stats.declared_admitted, 1);
-    assert_eq!(stats.declared_fallbacks, 0);
-    assert_eq!(stats.declared_escalations, 0);
-    db.verify_serializable().unwrap();
+    assert_eq!(k.commit(txn).unwrap(), CommitOutcome::Committed);
+    let stats = k.stats();
+    assert_eq!(
+        (stats.declared_batches, stats.declared_admitted, stats.graph_edges),
+        (1, 1, 0)
+    );
 }
 
-/// A read-only declaration is honoured for read-only calls and the
-/// group still admits without classification.
 #[test]
 fn read_declarations_cover_readonly_calls() {
-    let db = Database::with_config(config(1, UndeclaredPolicy::Escalate));
-    let handles = register_all(&db);
-
-    let w = db.begin();
-    w.exec_call(&handles[2], CounterOp::Increment(9).to_call()).unwrap();
-    w.commit().unwrap();
-
-    let txn = db.begin();
-    let results = txn
-        .batch()
-        .declare_read(&handles[2])
-        .declare_write(&handles[4])
-        .call(&handles[2], CounterOp::Read.to_call())
-        .call(&handles[4], PageOp::Write(Value::Int(1)).to_call())
-        .submit()
+    let mut k = kernel();
+    let txn = k.begin();
+    let outcome = k
+        .request_batch_declared(
+            txn,
+            vec![
+                BatchCall::new(COUNTER, CounterOp::Read.to_call()),
+                BatchCall::new(PAGE, PageOp::Write(Value::Int(1)).to_call()),
+            ],
+            &AccessSet::from_parts(vec![COUNTER], vec![PAGE]),
+        )
         .unwrap();
-    assert_eq!(results[0], sbcc_adt::OpResult::Value(Value::Int(9)));
-    txn.commit().unwrap();
-    assert_eq!(db.stats().declared_admitted, 1);
+    assert_eq!(outcome.executed[0], OpResult::Value(Value::Int(0)));
+    assert_eq!(k.stats().declared_admitted, 1);
 }
 
-/// A mutating call on a read-declared object is outside the declaration:
-/// the batch escalates to the classifier (same results) instead of
-/// trusting the lie.
+/// A mutating call on a read-declared object is outside the declaration.
 #[test]
 fn write_through_read_declaration_escalates() {
-    let db = Database::with_config(config(1, UndeclaredPolicy::Escalate));
-    let handles = register_all(&db);
-
-    let txn = db.begin();
-    let results = txn
-        .batch()
-        .declare_read(&handles[2])
-        .call(&handles[2], CounterOp::Increment(5).to_call())
-        .call(&handles[2], CounterOp::Read.to_call())
-        .submit()
+    let mut k = kernel();
+    let txn = k.begin();
+    let outcome = k
+        .request_batch_declared(
+            txn,
+            vec![
+                BatchCall::new(COUNTER, CounterOp::Increment(5).to_call()),
+                BatchCall::new(COUNTER, CounterOp::Read.to_call()),
+            ],
+            &AccessSet::from_parts(vec![COUNTER], Vec::new()),
+        )
         .unwrap();
-    assert_eq!(results[1], sbcc_adt::OpResult::Value(Value::Int(5)));
-    txn.commit().unwrap();
-
-    let stats = db.stats();
-    assert_eq!(stats.declared_batches, 1);
-    assert_eq!(stats.declared_admitted, 0);
-    assert_eq!(stats.declared_escalations, 1);
-    db.verify_serializable().unwrap();
+    assert_eq!(outcome.executed[1], OpResult::Value(Value::Int(5)));
+    let stats = k.stats();
+    assert_eq!(
+        (stats.declared_batches, stats.declared_admitted, stats.declared_escalations),
+        (1, 0, 1)
+    );
 }
 
-/// Under [`UndeclaredPolicy::Abort`], the same lie kills the transaction
-/// with a retryable [`AbortReason::UndeclaredAccess`] before any call of
-/// the batch executes.
-#[test]
-fn undeclared_access_aborts_under_abort_policy() {
-    let db = Database::with_config(config(1, UndeclaredPolicy::Abort));
-    let handles = register_all(&db);
-
-    let txn = db.begin();
-    let err = txn
-        .batch()
-        .declare_write(&handles[0])
-        .call(&handles[0], StackOp::Push(Value::Int(1)).to_call())
-        .call(&handles[2], CounterOp::Increment(5).to_call())
-        .submit()
-        .expect_err("undeclared counter access must abort");
-    match err {
-        CoreError::Aborted { reason, .. } => {
-            assert_eq!(reason, AbortReason::UndeclaredAccess);
-            assert!(
-                reason.is_scheduler_initiated(),
-                "undeclared-access aborts must be retryable"
-            );
-        }
-        other => panic!("expected abort, got {other}"),
-    }
-
-    // Nothing executed — not even the correctly declared prefix — so the
-    // committed state is untouched.
-    let probe = db.begin();
-    assert_eq!(
-        probe.exec_call(&handles[0], StackOp::Top.to_call()).unwrap(),
-        sbcc_adt::OpResult::Null,
-        "aborted batch must not have pushed"
-    );
-    assert_eq!(
-        probe.exec_call(&handles[2], CounterOp::Read.to_call()).unwrap(),
-        sbcc_adt::OpResult::Value(Value::Int(0))
-    );
-    probe.commit().unwrap();
-
-    let stats = db.stats();
-    assert_eq!(stats.aborts_undeclared, 1);
-    assert_eq!(stats.declared_admitted, 0);
-    db.verify_serializable().unwrap();
-}
-
-/// A *busy* declared footprint (another live transaction holds log
-/// entries on a declared object) falls back to the classifier — the
-/// declaration is only a fast path, never an exclusivity claim. The
-/// overlap uses commuting counter increments so the sequential driver
-/// cannot block.
+/// Another live transaction's uncommitted operation on a declared object
+/// sends the batch to the classifier, where the increments commute.
 #[test]
 fn busy_footprint_falls_back_to_classifier() {
-    let db = Database::with_config(config(1, UndeclaredPolicy::Escalate));
-    let handles = register_all(&db);
+    let mut k = kernel();
+    let pinner = k.begin();
+    k.request(pinner, COUNTER, CounterOp::Increment(1).to_call()).unwrap();
 
-    let pinner = db.begin();
-    pinner.exec_call(&handles[2], CounterOp::Increment(1).to_call()).unwrap();
-
-    // Declares the busy counter (and the idle page): the footprint scan
-    // sees the pinner's uncommitted log entry and hands the whole batch
-    // to the classifier, where the increment commutes and executes.
-    let txn = db.begin();
-    let results = txn
-        .batch()
-        .declare_write(&handles[2])
-        .declare_write(&handles[4])
-        .call(&handles[2], CounterOp::Increment(2).to_call())
-        .call(&handles[4], PageOp::Write(Value::Int(9)).to_call())
-        .submit()
+    let txn = k.begin();
+    let outcome = k
+        .request_batch_declared(
+            txn,
+            vec![
+                BatchCall::new(COUNTER, CounterOp::Increment(2).to_call()),
+                BatchCall::new(PAGE, PageOp::Write(Value::Int(9)).to_call()),
+            ],
+            &writes(&[COUNTER, PAGE]),
+        )
         .unwrap();
-    assert_eq!(results, vec![sbcc_adt::OpResult::Ok, sbcc_adt::OpResult::Ok]);
-
-    assert_eq!(pinner.commit().unwrap(), CommitOutcome::Committed);
-    txn.commit().unwrap();
-
-    let stats = db.stats();
-    assert_eq!(stats.declared_batches, 1);
-    assert_eq!(stats.declared_fallbacks, 1);
-    assert_eq!(stats.declared_admitted, 0);
-
-    let final_read = db.begin();
+    assert_eq!(outcome.executed, vec![OpResult::Ok, OpResult::Ok]);
+    assert_eq!(k.commit(pinner).unwrap(), CommitOutcome::Committed);
+    assert_eq!(k.commit(txn).unwrap(), CommitOutcome::Committed);
+    let stats = k.stats();
     assert_eq!(
-        final_read.exec_call(&handles[2], CounterOp::Read.to_call()).unwrap(),
-        sbcc_adt::OpResult::Value(Value::Int(3)),
-        "both increments must survive the fallback"
+        (stats.declared_batches, stats.declared_admitted, stats.declared_fallbacks),
+        (1, 0, 1)
     );
-    final_read.commit().unwrap();
-    db.verify_serializable().unwrap();
+    let reader = k.begin();
+    assert_eq!(
+        k.request(reader, COUNTER, CounterOp::Read.to_call()).unwrap().result(),
+        Some(&OpResult::Value(Value::Int(3))),
+        "both increments survive the fallback"
+    );
 }

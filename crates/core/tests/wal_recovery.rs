@@ -378,26 +378,21 @@ fn group_commit_acknowledged_commits_survive_a_crash() {
 }
 
 // ---------------------------------------------------------------------
-// Declared batches: group-commit durability equals the classified path.
+// Batches: group-commit durability equals the per-op path.
 // ---------------------------------------------------------------------
 
-/// Transaction `k` of the same workload, submitted as one declared batch
-/// (write footprint declared up front, all calls through
-/// [`sbcc_core::Batch::submit`]) instead of per-op classified execs.
-fn run_txn_declared(db: &Database, objects: &Objects, k: usize) {
+/// Transaction `k` of the same workload, submitted as one batch (all
+/// calls through [`sbcc_core::Batch::submit`]) instead of per-op execs.
+fn run_txn_batched(db: &Database, objects: &Objects, k: usize) {
     let txn = db.begin();
     let v = Value::Int(k as i64);
     let mut batch = txn.batch();
     if k % 3 == 2 {
-        batch.add_declare_write(&objects.stacks[k % STACKS]);
-        batch.add_declare_write(&objects.stacks[(k + 1) % STACKS]);
-        batch.add_declare_write(&objects.hits);
         batch.add_call(&objects.stacks[k % STACKS], StackOp::Push(v.clone()).to_call());
         batch.add_call(&objects.stacks[(k + 1) % STACKS], StackOp::Push(v).to_call());
         batch.add_call(&objects.hits, CounterOp::Increment(1).to_call());
         assert_eq!(batch.submit().unwrap().len(), 3);
     } else {
-        batch.add_declare_write(&objects.stacks[k % STACKS]);
         batch.add_call(&objects.stacks[k % STACKS], StackOp::Push(v.clone()).to_call());
         batch.add_call(&objects.stacks[k % STACKS], StackOp::Top.to_call());
         let results = batch.submit().unwrap();
@@ -406,19 +401,17 @@ fn run_txn_declared(db: &Database, objects: &Objects, k: usize) {
     assert_eq!(txn.commit().unwrap(), CommitOutcome::Committed);
 }
 
-/// A declared-batch workload under group commit, killed mid-flight, must
-/// recover to exactly the state a classified (per-op exec) reference run
-/// of the same committed prefix shows — the log records executed
-/// operations, not admission paths, so the two are indistinguishable at
-/// recovery. Two kill points: a live-copy image (every acknowledged
-/// commit flushed, the group-commit flusher mid-window) and a surgical
-/// image dropping the final multi-shard commit's marker (killed after
-/// its fragment flushes, before the marker write). Recovery itself
-/// replays commits as declared batches, so the recovered database must
-/// show group admissions.
+/// A batch workload under group commit, killed mid-flight, must recover
+/// to exactly the state a per-op exec reference run of the same committed
+/// prefix shows — the log records executed operations, not submission
+/// granularity, so the two are indistinguishable at recovery. Two kill
+/// points: a live-copy image (every acknowledged commit flushed, the
+/// group-commit flusher mid-window) and a surgical image dropping the
+/// final multi-shard commit's marker (killed after its fragment flushes,
+/// before the marker write).
 #[test]
-fn declared_batches_killed_mid_group_commit_recover_to_classified_replay() {
-    let dir = ScratchDir::new("declared-group");
+fn batches_killed_mid_group_commit_recover_to_per_op_replay() {
+    let dir = ScratchDir::new("batch-group");
     let wal = WalConfig::new(dir.path())
         .with_fsync(FsyncPolicy::GroupCommit)
         .with_window(Duration::from_millis(1));
@@ -427,25 +420,21 @@ fn declared_batches_killed_mid_group_commit_recover_to_classified_replay() {
 
     let marker_file = sbcc_wal::marker_path(dir.path());
     for k in 0..TXNS - 1 {
-        run_txn_declared(&db, &objects, k);
+        run_txn_batched(&db, &objects, k);
     }
     // The final transaction is multi-shard (TXNS-1 ≡ 2 mod 3): record the
     // marker length before it so surgery can un-mark exactly that commit.
     assert_eq!((TXNS - 1) % 3, 2, "the surgical kill needs a multi-shard tail");
     let marker_len_before = std::fs::metadata(&marker_file).unwrap().len();
-    run_txn_declared(&db, &objects, TXNS - 1);
+    run_txn_batched(&db, &objects, TXNS - 1);
 
     // Kill point A: copy the live directory. Every commit above was
     // acknowledged, and a group-commit acknowledgement is a durability
     // promise, so the full workload must recover.
-    let image = ScratchDir::new("declared-group-image");
+    let image = ScratchDir::new("batch-group-image");
     copy_dir(dir.path(), image.path());
     let (_s, recovered) = recover(image.path(), 4);
     assert_eq!(recovered.stats().commits, TXNS as u64);
-    assert!(
-        recovered.stats().declared_admitted > 0,
-        "recovery replays commits as declared batches through group admission"
-    );
 
     let reference = Database::with_config(config(4, None));
     let ref_objects = register_all(&reference);
@@ -455,13 +444,13 @@ fn declared_batches_killed_mid_group_commit_recover_to_classified_replay() {
     assert_eq!(
         digests(&recovered),
         digests(&reference),
-        "declared-batch recovery must equal the classified reference run"
+        "batch recovery must equal the per-op reference run"
     );
 
     // Kill point B: the tail commit's fragments are on disk but its
     // marker write never landed. All-or-nothing: recovery keeps exactly
-    // the first TXNS-1 commits and equals the classified prefix run.
-    let image_b = ScratchDir::new("declared-group-image-b");
+    // the first TXNS-1 commits and equals the per-op prefix run.
+    let image_b = ScratchDir::new("batch-group-image-b");
     copy_dir(dir.path(), image_b.path());
     truncate(&sbcc_wal::marker_path(image_b.path()), marker_len_before);
     let (_s2, rec_b) = recover(image_b.path(), 4);
@@ -474,7 +463,7 @@ fn declared_batches_killed_mid_group_commit_recover_to_classified_replay() {
     assert_eq!(
         digests(&rec_b),
         digests(&ref_prefix),
-        "the unmarked declared tail commit must vanish whole"
+        "the unmarked tail commit must vanish whole"
     );
     drop(db);
 }

@@ -62,16 +62,6 @@ pub struct DstConfig {
     /// the pinned corpus seeds predate snapshot sessions and stay
     /// byte-identical; `snapshot:`-tagged corpus lines opt in.
     pub snapshot_sessions: usize,
-    /// Declared-batch sessions (driving [`sbcc_core::Batch`] with
-    /// up-front [`sbcc_adt::AccessSet`] declarations): each transaction
-    /// submits its operations as one declared batch, so the whole group
-    /// rides the single-pass admission seam — and yields at the
-    /// group-admission chaos point while holding declared footprints.
-    /// A seeded fraction deliberately under-declares to exercise the
-    /// mis-declaration fallback under faults. Default 0: the pinned
-    /// corpus seeds predate declared sessions and stay byte-identical;
-    /// `declared:`-tagged corpus lines opt in.
-    pub declared_sessions: usize,
     /// Transactions per session.
     pub txns_per_session: usize,
     /// Maximum operations per transaction (each draws 1..=this many).
@@ -104,7 +94,6 @@ impl Default for DstConfig {
             sync_sessions: 3,
             async_sessions: 2,
             snapshot_sessions: 0,
-            declared_sessions: 0,
             txns_per_session: 4,
             ops_per_txn: 3,
             objects: 6,

@@ -11,7 +11,7 @@
 //! draws — comes from a per-session SplitMix64, so the run is a pure
 //! function of the seed and the scheduler's pick sequence.
 
-use sbcc_adt::{AdtOp, Counter, CounterOp};
+use sbcc_adt::{Counter, CounterOp};
 use sbcc_core::chaos;
 use sbcc_core::{
     AsyncDatabase, CoreError, Database, DatabaseConfig, Handle, SchedulerConfig, ShardCount,
@@ -298,79 +298,12 @@ fn snapshot_session(
     }
 }
 
-/// A declared-batch session: every transaction submits its operations as
-/// one [`sbcc_core::Batch`] with the write footprint declared up front,
-/// so the whole group rides the single-pass admission seam — yielding at
-/// the group-admission chaos point between the declaration scans and the
-/// batch run, which is exactly where faults from other sessions (aborts
-/// into vote windows, cancellations, reordered deliveries) land while
-/// declared footprints are held. A seeded fraction deliberately drops
-/// one object from the declaration, exercising the mis-declaration
-/// coverage scan and the escalate fallback under the same interleavings.
-fn declared_session(
-    vt: usize,
-    seed: u64,
-    cfg: &DstConfig,
-    db: &Database,
-    objects: &[Handle<Counter>],
-    sched: &Scheduler,
-    errors: &Mutex<Vec<String>>,
-) {
-    let mut rng = SplitMix64::new(seed ^ (vt as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    for _ in 0..cfg.txns_per_session {
-        if sched.free_running() {
-            return;
-        }
-        let plan = plan_txn(&mut rng, cfg, false);
-        let mut footprint: Vec<usize> = plan.ops.iter().map(|(obj, _)| *obj).collect();
-        footprint.sort_unstable();
-        footprint.dedup();
-        // The lie: drop one object from a multi-object footprint (a
-        // single-object drop would leave no declaration at all, which is
-        // just the classified path). The coverage scan must catch it.
-        if footprint.len() >= 2 && rng.permille(250) {
-            let drop_at = rng.below(footprint.len());
-            footprint.remove(drop_at);
-        }
-        let txn = db.begin();
-        let mut batch = txn.batch();
-        for obj in &footprint {
-            batch.add_declare_write(&objects[*obj]);
-        }
-        for (obj, op) in &plan.ops {
-            batch.add_call(&objects[*obj], op.to_call());
-        }
-        let alive = match batch.submit() {
-            Ok(_) => true,
-            Err(e) => {
-                if !tolerated(&e) {
-                    errors.lock().unwrap().push(format!("vt{vt} declared: {e}"));
-                }
-                false
-            }
-        };
-        if alive {
-            if let Err(e) = txn.commit() {
-                if !tolerated(&e) {
-                    errors
-                        .lock()
-                        .unwrap()
-                        .push(format!("vt{vt} declared commit: {e}"));
-                }
-            }
-        } else {
-            drop(txn);
-        }
-    }
-}
-
 /// Execute one full simulation: build the database, run every session to
 /// completion (or to the liveness deadline) under the baton scheduler,
 /// then run the differential oracle. `script` forces the scheduler's
 /// choice sequence for replay/shrinking.
 pub fn execute(seed: u64, cfg: &DstConfig, script: Option<Vec<u32>>) -> RunReport {
-    let total =
-        cfg.sync_sessions + cfg.async_sessions + cfg.snapshot_sessions + cfg.declared_sessions;
+    let total = cfg.sync_sessions + cfg.async_sessions + cfg.snapshot_sessions;
     assert!(total > 0, "a simulation needs at least one session");
     let sched = Arc::new(Scheduler::new(total, cfg.max_steps, seed, script));
     let faults = Arc::new(FaultPlan::new(seed, cfg.reorder_permille));
@@ -411,10 +344,8 @@ pub fn execute(seed: u64, cfg: &DstConfig, script: Option<Vec<u32>>) -> RunRepor
                 sync_session(vt, seed, &cfg, &db, &objects, &sched, &errors);
             } else if vt < cfg.sync_sessions + cfg.async_sessions {
                 async_session(vt, seed, &cfg, &db, &objects, &sched, &errors);
-            } else if vt < cfg.sync_sessions + cfg.async_sessions + cfg.snapshot_sessions {
-                snapshot_session(vt, seed, &cfg, &db, &objects, &sched, &errors);
             } else {
-                declared_session(vt, seed, &cfg, &db, &objects, &sched, &errors);
+                snapshot_session(vt, seed, &cfg, &db, &objects, &sched, &errors);
             }
             sched.finish(vt);
             chaos::clear_thread_hook();

@@ -1,17 +1,15 @@
 //! Replay the pinned seed corpus (`tests/dst_corpus.txt` at the repo
 //! root). Every corpus seed must pass: these are schedules chosen to
 //! cover the fault space (cancellations, injected aborts, re-votes,
-//! cross-thread rendezvous, snapshot/SSI interleavings, declared group
-//! admission) plus pinned regressions. A failure here means a kernel
-//! change broke an interleaving the corpus deliberately covers — replay
-//! it with `repro --dst-replay <seed>` (built with `--features dst`).
+//! cross-thread rendezvous, snapshot/SSI interleavings) plus pinned
+//! regressions. A failure here means a kernel change broke an
+//! interleaving the corpus deliberately covers — replay it with
+//! `repro --dst-replay <seed>` (built with `--features dst`).
 //!
-//! Three line formats: a bare seed runs the default mixed sync/async
+//! Two line formats: a bare seed runs the default mixed sync/async
 //! workload; `snapshot:SEED` runs the same workload with two snapshot
 //! sessions added (multi-version reads + SSI guard under the baton
-//! scheduler); `declared:SEED` adds two declared-batch sessions instead
-//! (group admission of declared footprints, with a seeded fraction of
-//! deliberate under-declarations hitting the coverage-scan fallback).
+//! scheduler).
 
 use sbcc_dst::{run_seed, DstConfig, Verdict};
 
@@ -20,7 +18,6 @@ use sbcc_dst::{run_seed, DstConfig, Verdict};
 enum Mix {
     Default,
     Snapshot,
-    Declared,
 }
 
 /// `(seed, session mix)` per corpus line.
@@ -35,8 +32,6 @@ fn corpus_seeds() -> Vec<(u64, Mix)> {
         .map(|l| {
             let (rest, mix) = if let Some(rest) = l.strip_prefix("snapshot:") {
                 (rest, Mix::Snapshot)
-            } else if let Some(rest) = l.strip_prefix("declared:") {
-                (rest, Mix::Declared)
             } else {
                 (l, Mix::Default)
             };
@@ -61,26 +56,15 @@ pub fn snapshot_cfg() -> DstConfig {
     }
 }
 
-/// The corpus config for `declared:`-tagged lines (must match the sweep
-/// that picked them).
-pub fn declared_cfg() -> DstConfig {
-    DstConfig {
-        declared_sessions: 2,
-        ..DstConfig::default()
-    }
-}
-
 #[test]
 fn every_corpus_seed_passes() {
     let default_cfg = DstConfig::default();
     let snap_cfg = snapshot_cfg();
-    let decl_cfg = declared_cfg();
     let mut failures = Vec::new();
     for (seed, mix) in corpus_seeds() {
         let cfg = match mix {
             Mix::Default => &default_cfg,
             Mix::Snapshot => &snap_cfg,
-            Mix::Declared => &decl_cfg,
         };
         let report = run_seed(seed, cfg);
         if report.verdict != Verdict::Pass {

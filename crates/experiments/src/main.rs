@@ -11,7 +11,6 @@
 //! repro --dst                explore seeds in the deterministic-simulation harness
 //! repro --dst-replay SEED    replay one seed, shrinking the schedule on failure
 //! repro --dst-snapshots      add two snapshot/SSI sessions to the DST workload
-//! repro --dst-declared       add two declared-batch sessions to the DST workload
 //! repro --crash-workload     run the durable smoke workload (pair with kill -9)
 //! repro --crash-recover      recover the workload's log and self-check the prefix
 //!
@@ -54,7 +53,6 @@ struct Args {
     dst_seed_start: u64,
     dst_replay: Option<u64>,
     dst_snapshots: bool,
-    dst_declared: bool,
     wal: Option<String>,
     crash_workload: bool,
     crash_recover: bool,
@@ -110,7 +108,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             }
             "--dst" => args.dst = true,
             "--dst-snapshots" => args.dst_snapshots = true,
-            "--dst-declared" => args.dst_declared = true,
             "--seeds" => {
                 let v = take_value(&mut i)?;
                 args.dst_seeds = v.parse().map_err(|_| format!("invalid seed count {v:?}"))?;
@@ -193,8 +190,6 @@ fn usage() -> &'static str {
        repro --dst-replay SEED              replay one seed; on failure, shrink the\n\
                                             schedule and print the minimized trace\n\
        repro --dst-snapshots                add two snapshot/SSI sessions to the workload\n\
-       repro --dst-declared                 add two declared-batch sessions (group\n\
-                                            admission with seeded under-declarations)\n\
          (all need a build with --features dst)\n\
      \n\
      scale options:\n\
@@ -237,7 +232,6 @@ fn run_dst(args: &Args) -> Result<(), ExitCode> {
 
     let cfg = DstConfig {
         snapshot_sessions: if args.dst_snapshots { 2 } else { 0 },
-        declared_sessions: if args.dst_declared { 2 } else { 0 },
         ..DstConfig::default()
     };
     if let Some(seed) = args.dst_replay {

@@ -254,31 +254,6 @@ impl NetClient {
         }
     }
 
-    /// Execute a batch with its read/write object footprint declared up
-    /// front. When every declared object is quiescent the server admits
-    /// the whole batch in one pass with zero per-op classification; a
-    /// declaration that fails to cover an op falls back to the
-    /// classified path (or aborts, per the server's undeclared-access
-    /// policy). `writes` covers reads on the same object, so a name
-    /// needs to appear in only one set.
-    pub fn exec_batch_declared(
-        &mut self,
-        txn: u64,
-        ops: Vec<(String, OpCall)>,
-        reads: Vec<String>,
-        writes: Vec<String>,
-    ) -> Result<Vec<OpResult>, NetError> {
-        match self.call(&Request::ExecBatchDeclared {
-            txn,
-            ops,
-            reads,
-            writes,
-        })? {
-            Response::Results(rs) => Ok(rs),
-            _ => Err(NetError::Unexpected("results")),
-        }
-    }
-
     /// Commit; returns `true` if the transaction pseudo-committed
     /// (complete and guaranteed to commit, waiting on dependencies).
     pub fn commit(&mut self, txn: u64) -> Result<bool, NetError> {

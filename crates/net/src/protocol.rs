@@ -18,7 +18,9 @@
 //! | `0x07` | [`Request::Abort`] | txn `u64` |
 //! | `0x08` | [`Request::Ping`] | — |
 //! | `0x09` | [`Request::BeginSnapshot`] | — |
-//! | `0x0A` | [`Request::ExecBatchDeclared`] | txn `u64`, `u32` count × (name, call), `u32` count × read name, `u32` count × write name |
+//!
+//! `0x0A` (declared-footprint batch, retired) is unassigned and answered
+//! like any unknown opcode.
 //!
 //! | Opcode | Response | Payload |
 //! |---|---|---|
@@ -317,23 +319,6 @@ pub enum Request {
     /// as of the begin stamp without blocking, guarded by SSI
     /// rw-antidependency tracking. Answered with [`Response::Begun`].
     BeginSnapshot,
-    /// Execute a batch like [`Request::ExecBatch`], but with the batch's
-    /// read/write object footprint declared up front. When every
-    /// declared object is quiescent the server admits the whole batch in
-    /// one pass with zero per-op classification; a declaration that
-    /// fails to cover an op falls back to the classified path (or aborts
-    /// the transaction, per the server's undeclared-access policy).
-    /// Answered with [`Response::Results`].
-    ExecBatchDeclared {
-        /// Wire transaction id.
-        txn: u64,
-        /// `(object, call)` pairs, executed in order.
-        ops: Vec<(String, OpCall)>,
-        /// Unqualified names the batch promises to only read.
-        reads: Vec<String>,
-        /// Unqualified names the batch may write.
-        writes: Vec<String>,
-    },
 }
 
 /// A server-to-client message (see the module docs for the wire layout).
@@ -378,24 +363,6 @@ pub enum Response {
 // Encoding
 // ---------------------------------------------------------------------
 
-/// The `(object, call)` list of the two batch opcodes.
-fn put_ops(out: &mut Vec<u8>, ops: &[(String, OpCall)]) {
-    put_u32(out, ops.len() as u32);
-    for (object, call) in ops {
-        put_str(out, object);
-        put_call(out, call);
-    }
-}
-
-fn read_ops(r: &mut Reader<'_>) -> Result<Vec<(String, OpCall)>, ProtoError> {
-    let count = r.u32()? as usize;
-    let mut ops = Vec::with_capacity(count.min(r.remaining()));
-    for _ in 0..count {
-        ops.push((r.string()?, r.call()?));
-    }
-    Ok(ops)
-}
-
 /// Wrap an encoded body (request id + opcode + payload already in
 /// `body`) into a full frame with its length prefix.
 fn finish_frame(body: Vec<u8>) -> Vec<u8> {
@@ -432,7 +399,11 @@ impl Request {
             Request::ExecBatch { txn, ops } => {
                 b.push(0x05);
                 put_u64(&mut b, *txn);
-                put_ops(&mut b, ops);
+                put_u32(&mut b, ops.len() as u32);
+                for (object, call) in ops {
+                    put_str(&mut b, object);
+                    put_call(&mut b, call);
+                }
             }
             Request::Commit { txn } => {
                 b.push(0x06);
@@ -444,22 +415,6 @@ impl Request {
             }
             Request::Ping => b.push(0x08),
             Request::BeginSnapshot => b.push(0x09),
-            Request::ExecBatchDeclared {
-                txn,
-                ops,
-                reads,
-                writes,
-            } => {
-                b.push(0x0A);
-                put_u64(&mut b, *txn);
-                put_ops(&mut b, ops);
-                for names in [reads, writes] {
-                    put_u32(&mut b, names.len() as u32);
-                    for name in names {
-                        put_str(&mut b, name);
-                    }
-                }
-            }
         }
         finish_frame(b)
     }
@@ -533,33 +488,19 @@ impl Request {
                 object: r.string()?,
                 call: r.call()?,
             },
-            0x05 => Request::ExecBatch {
-                txn: r.u64()?,
-                ops: read_ops(&mut r)?,
-            },
+            0x05 => {
+                let txn = r.u64()?;
+                let count = r.u32()? as usize;
+                let mut ops = Vec::with_capacity(count.min(r.remaining()));
+                for _ in 0..count {
+                    ops.push((r.string()?, r.call()?));
+                }
+                Request::ExecBatch { txn, ops }
+            }
             0x06 => Request::Commit { txn: r.u64()? },
             0x07 => Request::Abort { txn: r.u64()? },
             0x08 => Request::Ping,
             0x09 => Request::BeginSnapshot,
-            0x0A => {
-                let txn = r.u64()?;
-                let ops = read_ops(&mut r)?;
-                let mut sets = [Vec::new(), Vec::new()];
-                for set in &mut sets {
-                    let count = r.u32()? as usize;
-                    set.reserve(count.min(body.len()));
-                    for _ in 0..count {
-                        set.push(r.string()?);
-                    }
-                }
-                let [reads, writes] = sets;
-                Request::ExecBatchDeclared {
-                    txn,
-                    ops,
-                    reads,
-                    writes,
-                }
-            }
             other => return Err(ProtoError::UnknownOpcode(other)),
         };
         r.finish()?;
@@ -718,22 +659,6 @@ mod tests {
         roundtrip_request(Request::Abort { txn: 42 });
         roundtrip_request(Request::Ping);
         roundtrip_request(Request::BeginSnapshot);
-        roundtrip_request(Request::ExecBatchDeclared {
-            txn: 42,
-            ops: vec![
-                ("jobs".into(), StackOp::Pop.to_call()),
-                ("hits".into(), CounterOp::Increment(3).to_call()),
-            ],
-            reads: vec!["quota".into()],
-            writes: vec!["hits".into(), "jobs".into()],
-        });
-        // Empty declaration sets roundtrip too.
-        roundtrip_request(Request::ExecBatchDeclared {
-            txn: 1,
-            ops: vec![],
-            reads: vec![],
-            writes: vec![],
-        });
     }
 
     #[test]

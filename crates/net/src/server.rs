@@ -321,12 +321,6 @@ enum TxnWork {
         id: u64,
         ops: Vec<(ObjectHandle, sbcc_adt::OpCall)>,
     },
-    BatchDeclared {
-        id: u64,
-        ops: Vec<(ObjectHandle, sbcc_adt::OpCall)>,
-        reads: Vec<ObjectHandle>,
-        writes: Vec<ObjectHandle>,
-    },
     Commit {
         id: u64,
     },
@@ -671,8 +665,12 @@ async fn router_task(
             write_frame(&writer, &conn, &resp.encode(id));
         }
         // Give tasks woken by this frame (newly queued work, settled
-        // conflicts) the thread before the next frame is routed, so a
-        // Ping fence truly orders behind the operations sent before it.
+        // conflicts) the thread before the next frame is routed. Best
+        // effort: when the reader thread's wake for the next frame is
+        // already in the ready queue, the router runs again ahead of
+        // them. A Pong therefore proves every earlier frame was routed to
+        // its transaction task, not that the task has run it into the
+        // kernel.
         sbcc_core::aio::yield_now().await;
     }
     conn.mark_closed();
@@ -817,41 +815,6 @@ fn route(
             queue.push(TxnWork::Batch { id, ops: resolved });
             None
         }
-        Request::ExecBatchDeclared {
-            txn,
-            ops,
-            reads,
-            writes,
-        } => {
-            let Some(queue) = txns.get(&txn) else {
-                return Some(unknown_txn(txn));
-            };
-            let mut resolved = Vec::with_capacity(ops.len());
-            for (object, call) in ops {
-                match resolve(&object) {
-                    Ok(handle) => resolved.push((handle, call)),
-                    Err(resp) => return Some(resp),
-                }
-            }
-            let mut sets = [Vec::new(), Vec::new()];
-            for (set, names) in sets.iter_mut().zip([reads, writes]) {
-                set.reserve(names.len());
-                for name in names {
-                    match resolve(&name) {
-                        Ok(handle) => set.push(handle),
-                        Err(resp) => return Some(resp),
-                    }
-                }
-            }
-            let [decl_reads, decl_writes] = sets;
-            queue.push(TxnWork::BatchDeclared {
-                id,
-                ops: resolved,
-                reads: decl_reads,
-                writes: decl_writes,
-            });
-            None
-        }
         Request::Commit { txn } => match txns.remove(&txn) {
             Some(queue) => {
                 queue.push(TxnWork::Commit { id });
@@ -947,37 +910,6 @@ async fn txn_task(
                 let resp = outcome.unwrap_or(Response::Results(results));
                 write_frame(&writer, &conn, &resp.encode(id));
             }
-            TxnWork::BatchDeclared {
-                id,
-                ops,
-                reads,
-                writes,
-            } => {
-                // Unlike the classified batch (one raced exec per op), a
-                // declared batch goes through the session's batch
-                // submission path so the whole group can be admitted in
-                // one kernel pass.
-                let mut batch = txn.batch();
-                for handle in &reads {
-                    batch.add_declare_read(handle);
-                }
-                for handle in &writes {
-                    batch.add_declare_write(handle);
-                }
-                for (handle, call) in &ops {
-                    batch.add_call(handle, call.clone());
-                }
-                let raced = race(batch.submit(), Closed { conn: conn.clone() }).await;
-                let resp = match raced {
-                    RaceWinner::Left(Ok(results)) => Response::Results(results),
-                    RaceWinner::Left(Err(e)) => error_response(&e),
-                    RaceWinner::Right(()) => {
-                        auto_abort(&shared, &txn).await;
-                        break 'task;
-                    }
-                };
-                write_frame(&writer, &conn, &resp.encode(id));
-            }
             TxnWork::Commit { id } => {
                 let session = txn.clone();
                 let resp = match session.commit().await {
@@ -1009,9 +941,11 @@ async fn txn_task(
 /// aborts on drop; a pseudo-committed session is guaranteed to commit
 /// and must not be touched).
 async fn auto_abort(shared: &Arc<ServerShared>, txn: &AsyncTransaction) {
-    shared.sessions_auto_aborted.fetch_add(1, Ordering::Relaxed);
     if matches!(txn.state(), Some(TxnState::Active) | Some(TxnState::Blocked)) {
         let session = txn.clone();
         let _ = session.abort().await;
     }
+    // Counted after the abort: whoever observes the count sees the
+    // session terminated.
+    shared.sessions_auto_aborted.fetch_add(1, Ordering::Relaxed);
 }

@@ -6,7 +6,7 @@ use sbcc_adt::{AdtOp, CounterOp, OpCall, OpResult, StackOp, Value};
 use sbcc_core::aio::AsyncDatabase;
 use sbcc_core::{SchedulerConfig, TxnId, TxnState};
 use sbcc_net::{
-    AdtType, ErrorCode, NetClient, NetError, Request, Response, Server, ServerConfig,
+    AdtType, ErrorCode, NetClient, NetError, ProtoError, Request, Response, Server, ServerConfig,
 };
 use std::net::Shutdown;
 use std::time::{Duration, Instant};
@@ -87,84 +87,6 @@ fn exec_batch_matches_sequential_execs() {
 
     assert_eq!(batched, sequential);
     server.shutdown();
-}
-
-#[test]
-fn declared_batch_group_admits_and_falls_back_over_the_wire() {
-    let server = start_server(ServerConfig::default().with_workers(1));
-    let addr = server.local_addr();
-
-    let mut client = NetClient::connect(addr, "t").expect("connect");
-    client.register("a", AdtType::Stack).unwrap();
-    client.register("b", AdtType::Counter).unwrap();
-
-    // A correctly declared batch on quiescent objects: whole group
-    // admitted in one pass, zero per-op classification.
-    let t1 = client.begin().unwrap();
-    let results = client
-        .exec_batch_declared(
-            t1,
-            vec![
-                ("a".to_owned(), StackOp::Push(Value::Int(3)).to_call()),
-                ("b".to_owned(), CounterOp::Increment(4).to_call()),
-                ("b".to_owned(), CounterOp::Read.to_call()),
-            ],
-            vec![],
-            vec!["a".to_owned(), "b".to_owned()],
-        )
-        .unwrap();
-    assert_eq!(
-        results,
-        vec![
-            OpResult::Ok,
-            OpResult::Ok,
-            OpResult::Value(Value::Int(4)),
-        ]
-    );
-    client.commit(t1).unwrap();
-    // Declared admission is per shard-run ("a" and "b" may land in
-    // different shards under SBCC_SHARDS), so assert the invariant
-    // rather than a run count: every run group-admitted.
-    let stats = server.db().stats();
-    assert!(stats.declared_admitted >= 1);
-    assert_eq!(stats.declared_batches, stats.declared_admitted);
-    assert_eq!(stats.declared_escalations, 0);
-    assert_eq!(stats.declared_fallbacks, 0);
-
-    // An under-declared batch (touches `b`, declares only `a`): the
-    // server detects the mis-declaration and escalates to the
-    // classified path — same results, no trust in the declaration.
-    let t2 = client.begin().unwrap();
-    let results = client
-        .exec_batch_declared(
-            t2,
-            vec![
-                ("a".to_owned(), StackOp::Top.to_call()),
-                ("b".to_owned(), CounterOp::Increment(1).to_call()),
-            ],
-            vec![],
-            vec!["a".to_owned()],
-        )
-        .unwrap();
-    assert_eq!(
-        results,
-        vec![OpResult::Value(Value::Int(3)), OpResult::Ok]
-    );
-    client.commit(t2).unwrap();
-    // Exactly one shard-run holds the undeclared call on `b` (at one
-    // shard the whole batch is that run), so exactly one escalation —
-    // whatever the shard count, the partition invariant holds.
-    let stats = server.db().stats();
-    assert_eq!(stats.declared_escalations, 1);
-    assert_eq!(
-        stats.declared_batches,
-        stats.declared_admitted + stats.declared_fallbacks + stats.declared_escalations
-    );
-
-    server.db().verify_serializable().unwrap();
-    drop(client);
-    let stats = server.shutdown();
-    assert_eq!(stats.transactions_in_flight, 0, "no leaked sessions");
 }
 
 #[test]
@@ -266,18 +188,14 @@ fn hello_is_mandatory_and_checked() {
     server.shutdown();
 }
 
-#[test]
-fn unknown_opcode_gets_protocol_error_then_close() {
+/// Send one raw frame whose opcode the server does not know: it must
+/// answer `ErrorCode::Protocol` under request id 0 and hang up.
+fn expect_protocol_error_then_close(frame: &[u8]) {
     let server = start_server(ServerConfig::default().with_workers(1));
     let addr = server.local_addr();
 
     let mut client = NetClient::connect(addr, "t").expect("connect");
-    // body = request id (8) + unknown opcode 0x7f
-    let mut frame = Vec::new();
-    frame.extend_from_slice(&9u32.to_le_bytes());
-    frame.extend_from_slice(&77u64.to_le_bytes());
-    frame.push(0x7f);
-    client.send_raw(&frame).unwrap();
+    client.send_raw(frame).unwrap();
 
     let (id, resp) = client.recv().expect("error frame before close");
     assert_eq!(id, 0, "malformed frames are answered with request id 0");
@@ -294,6 +212,43 @@ fn unknown_opcode_gets_protocol_error_then_close() {
         server.net_stats().connections_open == 0
     });
     server.shutdown();
+}
+
+#[test]
+fn unknown_opcode_gets_protocol_error_then_close() {
+    // body = request id (8) + unknown opcode 0x7f
+    let mut frame = Vec::new();
+    frame.extend_from_slice(&9u32.to_le_bytes());
+    frame.extend_from_slice(&77u64.to_le_bytes());
+    frame.push(0x7f);
+    expect_protocol_error_then_close(&frame);
+}
+
+/// Opcode `0x0A` (the declared-footprint batch) is retired. This is the
+/// frame the last tree that spoke it encoded for request id 77, txn 42,
+/// one `("jobs", Push(Int(-7)))` op, no read names, write name `"jobs"`:
+/// it is now an unknown opcode to the decoder and to a live server.
+#[test]
+fn retired_declared_batch_frame_is_refused() {
+    let frame: [u8; 66] = [
+        0x3e, 0, 0, 0, // body length
+        0x4d, 0, 0, 0, 0, 0, 0, 0, // request id 77
+        0x0a, // the retired opcode
+        0x2a, 0, 0, 0, 0, 0, 0, 0, // txn 42
+        1, 0, 0, 0, // one op
+        4, 0, 0, 0, b'j', b'o', b'b', b's', // object
+        0, 0, 0, 0, // op kind (Push)
+        1, 0, 0, 0, // one parameter
+        2, 0xf9, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, // Int(-7)
+        0, 0, 0, 0, // no read names
+        1, 0, 0, 0, // one write name
+        4, 0, 0, 0, b'j', b'o', b'b', b's',
+    ];
+    assert_eq!(
+        Request::decode(&frame[4..]),
+        Err(ProtoError::UnknownOpcode(0x0A))
+    );
+    expect_protocol_error_then_close(&frame);
 }
 
 #[test]

@@ -9,8 +9,9 @@
 //! injected one at a time, and each injection is *fenced* before the
 //! next — the wire driver pipelines the step frame followed by a `Ping`
 //! and waits for the `Pong` (the router answers in order and yields the
-//! executor after every frame, so the step has been admitted to the
-//! kernel by the time the `Pong` leaves), while the reference driver
+//! executor after every frame, which lets the session task admit the
+//! step to the kernel before the `Pong` leaves — see `router_task` for
+//! the window that leaves open), while the reference driver
 //! pushes the step into the owning session task's queue and runs the
 //! executor until it stalls. A step's *result* may arrive many steps
 //! later (blocked operations resolve when the conflicting transaction
@@ -30,6 +31,7 @@ use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
+use std::time::{Duration, Instant};
 
 const TENANT: &str = "t0";
 const OBJECTS: &[(&str, AdtType)] = &[
@@ -447,9 +449,9 @@ fn pinned_conflict_scenario_matches() {
     }
 }
 
-/// The blocked pop really blocks on the wire: inject the conflict, fence
-/// it, and observe the kernel state through the served database before
-/// the resolution arrives.
+/// The blocked pop really blocks on the wire: inject the conflict and
+/// observe the kernel state through the served database before the
+/// resolution arrives.
 #[test]
 fn wire_conflicts_block_in_the_kernel() {
     let db = AsyncDatabase::with_config(DatabaseConfig::new(SchedulerConfig::default()));
@@ -469,12 +471,14 @@ fn wire_conflicts_block_in_the_kernel() {
             call: StackOp::Pop.to_call(),
         })
         .unwrap();
+    // The Pong proves the router dispatched the pop; its session task
+    // may still be about to run it into the kernel.
     client.ping().unwrap();
-    assert_eq!(
-        server.db().txn_state(sbcc_core::TxnId(t2)),
-        Some(TxnState::Blocked),
-        "the fenced pop must be admitted and blocked"
-    );
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while server.db().txn_state(sbcc_core::TxnId(t2)) != Some(TxnState::Blocked) {
+        assert!(Instant::now() < deadline, "the pop must be admitted and blocked");
+        std::thread::sleep(Duration::from_millis(1));
+    }
     client.commit(t1).unwrap();
     let resp = client.recv_for(pop).unwrap();
     assert_eq!(normalize_response(&resp), "Value(Int(1))");

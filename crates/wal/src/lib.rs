@@ -36,4 +36,4 @@ pub mod record;
 pub use log::{
     marker_path, shard_log_path, FsyncPolicy, GroupClock, Wal, WalConfig, WalError,
 };
-pub use record::{footprint, LoggedOp, ParsedLog, SequencedRecord, WalRecord};
+pub use record::{LoggedOp, ParsedLog, SequencedRecord, WalRecord};

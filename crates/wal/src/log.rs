@@ -484,11 +484,6 @@ impl Wal {
         }
     }
 
-    /// Highest durable ticket for `shard` (diagnostics / tests).
-    pub fn durable_ticket(&self, shard: u32) -> u64 {
-        *self.inner.log(shard).durable.lock().unwrap()
-    }
-
     /// The fsync policy this log was opened with.
     pub fn policy(&self) -> FsyncPolicy {
         self.inner.policy

@@ -81,18 +81,6 @@ pub enum WalRecord {
     },
 }
 
-/// The distinct object names a commit record's operations touch, sorted
-/// and deduplicated — the declared *write* footprint replay hands to the
-/// session layer so a recovered transaction's operations are re-admitted
-/// as one declared group (zero per-op classification on an otherwise
-/// idle recovery kernel).
-pub fn footprint(ops: &[LoggedOp]) -> Vec<String> {
-    let mut names: Vec<String> = ops.iter().map(|op| op.object.clone()).collect();
-    names.sort();
-    names.dedup();
-    names
-}
-
 /// A record plus its global sequence number.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SequencedRecord {
@@ -387,20 +375,6 @@ mod tests {
                 assert!(parsed.torn.is_some(), "cut at {cut} must report a tear");
             }
         }
-    }
-
-    #[test]
-    fn footprint_is_sorted_and_deduplicated() {
-        let ops: Vec<LoggedOp> = ["b", "a", "b", "c", "a"]
-            .iter()
-            .map(|name| LoggedOp {
-                object: (*name).to_owned(),
-                call: OpCall { kind: 0, params: vec![] },
-                result: OpResult::Ok,
-            })
-            .collect();
-        assert_eq!(footprint(&ops), vec!["a", "b", "c"]);
-        assert!(footprint(&[]).is_empty());
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! a seam. CI runs this as its own leg (`cargo test -p sbcc --test
 //! doc_links`) next to the rustdoc `-D warnings` pass, which covers the
 //! intra-doc links on the Rust side. The same leg checks that every
-//! `repro --flag` the docs show still exists in `repro --help`, and that
-//! every source file the docs name in backticks still exists.
+//! `repro --flag` the docs and the CI workflow show still exists in
+//! `repro --help`, and that every source file the docs name in backticks
+//! still exists.
 
 use std::path::Path;
 
@@ -134,7 +135,9 @@ fn source_files_named_in_the_docs_exist() {
 
 /// The `--flag`s a document attributes to the `repro` binary: every flag
 /// in the run of `--flag [value]` tokens that follows a word ending in
-/// `repro` (`repro --serve --addr A`, `--bin repro -- --table 3`).
+/// `repro` (`repro --serve --addr A`, `--bin repro -- --table 3`), and,
+/// for `cargo run -p sbcc-experiments --features dst -- --dst`, the flags
+/// after cargo's `--` separator.
 fn repro_flags(markdown: &str) -> Vec<String> {
     let trim = |tok: &str| {
         tok.trim_matches(|c: char| !(c.is_ascii_alphanumeric() || c == '-')).to_owned()
@@ -142,16 +145,24 @@ fn repro_flags(markdown: &str) -> Vec<String> {
     let mut flags = Vec::new();
     let mut tokens = markdown.split_whitespace().map(trim).peekable();
     while let Some(tok) = tokens.next() {
-        if !tok.ends_with("repro") {
+        let via_cargo = tok == "sbcc-experiments";
+        if !via_cargo && !tok.ends_with("repro") {
             continue;
         }
+        // After the package name the flags are cargo's until its `--`.
+        let mut ours = !via_cargo;
         let mut value_allowed = false;
         while let Some(next) = tokens.peek() {
             if next.len() > 2 && next.starts_with("--") {
-                flags.push(next.clone());
+                if ours {
+                    flags.push(next.clone());
+                }
                 value_allowed = true;
-            } else if next == "--" || value_allowed {
-                // cargo's `--` separator, or the one value a flag may take.
+            } else if next == "--" {
+                ours = true;
+                value_allowed = false;
+            } else if value_allowed {
+                // The one value a flag may take.
                 value_allowed = false;
             } else {
                 break;
@@ -163,8 +174,9 @@ fn repro_flags(markdown: &str) -> Vec<String> {
 }
 
 /// A flag retired from `repro` must not survive in the docs that describe
-/// the present tree. (CHANGES.md and ROADMAP.md are exempt: history lines
-/// keep the names of retired flags and open items name future ones.)
+/// the present tree, nor in a CI leg that would invoke it. (CHANGES.md and
+/// ROADMAP.md are exempt: history lines keep the names of retired flags
+/// and open items name future ones.)
 #[test]
 fn repro_flags_in_the_docs_exist_in_the_usage_text() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
@@ -174,7 +186,7 @@ fn repro_flags_in_the_docs_exist_in_the_usage_text() {
     let usage = usage.split("\nfn ").next().unwrap_or(usage);
     let mut checked = 0usize;
     let mut stale = Vec::new();
-    for doc in ["README.md", "ARCHITECTURE.md"] {
+    for doc in ["README.md", "ARCHITECTURE.md", ".github/workflows/ci.yml"] {
         let text = std::fs::read_to_string(root.join(doc)).expect("root doc exists");
         for flag in repro_flags(&text) {
             checked += 1;
