@@ -62,16 +62,6 @@ impl AbstractObject {
             ],
         ))
     }
-
-    /// The underlying conflict table.
-    pub fn table(&self) -> &ConflictTable {
-        &self.table
-    }
-
-    /// Number of operation kinds.
-    pub fn arity(&self) -> usize {
-        self.table.arity()
-    }
 }
 
 impl SemanticObject for AbstractObject {
@@ -132,11 +122,10 @@ mod tests {
             for j in 0..4 {
                 assert_eq!(
                     obj.classify(&OpCall::nullary(i), &OpCall::nullary(j)),
-                    obj.table().get(i, j)
+                    obj.table.get(i, j)
                 );
             }
         }
-        assert_eq!(obj.arity(), 4);
     }
 
     #[test]

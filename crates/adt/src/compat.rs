@@ -40,26 +40,6 @@ pub enum Compatibility {
 }
 
 impl Compatibility {
-    /// `true` when the requested operation may execute immediately
-    /// (commutative or recoverable).
-    pub fn admits_execution(self) -> bool {
-        !matches!(self, Compatibility::NonRecoverable)
-    }
-
-    /// `true` when executing the requested operation creates a commit
-    /// dependency on the holder of the executed operation.
-    pub fn creates_commit_dependency(self) -> bool {
-        matches!(self, Compatibility::Recoverable)
-    }
-
-    /// Short label used by the experiment harness when printing tables.
-    pub fn label(self) -> &'static str {
-        match self {
-            Compatibility::Commutative => "C",
-            Compatibility::Recoverable => "R",
-            Compatibility::NonRecoverable => "N",
-        }
-    }
 }
 
 impl fmt::Display for Compatibility {
@@ -164,19 +144,9 @@ impl CompatibilityTable {
         }
     }
 
-    /// The table's display name (e.g. `"Stack commutativity"`).
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// Number of operation kinds covered by the table.
     pub fn arity(&self) -> usize {
         self.op_names.len()
-    }
-
-    /// Names of the operations, indexed by kind.
-    pub fn op_names(&self) -> &[&'static str] {
-        &self.op_names
     }
 
     /// Raw entry for a `(requested, executed)` pair of operation kinds.
@@ -217,14 +187,6 @@ impl CompatibilityTable {
             out.push('\n');
         }
         out
-    }
-
-    /// Count entries that are not `No` (used in tests and diagnostics).
-    pub fn permissive_entries(&self) -> usize {
-        self.entries
-            .iter()
-            .filter(|e| !matches!(e, TableEntry::No))
-            .count()
     }
 }
 
@@ -343,19 +305,6 @@ impl ConflictTable {
         }
         table
     }
-
-    /// Render the table for diagnostics.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        for i in 0..self.n_ops {
-            for j in 0..self.n_ops {
-                out.push_str(self.get(i, j).label());
-                out.push(' ');
-            }
-            out.push('\n');
-        }
-        out
-    }
 }
 
 /// Combine a commutativity table and a recoverability table into a single
@@ -390,20 +339,7 @@ mod tests {
     }
 
     #[test]
-    fn compatibility_predicates() {
-        assert!(Compatibility::Commutative.admits_execution());
-        assert!(Compatibility::Recoverable.admits_execution());
-        assert!(!Compatibility::NonRecoverable.admits_execution());
-        assert!(!Compatibility::Commutative.creates_commit_dependency());
-        assert!(Compatibility::Recoverable.creates_commit_dependency());
-        assert!(!Compatibility::NonRecoverable.creates_commit_dependency());
-    }
-
-    #[test]
     fn compatibility_labels_and_display() {
-        assert_eq!(Compatibility::Commutative.label(), "C");
-        assert_eq!(Compatibility::Recoverable.label(), "R");
-        assert_eq!(Compatibility::NonRecoverable.label(), "N");
         assert_eq!(Compatibility::Recoverable.to_string(), "recoverable");
     }
 
@@ -450,13 +386,11 @@ mod tests {
     fn compatibility_table_lookup() {
         let t = tiny_table();
         assert_eq!(t.arity(), 2);
-        assert_eq!(t.name(), "tiny");
-        assert_eq!(t.op_names(), &["a", "b"]);
+        assert!(t.render().starts_with("tiny "));
         assert_eq!(t.entry(0, 0), TableEntry::Yes);
         assert_eq!(t.entry(0, 1), TableEntry::No);
         assert_eq!(t.entry(1, 0), TableEntry::YesDifferentParam);
         assert_eq!(t.entry(1, 1), TableEntry::YesSameParam);
-        assert_eq!(t.permissive_entries(), 3);
 
         assert!(t.holds(&call(0, Some(1)), &call(0, Some(2))));
         assert!(!t.holds(&call(0, Some(1)), &call(1, Some(1))));
@@ -505,7 +439,6 @@ mod tests {
             vec![Compatibility::Recoverable],
         );
         assert_eq!(e.get(0, 0), Compatibility::Recoverable);
-        assert!(!e.render().is_empty());
     }
 
     #[test]

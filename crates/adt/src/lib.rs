@@ -40,6 +40,7 @@
 
 pub mod abstract_obj;
 pub mod access;
+pub mod catalogue;
 pub mod codec;
 pub mod compat;
 pub mod counter;
@@ -55,6 +56,7 @@ pub mod value;
 
 pub use abstract_obj::AbstractObject;
 pub use access::AccessSet;
+pub use catalogue::AdtType;
 pub use compat::{Compatibility, CompatibilityTable, ConflictTable, TableEntry};
 pub use counter::{Counter, CounterOp};
 pub use op::{AdtOp, OpCall, OpResult};

@@ -47,20 +47,6 @@ impl OpResult {
     pub fn value(v: impl Into<Value>) -> Self {
         OpResult::Value(v.into())
     }
-
-    /// Returns `true` when the result is [`OpResult::Success`] or
-    /// [`OpResult::Ok`].
-    pub fn is_success(&self) -> bool {
-        matches!(self, OpResult::Success | OpResult::Ok)
-    }
-
-    /// Returns the payload value, if any.
-    pub fn as_value(&self) -> Option<&Value> {
-        match self {
-            OpResult::Value(v) => Some(v),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for OpResult {
@@ -195,16 +181,11 @@ mod tests {
 
     #[test]
     fn op_result_helpers() {
-        assert!(OpResult::Ok.is_success());
-        assert!(OpResult::Success.is_success());
-        assert!(!OpResult::Failure.is_success());
-        assert!(!OpResult::Null.is_success());
         assert_eq!(
-            OpResult::value(3).as_value(),
-            Some(&Value::Int(3)),
+            OpResult::value(3),
+            OpResult::Value(Value::Int(3)),
             "value() wraps into Value"
         );
-        assert_eq!(OpResult::Ok.as_value(), None);
     }
 
     #[test]

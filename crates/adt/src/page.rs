@@ -31,11 +31,6 @@ impl Page {
     pub fn with_value(value: Value) -> Self {
         Page { value }
     }
-
-    /// The current contents of the page.
-    pub fn value(&self) -> &Value {
-        &self.value
-    }
 }
 
 impl Default for Page {
@@ -171,7 +166,7 @@ mod tests {
         assert_eq!(p.apply(&PageOp::Read), OpResult::Value(Value::Null));
         assert_eq!(p.apply(&PageOp::Write(Value::Int(7))), OpResult::Ok);
         assert_eq!(p.apply(&PageOp::Read), OpResult::Value(Value::Int(7)));
-        assert_eq!(p.value(), &Value::Int(7));
+        assert_eq!(p, Page::with_value(Value::Int(7)));
     }
 
     #[test]

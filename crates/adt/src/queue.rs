@@ -32,21 +32,6 @@ impl FifoQueue {
             items: values.into_iter().collect(),
         }
     }
-
-    /// Number of queued elements.
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// `true` when the queue is empty.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-
-    /// The element at the front, if any.
-    pub fn peek(&self) -> Option<&Value> {
-        self.items.front()
-    }
 }
 
 /// Operations on a [`FifoQueue`].
@@ -206,13 +191,11 @@ mod tests {
     #[test]
     fn queue_semantics_are_fifo() {
         let mut q = FifoQueue::new();
-        assert!(q.is_empty());
         assert_eq!(q.apply(&QueueOp::Dequeue), OpResult::Null);
         assert_eq!(q.apply(&QueueOp::Front), OpResult::Null);
         q.apply(&QueueOp::Enqueue(Value::Int(1)));
         q.apply(&QueueOp::Enqueue(Value::Int(2)));
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.peek(), Some(&Value::Int(1)));
+        assert_eq!(q, FifoQueue::from_values([Value::Int(1), Value::Int(2)]));
         assert_eq!(q.apply(&QueueOp::Front), OpResult::Value(Value::Int(1)));
         assert_eq!(q.apply(&QueueOp::Dequeue), OpResult::Value(Value::Int(1)));
         assert_eq!(q.apply(&QueueOp::Dequeue), OpResult::Value(Value::Int(2)));
@@ -306,7 +289,7 @@ mod tests {
             for v in &values {
                 prop_assert_eq!(q.apply(&QueueOp::Dequeue), OpResult::Value(Value::Int(*v)));
             }
-            prop_assert!(q.is_empty());
+            prop_assert_eq!(q, FifoQueue::new());
         }
     }
 }

@@ -35,16 +35,6 @@ impl Set {
         }
     }
 
-    /// Number of elements.
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// `true` when the set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-
     /// Membership test (direct state accessor, not the transactional op).
     pub fn contains(&self, v: &Value) -> bool {
         self.items.contains(v)
@@ -211,16 +201,15 @@ mod tests {
     #[test]
     fn set_semantics() {
         let mut s = Set::new();
-        assert!(s.is_empty());
         assert_eq!(s.apply(&SetOp::Member(Value::Int(3))), OpResult::Value(Value::Bool(false)));
         assert_eq!(s.apply(&SetOp::Insert(Value::Int(3))), OpResult::Ok);
         assert_eq!(s.apply(&SetOp::Insert(Value::Int(3))), OpResult::Ok);
-        assert_eq!(s.len(), 1);
+        assert_eq!(s, Set::from_values([Value::Int(3)]));
         assert!(s.contains(&Value::Int(3)));
         assert_eq!(s.apply(&SetOp::Member(Value::Int(3))), OpResult::Value(Value::Bool(true)));
         assert_eq!(s.apply(&SetOp::Delete(Value::Int(3))), OpResult::Success);
         assert_eq!(s.apply(&SetOp::Delete(Value::Int(3))), OpResult::Failure);
-        assert!(s.is_empty());
+        assert_eq!(s, Set::new());
     }
 
     #[test]

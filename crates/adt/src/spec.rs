@@ -136,16 +136,6 @@ impl<A: AdtSpec> AdtObject<A> {
     pub fn inner(&self) -> &A {
         &self.inner
     }
-
-    /// Mutably borrow the typed state.
-    pub fn inner_mut(&mut self) -> &mut A {
-        &mut self.inner
-    }
-
-    /// Unwrap back into the typed state.
-    pub fn into_inner(self) -> A {
-        self.inner
-    }
 }
 
 impl<A: AdtSpec> From<A> for AdtObject<A> {
@@ -221,8 +211,8 @@ mod tests {
         assert_eq!(obj.type_name(), "stack");
         assert_eq!(obj.op_names(), &["push", "pop", "top"]);
         assert!(obj.inner().is_empty());
-        obj.inner_mut().apply(&StackOp::Push(Value::Int(1)));
-        assert_eq!(obj.clone().into_inner().len(), 1);
+        obj.apply(&StackOp::Push(Value::Int(1)).to_call());
+        assert_eq!(obj.inner().len(), 1);
         let from: AdtObject<Stack> = Stack::new().into();
         assert!(from.inner().is_empty());
     }

@@ -41,11 +41,6 @@ impl Stack {
         self.items.is_empty()
     }
 
-    /// The element currently on top, if any.
-    pub fn peek(&self) -> Option<&Value> {
-        self.items.last()
-    }
-
     /// The stack contents, bottom to top.
     pub fn items(&self) -> &[Value] {
         &self.items
@@ -217,7 +212,7 @@ mod tests {
         assert_eq!(s.apply(&StackOp::Push(Value::Int(4))), OpResult::Ok);
         assert_eq!(s.apply(&StackOp::Push(Value::Int(2))), OpResult::Ok);
         assert_eq!(s.len(), 2);
-        assert_eq!(s.peek(), Some(&Value::Int(2)));
+        assert_eq!(s.items(), &[Value::Int(4), Value::Int(2)]);
         assert_eq!(s.apply(&StackOp::Top), OpResult::Value(Value::Int(2)));
         assert_eq!(s.apply(&StackOp::Pop), OpResult::Value(Value::Int(2)));
         assert_eq!(s.apply(&StackOp::Pop), OpResult::Value(Value::Int(4)));

@@ -39,16 +39,6 @@ impl TableObject {
         }
     }
 
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// `true` when the table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Direct state accessor (not the transactional `lookup`).
     pub fn get(&self, key: &Value) -> Option<&Value> {
         self.entries.get(key)
@@ -268,7 +258,6 @@ mod tests {
     #[test]
     fn table_semantics() {
         let mut t = TableObject::new();
-        assert!(t.is_empty());
         assert_eq!(t.apply(&TableOp::Size), OpResult::Value(Value::Int(0)));
         assert_eq!(
             t.apply(&TableOp::Insert(Value::Int(1), Value::Int(10))),
@@ -296,7 +285,7 @@ mod tests {
         assert_eq!(t.apply(&TableOp::Size), OpResult::Value(Value::Int(1)));
         assert_eq!(t.apply(&TableOp::Delete(Value::Int(1))), OpResult::Success);
         assert_eq!(t.apply(&TableOp::Delete(Value::Int(1))), OpResult::Failure);
-        assert_eq!(t.len(), 0);
+        assert_eq!(t, TableObject::new());
     }
 
     #[test]

@@ -33,38 +33,12 @@ impl Value {
         Value::Str(s.into())
     }
 
-    /// Returns `true` if the value is [`Value::Null`].
-    pub fn is_null(&self) -> bool {
-        matches!(self, Value::Null)
-    }
-
     /// Returns the integer payload, if this is an [`Value::Int`].
     pub fn as_int(&self) -> Option<i64> {
         match self {
             Value::Int(i) => Some(*i),
             _ => None,
         }
-    }
-
-    /// Returns the boolean payload, if this is a [`Value::Bool`].
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// Returns the string payload, if this is a [`Value::Str`].
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// A short, single-line rendering used in logs and histories.
-    pub fn render(&self) -> String {
-        self.to_string()
     }
 }
 
@@ -124,14 +98,8 @@ mod tests {
 
     #[test]
     fn accessors() {
-        assert!(Value::Null.is_null());
-        assert!(!Value::Int(0).is_null());
         assert_eq!(Value::Int(3).as_int(), Some(3));
         assert_eq!(Value::Bool(true).as_int(), None);
-        assert_eq!(Value::Bool(false).as_bool(), Some(false));
-        assert_eq!(Value::Int(1).as_bool(), None);
-        assert_eq!(Value::str("abc").as_str(), Some("abc"));
-        assert_eq!(Value::Null.as_str(), None);
     }
 
     #[test]

@@ -184,16 +184,6 @@ impl AsyncDatabase {
         self.db.register(name, adt)
     }
 
-    /// Register a typed atomic data type instance, failing on duplicate
-    /// names.
-    pub fn try_register<A: AdtSpec>(
-        &self,
-        name: impl Into<String>,
-        adt: A,
-    ) -> Result<Handle<A>, CoreError> {
-        self.db.try_register(name, adt)
-    }
-
     /// Register an erased semantic object.
     pub fn register_object(
         &self,
@@ -310,12 +300,6 @@ impl AsyncDatabase {
         self.db.txn_state(txn)
     }
 
-    /// The commit outcome of a (pseudo-)committed transaction (see
-    /// [`Database::outcome_of`]).
-    pub fn outcome_of(&self, txn: TxnId) -> Option<CommitOutcome> {
-        self.db.outcome_of(txn)
-    }
-
     /// Number of scheduler-kernel shards behind this database.
     pub fn shard_count(&self) -> usize {
         self.db.shard_count()
@@ -403,12 +387,6 @@ impl AsyncTransaction {
     /// The transaction's current scheduler state.
     pub fn state(&self) -> Option<TxnState> {
         self.inner.db.txn_state(self.id())
-    }
-
-    /// The snapshot begin stamp for sessions opened through
-    /// [`AsyncDatabase::begin_snapshot`], `None` for ordinary sessions.
-    pub fn snapshot_stamp(&self) -> Option<u64> {
-        self.inner.core.snapshot()
     }
 
     /// Execute a typed operation; the future resolves once the operation

@@ -353,11 +353,6 @@ pub mod sync {
                     inner: parking_lot::Mutex::new(value),
                 }
             }
-
-            /// Consume the mutex, returning the inner value.
-            pub fn into_inner(self) -> T {
-                self.inner.into_inner()
-            }
         }
 
         impl<T: ?Sized> Mutex<T> {
@@ -439,11 +434,6 @@ pub mod sync {
             /// Wake one waiting thread.
             pub fn notify_one(&self) {
                 self.inner.notify_one();
-            }
-
-            /// Wake all waiting threads.
-            pub fn notify_all(&self) {
-                self.inner.notify_all();
             }
         }
     }

@@ -117,7 +117,7 @@ use crate::policy::SchedulerConfig;
 use crate::shard::{DatabaseConfig, ObjectLoc, ShardedKernel};
 use crate::stats::{KernelStats, StatsSnapshot};
 use crate::txn::{BatchCall, TxnId, TxnState};
-use sbcc_adt::{AdtOp, AdtSpec, OpCall, OpResult, SemanticObject};
+use sbcc_adt::{AdtOp, AdtSpec, AdtType, OpCall, OpResult, SemanticObject};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::marker::PhantomData;
@@ -145,11 +145,6 @@ impl ObjectHandle {
     /// The object's shard location.
     pub fn loc(&self) -> ObjectLoc {
         self.loc
-    }
-
-    /// The shard owning this object.
-    pub fn shard(&self) -> u32 {
-        self.loc.shard
     }
 
     /// The registration name.
@@ -458,7 +453,7 @@ impl Database {
     /// torn tail and dropping unmarked multi-shard fragments — see
     /// [`sbcc_wal::Wal::open`]), **replays** the surviving records through
     /// the ordinary session API — re-registering each object via the
-    /// recovery factory, re-executing each committed transaction's
+    /// [`AdtType`] catalogue, re-executing each committed transaction's
     /// operations in global log order and checking every replayed result
     /// against the logged one — and only then attaches the log, so replay
     /// itself is not re-logged. The group-commit flush window is routed
@@ -508,14 +503,13 @@ impl Database {
         for rec in records {
             match &rec.record {
                 sbcc_wal::WalRecord::Register { name, type_name } => {
-                    let object =
-                        sbcc_wal::factory::instantiate(type_name).ok_or_else(|| {
-                            CoreError::Durability(format!(
-                                "log registers object {name:?} with type {type_name:?}, \
-                                 which the recovery factory cannot reconstruct"
-                            ))
-                        })?;
-                    let handle = self.register_object(name.clone(), object)?;
+                    let adt = AdtType::from_name(type_name).ok_or_else(|| {
+                        CoreError::Durability(format!(
+                            "log registers object {name:?} with type {type_name:?}, \
+                             which is not in the recovery catalogue"
+                        ))
+                    })?;
+                    let handle = self.register_object(name.clone(), adt.instantiate())?;
                     handles.insert(name, handle);
                 }
                 sbcc_wal::WalRecord::Commit { multi_gid, ops } => {
@@ -882,12 +876,6 @@ impl Database {
         self.shared.kernel.cycle_checks()
     }
 
-    /// The current value of the global commit clock (every actual commit
-    /// draws one stamp; snapshots read at their begin stamp).
-    pub fn current_stamp(&self) -> u64 {
-        self.shared.kernel.current_stamp()
-    }
-
     /// The smallest begin stamp over live snapshot transactions, or `None`
     /// when no snapshot is live (committing transactions then drop
     /// superseded versions immediately).
@@ -928,8 +916,6 @@ impl Database {
     }
 
     /// Run a closure against the sharded kernel (advanced / test use).
-    /// Replaces the PR-2 `with_kernel` (there is no longer a single kernel
-    /// to borrow; use [`ShardedKernel::with_shard`] for one shard).
     pub fn with_sharded_kernel<R>(&self, f: impl FnOnce(&ShardedKernel) -> R) -> R {
         let result = f(&self.shared.kernel);
         self.deliver_events();
@@ -1050,26 +1036,15 @@ impl Database {
         loc: ObjectLoc,
         call: OpCall,
     ) -> Result<OpResult, CoreError> {
-        let id = txn.id;
-        self.check_loc(loc)?;
-        self.admit_submission(txn, "request an operation")?;
-        if let Some(result) = self.snapshot_read_raw(txn, loc, &call)? {
-            return Ok(result);
-        }
-        self.ensure_session_enrolled(txn, loc.shard, "request an operation")?;
-        // Deliver before `?`: a rejected request can still have mutated the
-        // kernel (a `Requester`-policy conflict aborts the requester, which
-        // releases its claims and settles other sessions' waiters), so the
-        // generated events must be drained on the error path too. Skipping
-        // delivery here strands those waiters until the *next* kernel entry
-        // — which never comes if this thread was the last one in.
-        let outcome = self.shared.kernel.request_enrolled(id, loc, call);
-        self.deliver_events();
-        let outcome = match outcome? {
-            RequestOutcome::Blocked { .. } => self.park_for_outcome(id),
+        let outcome = match self.try_exec_call_raw(txn, loc, call)? {
+            RequestOutcome::Blocked { .. } => {
+                let settled = self.park_for_outcome(txn.id);
+                txn.pending.set(false);
+                settled
+            }
             settled => settled,
         };
-        outcome.into_result(id)
+        outcome.into_result(txn.id)
     }
 
     /// Claim the settled outcome for `txn`'s pending request if it has
@@ -1167,8 +1142,12 @@ impl Database {
             });
         }
         self.ensure_session_enrolled(txn, loc.shard, "request an operation")?;
-        // Deliver before `?` (see `exec_call_raw`): even a rejected request
-        // may have generated settlement events for other sessions.
+        // Deliver before `?`: a rejected request can still have mutated the
+        // kernel (a `Requester`-policy conflict aborts the requester, which
+        // releases its claims and settles other sessions' waiters), so the
+        // generated events must be drained on the error path too. Skipping
+        // delivery here strands those waiters until the *next* kernel entry
+        // — which never comes if this thread was the last one in.
         let outcome = self.shared.kernel.request_enrolled(id, loc, call);
         self.deliver_events();
         let outcome = outcome?;
@@ -1222,7 +1201,7 @@ impl Database {
             self.ensure_session_enrolled(txn, loc.shard, "submit a batch")?;
         }
         let locs_kept = run.locs.clone();
-        // Deliver before `?` (see `exec_call_raw`): a rejected batch may
+        // Deliver before `?` (see `try_exec_call_raw`): a rejected batch may
         // still have settled other sessions' waiters.
         let outcome = self.shared.kernel.request_batch_enrolled(
             id,
@@ -1406,11 +1385,6 @@ impl Transaction {
         self.core.id()
     }
 
-    /// The transaction's current scheduler state.
-    pub fn state(&self) -> Option<TxnState> {
-        self.db.txn_state(self.id())
-    }
-
     /// The snapshot begin stamp for sessions opened through
     /// [`Database::begin_snapshot`], `None` for ordinary sessions.
     pub fn snapshot_stamp(&self) -> Option<u64> {
@@ -1556,12 +1530,6 @@ impl<S> Batch<S> {
         self
     }
 
-    /// Append an erased call (chaining form).
-    pub fn call(mut self, object: &ObjectHandle, call: OpCall) -> Self {
-        self.add_call(object, call);
-        self
-    }
-
     /// Append a typed operation (mutating form, for loops).
     pub fn add_op<A: AdtSpec>(&mut self, object: &Handle<A>, op: A::Op) {
         self.add_call(object, op.to_call());
@@ -1653,7 +1621,7 @@ mod tests {
         let (id1, id2) = (t1.id(), t2.id());
         t1.exec(&s, StackOp::Push(Value::Int(4))).unwrap();
         t2.exec(&s, StackOp::Push(Value::Int(2))).unwrap();
-        assert_eq!(t2.state(), Some(TxnState::Active));
+        assert_eq!(db.txn_state(t2.id()), Some(TxnState::Active));
 
         let o2 = t2.commit().unwrap();
         assert!(o2.is_pseudo_commit());

@@ -51,9 +51,9 @@ pub enum CoreError {
     },
     /// A durability (write-ahead log) failure: the log directory could not
     /// be opened or repaired, replay diverged from the logged results, or a
-    /// registration is incompatible with semantic logging (a type the
-    /// object factory cannot reconstruct, or a non-empty initial state the
-    /// log would not capture).
+    /// registration is incompatible with semantic logging (a type outside
+    /// the [`sbcc_adt::AdtType`] catalogue, or a non-empty initial state
+    /// the log would not capture).
     Durability(String),
 }
 

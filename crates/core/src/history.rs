@@ -125,28 +125,6 @@ impl HistoryRecorder {
     pub fn commit_sequence(&self) -> &[TxnId] {
         &self.commit_sequence
     }
-
-    /// Number of recorded transactions.
-    pub fn len(&self) -> usize {
-        self.txns.len()
-    }
-
-    /// `true` when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.txns.is_empty()
-    }
-
-    /// Transactions that pseudo-committed at some point.
-    pub fn pseudo_committed(&self) -> Vec<TxnId> {
-        let mut v: Vec<TxnId> = self
-            .txns
-            .values()
-            .filter(|h| h.pseudo_committed)
-            .map(|h| h.id)
-            .collect();
-        v.sort_unstable();
-        v
-    }
 }
 
 /// Replay the committed transactions serially in commit order and verify
@@ -267,10 +245,10 @@ mod tests {
     #[test]
     fn recorder_tracks_lifecycle() {
         let mut r = HistoryRecorder::new();
-        assert!(r.is_empty());
+        assert_eq!(r.transactions().count(), 0);
         r.record_begin(TxnId(1));
         r.record_begin(TxnId(2));
-        assert_eq!(r.len(), 2);
+        assert_eq!(r.transactions().count(), 2);
         r.record_op(
             TxnId(1),
             ObjectId(0),
@@ -294,7 +272,6 @@ mod tests {
         let t2 = r.txn(TxnId(2)).expect("recorded");
         assert_eq!(t2.fate, Some(TxnFate::Aborted(AbortReason::Explicit)));
         assert_eq!(r.commit_sequence(), &[TxnId(1)]);
-        assert_eq!(r.pseudo_committed(), vec![TxnId(1)]);
         assert_eq!(r.transactions().count(), 2);
     }
 }

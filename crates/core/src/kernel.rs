@@ -151,12 +151,6 @@ impl SchedulerKernel {
         self.version_floor = floor;
     }
 
-    /// The current value of the commit-stamp clock (the stamp of the most
-    /// recent actual commit).
-    pub fn current_stamp(&self) -> u64 {
-        self.commit_clock.load(Ordering::SeqCst)
-    }
-
     /// Attach a write-ahead log: from here on, every actual commit of a
     /// transaction with operations appends a commit record under `shard`
     /// (unless the coordinator already logged it — see
@@ -164,11 +158,6 @@ impl SchedulerKernel {
     /// records, or replay would be re-logged.
     pub fn attach_wal(&mut self, wal: Arc<sbcc_wal::Wal>, shard: u32) {
         self.wal = Some((wal, shard));
-    }
-
-    /// The kernel's configuration.
-    pub fn config(&self) -> &SchedulerConfig {
-        &self.config
     }
 
     /// Raw counters.
@@ -226,19 +215,9 @@ impl SchedulerKernel {
         self.register_object(name, Box::new(AdtObject::new(adt)))
     }
 
-    /// Number of registered objects.
-    pub fn object_count(&self) -> usize {
-        self.objects.len()
-    }
-
     /// All object ids, in registration order.
     pub fn object_ids(&self) -> Vec<ObjectId> {
         (0..self.objects.len() as u32).map(ObjectId).collect()
-    }
-
-    /// Resolve an object name.
-    pub fn object_id(&self, name: &str) -> Option<ObjectId> {
-        self.object_names.get(name).copied()
     }
 
     /// The registration name of an object.
@@ -481,13 +460,6 @@ impl SchedulerKernel {
     /// The live transactions `txn` currently has commit dependencies on.
     pub fn commit_dependencies_of(&self, txn: TxnId) -> Vec<TxnId> {
         let mut deps = self.graph.out_neighbors_kind(txn, EdgeKind::CommitDep);
-        deps.sort_unstable();
-        deps
-    }
-
-    /// The live transactions `txn` is currently waiting on (wait-for edges).
-    pub fn waiting_on(&self, txn: TxnId) -> Vec<TxnId> {
-        let mut deps = self.graph.out_neighbors_kind(txn, EdgeKind::WaitFor);
         deps.sort_unstable();
         deps
     }

@@ -296,11 +296,6 @@ impl ManagedObject {
         }
     }
 
-    /// The object's id.
-    pub fn id(&self) -> ObjectId {
-        self.id
-    }
-
     /// The object's registration name.
     pub fn name(&self) -> &str {
         &self.name
@@ -314,11 +309,6 @@ impl ManagedObject {
     /// The state reflecting exactly the committed transactions.
     pub fn committed_state(&self) -> &dyn SemanticObject {
         self.committed.as_ref()
-    }
-
-    /// Number of uncommitted operations currently in the log.
-    pub fn log_len(&self) -> usize {
-        self.log.len()
     }
 
     /// The uncommitted log entries (execution order).
@@ -802,21 +792,6 @@ impl ManagedObject {
         }
     }
 
-    /// The committed state as of begin stamp `stamp`: `committed` itself
-    /// when `stamp ≥ committed_stamp`, otherwise the newest historical
-    /// version current at `stamp` (falling back to the registration state
-    /// for stamps older than every retained version — only reachable when
-    /// nothing had committed by `stamp`).
-    pub fn version_at(&self, stamp: u64) -> &dyn SemanticObject {
-        if stamp >= self.committed_stamp {
-            return self.committed.as_ref();
-        }
-        match self.history.iter().rev().find(|(s, _)| *s <= stamp) {
-            Some((_, state)) => state.as_ref(),
-            None => self.initial.as_ref(),
-        }
-    }
-
     /// Apply a **readonly** call to the version current at `stamp` and
     /// return its result. Readonly calls never mutate by the
     /// [`SemanticObject::is_readonly`] contract (pinned by the ADT test
@@ -889,14 +864,6 @@ impl ManagedObject {
     /// object's log.
     pub fn has_ops_of(&self, txn: TxnId) -> bool {
         self.index.contains_key(&txn)
-    }
-
-    /// Transactions that currently hold at least one operation in the log,
-    /// sorted by id.
-    pub fn holders(&self) -> Vec<TxnId> {
-        let mut out: Vec<TxnId> = self.index.keys().copied().collect();
-        out.sort_unstable();
-        out
     }
 }
 
@@ -1057,7 +1024,7 @@ mod tests {
         // stays empty until commit.
         assert_eq!(obj.execute(TxnId(1), 1, push(4)), OpResult::Ok);
         assert_eq!(obj.execute(TxnId(2), 2, push(2)), OpResult::Ok);
-        assert_eq!(obj.log_len(), 2);
+        assert_eq!(obj.log().len(), 2);
         // T1's own pop (intentions view) sees its own push only.
         assert_eq!(
             obj.execute(TxnId(1), 3, pop()),
@@ -1077,7 +1044,7 @@ mod tests {
         // Commit both in dependency order and check the committed state.
         obj.commit_txn(TxnId(1), 1, u64::MAX);
         obj.commit_txn(TxnId(2), 2, u64::MAX);
-        assert_eq!(obj.log_len(), 0);
+        assert_eq!(obj.log().len(), 0);
         let committed = obj
             .committed_state()
             .as_any()
@@ -1097,7 +1064,7 @@ mod tests {
             obj.execute(TxnId(1), 1, push(4));
             obj.execute(TxnId(2), 2, push(2));
             obj.abort_txn(TxnId(1));
-            assert_eq!(obj.log_len(), 1);
+            assert_eq!(obj.log().len(), 1);
             obj.commit_txn(TxnId(2), 1, u64::MAX);
             let committed = obj
                 .committed_state()
@@ -1138,11 +1105,10 @@ mod tests {
         obj.execute(TxnId(1), 1, push(1));
         obj.execute(TxnId(1), 2, push(2));
         obj.execute(TxnId(2), 3, push(3));
-        assert_eq!(obj.holders(), vec![TxnId(1), TxnId(2)]);
+        assert!(obj.has_ops_of(TxnId(1)) && obj.has_ops_of(TxnId(2)));
         assert_eq!(obj.log().len(), 3);
         assert!(format!("{obj:?}").contains("log_len"));
         assert_eq!(obj.name(), "s");
-        assert_eq!(obj.id(), ObjectId(0));
     }
 
     fn counter_object() -> ManagedObject {
@@ -1188,16 +1154,6 @@ mod tests {
                 obj.read_at(stamp, &read()),
                 OpResult::Value(Value::Int(expected)),
                 "read at stamp {stamp}"
-            );
-            assert_eq!(
-                obj.version_at(stamp)
-                    .as_any()
-                    .downcast_ref::<AdtObject<sbcc_adt::Counter>>()
-                    .expect("counter")
-                    .inner()
-                    .value(),
-                expected,
-                "version_at stamp {stamp}"
             );
         }
     }
@@ -1266,12 +1222,12 @@ mod tests {
         obj.execute(TxnId(1), 1, push(1));
         obj.execute(TxnId(2), 2, push(2));
         obj.commit_txn(TxnId(1), 1, u64::MAX);
-        assert_eq!(obj.holders(), vec![TxnId(2)]);
+        assert!(!obj.has_ops_of(TxnId(1)) && obj.has_ops_of(TxnId(2)));
         // After T1 committed, a pop by T3 depends only on T2.
         let c = obj.classify(ConflictPolicy::Recoverability, TxnId(3), &pop(), &[]);
         assert_eq!(c.conflicts, vec![TxnId(2)]);
         obj.abort_txn(TxnId(2));
-        assert!(obj.holders().is_empty());
+        assert!(obj.log().is_empty());
         let c = obj.classify(ConflictPolicy::Recoverability, TxnId(3), &pop(), &[]);
         assert!(c.is_free());
     }

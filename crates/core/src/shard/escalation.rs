@@ -83,11 +83,6 @@ impl GlobalGraph {
         self.graph.lock().order_telemetry()
     }
 
-    /// Number of nodes currently mirrored.
-    pub fn node_count(&self) -> usize {
-        self.graph.lock().node_count()
-    }
-
     /// Full-graph acyclicity check (invariant validation).
     pub fn has_cycle(&self) -> bool {
         self.graph.lock().has_cycle()

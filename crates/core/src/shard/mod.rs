@@ -86,7 +86,7 @@ use crate::kernel::SchedulerKernel;
 use crate::object::ObjectId;
 use crate::stats::{KernelStats, ShardStats, StatsSnapshot};
 use crate::txn::{BatchCall, TxnId, TxnState};
-use sbcc_adt::{AdtObject, AdtSpec, OpCall, SemanticObject};
+use sbcc_adt::{AdtObject, AdtSpec, AdtType, OpCall, SemanticObject};
 use ssi::SsiTable;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -250,11 +250,6 @@ impl ShardedKernel {
         );
     }
 
-    /// The attached write-ahead log, if any.
-    pub fn wal(&self) -> Option<&Arc<sbcc_wal::Wal>> {
-        self.wal.get()
-    }
-
     /// The configuration.
     pub fn config(&self) -> &DatabaseConfig {
         &self.config
@@ -294,16 +289,16 @@ impl ShardedKernel {
             return Err(CoreError::DuplicateObject(name));
         }
         // Semantic logging can only recover objects it can reconstruct:
-        // the type must be known to the factory and the initial state must
-        // be the factory's empty state (the log records operations, never
-        // a starting state).
+        // the type must be in the `sbcc_adt` catalogue and the initial state
+        // must be the catalogue's empty state (the log records operations,
+        // never a starting state).
         let type_name = object.type_name();
         if self.wal.get().is_some() {
-            match sbcc_wal::factory::instantiate(type_name) {
+            match AdtType::from_name(type_name).map(AdtType::instantiate) {
                 None => {
                     return Err(CoreError::Durability(format!(
-                        "object {name:?} has type {type_name:?}, which the recovery \
-                         factory cannot reconstruct; durable databases accept only \
+                        "object {name:?} has type {type_name:?}, which is not in the \
+                         recovery catalogue; durable databases accept only \
                          the built-in table-driven types"
                     )))
                 }
@@ -365,12 +360,6 @@ impl ShardedKernel {
         let loc = self.object_loc(object)?;
         let kernel = self.peek_shard(loc.shard);
         kernel.object_committed_state(loc.local).map(f)
-    }
-
-    /// Run a closure against one shard's kernel (tests / diagnostics).
-    pub fn with_shard<R>(&self, shard: usize, f: impl FnOnce(&mut SchedulerKernel) -> R) -> R {
-        let mut kernel = self.peek_shard(shard as u32);
-        f(&mut kernel)
     }
 
     // ------------------------------------------------------------------

@@ -601,11 +601,6 @@ impl ShardedKernel {
         }
     }
 
-    /// The current value of the global commit clock.
-    pub fn current_stamp(&self) -> u64 {
-        self.commit_clock.load(Ordering::SeqCst)
-    }
-
     /// The current version-GC floor: the smallest begin stamp of a live
     /// snapshot transaction, or `None` when none is live (commits then
     /// drop superseded versions immediately).

@@ -143,25 +143,6 @@ impl KernelStats {
             + self.aborts_ssi
     }
 
-    /// Blocks per commit (the paper's *blocking ratio*); zero when nothing
-    /// has committed yet.
-    pub fn blocking_ratio(&self) -> f64 {
-        if self.commits == 0 {
-            0.0
-        } else {
-            self.blocks as f64 / self.commits as f64
-        }
-    }
-
-    /// Scheduler aborts per commit.
-    pub fn abort_ratio(&self) -> f64 {
-        if self.commits == 0 {
-            0.0
-        } else {
-            self.scheduler_aborts() as f64 / self.commits as f64
-        }
-    }
-
     /// One-line human-readable summary.
     pub fn summary(&self) -> String {
         format!(
@@ -400,8 +381,6 @@ mod tests {
     fn totals_and_ratios() {
         let mut s = KernelStats::default();
         assert_eq!(s.total_aborts(), 0);
-        assert_eq!(s.blocking_ratio(), 0.0);
-        assert_eq!(s.abort_ratio(), 0.0);
 
         s.blocks = 10;
         s.commits = 4;
@@ -412,8 +391,6 @@ mod tests {
         s.aborts_explicit = 5;
         assert_eq!(s.total_aborts(), 17);
         assert_eq!(s.scheduler_aborts(), 12);
-        assert!((s.blocking_ratio() - 2.5).abs() < 1e-9);
-        assert!((s.abort_ratio() - 3.0).abs() < 1e-9);
     }
 
     #[test]

@@ -53,11 +53,6 @@ impl TxnState {
             TxnState::Active | TxnState::Blocked | TxnState::PseudoCommitted
         )
     }
-
-    /// `true` once the transaction has terminated (committed or aborted).
-    pub fn is_terminated(self) -> bool {
-        matches!(self, TxnState::Committed | TxnState::Aborted)
-    }
 }
 
 impl fmt::Display for TxnState {
@@ -184,9 +179,6 @@ mod tests {
         assert!(TxnState::PseudoCommitted.is_live());
         assert!(!TxnState::Committed.is_live());
         assert!(!TxnState::Aborted.is_live());
-        assert!(TxnState::Committed.is_terminated());
-        assert!(TxnState::Aborted.is_terminated());
-        assert!(!TxnState::Active.is_terminated());
     }
 
     #[test]

@@ -300,7 +300,11 @@ fn run_serve(args: &Args) -> ExitCode {
     // `--wal DIR` layers durability under the served database (recovery
     // runs before the listener binds); without the flag the SBCC_WAL /
     // SBCC_WAL_FSYNC environment variables apply via DatabaseConfig::new.
-    let mut config = sbcc_core::DatabaseConfig::new(sbcc_core::SchedulerConfig::default());
+    // Nothing reads a served database's history, and the recorder keeps
+    // every operation for the life of the process.
+    let mut config = sbcc_core::DatabaseConfig::new(
+        sbcc_core::SchedulerConfig::default().with_history(false),
+    );
     if let Some(dir) = &args.wal {
         config = config.with_wal(sbcc_core::WalConfig::new(dir));
     }
@@ -398,7 +402,7 @@ fn run_bench_net(args: &Args) -> ExitCode {
         None => {
             eprintln!("# driving {conns} closed-loop conns against an in-process server for {budget:?}");
             let server = match Server::start(
-                AsyncDatabase::new(sbcc_core::SchedulerConfig::default()),
+                AsyncDatabase::new(sbcc_core::SchedulerConfig::default().with_history(false)),
                 ServerConfig::default(),
             ) {
                 Ok(s) => s,

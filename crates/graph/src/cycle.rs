@@ -1,10 +1,7 @@
-//! Stand-alone cycle / reachability algorithms used by tests, invariant
-//! checks and the experiment harness.
-//!
-//! The hot-path checks live on [`crate::DependencyGraph`] itself; the
-//! functions here operate on plain adjacency lists so they can be applied to
-//! any directed graph (serialization graphs, object-level commit-dependency
-//! graphs, …).
+//! From-scratch strongly-connected-component search: the oracle the
+//! incremental checks on [`crate::DependencyGraph`] are compared against.
+//! It operates on a plain adjacency map
+//! ([`crate::DependencyGraph::to_adjacency`]).
 
 use std::collections::HashMap;
 
@@ -119,90 +116,10 @@ pub fn has_cycle_scc<N: NodeId>(adj: &HashMap<N, Vec<N>>) -> bool {
         .any(|c| c.len() > 1)
 }
 
-/// Simple DFS-based reachability and path utilities over adjacency maps.
-#[derive(Debug, Clone, Default)]
-pub struct CycleSearch<N: NodeId> {
-    adj: HashMap<N, Vec<N>>,
-}
-
-impl<N: NodeId> CycleSearch<N> {
-    /// Build a search structure over an adjacency map.
-    pub fn new(adj: HashMap<N, Vec<N>>) -> Self {
-        CycleSearch { adj }
-    }
-
-    /// Build from an edge list.
-    pub fn from_edges(edges: impl IntoIterator<Item = (N, N)>) -> Self {
-        let mut adj: HashMap<N, Vec<N>> = HashMap::new();
-        for (a, b) in edges {
-            adj.entry(a).or_default().push(b);
-            adj.entry(b).or_default();
-        }
-        CycleSearch { adj }
-    }
-
-    /// Is `to` reachable from `from`?
-    pub fn reachable(&self, from: N, to: N) -> bool {
-        if from == to {
-            return true;
-        }
-        let mut visited: std::collections::HashSet<N> = std::collections::HashSet::new();
-        let mut stack = vec![from];
-        visited.insert(from);
-        while let Some(n) = stack.pop() {
-            if let Some(children) = self.adj.get(&n) {
-                for c in children {
-                    if *c == to {
-                        return true;
-                    }
-                    if visited.insert(*c) {
-                        stack.push(*c);
-                    }
-                }
-            }
-        }
-        false
-    }
-
-    /// A path from `from` to `to`, if any (node sequence including both
-    /// endpoints).
-    pub fn path(&self, from: N, to: N) -> Option<Vec<N>> {
-        let mut parent: HashMap<N, N> = HashMap::new();
-        let mut stack = vec![from];
-        let mut visited: std::collections::HashSet<N> = std::collections::HashSet::new();
-        visited.insert(from);
-        while let Some(n) = stack.pop() {
-            if n == to {
-                let mut path = vec![to];
-                let mut cur = to;
-                while cur != from {
-                    cur = *parent.get(&cur)?;
-                    path.push(cur);
-                }
-                path.reverse();
-                return Some(path);
-            }
-            if let Some(children) = self.adj.get(&n) {
-                for c in children {
-                    if visited.insert(*c) {
-                        parent.insert(*c, n);
-                        stack.push(*c);
-                    }
-                }
-            }
-        }
-        None
-    }
-
-    /// `true` if the underlying graph has a cycle.
-    pub fn has_cycle(&self) -> bool {
-        has_cycle_scc(&self.adj)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{DependencyGraph, EdgeKind};
     use proptest::prelude::*;
     use std::collections::HashMap;
 
@@ -213,6 +130,16 @@ mod tests {
             m.entry(*b).or_default();
         }
         m
+    }
+
+    /// The same edges in the on-line graph, the reference the SCC pass is
+    /// checked against (it never stores a self-loop).
+    fn online(edges: &[(u32, u32)]) -> DependencyGraph<u32> {
+        let mut graph = DependencyGraph::new();
+        for (a, b) in edges {
+            graph.add_edge(*a, *b, EdgeKind::CommitDep);
+        }
+        graph
     }
 
     #[test]
@@ -251,34 +178,14 @@ mod tests {
         assert_eq!(sizes, vec![2, 3]);
     }
 
-    #[test]
-    fn cycle_search_reachability_and_paths() {
-        let s = CycleSearch::from_edges([(1u32, 2), (2, 3), (3, 4)]);
-        assert!(s.reachable(1, 4));
-        assert!(s.reachable(2, 2));
-        assert!(!s.reachable(4, 1));
-        let p = s.path(1, 4).expect("path exists");
-        assert_eq!(p, vec![1, 2, 3, 4]);
-        assert_eq!(s.path(4, 1), None);
-        assert!(!s.has_cycle());
-
-        let s = CycleSearch::from_edges([(1u32, 2), (2, 1)]);
-        assert!(s.has_cycle());
-    }
-
-    #[test]
-    fn cycle_search_new_accepts_prebuilt_adjacency() {
-        let s = CycleSearch::new(adj(&[(1, 2)]));
-        assert!(s.reachable(1, 2));
-    }
-
     proptest! {
         #[test]
         fn prop_scc_agrees_with_naive_reachability(
             edges in proptest::collection::vec((0u32..12, 0u32..12), 0..40)
         ) {
             let g = adj(&edges);
-            let search = CycleSearch::new(g.clone());
+            let graph = online(&edges);
+            let reachable = |a: u32, b: u32| graph.path_from_any(&[a], b).is_some();
             // Two distinct nodes are in the same SCC iff mutually reachable.
             let sccs = strongly_connected_components(&g);
             let mut comp_of: HashMap<u32, usize> = HashMap::new();
@@ -292,7 +199,7 @@ mod tests {
                 for &b in &nodes {
                     if a == b { continue; }
                     let same = comp_of[&a] == comp_of[&b];
-                    let mutual = search.reachable(a, b) && search.reachable(b, a);
+                    let mutual = reachable(a, b) && reachable(b, a);
                     prop_assert_eq!(same, mutual, "nodes {} and {}", a, b);
                 }
             }
@@ -300,9 +207,9 @@ mod tests {
 
         #[test]
         fn prop_has_cycle_matches_scc(edges in proptest::collection::vec((0u32..10, 0u32..10), 0..30)) {
-            let g = adj(&edges);
-            let via_search = CycleSearch::new(g.clone()).has_cycle();
-            prop_assert_eq!(via_search, has_cycle_scc(&g));
+            // Compared on the loop-free edges.
+            let edges: Vec<(u32, u32)> = edges.into_iter().filter(|(a, b)| a != b).collect();
+            prop_assert_eq!(online(&edges).has_cycle(), has_cycle_scc(&adj(&edges)));
         }
     }
 }

@@ -384,30 +384,6 @@ impl<N: NodeId> DependencyGraph<N> {
         }
     }
 
-    /// Number of nodes currently in the graph.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Number of distinct directed `(from, to)` pairs with at least one edge.
-    pub fn edge_pair_count(&self) -> usize {
-        self.nodes.values().map(|a| a.out.len()).sum()
-    }
-
-    /// Total number of logical edges (counting multiplicity) of a kind.
-    pub fn edge_count(&self, kind: EdgeKind) -> usize {
-        self.nodes
-            .values()
-            .flat_map(|a| a.out.values())
-            .map(|c| c.get(kind) as usize)
-            .sum()
-    }
-
-    /// `true` if the node is present.
-    pub fn contains_node(&self, n: N) -> bool {
-        self.nodes.contains_key(&n)
-    }
-
     /// Iterate over all nodes.
     pub fn nodes(&self) -> impl Iterator<Item = N> + '_ {
         self.nodes.keys().copied()
@@ -857,11 +833,6 @@ impl<N: NodeId> DependencyGraph<N> {
         self.telemetry
     }
 
-    /// The active violation-repair strategy.
-    pub fn reorder_strategy(&self) -> ReorderStrategy {
-        self.reorder
-    }
-
     /// Select the violation-repair strategy. Call on a fresh graph (before
     /// any edge insert): each repair assumes its own label layout.
     pub fn set_reorder_strategy(&mut self, strategy: ReorderStrategy) {
@@ -958,7 +929,7 @@ impl<N: NodeId> DependencyGraph<N> {
     }
 
     /// Multiplicity of `from -> to` edges of the given kind.
-    pub fn edge_multiplicity(&self, from: N, to: N, kind: EdgeKind) -> u32 {
+    fn edge_multiplicity(&self, from: N, to: N, kind: EdgeKind) -> u32 {
         self.nodes
             .get(&from)
             .and_then(|a| a.out.get(&to))
@@ -969,23 +940,6 @@ impl<N: NodeId> DependencyGraph<N> {
     /// `true` if there is at least one `from -> to` edge of the given kind.
     pub fn has_edge(&self, from: N, to: N, kind: EdgeKind) -> bool {
         self.edge_multiplicity(from, to, kind) > 0
-    }
-
-    /// `true` if there is at least one `from -> to` edge of any kind.
-    pub fn has_any_edge(&self, from: N, to: N) -> bool {
-        self.nodes
-            .get(&from)
-            .and_then(|a| a.out.get(&to))
-            .map(|c| !c.is_empty())
-            .unwrap_or(false)
-    }
-
-    /// Outgoing neighbours of a node (any edge kind).
-    pub fn out_neighbors(&self, n: N) -> Vec<N> {
-        self.nodes
-            .get(&n)
-            .map(|a| a.out.keys().copied().collect())
-            .unwrap_or_default()
     }
 
     /// Outgoing neighbours connected by at least one edge of the given kind.
@@ -1000,27 +954,6 @@ impl<N: NodeId> DependencyGraph<N> {
                     .collect()
             })
             .unwrap_or_default()
-    }
-
-    /// Incoming neighbours of a node (any edge kind).
-    pub fn in_neighbors(&self, n: N) -> Vec<N> {
-        self.nodes
-            .get(&n)
-            .map(|a| a.incoming.iter().copied().collect())
-            .unwrap_or_default()
-    }
-
-    /// Number of distinct targets this node points at (any edge kind).
-    pub fn out_degree(&self, n: N) -> usize {
-        self.nodes.get(&n).map(|a| a.out.len()).unwrap_or(0)
-    }
-
-    /// Number of distinct targets this node points at with the given kind.
-    pub fn out_degree_kind(&self, n: N, kind: EdgeKind) -> usize {
-        self.nodes
-            .get(&n)
-            .map(|a| a.out.values().filter(|c| c.get(kind) > 0).count())
-            .unwrap_or(0)
     }
 
     /// Nodes whose out-degree (any kind) is zero, in ascending node order.
@@ -1038,8 +971,8 @@ impl<N: NodeId> DependencyGraph<N> {
         nodes
     }
 
-    /// How many times a cycle check (`would_close_cycle*`, `has_cycle`,
-    /// `find_cycle`) has been invoked on this graph. The simulation
+    /// How many times a cycle check (`would_close_cycle*`, `has_cycle`)
+    /// has been invoked on this graph. The simulation
     /// study reports this as the *cycle check ratio*.
     pub fn cycle_checks(&self) -> u64 {
         self.cycle_checks
@@ -1236,21 +1169,6 @@ impl<N: NodeId> DependencyGraph<N> {
         if self.order_valid {
             return false;
         }
-        self.find_cycle_internal(|_| true).is_some()
-    }
-
-    /// Find some cycle (as a node sequence) if one exists, considering only
-    /// edges that satisfy `filter`.
-    pub fn find_cycle(&mut self, filter: impl Fn(EdgeKind) -> bool) -> Option<Vec<N>> {
-        self.cycle_checks += 1;
-        if self.order_valid {
-            // A subgraph of an acyclic graph is acyclic.
-            return None;
-        }
-        self.find_cycle_internal(filter)
-    }
-
-    fn find_cycle_internal(&self, filter: impl Fn(EdgeKind) -> bool) -> Option<Vec<N>> {
         #[derive(Clone, Copy, PartialEq)]
         enum Color {
             White,
@@ -1258,7 +1176,6 @@ impl<N: NodeId> DependencyGraph<N> {
             Black,
         }
         let mut color: HashMap<N, Color> = self.nodes.keys().map(|n| (*n, Color::White)).collect();
-        let mut parent: HashMap<N, N> = HashMap::new();
 
         // Iterative DFS with explicit stack to avoid recursion depth limits.
         let node_list: Vec<N> = self.nodes.keys().copied().collect();
@@ -1280,41 +1197,17 @@ impl<N: NodeId> DependencyGraph<N> {
                 let Some(adj) = self.nodes.get(&n) else {
                     continue;
                 };
-                for (next, counts) in &adj.out {
-                    let passes = (filter(EdgeKind::WaitFor) && counts.wait_for > 0)
-                        || (filter(EdgeKind::CommitDep) && counts.commit_dep > 0);
-                    if !passes {
-                        continue;
-                    }
+                for next in adj.out.keys() {
                     match color[next] {
-                        Color::White => {
-                            parent.insert(*next, n);
-                            stack.push((*next, false));
-                        }
-                        Color::Gray => {
-                            // Found a back edge n -> next: reconstruct cycle.
-                            let mut cycle = vec![*next, n];
-                            let mut cur = n;
-                            while cur != *next {
-                                match parent.get(&cur) {
-                                    Some(p) => {
-                                        cur = *p;
-                                        if cur != *next {
-                                            cycle.push(cur);
-                                        }
-                                    }
-                                    None => break,
-                                }
-                            }
-                            cycle.reverse();
-                            return Some(cycle);
-                        }
+                        Color::White => stack.push((*next, false)),
+                        // A back edge n -> next closes a cycle.
+                        Color::Gray => return true,
                         Color::Black => {}
                     }
                 }
             }
         }
-        None
+        false
     }
 
     /// Check the topological-order invariant (tests/debugging): while the
@@ -1342,27 +1235,6 @@ impl<N: NodeId> DependencyGraph<N> {
         Ok(())
     }
 
-    /// Render the graph (diagnostics only).
-    pub fn render(&self) -> String {
-        let mut lines: Vec<String> = Vec::new();
-        let mut nodes: Vec<N> = self.nodes.keys().copied().collect();
-        nodes.sort();
-        for n in nodes {
-            let adj = &self.nodes[&n];
-            let mut targets: Vec<N> = adj.out.keys().copied().collect();
-            targets.sort();
-            for t in targets {
-                let c = adj.out[&t];
-                if c.wait_for > 0 {
-                    lines.push(format!("{n:?} -[wait-for x{}]-> {t:?}", c.wait_for));
-                }
-                if c.commit_dep > 0 {
-                    lines.push(format!("{n:?} -[commit-dep x{}]-> {t:?}", c.commit_dep));
-                }
-            }
-        }
-        lines.join("\n")
-    }
 }
 
 #[cfg(test)]
@@ -1374,15 +1246,15 @@ mod tests {
     #[test]
     fn add_and_remove_nodes() {
         let mut g = G::new();
-        assert_eq!(g.node_count(), 0);
+        assert_eq!(g.nodes().count(), 0);
         g.add_node(1);
         g.add_node(1);
         g.add_node(2);
-        assert_eq!(g.node_count(), 2);
-        assert!(g.contains_node(1));
+        assert_eq!(g.nodes().count(), 2);
+        assert!(g.nodes().any(|n| n == 1));
         assert!(g.remove_node(1));
         assert!(!g.remove_node(1));
-        assert_eq!(g.node_count(), 1);
+        assert_eq!(g.nodes().count(), 1);
         let nodes: Vec<u64> = g.nodes().collect();
         assert_eq!(nodes, vec![2]);
     }
@@ -1395,27 +1267,24 @@ mod tests {
         assert!(g.add_edge(1, 2, EdgeKind::WaitFor));
         assert_eq!(g.edge_multiplicity(1, 2, EdgeKind::CommitDep), 2);
         assert_eq!(g.edge_multiplicity(1, 2, EdgeKind::WaitFor), 1);
-        assert_eq!(g.edge_count(EdgeKind::CommitDep), 2);
-        assert_eq!(g.edge_count(EdgeKind::WaitFor), 1);
-        assert_eq!(g.edge_pair_count(), 1);
+        assert_eq!(g.to_adjacency()[&1], vec![2], "one (from, to) pair");
 
         assert!(g.remove_edge(1, 2, EdgeKind::CommitDep));
         assert!(g.has_edge(1, 2, EdgeKind::CommitDep), "one edge remains");
         assert!(g.remove_edge(1, 2, EdgeKind::CommitDep));
         assert!(!g.has_edge(1, 2, EdgeKind::CommitDep));
         assert!(!g.remove_edge(1, 2, EdgeKind::CommitDep));
-        assert!(g.has_any_edge(1, 2), "wait-for edge still present");
+        assert!(g.has_edge(1, 2, EdgeKind::WaitFor), "wait-for edge still present");
         assert!(g.remove_edge(1, 2, EdgeKind::WaitFor));
-        assert!(!g.has_any_edge(1, 2));
-        assert_eq!(g.out_degree(1), 0);
+        assert!(!g.has_edge(1, 2, EdgeKind::WaitFor));
+        assert!(g.to_adjacency()[&1].is_empty());
     }
 
     #[test]
     fn self_loops_are_ignored() {
         let mut g = G::new();
         assert!(!g.add_edge(5, 5, EdgeKind::WaitFor));
-        assert_eq!(g.edge_pair_count(), 0);
-        assert!(!g.contains_node(5) || g.out_degree(5) == 0);
+        assert!(g.to_adjacency().values().all(|targets| targets.is_empty()));
     }
 
     #[test]
@@ -1425,11 +1294,11 @@ mod tests {
         g.add_edge(2, 3, EdgeKind::CommitDep);
         g.add_edge(3, 1, EdgeKind::CommitDep);
         assert!(g.remove_node(2));
-        assert!(!g.has_any_edge(1, 2));
-        assert!(!g.contains_node(2));
         assert!(g.has_edge(3, 1, EdgeKind::CommitDep));
-        assert_eq!(g.out_degree(1), 0);
-        assert_eq!(g.in_neighbors(1), vec![3]);
+        let adj = g.to_adjacency();
+        assert_eq!(adj.len(), 2, "node 2 is gone");
+        assert!(adj[&1].is_empty(), "1 -> 2 went with it");
+        assert_eq!(adj[&3], vec![1]);
     }
 
     #[test]
@@ -1441,9 +1310,9 @@ mod tests {
         g.clear_out_edges(1, EdgeKind::WaitFor);
         assert!(!g.has_edge(1, 2, EdgeKind::WaitFor));
         assert!(g.has_edge(1, 2, EdgeKind::CommitDep));
-        assert!(!g.has_any_edge(1, 3));
-        assert_eq!(g.out_degree_kind(1, EdgeKind::WaitFor), 0);
-        assert_eq!(g.out_degree_kind(1, EdgeKind::CommitDep), 1);
+        assert_eq!(g.to_adjacency()[&1], vec![2], "the 1 -> 3 pair is gone");
+        assert!(g.out_neighbors_kind(1, EdgeKind::WaitFor).is_empty());
+        assert_eq!(g.out_neighbors_kind(1, EdgeKind::CommitDep), vec![2]);
         // no-op on a missing node
         g.clear_out_edges(42, EdgeKind::WaitFor);
     }
@@ -1454,15 +1323,9 @@ mod tests {
         g.add_edge(1, 2, EdgeKind::WaitFor);
         g.add_edge(1, 3, EdgeKind::CommitDep);
         g.add_edge(4, 1, EdgeKind::CommitDep);
-        let mut out = g.out_neighbors(1);
-        out.sort_unstable();
-        assert_eq!(out, vec![2, 3]);
         assert_eq!(g.out_neighbors_kind(1, EdgeKind::WaitFor), vec![2]);
         assert_eq!(g.out_neighbors_kind(1, EdgeKind::CommitDep), vec![3]);
-        assert_eq!(g.in_neighbors(1), vec![4]);
-        assert!(g.out_neighbors(99).is_empty());
         assert!(g.out_neighbors_kind(99, EdgeKind::WaitFor).is_empty());
-        assert!(g.in_neighbors(99).is_empty());
     }
 
     #[test]
@@ -1519,15 +1382,9 @@ mod tests {
         assert!(!g.has_cycle());
         g.add_edge(3, 1, EdgeKind::WaitFor);
         assert!(g.has_cycle());
-        let cycle = g.find_cycle(|_| true).expect("cycle exists");
-        assert!(cycle.len() >= 2);
-        // every consecutive pair in the cycle must be an edge
-        for w in cycle.windows(2) {
-            assert!(g.has_any_edge(w[0], w[1]), "cycle edge {:?}", w);
-        }
-        assert!(g.has_any_edge(*cycle.last().unwrap(), cycle[0]));
-        // filtered search that excludes commit-dep edges finds no cycle
-        assert!(g.find_cycle(|k| k == EdgeKind::WaitFor).is_none());
+        // The cycle's participants, as victim selection finds them: the
+        // path back from the new edge's target to its source.
+        assert_eq!(g.path_from_any(&[1], 3), Some(vec![1, 2, 3]));
     }
 
     #[test]
@@ -1557,12 +1414,6 @@ mod tests {
 
     #[test]
     fn render_mentions_both_edge_kinds() {
-        let mut g = G::new();
-        g.add_edge(1, 2, EdgeKind::WaitFor);
-        g.add_edge(2, 3, EdgeKind::CommitDep);
-        let r = g.render();
-        assert!(r.contains("wait-for"));
-        assert!(r.contains("commit-dep"));
         assert_eq!(EdgeKind::WaitFor.to_string(), "wait-for");
         assert_eq!(EdgeKind::CommitDep.to_string(), "commit-dep");
     }
@@ -1822,7 +1673,6 @@ mod tests {
     fn dense_strategy_still_repairs_and_counts_allocs() {
         let mut g = G::new();
         g.set_reorder_strategy(ReorderStrategy::DenseRedistribute);
-        assert_eq!(g.reorder_strategy(), ReorderStrategy::DenseRedistribute);
         for i in 0..30u64 {
             g.add_edge(i, i + 1, EdgeKind::CommitDep);
             g.debug_check_order().unwrap();

@@ -62,8 +62,5 @@
 
 pub mod cycle;
 pub mod graph;
-pub mod serialization;
 
-pub use cycle::{strongly_connected_components, CycleSearch};
 pub use graph::{DependencyGraph, EdgeKind, NodeId, OrderTelemetry, ReorderStrategy};
-pub use serialization::SerializationGraph;

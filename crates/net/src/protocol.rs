@@ -46,10 +46,8 @@
 //! bodies.
 
 use sbcc_adt::codec::{put_call, put_result, put_str, put_u32, put_u64, CodecError, Reader};
-use sbcc_adt::{
-    AdtObject, Counter, FifoQueue, OpCall, OpResult, Page, SemanticObject, Set, Stack,
-    TableObject,
-};
+pub use sbcc_adt::AdtType;
+use sbcc_adt::{OpCall, OpResult};
 use std::fmt;
 
 /// Protocol version spoken by this crate; [`Request::Hello`] carries the
@@ -113,60 +111,29 @@ impl From<CodecError> for ProtoError {
     }
 }
 
-/// The ADT a [`Request::Register`] instantiates server-side. Tags are
-/// part of the wire protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AdtType {
-    /// [`sbcc_adt::Counter`].
-    Counter,
-    /// [`sbcc_adt::Page`].
-    Page,
-    /// [`sbcc_adt::FifoQueue`].
-    FifoQueue,
-    /// [`sbcc_adt::Set`].
-    Set,
-    /// [`sbcc_adt::Stack`].
-    Stack,
-    /// [`sbcc_adt::TableObject`].
-    Table,
+/// The wire tag of the [`AdtType`] a [`Request::Register`] instantiates
+/// server-side. Tags are part of the wire protocol.
+fn adt_tag(adt: AdtType) -> u8 {
+    match adt {
+        AdtType::Counter => 1,
+        AdtType::Page => 2,
+        AdtType::FifoQueue => 3,
+        AdtType::Set => 4,
+        AdtType::Stack => 5,
+        AdtType::Table => 6,
+    }
 }
 
-impl AdtType {
-    fn to_u8(self) -> u8 {
-        match self {
-            AdtType::Counter => 1,
-            AdtType::Page => 2,
-            AdtType::FifoQueue => 3,
-            AdtType::Set => 4,
-            AdtType::Stack => 5,
-            AdtType::Table => 6,
-        }
-    }
-
-    fn from_u8(tag: u8) -> Result<Self, ProtoError> {
-        Ok(match tag {
-            1 => AdtType::Counter,
-            2 => AdtType::Page,
-            3 => AdtType::FifoQueue,
-            4 => AdtType::Set,
-            5 => AdtType::Stack,
-            6 => AdtType::Table,
-            other => return Err(ProtoError::UnknownTag("adt type", other)),
-        })
-    }
-
-    /// A fresh erased instance of the ADT, ready for
-    /// `Database::register_object`.
-    pub fn instantiate(self) -> Box<dyn SemanticObject> {
-        match self {
-            AdtType::Counter => Box::new(AdtObject::new(Counter::new())),
-            AdtType::Page => Box::new(AdtObject::new(Page::new())),
-            AdtType::FifoQueue => Box::new(AdtObject::new(FifoQueue::new())),
-            AdtType::Set => Box::new(AdtObject::new(Set::new())),
-            AdtType::Stack => Box::new(AdtObject::new(Stack::new())),
-            AdtType::Table => Box::new(AdtObject::new(TableObject::new())),
-        }
-    }
+fn adt_from_tag(tag: u8) -> Result<AdtType, ProtoError> {
+    Ok(match tag {
+        1 => AdtType::Counter,
+        2 => AdtType::Page,
+        3 => AdtType::FifoQueue,
+        4 => AdtType::Set,
+        5 => AdtType::Stack,
+        6 => AdtType::Table,
+        other => return Err(ProtoError::UnknownTag("adt type", other)),
+    })
 }
 
 /// Error category carried by a [`Response::Error`] frame. Codes `1..=7`
@@ -190,8 +157,7 @@ pub enum ErrorCode {
     /// The server-side retry budget was exhausted.
     RetriesExhausted,
     /// A durability (write-ahead log) refusal — e.g. registering an
-    /// object the recovery factory cannot reconstruct on a WAL-backed
-    /// server.
+    /// object outside the recovery catalogue on a WAL-backed server.
     Durability,
     /// Admission control shed the request (per-connection in-flight
     /// transaction cap reached). Back off and retry.
@@ -387,7 +353,7 @@ impl Request {
             Request::Register { name, adt } => {
                 b.push(0x02);
                 put_str(&mut b, name);
-                b.push(adt.to_u8());
+                b.push(adt_tag(*adt));
             }
             Request::Begin => b.push(0x03),
             Request::Exec { txn, object, call } => {
@@ -480,7 +446,7 @@ impl Request {
             },
             0x02 => Request::Register {
                 name: r.string()?,
-                adt: AdtType::from_u8(r.u8()?)?,
+                adt: adt_from_tag(r.u8()?)?,
             },
             0x03 => Request::Begin,
             0x04 => Request::Exec {
@@ -725,6 +691,43 @@ mod tests {
         ];
         assert_eq!(result.encode(u64::MAX), result_frame);
         assert_eq!(Response::decode(&result_frame[4..]), Ok((u64::MAX, result)));
+    }
+
+    /// The `(type, wire tag, logged type name)` triples as they stood when
+    /// the enum lived in this file and the names in `sbcc_wal`: a
+    /// `Register` frame's tag byte and a `Register` log record's type name
+    /// are data old peers and old logs still hold.
+    #[test]
+    fn adt_wire_tags_and_log_type_names_are_pinned() {
+        let pinned = [
+            (AdtType::Counter, 1u8, "counter"),
+            (AdtType::Page, 2, "page"),
+            (AdtType::FifoQueue, 3, "queue"),
+            (AdtType::Set, 4, "set"),
+            (AdtType::Stack, 5, "stack"),
+            (AdtType::Table, 6, "table"),
+        ];
+        assert_eq!(pinned.map(|(adt, ..)| adt), AdtType::ALL);
+        for (adt, tag, name) in pinned {
+            assert_eq!(adt.name(), name);
+            assert_eq!(AdtType::from_name(name), Some(adt));
+            let register = Request::Register {
+                name: "hits".into(),
+                adt,
+            };
+            let frame = [
+                0x12, 0, 0, 0, // body length
+                1, 0, 0, 0, 0, 0, 0, 0, // request id
+                0x02, // Register
+                4, 0, 0, 0, b'h', b'i', b't', b's', // object name
+                tag,
+            ];
+            assert_eq!(register.encode(1), frame);
+            assert_eq!(Request::decode(&frame[4..]), Ok((1, register)));
+        }
+        for tag in [0u8, 7] {
+            assert_eq!(adt_from_tag(tag), Err(ProtoError::UnknownTag("adt type", tag)));
+        }
     }
 
     #[test]

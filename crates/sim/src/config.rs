@@ -1,6 +1,6 @@
 //! Simulation parameters (paper Tables IX and X).
 
-use sbcc_core::{ConflictPolicy, RecoveryStrategy, VictimPolicy};
+use sbcc_core::{ConflictPolicy, VictimPolicy};
 
 /// Which workload / data model the simulation uses (Section 5.5).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -108,31 +108,8 @@ pub struct SimParams {
     pub policy: ConflictPolicy,
     /// Fair scheduling (Section 5.2; the paper's default).
     pub fair_scheduling: bool,
-    /// Recovery strategy used by the kernel (the paper does not model
-    /// recovery cost; this only affects how results are computed).
-    pub recovery: RecoveryStrategy,
     /// Victim selection policy.
     pub victim: VictimPolicy,
-    /// Whether a pseudo-committed transaction keeps occupying its
-    /// multiprogramming slot until it actually commits (see DESIGN.md §6).
-    pub pseudo_commit_holds_slot: bool,
-    /// Batched submission: a transaction hands its **entire remaining
-    /// script** to the kernel as one group
-    /// ([`sbcc_core::SchedulerKernel::request_batch`]) instead of one
-    /// request per operation. The kernel classifies the group in one index
-    /// pass; the admitted prefix is then serviced as one burst (its
-    /// operations' service demands back to back), and a blocked call parks
-    /// the transaction exactly as per-call submission would. The
-    /// *admission* decisions for a given log state are identical to
-    /// per-call submission; what changes is timing — and note the cost
-    /// model's bias: the simulator charges **zero** overhead per
-    /// submission, so batching's real-world win (fewer kernel round trips
-    /// and lock acquisitions; `pair.batched_over_percall` in `bench/`) is
-    /// invisible here, while its cost — operations enter the uncommitted
-    /// logs *before* their service time elapses, widening every
-    /// transaction's conflict window — is fully modelled. Under heavy data contention batched
-    /// simulated throughput can therefore trail per-call.
-    pub batch_submission: bool,
     /// Stop the run after this many transactions have completed
     /// (paper: 50 000).
     pub target_completions: u64,
@@ -166,10 +143,7 @@ impl Default for SimParams {
             data_model: DataModel::read_write(),
             policy: ConflictPolicy::Recoverability,
             fair_scheduling: true,
-            recovery: RecoveryStrategy::IntentionsList,
             victim: VictimPolicy::Requester,
-            pseudo_commit_holds_slot: false,
-            batch_submission: false,
             target_completions: 10_000,
             seed: 42,
             shards: 1,
@@ -185,16 +159,6 @@ impl SimParams {
             mpl_level,
             policy,
             data_model: DataModel::read_write(),
-            ..SimParams::default()
-        }
-    }
-
-    /// Nominal abstract-data-type-model parameters.
-    pub fn abstract_adt(mpl_level: usize, policy: ConflictPolicy, p_c: usize, p_r: usize) -> Self {
-        SimParams {
-            mpl_level,
-            policy,
-            data_model: DataModel::abstract_adt(p_c, p_r),
             ..SimParams::default()
         }
     }
@@ -220,12 +184,6 @@ impl SimParams {
     /// Builder-style: enable or disable fair scheduling.
     pub fn with_fair_scheduling(mut self, fair: bool) -> Self {
         self.fair_scheduling = fair;
-        self
-    }
-
-    /// Builder-style: enable or disable batched submission.
-    pub fn with_batch_submission(mut self, batched: bool) -> Self {
-        self.batch_submission = batched;
         self
     }
 
@@ -309,17 +267,12 @@ impl SimParams {
     /// One-line description used by the experiment harness.
     pub fn describe(&self) -> String {
         format!(
-            "{} | {} | mpl={} | {} | fair={} | {} | {} shard(s) | {} completions",
+            "{} | {} | mpl={} | {} | fair={} | {} shard(s) | {} completions",
             self.data_model.label(),
             self.policy,
             self.mpl_level,
             self.resource_mode.label(),
             self.fair_scheduling,
-            if self.batch_submission {
-                "batched"
-            } else {
-                "per-call"
-            },
             self.shards,
             self.target_completions
         )
@@ -364,13 +317,12 @@ mod tests {
         assert_eq!(p.target_completions, 500);
         assert_eq!(p.seed, 7);
         assert!(!p.fair_scheduling);
-        assert!(!p.batch_submission, "per-call submission is the default");
-        let p = p.with_batch_submission(true);
-        assert!(p.batch_submission);
-        assert!(p.describe().contains("batched"));
         p.validate().unwrap();
 
-        let p = SimParams::abstract_adt(25, ConflictPolicy::Recoverability, 4, 8);
+        let p = SimParams {
+            data_model: DataModel::abstract_adt(4, 8),
+            ..SimParams::default()
+        };
         assert_eq!(
             p.data_model,
             DataModel::AbstractAdt {

@@ -100,16 +100,6 @@ impl EventQueue {
         self.now
     }
 
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// `true` when no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
     /// Schedule `event` to fire `delay` seconds from now.
     ///
     /// # Panics
@@ -151,15 +141,13 @@ mod tests {
         q.schedule_in(2.0, Event::TerminalSubmit { terminal: 2 });
         q.schedule_in(1.0, Event::TerminalSubmit { terminal: 1 });
         q.schedule_in(3.0, Event::TerminalSubmit { terminal: 3 });
-        assert_eq!(q.len(), 3);
-        assert!(!q.is_empty());
         let order: Vec<usize> = std::iter::from_fn(|| q.pop()).map(|(_, e)| match e {
             Event::TerminalSubmit { terminal } => terminal,
             _ => unreachable!(),
         })
         .collect();
         assert_eq!(order, vec![1, 2, 3]);
-        assert!(q.is_empty());
+        assert_eq!(q.pop(), None);
         assert!((q.now() - 3.0).abs() < 1e-12);
     }
 

@@ -44,6 +44,6 @@ pub mod workload;
 
 pub use config::{DataModel, ResourceMode, SimParams};
 pub use metrics::{AggregatedMetric, AggregatedResult, SimulationResult};
-pub use runner::{run_averaged, sweep_mpl, PolicySweepPoint, SweepSeries};
+pub use runner::run_averaged;
 pub use simulator::Simulator;
 pub use workload::WorkloadGenerator;

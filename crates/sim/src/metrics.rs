@@ -97,16 +97,6 @@ impl AggregatedMetric {
             samples: n,
         }
     }
-
-    /// The confidence interval half-width as a percentage of the mean
-    /// (the paper reports ±2 percentage points for its runs).
-    pub fn ci90_percent_of_mean(&self) -> f64 {
-        if self.mean.abs() < f64::EPSILON {
-            0.0
-        } else {
-            100.0 * self.ci90_half_width / self.mean.abs()
-        }
-    }
 }
 
 impl fmt::Display for AggregatedMetric {
@@ -199,15 +189,11 @@ mod tests {
         assert!((m.std_dev - 2.0).abs() < 1e-9);
         assert!(m.ci90_half_width > 0.0);
         assert_eq!(m.samples, 3);
-        assert!(m.ci90_percent_of_mean() > 0.0);
         assert!(m.to_string().contains('±'));
 
         let single = AggregatedMetric::from_samples(&[5.0]);
         assert_eq!(single.std_dev, 0.0);
         assert_eq!(single.ci90_half_width, 0.0);
-
-        let zero_mean = AggregatedMetric::from_samples(&[0.0, 0.0]);
-        assert_eq!(zero_mean.ci90_percent_of_mean(), 0.0);
     }
 
     #[test]

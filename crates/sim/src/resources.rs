@@ -15,10 +15,6 @@ pub struct ResourcePool {
     free_cpus: usize,
     cpu_queue: VecDeque<SimTxnKey>,
     disks: Vec<Disk>,
-    /// Total CPU-queue wait events (diagnostics).
-    pub cpu_waits: u64,
-    /// Total disk-queue wait events (diagnostics).
-    pub disk_waits: u64,
 }
 
 #[derive(Debug, Clone, Default)]
@@ -45,14 +41,7 @@ impl ResourcePool {
             free_cpus: resource_units,
             cpu_queue: VecDeque::new(),
             disks: vec![Disk::default(); resource_units * 2],
-            cpu_waits: 0,
-            disk_waits: 0,
         }
-    }
-
-    /// Number of CPUs in the pool (one per resource unit).
-    pub fn cpu_count(&self) -> usize {
-        self.disks.len() / 2
     }
 
     /// Number of disks in the pool.
@@ -67,7 +56,6 @@ impl ResourcePool {
             Grant::Acquired
         } else {
             self.cpu_queue.push_back(txn);
-            self.cpu_waits += 1;
             Grant::Queued
         }
     }
@@ -88,7 +76,6 @@ impl ResourcePool {
         let d = &mut self.disks[disk];
         if d.busy {
             d.queue.push_back(txn);
-            self.disk_waits += 1;
             Grant::Queued
         } else {
             d.busy = true;
@@ -119,16 +106,6 @@ impl ResourcePool {
             disk.queue.retain(|k| *k != txn);
         }
     }
-
-    /// Number of transactions currently waiting for a CPU.
-    pub fn cpu_queue_len(&self) -> usize {
-        self.cpu_queue.len()
-    }
-
-    /// Number of transactions currently waiting for any disk.
-    pub fn disk_queue_len(&self) -> usize {
-        self.disks.iter().map(|d| d.queue.len()).sum()
-    }
 }
 
 #[cfg(test)]
@@ -138,16 +115,12 @@ mod tests {
     #[test]
     fn cpu_pool_grants_and_queues() {
         let mut pool = ResourcePool::new(2);
-        assert_eq!(pool.cpu_count(), 2);
         assert_eq!(pool.disk_count(), 4);
         assert_eq!(pool.acquire_cpu(1), Grant::Acquired);
         assert_eq!(pool.acquire_cpu(2), Grant::Acquired);
         assert_eq!(pool.acquire_cpu(3), Grant::Queued);
-        assert_eq!(pool.cpu_queue_len(), 1);
-        assert_eq!(pool.cpu_waits, 1);
         // Releasing hands the CPU to the waiter.
         assert_eq!(pool.release_cpu(), Some(3));
-        assert_eq!(pool.cpu_queue_len(), 0);
         // Releasing with an empty queue frees the CPU.
         assert_eq!(pool.release_cpu(), None);
         assert_eq!(pool.release_cpu(), None);
@@ -161,13 +134,10 @@ mod tests {
         assert_eq!(pool.acquire_disk(1, 2), Grant::Acquired);
         assert_eq!(pool.acquire_disk(0, 3), Grant::Queued);
         assert_eq!(pool.acquire_disk(0, 4), Grant::Queued);
-        assert_eq!(pool.disk_queue_len(), 2);
-        assert_eq!(pool.disk_waits, 2);
         assert_eq!(pool.release_disk(0), Some(3));
         assert_eq!(pool.release_disk(0), Some(4));
         assert_eq!(pool.release_disk(0), None);
         assert_eq!(pool.release_disk(1), None);
-        assert_eq!(pool.disk_queue_len(), 0);
     }
 
     #[test]
@@ -185,8 +155,6 @@ mod tests {
         assert_eq!(pool.acquire_disk(0, 4), Grant::Acquired);
         assert_eq!(pool.acquire_disk(0, 2), Grant::Queued);
         pool.purge(2);
-        assert_eq!(pool.cpu_queue_len(), 1);
-        assert_eq!(pool.disk_queue_len(), 0);
         // The CPU goes to the surviving waiter, not the purged one.
         assert_eq!(pool.release_cpu(), Some(3));
         assert_eq!(pool.release_disk(0), None);

@@ -1,13 +1,11 @@
-//! Multi-run aggregation and parameter sweeps.
+//! Multi-run aggregation.
 //!
 //! The paper reports each data point as the average of 10 independent runs;
-//! [`run_averaged`] reproduces that, and [`sweep_mpl`] produces the
-//! throughput-vs-multiprogramming-level series that most figures plot.
+//! [`run_averaged`] reproduces that.
 
 use crate::config::SimParams;
 use crate::metrics::{AggregatedResult, SimulationResult};
 use crate::simulator::Simulator;
-use sbcc_core::ConflictPolicy;
 
 /// Run the same configuration `runs` times with consecutive seeds and
 /// aggregate the metrics.
@@ -20,71 +18,6 @@ pub fn run_averaged(params: &SimParams, runs: usize) -> AggregatedResult {
         })
         .collect();
     AggregatedResult::from_runs(&results)
-}
-
-/// One point of a sweep: a multiprogramming level and its aggregated result.
-#[derive(Debug, Clone)]
-pub struct PolicySweepPoint {
-    /// The multiprogramming level.
-    pub mpl_level: usize,
-    /// Aggregated metrics at that level.
-    pub result: AggregatedResult,
-}
-
-/// A series of sweep points for one policy (one curve of a figure).
-#[derive(Debug, Clone)]
-pub struct SweepSeries {
-    /// The conflict policy of this curve.
-    pub policy: ConflictPolicy,
-    /// A label for the curve (policy name, or `Pr=…` for the ADT model).
-    pub label: String,
-    /// The points, in the order of the supplied multiprogramming levels.
-    pub points: Vec<PolicySweepPoint>,
-}
-
-impl SweepSeries {
-    /// The multiprogramming level with the highest mean throughput.
-    pub fn peak_throughput(&self) -> Option<&PolicySweepPoint> {
-        self.points.iter().max_by(|a, b| {
-            a.result
-                .throughput
-                .mean
-                .partial_cmp(&b.result.throughput.mean)
-                .expect("throughput is never NaN")
-        })
-    }
-}
-
-/// Sweep the multiprogramming level for each of the given policies, keeping
-/// every other parameter from `base`.
-pub fn sweep_mpl(
-    base: &SimParams,
-    mpl_levels: &[usize],
-    policies: &[ConflictPolicy],
-    runs: usize,
-) -> Vec<SweepSeries> {
-    policies
-        .iter()
-        .map(|policy| {
-            let points = mpl_levels
-                .iter()
-                .map(|mpl| {
-                    let mut p = base.clone();
-                    p.mpl_level = *mpl;
-                    p.policy = *policy;
-                    PolicySweepPoint {
-                        mpl_level: *mpl,
-                        result: run_averaged(&p, runs),
-                    }
-                })
-                .collect();
-            SweepSeries {
-                policy: *policy,
-                label: policy.label().to_owned(),
-                points,
-            }
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -114,26 +47,5 @@ mod tests {
     #[should_panic(expected = "at least one run")]
     fn run_averaged_rejects_zero_runs() {
         run_averaged(&tiny_params(), 0);
-    }
-
-    #[test]
-    fn sweep_produces_one_series_per_policy() {
-        let series = sweep_mpl(
-            &tiny_params(),
-            &[5, 10],
-            &[
-                ConflictPolicy::CommutativityOnly,
-                ConflictPolicy::Recoverability,
-            ],
-            1,
-        );
-        assert_eq!(series.len(), 2);
-        for s in &series {
-            assert_eq!(s.points.len(), 2);
-            assert_eq!(s.points[0].mpl_level, 5);
-            assert_eq!(s.points[1].mpl_level, 10);
-            assert!(s.peak_throughput().is_some());
-            assert!(!s.label.is_empty());
-        }
     }
 }

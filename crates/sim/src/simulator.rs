@@ -17,8 +17,8 @@ use crate::rng::SimRng;
 use crate::workload::WorkloadGenerator;
 use sbcc_adt::OpCall;
 use sbcc_core::{
-    BatchCall, BatchStop, DatabaseConfig, KernelEvent, KernelStats, ObjectId, RequestOutcome,
-    SchedulerConfig, ShardedKernel, StatsSnapshot, TxnId,
+    DatabaseConfig, KernelEvent, ObjectId, RequestOutcome, SchedulerConfig, ShardedKernel,
+    StatsSnapshot, TxnId,
 };
 use std::collections::{HashMap, VecDeque};
 
@@ -46,14 +46,6 @@ struct SimTxn {
     restarts: u64,
     phase: Phase,
     holds_slot: bool,
-    completed: bool,
-    /// Batched mode: operations admitted by the kernel whose service burst
-    /// has not started yet (accumulated while the batch's terminator is
-    /// blocked inside the kernel).
-    owed_service: u64,
-    /// Number of operations covered by the service burst in flight
-    /// (always 1 under per-call submission).
-    service_burst: u64,
 }
 
 /// The simulator. Build it from [`SimParams`] and call [`Simulator::run`].
@@ -105,7 +97,6 @@ impl Simulator {
         let config = SchedulerConfig::default()
             .with_policy(params.policy)
             .with_fair_scheduling(params.fair_scheduling)
-            .with_recovery(params.recovery)
             .with_victim(params.victim)
             .with_history(false);
         let kernel = ShardedKernel::new(DatabaseConfig {
@@ -114,7 +105,7 @@ impl Simulator {
             wal: None,
         });
         let workload = WorkloadGenerator::new(&params);
-        let objects = workload.populate_sharded(&kernel, &mut rng);
+        let objects = workload.populate(&kernel, &mut rng);
         let pool = match params.resource_mode {
             ResourceMode::Infinite => None,
             ResourceMode::Finite { resource_units } => Some(ResourcePool::new(resource_units)),
@@ -138,16 +129,6 @@ impl Simulator {
             restarts: 0,
             total_abort_length: 0,
         }
-    }
-
-    /// The parameters this simulator was built with.
-    pub fn params(&self) -> &SimParams {
-        &self.params
-    }
-
-    /// Snapshot of the aggregate kernel counters (useful mid-run in tests).
-    pub fn kernel_stats(&self) -> KernelStats {
-        self.kernel.stats()
     }
 
     /// The aggregate plus per-shard counter breakdown.
@@ -226,9 +207,6 @@ impl Simulator {
             restarts: 0,
             phase: Phase::Ready,
             holds_slot: false,
-            completed: false,
-            owed_service: 0,
-            service_burst: 1,
         });
         self.ready_queue.push_back(key);
         self.try_admit();
@@ -259,9 +237,6 @@ impl Simulator {
     }
 
     fn issue_next_op(&mut self, key: SimTxnKey) {
-        if self.params.batch_submission {
-            return self.issue_next_batch(key);
-        }
         let (done, kernel_txn, object, call) = {
             let txn = &self.txns[key];
             if txn.next_op >= txn.script.len() {
@@ -297,68 +272,14 @@ impl Simulator {
         }
     }
 
-    /// Submit the transaction's entire remaining script as one kernel
-    /// batch; service the admitted prefix as one burst.
-    fn issue_next_batch(&mut self, key: SimTxnKey) {
-        let (kernel_txn, calls) = {
-            let txn = &self.txns[key];
-            if txn.next_op >= txn.script.len() {
-                self.finish_transaction(key);
-                return;
-            }
-            let calls: Vec<BatchCall> = txn.script[txn.next_op..]
-                .iter()
-                .map(|(object, call)| BatchCall::new(*object, call.clone()))
-                .collect();
-            (txn.kernel_txn.expect("admitted"), calls)
-        };
-        let gen = self.txns[key].restarts;
-        let outcome = self
-            .kernel
-            .request_batch(kernel_txn, calls)
-            .expect("valid batch");
-        self.process_kernel_events();
-        if self.txns[key].restarts != gen {
-            // Victim-aborted while the batch's side effects settled; see
-            // `issue_next_op`.
-            return;
-        }
-        let executed = outcome.executed.len() as u64;
-        self.txns[key].next_op += executed as usize;
-        match outcome.stopped {
-            None => {
-                if executed == 0 {
-                    self.finish_transaction(key);
-                } else {
-                    self.start_service_burst(key, executed);
-                }
-            }
-            Some(BatchStop::Blocked { .. }) => {
-                // The executed prefix's service is owed; it is bundled into
-                // the burst that starts when the pending call unblocks.
-                let txn = &mut self.txns[key];
-                txn.owed_service += executed;
-                txn.phase = Phase::BlockedInKernel;
-            }
-            Some(BatchStop::Aborted { .. }) => self.handle_abort(key),
-        }
-    }
-
+    /// Schedule the service of one admitted operation.
     fn start_service(&mut self, key: SimTxnKey) {
-        self.start_service_burst(key, 1);
-    }
-
-    /// Schedule service for `ops` back-to-back operations (one operation
-    /// under per-call submission; an admitted batch prefix under batched
-    /// submission, which pays its CPU/disk demands as one scaled burst).
-    fn start_service_burst(&mut self, key: SimTxnKey, ops: u64) {
         self.txns[key].phase = Phase::Running;
-        self.txns[key].service_burst = ops;
         let gen = self.txns[key].restarts;
         match self.params.resource_mode {
             ResourceMode::Infinite => {
                 self.queue.schedule_in(
-                    self.params.step_time * ops as f64,
+                    self.params.step_time,
                     Event::ServiceDone {
                         txn: key,
                         stage: ServiceStage::Step,
@@ -371,7 +292,7 @@ impl Simulator {
                 match pool.acquire_cpu(key) {
                     Grant::Acquired => {
                         self.queue.schedule_in(
-                            self.params.cpu_time * ops as f64,
+                            self.params.cpu_time,
                             Event::ServiceDone {
                                 txn: key,
                                 stage: ServiceStage::Cpu,
@@ -413,7 +334,7 @@ impl Simulator {
                 if let Some(next_key) = next {
                     let next_gen = self.txns[next_key].restarts;
                     self.queue.schedule_in(
-                        self.params.cpu_time * self.txns[next_key].service_burst as f64,
+                        self.params.cpu_time,
                         Event::ServiceDone {
                             txn: next_key,
                             stage: ServiceStage::Cpu,
@@ -430,7 +351,7 @@ impl Simulator {
                 match pool.acquire_disk(disk, key) {
                     Grant::Acquired => {
                         self.queue.schedule_in(
-                            self.params.io_time * self.txns[key].service_burst as f64,
+                            self.params.io_time,
                             Event::ServiceDone {
                                 txn: key,
                                 stage: ServiceStage::Disk { disk },
@@ -450,7 +371,7 @@ impl Simulator {
                 if let Some(next_key) = next {
                     let next_gen = self.txns[next_key].restarts;
                     self.queue.schedule_in(
-                        self.params.io_time * self.txns[next_key].service_burst as f64,
+                        self.params.io_time,
                         Event::ServiceDone {
                             txn: next_key,
                             stage: ServiceStage::Disk { disk },
@@ -466,11 +387,7 @@ impl Simulator {
     }
 
     fn operation_complete(&mut self, key: SimTxnKey) {
-        if !self.params.batch_submission {
-            // Batched mode advances `next_op` when the kernel admits the
-            // calls, not when their service burst ends.
-            self.txns[key].next_op += 1;
-        }
+        self.txns[key].next_op += 1;
         self.issue_next_op(key);
     }
 
@@ -484,7 +401,6 @@ impl Simulator {
         {
             let txn = &mut self.txns[key];
             txn.phase = Phase::Completed;
-            txn.completed = true;
             self.total_response_time += now - txn.submit_time;
         }
         self.completed += 1;
@@ -495,14 +411,12 @@ impl Simulator {
             self.kernel_to_sim.remove(&kernel_txn);
         }
 
-        // Multiprogramming slot accounting.
-        let release_now = !(is_pseudo && self.params.pseudo_commit_holds_slot);
-        if release_now {
-            let txn = &mut self.txns[key];
-            if txn.holds_slot {
-                txn.holds_slot = false;
-                self.active_count -= 1;
-            }
+        // A completed transaction gives up its multiprogramming slot,
+        // pseudo-committed or not.
+        let txn = &mut self.txns[key];
+        if txn.holds_slot {
+            txn.holds_slot = false;
+            self.active_count -= 1;
         }
 
         // The terminal starts thinking about its next transaction.
@@ -511,9 +425,7 @@ impl Simulator {
         self.queue
             .schedule_in(think, Event::TerminalSubmit { terminal });
 
-        if release_now {
-            self.try_admit();
-        }
+        self.try_admit();
     }
 
     fn handle_abort(&mut self, key: SimTxnKey) {
@@ -524,7 +436,6 @@ impl Simulator {
             txn.restarts += 1;
             let old = txn.kernel_txn.take();
             txn.next_op = 0;
-            txn.owed_service = 0;
             txn.phase = Phase::Ready;
             if txn.holds_slot {
                 txn.holds_slot = false;
@@ -556,19 +467,7 @@ impl Simulator {
                         continue;
                     };
                     match outcome {
-                        RequestOutcome::Executed { .. } => {
-                            if self.params.batch_submission {
-                                // The unblocked pending call plus the owed
-                                // prefix are serviced as one burst.
-                                let txn = &mut self.txns[key];
-                                txn.next_op += 1;
-                                let burst = txn.owed_service + 1;
-                                txn.owed_service = 0;
-                                self.start_service_burst(key, burst);
-                            } else {
-                                self.start_service(key);
-                            }
-                        }
+                        RequestOutcome::Executed { .. } => self.start_service(key),
                         RequestOutcome::Aborted { .. } => self.handle_abort(key),
                         RequestOutcome::Blocked { .. } => {
                             unreachable!("the kernel never reports re-blocking")
@@ -582,17 +481,7 @@ impl Simulator {
                 }
                 KernelEvent::Committed { txn } => {
                     // A pseudo-committed transaction actually committed.
-                    let Some(key) = self.kernel_to_sim.remove(&txn) else {
-                        continue;
-                    };
-                    if self.params.pseudo_commit_holds_slot {
-                        let txn_rec = &mut self.txns[key];
-                        if txn_rec.holds_slot && txn_rec.completed {
-                            txn_rec.holds_slot = false;
-                            self.active_count -= 1;
-                            self.try_admit();
-                        }
-                    }
+                    self.kernel_to_sim.remove(&txn);
                 }
             }
         }
@@ -628,7 +517,6 @@ mod tests {
         assert!(result.cycle_checks > 0);
         assert!(result.blocking_ratio >= 0.0);
         assert!(!format!("{sim:?}").is_empty());
-        assert_eq!(sim.params().mpl_level, 20);
     }
 
     #[test]
@@ -693,53 +581,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_submission_runs_to_completion_and_stays_deterministic() {
-        let params = small_params(ConflictPolicy::Recoverability).with_batch_submission(true);
-        let mut sim = Simulator::new(params.clone());
-        let a = sim.run();
-        assert!(a.completed >= 400);
-        assert!(a.throughput > 0.0);
-        let stats = sim.kernel_stats();
-        assert!(stats.batches > 0, "batched mode must reach request_batch");
-        assert!(stats.batched_calls >= stats.batches);
-        let b = Simulator::new(params).run();
-        assert_eq!(a, b, "batched runs are deterministic for a fixed seed");
-    }
-
-    #[test]
-    fn batched_submission_works_under_finite_resources_and_baseline_policy() {
-        for policy in [
-            ConflictPolicy::Recoverability,
-            ConflictPolicy::CommutativityOnly,
-        ] {
-            let params = small_params(policy)
-                .with_batch_submission(true)
-                .with_resources(ResourceMode::Finite { resource_units: 2 });
-            let result = Simulator::new(params).run();
-            assert!(result.completed >= 400, "policy {policy}: completes");
-            assert!(result.throughput > 0.0);
-        }
-    }
-
-    #[test]
-    fn batched_submission_profits_on_an_uncontended_workload() {
-        // With little data contention the whole script is admitted in one
-        // batch and serviced as one burst, so a transaction finishes in
-        // (roughly) one service round instead of one per operation —
-        // batched throughput must be at least the per-call throughput.
-        let mut params = small_params(ConflictPolicy::Recoverability);
-        params.db_size = 2_000; // spread transactions across many objects
-        let percall = Simulator::new(params.clone()).run();
-        let batched = Simulator::new(params.with_batch_submission(true)).run();
-        assert!(
-            batched.throughput >= percall.throughput,
-            "batched {:.1} tps should not trail per-call {:.1} tps",
-            batched.throughput,
-            percall.throughput
-        );
-    }
-
-    #[test]
     fn youngest_victim_policy_runs_at_scale() {
         // The ROADMAP item: asynchronous victim aborts (a transaction
         // aborted while it has an in-flight service event) must not corrupt
@@ -786,15 +627,5 @@ mod tests {
         let base = Simulator::new(small_params(ConflictPolicy::Recoverability)).run();
         let one = Simulator::new(small_params(ConflictPolicy::Recoverability).with_shards(1)).run();
         assert_eq!(base, one);
-    }
-
-    #[test]
-    fn mpl_slot_accounting_choice_is_respected() {
-        let mut hold = small_params(ConflictPolicy::Recoverability);
-        hold.pseudo_commit_holds_slot = true;
-        let held = Simulator::new(hold).run();
-        let released = Simulator::new(small_params(ConflictPolicy::Recoverability)).run();
-        // Holding the slot can only reduce (or leave unchanged) concurrency.
-        assert!(held.throughput <= released.throughput * 1.05);
     }
 }

@@ -4,7 +4,7 @@
 use crate::config::{DataModel, SimParams};
 use crate::rng::SimRng;
 use sbcc_adt::{AbstractObject, OpCall};
-use sbcc_core::{ObjectId, SchedulerKernel, ShardedKernel};
+use sbcc_core::{ObjectId, ShardedKernel};
 
 /// Kind index of a read in the read/write model.
 pub const RW_READ: usize = 0;
@@ -40,22 +40,11 @@ impl WorkloadGenerator {
     /// * Abstract-data-type model: every object gets its own randomly
     ///   generated compatibility table with `P_c` commutative and `P_r`
     ///   recoverable entries.
-    pub fn populate(&self, kernel: &mut SchedulerKernel, rng: &mut SimRng) -> Vec<ObjectId> {
-        let mut ids = Vec::with_capacity(self.db_size);
-        for i in 0..self.db_size {
-            let object = self.make_object(rng);
-            let id = kernel
-                .register_object(format!("obj{i}"), Box::new(object))
-                .expect("object names are unique");
-            ids.push(id);
-        }
-        ids
-    }
-
-    /// [`Self::populate`] against a sharded kernel: same names, same
-    /// registration order, and therefore the same (global) object ids —
-    /// only the shard placement differs, by the name hash.
-    pub fn populate_sharded(&self, kernel: &ShardedKernel, rng: &mut SimRng) -> Vec<ObjectId> {
+    ///
+    /// Names and registration order, and therefore the (global) object
+    /// ids, do not depend on the shard count — only the placement does, by
+    /// the name hash.
+    pub fn populate(&self, kernel: &ShardedKernel, rng: &mut SimRng) -> Vec<ObjectId> {
         let mut ids = Vec::with_capacity(self.db_size);
         for i in 0..self.db_size {
             let object = self.make_object(rng);
@@ -105,14 +94,16 @@ impl WorkloadGenerator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sbcc_core::{ConflictPolicy, SchedulerConfig};
+    use sbcc_core::{ConflictPolicy, DatabaseConfig, SchedulerConfig};
 
-    fn kernel() -> SchedulerKernel {
-        SchedulerKernel::new(
-            SchedulerConfig::default()
+    fn kernel() -> ShardedKernel {
+        ShardedKernel::new(DatabaseConfig {
+            scheduler: SchedulerConfig::default()
                 .with_policy(ConflictPolicy::Recoverability)
                 .with_history(false),
-        )
+            shards: 1.into(),
+            wal: None,
+        })
     }
 
     #[test]
@@ -122,9 +113,9 @@ mod tests {
             ..SimParams::default()
         };
         let gen = WorkloadGenerator::new(&params);
-        let mut k = kernel();
+        let k = kernel();
         let mut rng = SimRng::new(1);
-        let ids = gen.populate(&mut k, &mut rng);
+        let ids = gen.populate(&k, &mut rng);
         assert_eq!(ids.len(), 20);
         assert_eq!(k.object_count(), 20);
         assert_eq!(k.object_id("obj0"), Some(ids[0]));
@@ -141,9 +132,9 @@ mod tests {
             ..SimParams::default()
         };
         let gen = WorkloadGenerator::new(&params);
-        let mut k = kernel();
+        let k = kernel();
         let mut rng = SimRng::new(2);
-        let ids = gen.populate(&mut k, &mut rng);
+        let ids = gen.populate(&k, &mut rng);
 
         let mut writes = 0usize;
         let mut total = 0usize;
@@ -173,9 +164,9 @@ mod tests {
             ..SimParams::default()
         };
         let gen = WorkloadGenerator::new(&params);
-        let mut k = kernel();
+        let k = kernel();
         let mut rng = SimRng::new(3);
-        let ids = gen.populate(&mut k, &mut rng);
+        let ids = gen.populate(&k, &mut rng);
         let mut counts = [0usize; 4];
         for _ in 0..1000 {
             for (_, call) in gen.generate_script(&ids, &mut rng) {
@@ -197,12 +188,12 @@ mod tests {
             ..SimParams::default()
         };
         let gen = WorkloadGenerator::new(&params);
-        let mut k1 = kernel();
-        let mut k2 = kernel();
+        let k1 = kernel();
+        let k2 = kernel();
         let mut r1 = SimRng::new(9);
         let mut r2 = SimRng::new(9);
-        let ids1 = gen.populate(&mut k1, &mut r1);
-        let ids2 = gen.populate(&mut k2, &mut r2);
+        let ids1 = gen.populate(&k1, &mut r1);
+        let ids2 = gen.populate(&k2, &mut r2);
         assert_eq!(ids1, ids2);
         for _ in 0..10 {
             assert_eq!(gen.generate_script(&ids1, &mut r1), gen.generate_script(&ids2, &mut r2));

@@ -24,12 +24,13 @@
 //! * [`log`] — the append engine: per-shard files, [`FsyncPolicy`], the
 //!   group-commit flusher thread, and [`Wal::open`] recovery (torn-tail
 //!   repair, cross-shard marker filtering, merge-by-seq).
-//! * [`factory`] — rebuilding empty objects from logged type names.
+//!
+//! Rebuilding an empty object from a logged type name is the
+//! [`sbcc_adt::AdtType`] catalogue's job.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod factory;
 pub mod log;
 pub mod record;
 

@@ -55,7 +55,7 @@ pub struct LoggedOp {
 #[derive(Debug, Clone, PartialEq)]
 pub enum WalRecord {
     /// An object registration: recovery re-instantiates the type through
-    /// the [`crate::factory`] and re-registers it under `name`.
+    /// the [`sbcc_adt::AdtType`] catalogue and re-registers it under `name`.
     Register {
         /// Registration name.
         name: String,

@@ -51,17 +51,6 @@ fn main() {
         result.completed, result.pseudo_commit_completions
     );
 
-    // The same point with batched submission: each transaction hands its
-    // whole script to the kernel as one group (admitted prefix serviced as
-    // one burst) instead of one round-trip per operation.
-    let batched = Simulator::new(params.clone().with_batch_submission(true)).run();
-    println!("\nSame point, batched submission:");
-    println!("  {batched}");
-    println!(
-        "  batched vs per-call throughput: {:.1} vs {:.1} tps",
-        batched.throughput, result.throughput
-    );
-
     // Victim-policy comparison at the same point: the closed-network
     // driver now handles asynchronous victim aborts, so Youngest runs at
     // scale (its victims can be mid-service when the cycle is detected).

@@ -5,8 +5,8 @@
 //! doc_links`) next to the rustdoc `-D warnings` pass, which covers the
 //! intra-doc links on the Rust side. The same leg checks that every
 //! `repro --flag` the docs and the CI workflow show still exists in
-//! `repro --help`, and that every source file the docs name in backticks
-//! still exists.
+//! `repro --help`, that every source file the docs name in backticks
+//! still exists, and that every `*.md` file a rustdoc comment names does.
 
 use std::path::Path;
 
@@ -131,6 +131,52 @@ fn source_files_named_in_the_docs_exist() {
     }
     assert!(checked >= 10, "the docs should name source files (found {checked})");
     assert!(missing.is_empty(), "source files named in the docs but absent:\n{}", missing.join("\n"));
+}
+
+/// Every `.rs` file under `dir`, recursively.
+fn rust_files(dir: &Path, out: &mut Vec<std::path::PathBuf>) {
+    for entry in std::fs::read_dir(dir).expect("source directory is readable") {
+        let path = entry.expect("directory entry").path();
+        if path.is_dir() {
+            rust_files(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// A rustdoc comment that sends the reader to a `*.md` document must
+/// name one that exists, relative to the repository root.
+#[test]
+fn markdown_files_named_in_rustdoc_exist() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    for dir in ["crates", "src", "examples"] {
+        rust_files(&root.join(dir), &mut files);
+    }
+    let is_path_char = |c: char| c.is_ascii_alphanumeric() || "_-./".contains(c);
+    let mut checked = 0usize;
+    let mut missing = Vec::new();
+    for file in files {
+        let text = std::fs::read_to_string(&file).expect("source file is readable");
+        for (n, line) in text.lines().enumerate() {
+            let line = line.trim_start();
+            if !(line.starts_with("//!") || line.starts_with("///")) {
+                continue;
+            }
+            for word in line.split(|c: char| !is_path_char(c)) {
+                if word.len() > 3 && word.ends_with(".md") {
+                    checked += 1;
+                    if !root.join(word).is_file() {
+                        let at = file.strip_prefix(root).unwrap_or(&file).display();
+                        missing.push(format!("{at}:{}: {word}", n + 1));
+                    }
+                }
+            }
+        }
+    }
+    assert!(checked >= 3, "rustdoc should point at the root docs (found {checked} mentions)");
+    assert!(missing.is_empty(), "documents named in rustdoc but absent:\n{}", missing.join("\n"));
 }
 
 /// The `--flag`s a document attributes to the `repro` binary: every flag

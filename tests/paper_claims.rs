@@ -104,28 +104,6 @@ fn unfair_scheduling_has_higher_peak_throughput() {
 }
 
 #[test]
-fn papers_policy_ordering_survives_batched_submission() {
-    // Batched submission changes how operations reach the kernel (grouped,
-    // one classification pass) but not which schedules are admitted — the
-    // paper's qualitative claim must therefore hold unchanged: under
-    // contention, recoverability beats the commutativity-only baseline.
-    let mpl = 40;
-    let run = |policy| {
-        Simulator::new(small(policy, mpl).with_batch_submission(true)).run()
-    };
-    let comm = run(ConflictPolicy::CommutativityOnly);
-    let rec = run(ConflictPolicy::Recoverability);
-    assert!(
-        rec.throughput > comm.throughput,
-        "batched recoverability {:.1} tps should beat batched commutativity {:.1} tps",
-        rec.throughput,
-        comm.throughput
-    );
-    assert!(rec.blocking_ratio < comm.blocking_ratio);
-    assert!(rec.commit_dependencies > 0);
-}
-
-#[test]
 fn pseudo_commits_happen_and_every_completion_is_eventually_durable() {
     let result = Simulator::new(small(ConflictPolicy::Recoverability, 40)).run();
     assert!(
