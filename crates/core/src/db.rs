@@ -18,8 +18,8 @@
 //!   acquisition ([`Transaction::batch`]);
 //! * consumes itself on [`Transaction::commit`] / [`Transaction::abort`],
 //!   so a terminated session cannot be used again by construction; and
-//! * **auto-aborts on drop** when neither was called — early returns and
-//!   panics can no longer leak a live transaction that would block others
+//! * **auto-aborts on drop** when neither was called — an early return or
+//!   a panic cannot leak a live transaction that would block others
 //!   forever.
 //!
 //! [`Database::run`] wraps the begin/exec/commit cycle in a closure and
@@ -45,11 +45,11 @@
 //! assert_eq!(db.shard_count(), 4);
 //! ```
 //!
-//! With one shard the behaviour is exactly the PR-2 single-kernel
-//! database. With several, everything session-visible stays the same —
-//! handles, blocking, batches, retry semantics, aggregate [`KernelStats`]
-//! — and [`Database::stats_snapshot`] additionally exposes the per-shard
-//! breakdown. See the [`crate::shard`] module docs for the sharding
+//! With one shard the behaviour is exactly that of a single
+//! [`crate::SchedulerKernel`]. With several, everything session-visible
+//! stays the same — handles, blocking, batches, retry semantics, aggregate
+//! [`KernelStats`] — and [`Database::stats_snapshot`] additionally exposes
+//! the per-shard breakdown. See the [`crate::shard`] module docs for the sharding
 //! invariants and the cross-shard commit protocol.
 //!
 //! # Blocking and wakeups

@@ -20,7 +20,7 @@ use crate::events::AbortReason;
 use crate::kernel::SchedulerKernel;
 use crate::object::ObjectId;
 use crate::txn::{ExecutedOp, TxnId};
-use sbcc_adt::{Compatibility, OpCall, OpResult, SemanticObject};
+use sbcc_adt::{Compatibility, SemanticObject};
 use std::collections::HashMap;
 
 /// Everything recorded about one transaction.
@@ -28,7 +28,8 @@ use std::collections::HashMap;
 pub struct TxnHistory {
     /// The transaction id.
     pub id: TxnId,
-    /// Operations in execution order.
+    /// Operations in execution order (empty until the transaction
+    /// terminates).
     pub ops: Vec<ExecutedOp>,
     /// Whether the transaction pseudo-committed before committing.
     pub pseudo_committed: bool,
@@ -73,40 +74,37 @@ impl HistoryRecorder {
         );
     }
 
-    pub(crate) fn record_op(
-        &mut self,
-        txn: TxnId,
-        object: ObjectId,
-        call: OpCall,
-        result: OpResult,
-        seq: u64,
-    ) {
-        if let Some(h) = self.txns.get_mut(&txn) {
-            h.ops.push(ExecutedOp {
-                object,
-                call,
-                result,
-                seq,
-            });
-        }
-    }
-
     pub(crate) fn record_pseudo_commit(&mut self, txn: TxnId) {
         if let Some(h) = self.txns.get_mut(&txn) {
             h.pseudo_committed = true;
         }
     }
 
-    pub(crate) fn record_committed(&mut self, txn: TxnId, commit_index: u64) {
+    /// `ops` is the terminated transaction's own operation list, moved
+    /// out of its record: the recorder holds no per-operation copy while a
+    /// transaction is live.
+    pub(crate) fn record_committed(
+        &mut self,
+        txn: TxnId,
+        commit_index: u64,
+        ops: Vec<ExecutedOp>,
+    ) {
         if let Some(h) = self.txns.get_mut(&txn) {
+            h.ops = ops;
             h.fate = Some(TxnFate::Committed);
             h.commit_index = Some(commit_index);
         }
         self.commit_sequence.push(txn);
     }
 
-    pub(crate) fn record_aborted(&mut self, txn: TxnId, reason: AbortReason) {
+    pub(crate) fn record_aborted(
+        &mut self,
+        txn: TxnId,
+        reason: AbortReason,
+        ops: Vec<ExecutedOp>,
+    ) {
         if let Some(h) = self.txns.get_mut(&txn) {
+            h.ops = ops;
             h.fate = Some(TxnFate::Aborted(reason));
         }
     }
@@ -241,6 +239,7 @@ pub fn verify_commit_order_respects_dependencies(kernel: &SchedulerKernel) -> Re
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sbcc_adt::{OpCall, OpResult};
 
     #[test]
     fn recorder_tracks_lifecycle() {
@@ -249,20 +248,18 @@ mod tests {
         r.record_begin(TxnId(1));
         r.record_begin(TxnId(2));
         assert_eq!(r.transactions().count(), 2);
-        r.record_op(
-            TxnId(1),
-            ObjectId(0),
-            OpCall::nullary(0),
-            OpResult::Ok,
-            1,
-        );
+        let op = ExecutedOp {
+            object: ObjectId(0),
+            call: OpCall::nullary(0),
+            result: OpResult::Ok,
+            seq: 1,
+        };
         r.record_pseudo_commit(TxnId(1));
-        r.record_committed(TxnId(1), 1);
-        r.record_aborted(TxnId(2), AbortReason::Explicit);
+        r.record_committed(TxnId(1), 1, vec![op.clone()]);
+        r.record_aborted(TxnId(2), AbortReason::Explicit, Vec::new());
         // Records for unknown transactions are ignored rather than panicking.
-        r.record_op(TxnId(9), ObjectId(0), OpCall::nullary(0), OpResult::Ok, 2);
         r.record_pseudo_commit(TxnId(9));
-        r.record_aborted(TxnId(9), AbortReason::Explicit);
+        r.record_aborted(TxnId(9), AbortReason::Explicit, vec![op]);
 
         let t1 = r.txn(TxnId(1)).expect("recorded");
         assert_eq!(t1.ops.len(), 1);

@@ -25,7 +25,7 @@ use crate::events::{
 };
 use crate::history::HistoryRecorder;
 use crate::object::{Classification, ManagedObject, ObjectId};
-use crate::policy::{SchedulerConfig, VictimPolicy};
+use crate::policy::{RecoveryStrategy, SchedulerConfig, VictimPolicy};
 use crate::shard::GlobalGraph;
 use crate::stats::KernelStats;
 use crate::txn::{BatchCall, ExecutedOp, PendingRequest, TxnId, TxnRecord, TxnState};
@@ -200,8 +200,12 @@ impl SchedulerKernel {
             return Err(CoreError::DuplicateObject(name));
         }
         let id = ObjectId(self.objects.len() as u32);
-        self.objects
-            .push(ManagedObject::new(id, name.clone(), object, self.config.recovery));
+        self.objects.push(ManagedObject::new(
+            id,
+            name.clone(),
+            object,
+            RecoveryStrategy::IntentionsList,
+        ));
         self.object_names.insert(name, id);
         Ok(id)
     }
@@ -1201,15 +1205,12 @@ impl SchedulerKernel {
         let rec = self.txns.get_mut(&txn).expect("transaction exists");
         rec.ops.push(ExecutedOp {
             object,
-            call: call.clone(),
+            call,
             result: result.clone(),
             seq,
         });
         rec.touched.insert(object);
         self.stats.operations_executed += 1;
-        if let Some(h) = &mut self.history {
-            h.record_op(txn, object, call, result.clone(), seq);
-        }
         result
     }
 
@@ -1272,7 +1273,7 @@ impl SchedulerKernel {
             },
         );
         if let Some(h) = &mut self.history {
-            h.record_committed(txn, self.next_commit_index);
+            h.record_committed(txn, self.next_commit_index, rec.ops);
         }
     }
 
@@ -1310,7 +1311,7 @@ impl SchedulerKernel {
             },
         );
         if let Some(h) = &mut self.history {
-            h.record_aborted(txn, reason);
+            h.record_aborted(txn, reason, rec.ops);
         }
     }
 

@@ -8,8 +8,7 @@
 //!   object managers with execution logs, conflict classification based on
 //!   commutativity **and recoverability**, blocking with deadlock detection,
 //!   commit-dependency tracking, pseudo-commit and the cascading actual
-//!   commit protocol, plus recovery by intentions lists or replay-based
-//!   undo.
+//!   commit protocol, plus recovery by intentions lists.
 //! * [`ShardedKernel`] — N independent scheduler kernels, each owning a
 //!   disjoint (name-hashed) set of objects behind its own lock, plus a
 //!   cross-shard coordinator for transaction liveness, commit votes and
@@ -19,8 +18,7 @@
 //!   sharded kernel: typed [`Handle`]s, [`Transaction`] guards that
 //!   auto-abort on drop, grouped submission via [`Transaction::batch`],
 //!   and the [`Database::run`] retry runner (see the [`db`] module docs
-//!   for the full session model and the migration table from the old
-//!   free-function API).
+//!   for the full session model).
 //! * [`aio::AsyncDatabase`] — the **async** session front-end over the
 //!   same database: operations are futures that suspend instead of
 //!   parking OS threads, so one executor thread multiplexes thousands of

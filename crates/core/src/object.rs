@@ -3,9 +3,10 @@
 //! Each object manager maintains an execution log of uncommitted operations
 //! on its object (Section 4) plus a queue of blocked requests. Conflict
 //! classification happens against that log using the object's compatibility
-//! tables (through the erased [`SemanticObject`] interface), and the chosen
-//! [`RecoveryStrategy`] decides how operation results are computed and how
-//! commits/aborts update the object state.
+//! tables (through the erased [`SemanticObject`] interface). Recovery is the
+//! intentions list of Section 4.4: results are computed against the
+//! committed state plus the requester's own logged operations, a commit
+//! folds them into the committed state and an abort discards them.
 //!
 //! # Indexed classification
 //!
@@ -229,9 +230,6 @@ pub struct ManagedObject {
     initial: Box<dyn SemanticObject>,
     /// State reflecting exactly the committed transactions.
     committed: Box<dyn SemanticObject>,
-    /// Committed state plus all uncommitted logged operations, in execution
-    /// order. Maintained only under [`RecoveryStrategy::UndoReplay`].
-    materialized: Option<Box<dyn SemanticObject>>,
     /// Commit stamp of the last fold that changed `committed` (0 before any
     /// commit). Snapshot reads with a begin stamp at or above this value are
     /// answered from `committed` directly.
@@ -252,7 +250,6 @@ pub struct ManagedObject {
     memo: RefCell<ClassifyMemo>,
     /// Blocked requests, FIFO.
     blocked: VecDeque<BlockedRequest>,
-    strategy: RecoveryStrategy,
 }
 
 impl fmt::Debug for ManagedObject {
@@ -269,30 +266,27 @@ impl fmt::Debug for ManagedObject {
 
 impl ManagedObject {
     /// Wrap a semantic object for management by the kernel.
+    ///
+    /// The fourth argument is ignored: the frozen `bench/` passes
+    /// `RecoveryStrategy::IntentionsList` there (see [`RecoveryStrategy`]).
     pub fn new(
         id: ObjectId,
         name: impl Into<String>,
         object: Box<dyn SemanticObject>,
-        strategy: RecoveryStrategy,
+        _strategy: RecoveryStrategy,
     ) -> Self {
-        let materialized = match strategy {
-            RecoveryStrategy::IntentionsList => None,
-            RecoveryStrategy::UndoReplay => Some(object.boxed_clone()),
-        };
         let arity = object.op_names().len();
         ManagedObject {
             id,
             name: name.into(),
             initial: object.boxed_clone(),
             committed: object,
-            materialized,
             committed_stamp: 0,
             history: Vec::new(),
             log: Vec::new(),
             index: HashMap::new(),
             memo: RefCell::new(ClassifyMemo::new(arity)),
             blocked: VecDeque::new(),
-            strategy,
         }
     }
 
@@ -431,6 +425,51 @@ impl ManagedObject {
         severity
     }
 
+    /// The fair-scheduling rule of Section 5.2: add to `conflicts` every
+    /// other transaction in `fairness_extra` whose pending call conflicts
+    /// with `call` under `verdict(requested, executed)`.
+    ///
+    /// Fairness is a *symmetric* conflict test between two pending
+    /// requests: the incoming request waits if either order of the two
+    /// operations would be non-recoverable. This is what stops an incoming
+    /// operation from overtaking (and thereby starving) a blocked request
+    /// it conflicts with — e.g. a new reader behind a blocked writer under
+    /// commutativity, or a new writer behind a blocked reader under
+    /// recoverability.
+    fn add_fairness_conflicts(
+        txn: TxnId,
+        call: &OpCall,
+        fairness_extra: &[(TxnId, OpCall)],
+        conflicts: &mut Vec<TxnId>,
+        verdict: impl Fn(&OpCall, &OpCall) -> Compatibility,
+    ) {
+        for (other, other_call) in fairness_extra {
+            if *other == txn {
+                continue;
+            }
+            let incoming_after_blocked = verdict(call, other_call);
+            let blocked_after_incoming = verdict(other_call, call);
+            if (incoming_after_blocked == Compatibility::NonRecoverable
+                || blocked_after_incoming == Compatibility::NonRecoverable)
+                && !conflicts.contains(other)
+            {
+                conflicts.push(*other);
+            }
+        }
+    }
+
+    /// Sort both lists and drop from `commit_deps` every transaction that
+    /// must be waited on anyway.
+    fn finish(mut conflicts: Vec<TxnId>, mut commit_deps: Vec<TxnId>) -> Classification {
+        conflicts.sort_unstable();
+        commit_deps.retain(|t| conflicts.binary_search(t).is_err());
+        commit_deps.sort_unstable();
+        Classification {
+            conflicts,
+            commit_deps,
+        }
+    }
+
     /// Classify `call`, requested by `txn`, against the uncommitted
     /// operations of **other** transactions in the log.
     ///
@@ -479,29 +518,10 @@ impl ManagedObject {
                 Compatibility::Commutative => {}
             }
         }
-        for (other, other_call) in fairness_extra {
-            if *other == txn {
-                continue;
-            }
-            // See `classify_many` for why the fairness test is symmetric.
-            let incoming_after_blocked = self.effective(policy, call, other_call);
-            let blocked_after_incoming = self.effective(policy, other_call, call);
-            if (incoming_after_blocked == Compatibility::NonRecoverable
-                || blocked_after_incoming == Compatibility::NonRecoverable)
-                && !conflicts.contains(other)
-            {
-                conflicts.push(*other);
-            }
-        }
-        conflicts.sort_unstable();
-        // A transaction that must be waited on anyway is not listed as a
-        // commit dependency.
-        commit_deps.retain(|t| conflicts.binary_search(t).is_err());
-        commit_deps.sort_unstable();
-        Classification {
-            conflicts,
-            commit_deps,
-        }
+        Self::add_fairness_conflicts(txn, call, fairness_extra, &mut conflicts, |a, b| {
+            self.effective(policy, a, b)
+        });
+        Self::finish(conflicts, commit_deps)
     }
 
     /// Classify a whole *group* of calls, all requested by `txn`, against
@@ -560,43 +580,15 @@ impl ManagedObject {
                 }
             }
         }
-        for (other, other_call) in fairness_extra {
-            if *other == txn {
-                continue;
-            }
-            for (ci, call) in calls.iter().enumerate() {
-                // Fairness is a *symmetric* conflict test between two
-                // pending requests: the incoming request waits if either
-                // order of the two operations would be non-recoverable.
-                // This is what stops an incoming operation from overtaking
-                // (and thereby starving) a blocked request it conflicts
-                // with — e.g. a new reader behind a blocked writer under
-                // commutativity, or a new writer behind a blocked reader
-                // under recoverability.
-                let incoming_after_blocked = self.effective(policy, call, other_call);
-                let blocked_after_incoming = self.effective(policy, other_call, call);
-                if (incoming_after_blocked == Compatibility::NonRecoverable
-                    || blocked_after_incoming == Compatibility::NonRecoverable)
-                    && !conflicts[ci].contains(other)
-                {
-                    conflicts[ci].push(*other);
-                }
-            }
+        for (call, conflicts) in calls.iter().zip(&mut conflicts) {
+            Self::add_fairness_conflicts(txn, call, fairness_extra, conflicts, |a, b| {
+                self.effective(policy, a, b)
+            });
         }
         conflicts
             .into_iter()
             .zip(commit_deps)
-            .map(|(mut conflicts, mut commit_deps)| {
-                conflicts.sort_unstable();
-                // A transaction that must be waited on anyway is not listed
-                // as a commit dependency.
-                commit_deps.retain(|t| conflicts.binary_search(t).is_err());
-                commit_deps.sort_unstable();
-                Classification {
-                    conflicts,
-                    commit_deps,
-                }
-            })
+            .map(|(conflicts, commit_deps)| Self::finish(conflicts, commit_deps))
             .collect()
     }
 
@@ -632,28 +624,10 @@ impl ManagedObject {
                 }
             }
         }
-        for (other, other_call) in fairness_extra {
-            if *other == txn {
-                continue;
-            }
-            let incoming_after_blocked =
-                Self::demote(policy, self.committed.classify(call, other_call));
-            let blocked_after_incoming =
-                Self::demote(policy, self.committed.classify(other_call, call));
-            if (incoming_after_blocked == Compatibility::NonRecoverable
-                || blocked_after_incoming == Compatibility::NonRecoverable)
-                && !conflicts.contains(other)
-            {
-                conflicts.push(*other);
-            }
-        }
-        conflicts.sort_unstable();
-        commit_deps.retain(|t| conflicts.binary_search(t).is_err());
-        commit_deps.sort_unstable();
-        Classification {
-            conflicts,
-            commit_deps,
-        }
+        Self::add_fairness_conflicts(txn, call, fairness_extra, &mut conflicts, |a, b| {
+            Self::demote(policy, self.committed.classify(a, b))
+        });
+        Self::finish(conflicts, commit_deps)
     }
 
     fn index_insert(&mut self, txn: TxnId, call: &OpCall) {
@@ -669,28 +643,15 @@ impl ManagedObject {
         }
     }
 
-    /// Execute an admitted operation for `txn`, computing its result
-    /// according to the recovery strategy and appending it to the log (and
-    /// the log index).
+    /// Execute an admitted operation for `txn`: compute its result against
+    /// the committed state plus `txn`'s own earlier operations on this
+    /// object, and append it to the log (and the log index).
     pub fn execute(&mut self, txn: TxnId, seq: u64, call: OpCall) -> OpResult {
-        let result = match self.strategy {
-            RecoveryStrategy::IntentionsList => {
-                // Result computed against the committed state plus this
-                // transaction's own earlier operations on this object.
-                let mut probe = self.committed.boxed_clone();
-                for entry in self.log.iter().filter(|e| e.txn == txn) {
-                    let _ = probe.apply(&entry.call);
-                }
-                probe.apply(&call)
-            }
-            RecoveryStrategy::UndoReplay => {
-                let materialized = self
-                    .materialized
-                    .as_mut()
-                    .expect("undo-replay keeps a materialized state");
-                materialized.apply(&call)
-            }
-        };
+        let mut probe = self.committed.boxed_clone();
+        for entry in self.log.iter().filter(|e| e.txn == txn) {
+            let _ = probe.apply(&entry.call);
+        }
+        let result = probe.apply(&call);
         self.index_insert(txn, &call);
         self.log.push(LogEntry {
             txn,
@@ -756,9 +717,8 @@ impl ManagedObject {
         self.log = remaining;
         self.index.remove(&txn);
         self.committed_stamp = self.committed_stamp.max(stamp);
-        // The materialized state already contains the committed operations;
-        // nothing to do for undo-replay. The classification memo stays
-        // valid: classification is state-independent by contract.
+        // The classification memo stays valid: classification is
+        // state-independent by contract.
         pruned
     }
 
@@ -811,27 +771,12 @@ impl ManagedObject {
         }
     }
 
-    /// Remove all of `txn`'s logged operations (abort). Under undo-replay
-    /// the materialized state is rebuilt by replaying the surviving log over
-    /// the committed state — a semantic undo that never clobbers the effects
-    /// of later, recoverable operations.
+    /// Remove all of `txn`'s logged operations (abort): discarding the
+    /// intentions is the whole undo, and it never touches the effects of
+    /// later, recoverable operations of other transactions.
     pub fn abort_txn(&mut self, txn: TxnId) {
-        let had_ops = self.index.remove(&txn).is_some();
-        if !had_ops {
-            return;
-        }
-        self.log.retain(|e| e.txn != txn);
-        if self.strategy == RecoveryStrategy::UndoReplay {
-            let mut rebuilt = self.committed.boxed_clone();
-            for entry in &self.log {
-                let replayed = rebuilt.apply(&entry.call);
-                debug_assert_eq!(
-                    replayed, entry.result,
-                    "soundness violation: replaying {} for {} after an abort changed its result",
-                    entry.call, entry.txn
-                );
-            }
-            self.materialized = Some(rebuilt);
+        if self.index.remove(&txn).is_some() {
+            self.log.retain(|e| e.txn != txn);
         }
     }
 
@@ -872,12 +817,12 @@ mod tests {
     use super::*;
     use sbcc_adt::{AdtObject, AdtOp, Stack, StackOp, Value};
 
-    fn stack_object(strategy: RecoveryStrategy) -> ManagedObject {
+    fn stack_object() -> ManagedObject {
         ManagedObject::new(
             ObjectId(0),
             "s",
             Box::new(AdtObject::new(Stack::new())),
-            strategy,
+            RecoveryStrategy::IntentionsList,
         )
     }
 
@@ -900,7 +845,7 @@ mod tests {
 
     #[test]
     fn classification_distinguishes_conflicts_and_commit_deps() {
-        let mut obj = stack_object(RecoveryStrategy::IntentionsList);
+        let mut obj = stack_object();
         obj.execute(TxnId(1), 1, push(4));
         // Requested by T2: another push is recoverable -> commit dep on T1.
         let c = obj.classify(ConflictPolicy::Recoverability, TxnId(2), &push(2), &[]);
@@ -918,7 +863,7 @@ mod tests {
 
     #[test]
     fn commutativity_only_policy_demotes_recoverable_to_conflict() {
-        let mut obj = stack_object(RecoveryStrategy::IntentionsList);
+        let mut obj = stack_object();
         obj.execute(TxnId(1), 1, push(4));
         let c = obj.classify(ConflictPolicy::CommutativityOnly, TxnId(2), &push(2), &[]);
         assert_eq!(c.conflicts, vec![TxnId(1)]);
@@ -927,7 +872,7 @@ mod tests {
 
     #[test]
     fn conflicting_holder_is_not_also_a_commit_dependency() {
-        let mut obj = stack_object(RecoveryStrategy::IntentionsList);
+        let mut obj = stack_object();
         // T1 executes a top (recoverable target for pushes) and a push.
         obj.execute(TxnId(1), 1, top());
         obj.execute(TxnId(1), 2, push(1));
@@ -940,7 +885,7 @@ mod tests {
 
     #[test]
     fn fairness_extra_requests_can_block() {
-        let obj = stack_object(RecoveryStrategy::IntentionsList);
+        let obj = stack_object();
         // Empty log, but a blocked pop by T1 is ahead; an incoming pop by T2
         // conflicts with it.
         let fairness = vec![(TxnId(1), pop())];
@@ -969,7 +914,7 @@ mod tests {
             ConflictPolicy::Recoverability,
             ConflictPolicy::CommutativityOnly,
         ] {
-            let mut obj = stack_object(RecoveryStrategy::IntentionsList);
+            let mut obj = stack_object();
             obj.execute(TxnId(1), 1, push(1));
             obj.execute(TxnId(1), 2, top());
             obj.execute(TxnId(2), 3, push(2));
@@ -988,7 +933,7 @@ mod tests {
 
     #[test]
     fn classify_many_matches_per_call_classification() {
-        let mut obj = stack_object(RecoveryStrategy::IntentionsList);
+        let mut obj = stack_object();
         obj.execute(TxnId(1), 1, push(1));
         obj.execute(TxnId(1), 2, top());
         obj.execute(TxnId(2), 3, push(2));
@@ -1019,7 +964,7 @@ mod tests {
 
     #[test]
     fn intentions_list_results_ignore_other_transactions() {
-        let mut obj = stack_object(RecoveryStrategy::IntentionsList);
+        let mut obj = stack_object();
         // T1 pushes 4; T2 pushes 2; both see "ok", and the committed state
         // stays empty until commit.
         assert_eq!(obj.execute(TxnId(1), 1, push(4)), OpResult::Ok);
@@ -1037,14 +982,13 @@ mod tests {
     }
 
     #[test]
-    fn undo_replay_results_see_the_materialized_state() {
-        let mut obj = stack_object(RecoveryStrategy::UndoReplay);
-        assert_eq!(obj.execute(TxnId(1), 1, push(4)), OpResult::Ok);
-        assert_eq!(obj.execute(TxnId(2), 2, push(2)), OpResult::Ok);
-        // Commit both in dependency order and check the committed state.
-        obj.commit_txn(TxnId(1), 1, u64::MAX);
-        obj.commit_txn(TxnId(2), 2, u64::MAX);
-        assert_eq!(obj.log().len(), 0);
+    fn abort_discards_only_the_aborting_transactions_effects() {
+        let mut obj = stack_object();
+        obj.execute(TxnId(1), 1, push(4));
+        obj.execute(TxnId(2), 2, push(2));
+        obj.abort_txn(TxnId(1));
+        assert_eq!(obj.log().len(), 1);
+        obj.commit_txn(TxnId(2), 1, u64::MAX);
         let committed = obj
             .committed_state()
             .as_any()
@@ -1052,38 +996,16 @@ mod tests {
             .expect("stack object");
         assert_eq!(
             committed.inner().items(),
-            &[Value::Int(4), Value::Int(2)],
-            "commit order reproduces execution order"
+            &[Value::Int(2)],
+            "only T2's push survives"
         );
-    }
-
-    #[test]
-    fn abort_discards_only_the_aborting_transactions_effects() {
-        for strategy in [RecoveryStrategy::IntentionsList, RecoveryStrategy::UndoReplay] {
-            let mut obj = stack_object(strategy);
-            obj.execute(TxnId(1), 1, push(4));
-            obj.execute(TxnId(2), 2, push(2));
-            obj.abort_txn(TxnId(1));
-            assert_eq!(obj.log().len(), 1);
-            obj.commit_txn(TxnId(2), 1, u64::MAX);
-            let committed = obj
-                .committed_state()
-                .as_any()
-                .downcast_ref::<AdtObject<Stack>>()
-                .expect("stack object");
-            assert_eq!(
-                committed.inner().items(),
-                &[Value::Int(2)],
-                "strategy {strategy:?}: only T2's push survives"
-            );
-            // aborting a transaction with no operations is a no-op
-            obj.abort_txn(TxnId(9));
-        }
+        // aborting a transaction with no operations is a no-op
+        obj.abort_txn(TxnId(9));
     }
 
     #[test]
     fn blocked_queue_operations() {
-        let mut obj = stack_object(RecoveryStrategy::IntentionsList);
+        let mut obj = stack_object();
         assert_eq!(obj.blocked_len(), 0);
         obj.push_blocked(TxnId(1), pop());
         obj.push_blocked(TxnId(2), top());
@@ -1101,7 +1023,7 @@ mod tests {
 
     #[test]
     fn holders_lists_each_transaction_once() {
-        let mut obj = stack_object(RecoveryStrategy::IntentionsList);
+        let mut obj = stack_object();
         obj.execute(TxnId(1), 1, push(1));
         obj.execute(TxnId(1), 2, push(2));
         obj.execute(TxnId(2), 3, push(3));
@@ -1218,7 +1140,7 @@ mod tests {
 
     #[test]
     fn index_tracks_commits_and_aborts() {
-        let mut obj = stack_object(RecoveryStrategy::IntentionsList);
+        let mut obj = stack_object();
         obj.execute(TxnId(1), 1, push(1));
         obj.execute(TxnId(2), 2, push(2));
         obj.commit_txn(TxnId(1), 1, u64::MAX);

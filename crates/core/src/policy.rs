@@ -1,5 +1,4 @@
-//! Scheduler configuration: conflict policy, recovery strategy, fairness and
-//! victim selection.
+//! Scheduler configuration: conflict policy, fairness and victim selection.
 
 use std::fmt;
 
@@ -32,11 +31,13 @@ impl fmt::Display for ConflictPolicy {
     }
 }
 
-/// How transaction effects are made durable / undone (Section 4.4).
+/// How transaction effects are undone (Section 4.4): always by discarding an
+/// intentions list.
 ///
-/// Both strategies produce identical observable histories for schedules the
-/// protocol admits (this is asserted by property tests); they differ in
-/// *when* object state is physically updated.
+/// Residue: the frozen `bench/` names `RecoveryStrategy::IntentionsList` as
+/// the fourth argument of [`crate::ManagedObject::new`], so the enum keeps
+/// its one variant and the constructor keeps (and ignores) the parameter
+/// until the `[benchmark]` issue of ROADMAP item 4 drops both.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RecoveryStrategy {
     /// Operations are buffered per transaction (an intentions list); return
@@ -45,27 +46,6 @@ pub enum RecoveryStrategy {
     /// the shared committed state only at actual commit, in
     /// commit-dependency order. Aborts simply discard the intentions.
     IntentionsList,
-    /// Operations are applied immediately to a materialised uncommitted
-    /// state; aborting a transaction removes its operations from the log
-    /// and rebuilds the materialised state by replaying the surviving
-    /// operations over the committed state (a semantic undo).
-    UndoReplay,
-}
-
-impl RecoveryStrategy {
-    /// Short label used in experiment output.
-    pub fn label(self) -> &'static str {
-        match self {
-            RecoveryStrategy::IntentionsList => "intentions-list",
-            RecoveryStrategy::UndoReplay => "undo-replay",
-        }
-    }
-}
-
-impl fmt::Display for RecoveryStrategy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.label())
-    }
 }
 
 /// Which transaction is aborted when a request would close a cycle in the
@@ -98,8 +78,6 @@ pub struct SchedulerConfig {
     /// active operation (Section 5.2, "real database systems do this to
     /// prevent starvation of writers by readers").
     pub fair_scheduling: bool,
-    /// Recovery strategy.
-    pub recovery: RecoveryStrategy,
     /// Victim selection when a cycle is detected.
     pub victim: VictimPolicy,
     /// Record the full execution history (needed by the serializability
@@ -120,7 +98,6 @@ impl Default for SchedulerConfig {
         SchedulerConfig {
             policy: ConflictPolicy::Recoverability,
             fair_scheduling: true,
-            recovery: RecoveryStrategy::IntentionsList,
             victim: VictimPolicy::Requester,
             record_history: true,
             max_retries: 10_000,
@@ -146,12 +123,6 @@ impl SchedulerConfig {
     /// Builder-style: enable or disable fair scheduling.
     pub fn with_fair_scheduling(mut self, fair: bool) -> Self {
         self.fair_scheduling = fair;
-        self
-    }
-
-    /// Builder-style: set the recovery strategy.
-    pub fn with_recovery(mut self, recovery: RecoveryStrategy) -> Self {
-        self.recovery = recovery;
         self
     }
 
@@ -183,7 +154,6 @@ mod tests {
         let c = SchedulerConfig::default();
         assert_eq!(c.policy, ConflictPolicy::Recoverability);
         assert!(c.fair_scheduling);
-        assert_eq!(c.recovery, RecoveryStrategy::IntentionsList);
         assert_eq!(c.victim, VictimPolicy::Requester);
         assert!(c.record_history);
         assert_eq!(c.max_retries, 10_000);
@@ -207,13 +177,11 @@ mod tests {
         let c = SchedulerConfig::default()
             .with_policy(ConflictPolicy::CommutativityOnly)
             .with_fair_scheduling(false)
-            .with_recovery(RecoveryStrategy::UndoReplay)
             .with_victim(VictimPolicy::Youngest)
             .with_history(false)
             .with_max_retries(7);
         assert_eq!(c.policy, ConflictPolicy::CommutativityOnly);
         assert!(!c.fair_scheduling);
-        assert_eq!(c.recovery, RecoveryStrategy::UndoReplay);
         assert_eq!(c.victim, VictimPolicy::Youngest);
         assert!(!c.record_history);
         assert_eq!(c.max_retries, 7);
@@ -223,8 +191,6 @@ mod tests {
     fn labels_and_display() {
         assert_eq!(ConflictPolicy::CommutativityOnly.to_string(), "commutativity");
         assert_eq!(ConflictPolicy::Recoverability.to_string(), "recoverability");
-        assert_eq!(RecoveryStrategy::IntentionsList.to_string(), "intentions-list");
-        assert_eq!(RecoveryStrategy::UndoReplay.to_string(), "undo-replay");
         assert_eq!(VictimPolicy::Requester.to_string(), "requester");
         assert_eq!(VictimPolicy::Youngest.to_string(), "youngest");
     }

@@ -1,5 +1,5 @@
-//! Database-level configuration: the shard count, the environment
-//! overrides, stable name → shard routing and the object location type.
+//! Database-level configuration: the shard count and its environment
+//! override, stable name → shard routing and the object location type.
 
 use crate::object::ObjectId;
 use crate::policy::SchedulerConfig;
@@ -9,14 +9,6 @@ use crate::policy::SchedulerConfig;
 /// multi-sharded). Accepts a positive integer or `auto`
 /// ([`ShardCount::Auto`], one shard per available core).
 pub const SHARDS_ENV: &str = "SBCC_SHARDS";
-
-/// Environment variable enabling the write-ahead log: its value is the log
-/// directory (see [`DatabaseConfig::wal_from_env`]).
-pub const WAL_ENV: &str = "SBCC_WAL";
-
-/// Environment variable overriding the WAL fsync policy
-/// (`never` / `group` / `always`).
-pub const WAL_FSYNC_ENV: &str = "SBCC_WAL_FSYNC";
 
 /// The shard count of a [`DatabaseConfig`]: either a fixed number of
 /// kernels or `Auto`, which resolves to the machine's available
@@ -119,12 +111,17 @@ impl Default for DatabaseConfig {
 impl DatabaseConfig {
     /// Configuration with the shard count taken from the `SBCC_SHARDS`
     /// environment variable (default 1; `auto` selects
-    /// [`ShardCount::Auto`]).
+    /// [`ShardCount::Auto`]) and no write-ahead log.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `SBCC_SHARDS` is set to anything but a positive integer
+    /// or `auto` (see [`Self::shards_from_env`]).
     pub fn new(scheduler: SchedulerConfig) -> Self {
         DatabaseConfig {
             scheduler,
             shards: Self::shards_from_env(),
-            wal: Self::wal_from_env(),
+            wal: None,
         }
     }
 
@@ -145,35 +142,32 @@ impl DatabaseConfig {
     }
 
     /// The shard count requested through the `SBCC_SHARDS` environment
-    /// variable, defaulting to one shard when unset or unparsable.
+    /// variable; one shard when it is unset.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the variable and the rejected value, when it is set
+    /// to something [`ShardCount`] cannot parse: a mistyped CI leg must
+    /// not go green at one shard.
     pub fn shards_from_env() -> ShardCount {
-        std::env::var(SHARDS_ENV)
-            .ok()
-            .and_then(|v| v.parse::<ShardCount>().ok())
-            .unwrap_or(ShardCount::Fixed(1))
+        let value = std::env::var_os(SHARDS_ENV).map(|v| v.to_string_lossy().into_owned());
+        Self::shards_from(value.as_deref())
+    }
+
+    /// [`Self::shards_from_env`] on an explicit value (`None` = unset).
+    fn shards_from(value: Option<&str>) -> ShardCount {
+        match value {
+            None => ShardCount::Fixed(1),
+            Some(v) => v
+                .parse()
+                .unwrap_or_else(|e| panic!("{SHARDS_ENV}={v:?} rejected: {e}")),
+        }
     }
 
     /// Builder-style: enable the write-ahead log.
     pub fn with_wal(mut self, wal: sbcc_wal::WalConfig) -> Self {
         self.wal = Some(wal);
         self
-    }
-
-    /// The write-ahead-log configuration requested through the environment:
-    /// `SBCC_WAL=<dir>` enables the log (group-commit fsync by default),
-    /// `SBCC_WAL_FSYNC=never|group|always` overrides the fsync policy.
-    /// Unset (or an empty `SBCC_WAL`) disables durability.
-    pub fn wal_from_env() -> Option<sbcc_wal::WalConfig> {
-        let dir = std::env::var(WAL_ENV).ok().filter(|d| !d.is_empty())?;
-        let mut config = sbcc_wal::WalConfig::new(dir);
-        if let Ok(policy) = std::env::var(WAL_FSYNC_ENV) {
-            config.fsync = match policy.as_str() {
-                "never" => sbcc_wal::FsyncPolicy::Never,
-                "always" => sbcc_wal::FsyncPolicy::Always,
-                _ => sbcc_wal::FsyncPolicy::GroupCommit,
-            };
-        }
-        Some(config)
     }
 }
 
@@ -229,6 +223,26 @@ mod tests {
         assert_eq!(ShardCount::Auto.resolve(), cores);
         assert_eq!(ShardCount::Auto.to_string(), "auto");
         assert_eq!(ShardCount::Fixed(2).to_string(), "2");
+    }
+
+    #[test]
+    fn shards_from_reads_unset_as_one_and_parses_the_rest() {
+        assert_eq!(DatabaseConfig::shards_from(None), ShardCount::Fixed(1));
+        assert_eq!(DatabaseConfig::shards_from(Some("8")), ShardCount::Fixed(8));
+        assert_eq!(DatabaseConfig::shards_from(Some("auto")), ShardCount::Auto);
+    }
+
+    #[test]
+    fn shards_from_rejects_what_it_cannot_parse() {
+        for bad in ["0", "eight", "8 shards", ""] {
+            let panic = std::panic::catch_unwind(|| DatabaseConfig::shards_from(Some(bad)))
+                .expect_err("an unparsable SBCC_SHARDS must not fall back to one shard");
+            let message = panic.downcast_ref::<String>().expect("formatted panic");
+            assert!(
+                message.contains(SHARDS_ENV) && message.contains(&format!("{bad:?}")),
+                "panic must name the variable and the value: {message}"
+            );
+        }
     }
 
     #[test]

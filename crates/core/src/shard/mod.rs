@@ -74,9 +74,7 @@ mod config;
 mod escalation;
 mod ssi;
 
-pub use config::{
-    shard_of_name, DatabaseConfig, ObjectLoc, ShardCount, SHARDS_ENV, WAL_ENV, WAL_FSYNC_ENV,
-};
+pub use config::{shard_of_name, DatabaseConfig, ObjectLoc, ShardCount, SHARDS_ENV};
 pub use escalation::GlobalGraph;
 
 use crate::chaos::{self, sync::Mutex, sync::MutexGuard, ChaosPoint};

@@ -17,11 +17,11 @@
 //! scheduling decisions between the two front-ends therefore shows up as
 //! a trace mismatch.
 
+mod common;
+
+use common::{arb_call_for, register_objects, N_OBJECTS};
 use proptest::prelude::*;
-use sbcc_adt::{
-    AdtOp, Counter, CounterOp, OpCall, Page, PageOp, Set, SetOp, Stack, StackOp, TableObject,
-    TableOp, Value,
-};
+use sbcc_adt::{AdtOp, CounterOp, OpCall, StackOp, Value};
 use sbcc_core::aio::AsyncDatabase;
 use sbcc_core::{
     CoreError, Database, DatabaseConfig, ObjectHandle, SchedulerConfig, TxnState,
@@ -33,8 +33,6 @@ use std::pin::Pin;
 use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
 
-const N_OBJECTS: usize = 5;
-
 fn config(policy_choice: bool) -> SchedulerConfig {
     let policy = if policy_choice {
         sbcc_core::ConflictPolicy::Recoverability
@@ -44,49 +42,8 @@ fn config(policy_choice: bool) -> SchedulerConfig {
     SchedulerConfig::default().with_policy(policy)
 }
 
-fn register_objects(db: &Database) -> Vec<ObjectHandle> {
-    vec![
-        db.register("stack", Stack::new()).into_erased(),
-        db.register("set", Set::new()).into_erased(),
-        db.register("counter", Counter::new()).into_erased(),
-        db.register("table", TableObject::new()).into_erased(),
-        db.register("page", Page::new()).into_erased(),
-    ]
-}
-
-fn arb_call_for(object: usize) -> BoxedStrategy<OpCall> {
-    match object {
-        0 => prop_oneof![
-            (0i64..5).prop_map(|v| StackOp::Push(Value::Int(v)).to_call()),
-            Just(StackOp::Pop.to_call()),
-            Just(StackOp::Top.to_call()),
-        ]
-        .boxed(),
-        1 => prop_oneof![
-            (0i64..4).prop_map(|v| SetOp::Insert(Value::Int(v)).to_call()),
-            (0i64..4).prop_map(|v| SetOp::Delete(Value::Int(v)).to_call()),
-            (0i64..4).prop_map(|v| SetOp::Member(Value::Int(v)).to_call()),
-        ]
-        .boxed(),
-        2 => prop_oneof![
-            (1i64..5).prop_map(|v| CounterOp::Increment(v).to_call()),
-            (1i64..5).prop_map(|v| CounterOp::Decrement(v).to_call()),
-            Just(CounterOp::Read.to_call()),
-        ]
-        .boxed(),
-        3 => prop_oneof![
-            (0i64..4, 0i64..50)
-                .prop_map(|(k, v)| TableOp::Insert(Value::Int(k), Value::Int(v)).to_call()),
-            (0i64..4).prop_map(|k| TableOp::Delete(Value::Int(k)).to_call()),
-            (0i64..4).prop_map(|k| TableOp::Lookup(Value::Int(k)).to_call()),
-        ]
-        .boxed(),
-        _ => prop_oneof![
-            Just(PageOp::Read.to_call()),
-            (0i64..10).prop_map(|v| PageOp::Write(Value::Int(v)).to_call()),
-        ]
-        .boxed(),
-    }
+fn register_all(db: &Database) -> Vec<ObjectHandle> {
+    register_objects(|name, object| db.register_object(name, object).unwrap())
 }
 
 /// One scripted operation: target object, call, and whether the session
@@ -102,7 +59,7 @@ fn arb_scripts() -> impl Strategy<Value = Vec<Vec<ScriptOp>>> {
     proptest::collection::vec(
         proptest::collection::vec(
             (0..N_OBJECTS).prop_flat_map(|o| {
-                (arb_call_for(o), any::<bool>()).prop_map(move |(c, y)| (o, c, y))
+                (arb_call_for(o, false), any::<bool>()).prop_map(move |(c, y)| (o, c, y))
             }),
             1..8,
         ),
@@ -169,7 +126,7 @@ fn run_sync(scripts: &[Vec<ScriptOp>], policy_choice: bool, shards: usize) -> Tr
     let db = Database::with_config(
         DatabaseConfig::new(config(policy_choice)).with_shards(shards),
     );
-    let handles = register_objects(&db);
+    let handles = register_all(&db);
     let n = scripts.len();
     let mut txns: Vec<Option<sbcc_core::Transaction>> =
         (0..n).map(|_| Some(db.begin())).collect();
@@ -307,7 +264,7 @@ fn run_async(scripts: &[Vec<ScriptOp>], policy_choice: bool, shards: usize) -> T
     let db = AsyncDatabase::with_config(
         DatabaseConfig::new(config(policy_choice)).with_shards(shards),
     );
-    let handles = register_objects(db.database());
+    let handles = register_all(db.database());
     let n = scripts.len();
 
     #[derive(Default)]

@@ -14,11 +14,11 @@
 //! of the chunk resumes on the next turn (which is exactly what
 //! `Database`'s session batch does with the returned `rest`).
 
+mod common;
+
+use common::{arb_call_for, register_objects, N_OBJECTS};
 use proptest::prelude::*;
-use sbcc_adt::{
-    AdtOp, Counter, CounterOp, OpCall, Page, PageOp, Set, SetOp, Stack, StackOp, TableObject,
-    TableOp, Value,
-};
+use sbcc_adt::{AdtOp, Counter, CounterOp, OpCall, Stack, StackOp, Value};
 use sbcc_core::{
     verify_commit_order_respects_dependencies, verify_commit_order_serializable, BatchCall,
     BatchStop, ConflictPolicy, KernelEvent, KernelStats, ObjectId, RequestOutcome,
@@ -26,59 +26,9 @@ use sbcc_core::{
 };
 use std::collections::{HashMap, VecDeque};
 
-const N_OBJECTS: usize = 5;
-
-fn register_objects(kernel: &mut SchedulerKernel) -> Vec<ObjectId> {
-    vec![
-        kernel.register("stack", Stack::new()).unwrap(),
-        kernel.register("set", Set::new()).unwrap(),
-        kernel.register("counter", Counter::new()).unwrap(),
-        kernel.register("table", TableObject::new()).unwrap(),
-        kernel.register("page", Page::new()).unwrap(),
-    ]
-}
-
-fn arb_call_for(object: usize) -> BoxedStrategy<OpCall> {
-    match object {
-        0 => prop_oneof![
-            (0i64..5).prop_map(|v| StackOp::Push(Value::Int(v)).to_call()),
-            Just(StackOp::Pop.to_call()),
-            Just(StackOp::Top.to_call()),
-        ]
-        .boxed(),
-        1 => prop_oneof![
-            (0i64..4).prop_map(|v| SetOp::Insert(Value::Int(v)).to_call()),
-            (0i64..4).prop_map(|v| SetOp::Delete(Value::Int(v)).to_call()),
-            (0i64..4).prop_map(|v| SetOp::Member(Value::Int(v)).to_call()),
-        ]
-        .boxed(),
-        2 => prop_oneof![
-            (1i64..5).prop_map(|v| CounterOp::Increment(v).to_call()),
-            (1i64..5).prop_map(|v| CounterOp::Decrement(v).to_call()),
-            Just(CounterOp::Read.to_call()),
-        ]
-        .boxed(),
-        3 => prop_oneof![
-            (0i64..4, 0i64..50)
-                .prop_map(|(k, v)| TableOp::Insert(Value::Int(k), Value::Int(v)).to_call()),
-            (0i64..4).prop_map(|k| TableOp::Delete(Value::Int(k)).to_call()),
-            (0i64..4).prop_map(|k| TableOp::Lookup(Value::Int(k)).to_call()),
-            Just(TableOp::Size.to_call()),
-            (0i64..4, 0i64..50)
-                .prop_map(|(k, v)| TableOp::Modify(Value::Int(k), Value::Int(v)).to_call()),
-        ]
-        .boxed(),
-        _ => prop_oneof![
-            Just(PageOp::Read.to_call()),
-            (0i64..10).prop_map(|v| PageOp::Write(Value::Int(v)).to_call()),
-        ]
-        .boxed(),
-    }
-}
-
 fn arb_chunk() -> impl Strategy<Value = Vec<(usize, OpCall)>> {
     proptest::collection::vec(
-        (0..N_OBJECTS).prop_flat_map(|o| arb_call_for(o).prop_map(move |c| (o, c))),
+        (0..N_OBJECTS).prop_flat_map(|o| arb_call_for(o, true).prop_map(move |c| (o, c))),
         1..6,
     )
 }
@@ -115,7 +65,7 @@ fn run_chunked(
     SchedulerKernel,
 ) {
     let mut kernel = SchedulerKernel::new(config);
-    let objects = register_objects(&mut kernel);
+    let objects = register_objects(|name, object| kernel.register_object(name, object).unwrap());
 
     let txns: Vec<TxnId> = scripts.iter().map(|_| kernel.begin()).collect();
     let index_of: HashMap<TxnId, usize> = txns.iter().enumerate().map(|(i, t)| (*t, i)).collect();

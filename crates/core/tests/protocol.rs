@@ -7,8 +7,8 @@ use sbcc_adt::{
 };
 use sbcc_core::{
     verify_commit_order_respects_dependencies, verify_commit_order_serializable, AbortReason,
-    CommitOutcome, ConflictPolicy, CoreError, KernelEvent, RecoveryStrategy, RequestOutcome,
-    SchedulerConfig, SchedulerKernel, TxnState, VictimPolicy,
+    CommitOutcome, ConflictPolicy, CoreError, KernelEvent, RequestOutcome, SchedulerConfig,
+    SchedulerKernel, TxnState, VictimPolicy,
 };
 
 fn kernel(policy: ConflictPolicy) -> SchedulerKernel {
@@ -493,72 +493,60 @@ fn youngest_victim_policy_aborts_the_youngest_cycle_participant() {
 }
 
 #[test]
-fn recovery_strategies_produce_identical_histories() {
+fn pseudo_commit_abort_and_cascade_leave_the_serial_state() {
     // Scripted workload exercising recoverable and commutative operations on
-    // several data types, executed under both recovery strategies.
-    let run = |strategy: RecoveryStrategy| {
-        let mut k = SchedulerKernel::new(
-            SchedulerConfig::default()
-                .with_recovery(strategy)
-                .with_policy(ConflictPolicy::Recoverability),
-        );
-        let s = k.register("stack", Stack::new()).unwrap();
-        let c = k.register("counter", Counter::new()).unwrap();
-        let tbl = k.register("table", TableObject::new()).unwrap();
-        let t1 = k.begin();
-        let t2 = k.begin();
-        let t3 = k.begin();
+    // several data types.
+    let mut k = kernel(ConflictPolicy::Recoverability);
+    let s = k.register("stack", Stack::new()).unwrap();
+    let c = k.register("counter", Counter::new()).unwrap();
+    let tbl = k.register("table", TableObject::new()).unwrap();
+    let t1 = k.begin();
+    let t2 = k.begin();
+    let t3 = k.begin();
 
-        let mut results = Vec::new();
-        let mut push = |k: &mut SchedulerKernel, t, o, call: sbcc_adt::OpCall| {
-            let r = k.request(t, o, call).unwrap();
-            results.push(format!("{r:?}"));
-        };
-        push(&mut k, t1, s, StackOp::Push(Value::Int(1)).to_call());
-        push(&mut k, t2, s, StackOp::Push(Value::Int(2)).to_call());
-        push(&mut k, t1, c, CounterOp::Increment(5).to_call());
-        push(&mut k, t2, c, CounterOp::Decrement(2).to_call());
-        push(
-            &mut k,
-            t3,
-            tbl,
-            TableOp::Insert(Value::Int(1), Value::Int(10)).to_call(),
-        );
-        push(&mut k, t3, c, CounterOp::Increment(7).to_call());
-        push(&mut k, t1, tbl, TableOp::Insert(Value::Int(2), Value::Int(20)).to_call());
+    for (t, o, call) in [
+        (t1, s, StackOp::Push(Value::Int(1)).to_call()),
+        (t2, s, StackOp::Push(Value::Int(2)).to_call()),
+        (t1, c, CounterOp::Increment(5).to_call()),
+        (t2, c, CounterOp::Decrement(2).to_call()),
+        (t3, tbl, TableOp::Insert(Value::Int(1), Value::Int(10)).to_call()),
+        (t3, c, CounterOp::Increment(7).to_call()),
+        (t1, tbl, TableOp::Insert(Value::Int(2), Value::Int(20)).to_call()),
+    ] {
+        assert!(executed(&k.request(t, o, call).unwrap()));
+    }
 
-        // T2 pseudo-commits, T3 aborts, T1 commits -> cascade.
-        results.push(format!("{:?}", k.commit(t2).unwrap()));
-        k.abort(t3).unwrap();
-        results.push(format!("{:?}", k.commit(t1).unwrap()));
-        let _ = k.drain_events();
+    // T2 pseudo-commits, T3 aborts, T1 commits -> cascade.
+    assert_eq!(
+        k.commit(t2).unwrap(),
+        CommitOutcome::PseudoCommitted {
+            waiting_on: vec![t1]
+        }
+    );
+    k.abort(t3).unwrap();
+    assert_eq!(k.commit(t1).unwrap(), CommitOutcome::Committed);
+    let _ = k.drain_events();
 
-        verify_commit_order_serializable(&k).unwrap();
-        let counter_state = k
-            .object_committed_state(c)
-            .unwrap()
-            .as_any()
-            .downcast_ref::<sbcc_adt::AdtObject<Counter>>()
-            .unwrap()
-            .inner()
-            .value();
-        let stack_items = k
-            .object_committed_state(s)
-            .unwrap()
-            .as_any()
-            .downcast_ref::<sbcc_adt::AdtObject<Stack>>()
-            .unwrap()
-            .inner()
-            .items()
-            .to_vec();
-        (results, counter_state, stack_items)
-    };
-
-    let a = run(RecoveryStrategy::IntentionsList);
-    let b = run(RecoveryStrategy::UndoReplay);
-    assert_eq!(a, b, "both recovery strategies must be observationally identical");
-    assert_eq!(a.1, 3, "committed counter value is +5 -2 (T3's +7 aborted)");
-    assert_eq!(a.2, vec![Value::Int(1), Value::Int(2)]);
+    verify_commit_order_serializable(&k).unwrap();
+    let counter_state = k
+        .object_committed_state(c)
+        .unwrap()
+        .as_any()
+        .downcast_ref::<sbcc_adt::AdtObject<Counter>>()
+        .unwrap()
+        .inner()
+        .value();
+    let stack_items = k
+        .object_committed_state(s)
+        .unwrap()
+        .as_any()
+        .downcast_ref::<sbcc_adt::AdtObject<Stack>>()
+        .unwrap()
+        .inner()
+        .items()
+        .to_vec();
+    assert_eq!(counter_state, 3, "committed counter value is +5 -2 (T3's +7 aborted)");
+    assert_eq!(stack_items, vec![Value::Int(1), Value::Int(2)]);
 }
 
 #[test]

@@ -1,31 +1,16 @@
 //! Property-based tests: random interleaved workloads over mixed data types
-//! must always produce serializable, cascade-free executions, and both
-//! recovery strategies must be observationally equivalent.
+//! must always produce serializable, cascade-free executions.
 
+mod common;
+
+use common::{arb_call_for, register_objects, N_OBJECTS};
 use proptest::prelude::*;
-use sbcc_adt::{
-    AdtOp, Counter, CounterOp, OpCall, Page, PageOp, Set, SetOp, Stack, StackOp, TableObject,
-    TableOp, Value,
-};
+use sbcc_adt::{AdtOp, Counter, OpCall, Page, Set, Stack, StackOp, TableObject, Value};
 use sbcc_core::{
     verify_commit_order_respects_dependencies, verify_commit_order_serializable, ConflictPolicy,
-    KernelEvent, RecoveryStrategy, RequestOutcome, SchedulerConfig, SchedulerKernel, TxnId,
-    TxnState,
+    KernelEvent, RequestOutcome, SchedulerConfig, SchedulerKernel, TxnId, TxnState,
 };
 use std::collections::HashMap;
-
-/// The object universe used by the random workloads.
-const N_OBJECTS: usize = 5;
-
-fn register_objects(kernel: &mut SchedulerKernel) -> Vec<sbcc_core::ObjectId> {
-    vec![
-        kernel.register("stack", Stack::new()).unwrap(),
-        kernel.register("set", Set::new()).unwrap(),
-        kernel.register("counter", Counter::new()).unwrap(),
-        kernel.register("table", TableObject::new()).unwrap(),
-        kernel.register("page", Page::new()).unwrap(),
-    ]
-}
 
 /// One scripted operation: which object (by index) and which call.
 #[derive(Debug, Clone)]
@@ -34,47 +19,9 @@ struct ScriptOp {
     call: OpCall,
 }
 
-fn arb_call_for(object: usize) -> BoxedStrategy<OpCall> {
-    match object {
-        0 => prop_oneof![
-            (0i64..5).prop_map(|v| StackOp::Push(Value::Int(v)).to_call()),
-            Just(StackOp::Pop.to_call()),
-            Just(StackOp::Top.to_call()),
-        ]
-        .boxed(),
-        1 => prop_oneof![
-            (0i64..4).prop_map(|v| SetOp::Insert(Value::Int(v)).to_call()),
-            (0i64..4).prop_map(|v| SetOp::Delete(Value::Int(v)).to_call()),
-            (0i64..4).prop_map(|v| SetOp::Member(Value::Int(v)).to_call()),
-        ]
-        .boxed(),
-        2 => prop_oneof![
-            (1i64..5).prop_map(|v| CounterOp::Increment(v).to_call()),
-            (1i64..5).prop_map(|v| CounterOp::Decrement(v).to_call()),
-            Just(CounterOp::Read.to_call()),
-        ]
-        .boxed(),
-        3 => prop_oneof![
-            (0i64..4, 0i64..50)
-                .prop_map(|(k, v)| TableOp::Insert(Value::Int(k), Value::Int(v)).to_call()),
-            (0i64..4).prop_map(|k| TableOp::Delete(Value::Int(k)).to_call()),
-            (0i64..4).prop_map(|k| TableOp::Lookup(Value::Int(k)).to_call()),
-            Just(TableOp::Size.to_call()),
-            (0i64..4, 0i64..50)
-                .prop_map(|(k, v)| TableOp::Modify(Value::Int(k), Value::Int(v)).to_call()),
-        ]
-        .boxed(),
-        _ => prop_oneof![
-            Just(PageOp::Read.to_call()),
-            (0i64..10).prop_map(|v| PageOp::Write(Value::Int(v)).to_call()),
-        ]
-        .boxed(),
-    }
-}
-
 fn arb_script_op() -> impl Strategy<Value = ScriptOp> {
     (0..N_OBJECTS).prop_flat_map(|object| {
-        arb_call_for(object).prop_map(move |call| ScriptOp { object, call })
+        arb_call_for(object, true).prop_map(move |call| ScriptOp { object, call })
     })
 }
 
@@ -94,7 +41,7 @@ fn run_scripts(
     SchedulerKernel,
 ) {
     let mut kernel = SchedulerKernel::new(config);
-    let objects = register_objects(&mut kernel);
+    let objects = register_objects(|name, object| kernel.register_object(name, object).unwrap());
 
     #[derive(Debug, Clone, Copy, PartialEq)]
     enum DriverState {
@@ -222,31 +169,6 @@ proptest! {
         let (_results, _fates, mut kernel) = run_scripts(&scripts, config);
         kernel.check_invariants().map_err(TestCaseError::fail)?;
         verify_commit_order_serializable(&kernel).map_err(TestCaseError::fail)?;
-    }
-
-    /// Intentions-list and undo/replay recovery produce identical observable
-    /// executions for the same (deterministic) schedule.
-    #[test]
-    fn recovery_strategies_are_equivalent(scripts in arb_scripts()) {
-        let run = |strategy: RecoveryStrategy| {
-            run_scripts(
-                &scripts,
-                SchedulerConfig::default().with_recovery(strategy),
-            )
-        };
-        let (ra, fa, ka) = run(RecoveryStrategy::IntentionsList);
-        let (rb, fb, kb) = run(RecoveryStrategy::UndoReplay);
-        prop_assert_eq!(ra, rb, "per-operation results differ between strategies");
-        prop_assert_eq!(fa, fb, "transaction fates differ between strategies");
-        for id in ka.object_ids() {
-            let sa = ka.object_committed_state(id).unwrap();
-            let sb = kb.object_committed_state(id).unwrap();
-            prop_assert!(
-                sa.state_eq(sb),
-                "final committed state of object {} differs: {} vs {}",
-                id, sa.debug_state(), sb.debug_state()
-            );
-        }
     }
 
     /// The recoverability conflict predicate is strictly weaker than the

@@ -16,19 +16,17 @@
 //! narrows victim selection (multi-shard transactions are never chosen on
 //! another session's behalf), which is a documented divergence, not a bug.
 
+mod common;
+
+use common::{arb_call_for, register_objects, N_OBJECTS};
 use proptest::prelude::*;
-use sbcc_adt::{
-    AdtOp, Counter, CounterOp, OpCall, Page, PageOp, Set, SetOp, Stack, StackOp, TableObject,
-    TableOp, Value,
-};
+use sbcc_adt::{AdtOp, Counter, CounterOp, OpCall, Stack, StackOp, Value};
 use sbcc_core::{
     shard_of_name, BatchCall, BatchStop, ConflictPolicy, DatabaseConfig, KernelEvent,
     KernelStats, ObjectId, RequestOutcome, SchedulerConfig, SchedulerKernel, ShardedKernel,
     TxnId, TxnState,
 };
 use std::collections::{HashMap, VecDeque};
-
-const N_OBJECTS: usize = 5;
 
 /// Either kernel behind one driver interface.
 enum Driver {
@@ -49,23 +47,10 @@ impl Driver {
     }
 
     fn register_objects(&mut self) -> Vec<ObjectId> {
-        // Same names, same order => same dense global ids in both systems.
-        match self {
-            Driver::Single(k) => vec![
-                k.register("stack", Stack::new()).unwrap(),
-                k.register("set", Set::new()).unwrap(),
-                k.register("counter", Counter::new()).unwrap(),
-                k.register("table", TableObject::new()).unwrap(),
-                k.register("page", Page::new()).unwrap(),
-            ],
-            Driver::Sharded(k) => vec![
-                k.register("stack", Stack::new()).unwrap().0,
-                k.register("set", Set::new()).unwrap().0,
-                k.register("counter", Counter::new()).unwrap().0,
-                k.register("table", TableObject::new()).unwrap().0,
-                k.register("page", Page::new()).unwrap().0,
-            ],
-        }
+        register_objects(|name, object| match self {
+            Driver::Single(k) => k.register_object(name, object).unwrap(),
+            Driver::Sharded(k) => k.register_object(name, object).unwrap().0,
+        })
     }
 
     fn begin(&mut self) -> TxnId {
@@ -155,44 +140,9 @@ impl Driver {
     }
 }
 
-fn arb_call_for(object: usize) -> BoxedStrategy<OpCall> {
-    match object {
-        0 => prop_oneof![
-            (0i64..5).prop_map(|v| StackOp::Push(Value::Int(v)).to_call()),
-            Just(StackOp::Pop.to_call()),
-            Just(StackOp::Top.to_call()),
-        ]
-        .boxed(),
-        1 => prop_oneof![
-            (0i64..4).prop_map(|v| SetOp::Insert(Value::Int(v)).to_call()),
-            (0i64..4).prop_map(|v| SetOp::Delete(Value::Int(v)).to_call()),
-            (0i64..4).prop_map(|v| SetOp::Member(Value::Int(v)).to_call()),
-        ]
-        .boxed(),
-        2 => prop_oneof![
-            (1i64..5).prop_map(|v| CounterOp::Increment(v).to_call()),
-            (1i64..5).prop_map(|v| CounterOp::Decrement(v).to_call()),
-            Just(CounterOp::Read.to_call()),
-        ]
-        .boxed(),
-        3 => prop_oneof![
-            (0i64..4, 0i64..50)
-                .prop_map(|(k, v)| TableOp::Insert(Value::Int(k), Value::Int(v)).to_call()),
-            (0i64..4).prop_map(|k| TableOp::Delete(Value::Int(k)).to_call()),
-            (0i64..4).prop_map(|k| TableOp::Lookup(Value::Int(k)).to_call()),
-        ]
-        .boxed(),
-        _ => prop_oneof![
-            Just(PageOp::Read.to_call()),
-            (0i64..10).prop_map(|v| PageOp::Write(Value::Int(v)).to_call()),
-        ]
-        .boxed(),
-    }
-}
-
 fn arb_chunk() -> impl Strategy<Value = Vec<(usize, OpCall)>> {
     proptest::collection::vec(
-        (0..N_OBJECTS).prop_flat_map(|o| arb_call_for(o).prop_map(move |c| (o, c))),
+        (0..N_OBJECTS).prop_flat_map(|o| arb_call_for(o, false).prop_map(move |c| (o, c))),
         1..6,
     )
 }

@@ -12,17 +12,17 @@
 //! to each snapshot alone, non-serializable in combination — must be
 //! refused by the SSI rw-antidependency guard.
 
+mod common;
+
+use common::{arb_call_for, register_objects, N_OBJECTS};
 use proptest::prelude::*;
 use sbcc_adt::{
-    AdtObject, AdtOp, Counter, CounterOp, OpCall, Page, PageOp, Set, SetOp, Stack, StackOp,
-    TableObject, TableOp, Value,
+    AdtObject, AdtOp, Counter, CounterOp, OpCall, PageOp, SetOp, StackOp, TableOp, Value,
 };
 use sbcc_core::{
     shard_of_name, AbortReason, CommitOutcome, CoreError, Database, DatabaseConfig,
     KernelStats, ObjectHandle, SchedulerConfig, ShardCount, Transaction,
 };
-
-const N_OBJECTS: usize = 5;
 
 fn config(shards: usize) -> DatabaseConfig {
     DatabaseConfig {
@@ -43,13 +43,7 @@ fn object_names() -> Vec<String> {
 }
 
 fn register_all(db: &Database) -> Vec<ObjectHandle> {
-    vec![
-        db.register_object("stack", Box::new(AdtObject::new(Stack::new()))).unwrap(),
-        db.register_object("set", Box::new(AdtObject::new(Set::new()))).unwrap(),
-        db.register_object("counter", Box::new(AdtObject::new(Counter::new()))).unwrap(),
-        db.register_object("table", Box::new(AdtObject::new(TableObject::new()))).unwrap(),
-        db.register_object("page", Box::new(AdtObject::new(Page::new()))).unwrap(),
-    ]
+    register_objects(|name, object| db.register_object(name, object).unwrap())
 }
 
 /// The fixed read-only probe both read paths answer at every read point.
@@ -176,45 +170,10 @@ fn run_snapshot(
     (probes, digests(&db), db.stats())
 }
 
-fn arb_call_for(object: usize) -> BoxedStrategy<OpCall> {
-    match object {
-        0 => prop_oneof![
-            (0i64..5).prop_map(|v| StackOp::Push(Value::Int(v)).to_call()),
-            Just(StackOp::Pop.to_call()),
-            Just(StackOp::Top.to_call()),
-        ]
-        .boxed(),
-        1 => prop_oneof![
-            (0i64..4).prop_map(|v| SetOp::Insert(Value::Int(v)).to_call()),
-            (0i64..4).prop_map(|v| SetOp::Delete(Value::Int(v)).to_call()),
-            (0i64..4).prop_map(|v| SetOp::Member(Value::Int(v)).to_call()),
-        ]
-        .boxed(),
-        2 => prop_oneof![
-            (1i64..5).prop_map(|v| CounterOp::Increment(v).to_call()),
-            (1i64..5).prop_map(|v| CounterOp::Decrement(v).to_call()),
-            Just(CounterOp::Read.to_call()),
-        ]
-        .boxed(),
-        3 => prop_oneof![
-            (0i64..4, 0i64..50)
-                .prop_map(|(k, v)| TableOp::Insert(Value::Int(k), Value::Int(v)).to_call()),
-            (0i64..4).prop_map(|k| TableOp::Delete(Value::Int(k)).to_call()),
-            (0i64..4).prop_map(|k| TableOp::Lookup(Value::Int(k)).to_call()),
-        ]
-        .boxed(),
-        _ => prop_oneof![
-            Just(PageOp::Read.to_call()),
-            (0i64..10).prop_map(|v| PageOp::Write(Value::Int(v)).to_call()),
-        ]
-        .boxed(),
-    }
-}
-
 fn arb_scripts() -> impl Strategy<Value = Vec<Vec<(usize, OpCall)>>> {
     proptest::collection::vec(
         proptest::collection::vec(
-            (0..N_OBJECTS).prop_flat_map(|o| arb_call_for(o).prop_map(move |c| (o, c))),
+            (0..N_OBJECTS).prop_flat_map(|o| arb_call_for(o, false).prop_map(move |c| (o, c))),
             1..6,
         ),
         1..5,

@@ -45,15 +45,11 @@ pub mod workload;
 
 pub use sched::{TraceEvent, TraceKind};
 
-/// Shape and fault rates of a simulated run. The default is the mixed
-/// sync/async cross-shard workload the CI legs explore.
-#[derive(Debug, Clone)]
+/// What a caller may vary about a simulated run. Everything else — the
+/// mixed sync/async cross-shard workload the CI legs explore, its fault
+/// rates and its deadlines — is fixed in [`workload`].
+#[derive(Debug, Clone, Default)]
 pub struct DstConfig {
-    /// Thread-blocking sessions (driving [`sbcc_core::Database`]).
-    pub sync_sessions: usize,
-    /// Manually-polled async sessions (driving
-    /// [`sbcc_core::AsyncDatabase`] over the same database).
-    pub async_sessions: usize,
     /// Snapshot sessions (driving [`sbcc_core::Database::begin_snapshot`]):
     /// mostly-read transactions served by the multi-version path, with
     /// occasional classified writes so SSI rw-antidependency edges — and
@@ -62,50 +58,6 @@ pub struct DstConfig {
     /// the pinned corpus seeds predate snapshot sessions and stay
     /// byte-identical; `snapshot:`-tagged corpus lines opt in.
     pub snapshot_sessions: usize,
-    /// Transactions per session.
-    pub txns_per_session: usize,
-    /// Maximum operations per transaction (each draws 1..=this many).
-    pub ops_per_txn: usize,
-    /// Number of registered counters (hashed across shards).
-    pub objects: usize,
-    /// Shard count (fixed — the resolved topology is also asserted from
-    /// the stats snapshot).
-    pub shards: usize,
-    /// Permille of manual sync transactions that explicitly abort instead
-    /// of committing (the mid-vote abort fault).
-    pub abort_permille: u32,
-    /// Permille of async transactions that drop an operation future at a
-    /// seeded poll count (the cancellation-mid-rendezvous fault).
-    pub cancel_permille: u32,
-    /// Permille of drained event batches delivered in permuted order.
-    pub reorder_permille: u32,
-    /// Virtual-time liveness deadline: yields before the run is declared
-    /// hung.
-    pub max_steps: usize,
-    /// Retry budget handed to [`sbcc_core::SchedulerConfig::max_retries`].
-    pub max_retries: usize,
-    /// Wall-clock backstop for non-yielding livelocks (seconds).
-    pub real_time_guard_secs: u64,
-}
-
-impl Default for DstConfig {
-    fn default() -> Self {
-        DstConfig {
-            sync_sessions: 3,
-            async_sessions: 2,
-            snapshot_sessions: 0,
-            txns_per_session: 4,
-            ops_per_txn: 3,
-            objects: 6,
-            shards: 4,
-            abort_permille: 150,
-            cancel_permille: 200,
-            reorder_permille: 250,
-            max_steps: 50_000,
-            max_retries: 10_000,
-            real_time_guard_secs: 30,
-        }
-    }
 }
 
 /// The outcome of one simulated run.

@@ -26,6 +26,39 @@ use crate::rng::SplitMix64;
 use crate::sched::{Scheduler, TraceKind};
 use crate::{DstConfig, RunReport, Verdict};
 
+// The shape and fault rates of every simulated run. No caller ever varied
+// them, and the pinned corpus seeds are byte-identical only at these
+// values.
+
+/// Thread-blocking sessions (driving [`Database`]).
+const SYNC_SESSIONS: usize = 3;
+/// Manually-polled async sessions (driving [`AsyncDatabase`] over the same
+/// database).
+const ASYNC_SESSIONS: usize = 2;
+/// Transactions per session.
+const TXNS_PER_SESSION: usize = 4;
+/// Maximum operations per transaction (each draws 1..=this many).
+const OPS_PER_TXN: usize = 3;
+/// Number of registered counters (hashed across shards).
+const OBJECTS: usize = 6;
+/// Shard count (the resolved topology is also reported from the stats
+/// snapshot).
+const SHARDS: usize = 4;
+/// Permille of manual sync transactions that explicitly abort instead of
+/// committing (the mid-vote abort fault).
+const ABORT_PERMILLE: u32 = 150;
+/// Permille of async transactions that drop an operation future at a
+/// seeded poll count (the cancellation-mid-rendezvous fault).
+const CANCEL_PERMILLE: u32 = 200;
+/// Permille of drained event batches delivered in permuted order.
+const REORDER_PERMILLE: u32 = 250;
+/// Virtual-time liveness deadline: yields before the run is declared hung.
+pub const MAX_STEPS: usize = 50_000;
+/// Retry budget handed to [`SchedulerConfig::max_retries`].
+const MAX_RETRIES: usize = 10_000;
+/// Wall-clock backstop for non-yielding livelocks.
+const REAL_TIME_GUARD: Duration = Duration::from_secs(30);
+
 /// Errors a fault-injecting run legitimately produces: scheduler aborts
 /// (surfaced raw by the manual session style), the victim/cancellation
 /// `InvalidState` races, and an exhausted retry budget. Anything else —
@@ -69,14 +102,14 @@ struct TxnPlan {
     cancel_at_poll: Option<(usize, u32)>,
 }
 
-fn plan_txn(rng: &mut SplitMix64, cfg: &DstConfig, is_async: bool) -> TxnPlan {
-    let n_ops = 1 + rng.below(cfg.ops_per_txn.max(1));
+fn plan_txn(rng: &mut SplitMix64, is_async: bool) -> TxnPlan {
+    let n_ops = 1 + rng.below(OPS_PER_TXN);
     let ops: Vec<(usize, CounterOp)> = (0..n_ops)
-        .map(|_| (rng.below(cfg.objects.max(1)), draw_op(rng)))
+        .map(|_| (rng.below(OBJECTS), draw_op(rng)))
         .collect();
     let via_runner = !is_async && rng.below(2) == 0;
-    let abort = !via_runner && rng.permille(cfg.abort_permille);
-    let cancel_at_poll = if is_async && rng.permille(cfg.cancel_permille) {
+    let abort = !via_runner && rng.permille(ABORT_PERMILLE);
+    let cancel_at_poll = if is_async && rng.permille(CANCEL_PERMILLE) {
         Some((rng.below(n_ops), 1 + rng.below(3) as u32))
     } else {
         None
@@ -89,24 +122,23 @@ fn plan_txn(rng: &mut SplitMix64, cfg: &DstConfig, is_async: bool) -> TxnPlan {
     }
 }
 
-/// A sync session: `txns_per_session` transactions, alternating between
+/// A sync session: [`TXNS_PER_SESSION`] transactions, alternating between
 /// the retrying closure runner and manual begin/exec/commit (the latter
 /// fires explicit aborts into other transactions' vote windows).
 fn sync_session(
     vt: usize,
     seed: u64,
-    cfg: &DstConfig,
     db: &Database,
     objects: &[Handle<Counter>],
     sched: &Scheduler,
     errors: &Mutex<Vec<String>>,
 ) {
     let mut rng = SplitMix64::new(seed ^ (vt as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    for _ in 0..cfg.txns_per_session {
+    for _ in 0..TXNS_PER_SESSION {
         if sched.free_running() {
             return;
         }
-        let plan = plan_txn(&mut rng, cfg, false);
+        let plan = plan_txn(&mut rng, false);
         if plan.via_runner {
             let result = db.run(|txn| {
                 for (obj, op) in &plan.ops {
@@ -191,7 +223,6 @@ fn drive<F: std::future::Future>(
 fn async_session(
     vt: usize,
     seed: u64,
-    cfg: &DstConfig,
     db: &Database,
     objects: &[Handle<Counter>],
     sched: &Scheduler,
@@ -199,11 +230,11 @@ fn async_session(
 ) {
     let adb = AsyncDatabase::from_database(db.clone());
     let mut rng = SplitMix64::new(seed ^ (vt as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    for _ in 0..cfg.txns_per_session {
+    for _ in 0..TXNS_PER_SESSION {
         if sched.free_running() {
             return;
         }
-        let plan = plan_txn(&mut rng, cfg, true);
+        let plan = plan_txn(&mut rng, true);
         let txn = adb.begin();
         let id = txn.id();
         let mut alive = true;
@@ -255,22 +286,21 @@ fn async_session(
 fn snapshot_session(
     vt: usize,
     seed: u64,
-    cfg: &DstConfig,
     db: &Database,
     objects: &[Handle<Counter>],
     sched: &Scheduler,
     errors: &Mutex<Vec<String>>,
 ) {
     let mut rng = SplitMix64::new(seed ^ (vt as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    for _ in 0..cfg.txns_per_session {
+    for _ in 0..TXNS_PER_SESSION {
         if sched.free_running() {
             return;
         }
-        let n_ops = 1 + rng.below(cfg.ops_per_txn.max(1));
+        let n_ops = 1 + rng.below(OPS_PER_TXN);
         let txn = db.begin_snapshot();
         let mut alive = true;
         for _ in 0..n_ops {
-            let obj = rng.below(cfg.objects.max(1));
+            let obj = rng.below(OBJECTS);
             // Three quarters snapshot reads, one quarter classified
             // writes — the writes are what completes in+out structures.
             let op = if rng.below(4) == 0 {
@@ -303,10 +333,9 @@ fn snapshot_session(
 /// then run the differential oracle. `script` forces the scheduler's
 /// choice sequence for replay/shrinking.
 pub fn execute(seed: u64, cfg: &DstConfig, script: Option<Vec<u32>>) -> RunReport {
-    let total = cfg.sync_sessions + cfg.async_sessions + cfg.snapshot_sessions;
-    assert!(total > 0, "a simulation needs at least one session");
-    let sched = Arc::new(Scheduler::new(total, cfg.max_steps, seed, script));
-    let faults = Arc::new(FaultPlan::new(seed, cfg.reorder_permille));
+    let total = SYNC_SESSIONS + ASYNC_SESSIONS + cfg.snapshot_sessions;
+    let sched = Arc::new(Scheduler::new(total, MAX_STEPS, seed, script));
+    let faults = Arc::new(FaultPlan::new(seed, REORDER_PERMILLE));
 
     // Half the seed space stresses victim selection of *other*
     // transactions (the only source of the victim-abort-races-delivery
@@ -318,12 +347,12 @@ pub fn execute(seed: u64, cfg: &DstConfig, script: Option<Vec<u32>>) -> RunRepor
     };
     let scheduler_cfg = SchedulerConfig::default()
         .with_victim(victim)
-        .with_max_retries(cfg.max_retries);
+        .with_max_retries(MAX_RETRIES);
     let db = Database::with_config(
-        DatabaseConfig::new(scheduler_cfg).with_shards(ShardCount::Fixed(cfg.shards)),
+        DatabaseConfig::new(scheduler_cfg).with_shards(ShardCount::Fixed(SHARDS)),
     );
     let objects: Arc<Vec<Handle<Counter>>> = Arc::new(
-        (0..cfg.objects)
+        (0..OBJECTS)
             .map(|i| db.register(format!("c{i}"), Counter::new()))
             .collect(),
     );
@@ -336,23 +365,22 @@ pub fn execute(seed: u64, cfg: &DstConfig, script: Option<Vec<u32>>) -> RunRepor
         let db = db.clone();
         let objects = objects.clone();
         let errors = errors.clone();
-        let cfg = cfg.clone();
         joins.push(std::thread::spawn(move || {
             chaos::install_thread_hook(Arc::new(DstHook::new(vt, sched.clone(), faults)));
             sched.register(vt);
-            if vt < cfg.sync_sessions {
-                sync_session(vt, seed, &cfg, &db, &objects, &sched, &errors);
-            } else if vt < cfg.sync_sessions + cfg.async_sessions {
-                async_session(vt, seed, &cfg, &db, &objects, &sched, &errors);
+            if vt < SYNC_SESSIONS {
+                sync_session(vt, seed, &db, &objects, &sched, &errors);
+            } else if vt < SYNC_SESSIONS + ASYNC_SESSIONS {
+                async_session(vt, seed, &db, &objects, &sched, &errors);
             } else {
-                snapshot_session(vt, seed, &cfg, &db, &objects, &sched, &errors);
+                snapshot_session(vt, seed, &db, &objects, &sched, &errors);
             }
             sched.finish(vt);
             chaos::clear_thread_hook();
         }));
     }
 
-    let finished = sched.wait_all_finished(Duration::from_secs(cfg.real_time_guard_secs));
+    let finished = sched.wait_all_finished(REAL_TIME_GUARD);
     let verdict = if finished {
         for j in joins {
             let _ = j.join();
@@ -386,7 +414,7 @@ pub fn execute(seed: u64, cfg: &DstConfig, script: Option<Vec<u32>>) -> RunRepor
         let snapshot = db.stats_snapshot();
         (snapshot.aggregate.commits, snapshot.shard_count)
     } else {
-        (0, cfg.shards)
+        (0, SHARDS)
     };
     RunReport {
         seed,

@@ -52,7 +52,6 @@ fn corpus_seeds() -> Vec<(u64, Mix)> {
 pub fn snapshot_cfg() -> DstConfig {
     DstConfig {
         snapshot_sessions: 2,
-        ..DstConfig::default()
     }
 }
 

@@ -48,7 +48,7 @@ fn shard_topology_is_observable_in_the_report() {
     let report = run_seed(3, &cfg);
     assert_eq!(report.verdict, Verdict::Pass);
     assert_eq!(
-        report.shard_count, cfg.shards,
-        "resolved shard count from stats_snapshot() must match the fixed topology"
+        report.shard_count, 4,
+        "resolved shard count from stats_snapshot() must match the workload's fixed topology"
     );
 }

@@ -76,7 +76,7 @@ fn seed_133_pseudo_commit_whose_deps_died_in_the_vote_window_is_re_voted() {
         report.verdict
     );
     assert!(
-        report.steps < DstConfig::default().max_steps,
+        report.steps < sbcc_dst::workload::MAX_STEPS,
         "seed 133 ran into the step budget again"
     );
 }
@@ -132,7 +132,6 @@ fn seed_133_fills_a_waiter_slot_from_a_different_thread_than_claimed_it() {
 fn seed_234_ssi_doomed_writers_retry_once_instead_of_storming() {
     let cfg = DstConfig {
         snapshot_sessions: 2,
-        ..DstConfig::default()
     };
     let report = run_seed(234, &cfg);
     let lines = parse(&report.trace);

@@ -172,8 +172,7 @@ fn usage() -> &'static str {
        repro --serve                        run the wire-protocol TCP server over a fresh\n\
          [--addr A]                         database; bind A (default 127.0.0.1:0; the\n\
          [--serve-for-ms N]                 chosen port is printed), exit after N ms\n\
-         [--wal DIR]                        write-ahead log to DIR (recover on start; or\n\
-                                            set SBCC_WAL=DIR / SBCC_WAL_FSYNC=policy)\n\
+         [--wal DIR]                        write-ahead log to DIR (recover on start)\n\
        repro --crash-workload --wal-dir D   run the fixed 40-txn durable workload against\n\
          [--linger-ms N]                    D, print `workload-done`, linger N ms (default\n\
                                             forever) for a kill -9 driver\n\
@@ -232,7 +231,6 @@ fn run_dst(args: &Args) -> Result<(), ExitCode> {
 
     let cfg = DstConfig {
         snapshot_sessions: if args.dst_snapshots { 2 } else { 0 },
-        ..DstConfig::default()
     };
     if let Some(seed) = args.dst_replay {
         eprintln!("# replaying DST seed {seed}");
@@ -298,8 +296,7 @@ fn run_serve(args: &Args) -> ExitCode {
 
     let addr = args.addr.clone().unwrap_or_else(|| "127.0.0.1:0".to_owned());
     // `--wal DIR` layers durability under the served database (recovery
-    // runs before the listener binds); without the flag the SBCC_WAL /
-    // SBCC_WAL_FSYNC environment variables apply via DatabaseConfig::new.
+    // runs before the listener binds); without the flag nothing is logged.
     // Nothing reads a served database's history, and the recorder keeps
     // every operation for the life of the process.
     let mut config = sbcc_core::DatabaseConfig::new(

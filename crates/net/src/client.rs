@@ -82,7 +82,6 @@ pub struct NetClient {
     next_id: u64,
     /// Responses that arrived while waiting for a different request id.
     pending: HashMap<u64, Response>,
-    max_frame_len: usize,
     /// The address dialed at connect time, kept for [`NetClient::reconnect`].
     peer: std::net::SocketAddr,
     /// The tenant named in the hello handshake, replayed on reconnect.
@@ -100,7 +99,6 @@ impl NetClient {
             frames: FrameBuffer::new(),
             next_id: 1,
             pending: HashMap::new(),
-            max_frame_len: MAX_FRAME_LEN,
             peer,
             tenant: tenant.to_owned(),
         };
@@ -178,7 +176,7 @@ impl NetClient {
     fn recv_from_socket(&mut self) -> Result<(u64, Response), NetError> {
         let mut chunk = [0u8; 4096];
         loop {
-            if let Some(body) = self.frames.next_frame(self.max_frame_len)? {
+            if let Some(body) = self.frames.next_frame(MAX_FRAME_LEN)? {
                 return Ok(Response::decode(&body)?);
             }
             let n = self.stream.read(&mut chunk)?;

@@ -79,8 +79,6 @@ pub struct ServerConfig {
     /// Reader-thread poll tick (the granularity of timeout checks and
     /// shutdown observation).
     pub poll_interval: Duration,
-    /// Frame-body length cap (see [`MAX_FRAME_LEN`]).
-    pub max_frame_len: usize,
 }
 
 impl Default for ServerConfig {
@@ -91,7 +89,6 @@ impl Default for ServerConfig {
             max_in_flight_per_conn: 32,
             read_timeout: Duration::from_secs(5),
             poll_interval: Duration::from_millis(5),
-            max_frame_len: MAX_FRAME_LEN,
         }
     }
 }
@@ -586,7 +583,7 @@ fn reader_main(mut stream: TcpStream, conn: Arc<ConnShared>, shared: Arc<ServerS
                 last_activity = Instant::now();
                 frames.extend(&chunk[..n]);
                 loop {
-                    match frames.next_frame(config.max_frame_len) {
+                    match frames.next_frame(MAX_FRAME_LEN) {
                         Ok(Some(body)) => match Request::decode(&body) {
                             Ok((id, req)) => conn.push_event(ConnEvent::Frame(id, req)),
                             Err(e) => {

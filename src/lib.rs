@@ -12,7 +12,7 @@
 //!   edges, cycle and deadlock detection).
 //! * [`core`] — the concurrency-control kernel: object managers, the
 //!   Figure-2 scheduling algorithm, pseudo-commit / commit protocol,
-//!   recovery strategies, a thread-safe [`core::Database`] front-end, and
+//!   intentions-list recovery, a thread-safe [`core::Database`] front-end, and
 //!   the async session front-end [`core::aio`] (futures instead of parked
 //!   threads: one runtime thread multiplexes thousands of in-flight
 //!   transactions — see `examples/async_front_end.rs`).
