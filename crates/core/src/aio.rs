@@ -74,7 +74,10 @@
 //!   outcome, and a forever-blocked transaction would stall every
 //!   conflicting session). Transactions whose futures you may cancel
 //!   should be wrapped in [`AsyncDatabase::run`], which treats the abort
-//!   like any other scheduler abort.
+//!   like any other scheduler abort. The one exception is `commit`: it
+//!   suspends only after the transaction has committed in memory
+//!   (waiting for a durable log flush), so dropping it gives up the
+//!   acknowledgement, not the commit.
 //!
 //! # Example
 //!
@@ -459,20 +462,33 @@ impl AsyncTransaction {
     }
 
     /// Commit the transaction (actual or pseudo-commit, per the
-    /// protocol). Commits never suspend — a transaction whose commit
-    /// dependencies are still live **pseudo-commits** and the kernel
-    /// finishes the commit later — so this future resolves on first poll;
-    /// it is a future for API symmetry only.
+    /// protocol). A commit never waits for another transaction — one whose
+    /// commit dependencies are still live **pseudo-commits** and the
+    /// kernel finishes the commit later. It suspends only on a durable
+    /// database, for an actual commit: the future resolves once the
+    /// group-commit flush covering its log record has returned, and the
+    /// executor runs other sessions meanwhile. Sessions this commit
+    /// unblocked are woken before it suspends.
     ///
     /// On success no clone of the handle will abort on drop. A failed
     /// commit (e.g. a pending blocked request) leaves the auto-abort
     /// armed, exactly like the sync guard.
+    ///
+    /// **Cancelling the durable wait does not abort.** The transaction is
+    /// committed in memory before the future first suspends, so dropping
+    /// the future mid-wait only gives up the acknowledgement: the
+    /// transaction stays committed, its record is flushed with the next
+    /// group, and reopening the log replays it.
     pub async fn commit(self) -> Result<CommitOutcome, CoreError> {
         let result = self.inner.db.commit_raw(self.id());
         if result.is_ok() {
             self.inner.finished.set(true);
         }
-        result
+        let (outcome, durable) = result?;
+        if let Some(durable) = durable {
+            durable.await;
+        }
+        Ok(outcome)
     }
 
     /// Explicitly abort the transaction. Never suspends; a future for API

@@ -169,8 +169,8 @@ pub enum TimeoutPoint {
     NetRead,
     /// The write-ahead log's group-commit flush window: the flusher thread
     /// asks whether the current window has elapsed (firing writes and
-    /// fsyncs every shard's buffered records, waking the committers
-    /// blocked in `wait_durable`).
+    /// fsyncs every shard's buffered records, then wakes every committer
+    /// whose `sbcc_wal::Durable` the flush covered).
     GroupCommit,
 }
 

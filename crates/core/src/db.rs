@@ -1250,7 +1250,14 @@ impl Database {
         }
     }
 
-    pub(crate) fn commit_raw(&self, txn: TxnId) -> Result<CommitOutcome, CoreError> {
+    /// Commit in the kernel and deliver the grants the commit released.
+    /// The returned [`sbcc_wal::Durable`], when present, is the commit
+    /// record's flush: the front-end awaits (or blocks on) it before it
+    /// acknowledges `Committed`.
+    pub(crate) fn commit_raw(
+        &self,
+        txn: TxnId,
+    ) -> Result<(CommitOutcome, Option<sbcc_wal::Durable>), CoreError> {
         let _ = self.shared.take_delivered(txn);
         // Deliver before `?`: a commit whose vote aborts the *committer*
         // (`Err(Aborted)`) has released the transaction's claims, and the
@@ -1258,10 +1265,12 @@ impl Database {
         // queue. They must be drained even though commit itself failed —
         // found by the DST harness as a cross-session liveness hang when
         // the aborted committer's session was the last thread to enter the
-        // kernel (seed 133's endless `poll T19` tail).
+        // kernel (seed 133's endless `poll T19` tail). Deliver before the
+        // durable wait too: the sessions this commit unblocked run while
+        // its record waits for the flush.
         let outcome = self.shared.kernel.commit(txn);
         self.deliver_events();
-        Ok(outcome?)
+        outcome
     }
 
     pub(crate) fn abort_raw(&self, txn: TxnId) -> Result<(), CoreError> {
@@ -1443,10 +1452,18 @@ impl Transaction {
     /// [`Transaction::try_exec_call`] left a blocked request pending — and
     /// in that case the guard still aborts on drop, so the failed session
     /// cannot leak a live transaction that would block others forever.
+    ///
+    /// On a durable database an actual commit parks the calling thread
+    /// until the flush covering its log record has returned; sessions this
+    /// commit unblocked are woken before that wait.
     pub fn commit(mut self) -> Result<CommitOutcome, CoreError> {
         let result = self.db.commit_raw(self.id());
         self.finished = result.is_ok();
-        result
+        let (outcome, durable) = result?;
+        if let Some(durable) = durable {
+            durable.wait();
+        }
+        Ok(outcome)
     }
 
     /// Explicitly abort the transaction. Consumes the session.

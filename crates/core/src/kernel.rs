@@ -43,11 +43,6 @@ use std::sync::Arc;
 struct FinishedTxn {
     state: TxnState,
     executed_ops: usize,
-    /// Durability ticket of the commit record this kernel appended to the
-    /// write-ahead log, when a log is attached and the transaction had
-    /// operations to log (the caller passes it to `Wal::wait_durable`
-    /// after releasing the shard lock).
-    wal_ticket: Option<u64>,
 }
 
 /// The scheduler kernel. See the module documentation for an overview.
@@ -155,8 +150,10 @@ impl SchedulerKernel {
     /// transaction with operations appends a commit record under `shard`
     /// (unless the coordinator already logged it — see
     /// [`Self::mark_wal_logged`]). Attach **after** replaying recovered
-    /// records, or replay would be re-logged.
-    pub fn attach_wal(&mut self, wal: Arc<sbcc_wal::Wal>, shard: u32) {
+    /// records, or replay would be re-logged. Only the sharding layer
+    /// attaches a log: it is the one caller of [`Self::commit_logged`],
+    /// which hands out the record's durability ticket.
+    pub(crate) fn attach_wal(&mut self, wal: Arc<sbcc_wal::Wal>, shard: u32) {
         self.wal = Some((wal, shard));
     }
 
@@ -455,12 +452,6 @@ impl SchedulerKernel {
         }
     }
 
-    /// The durability ticket of a committed transaction's log record, when
-    /// a write-ahead log is attached and this kernel appended one.
-    pub fn wal_ticket_of(&self, txn: TxnId) -> Option<u64> {
-        self.finished.get(&txn).and_then(|f| f.wal_ticket)
-    }
-
     /// The live transactions `txn` currently has commit dependencies on.
     pub fn commit_dependencies_of(&self, txn: TxnId) -> Vec<TxnId> {
         let mut deps = self.graph.out_neighbors_kind(txn, EdgeKind::CommitDep);
@@ -684,6 +675,17 @@ impl SchedulerKernel {
     /// Commit a transaction. Depending on outstanding commit dependencies
     /// this is an actual commit or a pseudo-commit.
     pub fn commit(&mut self, txn: TxnId) -> Result<CommitOutcome, CoreError> {
+        self.commit_logged(txn).map(|(outcome, _)| outcome)
+    }
+
+    /// [`Self::commit`], also returning the write-ahead-log ticket of the
+    /// commit record an actual commit appended (`None` without a log, for
+    /// a pseudo-commit, or when there was nothing to log). The caller
+    /// must not acknowledge `Committed` before that ticket is durable.
+    pub(crate) fn commit_logged(
+        &mut self,
+        txn: TxnId,
+    ) -> Result<(CommitOutcome, Option<u64>), CoreError> {
         self.ensure_active(txn, "commit")?;
         debug_assert!(
             !self.txns.get(&txn).map(|r| r.coordinated).unwrap_or(false),
@@ -692,9 +694,9 @@ impl SchedulerKernel {
         let mut deps = self.graph.out_neighbors_kind(txn, EdgeKind::CommitDep);
         deps.sort_unstable();
         if deps.is_empty() {
-            self.actually_commit(txn);
+            let ticket = self.actually_commit(txn);
             self.settle();
-            Ok(CommitOutcome::Committed)
+            Ok((CommitOutcome::Committed, ticket))
         } else {
             let rec = self.txns.get_mut(&txn).expect("checked above");
             rec.state = TxnState::PseudoCommitted;
@@ -702,7 +704,7 @@ impl SchedulerKernel {
             if let Some(h) = &mut self.history {
                 h.record_pseudo_commit(txn);
             }
-            Ok(CommitOutcome::PseudoCommitted { waiting_on: deps })
+            Ok((CommitOutcome::PseudoCommitted { waiting_on: deps }, None))
         }
     }
 
@@ -1214,8 +1216,8 @@ impl SchedulerKernel {
         result
     }
 
-    fn actually_commit(&mut self, txn: TxnId) {
-        self.actually_commit_stamped(txn, None);
+    fn actually_commit(&mut self, txn: TxnId) -> Option<u64> {
+        self.actually_commit_stamped(txn, None)
     }
 
     /// Fold a transaction's effects under a global commit stamp: the
@@ -1225,7 +1227,10 @@ impl SchedulerKernel {
     /// ARCHITECTURE.md relies on (a fold whose stamp exceeds a live
     /// snapshot's begin stamp is guaranteed to observe that snapshot's
     /// watermark and preserve the version it still needs).
-    fn actually_commit_stamped(&mut self, txn: TxnId, stamp: Option<u64>) {
+    ///
+    /// Returns the durability ticket of the commit record this call
+    /// appended to the write-ahead log, if it appended one.
+    fn actually_commit_stamped(&mut self, txn: TxnId, stamp: Option<u64>) -> Option<u64> {
         self.termination_epoch += 1;
         let rec = self.txns.remove(&txn).expect("transaction exists");
         debug_assert!(matches!(
@@ -1269,12 +1274,12 @@ impl SchedulerKernel {
             FinishedTxn {
                 state: TxnState::Committed,
                 executed_ops: rec.executed_ops(),
-                wal_ticket,
             },
         );
         if let Some(h) = &mut self.history {
             h.record_committed(txn, self.next_commit_index, rec.ops);
         }
+        wal_ticket
     }
 
     fn abort_internal(&mut self, txn: TxnId, reason: AbortReason) {
@@ -1307,7 +1312,6 @@ impl SchedulerKernel {
             FinishedTxn {
                 state: TxnState::Aborted,
                 executed_ops: rec.executed_ops(),
-                wal_ticket: None,
             },
         );
         if let Some(h) = &mut self.history {
@@ -1347,7 +1351,10 @@ impl SchedulerKernel {
                     break;
                 }
                 for txn in candidates {
-                    self.actually_commit(txn);
+                    // A cascade commit has no session waiting on it (its
+                    // pseudo-commit ack made no durability promise), so its
+                    // ticket is dropped.
+                    let _ = self.actually_commit(txn);
                     self.events.push(KernelEvent::Committed { txn });
                     cascaded = true;
                 }

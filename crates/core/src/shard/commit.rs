@@ -26,7 +26,17 @@ impl ShardedKernel {
     /// Commit a transaction. Single-shard transactions take the unsharded
     /// fast path inside their shard; multi-shard transactions run the
     /// cross-shard vote described in the module documentation.
-    pub fn commit(&self, txn: TxnId) -> Result<CommitOutcome, CoreError> {
+    ///
+    /// Never waits for the log. A single-shard actual commit that
+    /// appended a record returns that record's [`sbcc_wal::Durable`]
+    /// beside the outcome, and the caller must not acknowledge
+    /// `Committed` before it resolves. Multi-shard commits flush inline
+    /// (`wal_log_multi`) and pseudo-commits make no durability promise,
+    /// so both return `None`.
+    pub fn commit(
+        &self,
+        txn: TxnId,
+    ) -> Result<(CommitOutcome, Option<sbcc_wal::Durable>), CoreError> {
         let enrolled = self.live_shards(txn, "commit")?;
         // SSI commit-entry gate: decide dangerous structures and publish
         // the writer entries *before* any shard applies the commit (a
@@ -37,24 +47,21 @@ impl ShardedKernel {
                 // The transaction never touched an object: a trivially
                 // empty commit.
                 self.terminate(txn, TermFate::Committed);
-                Ok(CommitOutcome::Committed)
+                Ok((CommitOutcome::Committed, None))
             }
             1 => {
                 let shard = enrolled[0];
-                let (result, fx, wal_ticket) = {
+                let (result, fx) = {
                     let mut kernel = self.lock_shard(shard);
-                    let result = kernel.commit(txn);
-                    // The ticket must be read under the shard lock: it is
-                    // assigned inside `actually_commit`.
-                    let wal_ticket = kernel.wal_ticket_of(txn);
+                    let result = kernel.commit_logged(txn);
                     let fx = drain_fx(&mut kernel);
-                    (result, fx, wal_ticket)
+                    (result, fx)
                 };
                 match &result {
-                    Ok(CommitOutcome::Committed) => {
+                    Ok((CommitOutcome::Committed, _)) => {
                         self.terminate(txn, TermFate::Committed);
                     }
-                    Ok(CommitOutcome::PseudoCommitted { .. }) => {
+                    Ok((CommitOutcome::PseudoCommitted { .. }, _)) => {
                         if let Some(rec) = self.enroll.lock().live.get_mut(&txn) {
                             rec.pseudo = true;
                         }
@@ -64,19 +71,11 @@ impl ShardedKernel {
                     Err(_) => {}
                 }
                 self.absorb(shard, None, fx);
-                // Durability gate: a `Committed` acknowledgement promises
-                // the commit record is flushed per the fsync policy. Waits
-                // only under group commit, after every lock is released —
-                // other sessions keep executing while this one waits for
-                // the flusher. (A `PseudoCommitted` acknowledgement makes
-                // no durability promise: the record is appended later, by
-                // whichever thread clears the last dependency.)
-                if let (Some(wal), Some(ticket)) = (self.wal.get(), wal_ticket) {
-                    wal.wait_durable(shard, ticket);
-                }
-                result
+                let (outcome, ticket) = result?;
+                let durable = self.wal.get().zip(ticket).map(|(wal, t)| wal.durable(shard, t));
+                Ok((outcome, durable))
             }
-            _ => self.commit_multi(txn, &enrolled),
+            _ => Ok((self.commit_multi(txn, &enrolled)?, None)),
         }
     }
 

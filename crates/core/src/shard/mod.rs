@@ -179,7 +179,8 @@ pub struct ShardedKernel {
     /// The write-ahead log, attached once by [`crate::Database`] after
     /// replay (see [`Self::attach_wal`]). Registrations and multi-shard
     /// commits log through this handle; single-shard commits log through
-    /// the per-shard kernels' own copies.
+    /// the per-shard kernels' own copies, and [`Self::commit`] turns the
+    /// ticket they return into a [`sbcc_wal::Durable`] through it.
     wal: std::sync::OnceLock<Arc<sbcc_wal::Wal>>,
 }
 
@@ -897,7 +898,7 @@ mod tests {
         let kernel = ShardedKernel::new(DatabaseConfig::default());
         let t = kernel.begin();
         assert_eq!(kernel.txn_state(t), Some(TxnState::Active));
-        assert_eq!(kernel.commit(t).unwrap(), CommitOutcome::Committed);
+        assert_eq!(kernel.commit(t).unwrap().0, CommitOutcome::Committed);
         assert_eq!(kernel.txn_state(t), Some(TxnState::Committed));
         let stats = kernel.stats();
         assert_eq!(stats.transactions_begun, 1);

@@ -81,7 +81,7 @@ impl Driver {
     fn commit(&mut self, txn: TxnId) -> sbcc_core::CommitOutcome {
         match self {
             Driver::Single(k) => k.commit(txn).unwrap(),
-            Driver::Sharded(k) => k.commit(txn).unwrap(),
+            Driver::Sharded(k) => k.commit(txn).unwrap().0,
         }
     }
 
@@ -453,7 +453,7 @@ fn cross_shard_cycle_is_refused() {
         e,
         KernelEvent::Unblocked { txn, outcome: RequestOutcome::Executed { .. } } if *txn == t2
     )));
-    assert!(kernel.commit(t2).unwrap().is_full_commit());
+    assert!(kernel.commit(t2).unwrap().0.is_full_commit());
     kernel.check_invariants().unwrap();
     kernel.verify_serializable().unwrap();
 }
@@ -498,7 +498,7 @@ fn cross_shard_commit_dependency_cycle_is_refused() {
         ),
         "expected a commit-dependency-cycle abort, got {outcome:?}"
     );
-    assert!(kernel.commit(t2).unwrap().is_full_commit());
+    assert!(kernel.commit(t2).unwrap().0.is_full_commit());
     kernel.check_invariants().unwrap();
     kernel.verify_serializable().unwrap();
 }
@@ -535,7 +535,7 @@ fn cross_shard_pseudo_commit_waits_for_every_shard() {
         .unwrap()
         .is_executed());
 
-    match kernel.commit(t).unwrap() {
+    match kernel.commit(t).unwrap().0 {
         sbcc_core::CommitOutcome::PseudoCommitted { waiting_on } => {
             assert_eq!(waiting_on, vec![h1, h2], "the union of per-shard votes");
         }
@@ -545,11 +545,11 @@ fn cross_shard_pseudo_commit_waits_for_every_shard() {
 
     // First holder commits: T's shard-x vote clears, but shard y still
     // holds a dependency — T must stay pseudo-committed.
-    assert!(kernel.commit(h1).unwrap().is_full_commit());
+    assert!(kernel.commit(h1).unwrap().0.is_full_commit());
     assert_eq!(kernel.txn_state(t), Some(TxnState::PseudoCommitted));
 
     // Second holder commits: the re-vote is unanimous and T commits.
-    assert!(kernel.commit(h2).unwrap().is_full_commit());
+    assert!(kernel.commit(h2).unwrap().0.is_full_commit());
     assert_eq!(kernel.txn_state(t), Some(TxnState::Committed));
     let events = kernel.drain_events();
     assert!(events
@@ -590,6 +590,6 @@ fn cross_shard_abort_undoes_everything() {
             other => panic!("read should execute, got {other:?}"),
         }
     }
-    assert!(kernel.commit(reader).unwrap().is_full_commit());
+    assert!(kernel.commit(reader).unwrap().0.is_full_commit());
     kernel.check_invariants().unwrap();
 }

@@ -11,14 +11,18 @@
 //! and between the per-shard flushes of a multi-shard commit.
 
 use sbcc_adt::{
-    AbstractObject, AdtObject, AdtOp, AdtSpec, Counter, CounterOp, Stack, StackOp, Value,
+    AbstractObject, AdtObject, AdtOp, AdtSpec, Counter, CounterOp, OpResult, Stack, StackOp,
+    Value,
 };
+use sbcc_core::aio::{block_on, AsyncDatabase};
 use sbcc_core::{
     shard_of_name, CommitOutcome, CoreError, Database, DatabaseConfig, FsyncPolicy, Handle,
-    SchedulerConfig, ShardCount, WalConfig,
+    SchedulerConfig, ShardCount, TxnState, WalConfig,
 };
+use std::future::Future;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::task::{Context, Waker};
 use std::time::Duration;
 
 static DIR_COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -375,6 +379,48 @@ fn group_commit_acknowledged_commits_survive_a_crash() {
     }
     assert_eq!(digests(&recovered), digests(&reference));
     drop(db);
+}
+
+/// Dropping an async commit while it waits for its flush gives up the
+/// acknowledgement, not the commit: the transaction stays committed, and
+/// the log replays it on reopen.
+#[test]
+fn cancelled_async_commit_stays_committed_and_replays() {
+    let dir = ScratchDir::new("cancel");
+    // A long real window, so a commit's first poll finds its flush still
+    // pending. A flush that lands between the append and that poll
+    // resolves the commit at once; the loop then tries another one.
+    let wal = WalConfig::new(dir.path())
+        .with_fsync(FsyncPolicy::GroupCommit)
+        .with_window(Duration::from_millis(200));
+    let db = AsyncDatabase::with_config(config(1, Some(wal)));
+    let hits = db.register("hits", Counter::new());
+    let mut committed = 0;
+    let mut cancelled_mid_wait = false;
+    while !cancelled_mid_wait && committed < 5 {
+        let txn = db.begin();
+        let id = txn.id();
+        committed += 1;
+        block_on(txn.exec(&hits, CounterOp::Increment(committed))).unwrap();
+        let mut commit = Box::pin(txn.commit());
+        let first = commit.as_mut().poll(&mut Context::from_waker(Waker::noop()));
+        drop(commit);
+        assert_eq!(db.txn_state(id), Some(TxnState::Committed), "not aborted");
+        cancelled_mid_wait = first.is_pending();
+    }
+    assert!(cancelled_mid_wait, "no commit was still waiting for its flush");
+    assert_eq!(db.stats().commits, committed as u64);
+    drop(db);
+
+    let (_s, recovered) = recover(dir.path(), 1);
+    assert_eq!(recovered.stats().commits, committed as u64);
+    let read = recovered.begin();
+    let hits = recovered.handle::<Counter>("hits").unwrap();
+    let sum = committed * (committed + 1) / 2;
+    assert_eq!(
+        read.exec(&hits, CounterOp::Read).unwrap(),
+        OpResult::Value(Value::Int(sum))
+    );
 }
 
 // ---------------------------------------------------------------------

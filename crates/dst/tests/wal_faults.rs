@@ -5,22 +5,28 @@
 //! * the **group-commit window** is driven from a
 //!   [`sbcc_core::chaos::ClockHook`] instead of the wall clock — with a
 //!   one-hour real window, a commit can only be acknowledged if the
-//!   virtual clock fired the flush, so the test proves the durability
-//!   wait is gated on the flusher and not on a hidden inline fsync;
+//!   virtual clock fired the flush, so the tests prove the durability
+//!   wait is gated on the flusher and not on a hidden inline fsync, for
+//!   blocking sessions and for async sessions that share one executor
+//!   thread (which keeps running other sessions while a commit waits);
 //! * **seeded truncation sweep** — crash images derived from a pinned
 //!   seed cut one shard's log at arbitrary byte offsets (including
 //!   mid-record, the torn tail a crash during a group-commit flush
 //!   leaves), and every image must recover to a per-shard prefix,
 //!   identically at 1 and 4 shards.
 
-use sbcc_adt::{Counter, CounterOp, Stack, StackOp, Value};
+use sbcc_adt::{Counter, CounterOp, OpResult, Stack, StackOp, Value};
+use sbcc_core::aio::{yield_now, AsyncDatabase, LocalExecutor};
 use sbcc_core::chaos::{clear_clock_hook, install_clock_hook, ClockHook, TimeoutPoint};
 use sbcc_core::{
-    CommitOutcome, Database, DatabaseConfig, FsyncPolicy, SchedulerConfig, ShardCount, WalConfig,
+    CommitOutcome, Database, DatabaseConfig, FsyncPolicy, SchedulerConfig, ShardCount, TxnState,
+    WalConfig,
 };
+use std::cell::Cell;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::rc::Rc;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 /// Pinned seed for the flush countdown and the truncation offsets
@@ -100,8 +106,44 @@ impl ClockHook for GroupCommitClock {
     }
 }
 
-/// Clears the process-global hook even if an assertion fails.
-struct HookGuard;
+/// Answers only the group-commit point: "window not elapsed" until
+/// released, then fires on every poll.
+#[derive(Default)]
+struct HeldFlush {
+    released: AtomicBool,
+}
+
+impl HeldFlush {
+    fn release(&self) {
+        self.released.store(true, Ordering::Release);
+    }
+}
+
+impl ClockHook for HeldFlush {
+    fn timeout_fires(&self, point: TimeoutPoint) -> Option<bool> {
+        (point == TimeoutPoint::GroupCommit).then(|| self.released.load(Ordering::Acquire))
+    }
+}
+
+/// The clock hook is process-global, so the tests that install one run
+/// one at a time.
+static CLOCK_TESTS: Mutex<()> = Mutex::new(());
+
+/// Owns the clock for one test: installs `hook` and clears it on drop,
+/// even if an assertion fails. Declare it before the database, so the
+/// database (and its flusher) is dropped while the hook still answers —
+/// without it the flusher would sleep the one-hour real window.
+struct HookGuard {
+    _serial: MutexGuard<'static, ()>,
+}
+
+impl HookGuard {
+    fn install(hook: Arc<dyn ClockHook>) -> HookGuard {
+        let serial = CLOCK_TESTS.lock().unwrap_or_else(|e| e.into_inner());
+        install_clock_hook(hook);
+        HookGuard { _serial: serial }
+    }
+}
 
 impl Drop for HookGuard {
     fn drop(&mut self) {
@@ -109,25 +151,40 @@ impl Drop for HookGuard {
     }
 }
 
+/// Group commit with an hour of real window: if a commit is ever
+/// acknowledged, the virtual clock flushed it.
+fn hour_window(dir: &Path) -> WalConfig {
+    WalConfig::new(dir)
+        .with_fsync(FsyncPolicy::GroupCommit)
+        .with_window(Duration::from_secs(3600))
+}
+
+/// Commits a crash image copied from `dir` now recovers, and the
+/// recovered value of the `hits` counter.
+fn recover_hits(dir: &Path) -> (u64, OpResult) {
+    let image = ScratchDir::new("image");
+    copy_dir(dir, image.path());
+    let recovered = Database::with_config(config(
+        1,
+        WalConfig::new(image.path()).with_fsync(FsyncPolicy::Never),
+    ));
+    let read = recovered.begin();
+    let hits = recovered.handle::<Counter>("hits").unwrap();
+    let value = read.exec(&hits, CounterOp::Read).unwrap();
+    (recovered.stats().commits, value)
+}
+
 #[test]
 fn virtual_clock_drives_the_group_commit_flush() {
-    // An hour of real window: if a commit is ever acknowledged, the
-    // virtual clock flushed it.
     let fire_at = 3 + splitmix64(PINNED_WAL_SEED) % 8;
     let clock = Arc::new(GroupCommitClock {
         fire_at,
         consulted: AtomicU64::new(0),
     });
-    let _guard = HookGuard;
-    install_clock_hook(clock.clone());
+    let _guard = HookGuard::install(clock.clone());
 
     let dir = ScratchDir::new("clock");
-    let db = Database::with_config(config(
-        1,
-        WalConfig::new(dir.path())
-            .with_fsync(FsyncPolicy::GroupCommit)
-            .with_window(Duration::from_secs(3600)),
-    ));
+    let db = Database::with_config(config(1, hour_window(dir.path())));
     let hits = db.register("hits", Counter::new());
 
     for k in 0..4 {
@@ -145,20 +202,100 @@ fn virtual_clock_drives_the_group_commit_flush() {
 
     // Every acknowledged commit is on disk: a crash image taken while the
     // database is still alive recovers all four.
-    let image = ScratchDir::new("clock-image");
-    copy_dir(dir.path(), image.path());
-    drop(db);
-    let recovered = Database::with_config(config(
-        1,
-        WalConfig::new(image.path()).with_fsync(FsyncPolicy::Never),
-    ));
-    assert_eq!(recovered.stats().commits, 4);
-    let read = recovered.begin();
-    let hits = recovered.handle::<Counter>("hits").unwrap();
     assert_eq!(
-        read.exec(&hits, CounterOp::Read).unwrap(),
-        sbcc_adt::OpResult::Value(Value::Int(6))
+        recover_hits(dir.path()),
+        (4, OpResult::Value(Value::Int(6)))
     );
+}
+
+/// The async twin: sixteen sessions on one executor thread. A commit
+/// suspends its session, not the thread, so every session commits in
+/// memory while the flush is held; none is acknowledged and none is on
+/// disk until the one flush that covers all sixteen.
+#[test]
+fn async_acknowledgements_wait_for_the_flush_without_stalling_the_executor() {
+    let clock = Arc::new(HeldFlush::default());
+    let _guard = HookGuard::install(clock.clone());
+    let dir = ScratchDir::new("async-clock");
+    let db = AsyncDatabase::with_config(config(1, hour_window(dir.path())));
+    let hits = db.register("hits", Counter::new());
+    let acknowledged = Rc::new(Cell::new(0));
+    let executor = LocalExecutor::new();
+    for k in 0..16 {
+        let (db, hits, acknowledged) = (db.clone(), hits.clone(), acknowledged.clone());
+        executor.spawn(async move {
+            let txn = db.begin();
+            txn.exec(&hits, CounterOp::Increment(k)).await.unwrap();
+            assert_eq!(txn.commit().await.unwrap(), CommitOutcome::Committed);
+            acknowledged.set(acknowledged.get() + 1);
+        });
+    }
+
+    executor.run_until_stalled();
+    assert_eq!(db.stats().commits, 16, "every session committed in memory");
+    assert_eq!(acknowledged.get(), 0, "no ack before the flush");
+    assert_eq!(executor.pending_tasks(), 16);
+    assert_eq!(recover_hits(dir.path()), (0, OpResult::Value(Value::Int(0))));
+
+    clock.release();
+    executor.run();
+    assert_eq!(acknowledged.get(), 16);
+    assert_eq!(
+        recover_hits(dir.path()),
+        (16, OpResult::Value(Value::Int(120)))
+    );
+}
+
+/// A durable commit delivers the grants it released before it waits for
+/// its flush: the session blocked on the committer runs on while the
+/// committer's acknowledgement is still held.
+#[test]
+fn a_durable_commit_wakes_the_sessions_it_unblocked_before_its_flush() {
+    let clock = Arc::new(HeldFlush::default());
+    let _guard = HookGuard::install(clock.clone());
+    let dir = ScratchDir::new("grants");
+    let db = AsyncDatabase::with_config(config(1, hour_window(dir.path())));
+    let hits = db.register("hits", Counter::new());
+    let executor = LocalExecutor::new();
+
+    let t1 = db.begin();
+    let t1_id = t1.id();
+    let t1_acknowledged = Rc::new(Cell::new(false));
+    {
+        let (hits, acknowledged) = (hits.clone(), t1_acknowledged.clone());
+        executor.spawn(async move {
+            t1.exec(&hits, CounterOp::Increment(7)).await.unwrap();
+            // Hand the thread to T2 while the increment is uncommitted.
+            yield_now().await;
+            assert_eq!(t1.commit().await.unwrap(), CommitOutcome::Committed);
+            acknowledged.set(true);
+        });
+    }
+    let t2_read = Rc::new(Cell::new(None));
+    {
+        let (db, read) = (db.clone(), t2_read.clone());
+        executor.spawn(async move {
+            let t2 = db.begin();
+            // A read after an uncommitted increment is not recoverable:
+            // T2 blocks until T1 commits.
+            read.set(Some(t2.exec(&hits, CounterOp::Read).await.unwrap()));
+            t2.commit().await.unwrap();
+        });
+    }
+
+    executor.run_until_stalled();
+    assert_eq!(t2_read.take(), Some(OpResult::Value(Value::Int(7))));
+    assert_eq!(db.txn_state(t1_id), Some(TxnState::Committed));
+    assert!(!t1_acknowledged.get(), "T1 acknowledged before its flush");
+    // The flusher keeps consulting the held clock; nothing else may
+    // acknowledge T1.
+    std::thread::sleep(Duration::from_millis(20));
+    executor.run_until_stalled();
+    assert!(!t1_acknowledged.get(), "T1 acknowledged before its flush");
+
+    clock.release();
+    executor.run();
+    assert!(t1_acknowledged.get());
 }
 
 // ---------------------------------------------------------------------

@@ -12,10 +12,10 @@
 //! can additionally assert *which* prefix survived (40/40 after a
 //! post-done kill).
 //!
-//! Every acknowledged commit is durable (group commit blocks the
-//! committer until its flush), and the sequence is committed from one
-//! session, so the survivors are always a prefix — any other shape is a
-//! recovery bug and exits nonzero.
+//! Every acknowledged commit is durable (under group commit, a session's
+//! `commit` returns only after the flush covering its record), and the
+//! sequence is committed from one session, so the survivors are always a
+//! prefix — any other shape is a recovery bug and exits nonzero.
 
 use sbcc_adt::{Counter, CounterOp, Stack, StackOp, Value};
 use sbcc_core::{Database, DatabaseConfig, FsyncPolicy, SchedulerConfig, WalConfig};

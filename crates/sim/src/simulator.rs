@@ -393,7 +393,9 @@ impl Simulator {
 
     fn finish_transaction(&mut self, key: SimTxnKey) {
         let kernel_txn = self.txns[key].kernel_txn.expect("admitted");
-        let outcome = self.kernel.commit(kernel_txn).expect("commit of active txn");
+        // The simulated kernel has no write-ahead log, so there is no
+        // durability ticket to wait on.
+        let (outcome, _) = self.kernel.commit(kernel_txn).expect("commit of active txn");
         self.process_kernel_events();
 
         let now = self.queue.now();

@@ -22,8 +22,9 @@
 //!   frames carrying `Register` / `Commit` / `Marker` records, with
 //!   torn-tail detection ([`record::parse_log`]).
 //! * [`log`] — the append engine: per-shard files, [`FsyncPolicy`], the
-//!   group-commit flusher thread, and [`Wal::open`] recovery (torn-tail
-//!   repair, cross-shard marker filtering, merge-by-seq).
+//!   group-commit flusher thread, the [`Durable`] future a committer
+//!   awaits, and [`Wal::open`] recovery (torn-tail repair, cross-shard
+//!   marker filtering, merge-by-seq).
 //!
 //! Rebuilding an empty object from a logged type name is the
 //! [`sbcc_adt::AdtType`] catalogue's job.
@@ -35,6 +36,6 @@ pub mod log;
 pub mod record;
 
 pub use log::{
-    marker_path, shard_log_path, FsyncPolicy, GroupClock, Wal, WalConfig, WalError,
+    marker_path, shard_log_path, Durable, FsyncPolicy, GroupClock, Wal, WalConfig, WalError,
 };
 pub use record::{LoggedOp, ParsedLog, SequencedRecord, WalRecord};

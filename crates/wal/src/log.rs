@@ -10,12 +10,24 @@
 //!
 //! * [`FsyncPolicy::Never`] — records are written straight to the file but
 //!   never fsynced. Fast, survives process kill (the OS page cache keeps
-//!   written bytes) but not power loss. `wait_durable` never blocks.
+//!   written bytes) but not power loss. A [`Durable`] future is ready at
+//!   once.
 //! * [`FsyncPolicy::GroupCommit`] — records are buffered in memory; a
 //!   flusher thread writes + fsyncs all shards once per window, amortising
-//!   the fsync across every commit that landed in the window. Committers
-//!   block in `wait_durable` until the flush covering their record runs.
+//!   the fsync across every commit that landed in the window. A committer
+//!   awaits its record's [`Durable`] future, which the flush covering the
+//!   record wakes; the thread that appended is free meanwhile.
 //! * [`FsyncPolicy::Always`] — write + fsync inline on every append.
+//!
+//! ## Waiting for a flush
+//!
+//! Each shard log keeps the highest durable ticket beside a registry of
+//! wakers keyed by `(ticket, slot)`. A pending [`Durable`] holds one slot,
+//! overwritten when it is polled again and removed when it is dropped, so
+//! the registry holds at most one entry per waiting future. A flush
+//! publishes its ticket and wakes every entry at or below it. Blocking
+//! callers ([`Durable::wait`]) park the thread behind the same registry;
+//! there is no second waiting mechanism.
 //!
 //! Registrations and cross-shard markers are always flushed at append,
 //! whatever the policy (fsynced unless the policy is `Never`): a commit
@@ -39,12 +51,16 @@
 //! Recovery-time errors (in [`Wal::open`]) are returned as [`WalError`].
 
 use crate::record::{encode_record, parse_log, LoggedOp, SequencedRecord, WalRecord};
+use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
+use std::future::Future;
 use std::io::Write;
 use std::path::{Path, PathBuf};
+use std::pin::Pin;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex};
+use std::task::{Context, Poll, Wake, Waker};
+use std::thread::{JoinHandle, Thread};
 use std::time::Duration;
 
 /// When (and whether) appended records are fsynced.
@@ -140,14 +156,24 @@ struct LogState {
     appended: u64,
 }
 
+/// What a flush publishes, and who waits for the next one.
+#[derive(Default)]
+struct DurableState {
+    /// Highest ticket whose record is written (and fsynced, unless the
+    /// policy is `Never`).
+    through: u64,
+    /// Wakers of pending [`Durable`] futures, keyed by `(ticket, slot)`.
+    waiters: BTreeMap<(u64, u64), Waker>,
+    /// Last slot handed to a [`Durable`] future.
+    next_slot: u64,
+}
+
 struct ShardLog {
     path: PathBuf,
     state: Mutex<LogState>,
-    /// Highest ticket whose record is written (and fsynced, unless the
-    /// policy is `Never`). Guarded separately so waiters never contend
-    /// with appenders.
-    durable: Mutex<u64>,
-    cv: Condvar,
+    /// Guarded separately from `state` so waiters never contend with
+    /// appenders.
+    durable: Mutex<DurableState>,
 }
 
 impl ShardLog {
@@ -167,8 +193,7 @@ impl ShardLog {
                 buf: Vec::new(),
                 appended: 0,
             }),
-            durable: Mutex::new(0),
-            cv: Condvar::new(),
+            durable: Mutex::new(DurableState::default()),
         })
     }
 }
@@ -222,7 +247,7 @@ impl WalInner {
     fn flush(&self, log: &ShardLog) {
         let mut state = log.state.lock().unwrap();
         let covered = state.appended;
-        if covered <= *log.durable.lock().unwrap() {
+        if covered <= log.durable.lock().unwrap().through {
             return; // nothing appended since the last flush
         }
         if !state.buf.is_empty() {
@@ -242,11 +267,20 @@ impl WalInner {
         Self::advance_durable(log, covered);
     }
 
+    /// Publish `ticket` as durable and wake every waiter it covers. The
+    /// wakers run after the lock is released: waking runs executor code.
     fn advance_durable(log: &ShardLog, ticket: u64) {
-        let mut durable = log.durable.lock().unwrap();
-        if *durable < ticket {
-            *durable = ticket;
-            log.cv.notify_all();
+        let covered = {
+            let mut durable = log.durable.lock().unwrap();
+            if durable.through >= ticket {
+                return;
+            }
+            durable.through = ticket;
+            let later = durable.waiters.split_off(&(ticket + 1, 0));
+            std::mem::replace(&mut durable.waiters, later)
+        };
+        for waker in covered.into_values() {
+            waker.wake();
         }
     }
 
@@ -439,7 +473,7 @@ impl Wal {
     }
 
     /// Append a commit record; returns the durability ticket to pass to
-    /// [`Wal::wait_durable`]. `multi_gid` is `Some` for the per-shard
+    /// [`Wal::durable`]. `multi_gid` is `Some` for the per-shard
     /// fragments of a cross-shard commit (which only become recoverable
     /// once [`Wal::commit_marker`] runs for that gid).
     pub fn append_commit(&self, shard: u32, multi_gid: Option<u64>, ops: &[LoggedOp]) -> u64 {
@@ -470,18 +504,23 @@ impl Wal {
         self.inner.flush(&self.inner.marker);
     }
 
-    /// Block until shard `shard`'s record with this ticket is durable.
-    /// No-op unless the policy is `GroupCommit` (the other policies settle
-    /// durability inline at append).
+    /// A future that resolves once shard `shard`'s record with this
+    /// ticket is durable. Ready at once unless the policy is `GroupCommit`
+    /// (the other policies settle durability inline at append).
+    pub fn durable(&self, shard: u32, ticket: u64) -> Durable {
+        Durable {
+            inner: Arc::clone(&self.inner),
+            shard,
+            ticket,
+            slot: None,
+        }
+    }
+
+    /// Block the calling thread until shard `shard`'s record with this
+    /// ticket is durable: [`Wal::durable`] followed by [`Durable::wait`].
+    /// The `wal.wait_durable_group_us` probe in `bench/` calls it.
     pub fn wait_durable(&self, shard: u32, ticket: u64) {
-        if self.inner.policy != FsyncPolicy::GroupCommit {
-            return;
-        }
-        let log = self.inner.log(shard);
-        let mut durable = log.durable.lock().unwrap();
-        while *durable < ticket {
-            durable = log.cv.wait(durable).unwrap();
-        }
+        self.durable(shard, ticket).wait();
     }
 
     /// The fsync policy this log was opened with.
@@ -500,6 +539,89 @@ impl Drop for Wal {
     }
 }
 
+/// The durability of one commit record, as a future: resolves once the
+/// flush covering the record's ticket has returned. Built by
+/// [`Wal::durable`]; owns a handle on the log, so it may outlive the
+/// borrow it was made from.
+///
+/// Dropping a pending `Durable` only stops waiting: the record stays
+/// appended and the next flush writes it regardless.
+pub struct Durable {
+    inner: Arc<WalInner>,
+    shard: u32,
+    ticket: u64,
+    /// This future's registry key while a waker is registered.
+    slot: Option<u64>,
+}
+
+impl std::fmt::Debug for Durable {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Durable")
+            .field("shard", &self.shard)
+            .field("ticket", &self.ticket)
+            .finish()
+    }
+}
+
+impl Durable {
+    /// Block the calling thread until the record is durable: the future
+    /// polled with a waker that unparks this thread.
+    pub fn wait(mut self) {
+        let waker = Waker::from(Arc::new(Unpark(std::thread::current())));
+        let mut cx = Context::from_waker(&waker);
+        while Pin::new(&mut self).poll(&mut cx).is_pending() {
+            std::thread::park();
+        }
+    }
+}
+
+impl Future for Durable {
+    type Output = ();
+
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+        let this = self.get_mut();
+        if this.inner.policy != FsyncPolicy::GroupCommit {
+            return Poll::Ready(());
+        }
+        let log = this.inner.log(this.shard);
+        let mut durable = log.durable.lock().expect("wal durable state poisoned by a panic");
+        if durable.through >= this.ticket {
+            // The flush that covered the ticket removed any entry.
+            this.slot = None;
+            return Poll::Ready(());
+        }
+        let slot = *this.slot.get_or_insert_with(|| {
+            durable.next_slot += 1;
+            durable.next_slot
+        });
+        durable
+            .waiters
+            .insert((this.ticket, slot), cx.waker().clone());
+        Poll::Pending
+    }
+}
+
+impl Drop for Durable {
+    fn drop(&mut self) {
+        if let Some(slot) = self.slot.take() {
+            // A poisoned lock only means another thread panicked; leave
+            // the entry to the next flush rather than panic in drop.
+            if let Ok(mut durable) = self.inner.log(self.shard).durable.lock() {
+                durable.waiters.remove(&(self.ticket, slot));
+            }
+        }
+    }
+}
+
+/// Wakes a thread parked in [`Durable::wait`].
+struct Unpark(Thread);
+
+impl Wake for Unpark {
+    fn wake(self: Arc<Self>) {
+        self.0.unpark();
+    }
+}
+
 /// Read `path`, parse it, and truncate any torn tail in place. Returns the
 /// valid record prefix.
 fn read_and_repair(path: &Path) -> Result<Vec<SequencedRecord>, WalError> {
@@ -515,4 +637,143 @@ fn read_and_repair(path: &Path) -> Result<Vec<SequencedRecord>, WalError> {
         file.sync_data().map_err(io)?;
     }
     Ok(parsed.records)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::AtomicUsize;
+
+    struct CountWakes(AtomicUsize);
+
+    impl Wake for CountWakes {
+        fn wake(self: Arc<Self>) {
+            self.0.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// A one-shard log in a fresh directory; the directory is removed on
+    /// drop, after the log.
+    struct TestLog {
+        wal: Option<Wal>,
+        dir: PathBuf,
+    }
+
+    impl TestLog {
+        /// Under `GroupCommit` the virtual clock never fires, so only an
+        /// explicit `flush_shard` makes a record durable.
+        fn open(tag: &str, fsync: FsyncPolicy) -> TestLog {
+            let dir = std::env::temp_dir()
+                .join(format!("sbcc-wal-unit-{tag}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let never_fires: GroupClock = Arc::new(|| Some(false));
+            let config = WalConfig::new(&dir).with_fsync(fsync);
+            let (wal, _) = Wal::open(&config, 1, Some(never_fires)).unwrap();
+            TestLog {
+                wal: Some(wal),
+                dir,
+            }
+        }
+
+        fn wal(&self) -> &Wal {
+            self.wal.as_ref().unwrap()
+        }
+
+        /// The tickets with a registered waker, in key order.
+        fn waiting(&self) -> Vec<u64> {
+            let durable = self.wal().inner.log(0).durable.lock().unwrap();
+            durable.waiters.keys().map(|&(ticket, _)| ticket).collect()
+        }
+    }
+
+    impl Drop for TestLog {
+        fn drop(&mut self) {
+            drop(self.wal.take());
+            let _ = std::fs::remove_dir_all(&self.dir);
+        }
+    }
+
+    fn poll_with(future: &mut Durable, wakes: &Arc<CountWakes>) -> Poll<()> {
+        let waker = Waker::from(wakes.clone());
+        Pin::new(future).poll(&mut Context::from_waker(&waker))
+    }
+
+    fn counter() -> Arc<CountWakes> {
+        Arc::new(CountWakes(AtomicUsize::new(0)))
+    }
+
+    #[test]
+    fn repolling_a_ticket_keeps_one_registry_entry_and_drop_removes_it() {
+        let log = TestLog::open("repoll", FsyncPolicy::GroupCommit);
+        let ticket = log.wal().append_commit(0, None, &[]);
+        let mut waiting = log.wal().durable(0, ticket);
+        // A fresh waker on every poll, as an executor that re-wraps its
+        // task would pass: each one replaces the last.
+        for _ in 0..1_000 {
+            assert!(poll_with(&mut waiting, &counter()).is_pending());
+        }
+        assert_eq!(log.waiting(), vec![ticket]);
+        let mut second = log.wal().durable(0, ticket);
+        assert!(poll_with(&mut second, &counter()).is_pending());
+        assert_eq!(log.waiting(), vec![ticket, ticket], "one entry per future");
+        drop(second);
+        drop(waiting);
+        assert!(log.waiting().is_empty(), "a dropped future leaves no entry");
+    }
+
+    #[test]
+    fn a_flush_wakes_and_removes_exactly_the_covered_entries() {
+        let log = TestLog::open("flush", FsyncPolicy::GroupCommit);
+        let first = log.wal().append_commit(0, None, &[]);
+        let second = log.wal().append_commit(0, None, &[]);
+        let (covered, later) = (counter(), counter());
+        let mut a = log.wal().durable(0, first);
+        let mut b = log.wal().durable(0, second);
+        let mut c = log.wal().durable(0, second + 1);
+        assert!(poll_with(&mut a, &covered).is_pending());
+        assert!(poll_with(&mut b, &covered).is_pending());
+        assert!(poll_with(&mut c, &later).is_pending());
+
+        log.wal().flush_shard(0);
+        assert_eq!(covered.0.load(Ordering::Relaxed), 2);
+        assert_eq!(later.0.load(Ordering::Relaxed), 0);
+        assert_eq!(log.waiting(), vec![second + 1], "no covered entry is left");
+        assert!(poll_with(&mut a, &covered).is_ready());
+        assert!(poll_with(&mut b, &covered).is_ready());
+        assert_eq!(log.waiting(), vec![second + 1]);
+
+        assert_eq!(log.wal().append_commit(0, None, &[]), second + 1);
+        log.wal().flush_shard(0);
+        assert_eq!(later.0.load(Ordering::Relaxed), 1);
+        assert!(poll_with(&mut c, &later).is_ready());
+        assert!(log.waiting().is_empty());
+    }
+
+    #[test]
+    fn a_blocking_wait_parks_until_a_flush_on_another_thread() {
+        let log = TestLog::open("park", FsyncPolicy::GroupCommit);
+        let ticket = log.wal().append_commit(0, None, &[]);
+        let flushed = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                std::thread::sleep(Duration::from_millis(20));
+                flushed.store(true, Ordering::Release);
+                log.wal().flush_shard(0);
+            });
+            log.wal().wait_durable(0, ticket);
+            assert!(flushed.load(Ordering::Acquire), "returned before the flush");
+        });
+        assert!(log.waiting().is_empty());
+    }
+
+    #[test]
+    fn inline_policies_are_durable_at_append() {
+        for fsync in [FsyncPolicy::Never, FsyncPolicy::Always] {
+            let log = TestLog::open(&format!("{fsync:?}"), fsync);
+            let ticket = log.wal().append_commit(0, None, &[]);
+            let mut durable = log.wal().durable(0, ticket);
+            assert!(poll_with(&mut durable, &counter()).is_ready());
+            assert!(log.waiting().is_empty());
+        }
+    }
 }
