@@ -8,26 +8,29 @@
 //!   virtual clock fired the flush, so the tests prove the durability
 //!   wait is gated on the flusher and not on a hidden inline fsync, for
 //!   blocking sessions and for async sessions that share one executor
-//!   thread (which keeps running other sessions while a commit waits);
+//!   thread (which keeps running other sessions while a commit waits),
+//!   including a wire commit whose connection drops while it waits;
 //! * **seeded truncation sweep** — crash images derived from a pinned
 //!   seed cut one shard's log at arbitrary byte offsets (including
 //!   mid-record, the torn tail a crash during a group-commit flush
 //!   leaves), and every image must recover to a per-shard prefix,
 //!   identically at 1 and 4 shards.
 
-use sbcc_adt::{Counter, CounterOp, OpResult, Stack, StackOp, Value};
+use sbcc_adt::{AdtOp, Counter, CounterOp, OpResult, Stack, StackOp, Value};
 use sbcc_core::aio::{yield_now, AsyncDatabase, LocalExecutor};
 use sbcc_core::chaos::{clear_clock_hook, install_clock_hook, ClockHook, TimeoutPoint};
 use sbcc_core::{
-    CommitOutcome, Database, DatabaseConfig, FsyncPolicy, SchedulerConfig, ShardCount, TxnState,
-    WalConfig,
+    CommitOutcome, Database, DatabaseConfig, FsyncPolicy, SchedulerConfig, ShardCount, TxnId,
+    TxnState, WalConfig,
 };
+use sbcc_net::{AdtType, NetClient, Request, Server, ServerConfig};
 use std::cell::Cell;
+use std::net::Shutdown;
 use std::path::{Path, PathBuf};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Pinned seed for the flush countdown and the truncation offsets
 /// (SplitMix64 chain). Bump only with a comment explaining what the old
@@ -160,8 +163,8 @@ fn hour_window(dir: &Path) -> WalConfig {
 }
 
 /// Commits a crash image copied from `dir` now recovers, and the
-/// recovered value of the `hits` counter.
-fn recover_hits(dir: &Path) -> (u64, OpResult) {
+/// recovered value of the counter registered as `name`.
+fn recover_counter(dir: &Path, name: &str) -> (u64, OpResult) {
     let image = ScratchDir::new("image");
     copy_dir(dir, image.path());
     let recovered = Database::with_config(config(
@@ -169,8 +172,8 @@ fn recover_hits(dir: &Path) -> (u64, OpResult) {
         WalConfig::new(image.path()).with_fsync(FsyncPolicy::Never),
     ));
     let read = recovered.begin();
-    let hits = recovered.handle::<Counter>("hits").unwrap();
-    let value = read.exec(&hits, CounterOp::Read).unwrap();
+    let counter = recovered.handle::<Counter>(name).unwrap();
+    let value = read.exec(&counter, CounterOp::Read).unwrap();
     (recovered.stats().commits, value)
 }
 
@@ -203,7 +206,7 @@ fn virtual_clock_drives_the_group_commit_flush() {
     // Every acknowledged commit is on disk: a crash image taken while the
     // database is still alive recovers all four.
     assert_eq!(
-        recover_hits(dir.path()),
+        recover_counter(dir.path(), "hits"),
         (4, OpResult::Value(Value::Int(6)))
     );
 }
@@ -235,13 +238,13 @@ fn async_acknowledgements_wait_for_the_flush_without_stalling_the_executor() {
     assert_eq!(db.stats().commits, 16, "every session committed in memory");
     assert_eq!(acknowledged.get(), 0, "no ack before the flush");
     assert_eq!(executor.pending_tasks(), 16);
-    assert_eq!(recover_hits(dir.path()), (0, OpResult::Value(Value::Int(0))));
+    assert_eq!(recover_counter(dir.path(), "hits"), (0, OpResult::Value(Value::Int(0))));
 
     clock.release();
     executor.run();
     assert_eq!(acknowledged.get(), 16);
     assert_eq!(
-        recover_hits(dir.path()),
+        recover_counter(dir.path(), "hits"),
         (16, OpResult::Value(Value::Int(120)))
     );
 }
@@ -296,6 +299,68 @@ fn a_durable_commit_wakes_the_sessions_it_unblocked_before_its_flush() {
     clock.release();
     executor.run();
     assert!(t1_acknowledged.get());
+}
+
+fn wait_until(what: &str, cond: impl Fn() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !cond() {
+        assert!(Instant::now() < deadline, "timed out waiting for {what}");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
+/// A wire `Commit` suspends its server task on the flush after the
+/// router has already forgotten the transaction. A disconnect in that
+/// window gives up the acknowledgement only: the commit is not aborted,
+/// its task is not stranded, and the flush still makes it durable.
+#[test]
+fn a_wire_commit_waiting_on_the_flush_survives_a_disconnect() {
+    let clock = Arc::new(HeldFlush::default());
+    let _guard = HookGuard::install(clock.clone());
+    let dir = ScratchDir::new("wire-commit");
+    let server = Server::start(
+        AsyncDatabase::with_config(config(1, hour_window(dir.path()))),
+        ServerConfig::default().with_workers(1),
+    )
+    .expect("bind loopback server");
+
+    let mut client = NetClient::connect(server.local_addr(), "t").expect("connect");
+    client.register("hits", AdtType::Counter).unwrap();
+    let txn = client.begin().unwrap();
+    client
+        .exec(txn, "hits", CounterOp::Increment(5).to_call())
+        .unwrap();
+    client.send(&Request::Commit { txn }).unwrap();
+    wait_until("the commit in memory", || {
+        server.db().txn_state(TxnId(txn)) == Some(TxnState::Committed)
+    });
+    assert_eq!(
+        recover_counter(dir.path(), "t/hits"),
+        (0, OpResult::Value(Value::Int(0)))
+    );
+
+    client.stream().shutdown(Shutdown::Both).unwrap();
+    drop(client);
+    wait_until("connection teardown", || {
+        server.net_stats().connections_open == 0
+    });
+    assert_eq!(
+        server.net_stats().transactions_in_flight,
+        1,
+        "the commit still waits on its flush"
+    );
+
+    clock.release();
+    wait_until("the commit task to finish", || {
+        server.net_stats().transactions_in_flight == 0
+    });
+    assert_eq!(
+        recover_counter(dir.path(), "t/hits"),
+        (1, OpResult::Value(Value::Int(5)))
+    );
+    let stats = server.shutdown();
+    assert_eq!(stats.sessions_auto_aborted, 0);
+    assert_eq!(stats.transactions_in_flight, 0);
 }
 
 // ---------------------------------------------------------------------

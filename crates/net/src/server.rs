@@ -35,9 +35,15 @@
 //!   async layer's cancellation contract (abort + waiter-slot
 //!   unregistration), so a dead client can neither strand kernel state
 //!   nor block other tenants' transactions behind its uncommitted
-//!   operations. The timeout check consults
-//!   [`sbcc_core::chaos::timeout_fires`] first, so a deterministic
-//!   harness can drive this path from a virtual clock.
+//!   operations. Close reaches every parked operation, including one
+//!   whose `Commit` the router has already dispatched: each pending
+//!   `Closed` holds one waker slot in its connection's table, overwritten
+//!   on re-poll and freed when the race drops it, and closing the
+//!   connection wakes every occupied slot. The table is therefore bounded
+//!   by the races in flight, not by the polls a connection has seen.
+//!   The timeout check consults [`sbcc_core::chaos::timeout_fires`]
+//!   first, so a deterministic harness can drive this path from a
+//!   virtual clock.
 //!
 //! # Tenant namespacing
 //!
@@ -189,7 +195,11 @@ struct ConnShared {
     events: StdMutex<VecDeque<ConnEvent>>,
     router_waker: StdMutex<Option<Waker>>,
     closed: AtomicBool,
-    close_wakers: StdMutex<Vec<Waker>>,
+    /// One waker slot per parked [`Closed`], taken on its first pending
+    /// poll, overwritten on re-poll and emptied on drop for the next
+    /// `Closed` to reuse: the table is as long as the most races ever in
+    /// flight at once, never as long as the polls the connection has seen.
+    close_slots: StdMutex<Vec<Option<Waker>>>,
     /// Live transactions on this connection: admission control reads it,
     /// the reader only runs its inactivity countdown while it is > 0.
     live_txns: AtomicUsize,
@@ -206,7 +216,7 @@ impl ConnShared {
             events: StdMutex::new(VecDeque::new()),
             router_waker: StdMutex::new(None),
             closed: AtomicBool::new(false),
-            close_wakers: StdMutex::new(Vec::new()),
+            close_slots: StdMutex::new(Vec::new()),
             live_txns: AtomicUsize::new(0),
         }
     }
@@ -223,13 +233,19 @@ impl ConnShared {
     }
 
     /// Mark the connection closed and wake everything waiting on it.
-    /// Sets the flag *before* draining the waker list — [`Closed`]
-    /// re-checks the flag under that same lock, so no waiter can
-    /// register after the drain without seeing the flag.
+    /// Sets the flag *before* emptying the slots — [`Closed`] re-checks
+    /// the flag under that same lock, so no waiter can park after the
+    /// drain without seeing the flag.
     fn mark_closed(&self) {
         self.closed.store(true, Ordering::Release);
         self.wake_router();
-        let wakers: Vec<Waker> = std::mem::take(&mut *self.close_wakers.lock().unwrap());
+        let wakers: Vec<Waker> = self
+            .close_slots
+            .lock()
+            .unwrap()
+            .iter_mut()
+            .filter_map(Option::take)
+            .collect();
         for w in wakers {
             w.wake();
         }
@@ -242,23 +258,59 @@ impl ConnShared {
 /// the async layer's cancellation abort.
 struct Closed {
     conn: Arc<ConnShared>,
+    /// This future's index in `close_slots` once it has parked.
+    slot: Option<usize>,
+}
+
+impl Closed {
+    fn new(conn: &Arc<ConnShared>) -> Closed {
+        Closed {
+            conn: conn.clone(),
+            slot: None,
+        }
+    }
 }
 
 impl Future for Closed {
     type Output = ();
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        if self.conn.closed.load(Ordering::Acquire) {
+        let this = self.get_mut();
+        if this.conn.closed.load(Ordering::Acquire) {
             return Poll::Ready(());
         }
-        let mut wakers = self.conn.close_wakers.lock().unwrap();
-        if self.conn.closed.load(Ordering::Acquire) {
+        let mut slots = this.conn.close_slots.lock().unwrap();
+        if this.conn.closed.load(Ordering::Acquire) {
             return Poll::Ready(());
         }
-        if !wakers.iter().any(|w| w.will_wake(cx.waker())) {
-            wakers.push(cx.waker().clone());
+        // An empty slot is free: before close every taken slot holds a
+        // waker, and after close nothing parks.
+        let i = *this.slot.get_or_insert_with(|| {
+            slots.iter().position(Option::is_none).unwrap_or_else(|| {
+                slots.push(None);
+                slots.len() - 1
+            })
+        });
+        // The executor hands a fresh waker to every poll: overwrite the
+        // slot, and skip the clone when the stored waker wakes the same
+        // task.
+        match &mut slots[i] {
+            Some(stored) if stored.will_wake(cx.waker()) => {}
+            entry => *entry = Some(cx.waker().clone()),
         }
         Poll::Pending
+    }
+}
+
+impl Drop for Closed {
+    fn drop(&mut self) {
+        if let Some(i) = self.slot.take() {
+            // A poisoned lock only means another thread panicked; leave
+            // the slot taken rather than panic in drop.
+            if let Ok(mut slots) = self.conn.close_slots.lock() {
+                slots[i] = None;
+            }
+        }
     }
 }
 
@@ -854,7 +906,7 @@ async fn txn_task(
             NextWork {
                 queue: queue.clone(),
             },
-            Closed { conn: conn.clone() },
+            Closed::new(&conn),
         )
         .await;
         let work = match next {
@@ -866,7 +918,7 @@ async fn txn_task(
         };
         match work {
             TxnWork::Exec { id, handle, call } => {
-                let raced = race(txn.exec_call(&handle, call), Closed { conn: conn.clone() }).await;
+                let raced = race(txn.exec_call(&handle, call), Closed::new(&conn)).await;
                 match raced {
                     RaceWinner::Left(Ok(result)) => {
                         write_frame(&writer, &conn, &Response::Result(result).encode(id));
@@ -890,8 +942,7 @@ async fn txn_task(
                 let mut results = Vec::with_capacity(ops.len());
                 let mut outcome = None;
                 for (handle, call) in ops {
-                    let raced =
-                        race(txn.exec_call(&handle, call), Closed { conn: conn.clone() }).await;
+                    let raced = race(txn.exec_call(&handle, call), Closed::new(&conn)).await;
                     match raced {
                         RaceWinner::Left(Ok(result)) => results.push(result),
                         RaceWinner::Left(Err(e)) => {
@@ -945,4 +996,72 @@ async fn auto_abort(shared: &Arc<ServerShared>, txn: &AsyncTransaction) {
     // Counted after the abort: whoever observes the count sees the
     // session terminated.
     shared.sessions_auto_aborted.fetch_add(1, Ordering::Relaxed);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::task::Wake;
+
+    /// Counts wakes into a shared total, so a fresh `Arc` per poll (the
+    /// way `LocalExecutor` builds its wakers) never `will_wake` the last.
+    struct CountWakes(Arc<AtomicUsize>);
+
+    impl Wake for CountWakes {
+        fn wake(self: Arc<Self>) {
+            self.0.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    fn poll_fresh(closed: &mut Closed, wakes: &Arc<AtomicUsize>) -> Poll<()> {
+        let waker = Waker::from(Arc::new(CountWakes(wakes.clone())));
+        Pin::new(closed).poll(&mut Context::from_waker(&waker))
+    }
+
+    /// (table length, occupied slots).
+    fn slots(conn: &ConnShared) -> (usize, usize) {
+        let slots = conn.close_slots.lock().unwrap();
+        let occupied = slots.iter().filter(|w| w.is_some()).count();
+        (slots.len(), occupied)
+    }
+
+    #[test]
+    fn repolling_keeps_one_slot_and_drop_frees_it_for_reuse() {
+        let conn = Arc::new(ConnShared::new());
+        let wakes = Arc::new(AtomicUsize::new(0));
+        let mut closed = Closed::new(&conn);
+        for _ in 0..1_000 {
+            assert!(poll_fresh(&mut closed, &wakes).is_pending());
+        }
+        assert_eq!(slots(&conn), (1, 1));
+
+        drop(closed);
+        assert_eq!(slots(&conn), (1, 0));
+        let mut next = Closed::new(&conn);
+        assert!(poll_fresh(&mut next, &wakes).is_pending());
+        assert_eq!(slots(&conn), (1, 1), "the freed slot is reused");
+        assert_eq!(wakes.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn close_wakes_every_parked_closed_and_later_polls_do_not_park() {
+        let conn = Arc::new(ConnShared::new());
+        let wakes = Arc::new(AtomicUsize::new(0));
+        let mut parked: Vec<Closed> = (0..3).map(|_| Closed::new(&conn)).collect();
+        for closed in &mut parked {
+            assert!(poll_fresh(closed, &wakes).is_pending());
+        }
+        assert_eq!(slots(&conn), (3, 3));
+
+        conn.mark_closed();
+        assert_eq!(wakes.load(Ordering::Relaxed), 3);
+        assert_eq!(slots(&conn), (3, 0));
+        for closed in &mut parked {
+            assert!(poll_fresh(closed, &wakes).is_ready());
+        }
+        let mut late = Closed::new(&conn);
+        assert!(poll_fresh(&mut late, &wakes).is_ready());
+        assert_eq!(late.slot, None, "a poll after close takes no slot");
+        assert_eq!(slots(&conn), (3, 0));
+    }
 }

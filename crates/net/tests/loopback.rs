@@ -344,6 +344,52 @@ fn mid_transaction_disconnect_auto_aborts_and_unblocks_waiters() {
     assert_eq!(stats.connections_open, 0);
 }
 
+/// The router drops a transaction from its table when it dispatches the
+/// `Commit`, but the transaction's task may still be blocked on an
+/// earlier `Exec`. A disconnect must reach that task too.
+#[test]
+fn blocked_exec_with_pipelined_commit_is_aborted_on_disconnect() {
+    let server = start_server(ServerConfig::default().with_workers(1));
+    let addr = server.local_addr();
+
+    let mut holder = NetClient::connect(addr, "t").expect("connect");
+    holder.register("s", AdtType::Stack).unwrap();
+    let t1 = holder.begin().unwrap();
+    holder
+        .exec(t1, "s", StackOp::Push(Value::Int(7)).to_call())
+        .unwrap();
+
+    let mut waiter = NetClient::connect(addr, "t").expect("connect");
+    let t2 = waiter.begin().unwrap();
+    waiter
+        .send(&Request::Exec {
+            txn: t2,
+            object: "s".to_owned(),
+            call: StackOp::Pop.to_call(),
+        })
+        .unwrap();
+    waiter.send(&Request::Commit { txn: t2 }).unwrap();
+    waiter.ping().unwrap(); // fence: the commit has been dispatched
+    wait_until("pop to block", || {
+        server.db().txn_state(TxnId(t2)) == Some(TxnState::Blocked)
+    });
+
+    waiter.stream().shutdown(Shutdown::Both).unwrap();
+    drop(waiter);
+    wait_until("waiter session teardown", || {
+        server.net_stats().sessions_auto_aborted == 1
+    });
+    assert_eq!(server.db().txn_state(TxnId(t2)), Some(TxnState::Aborted));
+
+    // The holder never depended on the waiter, so it commits as usual.
+    assert!(!holder.commit(t1).unwrap());
+    server.db().verify_serializable().unwrap();
+    drop(holder);
+    let stats = server.shutdown();
+    assert_eq!(stats.sessions_auto_aborted, 1);
+    assert_eq!(stats.transactions_in_flight, 0, "no stranded sessions");
+}
+
 #[test]
 fn begin_beyond_in_flight_cap_is_shed_with_busy() {
     let server = start_server(
