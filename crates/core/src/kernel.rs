@@ -71,9 +71,10 @@ pub struct SchedulerKernel {
     escalation: Option<Arc<GlobalGraph>>,
     /// `true` while this shard hosts (or recently hosted) a transaction
     /// that is also enrolled in another shard. While entangled, every
-    /// local dependency-graph mutation is mirrored into the escalation
-    /// graph and every cycle check that finds no local cycle additionally
-    /// consults it. Reset when the shard quiesces (no live transactions).
+    /// local dependency-graph mutation reaches the escalation graph (an
+    /// edge through the check that reserves it) and every cycle check that
+    /// finds no local cycle additionally consults it. Reset when the shard
+    /// quiesces (no live transactions).
     entangled: bool,
     /// Coordinated (multi-shard) pseudo-committed transactions whose
     /// **local** commit-dependency out-degree dropped to zero; drained by
@@ -870,23 +871,52 @@ impl SchedulerKernel {
                     rec.id, rec.state
                 ));
             }
+            if rec.state != TxnState::Blocked
+                && !self.graph.out_neighbors_kind(rec.id, EdgeKind::WaitFor).is_empty()
+            {
+                return Err(format!(
+                    "transaction {} is {} but still has wait-for edges",
+                    rec.id, rec.state
+                ));
+            }
         }
         Ok(())
+    }
+
+    /// While entangled, every edge of the local graph must be present in
+    /// the escalation graph: admission adds an edge locally only after
+    /// [`GlobalGraph::check_and_reserve`] inserted it there.
+    pub(crate) fn check_mirrored(&self) -> Result<(), String> {
+        let (true, Some(global)) = (self.entangled, &self.escalation) else {
+            return Ok(());
+        };
+        let mut missing = None;
+        self.graph.for_each_edge(|from, to, kind, _| {
+            if missing.is_none() && global.edge_multiplicity(from, to, kind) == 0 {
+                missing = Some((from, to, kind));
+            }
+        });
+        match missing {
+            Some((from, to, kind)) => Err(format!(
+                "local {kind:?} edge {from} -> {to} is missing from the escalation graph"
+            )),
+            None => Ok(()),
+        }
     }
 
     // ------------------------------------------------------------------
     // Internals
     // ------------------------------------------------------------------
 
-    /// Add a dependency edge to the local graph, mirroring it into the
-    /// escalation graph while entangled.
+    /// Add a dependency edge to the local graph. Every caller first ran
+    /// [`Self::cycle_would_close`] on it, which in an entangled shard
+    /// already inserted the edge into the escalation graph
+    /// ([`GlobalGraph::check_and_reserve`]): the reservation *is* the
+    /// mirror, so only its count is kept here.
     fn graph_add_edge(&mut self, from: TxnId, to: TxnId, kind: EdgeKind) {
         self.graph.add_edge(from, to, kind);
         self.stats.graph_edges += 1;
         if self.entangled {
-            if let Some(global) = &self.escalation {
-                global.add_edge(from, to, kind);
-            }
             self.stats.escalated_edges += 1;
         }
     }
@@ -909,8 +939,8 @@ impl SchedulerKernel {
         }
     }
 
-    /// Clear a transaction's outgoing wait-for edges (blocked-request
-    /// retry), mirrored while entangled.
+    /// Clear a transaction's outgoing wait-for edges (a retried request
+    /// that executes, or whose holders changed), mirrored while entangled.
     fn graph_clear_wait_edges(&mut self, txn: TxnId) {
         self.graph.clear_out_edges(txn, EdgeKind::WaitFor);
         if self.entangled {
@@ -1012,6 +1042,15 @@ impl SchedulerKernel {
     /// as new blocking events in the statistics). `precomputed` supplies a
     /// still-valid classification from a batch plan for the first loop
     /// iteration (victim-abort iterations always re-classify).
+    ///
+    /// A retried request arrives still holding its wait-for edges. If it
+    /// blocks again, only holders it does not already wait for are checked
+    /// and added: a cycle closed by `txn -> t` is a path from `t` back to
+    /// `txn`, which never leaves through `txn`'s own out-edges, and the
+    /// graph is acyclic, so a held edge can neither close a cycle nor
+    /// change the verdict on the others. The held edges are cleared only
+    /// when one of them no longer conflicts (then every holder is
+    /// re-checked) or when the request stops waiting.
     fn process_request(
         &mut self,
         txn: TxnId,
@@ -1031,10 +1070,26 @@ impl SchedulerKernel {
                 commit_deps,
             } = classification;
 
+            let held = if is_retry {
+                self.graph.out_neighbors_kind(txn, EdgeKind::WaitFor)
+            } else {
+                Vec::new()
+            };
+
             if !conflicts.is_empty() {
                 // Step 1: the request conflicts; it must wait unless waiting
                 // would close a cycle.
-                if self.cycle_would_close(txn, &conflicts, EdgeKind::WaitFor) {
+                let fresh: Vec<TxnId> = if held.iter().all(|h| conflicts.contains(h)) {
+                    conflicts
+                        .iter()
+                        .copied()
+                        .filter(|h| !held.contains(h))
+                        .collect()
+                } else {
+                    self.graph_clear_wait_edges(txn);
+                    conflicts.clone()
+                };
+                if !fresh.is_empty() && self.cycle_would_close(txn, &fresh, EdgeKind::WaitFor) {
                     match self.select_victim(txn, &conflicts) {
                         victim if victim == txn => {
                             self.abort_internal(txn, AbortReason::DeadlockCycle);
@@ -1052,7 +1107,7 @@ impl SchedulerKernel {
                         }
                     }
                 }
-                for holder in &conflicts {
+                for holder in &fresh {
                     self.graph_add_edge(txn, *holder, EdgeKind::WaitFor);
                 }
                 self.object_mut(object).push_blocked(txn, call.clone());
@@ -1070,6 +1125,11 @@ impl SchedulerKernel {
                 return RequestOutcome::Blocked {
                     waiting_on: conflicts,
                 };
+            }
+
+            // From here the request executes or aborts: it waits for no one.
+            if !held.is_empty() {
+                self.graph_clear_wait_edges(txn);
             }
 
             if commit_deps.is_empty() {
@@ -1136,9 +1196,10 @@ impl SchedulerKernel {
     /// visible. The escalated check atomically *reserves* the edges on a
     /// pass ([`GlobalGraph::check_and_reserve`]), closing the window in
     /// which two requests racing in two entangled shards could both pass
-    /// before either mirrored its edge. An isolated (non-entangled) shard
-    /// never takes the global lock here, because no transaction with a
-    /// presence in this shard has edges anywhere else.
+    /// before either mirrored its edge; that reservation is the edges'
+    /// only mirror (see [`Self::graph_add_edge`]). An isolated
+    /// (non-entangled) shard never takes the global lock here, because no
+    /// transaction with a presence in this shard has edges anywhere else.
     ///
     /// `kind` is the edge kind the caller will add on a negative verdict
     /// (wait-for for the blocking branch, commit-dep for the recoverable
@@ -1401,7 +1462,6 @@ impl SchedulerKernel {
                 rec.state = TxnState::Active;
                 rec.pending = None;
             }
-            self.graph_clear_wait_edges(request.txn);
             let outcome = self.process_request(request.txn, object, request.call, true, None);
             match &outcome {
                 RequestOutcome::Blocked { .. } => {
@@ -1415,5 +1475,175 @@ impl SchedulerKernel {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sbcc_adt::{AdtOp, Stack, StackOp, Value};
+
+    fn push(v: i64) -> OpCall {
+        StackOp::Push(Value::Int(v)).to_call()
+    }
+
+    fn pop() -> OpCall {
+        StackOp::Pop.to_call()
+    }
+
+    /// A standalone kernel wired to an escalation graph and entangled, so
+    /// every check it runs is escalated the way an entangled shard's is.
+    fn entangled(fair: bool) -> (SchedulerKernel, Arc<GlobalGraph>, ObjectId) {
+        let mut k = SchedulerKernel::new(SchedulerConfig::default().with_fair_scheduling(fair));
+        let global = Arc::new(GlobalGraph::new());
+        k.attach_escalation(global.clone());
+        k.entangle();
+        let s = k.register("s", Stack::new()).unwrap();
+        (k, global, s)
+    }
+
+    /// `(graph_edges, local cycle checks, escalated checks)`.
+    fn graph_work(k: &SchedulerKernel) -> (u64, u64, u64) {
+        (k.stats().graph_edges, k.cycle_checks(), k.stats().escalated_checks)
+    }
+
+    /// Terminate a transaction whose push commutes with everything on the
+    /// stack: the abort marks the object dirty, so every blocked request
+    /// on it is retried.
+    fn retry_waiters(k: &mut SchedulerKernel, s: ObjectId) {
+        let x = k.begin();
+        assert!(k.request(x, s, push(1)).unwrap().is_executed());
+        k.abort(x).unwrap();
+    }
+
+    #[test]
+    fn re_block_behind_unchanged_holders_adds_and_checks_nothing() {
+        let (mut k, global, s) = entangled(false);
+        let holder = k.begin();
+        let waiter = k.begin();
+        assert!(k.request(holder, s, push(1)).unwrap().is_executed());
+        assert!(k.request(waiter, s, pop()).unwrap().is_blocked());
+        assert_eq!(k.stats().graph_edges, 1, "one wait-for edge");
+        for _ in 0..5 {
+            // Sampled per round: `check_invariants` counts a cycle check.
+            let before = graph_work(&k);
+            retry_waiters(&mut k, s);
+            assert_eq!(k.txn_state(waiter), Some(TxnState::Blocked));
+            assert_eq!(graph_work(&k), before, "re-block added or checked an edge");
+            assert_eq!(global.edge_multiplicity(waiter, holder, EdgeKind::WaitFor), 1);
+            k.check_invariants().unwrap();
+            k.check_mirrored().unwrap();
+        }
+    }
+
+    #[test]
+    fn re_block_behind_one_new_holder_checks_and_adds_only_that_edge() {
+        let (mut k, global, s) = entangled(false);
+        let holder = k.begin();
+        let waiter = k.begin();
+        let newcomer = k.begin();
+        assert!(k.request(holder, s, push(1)).unwrap().is_executed());
+        assert!(k.request(waiter, s, pop()).unwrap().is_blocked());
+        // Without fairness the push overtakes the blocked pop (recoverable
+        // relative to the holder's push), so the pop now conflicts twice.
+        assert!(k.request(newcomer, s, push(2)).unwrap().is_executed());
+        let x = k.begin();
+        assert!(k.request(x, s, push(1)).unwrap().is_executed());
+        let before = graph_work(&k);
+        k.abort(x).unwrap();
+        assert_eq!(k.txn_state(waiter), Some(TxnState::Blocked));
+        let after = graph_work(&k);
+        assert_eq!(after.0, before.0 + 1, "exactly one new edge");
+        assert_eq!(after.1, before.1 + 1, "one local check");
+        assert_eq!(after.2, before.2 + 1, "one escalated check");
+        // Only the new holder was reserved: the held edge was not re-added.
+        assert_eq!(global.edge_multiplicity(waiter, holder, EdgeKind::WaitFor), 1);
+        assert_eq!(global.edge_multiplicity(waiter, newcomer, EdgeKind::WaitFor), 1);
+        k.check_invariants().unwrap();
+        k.check_mirrored().unwrap();
+    }
+
+    #[test]
+    fn retry_that_executes_leaves_no_wait_for_edge() {
+        let (mut k, global, s) = entangled(true);
+        let holder = k.begin();
+        let first = k.begin();
+        let second = k.begin();
+        assert!(k.request(holder, s, push(1)).unwrap().is_executed());
+        assert!(k.request(first, s, pop()).unwrap().is_blocked());
+        // Fairness: the push waits behind the blocked pop, not the holder.
+        match k.request(second, s, push(1)).unwrap() {
+            RequestOutcome::Blocked { waiting_on } => assert_eq!(waiting_on, vec![first]),
+            other => panic!("expected the push to wait behind the pop, got {other:?}"),
+        }
+        // The holder's abort lets the pop execute; the retried push is then
+        // recoverable relative to it and executes with a commit dependency
+        // on the very transaction it used to wait for.
+        k.abort(holder).unwrap();
+        assert_eq!(k.txn_state(first), Some(TxnState::Active));
+        assert_eq!(k.txn_state(second), Some(TxnState::Active));
+        assert!(k.graph.out_neighbors_kind(second, EdgeKind::WaitFor).is_empty());
+        assert_eq!(global.edge_multiplicity(second, first, EdgeKind::WaitFor), 0);
+        assert_eq!(k.commit_dependencies_of(second), vec![first]);
+        assert_eq!(global.edge_multiplicity(second, first, EdgeKind::CommitDep), 1);
+        k.check_invariants().unwrap();
+        k.check_mirrored().unwrap();
+    }
+
+    #[test]
+    fn re_block_after_a_held_holder_stops_conflicting_re_adds_only_the_conflicts() {
+        let (mut k, global, s) = entangled(true);
+        let holder = k.begin();
+        let first = k.begin();
+        let second = k.begin();
+        let pusher = k.begin();
+        assert!(k.request(holder, s, push(1)).unwrap().is_executed());
+        assert!(k.request(first, s, pop()).unwrap().is_blocked());
+        assert!(k.request(second, s, pop()).unwrap().is_blocked());
+        // Fairness: the push waits behind both blocked pops.
+        match k.request(pusher, s, push(1)).unwrap() {
+            RequestOutcome::Blocked { waiting_on } => assert_eq!(waiting_on, vec![first, second]),
+            other => panic!("expected the push to wait behind both pops, got {other:?}"),
+        }
+        let before = graph_work(&k);
+        // The first pop executes on retry; the second re-blocks behind it;
+        // the push is now recoverable relative to the first pop but still
+        // waits behind the second, so its held edge to the first is stale.
+        k.abort(holder).unwrap();
+        assert_eq!(k.txn_state(first), Some(TxnState::Active));
+        assert_eq!(k.txn_state(second), Some(TxnState::Blocked));
+        assert_eq!(k.txn_state(pusher), Some(TxnState::Blocked));
+        assert_eq!(k.graph.out_neighbors_kind(pusher, EdgeKind::WaitFor), vec![second]);
+        assert_eq!(global.edge_multiplicity(pusher, first, EdgeKind::WaitFor), 0);
+        assert_eq!(global.edge_multiplicity(pusher, second, EdgeKind::WaitFor), 1);
+        let after = graph_work(&k);
+        assert_eq!(after.0, before.0 + 1, "the push re-adds its one live edge");
+        assert_eq!((after.1, after.2), (before.1 + 1, before.2 + 1), "one check, of that holder");
+        k.check_invariants().unwrap();
+        k.check_mirrored().unwrap();
+    }
+
+    #[test]
+    fn invariants_reject_wait_for_edges_of_a_transaction_that_is_not_blocked() {
+        let mut k = SchedulerKernel::new(SchedulerConfig::default());
+        let a = k.begin();
+        let b = k.begin();
+        k.check_invariants().unwrap();
+        k.graph.add_edge(a, b, EdgeKind::WaitFor);
+        let err = k.check_invariants().unwrap_err();
+        assert!(err.contains("wait-for"), "{err}");
+    }
+
+    #[test]
+    fn invariants_reject_a_local_edge_missing_from_the_escalation_graph() {
+        let (mut k, global, s) = entangled(false);
+        let holder = k.begin();
+        let waiter = k.begin();
+        assert!(k.request(holder, s, push(1)).unwrap().is_executed());
+        assert!(k.request(waiter, s, pop()).unwrap().is_blocked());
+        k.check_mirrored().unwrap();
+        global.clear_out_edges(waiter, EdgeKind::WaitFor);
+        let err = k.check_mirrored().unwrap_err();
+        assert!(err.contains("missing from the escalation graph"), "{err}");
     }
 }

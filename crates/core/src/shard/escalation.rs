@@ -19,10 +19,6 @@ impl GlobalGraph {
         GlobalGraph::default()
     }
 
-    pub(crate) fn add_edge(&self, from: TxnId, to: TxnId, kind: EdgeKind) {
-        self.graph.lock().add_edge(from, to, kind);
-    }
-
     pub(crate) fn remove_node(&self, txn: TxnId) {
         self.graph.lock().remove_node(txn);
     }
@@ -35,17 +31,19 @@ impl GlobalGraph {
     /// hypothetical edges close no cycle, insert them immediately so that
     /// a concurrent escalated check from another shard sees them.
     ///
-    /// Without the reservation the check and the later mirror (performed
-    /// once the kernel actually adds the edges, under a *different* shard
-    /// lock) would be two separate global-graph critical sections, and two
-    /// requests racing in two entangled shards could each pass the check
-    /// before either inserted its edge — admitting exactly the undetected
-    /// cross-shard cycle the escalation path exists to refuse. A passed
-    /// check is always followed by the kernel adding those edges (the
-    /// Figure-2 branches never abandon them), so reserved edges are never
-    /// phantom; the kernel's own mirror then merely raises the pair's
-    /// multiplicity, which is harmless because the global graph is only
-    /// ever pruned wholesale (node removal, per-kind out-edge clears).
+    /// The reservation is the edges' **only** mirror: the kernel adds them
+    /// to its local graph afterwards without touching this graph again, so
+    /// an admitted edge set costs one global critical section. Were the
+    /// check and the mirror two sections, two requests racing in two
+    /// entangled shards could each pass the check before either inserted
+    /// its edge — admitting exactly the undetected cross-shard cycle the
+    /// escalation path exists to refuse. A passed check is always followed
+    /// by the kernel adding those edges (the Figure-2 branches never
+    /// abandon them), so reserved edges are never phantom. A recoverable
+    /// request may reserve a commit dependency the local graph already
+    /// holds (the kernel deduplicates it locally); the extra multiplicity
+    /// is harmless because this graph is only ever pruned wholesale (node
+    /// removal, per-kind out-edge clears).
     pub fn check_and_reserve(&self, from: TxnId, targets: &[TxnId], kind: EdgeKind) -> bool {
         let mut graph = self.graph.lock();
         if graph.would_close_cycle(from, targets) {
@@ -69,6 +67,12 @@ impl GlobalGraph {
             mirrored += u64::from(multiplicity);
         });
         mirrored
+    }
+
+    /// Multiplicity of `from -> to` edges of the given kind (invariant
+    /// validation: every edge of an entangled shard must be present here).
+    pub(crate) fn edge_multiplicity(&self, from: TxnId, to: TxnId, kind: EdgeKind) -> u32 {
+        self.graph.lock().edge_multiplicity(from, to, kind)
     }
 
     /// Cycle checks performed on this graph so far.

@@ -27,13 +27,18 @@
 //!    for it — **intra-shard admission takes no global lock**.
 //! 4. **Cross-shard edges escalate**: the moment a transaction enrolls in
 //!    a second shard, every shard it is enrolled in becomes *entangled* —
-//!    its local graph is bulk-mirrored into the [`GlobalGraph`] and every
-//!    subsequent edge add/remove is mirrored too (see
+//!    its local graph is bulk-mirrored into the [`GlobalGraph`] (see
 //!    [`SchedulerKernel::entangle`]). A cycle check that finds no local
 //!    cycle in an entangled shard is re-run against the global graph,
-//!    which holds the union of all entangled shards' edges. An entangled
-//!    shard returns to the local-only fast path once it quiesces (no live
-//!    transactions).
+//!    which holds the union of all entangled shards' edges; a passing
+//!    re-check inserts the checked edges there in the same critical
+//!    section ([`GlobalGraph::check_and_reserve`]), and that reservation
+//!    is their only mirror — the shard then adds them locally. Edge
+//!    removals (node removal, wait-for clears) are mirrored as they
+//!    happen, so every local edge of an entangled shard is present in the
+//!    global graph ([`ShardedKernel::check_invariants`] checks this). An
+//!    entangled shard returns to the local-only fast path once it
+//!    quiesces (no live transactions).
 //!
 //! ## Why the escalation rule is sound
 //!
@@ -807,13 +812,15 @@ impl ShardedKernel {
         local + self.global.cycle_checks()
     }
 
-    /// Check every shard's internal invariants plus the escalation graph's
-    /// acyclicity.
+    /// Check every shard's internal invariants, that each entangled
+    /// shard's edges are all present in the escalation graph (invariant
+    /// 4), and the escalation graph's acyclicity.
     pub fn check_invariants(&self) -> Result<(), String> {
         for (i, cell) in self.shards.iter().enumerate() {
-            cell.kernel
-                .lock()
+            let mut kernel = cell.kernel.lock();
+            kernel
                 .check_invariants()
+                .and_then(|()| kernel.check_mirrored())
                 .map_err(|e| format!("shard {i}: {e}"))?;
         }
         if self.global.has_cycle() {
@@ -850,6 +857,7 @@ mod tests {
     use crate::events::CommitOutcome;
     use crate::policy::SchedulerConfig;
     use sbcc_adt::{AdtOp, Counter, CounterOp, Stack, StackOp, Value};
+    use sbcc_graph::EdgeKind;
 
     #[test]
     fn shard_routing_is_stable_and_in_range() {
@@ -953,23 +961,9 @@ mod tests {
         let kernel = ShardedKernel::new(
             DatabaseConfig::new(SchedulerConfig::default()).with_shards(2),
         );
-        // Find names on both shards.
-        let mut names: Vec<Option<String>> = vec![None, None];
-        let mut i = 0;
-        while names.iter().any(Option::is_none) {
-            let candidate = format!("n{i}");
-            let shard = shard_of_name(&candidate, 2) as usize;
-            if names[shard].is_none() {
-                names[shard] = Some(candidate);
-            }
-            i += 1;
-        }
-        let (a, loc_a) = kernel
-            .register(names[0].clone().unwrap(), Counter::new())
-            .unwrap();
-        let (b, loc_b) = kernel
-            .register(names[1].clone().unwrap(), Counter::new())
-            .unwrap();
+        let names = one_name_per_shard(2);
+        let (a, loc_a) = kernel.register(names[0].clone(), Counter::new()).unwrap();
+        let (b, loc_b) = kernel.register(names[1].clone(), Counter::new()).unwrap();
         assert_ne!(loc_a.shard, loc_b.shard);
         let t = kernel.begin();
         assert!(kernel.request(t, a, CounterOp::Increment(1).to_call()).unwrap().is_executed());
@@ -986,6 +980,59 @@ mod tests {
             snapshot.shards.iter().map(|s| s.stats.commits).sum();
         assert_eq!(per_shard_commits, 2);
         assert!(!snapshot.shard_summary().is_empty());
+    }
+
+    /// Names of one object per shard, in shard order.
+    fn one_name_per_shard(shards: usize) -> Vec<String> {
+        let mut names: Vec<Option<String>> = vec![None; shards];
+        let mut i = 0;
+        while names.iter().any(Option::is_none) {
+            let candidate = format!("n{i}");
+            let shard = shard_of_name(&candidate, shards) as usize;
+            if names[shard].is_none() {
+                names[shard] = Some(candidate);
+            }
+            i += 1;
+        }
+        names.into_iter().map(Option::unwrap).collect()
+    }
+
+    /// An admitted edge in an entangled shard takes one global critical
+    /// section — the check that reserves it — and is never mirrored a
+    /// second time, so the escalation graph holds it exactly once.
+    #[test]
+    fn entangled_admission_takes_one_global_critical_section_per_edge_set() {
+        let kernel = ShardedKernel::new(
+            DatabaseConfig::new(SchedulerConfig::default()).with_shards(2),
+        );
+        let names = one_name_per_shard(2);
+        let (a, _) = kernel.register(names[0].clone(), Stack::new()).unwrap();
+        let (b, _) = kernel.register(names[1].clone(), Stack::new()).unwrap();
+        // A multi-shard holder entangles both shards.
+        let holder = kernel.begin();
+        let push = |v| StackOp::Push(Value::Int(v)).to_call();
+        assert!(kernel.request(holder, a, push(1)).unwrap().is_executed());
+        assert!(kernel.request(holder, b, push(1)).unwrap().is_executed());
+
+        let waiter = kernel.begin();
+        let before = kernel.stats_snapshot();
+        assert!(kernel
+            .request(waiter, a, StackOp::Pop.to_call())
+            .unwrap()
+            .is_blocked());
+        let after = kernel.stats_snapshot();
+        assert_eq!(after.global_cycle_checks, before.global_cycle_checks + 1);
+        assert_eq!(after.aggregate.escalated_checks, before.aggregate.escalated_checks + 1);
+        assert_eq!(after.aggregate.escalated_edges, before.aggregate.escalated_edges + 1);
+        assert_eq!(
+            kernel.global.edge_multiplicity(waiter, holder, EdgeKind::WaitFor),
+            1,
+            "the edge was inserted once, by its reservation"
+        );
+        kernel.check_invariants().unwrap();
+        kernel.abort(waiter).unwrap();
+        let _ = kernel.commit(holder).unwrap();
+        kernel.check_invariants().unwrap();
     }
 
     /// The coordinator votes (collecting per-shard dependencies) and marks

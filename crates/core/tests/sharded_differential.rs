@@ -188,8 +188,13 @@ fn run_chunked(
     let mut results: HashMap<(usize, usize), String> = HashMap::new();
     let mut decisions: Vec<String> = Vec::new();
 
+    // One drain holds the side effects of one termination. The single
+    // kernel retries the waiters it released object by object, the sharded
+    // kernel shard by shard, so the order *within* a drain depends on the
+    // shard layout: each drain's decisions are compared sorted.
     macro_rules! pump_events {
         () => {
+            let first = decisions.len();
             for event in driver.drain_events() {
                 match event {
                     KernelEvent::Unblocked { txn, outcome } => {
@@ -218,6 +223,7 @@ fn run_chunked(
                     }
                 }
             }
+            decisions[first..].sort_unstable();
         };
     }
 

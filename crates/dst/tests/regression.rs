@@ -172,3 +172,166 @@ fn seed_234_ssi_doomed_writers_retry_once_instead_of_storming() {
         report.steps
     );
 }
+
+/// **Re-blocking across shards** (held wait-for edges and the reservation
+/// mirror).
+///
+/// A retried request that still conflicts keeps the wait-for edges it
+/// holds and checks only new holders; it clears them when it executes or
+/// when a held holder stops conflicting. In an entangled shard, an edge
+/// reaches the escalation graph only through the check that reserved it.
+/// This session drives both on four shards: multi-shard transactions on
+/// two hot stacks and a counter block, re-block behind changed and
+/// unchanged holders, execute on retry, abort explicitly and as deadlock
+/// victims. Every choice comes from the seed (one thread, so the run is
+/// deterministic), and `check_invariants` — which fails on a wait-for
+/// edge out of a transaction that is not blocked, and on a local edge of
+/// an entangled shard missing from the escalation graph — runs after
+/// every step.
+#[test]
+fn multi_shard_re_blocking_keeps_every_invariant_at_every_step() {
+    use sbcc_adt::{AdtOp, Counter, CounterOp, OpCall, Stack, StackOp, Value};
+    use sbcc_core::{
+        shard_of_name, DatabaseConfig, ObjectId, RequestOutcome, SchedulerConfig,
+        ShardedKernel, TxnId, TxnState, VictimPolicy,
+    };
+    use sbcc_dst::rng::SplitMix64;
+    use std::collections::{HashMap, HashSet};
+
+    const SHARDS: usize = 4;
+    const LIVE: usize = 6;
+    const STEPS: usize = 600;
+
+    /// First name with the prefix that lands on a shard not yet taken.
+    fn name_on_fresh_shard(prefix: &str, taken: &mut Vec<u32>) -> String {
+        let name = (0..)
+            .map(|i| format!("{prefix}{i}"))
+            .find(|n| !taken.contains(&shard_of_name(n, SHARDS)))
+            .unwrap();
+        taken.push(shard_of_name(&name, SHARDS));
+        name
+    }
+
+    let (mut re_blocks, mut unblocks, mut cycle_aborts, mut explicit_aborts) = (0, 0, 0, 0);
+    for (seed, victim) in [
+        (28u64, VictimPolicy::Requester),
+        (29, VictimPolicy::Youngest),
+        (30, VictimPolicy::Requester),
+        (31, VictimPolicy::Youngest),
+    ] {
+        let kernel = ShardedKernel::new(
+            DatabaseConfig::new(SchedulerConfig::default().with_victim(victim)).with_shards(SHARDS),
+        );
+        let mut taken = Vec::new();
+        let stacks = [
+            kernel.register(name_on_fresh_shard("stack", &mut taken), Stack::new()).unwrap().0,
+            kernel.register(name_on_fresh_shard("stack", &mut taken), Stack::new()).unwrap().0,
+        ];
+        let counter = kernel
+            .register(name_on_fresh_shard("counter", &mut taken), Counter::new())
+            .unwrap()
+            .0;
+        let mut rng = SplitMix64::new(seed);
+        let draw = |rng: &mut SplitMix64| -> (ObjectId, OpCall) {
+            let stack = stacks[rng.below(2)];
+            match rng.below(6) {
+                0 | 1 => (stack, StackOp::Push(Value::Int(rng.below(3) as i64)).to_call()),
+                2 | 3 => (stack, StackOp::Pop.to_call()),
+                4 => (counter, CounterOp::Increment(1).to_call()),
+                _ => (counter, CounterOp::Read.to_call()),
+            }
+        };
+
+        // Per live transaction: the objects a termination of it marks
+        // dirty (executed on, or blocked on).
+        let mut live: HashMap<TxnId, HashSet<ObjectId>> = HashMap::new();
+        let mut blocked_on: HashMap<TxnId, ObjectId> = HashMap::new();
+        for step in 0..STEPS {
+            let mut ids: Vec<TxnId> = live.keys().copied().collect();
+            ids.sort_unstable();
+            let active: Vec<TxnId> = ids
+                .iter()
+                .copied()
+                .filter(|t| kernel.txn_state(*t) == Some(TxnState::Active))
+                .collect();
+            let before_blocked: Vec<(TxnId, ObjectId)> =
+                blocked_on.iter().map(|(t, o)| (*t, *o)).collect();
+            let mut terminated: Option<TxnId> = None;
+            match rng.below(10) {
+                _ if live.len() < LIVE && (active.is_empty() || rng.below(3) == 0) => {
+                    live.insert(kernel.begin(), HashSet::new());
+                }
+                0..=5 if !active.is_empty() => {
+                    let txn = active[rng.below(active.len())];
+                    let (object, call) = draw(&mut rng);
+                    live.get_mut(&txn).unwrap().insert(object);
+                    match kernel.request(txn, object, call).unwrap() {
+                        RequestOutcome::Blocked { .. } => {
+                            blocked_on.insert(txn, object);
+                        }
+                        RequestOutcome::Aborted { .. } => terminated = Some(txn),
+                        RequestOutcome::Executed { .. } => {}
+                    }
+                }
+                6 | 7 if !active.is_empty() => {
+                    let txn = active[rng.below(active.len())];
+                    kernel.commit(txn).unwrap();
+                    terminated = Some(txn);
+                }
+                _ if !ids.is_empty() => {
+                    let txn = ids[rng.below(ids.len())];
+                    if kernel.abort(txn).is_ok() {
+                        explicit_aborts += 1;
+                        terminated = Some(txn);
+                    }
+                }
+                _ => {}
+            }
+            let _ = kernel.drain_events();
+            kernel
+                .check_invariants()
+                .unwrap_or_else(|e| panic!("seed {seed} step {step}: {e}"));
+
+            // A waiter on an object the terminated transaction touched was
+            // retried; if it is still blocked there, it re-blocked.
+            if let Some(gone) = terminated {
+                let dirty = live.get(&gone).cloned().unwrap_or_default();
+                for (t, o) in &before_blocked {
+                    if *t != gone
+                        && dirty.contains(o)
+                        && kernel.txn_state(*t) == Some(TxnState::Blocked)
+                    {
+                        re_blocks += 1;
+                    }
+                }
+            }
+            // Refresh bookkeeping from the kernel.
+            for t in &ids {
+                match kernel.txn_state(*t) {
+                    Some(TxnState::Blocked) => {}
+                    Some(TxnState::Active) => {
+                        if blocked_on.remove(t).is_some() {
+                            unblocks += 1;
+                        }
+                    }
+                    _ => {
+                        blocked_on.remove(t);
+                        live.remove(t);
+                    }
+                }
+            }
+        }
+        let stats = kernel.stats();
+        cycle_aborts += stats.aborts_deadlock + stats.aborts_commit_cycle + stats.aborts_victim;
+        assert!(
+            stats.escalated_checks > 0,
+            "seed {seed}: no escalated check — the session never entangled"
+        );
+        kernel.verify_serializable().unwrap();
+        kernel.verify_commit_dependencies().unwrap();
+    }
+    assert!(re_blocks > 0, "no retried request re-blocked");
+    assert!(unblocks > 0, "no retried request executed");
+    assert!(cycle_aborts > 0, "no deadlock or victim abort");
+    assert!(explicit_aborts > 0, "no explicit abort");
+}

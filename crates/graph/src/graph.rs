@@ -929,7 +929,7 @@ impl<N: NodeId> DependencyGraph<N> {
     }
 
     /// Multiplicity of `from -> to` edges of the given kind.
-    fn edge_multiplicity(&self, from: N, to: N, kind: EdgeKind) -> u32 {
+    pub fn edge_multiplicity(&self, from: N, to: N, kind: EdgeKind) -> u32 {
         self.nodes
             .get(&from)
             .and_then(|a| a.out.get(&to))

@@ -13,7 +13,10 @@
 //! * forced gap exhaustion (label spacing 1) stays correct and actually
 //!   takes the spread-renumbering path;
 //! * the small-violation repair allocates nothing (regression for the
-//!   allocation-free hot-path claim).
+//!   allocation-free hot-path claim);
+//! * a requester's own out-edges never change a would-close-cycle
+//!   verdict, which is what lets the kernel re-block a retried request
+//!   without re-checking the holders it already waits for.
 
 use proptest::prelude::*;
 use sbcc_graph::cycle::has_cycle_scc;
@@ -268,6 +271,65 @@ proptest! {
             t.renumber_events, 0,
             "repair-time exhaustion must take the windowed pass, not the full spread"
         );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// On an acyclic graph where `from` already points at `held`, a check
+    /// of `targets` gives the same verdict with the held targets dropped,
+    /// and the same verdict once `from`'s out-edges are cleared — all
+    /// three agreeing with the SCC oracle. A cycle closed by `from -> t`
+    /// is a path from `t` back to `from`; no such path leaves through
+    /// `from`'s own out-edges, and none starts at a held target.
+    #[test]
+    fn requesters_own_out_edges_never_change_the_verdict(
+        edges in proptest::collection::vec((0..10u32, 0..10u32, arb_kind()), 0..40),
+        from in 0..10u32,
+        held in proptest::collection::vec((0..10u32, arb_kind()), 1..4),
+        targets in proptest::collection::vec(0..10u32, 0..5),
+    ) {
+        let mut g: DependencyGraph<u32> = DependencyGraph::new();
+        for n in 0..10u32 {
+            g.add_node(n);
+        }
+        // Keep the graph acyclic, the way admission does: an edge goes in
+        // only if it closes no cycle.
+        let add_acyclic = |g: &mut DependencyGraph<u32>, a: u32, b: u32, k: EdgeKind| {
+            if a != b && !g.would_close_cycle(a, &[b]) {
+                g.add_edge(a, b, k);
+            }
+        };
+        for (a, b, k) in &edges {
+            add_acyclic(&mut g, *a, *b, *k);
+        }
+        for (h, k) in &held {
+            add_acyclic(&mut g, from, *h, *k);
+        }
+        prop_assert!(!g.has_cycle());
+        let out: Vec<u32> = [EdgeKind::WaitFor, EdgeKind::CommitDep]
+            .iter()
+            .flat_map(|k| g.out_neighbors_kind(from, *k))
+            .collect();
+        let fresh: Vec<u32> = targets.iter().copied().filter(|t| !out.contains(t)).collect();
+
+        let oracle = g.would_close_cycle_oracle(from, &targets);
+        let full = g.would_close_cycle(from, &targets);
+        let without_held = g.would_close_cycle(from, &fresh);
+        let mut cleared = g.clone();
+        cleared.clear_out_edges(from, EdgeKind::WaitFor);
+        cleared.clear_out_edges(from, EdgeKind::CommitDep);
+        let after_clear = cleared.would_close_cycle(from, &targets);
+        let after_clear_oracle = cleared.would_close_cycle_oracle(from, &targets);
+
+        prop_assert_eq!(full, oracle, "full target set vs oracle");
+        prop_assert_eq!(without_held, oracle, "held targets dropped vs oracle");
+        prop_assert_eq!(after_clear, oracle, "after clearing from's out-edges");
+        prop_assert_eq!(after_clear_oracle, oracle, "oracle after clearing");
+        // A held target alone never closes a cycle.
+        let held_only: Vec<u32> = targets.iter().copied().filter(|t| out.contains(t)).collect();
+        prop_assert!(!g.would_close_cycle(from, &held_only));
     }
 }
 
