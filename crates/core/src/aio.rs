@@ -231,7 +231,7 @@ impl AsyncDatabase {
 
     /// Run a transaction body, committing on success and transparently
     /// **retrying from scratch** when the scheduler aborts the transaction
-    /// (deadlock cycle, commit-dependency cycle, or victim selection) —
+    /// (deadlock cycle or commit-dependency cycle) —
     /// the async analogue of [`Database::run`], which documents the exact
     /// retry classes both front-ends share in one table (see *Retry
     /// classes* there; this runner adds no class of its own).
@@ -282,13 +282,8 @@ impl AsyncDatabase {
                 },
                 Err(e) => e,
             };
-            // The commit-side `InvalidState { state: Aborted }` is a cycle
-            // victim picked between the body's last operation and the
-            // commit. The body-side one is the same race as in
-            // `Database::run` — a victim abort observed as a terminated
-            // state before its abort event (with the reason) reaches the
-            // session layer — and also covers cancellation aborts of this
-            // attempt's own operation futures.
+            // `InvalidState { state: Aborted }` here is a cancellation
+            // abort of one of this attempt's own operation futures.
             if !err.is_retryable_for(id) {
                 return Err(err);
             }

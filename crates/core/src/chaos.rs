@@ -1,8 +1,8 @@
 //! Chaos hooks: the deterministic-testing seam of the concurrency layer.
 //!
-//! The sharded kernel's interesting bugs live in *interleavings* — a victim
-//! abort racing a commit vote, a cancellation racing an outcome delivery, a
-//! fill racing a claim. Wall-clock stress tests can hit those windows but
+//! The sharded kernel's interesting bugs live in *interleavings* — an
+//! explicit abort racing a commit vote, a cancellation racing an outcome
+//! delivery, a fill racing a claim. Wall-clock stress tests can hit those windows but
 //! cannot reproduce them; this module makes the windows **schedulable**: the
 //! concurrency seams of [`crate::db`], [`crate::shard`] and [`crate::aio`]
 //! announce themselves through a per-thread [`ChaosHook`], and a harness

@@ -720,7 +720,7 @@ impl Database {
 
     /// Run a transaction body, committing on success and transparently
     /// **retrying from scratch** when the scheduler aborts the transaction
-    /// (deadlock cycle, commit-dependency cycle, or victim selection).
+    /// (deadlock cycle or commit-dependency cycle).
     ///
     /// The closure receives a fresh [`Transaction`] per attempt; any other
     /// error — including an [`CoreError::Aborted`] of a *different*
@@ -739,22 +739,22 @@ impl Database {
     /// |---|---|---|
     /// | Deadlock refusal: blocking would close a wait-for cycle | [`CoreError::Aborted`] with [`AbortReason::DeadlockCycle`](crate::AbortReason::DeadlockCycle) from a body operation | yes |
     /// | Commit-dependency refusal: a recoverable execution would close a commit-dependency cycle (the paper's Lemma-4 guard) | [`CoreError::Aborted`] with [`AbortReason::CommitDependencyCycle`](crate::AbortReason::CommitDependencyCycle) | yes |
-    /// | Victim selection: another session's request chose this transaction as its cycle victim (only under [`crate::VictimPolicy::Youngest`]) | [`CoreError::Aborted`] with [`AbortReason::VictimSelected`](crate::AbortReason::VictimSelected) | yes |
-    /// | Victim abort racing its own outcome delivery (a cross-shard race introduced with the sharded kernel): the victim's session observes the terminated state before the abort event carrying the reason reaches it | [`CoreError::InvalidState`] with `state:` [`TxnState::Aborted`] for the attempt's own transaction, from a body operation **or** from the final commit | yes |
+    /// | Terminated out from under the attempt: in the async runner, a dropped operation future's cancellation abort | [`CoreError::InvalidState`] with `state:` [`TxnState::Aborted`] for the attempt's own transaction, from a body operation **or** from the final commit | yes |
     /// | Explicit aborts, validation errors, aborts of *other* transactions the body propagates | any other [`CoreError`] | no — returned as-is |
     /// | Retry budget exhausted: a retryable class above recurred more than [`SchedulerConfig::max_retries`] times | [`CoreError::RetriesExhausted`] | no — the livelock guardrail |
     ///
-    /// The `InvalidState { state: Aborted }` row is safe to classify as a
-    /// scheduler abort because the guard API gives the closure no way to
-    /// abort its own transaction and keep running — only the scheduler can
-    /// have terminated it out from under a live attempt.
+    /// The `InvalidState { state: Aborted }` row is safe to retry because
+    /// the guard API gives the closure no way to abort its own transaction
+    /// and keep running: only a cancellation abort can have terminated it
+    /// out from under a live attempt. The scheduler never produces it — a
+    /// cycle aborts only the transaction whose request closes it, and that
+    /// request returns the reason.
     ///
     /// Like an aborted-and-restarted terminal in the paper's model, the
     /// retry loop runs until the body either succeeds or fails for a
-    /// non-scheduler reason; under the default
-    /// [`crate::VictimPolicy::Requester`] every abort removes the
-    /// requester's operations, so some participant of each cycle always
-    /// makes progress. As a guardrail against adversarial schedules (and
+    /// non-scheduler reason; every cycle abort removes the requester's
+    /// operations, so some participant of each cycle always makes
+    /// progress. As a guardrail against adversarial schedules (and
     /// against fault-injection harnesses deliberately aborting every
     /// attempt), the loop gives up after
     /// [`SchedulerConfig::max_retries`] retries with
@@ -815,17 +815,6 @@ impl Database {
                 },
                 Err(e) => e,
             };
-            // The commit-side `InvalidState { state: Aborted }` means the
-            // transaction was picked as a cycle victim between the body's
-            // last operation and the commit. The body-side one is a victim
-            // abort racing the delivery of its outcome: another session's
-            // thread aborts this attempt's transaction inside a shard, and
-            // this thread's next submission observes the terminated state
-            // *before* the abort event (with its reason) reaches the
-            // session layer. The attempt's own transaction can only be
-            // `Aborted` without this closure's involvement by the
-            // scheduler — the guard API offers the closure no way to abort
-            // it — so both are scheduler aborts and retried like one.
             if !err.is_retryable_for(id) {
                 return Err(err);
             }
@@ -1326,11 +1315,6 @@ impl Database {
             for event in events {
                 let (txn, outcome) = match event {
                     KernelEvent::Unblocked { txn, outcome } => (txn, outcome),
-                    // The transaction may be parked in an `exec*` call;
-                    // deliver the abort so it can return an error.
-                    KernelEvent::Aborted { txn, reason } => {
-                        (txn, RequestOutcome::Aborted { reason })
-                    }
                     KernelEvent::Committed { .. } => {
                         // Cascaded commits are observable through
                         // `outcome_of`.
@@ -1825,7 +1809,7 @@ mod tests {
     #[test]
     fn run_retry_budget_surfaces_retries_exhausted() {
         // Every attempt's transaction is aborted out from under the runner
-        // (simulating a scheduler that victimizes it each time): with
+        // (as a cancellation abort would do it each time): with
         // `max_retries = 2` the runner gives up on the third attempt and
         // reports the budget, not the underlying per-attempt error.
         let db = Database::with_config(DatabaseConfig::new(

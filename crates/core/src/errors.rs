@@ -87,7 +87,7 @@ impl fmt::Display for CoreError {
 
 impl CoreError {
     /// `true` when the error reports a scheduler-initiated abort (deadlock,
-    /// commit-dependency cycle or victim selection) of the given
+    /// commit-dependency cycle or SSI conflict) of the given
     /// transaction — the errors a retry loop such as
     /// [`crate::Database::run`] transparently restarts on.
     pub fn is_scheduler_abort_of(&self, txn: TxnId) -> bool {
@@ -99,9 +99,9 @@ impl CoreError {
 
     /// `true` when a closure runner whose current attempt drives `txn`
     /// restarts the attempt on this error: a scheduler abort of `txn`, or
-    /// `txn` found already `Aborted` (the scheduler terminated it out from
-    /// under the attempt — the guard API gives the body no way to do so
-    /// itself). The retry-classes table on [`crate::Database::run`] is the
+    /// `txn` found already `Aborted` (a cancellation abort terminated it
+    /// out from under the attempt — the guard API gives the body no way to
+    /// do so itself). The retry-classes table on [`crate::Database::run`] is the
     /// contract.
     pub fn is_retryable_for(&self, txn: TxnId) -> bool {
         self.is_scheduler_abort_of(txn)

@@ -5,13 +5,16 @@
 //! transactions (a blocked request that became executable, a cascaded
 //! commit of a pseudo-committed transaction, an abort of a retried request
 //! that closed a cycle) are queued as [`KernelEvent`]s, drained by the
-//! caller with [`crate::SchedulerKernel::drain_events`].
+//! caller with [`crate::SchedulerKernel::drain_events`]. The scheduler never
+//! aborts a running transaction on another's behalf: a cycle aborts the
+//! transaction whose request (or retried request) would close it.
 
 use crate::txn::{BatchCall, TxnId};
 use sbcc_adt::OpResult;
 use std::fmt;
 
-/// Why the scheduler aborted a transaction.
+/// Why a transaction was aborted. Every scheduler-initiated reason names
+/// a check on the aborted transaction's *own* request or commit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AbortReason {
     /// Blocking the transaction would have closed a cycle in the dependency
@@ -20,10 +23,6 @@ pub enum AbortReason {
     /// Executing the recoverable operation would have closed a cycle of
     /// commit dependencies, violating serializability (Lemma 4).
     CommitDependencyCycle,
-    /// The transaction was chosen as the victim of a cycle created by some
-    /// other transaction's request (only under
-    /// [`crate::VictimPolicy::Youngest`]).
-    VictimSelected,
     /// A snapshot transaction completed a dangerous structure in the SSI
     /// rw-antidependency graph (both an incoming and an outgoing
     /// rw-antidependency to concurrent transactions — Cahill's pivot test)
@@ -35,7 +34,7 @@ pub enum AbortReason {
 
 impl AbortReason {
     /// `true` for aborts the scheduler decided on its own (deadlock,
-    /// commit-dependency cycle, victim selection) — the cases a retry loop
+    /// commit-dependency cycle, SSI conflict) — the cases a retry loop
     /// such as [`crate::Database::run`] should transparently restart —
     /// `false` for application-requested aborts.
     pub fn is_scheduler_initiated(self) -> bool {
@@ -48,7 +47,6 @@ impl fmt::Display for AbortReason {
         match self {
             AbortReason::DeadlockCycle => write!(f, "deadlock cycle"),
             AbortReason::CommitDependencyCycle => write!(f, "commit-dependency cycle"),
-            AbortReason::VictimSelected => write!(f, "selected as cycle victim"),
             AbortReason::SsiConflict => write!(f, "ssi rw-antidependency conflict"),
             AbortReason::Explicit => write!(f, "explicit abort"),
         }
@@ -248,23 +246,13 @@ pub enum KernelEvent {
         /// The transaction that actually committed.
         txn: TxnId,
     },
-    /// A transaction was aborted as a side effect (deadlock victim during a
-    /// retry, or victim selection on behalf of another requester).
-    Aborted {
-        /// The transaction that was aborted.
-        txn: TxnId,
-        /// Why it was aborted.
-        reason: AbortReason,
-    },
 }
 
 impl KernelEvent {
     /// The transaction this event concerns.
     pub fn txn(&self) -> TxnId {
         match self {
-            KernelEvent::Unblocked { txn, .. }
-            | KernelEvent::Committed { txn }
-            | KernelEvent::Aborted { txn, .. } => *txn,
+            KernelEvent::Unblocked { txn, .. } | KernelEvent::Committed { txn } => *txn,
         }
     }
 }
@@ -282,10 +270,6 @@ mod tests {
             "commit-dependency cycle"
         );
         assert_eq!(AbortReason::Explicit.to_string(), "explicit abort");
-        assert_eq!(
-            AbortReason::VictimSelected.to_string(),
-            "selected as cycle victim"
-        );
         assert_eq!(
             AbortReason::SsiConflict.to_string(),
             "ssi rw-antidependency conflict"
@@ -329,14 +313,6 @@ mod tests {
         assert_eq!(
             KernelEvent::Committed { txn: TxnId(4) }.txn(),
             TxnId(4)
-        );
-        assert_eq!(
-            KernelEvent::Aborted {
-                txn: TxnId(5),
-                reason: AbortReason::Explicit
-            }
-            .txn(),
-            TxnId(5)
         );
         assert_eq!(
             KernelEvent::Unblocked {

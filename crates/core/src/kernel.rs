@@ -25,7 +25,7 @@ use crate::events::{
 };
 use crate::history::HistoryRecorder;
 use crate::object::{Classification, ManagedObject, ObjectId};
-use crate::policy::{RecoveryStrategy, SchedulerConfig, VictimPolicy};
+use crate::policy::{RecoveryStrategy, SchedulerConfig};
 use crate::shard::GlobalGraph;
 use crate::stats::KernelStats;
 use crate::txn::{BatchCall, ExecutedOp, PendingRequest, TxnId, TxnRecord, TxnState};
@@ -460,8 +460,8 @@ impl SchedulerKernel {
         deps
     }
 
-    /// Drain the queued side-effect events (unblocks, cascaded commits,
-    /// victim aborts) produced since the last drain.
+    /// Drain the queued side-effect events (unblocks and cascaded commits)
+    /// produced since the last drain.
     pub fn drain_events(&mut self) -> Vec<KernelEvent> {
         std::mem::take(&mut self.events)
     }
@@ -495,10 +495,10 @@ impl SchedulerKernel {
     /// would under per-call submission (plus the `batches`/`batched_calls`
     /// bookkeeping), which is what the differential test suite asserts.
     ///
-    /// The pre-computed group classification is invalidated — and redone in
-    /// a fresh single pass over the remaining calls — whenever a
-    /// transaction terminates mid-batch (a victim abort or a cascaded
-    /// commit changes the logs the classification was computed against).
+    /// The group classification is computed once, up front: no other
+    /// transaction can terminate mid-batch (a cycle aborts only the
+    /// requester, which ends the batch), so the logs it was computed
+    /// against only change by the batch's own executions.
     pub fn request_batch(
         &mut self,
         txn: TxnId,
@@ -517,30 +517,19 @@ impl SchedulerKernel {
         let mut calls = calls;
         let mut executed: Vec<OpResult> = Vec::with_capacity(calls.len());
         let mut all_deps: Vec<TxnId> = Vec::new();
-        let mut plan_epoch = self.termination_epoch;
         let mut plans = self.plan_batch(txn, &calls);
-        let mut plan_pos = 0usize;
+        let plan_epoch = self.termination_epoch;
         for index in 0..calls.len() {
+            debug_assert_eq!(self.termination_epoch, plan_epoch, "stale batch plan");
             self.stats.requests += 1;
             self.stats.batched_calls += 1;
-            if self.termination_epoch != plan_epoch {
-                // A transaction terminated since the plan was computed
-                // (victim abort, cascaded commit, or a retried request of
-                // another transaction executing): the logs changed, so the
-                // remaining classifications are stale. Re-plan the suffix
-                // in one fresh pass, in place — no payload clones.
-                plan_epoch = self.termination_epoch;
-                plans = self.plan_batch(txn, &calls[index..]);
-                plan_pos = 0;
-            }
-            let precomputed = plans.get_mut(plan_pos).map(std::mem::take);
-            plan_pos += 1;
+            let precomputed = std::mem::take(&mut plans[index]);
             let object = calls[index].object;
             // Take the payload out of the prefix slot (never read again);
             // `rest` below only ever covers the untouched suffix.
             let call = std::mem::replace(&mut calls[index].call, OpCall::nullary(0));
             let epoch = self.termination_epoch;
-            let outcome = self.process_request(txn, object, call, false, precomputed);
+            let outcome = self.process_request(txn, object, call, false, Some(precomputed));
             self.settle_if_terminated(epoch);
             match outcome {
                 RequestOutcome::Executed {
@@ -981,9 +970,9 @@ impl SchedulerKernel {
     /// each touched object's log index (and fairness set), in submission
     /// order. Sound because nothing observable by the classification can
     /// change between the pass and the calls' admission other than the
-    /// batch transaction's own executions (which classification ignores) —
-    /// terminations, the one exception, bump [`Self::termination_epoch`]
-    /// and force a re-plan.
+    /// batch transaction's own executions (which classification ignores):
+    /// a batch ends at its first block or abort, and only the requester
+    /// is ever aborted.
     fn plan_batch(&self, txn: TxnId, calls: &[BatchCall]) -> Vec<Classification> {
         // Fast path for the common batch shape (the ROADMAP's motivating
         // case): every call targets the same object — classify the group
@@ -1040,8 +1029,8 @@ impl SchedulerKernel {
     /// The Figure-2 algorithm for a single request. `is_retry` marks
     /// automatic retries of previously blocked requests (they do not count
     /// as new blocking events in the statistics). `precomputed` supplies a
-    /// still-valid classification from a batch plan for the first loop
-    /// iteration (victim-abort iterations always re-classify).
+    /// still-valid classification from a batch plan. A request that would
+    /// close a cycle aborts its own transaction, never another one.
     ///
     /// A retried request arrives still holding its wait-for edges. If it
     /// blocks again, only holders it does not already wait for are checked
@@ -1057,112 +1046,71 @@ impl SchedulerKernel {
         object: ObjectId,
         call: OpCall,
         is_retry: bool,
-        mut precomputed: Option<Classification>,
+        precomputed: Option<Classification>,
     ) -> RequestOutcome {
-        loop {
-            // A supplied plan is trusted as-is: the batched-vs-sequential
-            // differential suite proves plans match fresh classifications.
-            let classification = precomputed
-                .take()
-                .unwrap_or_else(|| self.classify_for(txn, object, &call));
-            let Classification {
-                conflicts,
-                commit_deps,
-            } = classification;
+        // A supplied plan is trusted as-is: the batched-vs-sequential
+        // differential suite proves plans match fresh classifications.
+        let Classification {
+            conflicts,
+            commit_deps,
+        } = precomputed.unwrap_or_else(|| self.classify_for(txn, object, &call));
 
-            let held = if is_retry {
-                self.graph.out_neighbors_kind(txn, EdgeKind::WaitFor)
+        let held = if is_retry {
+            self.graph.out_neighbors_kind(txn, EdgeKind::WaitFor)
+        } else {
+            Vec::new()
+        };
+
+        if !conflicts.is_empty() {
+            // Step 1: the request conflicts; it must wait unless waiting
+            // would close a cycle.
+            let fresh: Vec<TxnId> = if held.iter().all(|h| conflicts.contains(h)) {
+                conflicts
+                    .iter()
+                    .copied()
+                    .filter(|h| !held.contains(h))
+                    .collect()
             } else {
-                Vec::new()
-            };
-
-            if !conflicts.is_empty() {
-                // Step 1: the request conflicts; it must wait unless waiting
-                // would close a cycle.
-                let fresh: Vec<TxnId> = if held.iter().all(|h| conflicts.contains(h)) {
-                    conflicts
-                        .iter()
-                        .copied()
-                        .filter(|h| !held.contains(h))
-                        .collect()
-                } else {
-                    self.graph_clear_wait_edges(txn);
-                    conflicts.clone()
-                };
-                if !fresh.is_empty() && self.cycle_would_close(txn, &fresh, EdgeKind::WaitFor) {
-                    match self.select_victim(txn, &conflicts) {
-                        victim if victim == txn => {
-                            self.abort_internal(txn, AbortReason::DeadlockCycle);
-                            return RequestOutcome::Aborted {
-                                reason: AbortReason::DeadlockCycle,
-                            };
-                        }
-                        victim => {
-                            self.abort_internal(victim, AbortReason::VictimSelected);
-                            self.events.push(KernelEvent::Aborted {
-                                txn: victim,
-                                reason: AbortReason::VictimSelected,
-                            });
-                            continue;
-                        }
-                    }
-                }
-                for holder in &fresh {
-                    self.graph_add_edge(txn, *holder, EdgeKind::WaitFor);
-                }
-                self.object_mut(object).push_blocked(txn, call.clone());
-                let rec = self.txns.get_mut(&txn).expect("transaction exists");
-                rec.state = TxnState::Blocked;
-                rec.pending = Some(PendingRequest {
-                    object,
-                    call,
-                });
-                rec.touched.insert(object);
-                rec.times_blocked += 1;
-                if !is_retry {
-                    self.stats.blocks += 1;
-                }
-                return RequestOutcome::Blocked {
-                    waiting_on: conflicts,
-                };
-            }
-
-            // From here the request executes or aborts: it waits for no one.
-            if !held.is_empty() {
                 self.graph_clear_wait_edges(txn);
-            }
-
-            if commit_deps.is_empty() {
-                // Step 2: everything commutes.
-                let result = self.execute_op(txn, object, call);
-                if is_retry {
-                    self.stats.unblocks += 1;
-                }
-                return RequestOutcome::Executed {
-                    result,
-                    commit_deps: Vec::new(),
+                conflicts.clone()
+            };
+            if !fresh.is_empty() && self.cycle_would_close(txn, &fresh, EdgeKind::WaitFor) {
+                self.abort_internal(txn, AbortReason::DeadlockCycle);
+                return RequestOutcome::Aborted {
+                    reason: AbortReason::DeadlockCycle,
                 };
             }
+            for holder in &fresh {
+                self.graph_add_edge(txn, *holder, EdgeKind::WaitFor);
+            }
+            self.object_mut(object).push_blocked(txn, call.clone());
+            let rec = self.txns.get_mut(&txn).expect("transaction exists");
+            rec.state = TxnState::Blocked;
+            rec.pending = Some(PendingRequest { object, call });
+            rec.touched.insert(object);
+            rec.times_blocked += 1;
+            if !is_retry {
+                self.stats.blocks += 1;
+            }
+            return RequestOutcome::Blocked {
+                waiting_on: conflicts,
+            };
+        }
 
-            // Step 3: recoverable — check the commit-dependency relation
-            // stays acyclic, then execute with commit-dependency edges.
+        // From here the request executes or aborts: it waits for no one.
+        if !held.is_empty() {
+            self.graph_clear_wait_edges(txn);
+        }
+
+        // Step 3 (recoverable): check the commit-dependency relation stays
+        // acyclic, then add the commit-dependency edges. With no
+        // dependencies this is step 2: everything commutes.
+        if !commit_deps.is_empty() {
             if self.cycle_would_close(txn, &commit_deps, EdgeKind::CommitDep) {
-                match self.select_victim(txn, &commit_deps) {
-                    victim if victim == txn => {
-                        self.abort_internal(txn, AbortReason::CommitDependencyCycle);
-                        return RequestOutcome::Aborted {
-                            reason: AbortReason::CommitDependencyCycle,
-                        };
-                    }
-                    victim => {
-                        self.abort_internal(victim, AbortReason::VictimSelected);
-                        self.events.push(KernelEvent::Aborted {
-                            txn: victim,
-                            reason: AbortReason::VictimSelected,
-                        });
-                        continue;
-                    }
-                }
+                self.abort_internal(txn, AbortReason::CommitDependencyCycle);
+                return RequestOutcome::Aborted {
+                    reason: AbortReason::CommitDependencyCycle,
+                };
             }
             for holder in &commit_deps {
                 // The stat counts one dependency per (requester, holder)
@@ -1175,14 +1123,14 @@ impl SchedulerKernel {
                     self.graph_add_edge(txn, *holder, EdgeKind::CommitDep);
                 }
             }
-            let result = self.execute_op(txn, object, call);
-            if is_retry {
-                self.stats.unblocks += 1;
-            }
-            return RequestOutcome::Executed {
-                result,
-                commit_deps,
-            };
+        }
+        let result = self.execute_op(txn, object, call);
+        if is_retry {
+            self.stats.unblocks += 1;
+        }
+        RequestOutcome::Executed {
+            result,
+            commit_deps,
         }
     }
 
@@ -1224,41 +1172,6 @@ impl SchedulerKernel {
             Vec::new()
         };
         obj.classify(self.config.policy, txn, call, &fairness)
-    }
-
-    /// Pick the transaction to abort for a cycle closed by `requester`
-    /// adding edges towards `targets`.
-    fn select_victim(&mut self, requester: TxnId, targets: &[TxnId]) -> TxnId {
-        match self.config.victim {
-            VictimPolicy::Requester => requester,
-            VictimPolicy::Youngest => {
-                let Some(path) = self.graph.path_from_any(targets, requester) else {
-                    return requester;
-                };
-                // The cycle consists of the requester plus the path back to
-                // it; the youngest is the one with the largest id. A
-                // pseudo-committed participant can never be the victim (it
-                // is guaranteed to commit). A *coordinated* (multi-shard)
-                // participant other than the requester is skipped too: its
-                // session thread could be mid-commit in another shard, and
-                // aborting it out from under the cross-shard commit
-                // protocol would race the vote — aborting the requester
-                // (who is here, on this thread, inside its own request) is
-                // always safe.
-                path.into_iter()
-                    .filter(|t| {
-                        self.txns
-                            .get(t)
-                            .map(|r| {
-                                matches!(r.state, TxnState::Active | TxnState::Blocked)
-                                    && (!r.coordinated || r.id == requester)
-                            })
-                            .unwrap_or(false)
-                    })
-                    .max()
-                    .unwrap_or(requester)
-            }
-        }
     }
 
     fn execute_op(&mut self, txn: TxnId, object: ObjectId, call: OpCall) -> OpResult {
@@ -1364,7 +1277,6 @@ impl SchedulerKernel {
         match reason {
             AbortReason::DeadlockCycle => self.stats.aborts_deadlock += 1,
             AbortReason::CommitDependencyCycle => self.stats.aborts_commit_cycle += 1,
-            AbortReason::VictimSelected => self.stats.aborts_victim += 1,
             AbortReason::SsiConflict => self.stats.aborts_ssi += 1,
             AbortReason::Explicit => self.stats.aborts_explicit += 1,
         }
@@ -1441,24 +1353,19 @@ impl SchedulerKernel {
     fn retry_blocked(&mut self, object: ObjectId) {
         let queue = self.objects[object.0 as usize].take_blocked();
         for request in queue {
-            // Skip stale entries: the transaction may have been aborted (as
-            // a cycle victim) while we were processing earlier entries.
-            let still_blocked = self
-                .txns
-                .get(&request.txn)
-                .map(|r| {
-                    r.state == TxnState::Blocked
-                        && r.pending
-                            .as_ref()
-                            .map(|p| p.object == object && p.call == request.call)
-                            .unwrap_or(false)
-                })
-                .unwrap_or(false);
-            if !still_blocked {
-                continue;
-            }
+            // Every entry still waits here: an abort removes its own entry,
+            // and retrying one entry can abort no other transaction.
             {
                 let rec = self.txns.get_mut(&request.txn).expect("transaction exists");
+                debug_assert!(
+                    rec.state == TxnState::Blocked
+                        && rec
+                            .pending
+                            .as_ref()
+                            .is_some_and(|p| p.object == object && p.call == request.call),
+                    "stale blocked entry for {}",
+                    request.txn
+                );
                 rec.state = TxnState::Active;
                 rec.pending = None;
             }

@@ -99,7 +99,7 @@ pub use history::{
 };
 pub use kernel::SchedulerKernel;
 pub use object::{BlockedRequest, Classification, LogEntry, ManagedObject, ObjectId};
-pub use policy::{ConflictPolicy, RecoveryStrategy, SchedulerConfig, VictimPolicy};
+pub use policy::{ConflictPolicy, RecoveryStrategy, SchedulerConfig};
 pub use sbcc_graph::OrderTelemetry;
 pub use sbcc_wal::{FsyncPolicy, WalConfig};
 /// The write-ahead-log crate, re-exported for crash-image surgery in

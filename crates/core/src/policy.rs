@@ -1,4 +1,6 @@
-//! Scheduler configuration: conflict policy, fairness and victim selection.
+//! Scheduler configuration: conflict policy, fairness, history and the
+//! retry budget. A request that would close a cycle always aborts its own
+//! transaction (the paper's Figure-2 choice); the victim is not an option.
 
 use std::fmt;
 
@@ -37,7 +39,7 @@ impl fmt::Display for ConflictPolicy {
 /// Residue: the frozen `bench/` names `RecoveryStrategy::IntentionsList` as
 /// the fourth argument of [`crate::ManagedObject::new`], so the enum keeps
 /// its one variant and the constructor keeps (and ignores) the parameter
-/// until the `[benchmark]` issue of ROADMAP item 4 drops both.
+/// until the `[benchmark]` issue of ROADMAP item 1 drops both.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RecoveryStrategy {
     /// Operations are buffered per transaction (an intentions list); return
@@ -46,26 +48,6 @@ pub enum RecoveryStrategy {
     /// the shared committed state only at actual commit, in
     /// commit-dependency order. Aborts simply discard the intentions.
     IntentionsList,
-}
-
-/// Which transaction is aborted when a request would close a cycle in the
-/// dependency graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum VictimPolicy {
-    /// Abort the requesting transaction (the paper's Figure-2 choice).
-    Requester,
-    /// Abort the youngest transaction participating in the would-be cycle;
-    /// if that is the requester, this degenerates to [`VictimPolicy::Requester`].
-    Youngest,
-}
-
-impl fmt::Display for VictimPolicy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            VictimPolicy::Requester => write!(f, "requester"),
-            VictimPolicy::Youngest => write!(f, "youngest"),
-        }
-    }
 }
 
 /// Complete scheduler configuration.
@@ -78,8 +60,6 @@ pub struct SchedulerConfig {
     /// active operation (Section 5.2, "real database systems do this to
     /// prevent starvation of writers by readers").
     pub fair_scheduling: bool,
-    /// Victim selection when a cycle is detected.
-    pub victim: VictimPolicy,
     /// Record the full execution history (needed by the serializability
     /// checker; adds memory proportional to the number of operations).
     pub record_history: bool,
@@ -98,7 +78,6 @@ impl Default for SchedulerConfig {
         SchedulerConfig {
             policy: ConflictPolicy::Recoverability,
             fair_scheduling: true,
-            victim: VictimPolicy::Requester,
             record_history: true,
             max_retries: 10_000,
         }
@@ -126,12 +105,6 @@ impl SchedulerConfig {
         self
     }
 
-    /// Builder-style: set the victim policy.
-    pub fn with_victim(mut self, victim: VictimPolicy) -> Self {
-        self.victim = victim;
-        self
-    }
-
     /// Builder-style: enable or disable history recording.
     pub fn with_history(mut self, record: bool) -> Self {
         self.record_history = record;
@@ -154,7 +127,6 @@ mod tests {
         let c = SchedulerConfig::default();
         assert_eq!(c.policy, ConflictPolicy::Recoverability);
         assert!(c.fair_scheduling);
-        assert_eq!(c.victim, VictimPolicy::Requester);
         assert!(c.record_history);
         assert_eq!(c.max_retries, 10_000);
     }
@@ -177,12 +149,10 @@ mod tests {
         let c = SchedulerConfig::default()
             .with_policy(ConflictPolicy::CommutativityOnly)
             .with_fair_scheduling(false)
-            .with_victim(VictimPolicy::Youngest)
             .with_history(false)
             .with_max_retries(7);
         assert_eq!(c.policy, ConflictPolicy::CommutativityOnly);
         assert!(!c.fair_scheduling);
-        assert_eq!(c.victim, VictimPolicy::Youngest);
         assert!(!c.record_history);
         assert_eq!(c.max_retries, 7);
     }
@@ -191,7 +161,5 @@ mod tests {
     fn labels_and_display() {
         assert_eq!(ConflictPolicy::CommutativityOnly.to_string(), "commutativity");
         assert_eq!(ConflictPolicy::Recoverability.to_string(), "recoverability");
-        assert_eq!(VictimPolicy::Requester.to_string(), "requester");
-        assert_eq!(VictimPolicy::Youngest.to_string(), "youngest");
     }
 }

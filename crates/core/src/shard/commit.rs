@@ -84,10 +84,9 @@ impl ShardedKernel {
         let outcome = {
             let _termination = self.termination.lock();
             // Phase 1: collect per-shard votes (local commit-dependency
-            // out-neighbours). The transaction stays Active throughout —
-            // it is coordinated, so it can neither be picked as a cycle
-            // victim nor be terminated by anyone but this (its own
-            // session's) thread.
+            // out-neighbours). The transaction stays Active throughout:
+            // a cycle only ever aborts the requester, so nothing but this
+            // (its own session's) thread can terminate it.
             let mut deps: Vec<TxnId> = Vec::new();
             for &s in enrolled {
                 // Between two per-shard vote collections: other sessions
@@ -236,7 +235,6 @@ impl ShardedKernel {
             TermFate::Aborted(AbortReason::CommitDependencyCycle) => {
                 &self.lifecycle.aborts_commit_cycle
             }
-            TermFate::Aborted(AbortReason::VictimSelected) => &self.lifecycle.aborts_victim,
             TermFate::Aborted(AbortReason::SsiConflict) => &self.lifecycle.aborts_ssi,
             TermFate::Aborted(AbortReason::Explicit) => &self.lifecycle.aborts_explicit,
         };
@@ -282,9 +280,6 @@ impl ShardedKernel {
             while let Some((shard, fx)) = pending.pop() {
                 for event in &fx.events {
                     match event {
-                        KernelEvent::Aborted { txn, reason } => {
-                            terminations.push((*txn, TermFate::Aborted(*reason), shard));
-                        }
                         KernelEvent::Committed { txn } => {
                             terminations.push((*txn, TermFate::Committed, shard));
                         }
@@ -420,7 +415,7 @@ impl ShardedKernel {
     fn vote(&self, txn: TxnId) -> Vec<(u32, ShardFx)> {
         // A `drain_coordination_ready` re-vote is starting: the window
         // between the original pseudo-commit vote and this re-vote is
-        // where dependency settles and victim aborts interleave.
+        // where dependency settles and aborts interleave.
         chaos::reach(ChaosPoint::ReVote, Some(txn));
         let _termination = self.termination.lock();
         let shards: Vec<u32> = {

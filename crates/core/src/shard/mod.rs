@@ -63,12 +63,11 @@
 //!   transaction pseudo-commits in every shard and each shard reports
 //!   (via [`SchedulerKernel::drain_coordination_ready`]) when its local
 //!   out-degree drops to zero, triggering a re-vote.
-//! * **Aborts** apply shard by shard; victim selection never picks a
-//!   multi-shard transaction other than the requester (see
-//!   [`crate::policy::VictimPolicy`] handling in the kernel), so a
-//!   scheduler-initiated abort of a multi-shard transaction only ever
-//!   happens on the transaction's own session thread — there is no race
-//!   against a concurrent commit vote for the same transaction.
+//! * **Aborts** apply shard by shard. A cycle only ever aborts the
+//!   transaction whose request (or retried blocked request) would close
+//!   it, so a scheduler-initiated abort never hits a transaction that is
+//!   running or committing — there is no race against a concurrent commit
+//!   vote for the same transaction.
 //!
 //! With `shards = 1` nothing ever entangles, every transaction is
 //! single-shard, and the subsystem degenerates to the unsharded kernel's
@@ -126,7 +125,6 @@ struct Lifecycle {
     pseudo_commits: AtomicU64,
     aborts_deadlock: AtomicU64,
     aborts_commit_cycle: AtomicU64,
-    aborts_victim: AtomicU64,
     aborts_ssi: AtomicU64,
     aborts_explicit: AtomicU64,
 }
@@ -748,7 +746,6 @@ impl ShardedKernel {
         aggregate.aborts_deadlock = self.lifecycle.aborts_deadlock.load(Ordering::Relaxed);
         aggregate.aborts_commit_cycle =
             self.lifecycle.aborts_commit_cycle.load(Ordering::Relaxed);
-        aggregate.aborts_victim = self.lifecycle.aborts_victim.load(Ordering::Relaxed);
         aggregate.aborts_ssi = self.lifecycle.aborts_ssi.load(Ordering::Relaxed);
         aggregate.aborts_explicit = self.lifecycle.aborts_explicit.load(Ordering::Relaxed);
     }

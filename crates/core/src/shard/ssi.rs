@@ -241,8 +241,8 @@ impl SsiTable {
         let mut doom_self = false;
         let mut ssi = self.state.lock();
         if !ssi.txns.contains_key(&txn) {
-            // Aborted concurrently (e.g. victim selection in a shard it
-            // writes in).
+            // Terminated concurrently by an abort issued from another
+            // thread.
             return Err(SsiRefusal::Unknown);
         }
         let flagged: Vec<TxnId> = ssi

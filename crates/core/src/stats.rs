@@ -64,8 +64,8 @@ pub struct KernelStats {
     /// Aborts because a recoverable execution would have closed a
     /// commit-dependency cycle.
     pub aborts_commit_cycle: u64,
-    /// Aborts of transactions chosen as victims on behalf of another
-    /// requester (only under `VictimPolicy::Youngest`).
+    /// Always 0 (a cycle aborts only the requester); read by `bench/`,
+    /// leaves with it.
     pub aborts_victim: u64,
     /// Aborts of snapshot transactions that completed a dangerous SSI
     /// structure (both in- and out-rw-antidependencies; see
@@ -116,7 +116,6 @@ impl KernelStats {
         self.pseudo_commits += other.pseudo_commits;
         self.aborts_deadlock += other.aborts_deadlock;
         self.aborts_commit_cycle += other.aborts_commit_cycle;
-        self.aborts_victim += other.aborts_victim;
         self.aborts_ssi += other.aborts_ssi;
         self.aborts_explicit += other.aborts_explicit;
         self.snapshot_reads += other.snapshot_reads;
@@ -128,25 +127,18 @@ impl KernelStats {
 
     /// Total aborts of every kind.
     pub fn total_aborts(&self) -> u64 {
-        self.aborts_deadlock
-            + self.aborts_commit_cycle
-            + self.aborts_victim
-            + self.aborts_ssi
-            + self.aborts_explicit
+        self.aborts_deadlock + self.aborts_commit_cycle + self.aborts_ssi + self.aborts_explicit
     }
 
     /// Aborts caused by the scheduler (everything except explicit aborts).
     pub fn scheduler_aborts(&self) -> u64 {
-        self.aborts_deadlock
-            + self.aborts_commit_cycle
-            + self.aborts_victim
-            + self.aborts_ssi
+        self.aborts_deadlock + self.aborts_commit_cycle + self.aborts_ssi
     }
 
     /// One-line human-readable summary.
     pub fn summary(&self) -> String {
         format!(
-            "txns={} requests={} batches={}/{} declared(batches={}, admitted={}, fallbacks={}, escalations={}) executed={} snapshot-reads={} blocks={} unblocks={} commit-deps={} commits={} pseudo={} aborts(deadlock={}, cycle={}, victim={}, ssi={}, explicit={}) versions-pruned={}",
+            "txns={} requests={} batches={}/{} declared(batches={}, admitted={}, fallbacks={}, escalations={}) executed={} snapshot-reads={} blocks={} unblocks={} commit-deps={} commits={} pseudo={} aborts(deadlock={}, cycle={}, ssi={}, explicit={}) versions-pruned={}",
             self.transactions_begun,
             self.requests,
             self.batches,
@@ -164,7 +156,6 @@ impl KernelStats {
             self.pseudo_commits,
             self.aborts_deadlock,
             self.aborts_commit_cycle,
-            self.aborts_victim,
             self.aborts_ssi,
             self.aborts_explicit,
             self.versions_pruned,
@@ -386,11 +377,10 @@ mod tests {
         s.commits = 4;
         s.aborts_deadlock = 1;
         s.aborts_commit_cycle = 2;
-        s.aborts_victim = 1;
         s.aborts_ssi = 8;
         s.aborts_explicit = 5;
-        assert_eq!(s.total_aborts(), 17);
-        assert_eq!(s.scheduler_aborts(), 12);
+        assert_eq!(s.total_aborts(), 16);
+        assert_eq!(s.scheduler_aborts(), 11);
     }
 
     #[test]

@@ -130,8 +130,7 @@ pub struct TxnRecord {
     /// `true` when the transaction's termination is driven by an external
     /// cross-shard coordinator (see [`crate::shard`]): the kernel must not
     /// cascade-commit it on its own (its commit dependencies may span other
-    /// shards) and must never select it as a cycle victim (another shard
-    /// could be voting on its commit concurrently).
+    /// shards).
     pub coordinated: bool,
     /// `true` once the cross-shard coordinator has written this
     /// transaction's operations to the write-ahead log (the durability

@@ -86,7 +86,7 @@ fn stats_line(db: &Database) -> String {
     let s = db.stats();
     format!(
         "requests={} executed={} blocks={} unblocks={} commit_deps={} commits={} pseudo={} \
-         ab_dead={} ab_ccycle={} ab_victim={} ab_explicit={}",
+         ab_dead={} ab_ccycle={} ab_explicit={}",
         s.requests,
         s.operations_executed,
         s.blocks,
@@ -96,7 +96,6 @@ fn stats_line(db: &Database) -> String {
         s.pseudo_commits,
         s.aborts_deadlock,
         s.aborts_commit_cycle,
-        s.aborts_victim,
         s.aborts_explicit
     )
 }

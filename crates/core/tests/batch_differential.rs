@@ -103,11 +103,6 @@ fn run_chunked(
                             RequestOutcome::Blocked { .. } => unreachable!(),
                         }
                     }
-                    KernelEvent::Aborted { txn, reason } => {
-                        let i = index_of[&txn];
-                        state[i] = DriverState::Done;
-                        decisions.push(format!("victim-aborted {i}: {reason}"));
-                    }
                     KernelEvent::Committed { txn } => {
                         decisions.push(format!("cascade-committed {}", index_of[&txn]));
                     }

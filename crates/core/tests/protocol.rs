@@ -8,7 +8,7 @@ use sbcc_adt::{
 use sbcc_core::{
     verify_commit_order_respects_dependencies, verify_commit_order_serializable, AbortReason,
     CommitOutcome, ConflictPolicy, CoreError, KernelEvent, RequestOutcome, SchedulerConfig,
-    SchedulerKernel, TxnState, VictimPolicy,
+    SchedulerKernel, TxnState,
 };
 
 fn kernel(policy: ConflictPolicy) -> SchedulerKernel {
@@ -301,10 +301,7 @@ fn mixed_wait_for_and_commit_dependency_cycles_are_detected() {
         }
     );
     // T2 survives and can commit (no cascading abort).
-    let events = k.drain_events();
-    assert!(events
-        .iter()
-        .all(|e| !matches!(e, KernelEvent::Aborted { txn, .. } if *txn == t2)));
+    assert_eq!(k.txn_state(t2), Some(TxnState::Active));
     assert_eq!(k.commit(t2).unwrap(), CommitOutcome::Committed);
     verify_commit_order_serializable(&k).unwrap();
 }
@@ -454,12 +451,8 @@ fn fair_scheduling_read_write_starvation_example() {
 }
 
 #[test]
-fn youngest_victim_policy_aborts_the_youngest_cycle_participant() {
-    let mut k = SchedulerKernel::new(
-        SchedulerConfig::default()
-            .with_policy(ConflictPolicy::Recoverability)
-            .with_victim(VictimPolicy::Youngest),
-    );
+fn commit_cycle_aborts_the_requester_not_the_younger_participant() {
+    let mut k = kernel(ConflictPolicy::Recoverability);
     let a = k.register("A", Stack::new()).unwrap();
     let b = k.register("B", Stack::new()).unwrap();
     let t1 = k.begin();
@@ -475,20 +468,23 @@ fn youngest_victim_policy_aborts_the_youngest_cycle_participant() {
         &k.request_op(t2, a, &StackOp::Push(Value::Int(3))).unwrap()
     ));
     // T1 now requests a push on B: commit-dep T1 -> T2 plus T2 -> T1 closes
-    // a cycle. Under the youngest policy T2 (the younger transaction) is
-    // aborted instead of the requester, and T1's push then executes.
+    // a cycle. The requester T1 is aborted, even though T2 is younger, and
+    // no event reports an abort of anyone else.
     let r = k
         .request_op(t1, b, &StackOp::Push(Value::Int(4)))
         .unwrap();
-    assert!(r.is_executed(), "requester survives, got {r:?}");
-    assert_eq!(k.txn_state(t2), Some(TxnState::Aborted));
-    assert_eq!(k.stats().aborts_victim, 1);
-    let events = k.drain_events();
-    assert!(events.iter().any(|e| matches!(
-        e,
-        KernelEvent::Aborted { txn, reason: AbortReason::VictimSelected } if *txn == t2
-    )));
-    assert_eq!(k.commit(t1).unwrap(), CommitOutcome::Committed);
+    assert_eq!(
+        r,
+        RequestOutcome::Aborted {
+            reason: AbortReason::CommitDependencyCycle
+        }
+    );
+    assert_eq!(k.txn_state(t1), Some(TxnState::Aborted));
+    assert_eq!(k.txn_state(t2), Some(TxnState::Active));
+    assert_eq!(k.stats().aborts_commit_cycle, 1);
+    assert_eq!(k.stats().aborts_victim, 0);
+    assert!(k.drain_events().is_empty());
+    assert_eq!(k.commit(t2).unwrap(), CommitOutcome::Committed);
     verify_commit_order_serializable(&k).unwrap();
 }
 

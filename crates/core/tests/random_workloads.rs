@@ -64,6 +64,11 @@ fn run_scripts(
             match event {
                 KernelEvent::Unblocked { txn, outcome } => {
                     let i = index_of[&txn];
+                    assert_eq!(
+                        state[i],
+                        DriverState::Waiting,
+                        "only a blocked transaction's retry is reported"
+                    );
                     match outcome {
                         RequestOutcome::Executed { result, .. } => {
                             results.insert((i, next_op[i]), format!("{result}"));
@@ -75,10 +80,6 @@ fn run_scripts(
                         }
                         RequestOutcome::Blocked { .. } => unreachable!(),
                     }
-                }
-                KernelEvent::Aborted { txn, .. } => {
-                    let i = index_of[&txn];
-                    state[i] = DriverState::Done;
                 }
                 KernelEvent::Committed { .. } => {}
             }

@@ -10,11 +10,6 @@
 //! comparable. The driver mirrors `batch_differential.rs`: chunked
 //! scripts, round-robin turns, blocked transactions parked until the
 //! kernel settles them.
-//!
-//! The property runs under `VictimPolicy::Requester` (the paper's
-//! Figure-2 choice): under `Youngest` the sharded kernel deliberately
-//! narrows victim selection (multi-shard transactions are never chosen on
-//! another session's behalf), which is a documented divergence, not a bug.
 
 mod common;
 
@@ -194,6 +189,11 @@ fn run_chunked(
                 match event {
                     KernelEvent::Unblocked { txn, outcome } => {
                         let i = index_of[&txn];
+                        assert_eq!(
+                            state[i],
+                            DriverState::Waiting,
+                            "only a blocked transaction's retry is reported"
+                        );
                         match outcome {
                             RequestOutcome::Executed { result, .. } => {
                                 results.insert((i, next_op[i]), format!("{result}"));
@@ -207,11 +207,6 @@ fn run_chunked(
                             }
                             RequestOutcome::Blocked { .. } => unreachable!(),
                         }
-                    }
-                    KernelEvent::Aborted { txn, reason } => {
-                        let i = index_of[&txn];
-                        state[i] = DriverState::Done;
-                        decisions.push(format!("victim-aborted {i}: {reason}"));
                     }
                     KernelEvent::Committed { txn } => {
                         decisions.push(format!("cascade-committed {}", index_of[&txn]));

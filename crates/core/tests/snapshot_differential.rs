@@ -96,7 +96,7 @@ fn run_writer(db: &Database, handles: &[ObjectHandle], script: &[(usize, OpCall)
 /// Operation-level counters legitimately differ: classified probes count
 /// `requests`/`operations_executed`, snapshot probes count
 /// `snapshot_reads` instead.
-fn lifecycle(stats: &KernelStats) -> [u64; 8] {
+fn lifecycle(stats: &KernelStats) -> [u64; 7] {
     [
         stats.transactions_begun,
         stats.commits,
@@ -104,7 +104,6 @@ fn lifecycle(stats: &KernelStats) -> [u64; 8] {
         stats.commit_dependencies,
         stats.aborts_deadlock,
         stats.aborts_commit_cycle,
-        stats.aborts_victim,
         stats.aborts_explicit,
     ]
 }

@@ -15,7 +15,7 @@ use sbcc_adt::{Counter, CounterOp};
 use sbcc_core::chaos;
 use sbcc_core::{
     AsyncDatabase, CoreError, Database, DatabaseConfig, Handle, SchedulerConfig, ShardCount,
-    TxnId, VictimPolicy,
+    TxnId,
 };
 use std::sync::{Arc, Mutex};
 use std::task::{Context, Poll, Wake, Waker};
@@ -60,10 +60,10 @@ const MAX_RETRIES: usize = 10_000;
 const REAL_TIME_GUARD: Duration = Duration::from_secs(30);
 
 /// Errors a fault-injecting run legitimately produces: scheduler aborts
-/// (surfaced raw by the manual session style), the victim/cancellation
-/// `InvalidState` races, and an exhausted retry budget. Anything else —
-/// unknown transactions, unknown objects, duplicate registrations — is a
-/// harness or kernel bug and fails the run.
+/// (surfaced raw by the manual session style), the `InvalidState` a
+/// cancelled async operation leaves its transaction in, and an exhausted
+/// retry budget. Anything else — unknown transactions, unknown objects,
+/// duplicate registrations — is a harness or kernel bug and fails the run.
 fn tolerated(err: &CoreError) -> bool {
     matches!(
         err,
@@ -337,17 +337,7 @@ pub fn execute(seed: u64, cfg: &DstConfig, script: Option<Vec<u32>>) -> RunRepor
     let sched = Arc::new(Scheduler::new(total, MAX_STEPS, seed, script));
     let faults = Arc::new(FaultPlan::new(seed, REORDER_PERMILLE));
 
-    // Half the seed space stresses victim selection of *other*
-    // transactions (the only source of the victim-abort-races-delivery
-    // class); the other half keeps the paper's Figure-2 requester choice.
-    let victim = if seed & 1 == 1 {
-        VictimPolicy::Youngest
-    } else {
-        VictimPolicy::Requester
-    };
-    let scheduler_cfg = SchedulerConfig::default()
-        .with_victim(victim)
-        .with_max_retries(MAX_RETRIES);
+    let scheduler_cfg = SchedulerConfig::default().with_max_retries(MAX_RETRIES);
     let db = Database::with_config(
         DatabaseConfig::new(scheduler_cfg).with_shards(ShardCount::Fixed(SHARDS)),
     );

@@ -132,8 +132,8 @@ mod tests {
         m
     }
 
-    /// The same edges in the on-line graph, the reference the SCC pass is
-    /// checked against (it never stores a self-loop).
+    /// The same edges in the on-line graph (which never stores a
+    /// self-loop).
     fn online(edges: &[(u32, u32)]) -> DependencyGraph<u32> {
         let mut graph = DependencyGraph::new();
         for (a, b) in edges {
@@ -184,8 +184,23 @@ mod tests {
             edges in proptest::collection::vec((0u32..12, 0u32..12), 0..40)
         ) {
             let g = adj(&edges);
-            let graph = online(&edges);
-            let reachable = |a: u32, b: u32| graph.path_from_any(&[a], b).is_some();
+            // Plain BFS over the adjacency map: is `b` reachable from `a`?
+            let reachable = |a: u32, b: u32| {
+                let mut seen = vec![a];
+                let mut queue = std::collections::VecDeque::from([a]);
+                while let Some(n) = queue.pop_front() {
+                    if n == b {
+                        return true;
+                    }
+                    for next in &g[&n] {
+                        if !seen.contains(next) {
+                            seen.push(*next);
+                            queue.push_back(*next);
+                        }
+                    }
+                }
+                false
+            };
             // Two distinct nodes are in the same SCC iff mutually reachable.
             let sccs = strongly_connected_components(&g);
             let mut comp_of: HashMap<u32, usize> = HashMap::new();

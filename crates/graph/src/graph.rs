@@ -984,8 +984,8 @@ impl<N: NodeId> DependencyGraph<N> {
     }
 
     /// Would adding edges `from -> t` (for every `t` in `targets`) close a
-    /// cycle? Equivalently: is `from` reachable from any target using edges
-    /// that satisfy `filter`?
+    /// cycle? Equivalently: is `from` reachable from any target over edges
+    /// of either kind?
     ///
     /// The check is performed **without** mutating the graph, so the caller
     /// can decide to abort the requester instead of inserting the edges.
@@ -997,16 +997,8 @@ impl<N: NodeId> DependencyGraph<N> {
     /// usually point at *older* transactions — are dismissed without any
     /// traversal (nodes other than `from` *sharing* its label cannot reach
     /// it either, which is why the dismissal is `<=` rather than `<`), and
-    /// the rest of the search never leaves the affected label window. The
-    /// pruning is sound for any edge-kind `filter`, because the order is
-    /// maintained over the union of both kinds and any filtered subgraph of
-    /// an ordered graph respects the same order.
-    pub fn would_close_cycle_filtered(
-        &mut self,
-        from: N,
-        targets: &[N],
-        filter: impl Fn(EdgeKind) -> bool,
-    ) -> bool {
+    /// the rest of the search never leaves the affected label window.
+    pub fn would_close_cycle(&mut self, from: N, targets: &[N]) -> bool {
         self.cycle_checks += 1;
         let Some(&from_ord) = self.ord.get(&from) else {
             // `from` is not in the graph, so nothing can reach it.
@@ -1038,9 +1030,7 @@ impl<N: NodeId> DependencyGraph<N> {
                 continue;
             };
             for (next, counts) in &adj.out {
-                let passes = (filter(EdgeKind::WaitFor) && counts.wait_for > 0)
-                    || (filter(EdgeKind::CommitDep) && counts.commit_dep > 0);
-                if !passes {
+                if counts.is_empty() {
                     continue;
                 }
                 if *next == from {
@@ -1055,11 +1045,6 @@ impl<N: NodeId> DependencyGraph<N> {
             }
         }
         false
-    }
-
-    /// [`Self::would_close_cycle_filtered`] over both edge kinds.
-    pub fn would_close_cycle(&mut self, from: N, targets: &[N]) -> bool {
-        self.would_close_cycle_filtered(from, targets, |_| true)
     }
 
     /// Oracle-backed equivalent of [`Self::would_close_cycle`]: copy the
@@ -1085,79 +1070,6 @@ impl<N: NodeId> DependencyGraph<N> {
         components.iter().any(|component| {
             component.contains(&from) && targets.iter().any(|t| *t != from && component.contains(t))
         })
-    }
-
-    /// Find a path (over both edge kinds) from any of `starts` to `goal`,
-    /// if one exists. Combined with the edges a requester is about to add,
-    /// the returned path is exactly the set of transactions participating in
-    /// the cycle the request would close — which is what victim-selection
-    /// policies other than "abort the requester" need to inspect.
-    ///
-    /// The search explores starts and neighbours in ascending node order,
-    /// so the returned path — and any victim chosen from it — is
-    /// deterministic for a given graph. While the maintained order is
-    /// intact the search is additionally pruned by it: any node on a path
-    /// to `goal` must be labeled strictly above `ord(goal)`, so lower- or
-    /// equal-labeled neighbours are dead ends. Pruning cannot change the
-    /// returned path (pruned subtrees contain no node that reaches `goal`,
-    /// and only goal-reaching nodes ever sit on the reconstructed parent
-    /// chain), it just skips the dead ends the plain DFS would wade
-    /// through.
-    pub fn path_from_any(&self, starts: &[N], goal: N) -> Option<Vec<N>> {
-        let goal_ord = self.order_valid.then(|| self.ord.get(&goal).copied()).flatten();
-        let mut parent: HashMap<N, N> = HashMap::new();
-        let mut visited: HashSet<N> = HashSet::new();
-        let mut stack: Vec<N> = Vec::new();
-        let mut ordered_starts: Vec<N> = starts.to_vec();
-        ordered_starts.sort_unstable();
-        for s in ordered_starts {
-            if s != goal {
-                if let (Some(goal_ord), Some(&s_ord)) = (goal_ord, self.ord.get(&s)) {
-                    if s_ord <= goal_ord {
-                        continue;
-                    }
-                }
-            }
-            if visited.insert(s) {
-                stack.push(s);
-            }
-        }
-        while let Some(n) = stack.pop() {
-            if n == goal {
-                let mut path = vec![goal];
-                let mut cur = goal;
-                while let Some(p) = parent.get(&cur) {
-                    cur = *p;
-                    path.push(cur);
-                }
-                path.reverse();
-                return Some(path);
-            }
-            let Some(adj) = self.nodes.get(&n) else {
-                continue;
-            };
-            let mut nexts: Vec<N> = adj
-                .out
-                .iter()
-                .filter(|(_, counts)| !counts.is_empty())
-                .map(|(next, _)| *next)
-                .collect();
-            nexts.sort_unstable();
-            for next in nexts {
-                if next != goal {
-                    if let Some(goal_ord) = goal_ord {
-                        if self.ord[&next] <= goal_ord {
-                            continue;
-                        }
-                    }
-                }
-                if visited.insert(next) {
-                    parent.insert(next, n);
-                    stack.push(next);
-                }
-            }
-        }
-        None
     }
 
     /// Full-graph acyclicity check over both edge kinds (used by tests and
@@ -1365,16 +1277,6 @@ mod tests {
     }
 
     #[test]
-    fn would_close_cycle_filtered_restricts_edge_kinds() {
-        let mut g = G::new();
-        g.add_edge(2, 1, EdgeKind::CommitDep);
-        // Considering only wait-for edges, 1 -> 2 closes no cycle.
-        assert!(!g.would_close_cycle_filtered(1, &[2], |k| k == EdgeKind::WaitFor));
-        // Considering only commit-dep edges, it does.
-        assert!(g.would_close_cycle_filtered(1, &[2], |k| k == EdgeKind::CommitDep));
-    }
-
-    #[test]
     fn has_cycle_and_find_cycle() {
         let mut g = G::new();
         g.add_edge(1, 2, EdgeKind::WaitFor);
@@ -1382,23 +1284,6 @@ mod tests {
         assert!(!g.has_cycle());
         g.add_edge(3, 1, EdgeKind::WaitFor);
         assert!(g.has_cycle());
-        // The cycle's participants, as victim selection finds them: the
-        // path back from the new edge's target to its source.
-        assert_eq!(g.path_from_any(&[1], 3), Some(vec![1, 2, 3]));
-    }
-
-    #[test]
-    fn path_from_any_reports_cycle_participants() {
-        let mut g = G::new();
-        g.add_edge(2, 1, EdgeKind::CommitDep);
-        g.add_edge(3, 2, EdgeKind::WaitFor);
-        // If 1 were to add an edge to 3, the cycle would be 1 -> 3 -> 2 -> 1;
-        // the existing path from 3 to 1 is [3, 2, 1].
-        let path = g.path_from_any(&[3], 1).expect("path exists");
-        assert_eq!(path, vec![3, 2, 1]);
-        assert_eq!(g.path_from_any(&[1], 3), None);
-        assert_eq!(g.path_from_any(&[], 1), None);
-        assert_eq!(g.path_from_any(&[1], 1), Some(vec![1]));
     }
 
     #[test]

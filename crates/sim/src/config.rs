@@ -1,6 +1,6 @@
 //! Simulation parameters (paper Tables IX and X).
 
-use sbcc_core::{ConflictPolicy, VictimPolicy};
+use sbcc_core::ConflictPolicy;
 
 /// Which workload / data model the simulation uses (Section 5.5).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -108,8 +108,6 @@ pub struct SimParams {
     pub policy: ConflictPolicy,
     /// Fair scheduling (Section 5.2; the paper's default).
     pub fair_scheduling: bool,
-    /// Victim selection policy.
-    pub victim: VictimPolicy,
     /// Stop the run after this many transactions have completed
     /// (paper: 50 000).
     pub target_completions: u64,
@@ -143,7 +141,6 @@ impl Default for SimParams {
             data_model: DataModel::read_write(),
             policy: ConflictPolicy::Recoverability,
             fair_scheduling: true,
-            victim: VictimPolicy::Requester,
             target_completions: 10_000,
             seed: 42,
             shards: 1,
@@ -190,12 +187,6 @@ impl SimParams {
     /// Builder-style: set the kernel shard count.
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = shards;
-        self
-    }
-
-    /// Builder-style: set the victim policy.
-    pub fn with_victim(mut self, victim: VictimPolicy) -> Self {
-        self.victim = victim;
         self
     }
 
@@ -256,11 +247,6 @@ impl SimParams {
         if self.shards == 0 {
             return Err("shards must be positive".into());
         }
-        // Both victim policies are modelled: the closed-network driver
-        // handles asynchronous victim aborts (a transaction aborted while
-        // it has an in-flight service event) by generation-stamping service
-        // events and purging the victim from the resource queues, so
-        // `VictimPolicy::Youngest` runs at scale.
         Ok(())
     }
 

@@ -36,13 +36,6 @@ pub enum Event {
         txn: SimTxnKey,
         /// Which stage completed.
         stage: ServiceStage,
-        /// The transaction's restart count when the service was scheduled.
-        /// An asynchronous victim abort (possible under
-        /// [`sbcc_core::VictimPolicy::Youngest`]) restarts the transaction
-        /// while this event is still in flight; the mismatch marks the
-        /// event stale — its resource hand-off still happens, but it must
-        /// not advance the restarted incarnation's script.
-        gen: u64,
     },
 }
 
@@ -168,14 +161,14 @@ mod tests {
     #[test]
     fn clock_advances_with_pops() {
         let mut q = EventQueue::new();
-        q.schedule_in(0.5, Event::ServiceDone { txn: 1, stage: ServiceStage::Step, gen: 0 });
+        q.schedule_in(0.5, Event::ServiceDone { txn: 1, stage: ServiceStage::Step });
         let (t, _) = q.pop().unwrap();
         assert!((t - 0.5).abs() < 1e-12);
         // scheduling relative to the new now
-        q.schedule_in(0.25, Event::ServiceDone { txn: 2, stage: ServiceStage::Cpu, gen: 0 });
+        q.schedule_in(0.25, Event::ServiceDone { txn: 2, stage: ServiceStage::Cpu });
         let (t, e) = q.pop().unwrap();
         assert!((t - 0.75).abs() < 1e-12);
-        assert_eq!(e, Event::ServiceDone { txn: 2, stage: ServiceStage::Cpu, gen: 0 });
+        assert_eq!(e, Event::ServiceDone { txn: 2, stage: ServiceStage::Cpu });
         assert_eq!(q.pop(), None);
     }
 

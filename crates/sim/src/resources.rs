@@ -94,18 +94,6 @@ impl ResourcePool {
             None
         }
     }
-
-    /// Remove every queued entry of a transaction from the CPU and disk
-    /// queues (it was aborted asynchronously — e.g. as a `Youngest` cycle
-    /// victim — and must not be granted a resource it no longer wants).
-    /// Resources it currently *holds* are reclaimed when their in-flight
-    /// service event fires (the stale-event path in the simulator).
-    pub fn purge(&mut self, txn: SimTxnKey) {
-        self.cpu_queue.retain(|k| *k != txn);
-        for disk in &mut self.disks {
-            disk.queue.retain(|k| *k != txn);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -144,19 +132,5 @@ mod tests {
     #[should_panic(expected = "at least one resource unit")]
     fn zero_units_rejected() {
         ResourcePool::new(0);
-    }
-
-    #[test]
-    fn purge_drops_queued_entries_everywhere() {
-        let mut pool = ResourcePool::new(1);
-        assert_eq!(pool.acquire_cpu(1), Grant::Acquired);
-        assert_eq!(pool.acquire_cpu(2), Grant::Queued);
-        assert_eq!(pool.acquire_cpu(3), Grant::Queued);
-        assert_eq!(pool.acquire_disk(0, 4), Grant::Acquired);
-        assert_eq!(pool.acquire_disk(0, 2), Grant::Queued);
-        pool.purge(2);
-        // The CPU goes to the surviving waiter, not the purged one.
-        assert_eq!(pool.release_cpu(), Some(3));
-        assert_eq!(pool.release_disk(0), None);
     }
 }

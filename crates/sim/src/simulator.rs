@@ -43,7 +43,6 @@ struct SimTxn {
     next_op: usize,
     submit_time: f64,
     kernel_txn: Option<TxnId>,
-    restarts: u64,
     phase: Phase,
     holds_slot: bool,
 }
@@ -97,7 +96,6 @@ impl Simulator {
         let config = SchedulerConfig::default()
             .with_policy(params.policy)
             .with_fair_scheduling(params.fair_scheduling)
-            .with_victim(params.victim)
             .with_history(false);
         let kernel = ShardedKernel::new(DatabaseConfig {
             scheduler: config,
@@ -154,7 +152,7 @@ impl Simulator {
             };
             match event {
                 Event::TerminalSubmit { terminal } => self.submit_transaction(terminal),
-                Event::ServiceDone { txn, stage, gen } => self.service_done(txn, stage, gen),
+                Event::ServiceDone { txn, stage } => self.service_done(txn, stage),
             }
         }
         self.result()
@@ -204,7 +202,6 @@ impl Simulator {
             next_op: 0,
             submit_time: self.queue.now(),
             kernel_txn: None,
-            restarts: 0,
             phase: Phase::Ready,
             holds_slot: false,
         });
@@ -250,19 +247,11 @@ impl Simulator {
             self.finish_transaction(key);
             return;
         }
-        let gen = self.txns[key].restarts;
         let outcome = self
             .kernel
             .request(kernel_txn, object, call)
             .expect("valid request");
         self.process_kernel_events();
-        if self.txns[key].restarts != gen {
-            // The settle triggered by this very request victim-aborted this
-            // transaction (it can be the youngest participant of a cycle a
-            // *retried* request closes); `handle_abort` already re-queued
-            // it — the outcome belongs to the dead incarnation.
-            return;
-        }
         match outcome {
             RequestOutcome::Executed { .. } => self.start_service(key),
             RequestOutcome::Blocked { .. } => {
@@ -275,7 +264,6 @@ impl Simulator {
     /// Schedule the service of one admitted operation.
     fn start_service(&mut self, key: SimTxnKey) {
         self.txns[key].phase = Phase::Running;
-        let gen = self.txns[key].restarts;
         match self.params.resource_mode {
             ResourceMode::Infinite => {
                 self.queue.schedule_in(
@@ -283,7 +271,6 @@ impl Simulator {
                     Event::ServiceDone {
                         txn: key,
                         stage: ServiceStage::Step,
-                        gen,
                     },
                 );
             }
@@ -296,7 +283,6 @@ impl Simulator {
                             Event::ServiceDone {
                                 txn: key,
                                 stage: ServiceStage::Cpu,
-                                gen,
                             },
                         );
                     }
@@ -309,21 +295,12 @@ impl Simulator {
         }
     }
 
-    /// Handle a completed service stage. `gen` is the restart count the
-    /// event was scheduled under: a mismatch means the transaction was
-    /// aborted asynchronously (a `Youngest` cycle victim) while this event
-    /// was in flight — the stale event still performs its resource
-    /// hand-off (the victim's burst occupied the CPU/disk until now; the
-    /// wasted service is the abort's cost), but it must not advance the
-    /// restarted incarnation's script.
-    fn service_done(&mut self, key: SimTxnKey, stage: ServiceStage, gen: u64) {
-        let stale = self.txns[key].restarts != gen;
+    /// Handle a completed service stage. A transaction in service is
+    /// `Running` and stays so until the event fires: only its own request
+    /// or the retry of its blocked request can abort it.
+    fn service_done(&mut self, key: SimTxnKey, stage: ServiceStage) {
         match stage {
-            ServiceStage::Step => {
-                if !stale {
-                    self.operation_complete(key);
-                }
-            }
+            ServiceStage::Step => self.operation_complete(key),
             ServiceStage::Cpu => {
                 // Hand the CPU to the next waiter, if any.
                 let next = self
@@ -332,18 +309,13 @@ impl Simulator {
                     .expect("finite resources have a pool")
                     .release_cpu();
                 if let Some(next_key) = next {
-                    let next_gen = self.txns[next_key].restarts;
                     self.queue.schedule_in(
                         self.params.cpu_time,
                         Event::ServiceDone {
                             txn: next_key,
                             stage: ServiceStage::Cpu,
-                            gen: next_gen,
                         },
                     );
-                }
-                if stale {
-                    return; // the aborted incarnation's burst ends here
                 }
                 // This transaction now needs a randomly chosen disk.
                 let pool = self.pool.as_mut().expect("finite resources have a pool");
@@ -355,7 +327,6 @@ impl Simulator {
                             Event::ServiceDone {
                                 txn: key,
                                 stage: ServiceStage::Disk { disk },
-                                gen,
                             },
                         );
                     }
@@ -369,19 +340,15 @@ impl Simulator {
                     .expect("finite resources have a pool")
                     .release_disk(disk);
                 if let Some(next_key) = next {
-                    let next_gen = self.txns[next_key].restarts;
                     self.queue.schedule_in(
                         self.params.io_time,
                         Event::ServiceDone {
                             txn: next_key,
                             stage: ServiceStage::Disk { disk },
-                            gen: next_gen,
                         },
                     );
                 }
-                if !stale {
-                    self.operation_complete(key);
-                }
+                self.operation_complete(key);
             }
         }
     }
@@ -435,7 +402,6 @@ impl Simulator {
             let txn = &mut self.txns[key];
             self.restarts += 1;
             self.total_abort_length += txn.next_op as u64;
-            txn.restarts += 1;
             let old = txn.kernel_txn.take();
             txn.next_op = 0;
             txn.phase = Phase::Ready;
@@ -447,12 +413,6 @@ impl Simulator {
         };
         if let Some(k) = old_kernel_txn {
             self.kernel_to_sim.remove(&k);
-        }
-        // An asynchronous victim may be queued for a CPU or disk; it no
-        // longer wants the grant (resources it *holds* are reclaimed by
-        // the stale-event path of `service_done`).
-        if let Some(pool) = self.pool.as_mut() {
-            pool.purge(key);
         }
         // "An aborted transaction is restarted immediately, i.e., placed at
         // the end of the ready queue."
@@ -468,17 +428,16 @@ impl Simulator {
                     let Some(&key) = self.kernel_to_sim.get(&txn) else {
                         continue;
                     };
+                    // Only a blocked request is retried, so the transaction
+                    // has no service event or resource-queue entry in
+                    // flight, whatever the retry's outcome.
+                    debug_assert_eq!(self.txns[key].phase, Phase::BlockedInKernel);
                     match outcome {
                         RequestOutcome::Executed { .. } => self.start_service(key),
                         RequestOutcome::Aborted { .. } => self.handle_abort(key),
                         RequestOutcome::Blocked { .. } => {
                             unreachable!("the kernel never reports re-blocking")
                         }
-                    }
-                }
-                KernelEvent::Aborted { txn, .. } => {
-                    if let Some(&key) = self.kernel_to_sim.get(&txn) {
-                        self.handle_abort(key);
                     }
                 }
                 KernelEvent::Committed { txn } => {
@@ -494,7 +453,7 @@ impl Simulator {
 mod tests {
     use super::*;
     use crate::config::DataModel;
-    use sbcc_core::{ConflictPolicy, VictimPolicy};
+    use sbcc_core::ConflictPolicy;
 
     fn small_params(policy: ConflictPolicy) -> SimParams {
         SimParams {
@@ -580,26 +539,6 @@ mod tests {
             lots.blocking_ratio,
             none.blocking_ratio
         );
-    }
-
-    #[test]
-    fn youngest_victim_policy_runs_at_scale() {
-        // The ROADMAP item: asynchronous victim aborts (a transaction
-        // aborted while it has an in-flight service event) must not corrupt
-        // the closed network. Run to completion, deterministically, under
-        // both resource models.
-        let params = small_params(ConflictPolicy::Recoverability).with_victim(VictimPolicy::Youngest);
-        let a = Simulator::new(params.clone()).run();
-        assert!(a.completed >= 400);
-        assert!(a.throughput > 0.0);
-        let b = Simulator::new(params.clone()).run();
-        assert_eq!(a, b, "async victim aborts stay deterministic");
-
-        let finite = Simulator::new(
-            params.with_resources(ResourceMode::Finite { resource_units: 2 }),
-        )
-        .run();
-        assert!(finite.completed >= 400, "stale service events and queue purges hold up");
     }
 
     #[test]

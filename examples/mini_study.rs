@@ -51,17 +51,6 @@ fn main() {
         result.completed, result.pseudo_commit_completions
     );
 
-    // Victim-policy comparison at the same point: the closed-network
-    // driver now handles asynchronous victim aborts, so Youngest runs at
-    // scale (its victims can be mid-service when the cycle is detected).
-    let youngest = Simulator::new(params.clone().with_victim(VictimPolicy::Youngest)).run();
-    println!("\nSame point, youngest-victim selection:");
-    println!("  {youngest}");
-    println!(
-        "  restart ratio requester vs youngest: {:.3} vs {:.3}",
-        result.restart_ratio, youngest.restart_ratio
-    );
-
     // Shard-count sweep: the sharded kernel admits identically (the
     // differential suite pins that), so simulated throughput stays flat —
     // what changes is the admission bookkeeping, reported here via the

@@ -78,7 +78,7 @@ pub mod prelude {
         BatchStop, CommitOutcome, ConflictPolicy, CoreError, Database, DatabaseConfig, Handle,
         KernelEvent, KernelStats, LocalExecutor, ObjectHandle, ObjectId, RecoveryStrategy,
         RequestOutcome, SchedulerConfig, SchedulerKernel, ShardCount, ShardedKernel,
-        StatsSnapshot, Transaction, TxnId, TxnState, VictimPolicy,
+        StatsSnapshot, Transaction, TxnId, TxnState,
     };
     pub use crate::graph::{DependencyGraph, EdgeKind};
     pub use crate::sim::{DataModel, ResourceMode, SimParams, SimulationResult, Simulator};

@@ -16,7 +16,6 @@ fn config_structs_have_exactly_the_documented_fields() {
     let SchedulerConfig {
         policy: _,
         fair_scheduling: _,
-        victim: _,
         record_history: _,
         max_retries: _,
     } = SchedulerConfig::default();
