@@ -14,7 +14,10 @@
 //!   commit (cascading through chains of dependencies);
 //! * **recovery** (Section 4.4) via intentions lists or replay-based undo;
 //! * **fair scheduling** (Section 5.2): an incoming request that conflicts
-//!   with a blocked request waits behind it.
+//!   with a blocked request waits behind it. So a blocked request's
+//!   conflicts can only shrink while it waits, and a termination re-runs
+//!   Figure 2 only for the queued requests it can release (see
+//!   `retry_blocked`).
 //!
 //! The kernel is single-threaded by design (the simulator drives it
 //! directly); [`crate::Database`] adds a thread-safe, blocking front-end.
@@ -29,7 +32,7 @@ use crate::policy::{RecoveryStrategy, SchedulerConfig};
 use crate::shard::GlobalGraph;
 use crate::stats::KernelStats;
 use crate::txn::{BatchCall, ExecutedOp, PendingRequest, TxnId, TxnRecord, TxnState};
-use sbcc_adt::{AccessSet, AdtObject, AdtSpec, OpCall, OpResult, SemanticObject};
+use sbcc_adt::{AccessSet, AdtObject, AdtSpec, Compatibility, OpCall, OpResult, SemanticObject};
 use sbcc_graph::{DependencyGraph, EdgeKind};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -94,6 +97,10 @@ pub struct SchedulerKernel {
     /// the multi-version GC watermark. Written by the snapshot lifecycle
     /// in the sharding layer, read (`SeqCst`) by every fold.
     version_floor: Arc<AtomicU64>,
+    /// Queued requests a retry pass ran Figure 2 for. Counted for the unit
+    /// tests only: an entry re-queued without one leaves no other trace.
+    #[cfg(test)]
+    figure2_retries: u64,
 }
 
 impl std::fmt::Debug for SchedulerKernel {
@@ -135,6 +142,8 @@ impl SchedulerKernel {
             wal: None,
             commit_clock: Arc::new(AtomicU64::new(0)),
             version_floor: Arc::new(AtomicU64::new(u64::MAX)),
+            #[cfg(test)]
+            figure2_retries: 0,
         }
     }
 
@@ -928,13 +937,22 @@ impl SchedulerKernel {
         }
     }
 
-    /// Clear a transaction's outgoing wait-for edges (a retried request
-    /// that executes, or whose holders changed), mirrored while entangled.
-    fn graph_clear_wait_edges(&mut self, txn: TxnId) {
-        self.graph.clear_out_edges(txn, EdgeKind::WaitFor);
+    /// Drop a waiter's wait-for edges to `holders` (all of them when its
+    /// retried request stops waiting, or the ones it stopped conflicting
+    /// with), locally and, while entangled, from the escalation graph in
+    /// one critical section. Each pair carries exactly one edge in both
+    /// graphs: a waiter adds and reserves only holders it does not
+    /// already wait for.
+    fn graph_drop_wait_edges(&mut self, txn: TxnId, holders: &[TxnId]) {
+        if holders.is_empty() {
+            return;
+        }
+        for holder in holders {
+            self.graph.remove_edge(txn, *holder, EdgeKind::WaitFor);
+        }
         if self.entangled {
             if let Some(global) = &self.escalation {
-                global.clear_out_edges(txn, EdgeKind::WaitFor);
+                global.remove_edges(txn, holders, EdgeKind::WaitFor);
             }
         }
     }
@@ -1032,14 +1050,15 @@ impl SchedulerKernel {
     /// still-valid classification from a batch plan. A request that would
     /// close a cycle aborts its own transaction, never another one.
     ///
-    /// A retried request arrives still holding its wait-for edges. If it
-    /// blocks again, only holders it does not already wait for are checked
-    /// and added: a cycle closed by `txn -> t` is a path from `t` back to
-    /// `txn`, which never leaves through `txn`'s own out-edges, and the
-    /// graph is acyclic, so a held edge can neither close a cycle nor
-    /// change the verdict on the others. The held edges are cleared only
-    /// when one of them no longer conflicts (then every holder is
-    /// re-checked) or when the request stops waiting.
+    /// A retried request arrives still holding its wait-for edges, each to
+    /// a holder it still conflicts with, unless it is about to stop waiting
+    /// (see [`Self::retry_blocked`]). If it blocks again, which only a
+    /// kernel without fair scheduling lets happen, only holders it does
+    /// not already wait for are checked and added: a cycle closed by
+    /// `txn -> t` is a path from `t` back to `txn`, which never leaves
+    /// through `txn`'s own out-edges, and the graph is acyclic, so a held
+    /// edge can neither close a cycle nor change the verdict on the
+    /// others. The held edges are dropped when the request stops waiting.
     fn process_request(
         &mut self,
         txn: TxnId,
@@ -1064,16 +1083,15 @@ impl SchedulerKernel {
         if !conflicts.is_empty() {
             // Step 1: the request conflicts; it must wait unless waiting
             // would close a cycle.
-            let fresh: Vec<TxnId> = if held.iter().all(|h| conflicts.contains(h)) {
-                conflicts
-                    .iter()
-                    .copied()
-                    .filter(|h| !held.contains(h))
-                    .collect()
-            } else {
-                self.graph_clear_wait_edges(txn);
-                conflicts.clone()
-            };
+            debug_assert!(
+                held.iter().all(|h| conflicts.contains(h)),
+                "{txn} still waits for a holder it no longer conflicts with"
+            );
+            let fresh: Vec<TxnId> = conflicts
+                .iter()
+                .copied()
+                .filter(|h| !held.contains(h))
+                .collect();
             if !fresh.is_empty() && self.cycle_would_close(txn, &fresh, EdgeKind::WaitFor) {
                 self.abort_internal(txn, AbortReason::DeadlockCycle);
                 return RequestOutcome::Aborted {
@@ -1088,7 +1106,6 @@ impl SchedulerKernel {
             rec.state = TxnState::Blocked;
             rec.pending = Some(PendingRequest { object, call });
             rec.touched.insert(object);
-            rec.times_blocked += 1;
             if !is_retry {
                 self.stats.blocks += 1;
             }
@@ -1098,9 +1115,7 @@ impl SchedulerKernel {
         }
 
         // From here the request executes or aborts: it waits for no one.
-        if !held.is_empty() {
-            self.graph_clear_wait_edges(txn);
-        }
+        self.graph_drop_wait_edges(txn, &held);
 
         // Step 3 (recoverable): check the commit-dependency relation stays
         // acyclic, then add the commit-dependency edges. With no
@@ -1350,37 +1365,95 @@ impl SchedulerKernel {
         }
     }
 
+    /// Retry the requests queued on `object` after a termination touched
+    /// it, in FIFO order. Each entry is either re-queued in place or runs
+    /// Figure 2 again ([`Self::process_request`]), so the fairness set a
+    /// retried request is classified against is exactly the entries ahead
+    /// of it that are still queued.
+    ///
+    /// Under fair scheduling a queued request `R` runs Figure 2 again only
+    /// when that can release it. Its wait-for out-neighbours `held` always
+    /// cover its conflicts: the symmetric fairness test queues behind `R`
+    /// every new request `R` conflicts with in either order, and entries
+    /// ahead of `R` can only leave the queue, so no operation `R`
+    /// conflicts with is admitted past it. A held holder stops conflicting
+    /// in only two ways: it terminates (its node and the edge go with it),
+    /// or its own queued request on this object executes. The pass keeps
+    /// the latter as `released`; a released holder whose logged
+    /// operations `R` no longer conflicts with is *stale*. While `held`
+    /// keeps a member that is not stale, `R` is still blocked by exactly
+    /// those members, so the stale edges are dropped and `R` is re-queued
+    /// with no classification, cycle check or event (the debug build
+    /// re-classifies it as the oracle). Otherwise its conflict set is
+    /// empty, and the retry executes or aborts.
+    ///
+    /// Without fair scheduling an operation `R` conflicts with may have
+    /// been admitted past it, so every entry is retried.
     fn retry_blocked(&mut self, object: ObjectId) {
         let queue = self.objects[object.0 as usize].take_blocked();
+        let fair = self.config.fair_scheduling;
+        let mut released: Vec<TxnId> = Vec::new();
         for request in queue {
             // Every entry still waits here: an abort removes its own entry,
             // and retrying one entry can abort no other transaction.
+            debug_assert!(
+                self.txns.get(&request.txn).is_some_and(|rec| rec.state == TxnState::Blocked
+                    && rec
+                        .pending
+                        .as_ref()
+                        .is_some_and(|p| p.object == object && p.call == request.call)),
+                "stale blocked entry for {}",
+                request.txn
+            );
+            if fair {
+                let held = self.graph.out_neighbors_kind(request.txn, EdgeKind::WaitFor);
+                let obj = self.object_ref(object);
+                let stale: Vec<TxnId> = held
+                    .iter()
+                    .copied()
+                    .filter(|h| {
+                        released.contains(h)
+                            && obj.severity_against(self.config.policy, &request.call, *h)
+                                != Compatibility::NonRecoverable
+                    })
+                    .collect();
+                if stale.len() < held.len() {
+                    self.graph_drop_wait_edges(request.txn, &stale);
+                    debug_assert_eq!(
+                        self.classify_for(request.txn, object, &request.call).conflicts,
+                        {
+                            let mut kept =
+                                self.graph.out_neighbors_kind(request.txn, EdgeKind::WaitFor);
+                            kept.sort_unstable();
+                            kept
+                        },
+                        "the skipped retry of {} would wait for other holders",
+                        request.txn
+                    );
+                    self.object_mut(object).push_blocked(request.txn, request.call);
+                    continue;
+                }
+            }
+            let rec = self.txns.get_mut(&request.txn).expect("transaction exists");
+            rec.state = TxnState::Active;
+            rec.pending = None;
+            #[cfg(test)]
             {
-                let rec = self.txns.get_mut(&request.txn).expect("transaction exists");
-                debug_assert!(
-                    rec.state == TxnState::Blocked
-                        && rec
-                            .pending
-                            .as_ref()
-                            .is_some_and(|p| p.object == object && p.call == request.call),
-                    "stale blocked entry for {}",
-                    request.txn
-                );
-                rec.state = TxnState::Active;
-                rec.pending = None;
+                self.figure2_retries += 1;
             }
             let outcome = self.process_request(request.txn, object, request.call, true, None);
-            match &outcome {
-                RequestOutcome::Blocked { .. } => {
-                    // Still blocked; it was re-queued by process_request.
-                }
-                _ => {
-                    self.events.push(KernelEvent::Unblocked {
-                        txn: request.txn,
-                        outcome,
-                    });
-                }
+            if outcome.is_blocked() {
+                // Still blocked; it was re-queued by process_request.
+                debug_assert!(!fair, "a fair retry that runs Figure 2 never re-blocks");
+                continue;
             }
+            if outcome.is_executed() {
+                released.push(request.txn);
+            }
+            self.events.push(KernelEvent::Unblocked {
+                txn: request.txn,
+                outcome,
+            });
         }
     }
 }
@@ -1498,7 +1571,7 @@ mod tests {
     }
 
     #[test]
-    fn re_block_after_a_held_holder_stops_conflicting_re_adds_only_the_conflicts() {
+    fn re_block_after_a_held_holder_stops_conflicting_drops_only_the_stale_edge() {
         let (mut k, global, s) = entangled(true);
         let holder = k.begin();
         let first = k.begin();
@@ -1513,8 +1586,8 @@ mod tests {
             other => panic!("expected the push to wait behind both pops, got {other:?}"),
         }
         let before = graph_work(&k);
-        // The first pop executes on retry; the second re-blocks behind it;
-        // the push is now recoverable relative to the first pop but still
+        // The first pop executes on retry; the second stays behind it; the
+        // push is now recoverable relative to the first pop but still
         // waits behind the second, so its held edge to the first is stale.
         k.abort(holder).unwrap();
         assert_eq!(k.txn_state(first), Some(TxnState::Active));
@@ -1523,9 +1596,59 @@ mod tests {
         assert_eq!(k.graph.out_neighbors_kind(pusher, EdgeKind::WaitFor), vec![second]);
         assert_eq!(global.edge_multiplicity(pusher, first, EdgeKind::WaitFor), 0);
         assert_eq!(global.edge_multiplicity(pusher, second, EdgeKind::WaitFor), 1);
-        let after = graph_work(&k);
-        assert_eq!(after.0, before.0 + 1, "the push re-adds its one live edge");
-        assert_eq!((after.1, after.2), (before.1 + 1, before.2 + 1), "one check, of that holder");
+        assert_eq!(graph_work(&k), before, "the stale edge went without an add or a check");
+        assert_eq!(k.figure2_retries, 1, "only the first pop ran Figure 2");
+        k.check_invariants().unwrap();
+        k.check_mirrored().unwrap();
+    }
+
+    #[test]
+    fn releasing_one_of_two_holders_re_queues_without_figure_2() {
+        let (mut k, global, s) = entangled(true);
+        let first = k.begin();
+        let second = k.begin();
+        let waiter = k.begin();
+        assert!(k.request(first, s, push(1)).unwrap().is_executed());
+        assert!(k.request(second, s, push(2)).unwrap().is_executed());
+        match k.request(waiter, s, pop()).unwrap() {
+            RequestOutcome::Blocked { waiting_on } => assert_eq!(waiting_on, vec![first, second]),
+            other => panic!("expected the pop to wait behind both pushes, got {other:?}"),
+        }
+        let before = graph_work(&k);
+        assert_eq!(k.commit(first).unwrap(), CommitOutcome::Committed);
+        assert_eq!(k.txn_state(waiter), Some(TxnState::Blocked));
+        assert_eq!(k.graph.out_neighbors_kind(waiter, EdgeKind::WaitFor), vec![second]);
+        assert_eq!(global.edge_multiplicity(waiter, second, EdgeKind::WaitFor), 1);
+        assert_eq!(graph_work(&k), before, "no edge added or checked");
+        assert_eq!(k.figure2_retries, 0, "the pop was not classified again");
+        assert!(k.drain_events().is_empty(), "a re-queued request raises no event");
+        k.check_invariants().unwrap();
+        k.check_mirrored().unwrap();
+    }
+
+    #[test]
+    fn a_re_queued_entry_keeps_its_place_in_a_later_entrys_fairness_set() {
+        let (mut k, _global, s) = entangled(true);
+        let first = k.begin();
+        let second = k.begin();
+        let popper = k.begin();
+        let pusher = k.begin();
+        assert!(k.request(first, s, push(1)).unwrap().is_executed());
+        assert!(k.request(second, s, push(2)).unwrap().is_executed());
+        assert!(k.request(popper, s, pop()).unwrap().is_blocked());
+        // Fairness: the push is recoverable relative to both holders but
+        // waits behind the blocked pop.
+        match k.request(pusher, s, push(3)).unwrap() {
+            RequestOutcome::Blocked { waiting_on } => assert_eq!(waiting_on, vec![popper]),
+            other => panic!("expected the push to wait behind the pop, got {other:?}"),
+        }
+        k.abort(first).unwrap();
+        let queued: Vec<TxnId> = k.object_ref(s).blocked_queue().iter().map(|r| r.txn).collect();
+        assert_eq!(queued, vec![popper, pusher], "both re-queued in FIFO order");
+        assert_eq!(k.figure2_retries, 0);
+        // A fresh classification of the push still sees the pop ahead of it.
+        assert_eq!(k.classify_for(pusher, s, &push(3)).conflicts, vec![popper]);
+        assert_eq!(k.graph.out_neighbors_kind(pusher, EdgeKind::WaitFor), vec![popper]);
         k.check_invariants().unwrap();
         k.check_mirrored().unwrap();
     }
@@ -1549,7 +1672,7 @@ mod tests {
         assert!(k.request(holder, s, push(1)).unwrap().is_executed());
         assert!(k.request(waiter, s, pop()).unwrap().is_blocked());
         k.check_mirrored().unwrap();
-        global.clear_out_edges(waiter, EdgeKind::WaitFor);
+        global.remove_edges(waiter, &[holder], EdgeKind::WaitFor);
         let err = k.check_mirrored().unwrap_err();
         assert!(err.contains("missing from the escalation graph"), "{err}");
     }

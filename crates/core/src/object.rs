@@ -425,6 +425,44 @@ impl ManagedObject {
         severity
     }
 
+    /// Worst-case classification of `call` against every bucket of one
+    /// transaction's index entry, stopping at the first conflict.
+    fn kinds_severity(
+        &self,
+        policy: ConflictPolicy,
+        call: &OpCall,
+        kinds: &HashMap<usize, KindBucket>,
+    ) -> Compatibility {
+        let mut severity = Compatibility::Commutative;
+        for (kind, bucket) in kinds {
+            if bucket.is_empty() {
+                continue;
+            }
+            severity = severity.max(self.bucket_severity(policy, call, *kind, bucket));
+            if severity == Compatibility::NonRecoverable {
+                break;
+            }
+        }
+        severity
+    }
+
+    /// Worst-case classification of `call` against the uncommitted
+    /// operations `holder` logged on this object (`Commutative` when it
+    /// logged none): the verdict [`Self::classify`] reaches for `holder`
+    /// from the log alone.
+    pub(crate) fn severity_against(
+        &self,
+        policy: ConflictPolicy,
+        call: &OpCall,
+        holder: TxnId,
+    ) -> Compatibility {
+        self.index
+            .get(&holder)
+            .map_or(Compatibility::Commutative, |kinds| {
+                self.kinds_severity(policy, call, kinds)
+            })
+    }
+
     /// The fair-scheduling rule of Section 5.2: add to `conflicts` every
     /// other transaction in `fairness_extra` whose pending call conflicts
     /// with `call` under `verdict(requested, executed)`.
@@ -502,17 +540,7 @@ impl ManagedObject {
             if *other == txn {
                 continue;
             }
-            let mut severity = Compatibility::Commutative;
-            for (kind, bucket) in kinds {
-                if bucket.is_empty() {
-                    continue;
-                }
-                severity = severity.max(self.bucket_severity(policy, call, *kind, bucket));
-                if severity == Compatibility::NonRecoverable {
-                    break;
-                }
-            }
-            match severity {
+            match self.kinds_severity(policy, call, kinds) {
                 Compatibility::NonRecoverable => conflicts.push(*other),
                 Compatibility::Recoverable => commit_deps.push(*other),
                 Compatibility::Commutative => {}
@@ -926,6 +954,37 @@ mod tests {
                     let fast = obj.classify(policy, requester, &call, &fairness);
                     let slow = obj.classify_naive(policy, requester, &call, &fairness);
                     assert_eq!(fast, slow, "policy {policy:?} call {call} by {requester}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn severity_against_one_holder_matches_its_classification() {
+        let mut obj = stack_object();
+        obj.execute(TxnId(1), 1, push(1));
+        obj.execute(TxnId(1), 2, top());
+        obj.execute(TxnId(2), 3, top());
+        obj.execute(TxnId(3), 4, pop());
+        for policy in [
+            ConflictPolicy::Recoverability,
+            ConflictPolicy::CommutativityOnly,
+        ] {
+            for call in [push(1), push(9), pop(), top()] {
+                let c = obj.classify(policy, TxnId(9), &call, &[]);
+                for holder in [TxnId(1), TxnId(2), TxnId(3), TxnId(4)] {
+                    let expected = if c.conflicts.contains(&holder) {
+                        Compatibility::NonRecoverable
+                    } else if c.commit_deps.contains(&holder) {
+                        Compatibility::Recoverable
+                    } else {
+                        Compatibility::Commutative
+                    };
+                    assert_eq!(
+                        obj.severity_against(policy, &call, holder),
+                        expected,
+                        "policy {policy:?} call {call} against {holder}"
+                    );
                 }
             }
         }

@@ -23,8 +23,14 @@ impl GlobalGraph {
         self.graph.lock().remove_node(txn);
     }
 
-    pub(crate) fn clear_out_edges(&self, txn: TxnId, kind: EdgeKind) {
-        self.graph.lock().clear_out_edges(txn, kind);
+    /// Remove one `from -> target` edge of `kind` per target, in one
+    /// critical section (a waiter dropping the holders it no longer waits
+    /// for).
+    pub(crate) fn remove_edges(&self, from: TxnId, targets: &[TxnId], kind: EdgeKind) {
+        let mut graph = self.graph.lock();
+        for target in targets {
+            graph.remove_edge(from, *target, kind);
+        }
     }
 
     /// Escalated check **and reservation** in one critical section: if the
@@ -42,8 +48,11 @@ impl GlobalGraph {
     /// abandon them), so reserved edges are never phantom. A recoverable
     /// request may reserve a commit dependency the local graph already
     /// holds (the kernel deduplicates it locally); the extra multiplicity
-    /// is harmless because this graph is only ever pruned wholesale (node
-    /// removal, per-kind out-edge clears).
+    /// is harmless because a commit dependency leaves this graph only with
+    /// its node. Wait-for edges are the one thing removed pair by pair
+    /// (`remove_edges`, when a waiter stops waiting for a holder),
+    /// and a waiter reserves each of those exactly once: a retried
+    /// request never re-reserves a holder it already waits for.
     pub fn check_and_reserve(&self, from: TxnId, targets: &[TxnId], kind: EdgeKind) -> bool {
         let mut graph = self.graph.lock();
         if graph.would_close_cycle(from, targets) {

@@ -123,8 +123,6 @@ pub struct TxnRecord {
     pub touched: HashSet<ObjectId>,
     /// The pending request, when blocked.
     pub pending: Option<PendingRequest>,
-    /// Number of times this transaction has been blocked.
-    pub times_blocked: u64,
     /// Commit order index, assigned at actual commit.
     pub commit_index: Option<u64>,
     /// `true` when the transaction's termination is driven by an external
@@ -148,7 +146,6 @@ impl TxnRecord {
             ops: Vec::new(),
             touched: HashSet::new(),
             pending: None,
-            times_blocked: 0,
             commit_index: None,
             coordinated: false,
             wal_logged: false,
@@ -196,7 +193,6 @@ mod tests {
         assert_eq!(r.executed_ops(), 0);
         assert!(r.pending.is_none());
         assert!(r.touched.is_empty());
-        assert_eq!(r.times_blocked, 0);
         assert_eq!(r.commit_index, None);
     }
 }

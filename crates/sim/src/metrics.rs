@@ -22,7 +22,8 @@ pub struct SimulationResult {
     pub blocking_ratio: f64,
     /// Restarts per completed transaction.
     pub restart_ratio: f64,
-    /// Cycle-detection invocations per completed transaction.
+    /// Cycle-detection invocations per completed transaction. A blocked
+    /// request that a retry re-queues under fair scheduling takes none.
     pub cycle_check_ratio: f64,
     /// Mean number of operations executed by a transaction at the time it
     /// was aborted (zero when there were no aborts).
