@@ -179,14 +179,6 @@ impl SchedulerKernel {
         self.graph.cycle_checks()
     }
 
-    /// Reorder telemetry of this kernel's dependency graph: topological-
-    /// order violations seen, nodes relabeled repairing them, allocating
-    /// slow paths and gap-exhaustion renumberings (see
-    /// [`sbcc_graph::OrderTelemetry`]).
-    pub fn reorder_telemetry(&self) -> sbcc_graph::OrderTelemetry {
-        self.graph.order_telemetry()
-    }
-
     /// The recorded history, when `record_history` is enabled.
     pub fn history(&self) -> Option<&HistoryRecorder> {
         self.history.as_ref()
@@ -1149,7 +1141,7 @@ impl SchedulerKernel {
         }
     }
 
-    /// The per-request cycle check: the incremental detector on the
+    /// The per-request cycle check: the reachability search on the
     /// shard-local graph, counted by [`Self::cycle_checks`].
     ///
     /// While the shard is entangled, a locally negative verdict is

@@ -100,7 +100,6 @@ pub use history::{
 pub use kernel::SchedulerKernel;
 pub use object::{BlockedRequest, Classification, LogEntry, ManagedObject, ObjectId};
 pub use policy::{ConflictPolicy, RecoveryStrategy, SchedulerConfig};
-pub use sbcc_graph::OrderTelemetry;
 pub use sbcc_wal::{FsyncPolicy, WalConfig};
 /// The write-ahead-log crate, re-exported for crash-image surgery in
 /// tests and tools (log-file paths, record codec).
@@ -108,5 +107,5 @@ pub use sbcc_wal as wal;
 pub use shard::{
     shard_of_name, DatabaseConfig, GlobalGraph, ObjectLoc, ShardCount, ShardedKernel,
 };
-pub use stats::{KernelStats, NetStats, ShardStats, StatsSnapshot};
+pub use stats::{KernelStats, NetStats, OrderTelemetry, ShardStats, StatsSnapshot};
 pub use txn::{BatchCall, ExecutedOp, PendingRequest, TxnId, TxnRecord, TxnState};

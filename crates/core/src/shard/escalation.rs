@@ -7,7 +7,9 @@ use sbcc_graph::{DependencyGraph, EdgeKind};
 
 /// The cross-shard escalation graph: the union of every entangled shard's
 /// dependency edges, behind its own small lock. Consulted only by cycle
-/// checks in entangled shards; isolated shards never touch it.
+/// checks in entangled shards; isolated shards never touch it. Its check is
+/// the same search a shard's graph runs
+/// ([`DependencyGraph::would_close_cycle`]), over the union.
 #[derive(Debug, Default)]
 pub struct GlobalGraph {
     graph: Mutex<DependencyGraph<TxnId>>,
@@ -87,13 +89,6 @@ impl GlobalGraph {
     /// Cycle checks performed on this graph so far.
     pub fn cycle_checks(&self) -> u64 {
         self.graph.lock().cycle_checks()
-    }
-
-    /// Reorder telemetry of the escalation graph. Mirrored edges arrive in
-    /// per-shard admission order, which can violate the global graph's own
-    /// maintained order, so entangled workloads repair here too.
-    pub fn reorder_telemetry(&self) -> sbcc_graph::OrderTelemetry {
-        self.graph.lock().order_telemetry()
     }
 
     /// Full-graph acyclicity check (invariant validation).

@@ -86,7 +86,7 @@ use crate::errors::CoreError;
 use crate::events::{BatchOutcome, BatchStop, KernelEvent, RequestOutcome};
 use crate::kernel::SchedulerKernel;
 use crate::object::ObjectId;
-use crate::stats::{KernelStats, ShardStats, StatsSnapshot};
+use crate::stats::{KernelStats, OrderTelemetry, ShardStats, StatsSnapshot};
 use crate::txn::{BatchCall, TxnId, TxnState};
 use sbcc_adt::{AdtObject, AdtSpec, AdtType, OpCall, SemanticObject};
 use ssi::SsiTable;
@@ -766,14 +766,12 @@ impl ShardedKernel {
     /// readings reported alongside (one lock pass), so the breakdown
     /// always sums to the aggregate even while workers are running.
     pub fn stats_snapshot(&self) -> StatsSnapshot {
-        let mut reorder = sbcc_graph::OrderTelemetry::default();
         let shards: Vec<ShardStats> = self
             .shards
             .iter()
             .enumerate()
             .map(|(i, cell)| {
                 let kernel = cell.kernel.lock();
-                reorder.accumulate(&kernel.reorder_telemetry());
                 ShardStats {
                     shard: i,
                     lock_acquisitions: cell.lock_acquisitions.load(Ordering::Relaxed),
@@ -781,7 +779,6 @@ impl ShardedKernel {
                 }
             })
             .collect();
-        reorder.accumulate(&self.global.reorder_telemetry());
         let mut aggregate = KernelStats::default();
         for shard in &shards {
             aggregate.accumulate(&shard.stats);
@@ -795,7 +792,7 @@ impl ShardedKernel {
             shard_count: self.shards.len(),
             shards,
             global_cycle_checks: self.global.cycle_checks(),
-            reorder,
+            reorder: OrderTelemetry::default(),
         }
     }
 

@@ -198,13 +198,20 @@ pub struct StatsSnapshot {
     /// Cycle checks performed on the cross-shard escalation graph (the
     /// union of all entangled shards' edges). Always zero with one shard.
     pub global_cycle_checks: u64,
-    /// Topological-order maintenance telemetry summed over every shard's
-    /// local dependency graph plus the escalation graph: violations seen,
-    /// nodes relabeled, allocating slow paths and gap-exhaustion
-    /// renumberings. On the default gap-label strategy, a workload whose
-    /// violation regions stay small must show `slow_path_allocs == 0` —
-    /// the allocation-free hot-path claim the benches assert.
-    pub reorder: sbcc_graph::OrderTelemetry,
+    /// Always zero (see [`OrderTelemetry`]); read by `bench/`, leaves with
+    /// it.
+    pub reorder: OrderTelemetry,
+}
+
+/// Always zero: the dependency graph keeps no topological order, so there
+/// is nothing to reorder. Read by `bench/` through
+/// [`StatsSnapshot::reorder`]; leaves with it (ROADMAP item 1(f)).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct OrderTelemetry {
+    /// Always 0.
+    pub violations: u64,
+    /// Always 0.
+    pub nodes_relabeled: u64,
 }
 
 impl StatsSnapshot {
@@ -222,18 +229,13 @@ impl StatsSnapshot {
             .map(|s| s.lock_acquisitions.to_string())
             .collect();
         format!(
-            "shards={} locks=[{}] edges(local-only={}, escalated={}) escalated-checks={} global-cycle-checks={} reorder(violations={}, relabeled={}, allocs={}, renumbers={}, windows={})",
+            "shards={} locks=[{}] edges(local-only={}, escalated={}) escalated-checks={} global-cycle-checks={}",
             self.shard_count,
             locks.join(","),
             self.local_only_edges(),
             self.aggregate.escalated_edges,
             self.aggregate.escalated_checks,
             self.global_cycle_checks,
-            self.reorder.violations,
-            self.reorder.nodes_relabeled,
-            self.reorder.slow_path_allocs,
-            self.reorder.renumber_events,
-            self.reorder.window_renumber_events,
         )
     }
 }
@@ -350,13 +352,7 @@ mod tests {
                 },
             ],
             global_cycle_checks: 3,
-            reorder: sbcc_graph::OrderTelemetry {
-                violations: 5,
-                nodes_relabeled: 12,
-                slow_path_allocs: 0,
-                renumber_events: 1,
-                window_renumber_events: 2,
-            },
+            reorder: OrderTelemetry::default(),
         };
         assert_eq!(snap.local_only_edges(), 6);
         let text = snap.shard_summary();
@@ -364,8 +360,6 @@ mod tests {
         assert!(text.contains("locks=[7,9]"));
         assert!(text.contains("escalated=4"));
         assert!(text.contains("global-cycle-checks=3"));
-        assert!(text
-            .contains("reorder(violations=5, relabeled=12, allocs=0, renumbers=1, windows=2)"));
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! `classify` must return identical [`Classification`]s (conflicts, commit
 //! dependencies) to the retained naive reference implementation
 //! (`classify_naive`) on randomized logs over every data type. (The cycle
-//! detector's incremental ≡ SCC-oracle equivalence is pinned at the graph
-//! level by `crates/graph/tests/incremental_oracle.rs`.)
+//! check's search ≡ SCC-oracle equivalence is pinned at the graph
+//! level by `crates/graph/tests/cycle_oracle.rs`.)
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;

@@ -1,5 +1,5 @@
 //! From-scratch strongly-connected-component search: the oracle the
-//! incremental checks on [`crate::DependencyGraph`] are compared against.
+//! search-based checks on [`crate::DependencyGraph`] are compared against.
 //! It operates on a plain adjacency map
 //! ([`crate::DependencyGraph::to_adjacency`]).
 
