@@ -74,9 +74,11 @@
 //!   outcome, and a forever-blocked transaction would stall every
 //!   conflicting session). Transactions whose futures you may cancel
 //!   should be wrapped in [`AsyncDatabase::run`], which treats the abort
-//!   like any other scheduler abort. The one exception is `commit`: it
-//!   suspends only after the transaction has committed in memory
-//!   (waiting for a durable log flush), so dropping it gives up the
+//!   like any other scheduler abort: every later call on the session
+//!   fails with `InvalidState { state: Aborted }`, which the session
+//!   reports itself however long ago the abort was. The one exception is
+//!   `commit`: it suspends only after the transaction has committed in
+//!   memory (waiting for a durable log flush), so dropping it gives up the
 //!   acknowledgement, not the commit.
 //!
 //! # Example
@@ -207,7 +209,7 @@ impl AsyncDatabase {
             inner: Rc::new(TxnInner {
                 core: self.db.begin_session(),
                 db: self.db.clone(),
-                finished: Cell::new(false),
+                fate: Cell::new(None),
                 waiting: Cell::new(false),
             }),
         }
@@ -223,7 +225,7 @@ impl AsyncDatabase {
             inner: Rc::new(TxnInner {
                 core: self.db.begin_snapshot_session(),
                 db: self.db.clone(),
-                finished: Cell::new(false),
+                fate: Cell::new(None),
                 waiting: Cell::new(false),
             }),
         }
@@ -293,7 +295,9 @@ impl AsyncDatabase {
         }
     }
 
-    /// The current state of a transaction.
+    /// The current state of a transaction. A terminated transaction's fate
+    /// is remembered only among the last 1 024 terminations; see
+    /// [`Database::txn_state`].
     pub fn txn_state(&self, txn: TxnId) -> Option<TxnState> {
         self.db.txn_state(txn)
     }
@@ -333,7 +337,12 @@ impl AsyncDatabase {
 struct TxnInner {
     db: Database,
     core: SessionCore,
-    finished: Cell<bool>,
+    /// The fate this session gave its transaction: set by a successful
+    /// commit, by an explicit abort and by the cancellation abort in
+    /// [`Settled`]'s drop glue. Once set, the session answers later calls
+    /// itself instead of asking the database, which remembers only recent
+    /// terminations.
+    fate: Cell<Option<TxnState>>,
     /// `true` while a [`Settled`] future of this session holds the
     /// registered waiter slot. A session has **one** waiter slot, so a
     /// second clone trying to await concurrently (e.g. two
@@ -345,7 +354,7 @@ struct TxnInner {
 
 impl Drop for TxnInner {
     fn drop(&mut self) {
-        if !self.finished.get() {
+        if self.fate.get().is_none() {
             // Best effort, exactly like the sync guard: the transaction
             // may already be terminated (scheduler abort, pseudo-commit).
             let _ = self.db.abort_raw(self.core.id());
@@ -406,6 +415,7 @@ impl AsyncTransaction {
         object: &ObjectHandle,
         call: OpCall,
     ) -> Result<OpResult, CoreError> {
+        self.ensure_no_fate("request an operation")?;
         let inner = &self.inner;
         let id = inner.core.id();
         let outcome = inner.db.try_exec_call_raw(&inner.core, object.loc(), call)?;
@@ -428,6 +438,7 @@ impl AsyncTransaction {
         object: &ObjectHandle,
         call: OpCall,
     ) -> Result<RequestOutcome, CoreError> {
+        self.ensure_no_fate("request an operation")?;
         self.inner
             .db
             .try_exec_call_raw(&self.inner.core, object.loc(), call)
@@ -475,11 +486,13 @@ impl AsyncTransaction {
     /// transaction stays committed, its record is flushed with the next
     /// group, and reopening the log replays it.
     pub async fn commit(self) -> Result<CommitOutcome, CoreError> {
-        let result = self.inner.db.commit_raw(self.id());
-        if result.is_ok() {
-            self.inner.finished.set(true);
-        }
-        let (outcome, durable) = result?;
+        self.ensure_no_fate("commit")?;
+        let (outcome, durable) = self.inner.db.commit_raw(self.id())?;
+        self.inner.fate.set(Some(if outcome.is_full_commit() {
+            TxnState::Committed
+        } else {
+            TxnState::PseudoCommitted
+        }));
         if let Some(durable) = durable {
             durable.await;
         }
@@ -489,8 +502,26 @@ impl AsyncTransaction {
     /// Explicitly abort the transaction. Never suspends; a future for API
     /// symmetry only.
     pub async fn abort(self) -> Result<(), CoreError> {
-        self.inner.finished.set(true);
+        self.ensure_no_fate("abort")?;
+        self.inner.fate.set(Some(TxnState::Aborted));
         self.inner.db.abort_raw(self.id())
+    }
+
+    /// The prologue of every call that would reach the database: once this
+    /// session committed or aborted its transaction, it reports that fate
+    /// itself. The database's own answer would degrade to
+    /// [`CoreError::UnknownTransaction`] once the transaction falls out of
+    /// its window of recent terminations, and [`AsyncDatabase::run`]
+    /// retries only `InvalidState { state: Aborted }`.
+    fn ensure_no_fate(&self, action: &'static str) -> Result<(), CoreError> {
+        match self.inner.fate.get() {
+            Some(state) => Err(CoreError::InvalidState {
+                txn: self.id(),
+                state,
+                action,
+            }),
+            None => Ok(()),
+        }
     }
 
     /// A future resolving to the settled outcome of this session's
@@ -578,8 +609,8 @@ impl Drop for Settled {
             let _ = self.inner.db.cancel_wait(self.inner.core.id(), &slot);
         }
         self.inner.core.set_pending(false);
-        if !self.inner.finished.get() {
-            self.inner.finished.set(true);
+        if self.inner.fate.get().is_none() {
+            self.inner.fate.set(Some(TxnState::Aborted));
             let _ = self.inner.db.abort_raw(self.inner.core.id());
         }
     }
@@ -607,6 +638,7 @@ impl Batch<AsyncTransaction> {
             return Ok(Vec::new());
         }
         let Batch { txn, mut run } = self;
+        txn.ensure_no_fate("submit a batch")?;
         let inner = &txn.inner;
         loop {
             match inner.db.batch_pass(&inner.core, &mut run)? {
@@ -1467,6 +1499,51 @@ mod tests {
         }));
         assert_eq!(r.unwrap(), OpResult::Ok);
         assert!(attempts >= 2, "cancellation abort must be retried");
+        db.verify_serializable().unwrap();
+    }
+
+    #[test]
+    fn a_cancelled_session_reports_its_abort_after_many_terminations() {
+        // The database remembers only recent fates; a session remembers the
+        // one it caused. So a cancelled session still reports the
+        // `InvalidState { state: Aborted }` that `run` retries, however many
+        // transactions terminated since.
+        let db = db();
+        let s = db.register("jobs", Stack::new());
+        let holder = db.database().begin();
+        holder.exec(&s, StackOp::Push(Value::Int(1))).unwrap();
+        let t2 = db.begin();
+        let id2 = t2.id();
+        {
+            let fut = t2.exec_call(&s, StackOp::Pop.to_call());
+            let mut fut = Box::pin(fut);
+            let mut cx = Context::from_waker(Waker::noop());
+            assert!(fut.as_mut().poll(&mut cx).is_pending());
+            // Dropped while blocked: the cancellation aborts T2.
+        }
+        holder.commit().unwrap();
+        // Terminations on T2's own shard and through the coordinator.
+        for i in 0..5_000 {
+            let t = db.database().begin();
+            t.exec(&s, StackOp::Push(Value::Int(i))).unwrap();
+            t.exec(&s, StackOp::Pop).unwrap();
+            t.commit().unwrap();
+        }
+        let reports_abort = |r: Result<(), CoreError>| {
+            matches!(
+                r,
+                Err(CoreError::InvalidState {
+                    txn,
+                    state: TxnState::Aborted,
+                    ..
+                }) if txn == id2
+            )
+        };
+        assert!(reports_abort(block_on(t2.exec(&s, StackOp::Top)).map(drop)));
+        assert!(reports_abort(
+            block_on(t2.batch().op(&s, StackOp::Top).submit()).map(drop)
+        ));
+        assert!(reports_abort(block_on(t2.commit()).map(drop)));
         db.verify_serializable().unwrap();
     }
 

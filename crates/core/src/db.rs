@@ -830,6 +830,11 @@ impl Database {
     }
 
     /// The current state of a transaction.
+    ///
+    /// The database remembers a terminated transaction's fate only among
+    /// its last 1 024 terminations (`RECENT_FATES`). An older one reads
+    /// `None`, as an unknown id does, and a late call on it fails with
+    /// [`CoreError::UnknownTransaction`] instead of `InvalidState`.
     pub fn txn_state(&self, txn: TxnId) -> Option<TxnState> {
         self.shared.kernel.txn_state(txn)
     }
@@ -837,6 +842,8 @@ impl Database {
     /// The commit outcome of a transaction that has (pseudo-)committed:
     /// `Committed` once the actual commit happened, `PseudoCommitted` while
     /// it is still waiting on its commit dependencies, `None` otherwise.
+    /// An actual commit reads `Committed` only while it is among the last
+    /// 1 024 terminations (see [`Database::txn_state`]); after that, `None`.
     pub fn outcome_of(&self, txn: TxnId) -> Option<CommitOutcome> {
         match self.shared.kernel.txn_state(txn)? {
             TxnState::Committed => Some(CommitOutcome::Committed),

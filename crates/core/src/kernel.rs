@@ -31,22 +31,12 @@ use crate::object::{Classification, ManagedObject, ObjectId};
 use crate::policy::{RecoveryStrategy, SchedulerConfig};
 use crate::shard::GlobalGraph;
 use crate::stats::KernelStats;
-use crate::txn::{BatchCall, ExecutedOp, PendingRequest, TxnId, TxnRecord, TxnState};
+use crate::txn::{BatchCall, ExecutedOp, PendingRequest, RecentFates, TxnId, TxnRecord, TxnState};
 use sbcc_adt::{AccessSet, AdtObject, AdtSpec, Compatibility, OpCall, OpResult, SemanticObject};
 use sbcc_graph::{DependencyGraph, EdgeKind};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Compact record kept for a terminated transaction after its full
-/// [`TxnRecord`] has been dropped (keeping the full record for every
-/// transaction ever begun would grow without bound in long-running
-/// workloads such as the simulation study).
-#[derive(Debug, Clone, Copy)]
-struct FinishedTxn {
-    state: TxnState,
-    executed_ops: usize,
-}
 
 /// The scheduler kernel. See the module documentation for an overview.
 pub struct SchedulerKernel {
@@ -54,7 +44,8 @@ pub struct SchedulerKernel {
     objects: Vec<ManagedObject>,
     object_names: HashMap<String, ObjectId>,
     txns: HashMap<TxnId, TxnRecord>,
-    finished: HashMap<TxnId, FinishedTxn>,
+    /// Fates of the most recent terminations (see [`RecentFates`]).
+    finished: RecentFates,
     graph: DependencyGraph<TxnId>,
     next_txn_id: u64,
     next_seq: u64,
@@ -126,7 +117,7 @@ impl SchedulerKernel {
             objects: Vec::new(),
             object_names: HashMap::new(),
             txns: HashMap::new(),
-            finished: HashMap::new(),
+            finished: RecentFates::default(),
             graph: DependencyGraph::new(),
             next_txn_id: 0,
             next_seq: 0,
@@ -297,7 +288,7 @@ impl SchedulerKernel {
     /// enrolls each transaction into a shard at most once.
     pub fn adopt(&mut self, id: TxnId, coordinated: bool) {
         assert!(
-            !self.txns.contains_key(&id) && !self.finished.contains_key(&id),
+            !self.txns.contains_key(&id) && self.finished.get(id).is_none(),
             "transaction {id} already enrolled in this shard"
         );
         let mut rec = TxnRecord::new(id);
@@ -390,11 +381,22 @@ impl SchedulerKernel {
     }
 
     /// The current state of a transaction.
+    ///
+    /// Exact for a live transaction and for one among this kernel's last
+    /// 1 024 terminations (`RECENT_FATES`); an older terminated transaction
+    /// reads `None`, and later calls on it fail with
+    /// [`CoreError::UnknownTransaction`] instead of `InvalidState`.
     pub fn txn_state(&self, txn: TxnId) -> Option<TxnState> {
         self.txns
             .get(&txn)
             .map(|r| r.state)
-            .or_else(|| self.finished.get(&txn).map(|f| f.state))
+            .or_else(|| self.finished.get(txn))
+    }
+
+    /// The fates this kernel still remembers (for the window tests).
+    #[cfg(test)]
+    pub(crate) fn recent_fates(&self) -> &RecentFates {
+        &self.finished
     }
 
     /// Transactions that are still live (active, blocked or
@@ -408,16 +410,6 @@ impl SchedulerKernel {
             .collect();
         out.sort_unstable();
         out
-    }
-
-    /// Number of operations a transaction executed (still available after it
-    /// terminated).
-    pub fn executed_ops_of(&self, txn: TxnId) -> usize {
-        self.txns
-            .get(&txn)
-            .map(|r| r.executed_ops())
-            .or_else(|| self.finished.get(&txn).map(|f| f.executed_ops))
-            .unwrap_or(0)
     }
 
     /// The operations a *live* transaction has executed so far. Terminated
@@ -1250,13 +1242,7 @@ impl SchedulerKernel {
         self.graph_remove_node(txn);
         self.pending_dirty.extend(touched);
         self.stats.commits += 1;
-        self.finished.insert(
-            txn,
-            FinishedTxn {
-                state: TxnState::Committed,
-                executed_ops: rec.executed_ops(),
-            },
-        );
+        self.finished.insert(txn, TxnState::Committed);
         if let Some(h) = &mut self.history {
             h.record_committed(txn, self.next_commit_index, rec.ops);
         }
@@ -1287,13 +1273,7 @@ impl SchedulerKernel {
             AbortReason::SsiConflict => self.stats.aborts_ssi += 1,
             AbortReason::Explicit => self.stats.aborts_explicit += 1,
         }
-        self.finished.insert(
-            txn,
-            FinishedTxn {
-                state: TxnState::Aborted,
-                executed_ops: rec.executed_ops(),
-            },
-        );
+        self.finished.insert(txn, TxnState::Aborted);
         if let Some(h) = &mut self.history {
             h.record_aborted(txn, reason, rec.ops);
         }

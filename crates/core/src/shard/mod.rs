@@ -87,7 +87,7 @@ use crate::events::{BatchOutcome, BatchStop, KernelEvent, RequestOutcome};
 use crate::kernel::SchedulerKernel;
 use crate::object::ObjectId;
 use crate::stats::{KernelStats, OrderTelemetry, ShardStats, StatsSnapshot};
-use crate::txn::{BatchCall, TxnId, TxnState};
+use crate::txn::{BatchCall, RecentFates, TxnId, TxnState};
 use sbcc_adt::{AdtObject, AdtSpec, AdtType, OpCall, SemanticObject};
 use ssi::SsiTable;
 use std::collections::HashMap;
@@ -113,7 +113,8 @@ struct EnrollRec {
 #[derive(Debug, Default)]
 struct Enrollments {
     live: HashMap<TxnId, EnrollRec>,
-    finished: HashMap<TxnId, TxnState>,
+    /// Coordinator-side fates of the most recent terminations.
+    finished: RecentFates,
 }
 
 /// Globally deduplicated transaction-lifecycle counters (one count per
@@ -404,12 +405,8 @@ impl ShardedKernel {
         txn: TxnId,
         action: &'static str,
     ) -> CoreError {
-        match enroll.finished.get(&txn) {
-            Some(state) => CoreError::InvalidState {
-                txn,
-                state: *state,
-                action,
-            },
+        match enroll.finished.get(txn) {
+            Some(state) => CoreError::InvalidState { txn, state, action },
             None => CoreError::UnknownTransaction(txn),
         }
     }
@@ -461,11 +458,16 @@ impl ShardedKernel {
     /// The current state of a transaction. `Blocked` wins over `Active`
     /// across shards (a transaction blocks in at most one shard — it has
     /// at most one in-flight request).
+    ///
+    /// A terminated transaction's fate is remembered only among the
+    /// coordinator's last 1 024 terminations (`RECENT_FATES`); an older one
+    /// reads `None`, and later calls on it fail with
+    /// [`CoreError::UnknownTransaction`] instead of `InvalidState`.
     pub fn txn_state(&self, txn: TxnId) -> Option<TxnState> {
         let shards = {
             let enroll = self.enroll.lock();
-            if let Some(state) = enroll.finished.get(&txn) {
-                return Some(*state);
+            if let Some(state) = enroll.finished.get(txn) {
+                return Some(state);
             }
             let rec = enroll.live.get(&txn)?;
             if rec.shards.is_empty() {
@@ -1047,5 +1049,60 @@ mod tests {
             "dependency-free pseudo-commit must queue its re-vote at once"
         );
         assert_eq!(kernel.txn_state(txn), Some(TxnState::PseudoCommitted));
+    }
+
+    /// The coordinator and every shard kernel remember the fates of only
+    /// the most recent terminations: exact inside the window, unknown
+    /// beyond it, and never more than `2 × RECENT_FATES` entries.
+    #[test]
+    fn fate_maps_keep_only_recent_terminations() {
+        use crate::txn::RECENT_FATES;
+        let kernel = ShardedKernel::new(
+            DatabaseConfig::new(SchedulerConfig::default()).with_shards(4),
+        );
+        let counters: Vec<ObjectId> = one_name_per_shard(4)
+            .into_iter()
+            .map(|name| kernel.register(name, Counter::new()).unwrap().0)
+            .collect();
+        let inc = || CounterOp::Increment(1).to_call();
+        // Every transaction touches shard 0; three in four also touch a
+        // second shard, so both commit paths and every shard see traffic.
+        // Every third one aborts explicitly.
+        let mut fates = Vec::new();
+        for i in 0..5 * RECENT_FATES {
+            let t = kernel.begin();
+            kernel.request(t, counters[0], inc()).unwrap();
+            kernel.request(t, counters[i % 4], inc()).unwrap();
+            let fate = if i % 3 == 0 {
+                kernel.abort(t).unwrap();
+                TxnState::Aborted
+            } else {
+                assert_eq!(kernel.commit(t).unwrap().0, CommitOutcome::Committed);
+                TxnState::Committed
+            };
+            fates.push((t, fate, i % 4));
+        }
+        assert!(kernel.enroll.lock().finished.len() <= 2 * RECENT_FATES);
+        for s in 0..4 {
+            assert!(kernel.peek_shard(s).recent_fates().len() <= 2 * RECENT_FATES);
+        }
+        for &(t, fate, other) in &fates[fates.len() - RECENT_FATES..] {
+            assert_eq!(kernel.txn_state(t), Some(fate));
+            for s in [0, other as u32] {
+                assert_eq!(kernel.peek_shard(s).txn_state(t), Some(fate));
+            }
+            assert!(matches!(
+                kernel.commit(t),
+                Err(CoreError::InvalidState { txn, state, .. }) if txn == t && state == fate
+            ));
+        }
+        let (first, _, _) = fates[0];
+        assert_eq!(kernel.txn_state(first), None);
+        assert_eq!(kernel.peek_shard(0).txn_state(first), None);
+        assert!(matches!(
+            kernel.commit(first),
+            Err(CoreError::UnknownTransaction(t)) if t == first
+        ));
+        kernel.check_invariants().unwrap();
     }
 }

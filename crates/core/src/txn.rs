@@ -2,7 +2,7 @@
 
 use crate::object::ObjectId;
 use sbcc_adt::{OpCall, OpResult};
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 /// A transaction identifier. Ids are assigned in `begin` order and are never
@@ -151,10 +151,51 @@ impl TxnRecord {
             wal_logged: false,
         }
     }
+}
 
-    /// Number of operations executed so far.
-    pub fn executed_ops(&self) -> usize {
-        self.ops.len()
+/// How many of the most recent terminations a [`RecentFates`] is
+/// guaranteed to remember.
+pub(crate) const RECENT_FATES: usize = 1024;
+
+/// The fates of recently terminated transactions.
+///
+/// Nothing in the protocol consults a terminated transaction again (it has
+/// left every log and the dependency graph), so the fates are kept only to
+/// answer state queries and to turn a late call into an exact
+/// `InvalidState` error. Two generations bound the memory: when the current
+/// one reaches [`RECENT_FATES`] entries it becomes the previous one and the
+/// oldest generation is dropped. The last `RECENT_FATES` terminations are
+/// always remembered, and never more than twice that.
+#[derive(Debug, Default)]
+pub(crate) struct RecentFates {
+    current: HashMap<TxnId, TxnState>,
+    previous: HashMap<TxnId, TxnState>,
+}
+
+impl RecentFates {
+    /// Record a terminated transaction's fate.
+    pub(crate) fn insert(&mut self, txn: TxnId, state: TxnState) {
+        if self.current.len() >= RECENT_FATES {
+            std::mem::swap(&mut self.current, &mut self.previous);
+            // `clear` keeps the capacity: the steady state allocates nothing.
+            self.current.clear();
+        }
+        self.current.insert(txn, state);
+    }
+
+    /// The fate of `txn`, if it terminated recently.
+    pub(crate) fn get(&self, txn: TxnId) -> Option<TxnState> {
+        self.current
+            .get(&txn)
+            .or_else(|| self.previous.get(&txn))
+            .copied()
+    }
+
+    /// Number of fates held (between `RECENT_FATES` and twice that once
+    /// that many transactions terminated).
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.current.len() + self.previous.len()
     }
 }
 
@@ -190,7 +231,7 @@ mod tests {
     fn record_starts_active_and_empty() {
         let r = TxnRecord::new(TxnId(1));
         assert_eq!(r.state, TxnState::Active);
-        assert_eq!(r.executed_ops(), 0);
+        assert!(r.ops.is_empty());
         assert!(r.pending.is_none());
         assert!(r.touched.is_empty());
         assert_eq!(r.commit_index, None);
