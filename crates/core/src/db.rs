@@ -861,13 +861,13 @@ impl Database {
     }
 
     /// The aggregate counters plus the per-shard breakdown (lock
-    /// acquisitions, escalations, local vs. mirrored edges).
+    /// acquisitions and each shard kernel's own counters).
     pub fn stats_snapshot(&self) -> StatsSnapshot {
         self.shared.kernel.stats_snapshot()
     }
 
-    /// Number of cycle-detection invocations so far (all shards plus the
-    /// cross-shard escalation graph).
+    /// Number of cycle-detection invocations so far, on the one dependency
+    /// graph all shards share.
     pub fn cycle_checks(&self) -> u64 {
         self.shared.kernel.cycle_checks()
     }
@@ -905,8 +905,9 @@ impl Database {
         self.shared.kernel.verify_commit_dependencies()
     }
 
-    /// Check kernel invariants on every shard (acyclic graphs, consistent
-    /// logs and queues) plus the escalation graph.
+    /// Check kernel invariants: an acyclic dependency graph whose nodes
+    /// all belong to live transactions, and consistent logs and queues on
+    /// every shard.
     pub fn check_invariants(&self) -> Result<(), String> {
         self.shared.kernel.check_invariants()
     }

@@ -22,6 +22,7 @@
 //! The kernel is single-threaded by design (the simulator drives it
 //! directly); [`crate::Database`] adds a thread-safe, blocking front-end.
 
+use crate::chaos::sync::{Mutex, MutexGuard};
 use crate::errors::CoreError;
 use crate::events::{
     AbortReason, BatchOutcome, BatchStop, CommitOutcome, KernelEvent, RequestOutcome,
@@ -29,14 +30,44 @@ use crate::events::{
 use crate::history::HistoryRecorder;
 use crate::object::{Classification, ManagedObject, ObjectId};
 use crate::policy::{RecoveryStrategy, SchedulerConfig};
-use crate::shard::GlobalGraph;
 use crate::stats::KernelStats;
 use crate::txn::{BatchCall, ExecutedOp, PendingRequest, RecentFates, TxnId, TxnRecord, TxnState};
 use sbcc_adt::{AccessSet, AdtObject, AdtSpec, Compatibility, OpCall, OpResult, SemanticObject};
 use sbcc_graph::{DependencyGraph, EdgeKind};
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// The dependency graph behind its lock. A standalone kernel owns one;
+/// every shard of a [`crate::shard::ShardedKernel`] shares one (see the
+/// lock order in the [`crate::shard`] module docs).
+#[derive(Debug, Default)]
+pub(crate) struct SharedGraph {
+    graph: Mutex<DependencyGraph<TxnId>>,
+    /// Lock acquisitions, for the tests that pin which paths take it.
+    #[cfg(test)]
+    acquisitions: AtomicU64,
+}
+
+impl SharedGraph {
+    pub(crate) fn lock(&self) -> MutexGuard<'_, DependencyGraph<TxnId>> {
+        #[cfg(test)]
+        self.acquisitions.fetch_add(1, Ordering::Relaxed);
+        self.graph.lock()
+    }
+
+    #[cfg(test)]
+    pub(crate) fn acquisitions(&self) -> u64 {
+        self.acquisitions.load(Ordering::Relaxed)
+    }
+
+    /// Whether the graph holds no node, read without counting an
+    /// acquisition.
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
+        self.graph.lock().nodes().next().is_none()
+    }
+}
 
 /// The scheduler kernel. See the module documentation for an overview.
 pub struct SchedulerKernel {
@@ -46,7 +77,10 @@ pub struct SchedulerKernel {
     txns: HashMap<TxnId, TxnRecord>,
     /// Fates of the most recent terminations (see [`RecentFates`]).
     finished: RecentFates,
-    graph: DependencyGraph<TxnId>,
+    graph: Arc<SharedGraph>,
+    /// This kernel's pseudo-committed transactions: the only candidates
+    /// its cascade looks at, in ascending order.
+    pseudo: BTreeSet<TxnId>,
     next_txn_id: u64,
     next_seq: u64,
     next_commit_index: u64,
@@ -60,20 +94,10 @@ pub struct SchedulerKernel {
     /// when nothing terminated, and (b) invalidate the pre-computed group
     /// classification of an in-flight batch.
     termination_epoch: u64,
-    /// The cross-shard escalation graph, when this kernel is one shard of a
-    /// [`crate::shard::ShardedKernel`]. `None` for a standalone kernel.
-    escalation: Option<Arc<GlobalGraph>>,
-    /// `true` while this shard hosts (or recently hosted) a transaction
-    /// that is also enrolled in another shard. While entangled, every
-    /// local dependency-graph mutation reaches the escalation graph (an
-    /// edge through the check that reserves it) and every cycle check that
-    /// finds no local cycle additionally consults it. Reset when the shard
-    /// quiesces (no live transactions).
-    entangled: bool,
     /// Coordinated (multi-shard) pseudo-committed transactions whose
-    /// **local** commit-dependency out-degree dropped to zero; drained by
-    /// the cross-shard coordinator, which re-runs the commit vote across
-    /// every shard the transaction is enrolled in.
+    /// commit-dependency out-degree dropped to zero; drained by the
+    /// cross-shard coordinator, which re-runs the commit vote and applies
+    /// the commit in every shard the transaction is enrolled in.
     coordination_ready: Vec<TxnId>,
     /// The write-ahead log this kernel appends committed operations to,
     /// with the shard index it writes under. `None` when durability is
@@ -92,6 +116,40 @@ pub struct SchedulerKernel {
     /// tests only: an entry re-queued without one leaves no other trace.
     #[cfg(test)]
     figure2_retries: u64,
+}
+
+/// Check the invariants of the kernels that share `graph` (a standalone
+/// kernel alone, or every shard of a sharded kernel): the graph is acyclic,
+/// each node belongs to a live transaction that has wait-for edges only
+/// while blocked somewhere, and each kernel's own state is consistent.
+/// Returns a description of the first violation found.
+pub(crate) fn check_shared_invariants(
+    graph: &mut DependencyGraph<TxnId>,
+    kernels: &[&SchedulerKernel],
+) -> Result<(), String> {
+    if graph.has_cycle() {
+        return Err("dependency graph contains a cycle".to_owned());
+    }
+    for node in graph.nodes() {
+        let records = kernels.iter().filter_map(|k| k.txns.get(&node));
+        let states: Vec<TxnState> = records.map(|r| r.state).collect();
+        if states.is_empty() {
+            return Err(format!("graph node {node} belongs to no live transaction"));
+        }
+        if !states.contains(&TxnState::Blocked)
+            && !graph.out_neighbors_kind(node, EdgeKind::WaitFor).is_empty()
+        {
+            return Err(format!("{node} is not blocked but has wait-for edges"));
+        }
+    }
+    for (i, kernel) in kernels.iter().enumerate() {
+        let checked = kernel.check_local_invariants(graph);
+        checked.map_err(|e| match kernels.len() {
+            1 => e,
+            _ => format!("shard {i}: {e}"),
+        })?;
+    }
+    Ok(())
 }
 
 impl std::fmt::Debug for SchedulerKernel {
@@ -118,7 +176,8 @@ impl SchedulerKernel {
             object_names: HashMap::new(),
             txns: HashMap::new(),
             finished: RecentFates::default(),
-            graph: DependencyGraph::new(),
+            graph: Arc::default(),
+            pseudo: BTreeSet::new(),
             next_txn_id: 0,
             next_seq: 0,
             next_commit_index: 0,
@@ -127,8 +186,6 @@ impl SchedulerKernel {
             events: Vec::new(),
             pending_dirty: Vec::new(),
             termination_epoch: 0,
-            escalation: None,
-            entangled: false,
             coordination_ready: Vec::new(),
             wal: None,
             commit_clock: Arc::new(AtomicU64::new(0)),
@@ -145,6 +202,13 @@ impl SchedulerKernel {
     pub fn attach_stamps(&mut self, clock: Arc<AtomicU64>, floor: Arc<AtomicU64>) {
         self.commit_clock = clock;
         self.version_floor = floor;
+    }
+
+    /// Replace this kernel's dependency graph with the one every shard of
+    /// a [`crate::shard::ShardedKernel`] shares. Called once per shard at
+    /// construction, before any request.
+    pub(crate) fn attach_graph(&mut self, graph: Arc<SharedGraph>) {
+        self.graph = graph;
     }
 
     /// Attach a write-ahead log: from here on, every actual commit of a
@@ -165,9 +229,9 @@ impl SchedulerKernel {
 
     /// Number of cycle-detection invocations so far (wait-for *and*
     /// commit-dependency checks combined, as in the paper's cycle check
-    /// ratio).
+    /// ratio), on the graph this kernel uses.
     pub fn cycle_checks(&self) -> u64 {
-        self.graph.cycle_checks()
+        self.graph.lock().cycle_checks()
     }
 
     /// The recorded history, when `record_history` is enabled.
@@ -238,7 +302,6 @@ impl SchedulerKernel {
         self.next_txn_id += 1;
         let id = TxnId(self.next_txn_id);
         self.txns.insert(id, TxnRecord::new(id));
-        self.graph.add_node(id);
         self.stats.transactions_begun += 1;
         if let Some(h) = &mut self.history {
             h.record_begin(id);
@@ -257,26 +320,6 @@ impl SchedulerKernel {
     // this.
     // ------------------------------------------------------------------
 
-    /// Attach the cross-shard escalation graph. Called once per shard at
-    /// [`crate::shard::ShardedKernel`] construction, before any request.
-    pub fn attach_escalation(&mut self, global: Arc<GlobalGraph>) {
-        self.escalation = Some(global);
-    }
-
-    /// Mark this shard entangled: from now on (until the shard quiesces)
-    /// every local dependency edge is mirrored into the escalation graph,
-    /// starting with a bulk upload of the edges that already exist.
-    pub fn entangle(&mut self) {
-        if self.entangled {
-            return;
-        }
-        self.entangled = true;
-        if let Some(global) = self.escalation.clone() {
-            let escalated = global.mirror_all(&self.graph);
-            self.stats.escalated_edges += escalated;
-        }
-    }
-
     /// Adopt an externally assigned transaction id (cross-shard enrollment:
     /// the coordinator begot the transaction; this shard sees it for the
     /// first time). `coordinated` marks it as enrolled in more than one
@@ -294,7 +337,6 @@ impl SchedulerKernel {
         let mut rec = TxnRecord::new(id);
         rec.coordinated = coordinated;
         self.txns.insert(id, rec);
-        self.graph.add_node(id);
         self.next_txn_id = self.next_txn_id.max(id.0);
         self.stats.transactions_begun += 1;
         if let Some(h) = &mut self.history {
@@ -311,26 +353,27 @@ impl SchedulerKernel {
     }
 
     /// Record a coordinator-decided pseudo-commit of a coordinated
-    /// transaction (its commit-dependency union across shards was
-    /// non-empty). Unlike [`Self::commit`] this performs no local dependency
-    /// check — the coordinator saw the union. Returns `false` if the
-    /// transaction is not live and active in this shard.
+    /// transaction (it had commit dependencies when the coordinator
+    /// voted). Unlike [`Self::commit`] this performs no dependency check.
+    /// Returns `false` if the transaction is not live and active in this
+    /// shard.
     pub fn pseudo_commit_coordinated(&mut self, txn: TxnId) -> bool {
         match self.txns.get_mut(&txn) {
             Some(rec) if rec.state == TxnState::Active => {
                 debug_assert!(rec.coordinated, "only coordinated transactions");
                 rec.state = TxnState::PseudoCommitted;
+                self.pseudo.insert(txn);
                 self.stats.pseudo_commits += 1;
                 if let Some(h) = &mut self.history {
                     h.record_pseudo_commit(txn);
                 }
-                // The coordinator collected this shard's dependencies in an
-                // earlier vote pass; the last of them may have terminated in
-                // the window since. `settle` re-runs the zero-out-degree scan
-                // so a pseudo-commit that *starts* dependency-free is queued
-                // for its re-vote immediately — otherwise no future edge
-                // removal would ever report it and the transaction would
-                // stay pseudo-committed forever (found by DST seed replay).
+                // The coordinator read the dependencies in its vote; the
+                // last of them may have terminated in the window since.
+                // `settle` looks at every pseudo-commit again, so one that
+                // *starts* dependency-free is queued for its re-vote
+                // immediately — otherwise no future edge removal would
+                // ever report it and the transaction would stay
+                // pseudo-committed forever (found by DST seed replay).
                 self.settle();
                 true
             }
@@ -338,42 +381,40 @@ impl SchedulerKernel {
         }
     }
 
-    /// Apply the local share of a coordinator-decided **actual commit** of
-    /// a coordinated transaction: fold its operations into this shard's
-    /// committed states, drop its graph node and settle. The coordinator
-    /// only calls this once the transaction's commit-dependency out-degree
-    /// is zero in *every* shard it is enrolled in.
-    /// `stamp` is the global commit stamp the coordinator drew (under the
-    /// termination lock) for the whole multi-shard transaction, so every
-    /// shard's version store records the commit under one stamp and a
-    /// cross-shard snapshot can never observe it half-applied.
-    pub fn commit_coordinated(&mut self, txn: TxnId, stamp: u64) {
+    /// Fold this shard's share of a coordinator-decided **actual commit**
+    /// of a coordinated transaction into the committed states. The
+    /// coordinator calls this for every shard the transaction is enrolled
+    /// in, holding all their locks, and only then removes the graph node
+    /// and settles each shard (rule 3 in the [`crate::shard`] docs).
+    /// `stamp` is the global commit stamp the coordinator drew for the
+    /// whole multi-shard transaction, so every shard's version store
+    /// records the commit under one stamp and a cross-shard snapshot can
+    /// never observe it half-applied. Returns whether this shard added an
+    /// edge of the transaction.
+    pub(crate) fn commit_coordinated(&mut self, txn: TxnId, stamp: u64) -> bool {
         self.coordination_ready.retain(|t| *t != txn);
-        debug_assert!(
-            self.graph.out_neighbors_kind(txn, EdgeKind::CommitDep).is_empty(),
-            "coordinated commit of {txn} with local commit dependencies outstanding"
-        );
-        self.actually_commit_stamped(txn, Some(stamp));
-        self.settle();
+        let (_, in_graph) = self.actually_commit_stamped(txn, Some(stamp));
+        in_graph
     }
 
-    /// Apply the local share of a coordinator-driven **abort** of a
-    /// coordinated transaction (the shard where the abort originated has
-    /// already aborted it locally). Returns `false` when the transaction is
-    /// not live here (already applied, or never blocked/active) — callers
-    /// treat that as an idempotent no-op.
-    pub fn abort_coordinated(&mut self, txn: TxnId, reason: AbortReason) -> bool {
-        match self.txns.get(&txn) {
-            Some(rec) if matches!(rec.state, TxnState::Active | TxnState::Blocked) => {
-                self.abort_internal(txn, reason);
-                self.settle();
-                true
+    /// Undo this shard's share of a coordinator-driven **abort** of a
+    /// coordinated transaction, in the same kind of pass as
+    /// [`Self::commit_coordinated`]. Returns whether this shard added an
+    /// edge of it; a transaction not active or blocked here (already
+    /// aborted) is left alone and reads `false`.
+    pub(crate) fn abort_coordinated(&mut self, txn: TxnId, reason: AbortReason) -> bool {
+        match self.txns.get(&txn).map(|rec| rec.state) {
+            Some(TxnState::Active) => self.abort_internal(txn, reason),
+            Some(TxnState::Blocked) => {
+                // Its node outlives this shard's abort; its request does not.
+                self.graph_drop_wait_edges(txn, &self.waits_for(txn));
+                self.abort_internal(txn, reason)
             }
             _ => false,
         }
     }
 
-    /// Drain the coordinated pseudo-committed transactions whose local
+    /// Drain the coordinated pseudo-committed transactions whose
     /// commit-dependency out-degree dropped to zero since the last drain
     /// (a cross-shard commit vote should be re-run for each).
     pub fn drain_coordination_ready(&mut self) -> Vec<TxnId> {
@@ -446,11 +487,34 @@ impl SchedulerKernel {
         }
     }
 
-    /// The live transactions `txn` currently has commit dependencies on.
+    /// The live transactions `txn` currently has commit dependencies on,
+    /// sorted.
     pub fn commit_dependencies_of(&self, txn: TxnId) -> Vec<TxnId> {
-        let mut deps = self.graph.out_neighbors_kind(txn, EdgeKind::CommitDep);
+        let graph = self.graph.lock();
+        let mut deps = graph.out_neighbors_kind(txn, EdgeKind::CommitDep);
         deps.sort_unstable();
         deps
+    }
+
+    /// The holders `txn` has wait-for edges to.
+    fn waits_for(&self, txn: TxnId) -> Vec<TxnId> {
+        self.graph.lock().out_neighbors_kind(txn, EdgeKind::WaitFor)
+    }
+
+    /// The holders a queued request of `txn` still waits for here. A
+    /// multi-shard holder that already terminated here keeps its node until
+    /// it left every shard (rule 3), but blocks no one here: its edge goes.
+    fn waits_for_here(&self, txn: TxnId) -> Vec<TxnId> {
+        let (held, gone): (Vec<TxnId>, Vec<TxnId>) =
+            self.waits_for(txn).into_iter().partition(|h| self.txns.contains_key(h));
+        self.graph_drop_wait_edges(txn, &gone);
+        held
+    }
+
+    /// Whether this kernel added an edge into or out of `txn` (see
+    /// [`TxnRecord::in_graph`]); `false` for a transaction not live here.
+    pub(crate) fn in_graph(&self, txn: TxnId) -> bool {
+        self.txns.get(&txn).is_some_and(|rec| rec.in_graph)
     }
 
     /// Drain the queued side-effect events (unblocks and cascaded commits)
@@ -674,8 +738,10 @@ impl SchedulerKernel {
             !self.txns.get(&txn).map(|r| r.coordinated).unwrap_or(false),
             "multi-shard transactions commit through the coordinator, not Self::commit"
         );
-        let mut deps = self.graph.out_neighbors_kind(txn, EdgeKind::CommitDep);
-        deps.sort_unstable();
+        // A single-shard transaction's edges were all added here, so
+        // without the flag it has none.
+        let deps = self.in_graph(txn).then(|| self.commit_dependencies_of(txn));
+        let deps = deps.unwrap_or_default();
         if deps.is_empty() {
             let ticket = self.actually_commit(txn);
             self.settle();
@@ -683,6 +749,7 @@ impl SchedulerKernel {
         } else {
             let rec = self.txns.get_mut(&txn).expect("checked above");
             rec.state = TxnState::PseudoCommitted;
+            self.pseudo.insert(txn);
             self.stats.pseudo_commits += 1;
             if let Some(h) = &mut self.history {
                 h.record_pseudo_commit(txn);
@@ -713,7 +780,8 @@ impl SchedulerKernel {
                 action: "abort",
             });
         }
-        self.abort_internal(txn, reason);
+        let in_graph = self.abort_internal(txn, reason);
+        self.remove_node(txn, in_graph);
         self.settle();
         Ok(())
     }
@@ -802,21 +870,14 @@ impl SchedulerKernel {
     /// Check internal invariants; returns a description of the first
     /// violation found.
     pub fn check_invariants(&mut self) -> Result<(), String> {
-        if self.graph.has_cycle() {
-            return Err("dependency graph contains a cycle".to_owned());
-        }
-        for node in self.graph.nodes().collect::<Vec<_>>() {
-            match self.txns.get(&node) {
-                Some(r) if r.state.is_live() => {}
-                Some(r) => {
-                    return Err(format!(
-                        "terminated transaction {node} (state {}) still has a graph node",
-                        r.state
-                    ))
-                }
-                None => return Err(format!("graph node {node} has no transaction record")),
-            }
-        }
+        let graph = Arc::clone(&self.graph);
+        let mut graph = graph.lock();
+        check_shared_invariants(&mut graph, &[self])
+    }
+
+    /// The invariants of this kernel's own state, read against the
+    /// dependency graph it uses.
+    fn check_local_invariants(&self, graph: &DependencyGraph<TxnId>) -> Result<(), String> {
         for obj in &self.objects {
             for entry in obj.log() {
                 match self.txns.get(&entry.txn) {
@@ -843,6 +904,7 @@ impl SchedulerKernel {
                 }
             }
         }
+        let nodes: std::collections::HashSet<TxnId> = graph.nodes().collect();
         for rec in self.txns.values() {
             if rec.state == TxnState::Blocked && rec.pending.is_none() {
                 return Err(format!("blocked transaction {} has no pending request", rec.id));
@@ -853,91 +915,73 @@ impl SchedulerKernel {
                     rec.id, rec.state
                 ));
             }
-            if rec.state != TxnState::Blocked
-                && !self.graph.out_neighbors_kind(rec.id, EdgeKind::WaitFor).is_empty()
-            {
-                return Err(format!(
-                    "transaction {} is {} but still has wait-for edges",
-                    rec.id, rec.state
-                ));
+            // A node lives from the first edge to the termination, and a
+            // single-shard transaction's edges are all added here.
+            let (id, in_graph, has_node) = (rec.id, rec.in_graph, nodes.contains(&rec.id));
+            if in_graph != has_node && (in_graph || !rec.coordinated) {
+                return Err(format!("{id} has in_graph {in_graph} but node {has_node}"));
             }
+        }
+        let pseudo = self.txns.values().filter(|r| r.state == TxnState::PseudoCommitted);
+        if pseudo.map(|r| r.id).collect::<BTreeSet<_>>() != self.pseudo {
+            return Err("the pseudo-committed set disagrees with the records".to_owned());
         }
         Ok(())
-    }
-
-    /// While entangled, every edge of the local graph must be present in
-    /// the escalation graph: admission adds an edge locally only after
-    /// [`GlobalGraph::check_and_reserve`] inserted it there.
-    pub(crate) fn check_mirrored(&self) -> Result<(), String> {
-        let (true, Some(global)) = (self.entangled, &self.escalation) else {
-            return Ok(());
-        };
-        let mut missing = None;
-        self.graph.for_each_edge(|from, to, kind, _| {
-            if missing.is_none() && global.edge_multiplicity(from, to, kind) == 0 {
-                missing = Some((from, to, kind));
-            }
-        });
-        match missing {
-            Some((from, to, kind)) => Err(format!(
-                "local {kind:?} edge {from} -> {to} is missing from the escalation graph"
-            )),
-            None => Ok(()),
-        }
     }
 
     // ------------------------------------------------------------------
     // Internals
     // ------------------------------------------------------------------
 
-    /// Add a dependency edge to the local graph. Every caller first ran
-    /// [`Self::cycle_would_close`] on it, which in an entangled shard
-    /// already inserted the edge into the escalation graph
-    /// ([`GlobalGraph::check_and_reserve`]): the reservation *is* the
-    /// mirror, so only its count is kept here.
-    fn graph_add_edge(&mut self, from: TxnId, to: TxnId, kind: EdgeKind) {
-        self.graph.add_edge(from, to, kind);
-        self.stats.graph_edges += 1;
-        if self.entangled {
-            self.stats.escalated_edges += 1;
+    /// Figure 2's cycle check for the edges `from -> t` (one per target)
+    /// and, when it passes, their insertion, in one critical section of
+    /// the graph lock: a check in another shard sees none or all of them.
+    /// A commit dependency already present is not added again. Returns
+    /// `false`, inserting nothing, when the edges would close a cycle.
+    fn try_add_edges(&mut self, from: TxnId, targets: &[TxnId], kind: EdgeKind) -> bool {
+        let added = {
+            let mut graph = self.graph.lock();
+            if graph.would_close_cycle(from, targets) {
+                return false;
+            }
+            let mut added = 0;
+            for t in targets {
+                if kind == EdgeKind::WaitFor || !graph.has_edge(from, *t, kind) {
+                    graph.add_edge(from, *t, kind);
+                    added += 1;
+                }
+            }
+            added
+        };
+        self.stats.graph_edges += added;
+        // Every target holds an operation or a queued request here, so it
+        // is live in this kernel.
+        for t in std::iter::once(&from).chain(targets) {
+            if let Some(rec) = self.txns.get_mut(t) {
+                rec.in_graph = true;
+            }
         }
+        true
     }
 
-    /// Remove a node (transaction termination) from the local graph and,
-    /// while entangled, from the escalation graph.
-    fn graph_remove_node(&mut self, txn: TxnId) {
-        self.graph.remove_node(txn);
-        if self.entangled {
-            if let Some(global) = &self.escalation {
-                global.remove_node(txn);
-            }
-            // Quiesce: once no live transaction remains, every node this
-            // shard ever mirrored has been removed from the escalation
-            // graph, so the shard can return to the lock-free local-only
-            // fast path.
-            if self.txns.is_empty() {
-                self.entangled = false;
-            }
+    /// Remove a terminated single-shard transaction's node, if it has one.
+    fn remove_node(&self, txn: TxnId, in_graph: bool) {
+        if in_graph {
+            self.graph.lock().remove_node(txn);
         }
     }
 
     /// Drop a waiter's wait-for edges to `holders` (all of them when its
     /// retried request stops waiting, or the ones it stopped conflicting
-    /// with), locally and, while entangled, from the escalation graph in
-    /// one critical section. Each pair carries exactly one edge in both
-    /// graphs: a waiter adds and reserves only holders it does not
-    /// already wait for.
-    fn graph_drop_wait_edges(&mut self, txn: TxnId, holders: &[TxnId]) {
+    /// with). Each pair carries exactly one wait-for edge: a waiter adds
+    /// only holders it does not already wait for.
+    fn graph_drop_wait_edges(&self, txn: TxnId, holders: &[TxnId]) {
         if holders.is_empty() {
             return;
         }
+        let mut graph = self.graph.lock();
         for holder in holders {
-            self.graph.remove_edge(txn, *holder, EdgeKind::WaitFor);
-        }
-        if self.entangled {
-            if let Some(global) = &self.escalation {
-                global.remove_edges(txn, holders, EdgeKind::WaitFor);
-            }
+            graph.remove_edge(txn, *holder, EdgeKind::WaitFor);
         }
     }
 
@@ -1059,7 +1103,7 @@ impl SchedulerKernel {
         } = precomputed.unwrap_or_else(|| self.classify_for(txn, object, &call));
 
         let held = if is_retry {
-            self.graph.out_neighbors_kind(txn, EdgeKind::WaitFor)
+            self.waits_for_here(txn)
         } else {
             Vec::new()
         };
@@ -1076,14 +1120,8 @@ impl SchedulerKernel {
                 .copied()
                 .filter(|h| !held.contains(h))
                 .collect();
-            if !fresh.is_empty() && self.cycle_would_close(txn, &fresh, EdgeKind::WaitFor) {
-                self.abort_internal(txn, AbortReason::DeadlockCycle);
-                return RequestOutcome::Aborted {
-                    reason: AbortReason::DeadlockCycle,
-                };
-            }
-            for holder in &fresh {
-                self.graph_add_edge(txn, *holder, EdgeKind::WaitFor);
+            if !fresh.is_empty() && !self.try_add_edges(txn, &fresh, EdgeKind::WaitFor) {
+                return self.refuse(txn, AbortReason::DeadlockCycle, &held);
             }
             self.object_mut(object).push_blocked(txn, call.clone());
             let rec = self.txns.get_mut(&txn).expect("transaction exists");
@@ -1105,23 +1143,15 @@ impl SchedulerKernel {
         // acyclic, then add the commit-dependency edges. With no
         // dependencies this is step 2: everything commutes.
         if !commit_deps.is_empty() {
-            if self.cycle_would_close(txn, &commit_deps, EdgeKind::CommitDep) {
-                self.abort_internal(txn, AbortReason::CommitDependencyCycle);
-                return RequestOutcome::Aborted {
-                    reason: AbortReason::CommitDependencyCycle,
-                };
+            if !self.try_add_edges(txn, &commit_deps, EdgeKind::CommitDep) {
+                return self.refuse(txn, AbortReason::CommitDependencyCycle, &[]);
             }
-            for holder in &commit_deps {
-                // The stat counts one dependency per (requester, holder)
-                // pair per admitted recoverable request, but the edge is
-                // deduplicated: repeated recoverable operations against the
-                // same holder would otherwise pile up edge multiplicity the
-                // graph has to carry until termination.
-                self.stats.commit_dependencies += 1;
-                if !self.graph.has_edge(txn, *holder, EdgeKind::CommitDep) {
-                    self.graph_add_edge(txn, *holder, EdgeKind::CommitDep);
-                }
-            }
+            // The stat counts one dependency per (requester, holder) pair
+            // per admitted recoverable request, but the edge is
+            // deduplicated: repeated recoverable operations against the
+            // same holder would otherwise pile up edge multiplicity the
+            // graph has to carry until termination.
+            self.stats.commit_dependencies += commit_deps.len() as u64;
         }
         let result = self.execute_op(txn, object, call);
         if is_retry {
@@ -1133,34 +1163,18 @@ impl SchedulerKernel {
         }
     }
 
-    /// The per-request cycle check: the reachability search on the
-    /// shard-local graph, counted by [`Self::cycle_checks`].
-    ///
-    /// While the shard is entangled, a locally negative verdict is
-    /// **escalated**: the same hypothetical edges are checked against the
-    /// cross-shard escalation graph, which holds the union of every
-    /// entangled shard's edges — the only place a cycle spanning shards is
-    /// visible. The escalated check atomically *reserves* the edges on a
-    /// pass ([`GlobalGraph::check_and_reserve`]), closing the window in
-    /// which two requests racing in two entangled shards could both pass
-    /// before either mirrored its edge; that reservation is the edges'
-    /// only mirror (see [`Self::graph_add_edge`]). An isolated
-    /// (non-entangled) shard never takes the global lock here, because no
-    /// transaction with a presence in this shard has edges anywhere else.
-    ///
-    /// `kind` is the edge kind the caller will add on a negative verdict
-    /// (wait-for for the blocking branch, commit-dep for the recoverable
-    /// branch).
-    fn cycle_would_close(&mut self, from: TxnId, targets: &[TxnId], kind: EdgeKind) -> bool {
-        let local = self.graph.would_close_cycle(from, targets);
-        if local || !self.entangled {
-            return local;
+    /// A request that would close a cycle aborts its transaction: here, if
+    /// it is single-shard; otherwise the coordinator aborts it in all its
+    /// shards (rule 3 in the [`crate::shard`] docs), and here it only
+    /// loses the wait-for edges `held` of the request it no longer makes.
+    fn refuse(&mut self, txn: TxnId, reason: AbortReason, held: &[TxnId]) -> RequestOutcome {
+        if self.txns[&txn].coordinated {
+            self.graph_drop_wait_edges(txn, held);
+        } else {
+            let in_graph = self.abort_internal(txn, reason);
+            self.remove_node(txn, in_graph);
         }
-        let Some(global) = self.escalation.clone() else {
-            return local;
-        };
-        self.stats.escalated_checks += 1;
-        global.check_and_reserve(from, targets, kind)
+        RequestOutcome::Aborted { reason }
     }
 
     fn classify_for(&self, txn: TxnId, object: ObjectId, call: &OpCall) -> Classification {
@@ -1189,8 +1203,11 @@ impl SchedulerKernel {
         result
     }
 
+    /// Commit a single-shard transaction, node removal included.
     fn actually_commit(&mut self, txn: TxnId) -> Option<u64> {
-        self.actually_commit_stamped(txn, None)
+        let (ticket, in_graph) = self.actually_commit_stamped(txn, None);
+        self.remove_node(txn, in_graph);
+        ticket
     }
 
     /// Fold a transaction's effects under a global commit stamp: the
@@ -1202,8 +1219,10 @@ impl SchedulerKernel {
     /// watermark and preserve the version it still needs).
     ///
     /// Returns the durability ticket of the commit record this call
-    /// appended to the write-ahead log, if it appended one.
-    fn actually_commit_stamped(&mut self, txn: TxnId, stamp: Option<u64>) -> Option<u64> {
+    /// appended to the write-ahead log, if it appended one, and whether
+    /// this kernel added an edge of the transaction: its node, if any, is
+    /// the caller's to remove.
+    fn actually_commit_stamped(&mut self, txn: TxnId, stamp: Option<u64>) -> (Option<u64>, bool) {
         self.termination_epoch += 1;
         let rec = self.txns.remove(&txn).expect("transaction exists");
         debug_assert!(matches!(
@@ -1239,17 +1258,19 @@ impl SchedulerKernel {
             self.stats.versions_pruned +=
                 self.objects[obj.0 as usize].commit_txn(txn, stamp, watermark);
         }
-        self.graph_remove_node(txn);
+        self.pseudo.remove(&txn);
         self.pending_dirty.extend(touched);
         self.stats.commits += 1;
         self.finished.insert(txn, TxnState::Committed);
         if let Some(h) = &mut self.history {
             h.record_committed(txn, self.next_commit_index, rec.ops);
         }
-        wal_ticket
+        (wal_ticket, rec.in_graph)
     }
 
-    fn abort_internal(&mut self, txn: TxnId, reason: AbortReason) {
+    /// Undo an active or blocked transaction. Returns whether this kernel
+    /// added an edge of it: its node, if any, is the caller's to remove.
+    fn abort_internal(&mut self, txn: TxnId, reason: AbortReason) -> bool {
         self.termination_epoch += 1;
         let mut rec = self.txns.remove(&txn).expect("transaction exists");
         debug_assert!(
@@ -1265,7 +1286,6 @@ impl SchedulerKernel {
         for obj in &touched {
             self.objects[obj.0 as usize].abort_txn(txn);
         }
-        self.graph_remove_node(txn);
         self.pending_dirty.extend(touched);
         match reason {
             AbortReason::DeadlockCycle => self.stats.aborts_deadlock += 1,
@@ -1277,29 +1297,26 @@ impl SchedulerKernel {
         if let Some(h) = &mut self.history {
             h.record_aborted(txn, reason, rec.ops);
         }
+        rec.in_graph
     }
 
     /// Propagate the consequences of terminations: cascade actual commits of
     /// pseudo-committed transactions whose dependencies are gone, and retry
     /// blocked requests on objects whose logs changed. Runs to fixpoint.
-    fn settle(&mut self) {
+    /// The coordinator also runs it for the shards of a multi-shard
+    /// termination (see `ShardedKernel::terminate_in_shards`).
+    pub(crate) fn settle(&mut self) {
         loop {
-            // Cascade commits of pseudo-committed transactions. A
-            // *coordinated* transaction is never committed locally — zero
-            // local out-degree only means its last dependency in THIS shard
-            // is gone; it is reported to the coordinator, which re-runs the
-            // commit vote across every shard it is enrolled in.
+            // Cascade commits of this kernel's pseudo-committed
+            // transactions with no out-edge left, in ascending order. A
+            // *coordinated* transaction is never committed locally: it is
+            // reported to the coordinator, which applies its commit in
+            // every shard it is enrolled in.
             let mut cascaded = false;
             loop {
                 let mut candidates: Vec<TxnId> = Vec::new();
-                for t in self.graph.zero_out_degree_nodes() {
-                    let Some(rec) = self.txns.get(&t) else {
-                        continue;
-                    };
-                    if rec.state != TxnState::PseudoCommitted {
-                        continue;
-                    }
-                    if rec.coordinated {
+                for t in self.pseudo_without_out_edges() {
+                    if self.txns[&t].coordinated {
                         if !self.coordination_ready.contains(&t) {
                             self.coordination_ready.push(t);
                         }
@@ -1335,6 +1352,20 @@ impl SchedulerKernel {
                 self.retry_blocked(obj);
             }
         }
+    }
+
+    /// This kernel's pseudo-committed transactions with no out-edge, in
+    /// ascending order. Takes the graph lock only when there is one.
+    fn pseudo_without_out_edges(&self) -> Vec<TxnId> {
+        if self.pseudo.is_empty() {
+            return Vec::new();
+        }
+        let graph = self.graph.lock();
+        self.pseudo
+            .iter()
+            .copied()
+            .filter(|t| graph.out_degree(*t) == 0)
+            .collect()
     }
 
     /// Retry the requests queued on `object` after a termination touched
@@ -1378,7 +1409,7 @@ impl SchedulerKernel {
                 request.txn
             );
             if fair {
-                let held = self.graph.out_neighbors_kind(request.txn, EdgeKind::WaitFor);
+                let held = self.waits_for_here(request.txn);
                 let obj = self.object_ref(object);
                 let stale: Vec<TxnId> = held
                     .iter()
@@ -1394,8 +1425,7 @@ impl SchedulerKernel {
                     debug_assert_eq!(
                         self.classify_for(request.txn, object, &request.call).conflicts,
                         {
-                            let mut kept =
-                                self.graph.out_neighbors_kind(request.txn, EdgeKind::WaitFor);
+                            let mut kept = self.waits_for(request.txn);
                             kept.sort_unstable();
                             kept
                         },
@@ -1443,20 +1473,20 @@ mod tests {
         StackOp::Pop.to_call()
     }
 
-    /// A standalone kernel wired to an escalation graph and entangled, so
-    /// every check it runs is escalated the way an entangled shard's is.
-    fn entangled(fair: bool) -> (SchedulerKernel, Arc<GlobalGraph>, ObjectId) {
+    /// A kernel with one stack.
+    fn kernel(fair: bool) -> (SchedulerKernel, ObjectId) {
         let mut k = SchedulerKernel::new(SchedulerConfig::default().with_fair_scheduling(fair));
-        let global = Arc::new(GlobalGraph::new());
-        k.attach_escalation(global.clone());
-        k.entangle();
         let s = k.register("s", Stack::new()).unwrap();
-        (k, global, s)
+        (k, s)
     }
 
-    /// `(graph_edges, local cycle checks, escalated checks)`.
-    fn graph_work(k: &SchedulerKernel) -> (u64, u64, u64) {
-        (k.stats().graph_edges, k.cycle_checks(), k.stats().escalated_checks)
+    /// `(graph_edges, cycle checks)`.
+    fn graph_work(k: &SchedulerKernel) -> (u64, u64) {
+        (k.stats().graph_edges, k.cycle_checks())
+    }
+
+    fn multiplicity(k: &SchedulerKernel, from: TxnId, to: TxnId, kind: EdgeKind) -> u32 {
+        k.graph.lock().edge_multiplicity(from, to, kind)
     }
 
     /// Terminate a transaction whose push commutes with everything on the
@@ -1470,7 +1500,7 @@ mod tests {
 
     #[test]
     fn re_block_behind_unchanged_holders_adds_and_checks_nothing() {
-        let (mut k, global, s) = entangled(false);
+        let (mut k, s) = kernel(false);
         let holder = k.begin();
         let waiter = k.begin();
         assert!(k.request(holder, s, push(1)).unwrap().is_executed());
@@ -1482,15 +1512,14 @@ mod tests {
             retry_waiters(&mut k, s);
             assert_eq!(k.txn_state(waiter), Some(TxnState::Blocked));
             assert_eq!(graph_work(&k), before, "re-block added or checked an edge");
-            assert_eq!(global.edge_multiplicity(waiter, holder, EdgeKind::WaitFor), 1);
+            assert_eq!(multiplicity(&k, waiter, holder, EdgeKind::WaitFor), 1);
             k.check_invariants().unwrap();
-            k.check_mirrored().unwrap();
         }
     }
 
     #[test]
     fn re_block_behind_one_new_holder_checks_and_adds_only_that_edge() {
-        let (mut k, global, s) = entangled(false);
+        let (mut k, s) = kernel(false);
         let holder = k.begin();
         let waiter = k.begin();
         let newcomer = k.begin();
@@ -1506,18 +1535,16 @@ mod tests {
         assert_eq!(k.txn_state(waiter), Some(TxnState::Blocked));
         let after = graph_work(&k);
         assert_eq!(after.0, before.0 + 1, "exactly one new edge");
-        assert_eq!(after.1, before.1 + 1, "one local check");
-        assert_eq!(after.2, before.2 + 1, "one escalated check");
-        // Only the new holder was reserved: the held edge was not re-added.
-        assert_eq!(global.edge_multiplicity(waiter, holder, EdgeKind::WaitFor), 1);
-        assert_eq!(global.edge_multiplicity(waiter, newcomer, EdgeKind::WaitFor), 1);
+        assert_eq!(after.1, before.1 + 1, "one check");
+        // Only the new holder was added: the held edge was not re-added.
+        assert_eq!(multiplicity(&k, waiter, holder, EdgeKind::WaitFor), 1);
+        assert_eq!(multiplicity(&k, waiter, newcomer, EdgeKind::WaitFor), 1);
         k.check_invariants().unwrap();
-        k.check_mirrored().unwrap();
     }
 
     #[test]
     fn retry_that_executes_leaves_no_wait_for_edge() {
-        let (mut k, global, s) = entangled(true);
+        let (mut k, s) = kernel(true);
         let holder = k.begin();
         let first = k.begin();
         let second = k.begin();
@@ -1534,17 +1561,16 @@ mod tests {
         k.abort(holder).unwrap();
         assert_eq!(k.txn_state(first), Some(TxnState::Active));
         assert_eq!(k.txn_state(second), Some(TxnState::Active));
-        assert!(k.graph.out_neighbors_kind(second, EdgeKind::WaitFor).is_empty());
-        assert_eq!(global.edge_multiplicity(second, first, EdgeKind::WaitFor), 0);
+        assert!(k.waits_for(second).is_empty());
+        assert_eq!(multiplicity(&k, second, first, EdgeKind::WaitFor), 0);
         assert_eq!(k.commit_dependencies_of(second), vec![first]);
-        assert_eq!(global.edge_multiplicity(second, first, EdgeKind::CommitDep), 1);
+        assert_eq!(multiplicity(&k, second, first, EdgeKind::CommitDep), 1);
         k.check_invariants().unwrap();
-        k.check_mirrored().unwrap();
     }
 
     #[test]
     fn re_block_after_a_held_holder_stops_conflicting_drops_only_the_stale_edge() {
-        let (mut k, global, s) = entangled(true);
+        let (mut k, s) = kernel(true);
         let holder = k.begin();
         let first = k.begin();
         let second = k.begin();
@@ -1565,18 +1591,17 @@ mod tests {
         assert_eq!(k.txn_state(first), Some(TxnState::Active));
         assert_eq!(k.txn_state(second), Some(TxnState::Blocked));
         assert_eq!(k.txn_state(pusher), Some(TxnState::Blocked));
-        assert_eq!(k.graph.out_neighbors_kind(pusher, EdgeKind::WaitFor), vec![second]);
-        assert_eq!(global.edge_multiplicity(pusher, first, EdgeKind::WaitFor), 0);
-        assert_eq!(global.edge_multiplicity(pusher, second, EdgeKind::WaitFor), 1);
+        assert_eq!(k.waits_for(pusher), vec![second]);
+        assert_eq!(multiplicity(&k, pusher, first, EdgeKind::WaitFor), 0);
+        assert_eq!(multiplicity(&k, pusher, second, EdgeKind::WaitFor), 1);
         assert_eq!(graph_work(&k), before, "the stale edge went without an add or a check");
         assert_eq!(k.figure2_retries, 1, "only the first pop ran Figure 2");
         k.check_invariants().unwrap();
-        k.check_mirrored().unwrap();
     }
 
     #[test]
     fn releasing_one_of_two_holders_re_queues_without_figure_2() {
-        let (mut k, global, s) = entangled(true);
+        let (mut k, s) = kernel(true);
         let first = k.begin();
         let second = k.begin();
         let waiter = k.begin();
@@ -1589,18 +1614,17 @@ mod tests {
         let before = graph_work(&k);
         assert_eq!(k.commit(first).unwrap(), CommitOutcome::Committed);
         assert_eq!(k.txn_state(waiter), Some(TxnState::Blocked));
-        assert_eq!(k.graph.out_neighbors_kind(waiter, EdgeKind::WaitFor), vec![second]);
-        assert_eq!(global.edge_multiplicity(waiter, second, EdgeKind::WaitFor), 1);
+        assert_eq!(k.waits_for(waiter), vec![second]);
+        assert_eq!(multiplicity(&k, waiter, second, EdgeKind::WaitFor), 1);
         assert_eq!(graph_work(&k), before, "no edge added or checked");
         assert_eq!(k.figure2_retries, 0, "the pop was not classified again");
         assert!(k.drain_events().is_empty(), "a re-queued request raises no event");
         k.check_invariants().unwrap();
-        k.check_mirrored().unwrap();
     }
 
     #[test]
     fn a_re_queued_entry_keeps_its_place_in_a_later_entrys_fairness_set() {
-        let (mut k, _global, s) = entangled(true);
+        let (mut k, s) = kernel(true);
         let first = k.begin();
         let second = k.begin();
         let popper = k.begin();
@@ -1620,9 +1644,8 @@ mod tests {
         assert_eq!(k.figure2_retries, 0);
         // A fresh classification of the push still sees the pop ahead of it.
         assert_eq!(k.classify_for(pusher, s, &push(3)).conflicts, vec![popper]);
-        assert_eq!(k.graph.out_neighbors_kind(pusher, EdgeKind::WaitFor), vec![popper]);
+        assert_eq!(k.waits_for(pusher), vec![popper]);
         k.check_invariants().unwrap();
-        k.check_mirrored().unwrap();
     }
 
     #[test]
@@ -1631,21 +1654,32 @@ mod tests {
         let a = k.begin();
         let b = k.begin();
         k.check_invariants().unwrap();
-        k.graph.add_edge(a, b, EdgeKind::WaitFor);
+        k.graph.lock().add_edge(a, b, EdgeKind::WaitFor);
+        for t in [a, b] {
+            k.txns.get_mut(&t).unwrap().in_graph = true;
+        }
         let err = k.check_invariants().unwrap_err();
         assert!(err.contains("wait-for"), "{err}");
     }
 
     #[test]
-    fn invariants_reject_a_local_edge_missing_from_the_escalation_graph() {
-        let (mut k, global, s) = entangled(false);
+    fn an_admitted_edge_set_is_checked_and_inserted_once_in_one_critical_section() {
+        let (mut k, s) = kernel(true);
         let holder = k.begin();
+        let pusher = k.begin();
         let waiter = k.begin();
         assert!(k.request(holder, s, push(1)).unwrap().is_executed());
+        assert_eq!(k.graph.acquisitions(), 0, "nothing to depend on yet");
+        // Recoverable push: one commit dependency, one critical section.
+        assert!(k.request(pusher, s, push(2)).unwrap().is_executed());
+        assert_eq!(k.graph.acquisitions(), 1);
+        // A blocked pop: both wait-for edges in one critical section.
         assert!(k.request(waiter, s, pop()).unwrap().is_blocked());
-        k.check_mirrored().unwrap();
-        global.remove_edges(waiter, &[holder], EdgeKind::WaitFor);
-        let err = k.check_mirrored().unwrap_err();
-        assert!(err.contains("missing from the escalation graph"), "{err}");
+        assert_eq!(k.graph.acquisitions(), 2);
+        assert_eq!(multiplicity(&k, pusher, holder, EdgeKind::CommitDep), 1);
+        assert_eq!(multiplicity(&k, waiter, holder, EdgeKind::WaitFor), 1);
+        assert_eq!(multiplicity(&k, waiter, pusher, EdgeKind::WaitFor), 1);
+        assert_eq!(k.stats().graph_edges, 3);
+        k.check_invariants().unwrap();
     }
 }

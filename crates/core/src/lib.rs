@@ -9,11 +9,11 @@
 //!   commutativity **and recoverability**, blocking with deadlock detection,
 //!   commit-dependency tracking, pseudo-commit and the cascading actual
 //!   commit protocol, plus recovery by intentions lists.
-//! * [`ShardedKernel`] — N independent scheduler kernels, each owning a
-//!   disjoint (name-hashed) set of objects behind its own lock, plus a
-//!   cross-shard coordinator for transaction liveness, commit votes and
-//!   an escalation graph for dependency edges that span shards (see the
-//!   [`shard`] module docs for the invariants and the protocol).
+//! * [`ShardedKernel`] — N scheduler kernels, each owning a disjoint
+//!   (name-hashed) set of objects behind its own lock, sharing one
+//!   dependency graph, plus a cross-shard coordinator for transaction
+//!   liveness and commit votes (see the [`shard`] module docs for the
+//!   invariants and the protocol).
 //! * [`Database`] — the thread-safe, session-based front-end over the
 //!   sharded kernel: typed [`Handle`]s, [`Transaction`] guards that
 //!   auto-abort on drop, grouped submission via [`Transaction::batch`],
@@ -104,8 +104,6 @@ pub use sbcc_wal::{FsyncPolicy, WalConfig};
 /// The write-ahead-log crate, re-exported for crash-image surgery in
 /// tests and tools (log-file paths, record codec).
 pub use sbcc_wal as wal;
-pub use shard::{
-    shard_of_name, DatabaseConfig, GlobalGraph, ObjectLoc, ShardCount, ShardedKernel,
-};
+pub use shard::{shard_of_name, DatabaseConfig, ObjectLoc, ShardCount, ShardedKernel};
 pub use stats::{KernelStats, NetStats, OrderTelemetry, ShardStats, StatsSnapshot};
 pub use txn::{BatchCall, ExecutedOp, PendingRequest, TxnId, TxnRecord, TxnState};

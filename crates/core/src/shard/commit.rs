@@ -8,6 +8,7 @@ use super::{drain_fx, ShardFx, ShardedKernel};
 use crate::chaos::{self, ChaosPoint};
 use crate::errors::CoreError;
 use crate::events::{AbortReason, CommitOutcome, KernelEvent, RequestOutcome};
+use crate::kernel::SchedulerKernel;
 use crate::txn::{TxnId, TxnState};
 use std::sync::atomic::Ordering;
 
@@ -83,18 +84,18 @@ impl ShardedKernel {
         let mut fxs: Vec<(u32, ShardFx)> = Vec::new();
         let outcome = {
             let _termination = self.termination.lock();
-            // Phase 1: collect per-shard votes (local commit-dependency
-            // out-neighbours). The transaction stays Active throughout:
-            // a cycle only ever aborts the requester, so nothing but this
-            // (its own session's) thread can terminate it.
-            let mut deps: Vec<TxnId> = Vec::new();
+            // Phase 1: the vote. The transaction must be active in every
+            // shard, and stays so throughout: a cycle only ever aborts the
+            // requester, so nothing but this (its own session's) thread
+            // can terminate it.
+            let mut in_graph = false;
             for &s in enrolled {
-                // Between two per-shard vote collections: other sessions
-                // can still execute/abort inside not-yet-peeked shards.
+                // Between two per-shard peeks: other sessions can still
+                // execute/abort inside not-yet-peeked shards.
                 chaos::reach(ChaosPoint::VotePeek, Some(txn));
                 let kernel = self.peek_shard(s);
                 match kernel.txn_state(txn) {
-                    Some(TxnState::Active) => deps.extend(kernel.commit_dependencies_of(txn)),
+                    Some(TxnState::Active) => in_graph |= kernel.in_graph(txn),
                     Some(state) => {
                         return Err(CoreError::InvalidState {
                             txn,
@@ -105,8 +106,10 @@ impl ShardedKernel {
                     None => return Err(CoreError::UnknownTransaction(txn)),
                 }
             }
-            deps.sort_unstable();
-            deps.dedup();
+            // Its commit dependencies are its out-edges, each added by one
+            // of its own requests, which flagged it in that shard.
+            let deps = in_graph.then(|| self.commit_dependencies_of(txn));
+            let deps = deps.unwrap_or_default();
             if deps.is_empty() {
                 // Phase 2a: unanimous — apply the actual commit in
                 // every shard.
@@ -114,8 +117,8 @@ impl ShardedKernel {
                 CommitOutcome::Committed
             } else {
                 // Phase 2b: outstanding dependencies — pseudo-commit in
-                // every shard; re-voted when a shard's local out-degree
-                // drops to zero.
+                // every shard; re-voted when a settle in one of them finds
+                // it without out-edges.
                 self.ssi.mark_pseudo(txn);
                 for &s in enrolled {
                     let mut kernel = self.lock_shard(s);
@@ -200,17 +203,10 @@ impl ShardedKernel {
                 result
             }
             _ => {
-                let mut fxs: Vec<(u32, ShardFx)> = Vec::new();
-                {
+                let fxs = {
                     let _termination = self.termination.lock();
-                    for &s in enrolled {
-                        let mut kernel = self.lock_shard(s);
-                        kernel.abort_coordinated(txn, reason);
-                        let fx = drain_fx(&mut kernel);
-                        drop(kernel);
-                        fxs.push((s, fx));
-                    }
-                }
+                    self.terminate_in_shards(txn, enrolled, None, |k| k.abort_coordinated(txn, reason))
+                };
                 self.terminate(txn, fate);
                 for (shard, fx) in fxs {
                     self.absorb(shard, None, fx);
@@ -261,9 +257,9 @@ impl ShardedKernel {
     }
 
     /// Process the side effects of a shard pass to fixpoint: forward the
-    /// events, complete cross-shard terminations (a kernel only ever
-    /// terminates a transaction locally), and re-run commit votes for
-    /// coordinated transactions whose local dependencies cleared.
+    /// events, count terminations, abort the multi-shard transactions a
+    /// kernel refused, and re-run commit votes for coordinated
+    /// transactions whose dependencies cleared.
     pub(super) fn absorb(&self, origin: u32, requester: Option<(TxnId, AbortReason)>, fx: ShardFx) {
         // Fast path: nothing happened (no events, no coordination, no
         // requester abort) — the common case for every commuting request.
@@ -295,26 +291,25 @@ impl ShardedKernel {
                 ready.extend(fx.ready);
                 self.publish_events(fx.events);
             }
-            if let Some((txn, fate, origin_shard)) = terminations.pop() {
+            if let Some((txn, fate, origin)) = terminations.pop() {
                 let Some(shards) = self.terminate(txn, fate) else {
                     continue; // already completed by another path
                 };
-                if let TermFate::Aborted(reason) = fate {
-                    // Aborts of multi-shard transactions originate in one
-                    // shard (the requester's own thread, or a retry in the
-                    // shard holding its pending request); complete them in
-                    // the other shards.
-                    for s in shards {
-                        if s == origin_shard {
-                            continue;
-                        }
-                        let mut kernel = self.lock_shard(s);
-                        if kernel.abort_coordinated(txn, reason) {
-                            let fx = drain_fx(&mut kernel);
-                            drop(kernel);
-                            pending.push((s, fx));
-                        }
-                    }
+                if let (TermFate::Aborted(reason), [_, _, ..]) = (fate, shards.as_slice()) {
+                    // A kernel aborts a single-shard transaction itself but
+                    // only refuses the request of a multi-shard one (the
+                    // requester's, or its retried blocked request): abort
+                    // it here, in all its shards in one pass, the refusing
+                    // shard first. `pending` pops the refusing shard's
+                    // effects first, then the others' last-enrolled first.
+                    let order: Vec<u32> = std::iter::once(origin)
+                        .chain(shards.into_iter().filter(|s| *s != origin))
+                        .collect();
+                    let mut fxs = self
+                        .terminate_in_shards(txn, &order, None, |k| k.abort_coordinated(txn, reason));
+                    let refusing = fxs.remove(0);
+                    pending.extend(fxs);
+                    pending.push(refusing);
                 }
                 continue;
             }
@@ -368,6 +363,54 @@ impl ShardedKernel {
         wal.commit_marker(gid);
     }
 
+    /// Rule 3's pass (module docs): terminate a multi-shard transaction in
+    /// every shard of `shards`, in that order, one shard lock at a time.
+    /// `apply` reports whether its shard added an edge of the transaction;
+    /// such a shard settles only after the last one removed the node, the
+    /// others at once. `between` is announced before each application.
+    /// Returns the side effects in the order of `shards`.
+    fn terminate_in_shards(
+        &self,
+        txn: TxnId,
+        shards: &[u32],
+        between: Option<ChaosPoint>,
+        mut apply: impl FnMut(&mut SchedulerKernel) -> bool,
+    ) -> Vec<(u32, ShardFx)> {
+        let announce = || {
+            if let Some(point) = between {
+                chaos::reach(point, Some(txn));
+            }
+        };
+        let (&last, rest) = shards.split_last().expect("a multi-shard transaction");
+        let mut fxs: Vec<(u32, ShardFx)> = Vec::with_capacity(shards.len());
+        let mut settle_later: Vec<usize> = Vec::new();
+        for (i, &s) in rest.iter().enumerate() {
+            announce();
+            let mut kernel = self.lock_shard(s);
+            if apply(&mut kernel) {
+                settle_later.push(i);
+                fxs.push((s, ShardFx::default()));
+            } else {
+                kernel.settle();
+                fxs.push((s, drain_fx(&mut kernel)));
+            }
+        }
+        announce();
+        let mut kernel = self.lock_shard(last);
+        if apply(&mut kernel) || !settle_later.is_empty() {
+            self.graph.lock().remove_node(txn);
+        }
+        kernel.settle();
+        fxs.push((last, drain_fx(&mut kernel)));
+        drop(kernel);
+        for i in settle_later {
+            let mut kernel = self.lock_shard(rest[i]);
+            kernel.settle();
+            fxs[i].1 = drain_fx(&mut kernel);
+        }
+        fxs
+    }
+
     /// Apply a decided (unanimous) multi-shard commit; the caller holds
     /// the termination lock, which keeps the per-shard commit orders of
     /// concurrent multi-shard commits consistent. Returns the side effects
@@ -379,7 +422,8 @@ impl ShardedKernel {
     /// acknowledge state the log cannot reproduce. Then **one** stamp for
     /// every shard's fold: snapshot begins also serialize against the
     /// termination lock, so the multi-shard commit is atomic from every
-    /// snapshot's point of view.
+    /// snapshot's point of view. Then the folds, in one
+    /// [`Self::terminate_in_shards`] pass.
     ///
     /// `between` is the yield point announced before each per-shard
     /// application (the transaction is then committed in a prefix of its
@@ -393,17 +437,9 @@ impl ShardedKernel {
     ) -> (Vec<(u32, ShardFx)>, bool) {
         self.wal_log_multi(txn, shards);
         let stamp = self.commit_clock.fetch_add(1, Ordering::SeqCst) + 1;
-        let mut fxs = Vec::new();
-        for &s in shards {
-            if let Some(point) = between {
-                chaos::reach(point, Some(txn));
-            }
-            let mut kernel = self.lock_shard(s);
-            kernel.commit_coordinated(txn, stamp);
-            let fx = drain_fx(&mut kernel);
-            drop(kernel);
-            fxs.push((s, fx));
-        }
+        let fxs = self.terminate_in_shards(txn, shards, between, |kernel| {
+            kernel.commit_coordinated(txn, stamp)
+        });
         let won = self.terminate(txn, TermFate::Committed).is_some();
         (fxs, won)
     }
@@ -425,10 +461,8 @@ impl ShardedKernel {
                 _ => return Vec::new(), // already terminated or not pseudo yet
             }
         };
-        for &s in &shards {
-            if !self.peek_shard(s).commit_dependencies_of(txn).is_empty() {
-                return Vec::new(); // still waiting; a later settle re-votes
-            }
+        if !self.commit_dependencies_of(txn).is_empty() {
+            return Vec::new(); // still waiting; a later settle re-votes
         }
         // The session's pseudo-commit ack made no durability promise, so
         // nobody waits on the log here.

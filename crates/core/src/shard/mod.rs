@@ -1,5 +1,5 @@
-//! The sharded scheduler kernel: N independent [`SchedulerKernel`]s plus a
-//! lightweight cross-shard coordinator.
+//! The sharded scheduler kernel: N [`SchedulerKernel`]s sharing one
+//! dependency graph, plus a lightweight cross-shard coordinator.
 //!
 //! # Why sharding works for this protocol
 //!
@@ -8,10 +8,11 @@
 //! reads the execution log and blocked queue of the one object it targets.
 //! The only truly global state is transaction-level — liveness, the
 //! dependency graph, and the commit order. A [`ShardedKernel`] therefore
-//! partitions the *objects* across `shards` independent kernels (hash of
-//! the registration name, see [`shard_of_name`]), each with its own lock,
-//! its own log index and its own local [`sbcc_graph::DependencyGraph`],
-//! and keeps a small coordinator for the transaction-level pieces.
+//! partitions the *objects* across `shards` kernels (hash of the
+//! registration name, see [`shard_of_name`]), each with its own lock and
+//! its own log index. All of them run Figure 2 against **one**
+//! [`sbcc_graph::DependencyGraph`] behind one small lock, and a small
+//! coordinator keeps the other transaction-level pieces.
 //!
 //! # Sharding invariants
 //!
@@ -21,74 +22,91 @@
 //! 2. **Transaction ids are global**: [`ShardedKernel::begin`] assigns ids
 //!    from one atomic counter; a shard *adopts* the id the first time the
 //!    transaction touches one of its objects (lazy enrollment).
-//! 3. **Local graphs are authoritative for intra-shard cycles**: a
-//!    transaction enrolled in exactly one shard has all of its edges in
-//!    that shard's graph, so the ordinary local cycle check is complete
-//!    for it — **intra-shard admission takes no global lock**.
-//! 4. **Cross-shard edges escalate**: the moment a transaction enrolls in
-//!    a second shard, every shard it is enrolled in becomes *entangled* —
-//!    its local graph is bulk-mirrored into the [`GlobalGraph`] (see
-//!    [`SchedulerKernel::entangle`]). A cycle check that finds no local
-//!    cycle in an entangled shard is re-run against the global graph,
-//!    which holds the union of all entangled shards' edges; a passing
-//!    re-check inserts the checked edges there in the same critical
-//!    section ([`GlobalGraph::check_and_reserve`]), and that reservation
-//!    is their only mirror — the shard then adds them locally. Edge
-//!    removals (node removal, wait-for clears) are mirrored as they
-//!    happen, so every local edge of an entangled shard is present in the
-//!    global graph ([`ShardedKernel::check_invariants`] checks this). An
-//!    entangled shard returns to the local-only fast path once it
-//!    quiesces (no live transactions).
 //!
-//! ## Why the escalation rule is sound
+//! # The one dependency graph
 //!
-//! A cycle in the union of the local graphs either lies inside one shard
-//! (caught by that shard's local check) or spans shards. A spanning cycle
-//! enters and leaves each contributing shard through transactions enrolled
-//! in two shards; those boundary transactions entangled every contributing
-//! shard *before* the cycle's last edge could be inserted (their dual
-//! enrollment precedes their edges), so by insertion time every other edge
-//! of the cycle is present in the global graph and the escalated check
-//! refuses the request.
+//! A cycle check is one search over the edges of every live transaction
+//! and, when it passes, the insertion of the checked edges, in one
+//! critical section of the graph lock. So a cycle through several shards
+//! is refused by the check that would close it, like any other, and a
+//! concurrent check in another shard sees all of the inserted edges or
+//! none. Four rules keep the graph cheap and the commit order right:
+//!
+//! 1. **A node is created by its first edge.** `begin` and `adopt` add
+//!    none. Each shard flags the transactions it added an edge into or out
+//!    of ([`crate::TxnRecord::in_graph`]). Both ends of an edge are
+//!    enrolled in the shard that adds it, so a transaction flagged in none
+//!    of its shards has no node, and it never takes the graph lock: not to
+//!    look up its commit dependencies, not to remove its node, not in
+//!    `settle`.
+//! 2. **A shard cascades only its own transactions.** Its candidates are
+//!    its own pseudo-committed transactions with no out-edge, in ascending
+//!    order, and a shard with no pseudo-committed transaction takes no
+//!    graph lock to find them. A candidate enrolled in other shards too is
+//!    not committed but reported to the coordinator, which re-votes.
+//! 3. **A multi-shard transaction leaves the graph only after every
+//!    shard applied its termination.** To commit or abort a transaction X
+//!    enrolled in several shards, the coordinator applies the termination
+//!    in each shard in turn (a commit folds X's operations), one shard
+//!    lock at a time. A shard that added no edge of X settles at once;
+//!    the last shard removes X's node and settles; then the shards that
+//!    added an edge settle. A kernel never terminates such a transaction by
+//!    itself: a request of X that would close a cycle is only refused
+//!    there, and the coordinator aborts X in the pass. Were X's node
+//!    removed at the first shard's application, a shard S that has not
+//!    applied it yet could (a) cascade-commit a transaction T that
+//!    commit-depends on X, so T's operations would enter S's committed
+//!    state ahead of X's, against Section 4.3's order; or (b) retry a
+//!    request W queued behind X whose edge to X is gone: W would re-run
+//!    Figure 2 against X's still-logged operations, block, and re-create
+//!    X's node after X terminated. A shard that applied the termination
+//!    and has not settled yet is safe: X has left its logs, its dependants
+//!    on X stay pseudo-committed until the removal, and a retried waiter
+//!    drops its edge to X.
+//! 4. **Lock order:** the termination lock, then shard locks in ascending
+//!    order, then the graph lock. No code takes a shard lock while holding
+//!    the graph lock, and only `check_invariants` holds several shard
+//!    locks at once.
 //!
 //! # Cross-shard termination protocol
 //!
 //! * **Commit** of a transaction enrolled in one shard is the unsharded
 //!   fast path: the shard's own [`SchedulerKernel::commit`] decides
 //!   between actual and pseudo-commit locally.
-//! * **Commit** of a multi-shard transaction collects per-shard votes (the
-//!   local commit-dependency out-neighbours) under the coordinator's
-//!   termination lock. An empty union applies
-//!   [`SchedulerKernel::commit_coordinated`] shard by shard; otherwise the
-//!   transaction pseudo-commits in every shard and each shard reports
-//!   (via [`SchedulerKernel::drain_coordination_ready`]) when its local
-//!   out-degree drops to zero, triggering a re-vote.
-//! * **Aborts** apply shard by shard. A cycle only ever aborts the
-//!   transaction whose request (or retried blocked request) would close
-//!   it, so a scheduler-initiated abort never hits a transaction that is
-//!   running or committing — there is no race against a concurrent commit
-//!   vote for the same transaction.
+//! * **Commit** of a multi-shard transaction runs a vote under the
+//!   coordinator's termination lock: the transaction must be active in
+//!   every shard, and its commit dependencies are read from the graph
+//!   once. With none, the rule-3 pass commits it. Otherwise it
+//!   pseudo-commits in every shard, and a settle that finds it without
+//!   out-edges reports it ([`SchedulerKernel::drain_coordination_ready`])
+//!   for a re-vote.
+//! * **Aborts** of a multi-shard transaction always take the rule-3 pass:
+//!   explicit and SSI aborts under the termination lock, a refused request
+//!   when the coordinator absorbs the refusal. A cycle only ever aborts
+//!   the transaction whose request (or retried blocked request) would
+//!   close it, so a scheduler-initiated abort never hits a transaction
+//!   that is running or committing — there is no race against a concurrent
+//!   commit vote for the same transaction.
 //!
-//! With `shards = 1` nothing ever entangles, every transaction is
-//! single-shard, and the subsystem degenerates to the unsharded kernel's
-//! behaviour (the sharded-vs-single differential test suite pins this).
+//! With `shards = 1` every transaction is single-shard, and the subsystem
+//! degenerates to the unsharded kernel's behaviour (the sharded-vs-single
+//! differential test suite pins this).
 
 mod commit;
 mod config;
-mod escalation;
 mod ssi;
 
 pub use config::{shard_of_name, DatabaseConfig, ObjectLoc, ShardCount, SHARDS_ENV};
-pub use escalation::GlobalGraph;
 
 use crate::chaos::{self, sync::Mutex, sync::MutexGuard, ChaosPoint};
 use crate::errors::CoreError;
 use crate::events::{BatchOutcome, BatchStop, KernelEvent, RequestOutcome};
-use crate::kernel::SchedulerKernel;
+use crate::kernel::{check_shared_invariants, SchedulerKernel, SharedGraph};
 use crate::object::ObjectId;
 use crate::stats::{KernelStats, OrderTelemetry, ShardStats, StatsSnapshot};
 use crate::txn::{BatchCall, RecentFates, TxnId, TxnState};
 use sbcc_adt::{AdtObject, AdtSpec, AdtType, OpCall, SemanticObject};
+use sbcc_graph::EdgeKind;
 use ssi::SsiTable;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -131,6 +149,7 @@ struct Lifecycle {
 }
 
 /// Side effects drained from one shard pass.
+#[derive(Default)]
 struct ShardFx {
     events: Vec<KernelEvent>,
     ready: Vec<TxnId>,
@@ -155,7 +174,8 @@ struct Registry {
 pub struct ShardedKernel {
     config: DatabaseConfig,
     shards: Vec<ShardCell>,
-    global: Arc<GlobalGraph>,
+    /// The dependency graph every shard kernel runs Figure 2 against.
+    graph: Arc<SharedGraph>,
     registry: Mutex<Registry>,
     enroll: Mutex<Enrollments>,
     /// Serializes multi-shard terminations (commit votes, coordinated
@@ -199,18 +219,18 @@ impl std::fmt::Debug for ShardedKernel {
 
 impl ShardedKernel {
     /// Build a sharded kernel: `config.shards` kernels sharing one
-    /// escalation graph ([`ShardCount::Auto`] resolves to the available
+    /// dependency graph ([`ShardCount::Auto`] resolves to the available
     /// parallelism here).
     pub fn new(config: DatabaseConfig) -> Self {
         let shard_count = config.shards.resolve();
         assert!(shard_count >= 1, "at least one shard is required");
-        let global = Arc::new(GlobalGraph::new());
+        let graph = Arc::new(SharedGraph::default());
         let commit_clock = Arc::new(AtomicU64::new(0));
         let ssi = SsiTable::new(commit_clock.clone());
         let shards = (0..shard_count)
             .map(|_| {
                 let mut kernel = SchedulerKernel::new(config.scheduler.clone());
-                kernel.attach_escalation(global.clone());
+                kernel.attach_graph(graph.clone());
                 kernel.attach_stamps(commit_clock.clone(), ssi.floor_handle());
                 ShardCell {
                     kernel: Mutex::new(kernel),
@@ -221,7 +241,7 @@ impl ShardedKernel {
         ShardedKernel {
             config,
             shards,
-            global,
+            graph,
             registry: Mutex::new(Registry::default()),
             enroll: Mutex::new(Enrollments::default()),
             termination: Mutex::new(()),
@@ -411,8 +431,8 @@ impl ShardedKernel {
         }
     }
 
-    /// Enroll `txn` into `shard` if it is not enrolled yet, entangling the
-    /// affected shards when the transaction becomes multi-shard. Returns
+    /// Enroll `txn` into `shard` if it is not enrolled yet, marking it
+    /// coordinated in both shards when it becomes multi-shard. Returns
     /// `true` when this call performed the enrollment (the session layer
     /// caches this to skip the coordinator on repeat touches).
     pub fn ensure_enrolled(
@@ -428,30 +448,15 @@ impl ShardedKernel {
         if rec.shards.contains(&shard) {
             return Ok(false);
         }
-        let becoming_multi = rec.shards.len() == 1;
-        let already_multi = rec.shards.len() >= 2;
         let first = rec.shards.first().copied();
+        let coordinated = first.is_some();
         rec.shards.push(shard);
-        if becoming_multi {
-            // The transaction spans shards from now on: mark it coordinated
-            // where it already lives, and entangle both shards so their
-            // edges are visible to escalated cycle checks.
-            let first = first.expect("becoming multi implies a first shard");
-            {
-                let mut kernel = self.lock_shard(first);
-                kernel.mark_coordinated(txn);
-                kernel.entangle();
-            }
-            let mut kernel = self.lock_shard(shard);
-            kernel.adopt(txn, true);
-            kernel.entangle();
-        } else if already_multi {
-            let mut kernel = self.lock_shard(shard);
-            kernel.adopt(txn, true);
-            kernel.entangle();
-        } else {
-            self.lock_shard(shard).adopt(txn, false);
+        if rec.shards.len() == 2 {
+            // The transaction spans shards from now on: its terminations
+            // go through the coordinator in every shard.
+            self.lock_shard(first.expect("two shards")).mark_coordinated(txn);
         }
+        self.lock_shard(shard).adopt(txn, coordinated);
         Ok(true)
     }
 
@@ -486,18 +491,12 @@ impl ShardedKernel {
         Some(state)
     }
 
-    /// The union of the transaction's commit dependencies across shards.
+    /// The live transactions `txn` has commit dependencies on, whichever
+    /// shard added them, sorted.
     pub fn commit_dependencies_of(&self, txn: TxnId) -> Vec<TxnId> {
-        let shards = {
-            let enroll = self.enroll.lock();
-            enroll.live.get(&txn).map(|r| r.shards.clone()).unwrap_or_default()
-        };
-        let mut deps: Vec<TxnId> = Vec::new();
-        for s in shards {
-            deps.extend(self.peek_shard(s).commit_dependencies_of(txn));
-        }
+        let graph = self.graph.lock();
+        let mut deps = graph.out_neighbors_kind(txn, EdgeKind::CommitDep);
         deps.sort_unstable();
-        deps.dedup();
         deps
     }
 
@@ -793,36 +792,25 @@ impl ShardedKernel {
             // with, so simulation runs and bug reports capture it.
             shard_count: self.shards.len(),
             shards,
-            global_cycle_checks: self.global.cycle_checks(),
+            global_cycle_checks: 0,
             reorder: OrderTelemetry::default(),
         }
     }
 
-    /// Cycle checks across all local graphs plus the escalation graph.
+    /// Cycle checks on the one dependency graph.
     pub fn cycle_checks(&self) -> u64 {
-        let local: u64 = self
-            .shards
-            .iter()
-            .map(|cell| cell.kernel.lock().cycle_checks())
-            .sum();
-        local + self.global.cycle_checks()
+        self.graph.lock().cycle_checks()
     }
 
-    /// Check every shard's internal invariants, that each entangled
-    /// shard's edges are all present in the escalation graph (invariant
-    /// 4), and the escalation graph's acyclicity.
+    /// Check the invariants of the one graph and of every shard, as
+    /// [`SchedulerKernel::check_invariants`] does for a standalone kernel.
+    /// Takes every shard lock, in ascending order, then the graph lock.
     pub fn check_invariants(&self) -> Result<(), String> {
-        for (i, cell) in self.shards.iter().enumerate() {
-            let mut kernel = cell.kernel.lock();
-            kernel
-                .check_invariants()
-                .and_then(|()| kernel.check_mirrored())
-                .map_err(|e| format!("shard {i}: {e}"))?;
-        }
-        if self.global.has_cycle() {
-            return Err("cross-shard escalation graph contains a cycle".to_owned());
-        }
-        Ok(())
+        let guards: Vec<_> = (0..self.shards.len() as u32)
+            .map(|s| self.peek_shard(s))
+            .collect();
+        let kernels: Vec<&SchedulerKernel> = guards.iter().map(|k| &**k).collect();
+        check_shared_invariants(&mut self.graph.lock(), &kernels)
     }
 
     /// Run the commit-order serializability checker on every shard
@@ -852,8 +840,7 @@ mod tests {
     use super::*;
     use crate::events::CommitOutcome;
     use crate::policy::SchedulerConfig;
-    use sbcc_adt::{AdtOp, Counter, CounterOp, Stack, StackOp, Value};
-    use sbcc_graph::EdgeKind;
+    use sbcc_adt::{AdtOp, Counter, CounterOp};
 
     #[test]
     fn shard_routing_is_stable_and_in_range() {
@@ -923,31 +910,39 @@ mod tests {
         ));
     }
 
+    /// Rule 1: a transaction with no edge has no node and never takes the
+    /// graph lock, whether it stays in one shard or spans several, and
+    /// whether it commits or aborts.
     #[test]
-    fn single_shard_requests_never_touch_the_escalation_graph() {
+    fn edge_free_transactions_never_touch_the_graph() {
         let kernel = ShardedKernel::new(
             DatabaseConfig::new(SchedulerConfig::default()).with_shards(4),
         );
-        let (a, _) = kernel.register("a", Stack::new()).unwrap();
-        let t1 = kernel.begin();
-        let t2 = kernel.begin();
-        assert!(kernel
-            .request(t1, a, StackOp::Push(Value::Int(1)).to_call())
-            .unwrap()
-            .is_executed());
-        // Recoverable push: a commit-dep edge, entirely intra-shard.
-        assert!(kernel
-            .request(t2, a, StackOp::Push(Value::Int(2)).to_call())
-            .unwrap()
-            .is_executed());
+        let counters: Vec<ObjectId> = one_name_per_shard(4)
+            .into_iter()
+            .map(|name| kernel.register(name, Counter::new()).unwrap().0)
+            .collect();
+        let inc = || CounterOp::Increment(1).to_call();
+        for round in 0..4 {
+            let single = kernel.begin();
+            let multi = kernel.begin();
+            assert!(kernel.request(single, counters[round], inc()).unwrap().is_executed());
+            for &c in &counters {
+                assert!(kernel.request(multi, c, inc()).unwrap().is_executed());
+            }
+            assert!(kernel.graph.is_empty(), "mid-transaction");
+            if round % 2 == 0 {
+                assert_eq!(kernel.commit(single).unwrap().0, CommitOutcome::Committed);
+                assert_eq!(kernel.commit(multi).unwrap().0, CommitOutcome::Committed);
+            } else {
+                kernel.abort(single).unwrap();
+                kernel.abort(multi).unwrap();
+            }
+        }
+        assert_eq!(kernel.graph.acquisitions(), 0);
         let snapshot = kernel.stats_snapshot();
-        assert_eq!(snapshot.aggregate.escalated_edges, 0);
-        assert_eq!(snapshot.aggregate.escalated_checks, 0);
-        assert_eq!(snapshot.global_cycle_checks, 0);
-        assert!(snapshot.aggregate.graph_edges >= 1);
+        assert_eq!(snapshot.aggregate.graph_edges, 0);
         assert_eq!(snapshot.shards.len(), 4);
-        let _ = kernel.commit(t1).unwrap();
-        let _ = kernel.commit(t2).unwrap();
         kernel.check_invariants().unwrap();
         assert!(format!("{kernel:?}").contains("ShardedKernel"));
     }
@@ -993,48 +988,10 @@ mod tests {
         names.into_iter().map(Option::unwrap).collect()
     }
 
-    /// An admitted edge in an entangled shard takes one global critical
-    /// section — the check that reserves it — and is never mirrored a
-    /// second time, so the escalation graph holds it exactly once.
-    #[test]
-    fn entangled_admission_takes_one_global_critical_section_per_edge_set() {
-        let kernel = ShardedKernel::new(
-            DatabaseConfig::new(SchedulerConfig::default()).with_shards(2),
-        );
-        let names = one_name_per_shard(2);
-        let (a, _) = kernel.register(names[0].clone(), Stack::new()).unwrap();
-        let (b, _) = kernel.register(names[1].clone(), Stack::new()).unwrap();
-        // A multi-shard holder entangles both shards.
-        let holder = kernel.begin();
-        let push = |v| StackOp::Push(Value::Int(v)).to_call();
-        assert!(kernel.request(holder, a, push(1)).unwrap().is_executed());
-        assert!(kernel.request(holder, b, push(1)).unwrap().is_executed());
-
-        let waiter = kernel.begin();
-        let before = kernel.stats_snapshot();
-        assert!(kernel
-            .request(waiter, a, StackOp::Pop.to_call())
-            .unwrap()
-            .is_blocked());
-        let after = kernel.stats_snapshot();
-        assert_eq!(after.global_cycle_checks, before.global_cycle_checks + 1);
-        assert_eq!(after.aggregate.escalated_checks, before.aggregate.escalated_checks + 1);
-        assert_eq!(after.aggregate.escalated_edges, before.aggregate.escalated_edges + 1);
-        assert_eq!(
-            kernel.global.edge_multiplicity(waiter, holder, EdgeKind::WaitFor),
-            1,
-            "the edge was inserted once, by its reservation"
-        );
-        kernel.check_invariants().unwrap();
-        kernel.abort(waiter).unwrap();
-        let _ = kernel.commit(holder).unwrap();
-        kernel.check_invariants().unwrap();
-    }
-
-    /// The coordinator votes (collecting per-shard dependencies) and marks
-    /// the pseudo-commit in two separate critical sections per shard; the
-    /// last dependency can terminate in between. A pseudo-commit whose
-    /// local out-degree is *already* zero must be reported as
+    /// The coordinator votes (reading the dependencies) and marks the
+    /// pseudo-commit in separate critical sections; the last dependency
+    /// can terminate in between. A pseudo-commit whose out-degree is
+    /// *already* zero must be reported as
     /// coordination-ready immediately — no later edge removal will ever
     /// re-report it. (Found as a cross-session hang by DST seed 133.)
     #[test]

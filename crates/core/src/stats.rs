@@ -81,16 +81,14 @@ pub struct KernelStats {
     /// Historical object versions discarded because they became older than
     /// the oldest live snapshot (multi-version GC).
     pub versions_pruned: u64,
-    /// Dependency-graph edges added to this kernel's **local** graph
-    /// (wait-for and commit-dependency combined, post-deduplication).
+    /// Dependency-graph edges this kernel added (wait-for and
+    /// commit-dependency combined, post-deduplication). A sharded kernel's
+    /// shards share one graph, so their sum is the edges that graph got.
     pub graph_edges: u64,
-    /// Edges that were additionally mirrored into the cross-shard
-    /// escalation graph because the kernel was entangled at insertion time
-    /// (always zero for an unsharded kernel; see [`crate::shard`]).
+    /// Always 0: one dependency graph serves every shard, so no edge is
+    /// escalated. Read by `bench/`; leaves with it.
     pub escalated_edges: u64,
-    /// Cycle checks that had to consult the cross-shard escalation graph
-    /// after the local graph found no cycle (always zero for an unsharded
-    /// kernel).
+    /// Always 0 (see `escalated_edges`); read by `bench/`, leaves with it.
     pub escalated_checks: u64,
 }
 
@@ -121,8 +119,6 @@ impl KernelStats {
         self.snapshot_reads += other.snapshot_reads;
         self.versions_pruned += other.versions_pruned;
         self.graph_edges += other.graph_edges;
-        self.escalated_edges += other.escalated_edges;
-        self.escalated_checks += other.escalated_checks;
     }
 
     /// Total aborts of every kind.
@@ -195,8 +191,9 @@ pub struct StatsSnapshot {
     pub shard_count: usize,
     /// Per-shard breakdown, indexed by shard.
     pub shards: Vec<ShardStats>,
-    /// Cycle checks performed on the cross-shard escalation graph (the
-    /// union of all entangled shards' edges). Always zero with one shard.
+    /// Always 0: the shards share one dependency graph, whose checks
+    /// [`crate::ShardedKernel::cycle_checks`] counts. Read by `bench/`;
+    /// leaves with it.
     pub global_cycle_checks: u64,
     /// Always zero (see [`OrderTelemetry`]); read by `bench/`, leaves with
     /// it.
@@ -215,27 +212,18 @@ pub struct OrderTelemetry {
 }
 
 impl StatsSnapshot {
-    /// Edges that stayed purely shard-local (never mirrored into the
-    /// escalation graph) across all shards.
-    pub fn local_only_edges(&self) -> u64 {
-        self.aggregate.graph_edges - self.aggregate.escalated_edges
-    }
-
-    /// One-line human-readable summary of the sharding behaviour.
+    /// One-line human-readable summary of the sharding behaviour: each
+    /// shard's lock acquisitions and the dependency edges it added.
     pub fn shard_summary(&self) -> String {
-        let locks: Vec<String> = self
-            .shards
-            .iter()
-            .map(|s| s.lock_acquisitions.to_string())
-            .collect();
+        let per_shard = |f: fn(&ShardStats) -> u64| {
+            let values: Vec<String> = self.shards.iter().map(|s| f(s).to_string()).collect();
+            values.join(",")
+        };
         format!(
-            "shards={} locks=[{}] edges(local-only={}, escalated={}) escalated-checks={} global-cycle-checks={}",
+            "shards={} locks=[{}] edges=[{}]",
             self.shard_count,
-            locks.join(","),
-            self.local_only_edges(),
-            self.aggregate.escalated_edges,
-            self.aggregate.escalated_checks,
-            self.global_cycle_checks,
+            per_shard(|s| s.lock_acquisitions),
+            per_shard(|s| s.stats.graph_edges),
         )
     }
 }
@@ -313,7 +301,6 @@ mod tests {
         a.graph_edges = 2;
         b.requests = 4;
         b.commits = 1;
-        b.escalated_edges = 5;
         b.declared_batches = 6;
         b.declared_admitted = 4;
         b.declared_fallbacks = 1;
@@ -322,7 +309,6 @@ mod tests {
         assert_eq!(a.requests, 7);
         assert_eq!(a.commits, 1);
         assert_eq!(a.graph_edges, 2);
-        assert_eq!(a.escalated_edges, 5);
         assert_eq!(a.declared_batches, 6);
         assert_eq!(a.declared_admitted, 4);
         assert_eq!(a.declared_fallbacks, 1);
@@ -331,13 +317,8 @@ mod tests {
 
     #[test]
     fn snapshot_summary_and_local_edges() {
-        let snap = StatsSnapshot {
-            aggregate: KernelStats {
-                graph_edges: 10,
-                escalated_edges: 4,
-                escalated_checks: 2,
-                ..KernelStats::default()
-            },
+        let mut snap = StatsSnapshot {
+            aggregate: KernelStats::default(),
             shard_count: 2,
             shards: vec![
                 ShardStats {
@@ -351,15 +332,13 @@ mod tests {
                     stats: KernelStats::default(),
                 },
             ],
-            global_cycle_checks: 3,
+            global_cycle_checks: 0,
             reorder: OrderTelemetry::default(),
         };
-        assert_eq!(snap.local_only_edges(), 6);
-        let text = snap.shard_summary();
-        assert!(text.contains("shards=2"));
-        assert!(text.contains("locks=[7,9]"));
-        assert!(text.contains("escalated=4"));
-        assert!(text.contains("global-cycle-checks=3"));
+        for (shard, edges) in snap.shards.iter_mut().zip([4, 6]) {
+            shard.stats.graph_edges = edges;
+        }
+        assert_eq!(snap.shard_summary(), "shards=2 locks=[7,9] edges=[4,6]");
     }
 
     #[test]

@@ -127,14 +127,19 @@ pub struct TxnRecord {
     pub commit_index: Option<u64>,
     /// `true` when the transaction's termination is driven by an external
     /// cross-shard coordinator (see [`crate::shard`]): the kernel must not
-    /// cascade-commit it on its own (its commit dependencies may span other
-    /// shards).
+    /// commit or abort it on its own, since it must leave every shard it
+    /// is enrolled in, and the dependency graph, in one pass.
     pub coordinated: bool,
     /// `true` once the cross-shard coordinator has written this
     /// transaction's operations to the write-ahead log (the durability
     /// step of a multi-shard commit runs *before* the per-shard in-memory
     /// applications); tells the kernel's commit path not to log it again.
     pub wal_logged: bool,
+    /// `true` once this kernel added a dependency edge into or out of the
+    /// transaction. The graph creates a node at its first edge, so a
+    /// transaction without the flag in any shard has no node, and its
+    /// kernel skips the graph lock for it.
+    pub in_graph: bool,
 }
 
 impl TxnRecord {
@@ -149,6 +154,7 @@ impl TxnRecord {
             commit_index: None,
             coordinated: false,
             wal_logged: false,
+            in_graph: false,
         }
     }
 }

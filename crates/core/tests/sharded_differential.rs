@@ -101,6 +101,13 @@ impl Driver {
         }
     }
 
+    fn cycle_checks(&self) -> u64 {
+        match self {
+            Driver::Single(k) => k.cycle_checks(),
+            Driver::Sharded(k) => k.cycle_checks(),
+        }
+    }
+
     fn committed_state_eq(&self, object: ObjectId, other: &Driver) -> bool {
         let Driver::Single(single) = other else {
             panic!("comparison baseline must be the single kernel");
@@ -314,16 +321,11 @@ fn run_chunked(
 
 /// Strip the counters that legitimately differ between the systems:
 /// `batches` (a cross-shard batch counts one kernel pass per touched
-/// shard), the edge mirrors (a commit-dep pair deduplicated globally in
-/// the single kernel may exist in two shards' graphs), and escalation
-/// bookkeeping (zero by construction in the single kernel).
+/// shard). Both keep one dependency graph, so `graph_edges` must agree.
 fn comparable(stats: &KernelStats) -> KernelStats {
     KernelStats {
         batches: 0,
         batched_calls: 0,
-        graph_edges: 0,
-        escalated_edges: 0,
-        escalated_checks: 0,
         ..stats.clone()
     }
 }
@@ -365,6 +367,7 @@ proptest! {
             comparable(&sh.stats()),
             "kernel statistics diverge"
         );
+        prop_assert_eq!(one.cycle_checks(), sh.cycle_checks(), "cycle checks diverge");
         for object in (0..N_OBJECTS as u32).map(ObjectId) {
             prop_assert!(
                 sh.committed_state_eq(object, &one),
@@ -485,9 +488,8 @@ fn sharded(shards: usize) -> ShardedKernel {
     ShardedKernel::new(DatabaseConfig::new(SchedulerConfig::default()).with_shards(shards))
 }
 
-/// The escalation regression: a wait-for cycle whose two edges live in
-/// two *different* shard graphs — invisible to either local graph alone —
-/// must still be refused.
+/// A wait-for cycle whose two edges are added by two *different* shards
+/// must still be refused: both go into the one dependency graph.
 #[test]
 fn cross_shard_cycle_is_refused() {
     let kernel = sharded(2);
@@ -512,20 +514,14 @@ fn cross_shard_cycle_is_refused() {
         .request(t2, a, StackOp::Pop.to_call())
         .unwrap()
         .is_blocked());
-    // T1's pop on B would add T1 -> T2 in shard y. Each local graph holds
-    // one edge — no local cycle — but the union cycles; the escalated
-    // check must refuse it by aborting the requester.
+    // T1's pop on B would add T1 -> T2 in shard y, closing a cycle with
+    // the edge shard x added; the check must refuse it by aborting the
+    // requester.
     let outcome = kernel.request(t1, b, StackOp::Pop.to_call()).unwrap();
     assert!(
         outcome.is_aborted(),
         "cross-shard wait-for cycle must abort the requester, got {outcome:?}"
     );
-    let snapshot = kernel.stats_snapshot();
-    assert!(
-        snapshot.aggregate.escalated_checks >= 1,
-        "the refusal must have come from the escalation graph"
-    );
-    assert!(snapshot.aggregate.escalated_edges >= 1);
 
     // T1's abort releases T2's blocked pop, which now executes.
     let events = kernel.drain_events();

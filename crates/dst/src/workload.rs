@@ -3,7 +3,7 @@
 //!
 //! The workload is chosen to light up every seam the chaos points cover:
 //! counters spread across shards make most transactions cross-shard
-//! (multi-shard votes, escalated dependency edges), `Read` conflicts with
+//! (multi-shard votes, dependency edges between shards), `Read` conflicts with
 //! `Increment`/`Decrement` recoverably (commit dependencies →
 //! pseudo-commits → `drain_coordination_ready` re-votes), explicit aborts
 //! land inside vote windows, and async sessions cancel operation futures

@@ -173,21 +173,19 @@ fn seed_234_ssi_doomed_writers_retry_once_instead_of_storming() {
     );
 }
 
-/// **Re-blocking across shards** (held wait-for edges and the reservation
-/// mirror).
+/// **Re-blocking across shards** (held wait-for edges in the one
+/// dependency graph).
 ///
 /// A retried request that still conflicts keeps the wait-for edges it
 /// holds and checks only new holders; it clears them when it executes or
-/// when a held holder stops conflicting. In an entangled shard, an edge
-/// reaches the escalation graph only through the check that reserved it.
-/// This session drives both on four shards: multi-shard transactions on
-/// two hot stacks and a counter block, re-block behind changed and
+/// when a held holder stops conflicting. This session drives that on four
+/// shards: multi-shard transactions on two hot stacks and a counter
+/// block, with edges into and out of them, re-block behind changed and
 /// unchanged holders, execute on retry, abort explicitly and on a
 /// would-be cycle. Every choice comes from the seed (one thread, so the
-/// run is deterministic), and `check_invariants` — which fails on a wait-for
-/// edge out of a transaction that is not blocked, and on a local edge of
-/// an entangled shard missing from the escalation graph — runs after
-/// every step.
+/// run is deterministic), and `check_invariants` — which fails on a
+/// wait-for edge out of a transaction that is not blocked, and on a graph
+/// node no live transaction owns — runs after every step.
 #[test]
 fn multi_shard_re_blocking_keeps_every_invariant_at_every_step() {
     use sbcc_adt::{AdtOp, Counter, CounterOp, OpCall, Stack, StackOp, Value};
@@ -227,6 +225,7 @@ fn multi_shard_re_blocking_keeps_every_invariant_at_every_step() {
             .unwrap()
             .0;
         let mut rng = SplitMix64::new(seed);
+        let mut multi_shard_edges = 0;
         let draw = |rng: &mut SplitMix64| -> (ObjectId, OpCall) {
             let stack = stacks[rng.below(2)];
             match rng.below(6) {
@@ -260,7 +259,18 @@ fn multi_shard_re_blocking_keeps_every_invariant_at_every_step() {
                     let txn = active[rng.below(active.len())];
                     let (object, call) = draw(&mut rng);
                     live.get_mut(&txn).unwrap().insert(object);
-                    match kernel.request(txn, object, call).unwrap() {
+                    let outcome = kernel.request(txn, object, call).unwrap();
+                    // Each object has a shard of its own.
+                    let spans = |t: &TxnId| live.get(t).is_some_and(|objects| objects.len() > 1);
+                    let to = match &outcome {
+                        RequestOutcome::Blocked { waiting_on } => waiting_on.as_slice(),
+                        RequestOutcome::Executed { commit_deps, .. } => commit_deps,
+                        RequestOutcome::Aborted { .. } => &[],
+                    };
+                    if !to.is_empty() && std::iter::once(&txn).chain(to).any(spans) {
+                        multi_shard_edges += 1;
+                    }
+                    match outcome {
                         RequestOutcome::Blocked { .. } => {
                             blocked_on.insert(txn, object);
                         }
@@ -319,8 +329,8 @@ fn multi_shard_re_blocking_keeps_every_invariant_at_every_step() {
         let stats = kernel.stats();
         cycle_aborts += stats.aborts_deadlock + stats.aborts_commit_cycle;
         assert!(
-            stats.escalated_checks > 0,
-            "seed {seed}: no escalated check — the session never entangled"
+            multi_shard_edges > 0,
+            "seed {seed}: no edge into or out of a multi-shard transaction"
         );
         kernel.verify_serializable().unwrap();
         kernel.verify_commit_dependencies().unwrap();
@@ -329,4 +339,99 @@ fn multi_shard_re_blocking_keeps_every_invariant_at_every_step() {
     assert!(unblocks > 0, "no retried request executed");
     assert!(cycle_aborts > 0, "no cycle abort");
     assert!(explicit_aborts > 0, "no explicit abort");
+}
+
+/// **A multi-shard commit leaves the graph only after every shard folded
+/// it** (rule 3 of the `sbcc_core::shard` docs).
+///
+/// X holds operations in shards A and B. In B, T is pseudo-committed
+/// behind X (a recoverable push), U holds a commuting increment, and W's
+/// read waits for X and U. Between X's folds into A and into B (its
+/// second `VoteApply` yield), U commits in B and so retries W. Had X's
+/// node left at A's fold, B would cascade-commit T ahead of X and re-block
+/// W behind X, whose node would then outlive X. Every step checks the
+/// invariants and the commit-dependency order.
+#[test]
+fn multi_shard_commit_leaves_the_graph_only_after_every_shard_folded() {
+    use sbcc_adt::{AdtOp, Counter, CounterOp, Stack, StackOp, Value};
+    use sbcc_core::chaos::{self, ChaosHook, ChaosPoint};
+    use sbcc_core::{
+        shard_of_name, DatabaseConfig, RequestOutcome, SchedulerConfig, ShardedKernel, TxnId,
+        TxnState,
+    };
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+
+    fn check(kernel: &ShardedKernel, step: &str) {
+        let invariants = kernel.check_invariants();
+        for checked in [invariants, kernel.verify_commit_dependencies()] {
+            checked.unwrap_or_else(|e| panic!("{step}: {e}"));
+        }
+    }
+
+    let kernel = Arc::new(ShardedKernel::new(
+        DatabaseConfig::new(SchedulerConfig::default()).with_shards(2),
+    ));
+    let register = |prefix: &str, shard: u32, object: Box<dyn sbcc_adt::SemanticObject>| {
+        let mut names = (0..).map(|i| format!("{prefix}{i}"));
+        let name = names.find(|n| shard_of_name(n, 2) == shard).unwrap();
+        kernel.register_object(name, object).unwrap().0
+    };
+    let a = register("a", 0, Box::new(sbcc_adt::AdtObject::new(Stack::new())));
+    let b = register("b", 1, Box::new(sbcc_adt::AdtObject::new(Stack::new())));
+    let c = register("c", 1, Box::new(sbcc_adt::AdtObject::new(Counter::new())));
+    let push = |v| StackOp::Push(Value::Int(v)).to_call();
+    let inc = || CounterOp::Increment(1).to_call();
+
+    let x = kernel.begin();
+    for (object, call) in [(a, push(1)), (b, push(1)), (c, inc())] {
+        assert!(kernel.request(x, object, call).unwrap().is_executed());
+    }
+    let t = kernel.begin();
+    assert!(kernel.request(t, b, push(2)).unwrap().is_executed());
+    assert!(kernel.commit(t).unwrap().0.is_pseudo_commit());
+    let u = kernel.begin();
+    assert!(kernel.request(u, c, inc()).unwrap().is_executed());
+    let w = kernel.begin();
+    match kernel.request(w, c, CounterOp::Read.to_call()).unwrap() {
+        RequestOutcome::Blocked { waiting_on } => assert_eq!(waiting_on, vec![x, u]),
+        other => panic!("W must wait for X and U, got {other:?}"),
+    }
+    check(&kernel, "set-up");
+
+    /// Commits U at X's last `VoteApply` yield, then checks everything.
+    struct CommitUInTheWindow {
+        kernel: Arc<ShardedKernel>,
+        txns: [TxnId; 3], // X, U, W
+        applies: AtomicUsize,
+    }
+    impl ChaosHook for CommitUInTheWindow {
+        fn reach(&self, point: ChaosPoint, txn: Option<TxnId>) {
+            let [x, u, w] = self.txns;
+            if point != ChaosPoint::VoteApply || txn != Some(x) {
+                return;
+            }
+            if self.applies.fetch_add(1, Ordering::SeqCst) == 1 {
+                assert!(self.kernel.commit(u).unwrap().0.is_full_commit());
+                let state = self.kernel.txn_state(w);
+                assert_eq!(state, Some(TxnState::Blocked), "X is live");
+                check(&self.kernel, "U committed inside X's commit");
+            }
+        }
+    }
+    let hook = Arc::new(CommitUInTheWindow {
+        kernel: kernel.clone(),
+        txns: [x, u, w],
+        applies: AtomicUsize::new(0),
+    });
+    chaos::install_thread_hook(hook.clone());
+    let outcome = kernel.commit(x);
+    chaos::clear_thread_hook();
+    assert!(outcome.unwrap().0.is_full_commit());
+    let applies = hook.applies.load(Ordering::SeqCst);
+    assert_eq!(applies, 2, "one yield per enrolled shard");
+    check(&kernel, "X committed");
+    let states = (kernel.txn_state(t), kernel.txn_state(w));
+    let expected = (Some(TxnState::Committed), Some(TxnState::Active));
+    assert_eq!(states, expected, "T cascades after X, W runs after X");
 }

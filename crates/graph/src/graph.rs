@@ -205,23 +205,6 @@ impl<N: NodeId> DependencyGraph<N> {
             .collect()
     }
 
-    /// Visit every distinct `(from, to, kind)` edge together with its
-    /// multiplicity. Used by the sharding layer to bulk-mirror a shard's
-    /// local graph into the cross-shard escalation graph when the shard
-    /// becomes entangled. Iteration order is unspecified.
-    pub fn for_each_edge(&self, mut f: impl FnMut(N, N, EdgeKind, u32)) {
-        for (from, adj) in &self.nodes {
-            for (to, counts) in &adj.out {
-                if counts.wait_for > 0 {
-                    f(*from, *to, EdgeKind::WaitFor, counts.wait_for);
-                }
-                if counts.commit_dep > 0 {
-                    f(*from, *to, EdgeKind::CommitDep, counts.commit_dep);
-                }
-            }
-        }
-    }
-
     /// Remove one logical edge `from -> to` of the given kind (decrement the
     /// multiplicity). Returns `true` if such an edge existed.
     pub fn remove_edge(&mut self, from: N, to: N, kind: EdgeKind) -> bool {
@@ -273,19 +256,11 @@ impl<N: NodeId> DependencyGraph<N> {
             .unwrap_or_default()
     }
 
-    /// Nodes whose out-degree (any kind) is zero, in ascending node order.
-    /// The commit protocol commits pseudo-committed transactions exactly
-    /// when they appear here; the deterministic order keeps cascade-commit
-    /// sequences (and everything downstream of their events) reproducible.
-    pub fn zero_out_degree_nodes(&self) -> Vec<N> {
-        let mut nodes: Vec<N> = self
-            .nodes
-            .iter()
-            .filter(|(_, a)| a.out.is_empty())
-            .map(|(n, _)| *n)
-            .collect();
-        nodes.sort_unstable();
-        nodes
+    /// Number of distinct targets `n` has an edge of either kind to (0 for
+    /// an absent node). A pseudo-committed transaction may actually commit
+    /// once this drops to zero.
+    pub fn out_degree(&self, n: N) -> usize {
+        self.nodes.get(&n).map_or(0, |a| a.out.len())
     }
 
     /// How many times a cycle check (`would_close_cycle*`, `has_cycle`)
@@ -478,18 +453,14 @@ mod tests {
     }
 
     #[test]
-    fn zero_out_degree_nodes_reflects_commit_candidates() {
+    fn out_degree_counts_distinct_targets_of_either_kind() {
         let mut g = G::new();
-        g.add_edge(2, 1, EdgeKind::CommitDep);
         g.add_edge(3, 1, EdgeKind::CommitDep);
+        g.add_edge(3, 1, EdgeKind::WaitFor);
         g.add_edge(3, 2, EdgeKind::CommitDep);
-        let mut zeros = g.zero_out_degree_nodes();
-        zeros.sort_unstable();
-        assert_eq!(zeros, vec![1]);
+        assert_eq!([1, 3, 99].map(|n| g.out_degree(n)), [0, 2, 0]);
         g.remove_node(1);
-        let mut zeros = g.zero_out_degree_nodes();
-        zeros.sort_unstable();
-        assert_eq!(zeros, vec![2]);
+        assert_eq!(g.out_degree(3), 1);
     }
 
     #[test]

@@ -21,7 +21,9 @@
 //! subset, for analyses that only want the wait-for sub-graph).
 //!
 //! The crate is generic over the node identifier type so it can be reused
-//! for transaction ids, object ids, or test scaffolding.
+//! for transaction ids, object ids, or test scaffolding. `sbcc-core` keeps
+//! exactly one graph of transaction ids per database, shared by all its
+//! shards; a transaction's node appears with its first edge.
 //!
 //! # Cycle checks
 //!

@@ -117,8 +117,8 @@ pub struct SimParams {
     /// ([`sbcc_core::shard::ShardedKernel`]). One shard reproduces the
     /// paper's single state machine exactly; more shards model the sharded
     /// kernel's admission behaviour (cross-shard transactions acquire the
-    /// same dependencies, cycles spanning shards are refused through the
-    /// escalation graph). The simulator charges no time for shard
+    /// same dependencies in the one dependency graph all shards share, so
+    /// cycles spanning shards are refused). The simulator charges no time for shard
     /// coordination, so simulated throughput measures admission behaviour,
     /// not lock contention — use `bash bench/run.sh` for the wall-clock
     /// story.

@@ -52,26 +52,15 @@ fn main() {
     );
 
     // Shard-count sweep: the sharded kernel admits identically (the
-    // differential suite pins that), so simulated throughput stays flat —
-    // what changes is the admission bookkeeping, reported here via the
-    // per-shard snapshot. Wall-clock numbers live in `bench/`
-    // (`bash bench/run.sh`).
+    // differential suite pins that), so simulated throughput stays flat.
+    // Wall-clock numbers live in `bench/` (`bash bench/run.sh`).
     println!("\nShard-count sweep (mpl = 50, recoverability):");
-    println!(
-        "{:>8} {:>12} {:>14} {:>18} {:>18}",
-        "shards", "tps", "blocking", "escalated edges", "escalated checks"
-    );
+    println!("{:>8} {:>12} {:>14}", "shards", "tps", "blocking");
     for shards in [1usize, 2, 4, 8] {
-        let mut sim = Simulator::new(params.clone().with_shards(shards));
-        let r = sim.run();
-        let snap = sim.stats_snapshot();
+        let r = Simulator::new(params.clone().with_shards(shards)).run();
         println!(
-            "{:>8} {:>12.1} {:>14.3} {:>18} {:>18}",
-            shards,
-            r.throughput,
-            r.blocking_ratio,
-            snap.aggregate.escalated_edges,
-            snap.aggregate.escalated_checks,
+            "{:>8} {:>12.1} {:>14.3}",
+            shards, r.throughput, r.blocking_ratio
         );
     }
 }

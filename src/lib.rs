@@ -26,8 +26,8 @@
 //! `ARCHITECTURE.md` at the repository root maps how these layers fit
 //! together (graph → kernel → shard coordinator → sync/async front-ends →
 //! sim/experiments) and walks one transaction through
-//! admission/blocking/commit, including the cross-shard escalation path
-//! and pseudo-commit votes.
+//! admission/blocking/commit, including the one dependency graph all
+//! shards share and the pseudo-commit votes.
 //!
 //! ## Quickstart
 //!
