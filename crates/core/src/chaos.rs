@@ -167,10 +167,12 @@ pub enum TimeoutPoint {
     /// read timeout has elapsed (firing tears the connection down and
     /// auto-aborts its live sessions).
     NetRead,
-    /// The write-ahead log's group-commit flush window: the flusher thread
-    /// asks whether the current window has elapsed (firing writes and
-    /// fsyncs every shard's buffered records, then wakes every committer
-    /// whose `sbcc_wal::Durable` the flush covered).
+    /// The write-ahead log's group-commit flush point: a commit append
+    /// kicked the flusher thread, and it asks whether it may flush now.
+    /// Firing writes and fsyncs every shard's buffered records, then wakes
+    /// every committer whose `sbcc_wal::Durable` the flush covered; not
+    /// firing holds the flush, and the flusher asks again a millisecond
+    /// later. With no hook the flush runs at once.
     GroupCommit,
 }
 

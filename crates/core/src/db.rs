@@ -456,9 +456,9 @@ impl Database {
     /// [`AdtType`] catalogue, re-executing each committed transaction's
     /// operations in global log order and checking every replayed result
     /// against the logged one — and only then attaches the log, so replay
-    /// itself is not re-logged. The group-commit flush window is routed
-    /// through [`chaos::TimeoutPoint::GroupCommit`], putting it under DST
-    /// virtual-clock control.
+    /// itself is not re-logged. The group-commit flush point is routed
+    /// through [`chaos::TimeoutPoint::GroupCommit`], so a DST clock hook
+    /// can hold and release each flush.
     pub fn try_with_config(config: DatabaseConfig) -> Result<Self, CoreError> {
         let wal_config = config.wal.clone();
         let db = Database {

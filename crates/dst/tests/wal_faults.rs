@@ -2,34 +2,42 @@
 //!
 //! Two fault families, both deterministic:
 //!
-//! * the **group-commit window** is driven from a
-//!   [`sbcc_core::chaos::ClockHook`] instead of the wall clock — with a
-//!   one-hour real window, a commit can only be acknowledged if the
-//!   virtual clock fired the flush, so the tests prove the durability
-//!   wait is gated on the flusher and not on a hidden inline fsync, for
-//!   blocking sessions and for async sessions that share one executor
-//!   thread (which keeps running other sessions while a commit waits),
-//!   including a wire commit whose connection drops while it waits;
+//! * the **group-commit flush point** is driven from a
+//!   [`sbcc_core::chaos::ClockHook`]. While a hook is installed, only the
+//!   hook releases a flush: a kicked flusher holds until the hook answers
+//!   `Some(true)`. So a commit can only be acknowledged if the virtual
+//!   clock released the flush, and the tests prove the durability wait is
+//!   gated on the flusher and not on a hidden inline fsync, for blocking
+//!   sessions and for async sessions that share one executor thread
+//!   (which keeps running other sessions while a commit waits), including
+//!   a wire commit whose connection drops while it waits and an async
+//!   commit cancelled while it waits;
 //! * **seeded truncation sweep** — crash images derived from a pinned
 //!   seed cut one shard's log at arbitrary byte offsets (including
 //!   mid-record, the torn tail a crash during a group-commit flush
 //!   leaves), and every image must recover to a per-shard prefix,
 //!   identically at 1 and 4 shards.
+//!
+//! One hook-free oracle rides along: blocking committers on four shards
+//! under the on-demand flusher, whose every acknowledged commit a live
+//! crash image must recover.
 
 use sbcc_adt::{AdtOp, Counter, CounterOp, OpResult, Stack, StackOp, Value};
-use sbcc_core::aio::{yield_now, AsyncDatabase, LocalExecutor};
+use sbcc_core::aio::{block_on, yield_now, AsyncDatabase, LocalExecutor};
 use sbcc_core::chaos::{clear_clock_hook, install_clock_hook, ClockHook, TimeoutPoint};
 use sbcc_core::{
-    CommitOutcome, Database, DatabaseConfig, FsyncPolicy, SchedulerConfig, ShardCount, TxnId,
-    TxnState, WalConfig,
+    shard_of_name, CommitOutcome, Database, DatabaseConfig, FsyncPolicy, SchedulerConfig,
+    ShardCount, TxnId, TxnState, WalConfig,
 };
 use sbcc_net::{AdtType, NetClient, Request, Server, ServerConfig};
 use std::cell::Cell;
+use std::future::Future;
 use std::net::Shutdown;
 use std::path::{Path, PathBuf};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
+use std::task::{Context, Waker};
 use std::time::{Duration, Instant};
 
 /// Pinned seed for the flush countdown and the truncation offsets
@@ -91,9 +99,9 @@ fn config(shards: usize, wal: WalConfig) -> DatabaseConfig {
 // Virtual clock drives the group-commit flush.
 // ---------------------------------------------------------------------
 
-/// Answers only the group-commit point: "window not elapsed" `fire_at`
-/// times, then fires on every later poll (the flusher needs repeated
-/// fires to drain commits that arrive after the first flush).
+/// Answers only the group-commit point: "hold" `fire_at` times, then
+/// releases on every later poll (the flusher asks again for each flush
+/// that commits arriving after the first one need).
 struct GroupCommitClock {
     fire_at: u64,
     consulted: AtomicU64,
@@ -109,8 +117,8 @@ impl ClockHook for GroupCommitClock {
     }
 }
 
-/// Answers only the group-commit point: "window not elapsed" until
-/// released, then fires on every poll.
+/// Answers only the group-commit point: "hold" until released, then
+/// releases on every poll.
 #[derive(Default)]
 struct HeldFlush {
     released: AtomicBool,
@@ -128,14 +136,37 @@ impl ClockHook for HeldFlush {
     }
 }
 
-/// The clock hook is process-global, so the tests that install one run
-/// one at a time.
+/// Answers only the group-commit point: "hold", except for one flush per
+/// [`FlushPermits::release`].
+#[derive(Default)]
+struct FlushPermits {
+    permits: AtomicU64,
+}
+
+impl FlushPermits {
+    fn release(&self) {
+        self.permits.fetch_add(1, Ordering::AcqRel);
+    }
+}
+
+impl ClockHook for FlushPermits {
+    fn timeout_fires(&self, point: TimeoutPoint) -> Option<bool> {
+        (point == TimeoutPoint::GroupCommit).then(|| {
+            self.permits
+                .fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| n.checked_sub(1))
+                .is_ok()
+        })
+    }
+}
+
+/// The clock hook is process-global, so the tests that install one, and
+/// the one that must run with none, run one at a time.
 static CLOCK_TESTS: Mutex<()> = Mutex::new(());
 
 /// Owns the clock for one test: installs `hook` and clears it on drop,
-/// even if an assertion fails. Declare it before the database, so the
-/// database (and its flusher) is dropped while the hook still answers —
-/// without it the flusher would sleep the one-hour real window.
+/// even if an assertion fails. While it is installed, only the hook
+/// releases a group-commit flush. Declare it before the database, so the
+/// database is dropped while the hook still answers.
 struct HookGuard {
     _serial: MutexGuard<'static, ()>,
 }
@@ -146,6 +177,13 @@ impl HookGuard {
         install_clock_hook(hook);
         HookGuard { _serial: serial }
     }
+
+    /// Holds the clock with no hook installed: flushes follow kicks alone.
+    fn none() -> HookGuard {
+        HookGuard {
+            _serial: CLOCK_TESTS.lock().unwrap_or_else(|e| e.into_inner()),
+        }
+    }
 }
 
 impl Drop for HookGuard {
@@ -154,12 +192,10 @@ impl Drop for HookGuard {
     }
 }
 
-/// Group commit with an hour of real window: if a commit is ever
-/// acknowledged, the virtual clock flushed it.
-fn hour_window(dir: &Path) -> WalConfig {
-    WalConfig::new(dir)
-        .with_fsync(FsyncPolicy::GroupCommit)
-        .with_window(Duration::from_secs(3600))
+/// Group commit: with a hook installed, if a commit is ever
+/// acknowledged, the virtual clock released its flush.
+fn group_commit(dir: &Path) -> WalConfig {
+    WalConfig::new(dir).with_fsync(FsyncPolicy::GroupCommit)
 }
 
 /// Commits a crash image copied from `dir` now recovers, and the
@@ -187,7 +223,7 @@ fn virtual_clock_drives_the_group_commit_flush() {
     let _guard = HookGuard::install(clock.clone());
 
     let dir = ScratchDir::new("clock");
-    let db = Database::with_config(config(1, hour_window(dir.path())));
+    let db = Database::with_config(config(1, group_commit(dir.path())));
     let hits = db.register("hits", Counter::new());
 
     for k in 0..4 {
@@ -220,7 +256,7 @@ fn async_acknowledgements_wait_for_the_flush_without_stalling_the_executor() {
     let clock = Arc::new(HeldFlush::default());
     let _guard = HookGuard::install(clock.clone());
     let dir = ScratchDir::new("async-clock");
-    let db = AsyncDatabase::with_config(config(1, hour_window(dir.path())));
+    let db = AsyncDatabase::with_config(config(1, group_commit(dir.path())));
     let hits = db.register("hits", Counter::new());
     let acknowledged = Rc::new(Cell::new(0));
     let executor = LocalExecutor::new();
@@ -257,7 +293,7 @@ fn a_durable_commit_wakes_the_sessions_it_unblocked_before_its_flush() {
     let clock = Arc::new(HeldFlush::default());
     let _guard = HookGuard::install(clock.clone());
     let dir = ScratchDir::new("grants");
-    let db = AsyncDatabase::with_config(config(1, hour_window(dir.path())));
+    let db = AsyncDatabase::with_config(config(1, group_commit(dir.path())));
     let hits = db.register("hits", Counter::new());
     let executor = LocalExecutor::new();
 
@@ -301,6 +337,108 @@ fn a_durable_commit_wakes_the_sessions_it_unblocked_before_its_flush() {
     assert!(t1_acknowledged.get());
 }
 
+/// Two held flushes, each released once: a release acknowledges exactly
+/// the commits appended before it, and the commits that land after it
+/// wait for the next one.
+#[test]
+fn each_release_acknowledges_exactly_the_commits_appended_before_it() {
+    let clock = Arc::new(FlushPermits::default());
+    let _guard = HookGuard::install(clock.clone());
+    let dir = ScratchDir::new("permits");
+    let db = AsyncDatabase::with_config(config(1, group_commit(dir.path())));
+    let hits = db.register("hits", Counter::new());
+    let acknowledged = Rc::new(Cell::new(0));
+    let executor = LocalExecutor::new();
+    let spawn_commits = |increments: std::ops::RangeInclusive<i64>| {
+        for k in increments {
+            let (db, hits, acknowledged) = (db.clone(), hits.clone(), acknowledged.clone());
+            executor.spawn(async move {
+                let txn = db.begin();
+                txn.exec(&hits, CounterOp::Increment(k)).await.unwrap();
+                assert_eq!(txn.commit().await.unwrap(), CommitOutcome::Committed);
+                acknowledged.set(acknowledged.get() + 1);
+            });
+        }
+    };
+
+    spawn_commits(1..=8);
+    executor.run_until_stalled();
+    assert_eq!(db.stats().commits, 8, "the first batch committed in memory");
+    assert_eq!(acknowledged.get(), 0, "no ack before the first release");
+    assert_eq!(
+        recover_counter(dir.path(), "hits"),
+        (0, OpResult::Value(Value::Int(0)))
+    );
+
+    clock.release();
+    executor.run();
+    assert_eq!(acknowledged.get(), 8);
+    assert_eq!(
+        recover_counter(dir.path(), "hits"),
+        (8, OpResult::Value(Value::Int(36)))
+    );
+
+    spawn_commits(9..=16);
+    executor.run_until_stalled();
+    assert_eq!(
+        db.stats().commits,
+        16,
+        "the second batch committed in memory"
+    );
+    // The first release is spent: the flusher keeps holding.
+    std::thread::sleep(Duration::from_millis(20));
+    executor.run_until_stalled();
+    assert_eq!(acknowledged.get(), 8, "the second batch acknowledged early");
+    assert_eq!(
+        recover_counter(dir.path(), "hits"),
+        (8, OpResult::Value(Value::Int(36)))
+    );
+
+    clock.release();
+    executor.run();
+    assert_eq!(acknowledged.get(), 16);
+    assert_eq!(
+        recover_counter(dir.path(), "hits"),
+        (16, OpResult::Value(Value::Int(136)))
+    );
+}
+
+/// Dropping an async commit while it waits for its flush gives up the
+/// acknowledgement, not the commit: the transaction stays committed, and
+/// the log replays it on reopen. The held flush makes every commit's
+/// first poll pending.
+#[test]
+fn cancelled_async_commit_stays_committed_and_replays() {
+    let _guard = HookGuard::install(Arc::new(HeldFlush::default()));
+    let dir = ScratchDir::new("cancel");
+    let db = AsyncDatabase::with_config(config(1, group_commit(dir.path())));
+    let hits = db.register("hits", Counter::new());
+    let committed = 3;
+    for k in 1..=committed {
+        let txn = db.begin();
+        let id = txn.id();
+        block_on(txn.exec(&hits, CounterOp::Increment(k))).unwrap();
+        let mut commit = Box::pin(txn.commit());
+        let first = commit
+            .as_mut()
+            .poll(&mut Context::from_waker(Waker::noop()));
+        drop(commit);
+        assert_eq!(db.txn_state(id), Some(TxnState::Committed), "not aborted");
+        assert!(
+            first.is_pending(),
+            "the commit was not waiting for its flush"
+        );
+    }
+    assert_eq!(db.stats().commits, committed as u64);
+    drop(db);
+
+    let sum = committed * (committed + 1) / 2;
+    assert_eq!(
+        recover_counter(dir.path(), "hits"),
+        (committed as u64, OpResult::Value(Value::Int(sum)))
+    );
+}
+
 fn wait_until(what: &str, cond: impl Fn() -> bool) {
     let deadline = Instant::now() + Duration::from_secs(10);
     while !cond() {
@@ -319,7 +457,7 @@ fn a_wire_commit_waiting_on_the_flush_survives_a_disconnect() {
     let _guard = HookGuard::install(clock.clone());
     let dir = ScratchDir::new("wire-commit");
     let server = Server::start(
-        AsyncDatabase::with_config(config(1, hour_window(dir.path()))),
+        AsyncDatabase::with_config(config(1, group_commit(dir.path()))),
         ServerConfig::default().with_workers(1),
     )
     .expect("bind loopback server");
@@ -361,6 +499,93 @@ fn a_wire_commit_waiting_on_the_flush_survives_a_disconnect() {
     let stats = server.shutdown();
     assert_eq!(stats.sessions_auto_aborted, 0);
     assert_eq!(stats.transactions_in_flight, 0);
+}
+
+// ---------------------------------------------------------------------
+// No hook: the on-demand flusher under concurrent blocking committers.
+// ---------------------------------------------------------------------
+
+/// Four threads, one counter each on its own shard of four, 250 blocking
+/// commits apiece, flushed by kicks alone. Crash images copied while the
+/// threads run must hold every commit acknowledged before the copy; the
+/// image copied after they finish, with the database still live, holds
+/// all of them.
+#[test]
+fn acknowledged_commits_on_four_shards_survive_a_live_crash_image() {
+    const THREADS: usize = 4;
+    const COMMITS: u64 = 250;
+    let _guard = HookGuard::none();
+    let dir = ScratchDir::new("oracle");
+    let db = Database::with_config(config(THREADS, group_commit(dir.path())));
+    let names: Vec<String> = (0..THREADS)
+        .map(|shard| {
+            (0..)
+                .map(|i| format!("hits-{shard}-{i}"))
+                .find(|name| shard_of_name(name, THREADS) as usize == shard)
+                .unwrap()
+        })
+        .collect();
+    let counters: Vec<_> = names
+        .iter()
+        .map(|name| db.register(name, Counter::new()))
+        .collect();
+    let acknowledged: Vec<AtomicU64> = (0..THREADS).map(|_| AtomicU64::new(0)).collect();
+
+    // Every counter's value in an image of `dir` copied now, at 4 shards.
+    let image_values = || -> Vec<u64> {
+        let image = ScratchDir::new("oracle-image");
+        copy_dir(dir.path(), image.path());
+        let recovered = Database::with_config(config(
+            THREADS,
+            WalConfig::new(image.path()).with_fsync(FsyncPolicy::Never),
+        ));
+        let read = recovered.begin();
+        names
+            .iter()
+            .map(|name| {
+                let counter = recovered.handle::<Counter>(name).unwrap();
+                match read.exec(&counter, CounterOp::Read).unwrap() {
+                    OpResult::Value(Value::Int(n)) => n as u64,
+                    other => panic!("{name} read {other:?}"),
+                }
+            })
+            .collect()
+    };
+
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = counters
+            .iter()
+            .zip(&acknowledged)
+            .map(|(counter, acked)| {
+                let db = &db;
+                scope.spawn(move || {
+                    for _ in 0..COMMITS {
+                        let txn = db.begin();
+                        txn.exec(counter, CounterOp::Increment(1)).unwrap();
+                        assert_eq!(txn.commit().unwrap(), CommitOutcome::Committed);
+                        acked.fetch_add(1, Ordering::Release);
+                    }
+                })
+            })
+            .collect();
+        while !workers.iter().all(|w| w.is_finished()) {
+            let before: Vec<u64> = acknowledged
+                .iter()
+                .map(|a| a.load(Ordering::Acquire))
+                .collect();
+            let values = image_values();
+            for (k, (&value, &acked)) in values.iter().zip(&before).enumerate() {
+                assert!(
+                    (acked..=COMMITS).contains(&value),
+                    "{}: image holds {value} commits, {acked} were acknowledged",
+                    names[k]
+                );
+            }
+        }
+    });
+
+    assert_eq!(image_values(), vec![COMMITS; THREADS]);
+    assert_eq!(db.stats().commits, THREADS as u64 * COMMITS);
 }
 
 // ---------------------------------------------------------------------

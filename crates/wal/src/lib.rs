@@ -13,7 +13,7 @@
 //! transactions, shard routing, or the dependency graph. `sbcc-core`
 //! decides *what* to log and *when* (only transactions whose dependency
 //! union has cleared — a pseudo-committed transaction never reaches the
-//! log) and routes the group-commit flush window through its `chaos`
+//! log) and routes the group-commit flush point through its `chaos`
 //! virtual-clock seam via the injected [`GroupClock`] closure.
 //!
 //! Pieces:

@@ -3,8 +3,8 @@
 //! One [`Wal`] owns one append-only file per shard (`shard-{k}.log`) plus a
 //! shared marker file (`commit-markers.log`) for cross-shard commit markers.
 //! Every record carries a global sequence number drawn from a shared counter
-//! **inside the per-file mutex**, so each file is individually seq-sorted
-//! and recovery can merge files by `seq` alone.
+//! **inside the log's `state` mutex**, so each file is individually
+//! seq-sorted and recovery can merge files by `seq` alone.
 //!
 //! ## Fsync policies
 //!
@@ -13,11 +13,25 @@
 //!   written bytes) but not power loss. A [`Durable`] future is ready at
 //!   once.
 //! * [`FsyncPolicy::GroupCommit`] — records are buffered in memory; a
-//!   flusher thread writes + fsyncs all shards once per window, amortising
-//!   the fsync across every commit that landed in the window. A committer
-//!   awaits its record's [`Durable`] future, which the flush covering the
-//!   record wakes; the thread that appended is free meanwhile.
+//!   flusher thread writes + fsyncs every shard's buffer on demand. A
+//!   commit append kicks it, and commits that land while a flush is in
+//!   progress kick the next one, which starts as soon as the previous
+//!   fsync returns: one fsync covers every commit that arrived while the
+//!   last one ran. A committer awaits its record's [`Durable`] future,
+//!   which the flush covering the record wakes; the thread that appended
+//!   is free meanwhile.
 //! * [`FsyncPolicy::Always`] — write + fsync inline on every append.
+//!
+//! ## Locks
+//!
+//! Each log has two locks on its append path. `state` guards the buffer
+//! and the ticket counter; a group-commit append takes it alone, so an
+//! append never waits for the device. The I/O lock owns the file and
+//! serialises writes and fsyncs. Lock order: the I/O lock, then `state`.
+//! A flush takes the I/O lock, then briefly `state` to take the buffer
+//! and the ticket it covers, and writes and fsyncs with `state`
+//! released. Flushes of one log run one at a time and take buffers in
+//! append order, so each file stays seq-sorted.
 //!
 //! ## Waiting for a flush
 //!
@@ -32,15 +46,18 @@
 //! Registrations and cross-shard markers are always flushed at append,
 //! whatever the policy (fsynced unless the policy is `Never`): a commit
 //! record must never become durable before the registration it references,
-//! and a marker is the multi-shard commit's durability point.
+//! and a marker is the multi-shard commit's durability point. They do not
+//! kick the flusher.
 //!
 //! ## Clock seam
 //!
-//! The flusher's window timer sits behind an injected [`GroupClock`]
-//! closure so `sbcc-core` (which sits *above* this crate) can route it
-//! through `chaos::TimeoutPoint::GroupCommit`: `Some(true)` means "the
-//! window elapsed, flush now", `Some(false)` means "not yet", `None` means
-//! "no virtual clock installed, use the real timer".
+//! Once kicked, the flusher asks an injected [`GroupClock`] closure
+//! whether it may flush, so `sbcc-core` (which sits *above* this crate)
+//! can route the flush point through `chaos::TimeoutPoint::GroupCommit`:
+//! `Some(false)` means "hold", and the flusher asks again every
+//! millisecond; `Some(true)` or `None` (no virtual clock installed) means
+//! "flush now". There is no timer: with no hook, only a kick starts a
+//! flush.
 //!
 //! ## Errors
 //!
@@ -58,7 +75,7 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::pin::Pin;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::task::{Context, Poll, Wake, Waker};
 use std::thread::{JoinHandle, Thread};
 use std::time::Duration;
@@ -68,7 +85,9 @@ use std::time::Duration;
 pub enum FsyncPolicy {
     /// Write without fsync; survives `kill -9`, not power loss.
     Never,
-    /// Buffer appends; one flush + fsync per group-commit window.
+    /// Buffer appends; a flusher thread writes + fsyncs them on demand,
+    /// one pass as soon as the previous one returns, so one fsync covers
+    /// every commit appended while the last one ran.
     GroupCommit,
     /// Write + fsync inline on every append.
     Always,
@@ -81,17 +100,14 @@ pub struct WalConfig {
     pub dir: PathBuf,
     /// Fsync policy (see [`FsyncPolicy`]).
     pub fsync: FsyncPolicy,
-    /// Flush window for [`FsyncPolicy::GroupCommit`]; ignored otherwise.
-    pub group_commit_window: Duration,
 }
 
 impl WalConfig {
-    /// Group-commit config with the default 2 ms window.
+    /// Group-commit config.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         WalConfig {
             dir: dir.into(),
             fsync: FsyncPolicy::GroupCommit,
-            group_commit_window: Duration::from_millis(2),
         }
     }
 
@@ -101,17 +117,18 @@ impl WalConfig {
         self
     }
 
-    /// Builder: set the group-commit window.
-    pub fn with_window(mut self, window: Duration) -> Self {
-        self.group_commit_window = window;
+    /// Ignored: group commit has no window, a flush starts when the
+    /// previous one returns. Kept only while the benchmark crate
+    /// (`bench/`) still calls it.
+    pub fn with_window(self, _window: Duration) -> Self {
         self
     }
 }
 
-/// Virtual-clock seam for the group-commit flusher. Consulted once per
-/// flusher iteration: `Some(true)` = window elapsed (flush now),
-/// `Some(false)` = window still open (poll again shortly), `None` = no
-/// virtual clock (sleep the real window, then flush).
+/// Virtual-clock seam for the group-commit flusher, consulted each time
+/// a kick wakes it: `Some(false)` = hold the flush (ask again in a
+/// millisecond), `Some(true)` = flush now, `None` = no virtual clock
+/// (flush now).
 pub type GroupClock = Arc<dyn Fn() -> Option<bool> + Send + Sync>;
 
 /// Recovery-time WAL failure (I/O on open/scan/truncate).
@@ -148,8 +165,14 @@ pub fn marker_path(dir: &Path) -> PathBuf {
     dir.join("commit-markers.log")
 }
 
-struct LogState {
+/// The file side of a log, behind its I/O lock.
+struct LogFile {
     file: File,
+    /// Highest ticket written (and fsynced, unless the policy is `Never`).
+    synced: u64,
+}
+
+struct LogState {
     /// Pending bytes not yet written to the file (GroupCommit only).
     buf: Vec<u8>,
     /// Ticket counter: number of records appended to this log so far.
@@ -170,6 +193,8 @@ struct DurableState {
 
 struct ShardLog {
     path: PathBuf,
+    /// Serialises writes and fsyncs. Taken before `state`, never after.
+    io: Mutex<LogFile>,
     state: Mutex<LogState>,
     /// Guarded separately from `state` so waiters never contend with
     /// appenders.
@@ -188,8 +213,8 @@ impl ShardLog {
             })?;
         Ok(ShardLog {
             path,
+            io: Mutex::new(LogFile { file, synced: 0 }),
             state: Mutex::new(LogState {
-                file,
                 buf: Vec::new(),
                 appended: 0,
             }),
@@ -200,14 +225,19 @@ impl ShardLog {
 
 struct WalInner {
     policy: FsyncPolicy,
-    window: Duration,
     clock: Option<GroupClock>,
     /// Global record sequence; fetched inside each log's state mutex so
     /// every file is individually seq-sorted.
     global_seq: AtomicU64,
     logs: Vec<ShardLog>,
     marker: ShardLog,
+    /// Set by a commit append, cleared by the flusher as a pass starts.
+    kicked: AtomicBool,
     shutdown: AtomicBool,
+    /// The flusher sleeps on `wake` (with `wake_lock`) until kicked or
+    /// shut down.
+    wake_lock: Mutex<()>,
+    wake: Condvar,
 }
 
 impl WalInner {
@@ -215,55 +245,62 @@ impl WalInner {
         &self.logs[shard as usize]
     }
 
-    /// Append one record to `log`; returns `(seq, ticket)`.
+    /// Append one record to `log`; returns `(seq, ticket)`. Under
+    /// `GroupCommit` this only buffers the record, under `state` alone.
     fn append(&self, log: &ShardLog, record: &WalRecord) -> (u64, u64) {
-        let mut state = log.state.lock().unwrap();
-        let seq = self.global_seq.fetch_add(1, Ordering::Relaxed);
-        let bytes = encode_record(seq, record);
-        state.appended += 1;
-        let ticket = state.appended;
-        match self.policy {
-            FsyncPolicy::GroupCommit => state.buf.extend_from_slice(&bytes),
-            FsyncPolicy::Never | FsyncPolicy::Always => {
-                state
-                    .file
-                    .write_all(&bytes)
-                    .unwrap_or_else(|e| panic!("wal append to {}: {e}", log.path.display()));
-                if self.policy == FsyncPolicy::Always {
-                    state
-                        .file
-                        .sync_data()
-                        .unwrap_or_else(|e| panic!("wal fsync of {}: {e}", log.path.display()));
-                }
-                drop(state);
-                Self::advance_durable(log, ticket);
-            }
+        let next = |state: &mut LogState| {
+            state.appended += 1;
+            (
+                self.global_seq.fetch_add(1, Ordering::Relaxed),
+                state.appended,
+            )
+        };
+        if self.policy == FsyncPolicy::GroupCommit {
+            let mut state = log.state.lock().unwrap();
+            let (seq, ticket) = next(&mut state);
+            state.buf.extend_from_slice(&encode_record(seq, record));
+            return (seq, ticket);
         }
+        let mut io = log.io.lock().unwrap();
+        let (seq, ticket) = next(&mut log.state.lock().unwrap());
+        io.file
+            .write_all(&encode_record(seq, record))
+            .unwrap_or_else(|e| panic!("wal append to {}: {e}", log.path.display()));
+        if self.policy == FsyncPolicy::Always {
+            io.file
+                .sync_data()
+                .unwrap_or_else(|e| panic!("wal fsync of {}: {e}", log.path.display()));
+        }
+        io.synced = ticket;
+        drop(io);
+        Self::advance_durable(log, ticket);
         (seq, ticket)
     }
 
     /// Write out any buffered records and (policy permitting) fsync, then
-    /// publish the covered tickets as durable.
+    /// publish the covered tickets as durable. Holds `state` only to take
+    /// the buffer, so appends go on while the device works.
     fn flush(&self, log: &ShardLog) {
-        let mut state = log.state.lock().unwrap();
-        let covered = state.appended;
-        if covered <= log.durable.lock().unwrap().through {
-            return; // nothing appended since the last flush
-        }
-        if !state.buf.is_empty() {
-            let buf = std::mem::take(&mut state.buf);
-            state
-                .file
+        let mut io = log.io.lock().unwrap();
+        let (buf, covered) = {
+            let mut state = log.state.lock().unwrap();
+            if state.appended <= io.synced {
+                return; // nothing appended since the last flush
+            }
+            (std::mem::take(&mut state.buf), state.appended)
+        };
+        if !buf.is_empty() {
+            io.file
                 .write_all(&buf)
                 .unwrap_or_else(|e| panic!("wal flush to {}: {e}", log.path.display()));
         }
         if self.policy != FsyncPolicy::Never {
-            state
-                .file
+            io.file
                 .sync_data()
                 .unwrap_or_else(|e| panic!("wal fsync of {}: {e}", log.path.display()));
         }
-        drop(state);
+        io.synced = covered;
+        drop(io);
         Self::advance_durable(log, covered);
     }
 
@@ -291,26 +328,44 @@ impl WalInner {
         self.flush(&self.marker);
     }
 
-    /// Group-commit flusher body. Consults the virtual clock each
-    /// iteration; with no clock installed, sleeps the real window.
+    /// Ask the flusher for a pass. Only the append that sets the flag
+    /// notifies, so a burst of commits costs one wake-up.
+    fn kick(&self) {
+        if !self.kicked.swap(true, Ordering::AcqRel) {
+            self.wake_flusher();
+        }
+    }
+
+    /// Wake the flusher after setting `kicked` or `shutdown`. Taking
+    /// `wake_lock` first means the flusher is either before its check of
+    /// the flags or already waiting, so the notification is not lost.
+    fn wake_flusher(&self) {
+        let _lock = self.wake_lock.lock();
+        self.wake.notify_one();
+    }
+
+    /// Group-commit flusher body: sleep until kicked, hold while the
+    /// clock says so, then flush every log. A kick that lands during the
+    /// pass starts the next one as soon as this one returns.
     fn flusher_loop(&self) {
         let poll = Duration::from_millis(1);
-        while !self.shutdown.load(Ordering::Acquire) {
-            let fire = match &self.clock {
-                Some(clock) => clock(),
-                None => None,
+        loop {
+            let idle = |_: &mut ()| {
+                !self.kicked.load(Ordering::Acquire) && !self.shutdown.load(Ordering::Acquire)
             };
-            match fire {
-                Some(true) => {
-                    self.flush_all();
-                    std::thread::sleep(poll);
-                }
-                Some(false) => std::thread::sleep(poll),
-                None => {
-                    std::thread::sleep(self.window);
-                    self.flush_all();
-                }
+            let lock = self.wake_lock.lock().unwrap();
+            // Release `wake_lock` at once: a kicker takes it to notify.
+            drop(self.wake.wait_while(lock, idle).unwrap());
+            while !self.shutdown.load(Ordering::Acquire)
+                && self.clock.as_ref().and_then(|clock| clock()) == Some(false)
+            {
+                std::thread::sleep(poll);
             }
+            if self.shutdown.load(Ordering::Acquire) {
+                return; // `Wal::drop` flushes what is left
+            }
+            self.kicked.store(false, Ordering::Release);
+            self.flush_all();
         }
     }
 }
@@ -437,12 +492,14 @@ impl Wal {
 
         let inner = Arc::new(WalInner {
             policy: config.fsync,
-            window: config.group_commit_window,
             clock,
             global_seq: AtomicU64::new(max_seq.map_or(0, |m| m + 1)),
             logs,
             marker,
+            kicked: AtomicBool::new(false),
             shutdown: AtomicBool::new(false),
+            wake_lock: Mutex::new(()),
+            wake: Condvar::new(),
         });
         let flusher = if config.fsync == FsyncPolicy::GroupCommit {
             let inner2 = Arc::clone(&inner);
@@ -475,13 +532,18 @@ impl Wal {
     /// Append a commit record; returns the durability ticket to pass to
     /// [`Wal::durable`]. `multi_gid` is `Some` for the per-shard
     /// fragments of a cross-shard commit (which only become recoverable
-    /// once [`Wal::commit_marker`] runs for that gid).
+    /// once [`Wal::commit_marker`] runs for that gid). Under
+    /// `GroupCommit` the record is buffered and the flusher kicked.
     pub fn append_commit(&self, shard: u32, multi_gid: Option<u64>, ops: &[LoggedOp]) -> u64 {
         let record = WalRecord::Commit {
             multi_gid,
             ops: ops.to_vec(),
         };
-        self.inner.append(self.inner.log(shard), &record).1
+        let ticket = self.inner.append(self.inner.log(shard), &record).1;
+        if self.inner.policy == FsyncPolicy::GroupCommit {
+            self.inner.kick();
+        }
+        ticket
     }
 
     /// Draw a fresh cross-shard commit group id (from the same counter as
@@ -491,7 +553,7 @@ impl Wal {
     }
 
     /// Flush one shard's log now (write + fsync unless the policy is
-    /// `Never`), regardless of the group-commit window.
+    /// `Never`), without waiting for the flusher.
     pub fn flush_shard(&self, shard: u32) {
         self.inner.flush(self.inner.log(shard));
     }
@@ -532,6 +594,7 @@ impl Wal {
 impl Drop for Wal {
     fn drop(&mut self) {
         self.inner.shutdown.store(true, Ordering::Release);
+        self.inner.wake_flusher();
         if let Some(handle) = self.flusher.take() {
             let _ = handle.join();
         }
@@ -663,12 +726,16 @@ mod tests {
         /// Under `GroupCommit` the virtual clock never fires, so only an
         /// explicit `flush_shard` makes a record durable.
         fn open(tag: &str, fsync: FsyncPolicy) -> TestLog {
-            let dir = std::env::temp_dir()
-                .join(format!("sbcc-wal-unit-{tag}-{}", std::process::id()));
-            let _ = std::fs::remove_dir_all(&dir);
             let never_fires: GroupClock = Arc::new(|| Some(false));
+            TestLog::with_clock(tag, fsync, Some(never_fires))
+        }
+
+        fn with_clock(tag: &str, fsync: FsyncPolicy, clock: Option<GroupClock>) -> TestLog {
+            let dir =
+                std::env::temp_dir().join(format!("sbcc-wal-unit-{tag}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
             let config = WalConfig::new(&dir).with_fsync(fsync);
-            let (wal, _) = Wal::open(&config, 1, Some(never_fires)).unwrap();
+            let (wal, _) = Wal::open(&config, 1, clock).unwrap();
             TestLog {
                 wal: Some(wal),
                 dir,
@@ -679,6 +746,17 @@ mod tests {
             self.wal.as_ref().unwrap()
         }
 
+        /// The highest ticket published as durable.
+        fn durable_through(&self) -> u64 {
+            self.wal().inner.log(0).durable.lock().unwrap().through
+        }
+
+        fn file_len(&self) -> u64 {
+            std::fs::metadata(shard_log_path(&self.dir, 0))
+                .unwrap()
+                .len()
+        }
+
         /// The tickets with a registered waker, in key order.
         fn waiting(&self) -> Vec<u64> {
             let durable = self.wal().inner.log(0).durable.lock().unwrap();
@@ -687,8 +765,16 @@ mod tests {
     }
 
     impl Drop for TestLog {
+        /// Dropping the log joins its flusher; a drop that hangs fails the
+        /// test instead of stalling the run.
         fn drop(&mut self) {
-            drop(self.wal.take());
+            if let Some(wal) = self.wal.take() {
+                if std::thread::panicking() {
+                    drop(wal);
+                } else {
+                    returns_promptly("dropping the log", move || drop(wal));
+                }
+            }
             let _ = std::fs::remove_dir_all(&self.dir);
         }
     }
@@ -700,6 +786,63 @@ mod tests {
 
     fn counter() -> Arc<CountWakes> {
         Arc::new(CountWakes(AtomicUsize::new(0)))
+    }
+
+    /// Runs `f` on its own thread and fails unless it returns within ten
+    /// seconds (a hung thread is left behind).
+    fn returns_promptly(what: &str, f: impl FnOnce() + Send + 'static) {
+        let (done, returned) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            f();
+            let _ = done.send(());
+        });
+        returned
+            .recv_timeout(Duration::from_secs(10))
+            .unwrap_or_else(|_| panic!("{what} did not return"));
+    }
+
+    #[test]
+    fn with_no_clock_a_commit_append_kicks_the_flusher() {
+        let log = TestLog::with_clock("kick", FsyncPolicy::GroupCommit, None);
+        for _ in 0..3 {
+            let ticket = log.wal().append_commit(0, None, &[]);
+            let durable = log.wal().durable(0, ticket);
+            returns_promptly("a durable wait with no explicit flush", move || {
+                durable.wait()
+            });
+            assert!(log.durable_through() >= ticket);
+        }
+        assert!(log.file_len() > 0);
+    }
+
+    #[test]
+    fn dropping_an_idle_group_commit_log_returns_promptly() {
+        let log = TestLog::with_clock("idle-drop", FsyncPolicy::GroupCommit, None);
+        // The flusher sleeps until kicked; only the drop's wake ends it.
+        drop(log);
+    }
+
+    #[test]
+    fn a_held_clock_keeps_commits_buffered_until_it_fires() {
+        let released = Arc::new(AtomicBool::new(false));
+        let clock: GroupClock = {
+            let released = released.clone();
+            Arc::new(move || Some(released.load(Ordering::Acquire)))
+        };
+        let log = TestLog::with_clock("held", FsyncPolicy::GroupCommit, Some(clock));
+        let tickets: Vec<u64> = (0..4)
+            .map(|_| log.wal().append_commit(0, None, &[]))
+            .collect();
+        // The first append kicked the flusher; it is polling the clock.
+        std::thread::sleep(Duration::from_millis(20));
+        assert_eq!(log.durable_through(), 0, "flushed while the clock held");
+        assert_eq!(log.file_len(), 0, "written while the clock held");
+
+        released.store(true, Ordering::Release);
+        let last = log.wal().durable(0, *tickets.last().unwrap());
+        returns_promptly("the wait after the clock fired", move || last.wait());
+        assert_eq!(log.durable_through(), 4);
+        assert!(log.file_len() > 0);
     }
 
     #[test]

@@ -25,11 +25,7 @@ fn config_structs_have_exactly_the_documented_fields() {
         wal,
     } = DatabaseConfig::default();
     assert_eq!(wal, None, "durability is opt-in through `with_wal` alone");
-    let WalConfig {
-        dir: _,
-        fsync: _,
-        group_commit_window: _,
-    } = WalConfig::new("unused");
+    let WalConfig { dir: _, fsync: _ } = WalConfig::new("unused");
     let ServerConfig {
         addr: _,
         workers: _,
