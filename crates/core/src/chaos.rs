@@ -85,11 +85,6 @@ pub enum ChaosPoint {
     /// A `drain_coordination_ready` re-vote is starting for a
     /// pseudo-committed coordinated transaction.
     ReVote,
-    /// Between the per-shard write-ahead-log flushes of a multi-shard
-    /// commit's fragments (after the fragments are appended, before the
-    /// cross-shard marker is written): a crash here must lose the whole
-    /// transaction at recovery.
-    WalFlush,
     /// `begin_snapshot` is about to draw the snapshot's begin stamp under
     /// the termination lock (before the version floor is published).
     SnapshotStamp,
@@ -118,7 +113,6 @@ impl fmt::Display for ChaosPoint {
             ChaosPoint::VotePeek => "vote-peek",
             ChaosPoint::VoteApply => "vote-apply",
             ChaosPoint::ReVote => "re-vote",
-            ChaosPoint::WalFlush => "wal-flush",
             ChaosPoint::SnapshotStamp => "snapshot-stamp",
             ChaosPoint::SnapshotRead => "snapshot-read",
             ChaosPoint::SsiEdge => "ssi-edge",
@@ -169,7 +163,7 @@ pub enum TimeoutPoint {
     NetRead,
     /// The write-ahead log's group-commit flush point: a commit append
     /// kicked the flusher thread, and it asks whether it may flush now.
-    /// Firing writes and fsyncs every shard's buffered records, then wakes
+    /// Firing writes and fsyncs the log's buffered records, then wakes
     /// every committer whose `sbcc_wal::Durable` the flush covered; not
     /// firing holds the flush, and the flusher asks again a millisecond
     /// later. With no hook the flush runs at once.

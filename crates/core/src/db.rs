@@ -449,16 +449,19 @@ impl Database {
     /// Create a database with an explicit [`DatabaseConfig`], surfacing
     /// write-ahead-log open/replay failures instead of panicking.
     ///
-    /// With `config.wal` set, this opens the log directory (repairing any
-    /// torn tail and dropping unmarked multi-shard fragments — see
-    /// [`sbcc_wal::Wal::open`]), **replays** the surviving records through
-    /// the ordinary session API — re-registering each object via the
+    /// With `config.wal` set, this opens the log file in its directory
+    /// (repairing any torn tail — see [`sbcc_wal::Wal::open`]),
+    /// **replays** the surviving records through the ordinary session API
+    /// in one pass over the file — re-registering each object via the
     /// [`AdtType`] catalogue, re-executing each committed transaction's
-    /// operations in global log order and checking every replayed result
-    /// against the logged one — and only then attaches the log, so replay
-    /// itself is not re-logged. The group-commit flush point is routed
-    /// through [`chaos::TimeoutPoint::GroupCommit`], so a DST clock hook
-    /// can hold and release each flush.
+    /// operations, one record per transaction, and checking every replayed
+    /// result against the logged one — and only then attaches the log, so
+    /// replay itself is not re-logged. A directory in the per-shard layout
+    /// of earlier versions is refused, as is every other open failure,
+    /// with [`CoreError::Durability`] naming the file. The group-commit
+    /// flush point is routed through
+    /// [`chaos::TimeoutPoint::GroupCommit`], so a DST clock hook can hold
+    /// and release each flush.
     pub fn try_with_config(config: DatabaseConfig) -> Result<Self, CoreError> {
         let wal_config = config.wal.clone();
         let db = Database {
@@ -471,9 +474,8 @@ impl Database {
         if let Some(wal_config) = wal_config {
             let clock: sbcc_wal::GroupClock =
                 Arc::new(|| chaos::timeout_fires(chaos::TimeoutPoint::GroupCommit));
-            let (wal, records) =
-                sbcc_wal::Wal::open(&wal_config, db.shard_count(), Some(clock))
-                    .map_err(|e| CoreError::Durability(e.to_string()))?;
+            let (wal, records) = sbcc_wal::Wal::open(&wal_config, 1, Some(clock))
+                .map_err(|e| CoreError::Durability(e.to_string()))?;
             db.replay(&records)?;
             db.shared.kernel.attach_wal(Arc::new(wal));
         }
@@ -487,19 +489,6 @@ impl Database {
     /// log replays deterministically from the empty state).
     fn replay(&self, records: &[sbcc_wal::SequencedRecord]) -> Result<(), CoreError> {
         let mut handles: HashMap<&str, ObjectHandle> = HashMap::new();
-        // A multi-shard commit is logged as one fragment per touched
-        // shard; gather each group's operations up front, in log order,
-        // so replay walks the log once however many groups it holds.
-        let mut multis: HashMap<u64, Vec<&sbcc_wal::LoggedOp>> = HashMap::new();
-        for rec in records {
-            if let sbcc_wal::WalRecord::Commit {
-                multi_gid: Some(gid),
-                ops,
-            } = &rec.record
-            {
-                multis.entry(*gid).or_default().extend(ops);
-            }
-        }
         for rec in records {
             match &rec.record {
                 sbcc_wal::WalRecord::Register { name, type_name } => {
@@ -512,26 +501,13 @@ impl Database {
                     let handle = self.register_object(name.clone(), adt.instantiate())?;
                     handles.insert(name, handle);
                 }
-                sbcc_wal::WalRecord::Commit { multi_gid, ops } => {
-                    // The fragments of a multi-shard commit replay as the
-                    // single transaction they were, at the first
-                    // fragment's position: any record logged between two
-                    // fragments was classified against the multi's
-                    // then-uncommitted operations, so it commutes with
-                    // them and the reorder is state-invisible.
-                    let gathered: Vec<&sbcc_wal::LoggedOp> = match multi_gid {
-                        Some(gid) => match multis.remove(gid) {
-                            Some(ops) => ops,
-                            None => continue, // a later fragment: already replayed
-                        },
-                        None => ops.iter().collect(),
-                    };
+                sbcc_wal::WalRecord::Commit { ops, .. } => {
                     // Replay the whole commit as one batch; the per-op
                     // result comparison below validates every call
                     // against the log.
                     let txn = self.begin();
                     let mut batch = txn.batch();
-                    for op in &gathered {
+                    for op in ops {
                         let handle = handles.get(op.object.as_str()).ok_or_else(|| {
                             CoreError::Durability(format!(
                                 "log commit references unregistered object {:?}",
@@ -541,8 +517,8 @@ impl Database {
                         batch.add_call(handle, op.call.clone());
                     }
                     let results = batch.submit()?;
-                    debug_assert_eq!(results.len(), gathered.len());
-                    for (result, op) in results.iter().zip(&gathered) {
+                    debug_assert_eq!(results.len(), ops.len());
+                    for (result, op) in results.iter().zip(ops) {
                         if *result != op.result {
                             return Err(CoreError::Durability(format!(
                                 "replay diverged on object {:?} op {}: logged result \
@@ -560,8 +536,6 @@ impl Database {
                         }
                     }
                 }
-                // Markers were consumed by `Wal::open`'s fragment filter.
-                sbcc_wal::WalRecord::Marker { .. } => {}
             }
         }
         Ok(())

@@ -99,10 +99,10 @@ pub struct SchedulerKernel {
     /// cross-shard coordinator, which re-runs the commit vote and applies
     /// the commit in every shard the transaction is enrolled in.
     coordination_ready: Vec<TxnId>,
-    /// The write-ahead log this kernel appends committed operations to,
-    /// with the shard index it writes under. `None` when durability is
-    /// off (the default) — every logging site is a no-op then.
-    wal: Option<(Arc<sbcc_wal::Wal>, u32)>,
+    /// The write-ahead log this kernel appends committed operations to.
+    /// `None` when durability is off (the default) — every logging site
+    /// is a no-op then.
+    wal: Option<Arc<sbcc_wal::Wal>>,
     /// The global commit-stamp clock: every actual commit draws the next
     /// stamp from it and folds its effects into the version store under
     /// that stamp. Shared across every shard of a [`crate::shard::ShardedKernel`]
@@ -212,14 +212,14 @@ impl SchedulerKernel {
     }
 
     /// Attach a write-ahead log: from here on, every actual commit of a
-    /// transaction with operations appends a commit record under `shard`
-    /// (unless the coordinator already logged it — see
+    /// transaction with operations appends a commit record (unless the
+    /// coordinator already logged it — see
     /// [`Self::mark_wal_logged`]). Attach **after** replaying recovered
     /// records, or replay would be re-logged. Only the sharding layer
     /// attaches a log: it is the one caller of [`Self::commit_logged`],
     /// which hands out the record's durability ticket.
-    pub(crate) fn attach_wal(&mut self, wal: Arc<sbcc_wal::Wal>, shard: u32) {
-        self.wal = Some((wal, shard));
+    pub(crate) fn attach_wal(&mut self, wal: Arc<sbcc_wal::Wal>) {
+        self.wal = Some(wal);
     }
 
     /// Raw counters.
@@ -465,11 +465,14 @@ impl SchedulerKernel {
     /// the cross-shard coordinator to log a multi-shard commit before
     /// applying it in-memory.
     pub fn wal_payload(&self, txn: TxnId) -> Vec<sbcc_wal::LoggedOp> {
-        let Some(rec) = self.txns.get(&txn) else {
-            return Vec::new();
-        };
-        rec.ops
-            .iter()
+        self.txns
+            .get(&txn)
+            .map_or_else(Vec::new, |rec| self.logged_ops(&rec.ops))
+    }
+
+    /// `ops` as the write-ahead log records them.
+    fn logged_ops(&self, ops: &[ExecutedOp]) -> Vec<sbcc_wal::LoggedOp> {
+        ops.iter()
             .map(|op| sbcc_wal::LoggedOp {
                 object: self.objects[op.object.0 as usize].name().to_owned(),
                 call: op.call.clone(),
@@ -1235,17 +1238,8 @@ impl SchedulerKernel {
         // logs multi-shard transactions itself, before their per-shard
         // in-memory applications, and marks them `wal_logged`.
         let wal_ticket = match &self.wal {
-            Some((wal, shard)) if !rec.wal_logged && !rec.ops.is_empty() => {
-                let ops: Vec<sbcc_wal::LoggedOp> = rec
-                    .ops
-                    .iter()
-                    .map(|op| sbcc_wal::LoggedOp {
-                        object: self.objects[op.object.0 as usize].name().to_owned(),
-                        call: op.call.clone(),
-                        result: op.result.clone(),
-                    })
-                    .collect();
-                Some(wal.append_commit(*shard, None, &ops))
+            Some(wal) if !rec.wal_logged && !rec.ops.is_empty() => {
+                Some(wal.append_commit(0, None, &self.logged_ops(&rec.ops)))
             }
             _ => None,
         };
@@ -1380,10 +1374,14 @@ impl SchedulerKernel {
     /// every new request `R` conflicts with in either order, and entries
     /// ahead of `R` can only leave the queue, so no operation `R`
     /// conflicts with is admitted past it. A held holder stops conflicting
-    /// in only two ways: it terminates (its node and the edge go with it),
-    /// or its own queued request on this object executes. The pass keeps
-    /// the latter as `released`; a released holder whose logged
-    /// operations `R` no longer conflicts with is *stale*. While `held`
+    /// in three ways: it terminates (its node and the edge go with it),
+    /// its own queued request on this object executes, or that request's
+    /// retry is refused because it would close a cycle. A refused
+    /// multi-shard transaction stays active here, with its node, until the
+    /// coordinator aborts it in all its shards ([`Self::refuse`]). The
+    /// pass keeps the last two as `released`; a released holder whose
+    /// logged operations `R` no longer conflicts with is *stale* (a
+    /// refused one has none on this object). While `held`
     /// keeps a member that is not stale, `R` is still blocked by exactly
     /// those members, so the stale edges are dropped and `R` is re-queued
     /// with no classification, cycle check or event (the debug build
@@ -1449,9 +1447,8 @@ impl SchedulerKernel {
                 debug_assert!(!fair, "a fair retry that runs Figure 2 never re-blocks");
                 continue;
             }
-            if outcome.is_executed() {
-                released.push(request.txn);
-            }
+            // Executed or refused: either way it left the queue.
+            released.push(request.txn);
             self.events.push(KernelEvent::Unblocked {
                 txn: request.txn,
                 outcome,

@@ -1,7 +1,7 @@
 //! The cross-shard termination protocol: commit (single-shard fast path
 //! and the multi-shard vote), abort, the claim that makes each termination
-//! happen exactly once, the side-effect fixpoint and the WAL hand-off of
-//! multi-shard commits. The protocol itself is described in the
+//! happen exactly once, the side-effect fixpoint and the write-ahead-log
+//! record of multi-shard commits. The protocol itself is described in the
 //! [module documentation](super).
 
 use super::{drain_fx, ShardFx, ShardedKernel};
@@ -28,12 +28,11 @@ impl ShardedKernel {
     /// fast path inside their shard; multi-shard transactions run the
     /// cross-shard vote described in the module documentation.
     ///
-    /// Never waits for the log. A single-shard actual commit that
-    /// appended a record returns that record's [`sbcc_wal::Durable`]
-    /// beside the outcome, and the caller must not acknowledge
-    /// `Committed` before it resolves. Multi-shard commits flush inline
-    /// (`wal_log_multi`) and pseudo-commits make no durability promise,
-    /// so both return `None`.
+    /// Never waits for the log. An actual commit that appended a record,
+    /// single- or multi-shard, returns that record's
+    /// [`sbcc_wal::Durable`] beside the outcome, and the caller must not
+    /// acknowledge `Committed` before it resolves. Pseudo-commits make no
+    /// durability promise, so they return `None`.
     pub fn commit(
         &self,
         txn: TxnId,
@@ -73,15 +72,20 @@ impl ShardedKernel {
                 }
                 self.absorb(shard, None, fx);
                 let (outcome, ticket) = result?;
-                let durable = self.wal.get().zip(ticket).map(|(wal, t)| wal.durable(shard, t));
+                let durable = self.wal.get().zip(ticket).map(|(wal, t)| wal.durable(t));
                 Ok((outcome, durable))
             }
-            _ => Ok((self.commit_multi(txn, &enrolled)?, None)),
+            _ => self.commit_multi(txn, &enrolled),
         }
     }
 
-    fn commit_multi(&self, txn: TxnId, enrolled: &[u32]) -> Result<CommitOutcome, CoreError> {
+    fn commit_multi(
+        &self,
+        txn: TxnId,
+        enrolled: &[u32],
+    ) -> Result<(CommitOutcome, Option<sbcc_wal::Durable>), CoreError> {
         let mut fxs: Vec<(u32, ShardFx)> = Vec::new();
+        let mut durable = None;
         let outcome = {
             let _termination = self.termination.lock();
             // Phase 1: the vote. The transaction must be active in every
@@ -113,7 +117,8 @@ impl ShardedKernel {
             if deps.is_empty() {
                 // Phase 2a: unanimous — apply the actual commit in
                 // every shard.
-                (fxs, _) = self.apply_coordinated(txn, enrolled, Some(ChaosPoint::VoteApply));
+                (fxs, _, durable) =
+                    self.apply_coordinated(txn, enrolled, Some(ChaosPoint::VoteApply));
                 CommitOutcome::Committed
             } else {
                 // Phase 2b: outstanding dependencies — pseudo-commit in
@@ -144,7 +149,7 @@ impl ShardedKernel {
         for (shard, fx) in fxs {
             self.absorb(shard, None, fx);
         }
-        Ok(outcome)
+        Ok((outcome, durable))
     }
 
     /// Explicitly abort an active or blocked transaction (all shards).
@@ -321,46 +326,34 @@ impl ShardedKernel {
         }
     }
 
-    /// Make a decided multi-shard commit durable **before** any shard
-    /// applies it in-memory: append each enrolled shard's fragment (tagged
-    /// with a shared group id), flush every fragment, then append + flush
-    /// the cross-shard marker. Recovery replays a fragment only when its
-    /// marker is durable, so a crash anywhere inside this sequence loses
-    /// the transaction *atomically* — the marker is written strictly after
-    /// every fragment, making "marker without a fragment" unrepresentable
-    /// on disk.
+    /// Log a decided multi-shard commit **before** any shard applies it
+    /// in-memory: one `Commit` record of the transaction's operations in
+    /// every shard, whose [`sbcc_wal::Durable`] this returns (`None` when
+    /// no log is attached or nothing executed). The record is appended,
+    /// not flushed: the committer awaits the `Durable` like a
+    /// single-shard committer does, and a crash that tears the record
+    /// loses the whole transaction.
     ///
     /// Runs under the termination lock (both callers hold it), so the
-    /// fragments' append order against other multi-shard commits matches
-    /// their in-memory commit order. Marks the transaction `wal_logged` in
-    /// every shard so the per-shard `actually_commit` does not log it
-    /// again.
-    fn wal_log_multi(&self, txn: TxnId, shards: &[u32]) {
-        let Some(wal) = self.wal.get() else { return };
-        let mut payloads: Vec<(u32, Vec<sbcc_wal::LoggedOp>)> = Vec::new();
+    /// record's place in the log against other multi-shard commits matches
+    /// their in-memory commit order. A single-shard commit appended
+    /// between this record and the per-shard applications was classified
+    /// against this transaction's then-uncommitted operations, so log
+    /// order and memory order leave the same state. Marks the transaction
+    /// `wal_logged` in every shard so the per-shard `actually_commit` does
+    /// not log it again.
+    fn wal_log_multi(&self, txn: TxnId, shards: &[u32]) -> Option<sbcc_wal::Durable> {
+        let wal = self.wal.get()?;
+        let mut ops: Vec<sbcc_wal::LoggedOp> = Vec::new();
         for &s in shards {
             let mut kernel = self.peek_shard(s);
-            let ops = kernel.wal_payload(txn);
+            ops.extend(kernel.wal_payload(txn));
             kernel.mark_wal_logged(txn);
-            drop(kernel);
-            if !ops.is_empty() {
-                payloads.push((s, ops));
-            }
         }
-        if payloads.is_empty() {
-            return; // nothing executed anywhere: nothing to make durable
+        if ops.is_empty() {
+            return None; // nothing executed anywhere: nothing to make durable
         }
-        let gid = wal.next_gid();
-        for (s, ops) in &payloads {
-            wal.append_commit(*s, Some(gid), ops);
-        }
-        for (s, _) in &payloads {
-            // A crash between two of these flushes leaves a fragment
-            // durable without its marker; recovery must drop it.
-            chaos::reach(ChaosPoint::WalFlush, Some(txn));
-            wal.flush_shard(*s);
-        }
-        wal.commit_marker(gid);
+        Some(wal.durable(wal.append_commit(0, None, &ops)))
     }
 
     /// Rule 3's pass (module docs): terminate a multi-shard transaction in
@@ -414,15 +407,15 @@ impl ShardedKernel {
     /// Apply a decided (unanimous) multi-shard commit; the caller holds
     /// the termination lock, which keeps the per-shard commit orders of
     /// concurrent multi-shard commits consistent. Returns the side effects
-    /// of the applications and whether this call won the termination.
+    /// of the applications, whether this call won the termination, and
+    /// the durability of the transaction's log record.
     ///
-    /// Durability first: the transaction's fragments and the cross-shard
-    /// marker must be on disk before any shard applies the commit
-    /// in-memory, or a crash between the per-shard applications could
-    /// acknowledge state the log cannot reproduce. Then **one** stamp for
-    /// every shard's fold: snapshot begins also serialize against the
-    /// termination lock, so the multi-shard commit is atomic from every
-    /// snapshot's point of view. Then the folds, in one
+    /// The log record comes first ([`Self::wal_log_multi`]): it is
+    /// appended before any shard applies the commit in-memory, so every
+    /// commit that observes this one is behind it in the log. Then **one**
+    /// stamp for every shard's fold: snapshot begins also serialize
+    /// against the termination lock, so the multi-shard commit is atomic
+    /// from every snapshot's point of view. Then the folds, in one
     /// [`Self::terminate_in_shards`] pass.
     ///
     /// `between` is the yield point announced before each per-shard
@@ -434,14 +427,14 @@ impl ShardedKernel {
         txn: TxnId,
         shards: &[u32],
         between: Option<ChaosPoint>,
-    ) -> (Vec<(u32, ShardFx)>, bool) {
-        self.wal_log_multi(txn, shards);
+    ) -> (Vec<(u32, ShardFx)>, bool, Option<sbcc_wal::Durable>) {
+        let durable = self.wal_log_multi(txn, shards);
         let stamp = self.commit_clock.fetch_add(1, Ordering::SeqCst) + 1;
         let fxs = self.terminate_in_shards(txn, shards, between, |kernel| {
             kernel.commit_coordinated(txn, stamp)
         });
         let won = self.terminate(txn, TermFate::Committed).is_some();
-        (fxs, won)
+        (fxs, won, durable)
     }
 
     /// Re-run the commit vote for a coordinated pseudo-committed
@@ -466,7 +459,7 @@ impl ShardedKernel {
         }
         // The session's pseudo-commit ack made no durability promise, so
         // nobody waits on the log here.
-        let (fxs, won) = self.apply_coordinated(txn, &shards, None);
+        let (fxs, won, _) = self.apply_coordinated(txn, &shards, None);
         if won {
             self.publish_events(vec![KernelEvent::Committed { txn }]);
         }

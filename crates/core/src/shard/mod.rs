@@ -203,8 +203,9 @@ pub struct ShardedKernel {
     /// The write-ahead log, attached once by [`crate::Database`] after
     /// replay (see [`Self::attach_wal`]). Registrations and multi-shard
     /// commits log through this handle; single-shard commits log through
-    /// the per-shard kernels' own copies, and [`Self::commit`] turns the
-    /// ticket they return into a [`sbcc_wal::Durable`] through it.
+    /// the per-shard kernels' own handles on the same log, and
+    /// [`Self::commit`] turns the ticket they return into a
+    /// [`sbcc_wal::Durable`] through it.
     wal: std::sync::OnceLock<Arc<sbcc_wal::Wal>>,
 }
 
@@ -265,7 +266,7 @@ impl ShardedKernel {
     /// Panics if a log is already attached.
     pub fn attach_wal(&self, wal: Arc<sbcc_wal::Wal>) {
         for (i, _) in self.shards.iter().enumerate() {
-            self.peek_shard(i as u32).attach_wal(wal.clone(), i as u32);
+            self.peek_shard(i as u32).attach_wal(wal.clone());
         }
         assert!(
             self.wal.set(wal).is_ok(),
@@ -338,9 +339,9 @@ impl ShardedKernel {
         let shard = shard_of_name(&name, self.shards.len());
         let local = self.peek_shard(shard).register_object(name.clone(), object)?;
         if let Some(wal) = self.wal.get() {
-            // Flushed at append: no commit record referencing this object
-            // may become durable before the registration.
-            wal.append_register(shard, &name, type_name);
+            // Flushed at append: the registration is durable before any
+            // commit can name the object.
+            wal.append_register(&name, type_name);
         }
         let global = ObjectId(registry.directory.len() as u32);
         let loc = ObjectLoc { shard, local };

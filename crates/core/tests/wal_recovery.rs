@@ -6,9 +6,10 @@
 //! copy *is* the disk state a `kill -9` would leave); recovering the image
 //! must reproduce exactly the state an uncrashed database shows after the
 //! same prefix of the workload, at `SBCC_SHARDS`-style shard counts 1
-//! and 4. Targeted surgery (truncating a marker or one shard's fragment)
-//! emulates the crash points a clean copy cannot reach: mid-group-commit
-//! and between the per-shard flushes of a multi-shard commit.
+//! and 4. Truncating the one log file emulates the crash points a clean
+//! copy cannot reach: a flush torn mid-record, inside a multi-shard
+//! commit's record too. A flush writes a prefix of the log, so every cut
+//! is a reachable crash image.
 
 use sbcc_adt::{
     AbstractObject, AdtObject, AdtOp, AdtSpec, Counter, CounterOp, Stack, StackOp, Value,
@@ -403,9 +404,9 @@ fn run_txn_batched(db: &Database, objects: &Objects, k: usize) {
 /// prefix shows — the log records executed operations, not submission
 /// granularity, so the two are indistinguishable at recovery. Two kill
 /// points: a live-copy image (every acknowledged commit flushed, the
-/// group-commit flusher mid-window) and a surgical image dropping the
-/// final multi-shard commit's marker (killed after its fragment flushes,
-/// before the marker write).
+/// group-commit flusher possibly mid-pass) and an image cut back to the
+/// log's length before the final multi-shard commit (killed before the
+/// flush that would have covered it).
 #[test]
 fn batches_killed_mid_group_commit_recover_to_per_op_replay() {
     let dir = ScratchDir::new("batch-group");
@@ -413,14 +414,15 @@ fn batches_killed_mid_group_commit_recover_to_per_op_replay() {
     let db = Database::with_config(config(4, Some(wal)));
     let objects = register_all(&db);
 
-    let marker_file = sbcc_wal::marker_path(dir.path());
+    let log_file = sbcc_wal::log_path(dir.path());
     for k in 0..TXNS - 1 {
         run_txn_batched(&db, &objects, k);
     }
-    // The final transaction is multi-shard (TXNS-1 ≡ 2 mod 3): record the
-    // marker length before it so surgery can un-mark exactly that commit.
-    assert_eq!((TXNS - 1) % 3, 2, "the surgical kill needs a multi-shard tail");
-    let marker_len_before = std::fs::metadata(&marker_file).unwrap().len();
+    // The final transaction is multi-shard (TXNS-1 ≡ 2 mod 3). Every
+    // commit above was acknowledged, so flushed: record the log's length
+    // before the tail commit so a cut can drop exactly that commit.
+    assert_eq!((TXNS - 1) % 3, 2, "the cut needs a multi-shard tail");
+    let len_before = std::fs::metadata(&log_file).unwrap().len();
     run_txn_batched(&db, &objects, TXNS - 1);
 
     // Kill point A: copy the live directory. Every commit above was
@@ -442,12 +444,12 @@ fn batches_killed_mid_group_commit_recover_to_per_op_replay() {
         "batch recovery must equal the per-op reference run"
     );
 
-    // Kill point B: the tail commit's fragments are on disk but its
-    // marker write never landed. All-or-nothing: recovery keeps exactly
-    // the first TXNS-1 commits and equals the per-op prefix run.
+    // Kill point B: the flush covering the tail commit never landed.
+    // Recovery keeps exactly the first TXNS-1 commits and equals the
+    // per-op prefix run.
     let image_b = ScratchDir::new("batch-group-image-b");
     copy_dir(dir.path(), image_b.path());
-    truncate(&sbcc_wal::marker_path(image_b.path()), marker_len_before);
+    truncate(&sbcc_wal::log_path(image_b.path()), len_before);
     let (_s2, rec_b) = recover(image_b.path(), 4);
     assert_eq!(rec_b.stats().commits, (TXNS - 1) as u64);
     let ref_prefix = Database::with_config(config(4, None));
@@ -458,13 +460,13 @@ fn batches_killed_mid_group_commit_recover_to_per_op_replay() {
     assert_eq!(
         digests(&rec_b),
         digests(&ref_prefix),
-        "the unmarked tail commit must vanish whole"
+        "the unflushed tail commit must vanish whole"
     );
     drop(db);
 }
 
 // ---------------------------------------------------------------------
-// Multi-shard commits: all-or-nothing under marker/fragment loss.
+// Multi-shard commits: all-or-nothing under a torn record.
 // ---------------------------------------------------------------------
 
 /// Two workload stacks guaranteed to live in different shards at 4 shards.
@@ -491,11 +493,8 @@ fn multi_shard_commit_is_all_or_nothing_at_recovery() {
     txn.exec(&objects.stacks[i], StackOp::Push(Value::Int(100))).unwrap();
     txn.commit().unwrap();
 
-    let marker_file = sbcc_wal::marker_path(dir.path());
-    let marker_len_before = std::fs::metadata(&marker_file).map(|m| m.len()).unwrap_or(0);
-    let shard_j = shard_of_name(&format!("stack-{j}"), 4);
-    let frag_file = sbcc_wal::shard_log_path(dir.path(), shard_j);
-    let frag_len_before = std::fs::metadata(&frag_file).unwrap().len();
+    let log_file = sbcc_wal::log_path(dir.path());
+    let len_before = std::fs::metadata(&log_file).unwrap().len();
 
     // The multi-shard transaction.
     let txn = db.begin();
@@ -509,40 +508,32 @@ fn multi_shard_commit_is_all_or_nothing_at_recovery() {
     let (_s0, full) = recover(clean.path(), 4);
     assert_eq!(full.stats().commits, 2);
 
-    // Crash point A — after every fragment flush, before the marker: drop
-    // the marker record. Recovery must lose the multi-shard transaction in
-    // BOTH shards and keep the earlier single-shard commit.
-    let image_a = ScratchDir::new("multi-a");
-    copy_dir(dir.path(), image_a.path());
-    truncate(&sbcc_wal::marker_path(image_a.path()), marker_len_before);
-    let (_s1, rec_a) = recover(image_a.path(), 4);
-    assert_eq!(
-        rec_a.stats().commits,
-        1,
-        "unmarked multi-shard fragments must not replay"
-    );
-    let di = digests(&rec_a);
-    assert!(di[i].as_ref().unwrap().contains("100"), "control commit survives");
-    assert!(!di[i].as_ref().unwrap().contains('7'), "no half-recovered txn: {di:?}");
-    assert!(!di[j].as_ref().unwrap().contains('7'), "no half-recovered txn: {di:?}");
+    let len_after = std::fs::metadata(&log_file).unwrap().len();
+    assert!(len_after > len_before, "the multi-shard commit wrote a record");
 
-    // Crash point B — between the per-shard flushes: shard j's fragment
-    // never hit the disk, so the marker (written strictly afterwards)
-    // is gone too. Same outcome: all-or-nothing.
-    let image_b = ScratchDir::new("multi-b");
-    copy_dir(dir.path(), image_b.path());
-    truncate(&sbcc_wal::shard_log_path(image_b.path(), shard_j), frag_len_before);
-    truncate(&sbcc_wal::marker_path(image_b.path()), marker_len_before);
-    let (_s2, rec_b) = recover(image_b.path(), 4);
-    assert_eq!(rec_b.stats().commits, 1);
-    let di = digests(&rec_b);
-    assert!(!di[i].as_ref().unwrap().contains('7'), "surviving fragment dropped: {di:?}");
+    // A crash that tore the multi-shard record, at every byte offset
+    // inside it: recovery loses the transaction in BOTH shards and keeps
+    // the earlier single-shard commit.
+    for cut in len_before..len_after {
+        let image = ScratchDir::new("multi-cut");
+        copy_dir(dir.path(), image.path());
+        truncate(&sbcc_wal::log_path(image.path()), cut);
+        let (_s, recovered) = recover(image.path(), 4);
+        assert_eq!(
+            recovered.stats().commits,
+            1,
+            "cut at {cut}: a torn multi-shard record must not replay"
+        );
+        let di = digests(&recovered);
+        assert!(di[i].as_ref().unwrap().contains("100"), "control commit survives");
+        assert!(!di[i].as_ref().unwrap().contains('7'), "cut at {cut}: half a txn: {di:?}");
+        assert!(!di[j].as_ref().unwrap().contains('7'), "cut at {cut}: half a txn: {di:?}");
+    }
 }
 
-/// Recovery gathers every multi-shard group in one pass over the log; a
-/// log dominated by multi-shard commits (interleaved with single-shard
-/// ones, so fragments of different groups are not adjacent in the merged
-/// order) must still recover to exactly the uncrashed state.
+/// A log dominated by multi-shard commits, interleaved with single-shard
+/// ones, recovers in one pass over the file to exactly the uncrashed
+/// state.
 #[test]
 fn hundreds_of_multi_shard_commits_recover_to_the_uncrashed_state() {
     const MULTIS: usize = 300;
@@ -609,7 +600,7 @@ fn recovery_chains_across_generations() {
         }
     }
     // Third generation equals an uncrashed run of the first 9 transactions,
-    // even at a DIFFERENT shard count (recovery reads every shard file).
+    // even at a DIFFERENT shard count (one log serves every shard count).
     let db = Database::with_config(config(1, Some(wal_always(dir.path()))));
     let reference = Database::with_config(config(1, None));
     let ref_objects = register_all(&reference);
@@ -652,4 +643,25 @@ fn durable_databases_refuse_unreconstructible_registrations() {
     plain
         .register_object("full", Box::new(AdtObject::new(populated)))
         .unwrap();
+}
+
+// ---------------------------------------------------------------------
+// The per-shard layout of earlier versions is refused, not converted.
+// ---------------------------------------------------------------------
+
+#[test]
+fn a_directory_in_the_per_shard_layout_is_refused_naming_its_file() {
+    for name in ["shard-0.log", "commit-markers.log"] {
+        let dir = ScratchDir::new("old-layout");
+        std::fs::write(dir.path().join(name), b"").unwrap();
+        match Database::try_with_config(config(4, Some(wal_always(dir.path())))) {
+            Err(CoreError::Durability(msg)) => assert!(msg.contains(name), "{msg}"),
+            Err(other) => panic!("expected a Durability error, got {other:?}"),
+            Ok(_) => panic!("a directory holding {name} opened"),
+        }
+        assert!(
+            !sbcc_wal::log_path(dir.path()).exists(),
+            "a refused directory gains no log file"
+        );
+    }
 }

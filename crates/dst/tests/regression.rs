@@ -435,3 +435,75 @@ fn multi_shard_commit_leaves_the_graph_only_after_every_shard_folded() {
     let expected = (Some(TxnState::Committed), Some(TxnState::Active));
     assert_eq!(states, expected, "T cascades after X, W runs after X");
 }
+
+/// **A refused retry leaves the queue** (the fair retry path's third
+/// exit).
+///
+/// On one table in shard 0, G holds `insert(k)`, and J then H queue
+/// `modify(k)` behind it. The two modifies are mutually recoverable, so H
+/// does not queue behind J; R's `lookup(k)` queues behind all three. J and
+/// H are multi-shard: J's push on a stack in shard 1 commit-depends on
+/// H's. When G aborts, J's retry executes, and H's retry, now ordered
+/// behind J's modify, would close the cycle H → J → H: the kernel refuses
+/// it and the coordinator aborts H. H leaves the queue with no operation
+/// on the table, so R's edge to H is stale. Before the retry pass counted
+/// a refused entry as gone, R kept that edge and the debug build's
+/// re-classification oracle fired.
+#[test]
+fn a_refused_multi_shard_retry_leaves_no_edge_behind() {
+    use sbcc_adt::{AdtOp, Stack, StackOp, TableObject, TableOp, Value};
+    use sbcc_core::{
+        shard_of_name, DatabaseConfig, RequestOutcome, SchedulerConfig, ShardedKernel, TxnState,
+    };
+
+    let kernel = ShardedKernel::new(DatabaseConfig::new(SchedulerConfig::default()).with_shards(2));
+    let name_in = |prefix: &str, shard: u32| {
+        (0..)
+            .map(|i| format!("{prefix}{i}"))
+            .find(|n| shard_of_name(n, 2) == shard)
+            .unwrap()
+    };
+    let table = kernel.register(name_in("table", 0), TableObject::new()).unwrap().0;
+    let stack = kernel.register(name_in("stack", 1), Stack::new()).unwrap().0;
+    let key = || Value::Int(1);
+    let check = |step: &str| {
+        kernel
+            .check_invariants()
+            .unwrap_or_else(|e| panic!("{step}: {e}"));
+    };
+
+    let (g, j, h, r) = (kernel.begin(), kernel.begin(), kernel.begin(), kernel.begin());
+    let push = |v: i64| StackOp::Push(Value::Int(v)).to_call();
+    assert!(kernel.request(h, stack, push(1)).unwrap().is_executed());
+    match kernel.request(j, stack, push(2)).unwrap() {
+        RequestOutcome::Executed { commit_deps, .. } => assert_eq!(commit_deps, vec![h]),
+        other => panic!("J's push must be ordered behind H's, got {other:?}"),
+    }
+    let insert = TableOp::Insert(key(), Value::Int(0)).to_call();
+    assert!(kernel.request(g, table, insert).unwrap().is_executed());
+    let modify = |v: i64| TableOp::Modify(key(), Value::Int(v)).to_call();
+    let waits = |txn, call| match kernel.request(txn, table, call).unwrap() {
+        RequestOutcome::Blocked { waiting_on } => waiting_on,
+        other => panic!("{txn} must queue, got {other:?}"),
+    };
+    assert_eq!(waits(j, modify(1)), vec![g]);
+    assert_eq!(waits(h, modify(2)), vec![g], "H does not queue behind J");
+    assert_eq!(waits(r, TableOp::Lookup(key()).to_call()), vec![g, j, h]);
+    let _ = kernel.drain_events();
+    check("set-up");
+
+    kernel.abort(g).unwrap();
+    let _ = kernel.drain_events();
+    check("G aborted");
+    let states = [j, h, r].map(|t| kernel.txn_state(t));
+    let expected = [TxnState::Active, TxnState::Aborted, TxnState::Blocked].map(Some);
+    assert_eq!(states, expected, "J executed, H was refused, R waits for J");
+    assert_eq!(kernel.stats().aborts_commit_cycle, 1);
+
+    // Once J commits, R's lookup runs.
+    assert!(kernel.commit(j).unwrap().0.is_full_commit());
+    let _ = kernel.drain_events();
+    check("J committed");
+    assert_eq!(kernel.txn_state(r), Some(TxnState::Active));
+    kernel.verify_serializable().unwrap();
+}

@@ -13,10 +13,11 @@
 //!   a wire commit whose connection drops while it waits and an async
 //!   commit cancelled while it waits;
 //! * **seeded truncation sweep** — crash images derived from a pinned
-//!   seed cut one shard's log at arbitrary byte offsets (including
+//!   seed cut the log file at arbitrary byte offsets (including
 //!   mid-record, the torn tail a crash during a group-commit flush
-//!   leaves), and every image must recover to a per-shard prefix,
-//!   identically at 1 and 4 shards.
+//!   leaves, and inside multi-shard records), and every image must
+//!   recover, at 1 and 4 shards, to exactly an uncrashed run of the
+//!   recovered prefix.
 //!
 //! One hook-free oracle rides along: blocking committers on four shards
 //! under the on-demand flusher, whose every acknowledged commit a live
@@ -592,39 +593,29 @@ fn acknowledged_commits_on_four_shards_survive_a_live_crash_image() {
 // Seeded truncation sweep over crash images.
 // ---------------------------------------------------------------------
 
-/// Deterministic workload: single-shard commits only, so *any* byte
-/// truncation of one shard's log is a crash image some interleaving of
-/// flush and power loss could have produced.
-fn build_log(dir: &Path, shards: usize) -> usize {
-    let db = Database::with_config(config(
-        shards,
-        WalConfig::new(dir).with_fsync(FsyncPolicy::Always),
-    ));
+const SWEEP_TXNS: u64 = 18;
+
+/// Register the sweep's two objects and run its first `txns`
+/// transactions: every third touches both objects (a multi-shard commit
+/// at 4 shards), the rest one of them.
+fn sweep_workload(db: &Database, txns: u64) {
     let stack = db.register("journal", Stack::new());
     let hits = db.register("hits", Counter::new());
-    let txns = 16;
     for k in 0..txns {
         let txn = db.begin();
-        if k % 2 == 0 {
+        if k % 3 != 1 {
             txn.exec(&stack, StackOp::Push(Value::Int(k as i64))).unwrap();
-        } else {
+        }
+        if k % 3 != 0 {
             txn.exec(&hits, CounterOp::Increment(k as i64)).unwrap();
         }
-        txn.commit().unwrap();
+        assert_eq!(txn.commit().unwrap(), CommitOutcome::Committed);
     }
-    txns
 }
 
-/// Recover an image at `shards` shards and digest every object's
-/// committed state plus the commit count.
-fn recover_digest(image: &Path, shards: usize) -> (u64, Vec<Option<String>>) {
-    let scratch = ScratchDir::new("sweep-recover");
-    copy_dir(image, scratch.path());
-    let db = Database::with_config(config(
-        shards,
-        WalConfig::new(scratch.path()).with_fsync(FsyncPolicy::Never),
-    ));
-    let digests = ["journal", "hits"]
+/// Every workload object's committed state.
+fn digest(db: &Database) -> Vec<Option<String>> {
+    ["journal", "hits"]
         .iter()
         .map(|name| {
             db.with_sharded_kernel(|k| {
@@ -632,19 +623,49 @@ fn recover_digest(image: &Path, shards: usize) -> (u64, Vec<Option<String>>) {
                     .and_then(|id| k.with_object_committed(id, |o| o.debug_state()))
             })
         })
-        .collect();
-    (db.stats().commits, digests)
+        .collect()
+}
+
+/// Recover an image at `shards` shards: the commit count and digest.
+fn recover_digest(image: &Path, shards: usize) -> (u64, Vec<Option<String>>) {
+    let scratch = ScratchDir::new("sweep-recover");
+    copy_dir(image, scratch.path());
+    let db = Database::with_config(config(
+        shards,
+        WalConfig::new(scratch.path()).with_fsync(FsyncPolicy::Never),
+    ));
+    (db.stats().commits, digest(&db))
+}
+
+/// The digest of an uncrashed, non-durable run of the first `txns`
+/// transactions at `shards` shards.
+fn reference_digest(txns: u64, shards: usize) -> Vec<Option<String>> {
+    let db = Database::with_config(DatabaseConfig {
+        scheduler: SchedulerConfig::default(),
+        shards: ShardCount::Fixed(shards),
+        wal: None,
+    });
+    sweep_workload(&db, txns);
+    digest(&db)
 }
 
 #[test]
 fn seeded_truncation_sweep_recovers_identically_at_1_and_4_shards() {
+    assert_ne!(
+        shard_of_name("journal", 4),
+        shard_of_name("hits", 4),
+        "the sweep needs multi-shard commits at 4 shards"
+    );
     let dir = ScratchDir::new("sweep");
-    let total = build_log(dir.path(), 2) as u64;
+    let db = Database::with_config(config(
+        4,
+        WalConfig::new(dir.path()).with_fsync(FsyncPolicy::Always),
+    ));
+    sweep_workload(&db, SWEEP_TXNS);
+    drop(db);
 
-    let victim = sbcc_core::wal::shard_log_path(dir.path(), 0);
-    let full_len = std::fs::metadata(&victim).unwrap().len();
-    assert!(full_len > 0, "shard 0 must own part of the workload");
-
+    let log = sbcc_core::wal::log_path(dir.path());
+    let full_len = std::fs::metadata(&log).unwrap().len();
     let mut z = PINNED_WAL_SEED;
     let mut commit_counts = Vec::new();
     for _ in 0..24 {
@@ -655,28 +676,33 @@ fn seeded_truncation_sweep_recovers_identically_at_1_and_4_shards() {
         copy_dir(dir.path(), image.path());
         let file = std::fs::OpenOptions::new()
             .write(true)
-            .open(image.path().join("shard-0.log"))
+            .open(sbcc_core::wal::log_path(image.path()))
             .unwrap();
         file.set_len(cut).unwrap();
         drop(file);
 
-        let (commits_1, digest_1) = recover_digest(image.path(), 1);
-        let (commits_4, digest_4) = recover_digest(image.path(), 4);
-        assert_eq!(
-            commits_1, commits_4,
-            "cut at {cut}: shard count must not change what recovers"
-        );
-        assert_eq!(digest_1, digest_4, "cut at {cut}: recovered state differs");
-        assert!(commits_1 <= total, "cut at {cut}: more commits than were run");
-        // Recovery must be stable: re-recovering the (repaired) image
-        // reproduces the same state byte-for-byte.
-        let (commits_again, digest_again) = recover_digest(image.path(), 1);
-        assert_eq!((commits_again, digest_again), (commits_1, digest_1));
-        commit_counts.push(commits_1);
+        let (commits, _) = recover_digest(image.path(), 1);
+        assert!(commits <= SWEEP_TXNS, "cut at {cut}: more commits than were run");
+        for shards in [1, 4] {
+            let (got_commits, got) = recover_digest(image.path(), shards);
+            let want = reference_digest(commits, shards);
+            assert_eq!(got_commits, commits, "cut at {cut}, {shards} shard(s)");
+            // A cut among the registrations leaves an object unregistered,
+            // which only the empty prefix can.
+            let matches = got
+                .iter()
+                .zip(&want)
+                .all(|(g, w)| g == w || (commits == 0 && g.is_none()));
+            assert!(
+                matches,
+                "cut at {cut}, {shards} shard(s): recovery {got:?} is not the \
+                 uncrashed run of the {commits}-commit prefix {want:?}"
+            );
+        }
+        commit_counts.push(commits);
     }
 
     // The sweep must actually exercise partial images, not just the
     // trivial endpoints.
-    assert!(commit_counts.iter().any(|&c| c > 0 && c < total));
-    assert!(commit_counts.iter().any(|&c| c < total));
+    assert!(commit_counts.iter().any(|&c| c > 0 && c < SWEEP_TXNS));
 }

@@ -151,17 +151,12 @@ mod tests {
 
     #[test]
     fn truncated_log_recovers_a_strict_prefix() {
-        // Truncation surgery is only a *valid* crash image at one shard
-        // (with several, dropping a fragment while its commit marker
-        // survives is a disk state no real crash can produce — the
-        // marker flushes strictly after the fragments).
-        if durable_config(Path::new("/")).shards.resolve() != 1 {
-            return;
-        }
+        // Every cut of the one log file is a crash image a flush can
+        // leave, at any shard count.
         let dir = scratch("cut");
         run_workload(&dir);
-        // Chop the tail off shard 0's log: a crash image mid-flush.
-        let path = sbcc_core::wal::shard_log_path(&dir, 0);
+        // Chop the tail off the log: a crash image mid-flush.
+        let path = sbcc_core::wal::log_path(&dir);
         let len = std::fs::metadata(&path).unwrap().len();
         let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
         file.set_len(len / 2).unwrap();

@@ -1,4 +1,4 @@
-//! # sbcc-wal — per-shard semantic write-ahead log
+//! # sbcc-wal — semantic write-ahead log
 //!
 //! Durability for the sharded SBCC kernel, built on **semantic logging**:
 //! the log records the *operations* of committed transactions (`OpCall` +
@@ -19,12 +19,12 @@
 //! Pieces:
 //!
 //! * [`record`] — the on-disk record codec: length-prefixed, checksummed
-//!   frames carrying `Register` / `Commit` / `Marker` records, with
-//!   torn-tail detection ([`record::parse_log`]).
-//! * [`log`] — the append engine: per-shard files, [`FsyncPolicy`], the
-//!   group-commit flusher thread, the [`Durable`] future a committer
-//!   awaits, and [`Wal::open`] recovery (torn-tail repair, cross-shard
-//!   marker filtering, merge-by-seq).
+//!   frames carrying `Register` / `Commit` records, with torn-tail
+//!   detection ([`record::parse_log`]).
+//! * [`log`] — the append engine: one file for every shard, one record
+//!   per committed transaction, [`FsyncPolicy`], the group-commit flusher
+//!   thread, the [`Durable`] future a committer awaits, and [`Wal::open`]
+//!   recovery (one pass over the file with torn-tail repair).
 //!
 //! Rebuilding an empty object from a logged type name is the
 //! [`sbcc_adt::AdtType`] catalogue's job.
@@ -35,7 +35,5 @@
 pub mod log;
 pub mod record;
 
-pub use log::{
-    marker_path, shard_log_path, Durable, FsyncPolicy, GroupClock, Wal, WalConfig, WalError,
-};
+pub use log::{log_path, Durable, FsyncPolicy, GroupClock, Wal, WalConfig, WalError};
 pub use record::{LoggedOp, ParsedLog, SequencedRecord, WalRecord};

@@ -1,10 +1,11 @@
-//! The append engine: per-shard log files, fsync policies, group commit.
+//! The append engine: one log file, fsync policies, group commit.
 //!
-//! One [`Wal`] owns one append-only file per shard (`shard-{k}.log`) plus a
-//! shared marker file (`commit-markers.log`) for cross-shard commit markers.
-//! Every record carries a global sequence number drawn from a shared counter
-//! **inside the log's `state` mutex**, so each file is individually
-//! seq-sorted and recovery can merge files by `seq` alone.
+//! One [`Wal`] owns one append-only file, `wal.log`, for every shard.
+//! Each record carries a sequence number drawn **inside the log's `state`
+//! mutex**, so the file is in sequence order, and every transaction,
+//! single- or multi-shard, is one `Commit` record. A flush writes the
+//! buffer in append order, so what is on disk is always a prefix of what
+//! was appended: no record is durable unless every earlier one is.
 //!
 //! ## Fsync policies
 //!
@@ -13,41 +14,39 @@
 //!   written bytes) but not power loss. A [`Durable`] future is ready at
 //!   once.
 //! * [`FsyncPolicy::GroupCommit`] — records are buffered in memory; a
-//!   flusher thread writes + fsyncs every shard's buffer on demand. A
-//!   commit append kicks it, and commits that land while a flush is in
-//!   progress kick the next one, which starts as soon as the previous
-//!   fsync returns: one fsync covers every commit that arrived while the
-//!   last one ran. A committer awaits its record's [`Durable`] future,
-//!   which the flush covering the record wakes; the thread that appended
-//!   is free meanwhile.
+//!   flusher thread writes + fsyncs the buffer on demand. A commit append
+//!   kicks it, and commits that land while a flush is in progress kick
+//!   the next one, which starts as soon as the previous fsync returns:
+//!   one fsync covers every commit that arrived while the last one ran. A
+//!   committer awaits its record's [`Durable`] future, which the flush
+//!   covering the record wakes; the thread that appended is free
+//!   meanwhile.
 //! * [`FsyncPolicy::Always`] — write + fsync inline on every append.
 //!
 //! ## Locks
 //!
-//! Each log has two locks on its append path. `state` guards the buffer
+//! The log has two locks on its append path. `state` guards the buffer
 //! and the ticket counter; a group-commit append takes it alone, so an
 //! append never waits for the device. The I/O lock owns the file and
 //! serialises writes and fsyncs. Lock order: the I/O lock, then `state`.
 //! A flush takes the I/O lock, then briefly `state` to take the buffer
 //! and the ticket it covers, and writes and fsyncs with `state`
-//! released. Flushes of one log run one at a time and take buffers in
-//! append order, so each file stays seq-sorted.
+//! released. Flushes run one at a time and take buffers in append order,
+//! so the file stays in sequence order.
 //!
 //! ## Waiting for a flush
 //!
-//! Each shard log keeps the highest durable ticket beside a registry of
-//! wakers keyed by `(ticket, slot)`. A pending [`Durable`] holds one slot,
+//! The log keeps the highest durable ticket beside a registry of wakers
+//! keyed by `(ticket, slot)`. A pending [`Durable`] holds one slot,
 //! overwritten when it is polled again and removed when it is dropped, so
 //! the registry holds at most one entry per waiting future. A flush
 //! publishes its ticket and wakes every entry at or below it. Blocking
 //! callers ([`Durable::wait`]) park the thread behind the same registry;
 //! there is no second waiting mechanism.
 //!
-//! Registrations and cross-shard markers are always flushed at append,
-//! whatever the policy (fsynced unless the policy is `Never`): a commit
-//! record must never become durable before the registration it references,
-//! and a marker is the multi-shard commit's durability point. They do not
-//! kick the flusher.
+//! Registrations are always flushed at append, whatever the policy
+//! (fsynced unless the policy is `Never`), so a registration is durable
+//! once it returns. They do not kick the flusher.
 //!
 //! ## Clock seam
 //!
@@ -74,7 +73,7 @@ use std::future::Future;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::pin::Pin;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::task::{Context, Poll, Wake, Waker};
 use std::thread::{JoinHandle, Thread};
@@ -96,7 +95,7 @@ pub enum FsyncPolicy {
 /// Durability configuration carried by `DatabaseConfig`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WalConfig {
-    /// Directory holding `shard-{k}.log` files and `commit-markers.log`.
+    /// Directory holding the log file, `wal.log`.
     pub dir: PathBuf,
     /// Fsync policy (see [`FsyncPolicy`]).
     pub fsync: FsyncPolicy,
@@ -131,7 +130,8 @@ impl WalConfig {
 /// (flush now).
 pub type GroupClock = Arc<dyn Fn() -> Option<bool> + Send + Sync>;
 
-/// Recovery-time WAL failure (I/O on open/scan/truncate).
+/// Recovery-time WAL failure (I/O on open/scan/truncate, or a directory
+/// this version cannot read).
 #[derive(Debug)]
 pub enum WalError {
     /// An I/O operation on `path` failed while opening or repairing a log.
@@ -141,6 +141,12 @@ pub enum WalError {
         /// Underlying error.
         source: std::io::Error,
     },
+    /// The directory holds `path`, a file of the per-shard layout that
+    /// earlier versions wrote (`shard-*.log`, `commit-markers.log`).
+    OldLayout {
+        /// The offending file.
+        path: PathBuf,
+    },
 }
 
 impl std::fmt::Display for WalError {
@@ -149,23 +155,24 @@ impl std::fmt::Display for WalError {
             WalError::Io { path, source } => {
                 write!(f, "wal i/o error on {}: {source}", path.display())
             }
+            WalError::OldLayout { path } => write!(
+                f,
+                "{} belongs to the per-shard log layout, which this version \
+                 neither reads nor converts",
+                path.display()
+            ),
         }
     }
 }
 
 impl std::error::Error for WalError {}
 
-/// Path of shard `k`'s log file inside `dir`.
-pub fn shard_log_path(dir: &Path, shard: u32) -> PathBuf {
-    dir.join(format!("shard-{shard}.log"))
+/// Path of the log file inside `dir`.
+pub fn log_path(dir: &Path) -> PathBuf {
+    dir.join("wal.log")
 }
 
-/// Path of the cross-shard commit-marker file inside `dir`.
-pub fn marker_path(dir: &Path) -> PathBuf {
-    dir.join("commit-markers.log")
-}
-
-/// The file side of a log, behind its I/O lock.
+/// The file side of the log, behind its I/O lock.
 struct LogFile {
     file: File,
     /// Highest ticket written (and fsynced, unless the policy is `Never`).
@@ -175,7 +182,9 @@ struct LogFile {
 struct LogState {
     /// Pending bytes not yet written to the file (GroupCommit only).
     buf: Vec<u8>,
-    /// Ticket counter: number of records appended to this log so far.
+    /// Ticket counter: the sequence number of the next record. A record's
+    /// ticket is its sequence number plus one, so this is also the ticket
+    /// of the last record appended.
     appended: u64,
 }
 
@@ -191,7 +200,9 @@ struct DurableState {
     next_slot: u64,
 }
 
-struct ShardLog {
+struct WalInner {
+    policy: FsyncPolicy,
+    clock: Option<GroupClock>,
     path: PathBuf,
     /// Serialises writes and fsyncs. Taken before `state`, never after.
     io: Mutex<LogFile>,
@@ -199,38 +210,6 @@ struct ShardLog {
     /// Guarded separately from `state` so waiters never contend with
     /// appenders.
     durable: Mutex<DurableState>,
-}
-
-impl ShardLog {
-    fn open_append(path: PathBuf) -> Result<ShardLog, WalError> {
-        let file = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)
-            .map_err(|source| WalError::Io {
-                path: path.clone(),
-                source,
-            })?;
-        Ok(ShardLog {
-            path,
-            io: Mutex::new(LogFile { file, synced: 0 }),
-            state: Mutex::new(LogState {
-                buf: Vec::new(),
-                appended: 0,
-            }),
-            durable: Mutex::new(DurableState::default()),
-        })
-    }
-}
-
-struct WalInner {
-    policy: FsyncPolicy,
-    clock: Option<GroupClock>,
-    /// Global record sequence; fetched inside each log's state mutex so
-    /// every file is individually seq-sorted.
-    global_seq: AtomicU64,
-    logs: Vec<ShardLog>,
-    marker: ShardLog,
     /// Set by a commit append, cleared by the flusher as a pass starts.
     kicked: AtomicBool,
     shutdown: AtomicBool,
@@ -241,49 +220,43 @@ struct WalInner {
 }
 
 impl WalInner {
-    fn log(&self, shard: u32) -> &ShardLog {
-        &self.logs[shard as usize]
-    }
-
-    /// Append one record to `log`; returns `(seq, ticket)`. Under
-    /// `GroupCommit` this only buffers the record, under `state` alone.
-    fn append(&self, log: &ShardLog, record: &WalRecord) -> (u64, u64) {
+    /// Append one record; returns its ticket. Under `GroupCommit` this
+    /// only buffers the record, under `state` alone.
+    fn append(&self, record: &WalRecord) -> u64 {
         let next = |state: &mut LogState| {
+            let seq = state.appended;
             state.appended += 1;
-            (
-                self.global_seq.fetch_add(1, Ordering::Relaxed),
-                state.appended,
-            )
+            (seq, state.appended)
         };
         if self.policy == FsyncPolicy::GroupCommit {
-            let mut state = log.state.lock().unwrap();
+            let mut state = self.state.lock().unwrap();
             let (seq, ticket) = next(&mut state);
             state.buf.extend_from_slice(&encode_record(seq, record));
-            return (seq, ticket);
+            return ticket;
         }
-        let mut io = log.io.lock().unwrap();
-        let (seq, ticket) = next(&mut log.state.lock().unwrap());
+        let mut io = self.io.lock().unwrap();
+        let (seq, ticket) = next(&mut self.state.lock().unwrap());
         io.file
             .write_all(&encode_record(seq, record))
-            .unwrap_or_else(|e| panic!("wal append to {}: {e}", log.path.display()));
+            .unwrap_or_else(|e| panic!("wal append to {}: {e}", self.path.display()));
         if self.policy == FsyncPolicy::Always {
             io.file
                 .sync_data()
-                .unwrap_or_else(|e| panic!("wal fsync of {}: {e}", log.path.display()));
+                .unwrap_or_else(|e| panic!("wal fsync of {}: {e}", self.path.display()));
         }
         io.synced = ticket;
         drop(io);
-        Self::advance_durable(log, ticket);
-        (seq, ticket)
+        self.advance_durable(ticket);
+        ticket
     }
 
     /// Write out any buffered records and (policy permitting) fsync, then
     /// publish the covered tickets as durable. Holds `state` only to take
     /// the buffer, so appends go on while the device works.
-    fn flush(&self, log: &ShardLog) {
-        let mut io = log.io.lock().unwrap();
+    fn flush(&self) {
+        let mut io = self.io.lock().unwrap();
         let (buf, covered) = {
-            let mut state = log.state.lock().unwrap();
+            let mut state = self.state.lock().unwrap();
             if state.appended <= io.synced {
                 return; // nothing appended since the last flush
             }
@@ -292,23 +265,23 @@ impl WalInner {
         if !buf.is_empty() {
             io.file
                 .write_all(&buf)
-                .unwrap_or_else(|e| panic!("wal flush to {}: {e}", log.path.display()));
+                .unwrap_or_else(|e| panic!("wal flush to {}: {e}", self.path.display()));
         }
         if self.policy != FsyncPolicy::Never {
             io.file
                 .sync_data()
-                .unwrap_or_else(|e| panic!("wal fsync of {}: {e}", log.path.display()));
+                .unwrap_or_else(|e| panic!("wal fsync of {}: {e}", self.path.display()));
         }
         io.synced = covered;
         drop(io);
-        Self::advance_durable(log, covered);
+        self.advance_durable(covered);
     }
 
     /// Publish `ticket` as durable and wake every waiter it covers. The
     /// wakers run after the lock is released: waking runs executor code.
-    fn advance_durable(log: &ShardLog, ticket: u64) {
+    fn advance_durable(&self, ticket: u64) {
         let covered = {
-            let mut durable = log.durable.lock().unwrap();
+            let mut durable = self.durable.lock().unwrap();
             if durable.through >= ticket {
                 return;
             }
@@ -319,13 +292,6 @@ impl WalInner {
         for waker in covered.into_values() {
             waker.wake();
         }
-    }
-
-    fn flush_all(&self) {
-        for log in &self.logs {
-            self.flush(log);
-        }
-        self.flush(&self.marker);
     }
 
     /// Ask the flusher for a pass. Only the append that sets the flag
@@ -345,8 +311,8 @@ impl WalInner {
     }
 
     /// Group-commit flusher body: sleep until kicked, hold while the
-    /// clock says so, then flush every log. A kick that lands during the
-    /// pass starts the next one as soon as this one returns.
+    /// clock says so, then flush. A kick that lands during the pass starts
+    /// the next one as soon as this one returns.
     fn flusher_loop(&self) {
         let poll = Duration::from_millis(1);
         loop {
@@ -365,14 +331,14 @@ impl WalInner {
                 return; // `Wal::drop` flushes what is left
             }
             self.kicked.store(false, Ordering::Release);
-            self.flush_all();
+            self.flush();
         }
     }
 }
 
-/// A live write-ahead log: one append-only file per shard plus the
-/// cross-shard marker file. Construct with [`Wal::open`], which also
-/// performs torn-tail repair and returns the surviving records for replay.
+/// A live write-ahead log: one append-only file, `wal.log`. Construct
+/// with [`Wal::open`], which also performs torn-tail repair and returns
+/// the surviving records for replay.
 pub struct Wal {
     inner: Arc<WalInner>,
     flusher: Option<JoinHandle<()>>,
@@ -382,120 +348,75 @@ impl std::fmt::Debug for Wal {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Wal")
             .field("policy", &self.inner.policy)
-            .field("shards", &self.inner.logs.len())
+            .field("path", &self.inner.path)
             .finish()
     }
 }
 
 impl Wal {
-    /// Open (or create) the log directory for `shards` shards.
+    /// Open (or create) the log in `config.dir`: parse `wal.log`, stop at
+    /// its first torn or corrupt frame and truncate the file there, and
+    /// return the surviving records, in file (= sequence) order, for the
+    /// caller to replay **before** it routes new commits here.
     ///
-    /// Recovery steps, in order:
+    /// A directory in the per-shard layout of earlier versions (any
+    /// `shard-*.log` or `commit-markers.log`) is refused with
+    /// [`WalError::OldLayout`]; it is never converted.
     ///
-    /// 1. Parse **every** `shard-*.log` in the directory — including files
-    ///    from a previous run with a different shard count — stopping each
-    ///    at its first torn or corrupt frame and truncating the file there.
-    /// 2. Parse (and likewise repair) the marker file, collecting the set
-    ///    of durable cross-shard commit group ids.
-    /// 3. Drop commit records whose `multi_gid` has no durable marker: the
-    ///    crash hit between the per-shard flushes of a multi-shard commit,
-    ///    so the transaction never became durable anywhere. Later records
-    ///    are kept — anything appended after an unmarked multi-shard record
-    ///    was classified against that transaction's then-uncommitted
-    ///    operations, so its presence proves state-commutativity.
-    /// 4. Merge the survivors by global sequence number (each file is
-    ///    individually sorted, so a stable sort suffices) and return them
-    ///    for the caller to replay.
-    ///
-    /// The returned `Wal` appends to `shard-{0..shards}.log`; the caller
-    /// replays the returned records **before** routing new commits here.
+    /// `shards` is ignored: every shard count shares the one file. It is
+    /// kept only while the benchmark crate (`bench/`) still passes it.
     pub fn open(
         config: &WalConfig,
-        shards: usize,
+        _shards: usize,
         clock: Option<GroupClock>,
     ) -> Result<(Wal, Vec<SequencedRecord>), WalError> {
-        std::fs::create_dir_all(&config.dir).map_err(|source| WalError::Io {
+        let dir_error = |source| WalError::Io {
             path: config.dir.clone(),
             source,
-        })?;
-
-        // 1. Scan + repair every shard log present, whatever its index.
-        let mut shard_files: Vec<(u32, PathBuf)> = Vec::new();
-        let entries = std::fs::read_dir(&config.dir).map_err(|source| WalError::Io {
-            path: config.dir.clone(),
-            source,
-        })?;
-        for entry in entries {
-            let entry = entry.map_err(|source| WalError::Io {
-                path: config.dir.clone(),
-                source,
-            })?;
-            let name = entry.file_name();
-            let Some(name) = name.to_str() else { continue };
-            if let Some(idx) = name
-                .strip_prefix("shard-")
-                .and_then(|s| s.strip_suffix(".log"))
-                .and_then(|s| s.parse::<u32>().ok())
-            {
-                shard_files.push((idx, entry.path()));
-            }
-        }
-        shard_files.sort_unstable();
-
-        let mut max_seq: Option<u64> = None;
-        let note_seq = |records: &[SequencedRecord], max_seq: &mut Option<u64>| {
-            for r in records {
-                *max_seq = Some(max_seq.map_or(r.seq, |m| m.max(r.seq)));
-            }
         };
-
-        let mut data: Vec<SequencedRecord> = Vec::new();
-        for (_, path) in &shard_files {
-            let parsed = read_and_repair(path)?;
-            note_seq(&parsed, &mut max_seq);
-            data.extend(parsed);
+        std::fs::create_dir_all(&config.dir).map_err(dir_error)?;
+        for entry in std::fs::read_dir(&config.dir).map_err(dir_error)? {
+            let entry = entry.map_err(dir_error)?;
+            let name = entry.file_name();
+            let name = name.to_string_lossy();
+            let per_shard = name.starts_with("shard-") && name.ends_with(".log");
+            if per_shard || name == "commit-markers.log" {
+                return Err(WalError::OldLayout { path: entry.path() });
+            }
         }
 
-        // 2. Marker file → durable multi-shard commit groups.
-        let marker_file = marker_path(&config.dir);
-        let markers = if marker_file.exists() {
-            read_and_repair(&marker_file)?
+        let path = log_path(&config.dir);
+        let records = if path.exists() {
+            read_and_repair(&path)?
         } else {
             Vec::new()
         };
-        note_seq(&markers, &mut max_seq);
-        let marked: std::collections::HashSet<u64> = markers
-            .iter()
-            .filter_map(|r| match r.record {
-                WalRecord::Marker { gid } => Some(gid),
-                _ => None,
-            })
-            .collect();
-
-        // 3. Drop multi-shard commits that never reached their marker.
-        data.retain(|r| match &r.record {
-            WalRecord::Commit {
-                multi_gid: Some(gid),
-                ..
-            } => marked.contains(gid),
-            _ => true,
-        });
-
-        // 4. Merge by seq (stable: files are individually sorted).
-        data.sort_by_key(|r| r.seq);
-
-        let mut logs = Vec::with_capacity(shards);
-        for k in 0..shards {
-            logs.push(ShardLog::open_append(shard_log_path(&config.dir, k as u32))?);
-        }
-        let marker = ShardLog::open_append(marker_file)?;
+        let appended = records.last().map_or(0, |r| r.seq + 1);
+        let file = OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(&path)
+            .map_err(|source| WalError::Io {
+                path: path.clone(),
+                source,
+            })?;
 
         let inner = Arc::new(WalInner {
             policy: config.fsync,
             clock,
-            global_seq: AtomicU64::new(max_seq.map_or(0, |m| m + 1)),
-            logs,
-            marker,
+            path,
+            io: Mutex::new(LogFile {
+                file,
+                synced: appended,
+            }),
+            state: Mutex::new(LogState {
+                buf: Vec::new(),
+                appended,
+            }),
+            durable: Mutex::new(DurableState {
+                through: appended,
+                ..DurableState::default()
+            }),
             kicked: AtomicBool::new(false),
             shutdown: AtomicBool::new(false),
             wake_lock: Mutex::new(()),
@@ -512,77 +433,56 @@ impl Wal {
         } else {
             None
         };
-        Ok((Wal { inner, flusher }, data))
+        Ok((Wal { inner, flusher }, records))
     }
 
-    /// Append a registration record and flush it immediately: no commit
-    /// record referencing `name` may become durable before this does.
-    pub fn append_register(&self, shard: u32, name: &str, type_name: &str) {
-        let log = self.inner.log(shard);
-        self.inner.append(
-            log,
-            &WalRecord::Register {
-                name: name.to_owned(),
-                type_name: type_name.to_owned(),
-            },
-        );
-        self.inner.flush(log);
+    /// Append a registration record and flush it immediately, so the
+    /// registration is durable when this returns. Every commit naming the
+    /// object is appended after it, so none can be durable without it.
+    pub fn append_register(&self, name: &str, type_name: &str) {
+        self.inner.append(&WalRecord::Register {
+            name: name.to_owned(),
+            type_name: type_name.to_owned(),
+        });
+        self.inner.flush();
     }
 
-    /// Append a commit record; returns the durability ticket to pass to
-    /// [`Wal::durable`]. `multi_gid` is `Some` for the per-shard
-    /// fragments of a cross-shard commit (which only become recoverable
-    /// once [`Wal::commit_marker`] runs for that gid). Under
-    /// `GroupCommit` the record is buffered and the flusher kicked.
-    pub fn append_commit(&self, shard: u32, multi_gid: Option<u64>, ops: &[LoggedOp]) -> u64 {
+    /// Append a commit record of every operation of one transaction,
+    /// whatever the number of shards it touched; returns the durability
+    /// ticket to pass to [`Wal::durable`]. Under `GroupCommit` the record
+    /// is buffered and the flusher kicked.
+    ///
+    /// `shard` and `multi_gid` are ignored. They are kept only while the
+    /// benchmark crate (`bench/`) still passes them.
+    pub fn append_commit(&self, _shard: u32, _multi_gid: Option<u64>, ops: &[LoggedOp]) -> u64 {
         let record = WalRecord::Commit {
-            multi_gid,
+            multi_gid: None,
             ops: ops.to_vec(),
         };
-        let ticket = self.inner.append(self.inner.log(shard), &record).1;
+        let ticket = self.inner.append(&record);
         if self.inner.policy == FsyncPolicy::GroupCommit {
             self.inner.kick();
         }
         ticket
     }
 
-    /// Draw a fresh cross-shard commit group id (from the same counter as
-    /// record sequence numbers, so ids are unique across restarts).
-    pub fn next_gid(&self) -> u64 {
-        self.inner.global_seq.fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// Flush one shard's log now (write + fsync unless the policy is
-    /// `Never`), without waiting for the flusher.
-    pub fn flush_shard(&self, shard: u32) {
-        self.inner.flush(self.inner.log(shard));
-    }
-
-    /// Append + flush the durability marker for cross-shard commit `gid`.
-    /// Must be called only after every member shard's fragment is flushed:
-    /// the marker's presence asserts the whole transaction is durable.
-    pub fn commit_marker(&self, gid: u64) {
-        self.inner.append(&self.inner.marker, &WalRecord::Marker { gid });
-        self.inner.flush(&self.inner.marker);
-    }
-
-    /// A future that resolves once shard `shard`'s record with this
-    /// ticket is durable. Ready at once unless the policy is `GroupCommit`
-    /// (the other policies settle durability inline at append).
-    pub fn durable(&self, shard: u32, ticket: u64) -> Durable {
+    /// A future that resolves once the record with this ticket is
+    /// durable. Ready at once unless the policy is `GroupCommit` (the
+    /// other policies settle durability inline at append).
+    pub fn durable(&self, ticket: u64) -> Durable {
         Durable {
             inner: Arc::clone(&self.inner),
-            shard,
             ticket,
             slot: None,
         }
     }
 
-    /// Block the calling thread until shard `shard`'s record with this
-    /// ticket is durable: [`Wal::durable`] followed by [`Durable::wait`].
-    /// The `wal.wait_durable_group_us` probe in `bench/` calls it.
-    pub fn wait_durable(&self, shard: u32, ticket: u64) {
-        self.durable(shard, ticket).wait();
+    /// Block the calling thread until the record with this ticket is
+    /// durable: [`Wal::durable`] followed by [`Durable::wait`]. The
+    /// `wal.wait_durable_group_us` probe in `bench/` calls it; `shard` is
+    /// ignored and kept only for that caller.
+    pub fn wait_durable(&self, _shard: u32, ticket: u64) {
+        self.durable(ticket).wait();
     }
 
     /// The fsync policy this log was opened with.
@@ -598,11 +498,11 @@ impl Drop for Wal {
         if let Some(handle) = self.flusher.take() {
             let _ = handle.join();
         }
-        self.inner.flush_all();
+        self.inner.flush();
     }
 }
 
-/// The durability of one commit record, as a future: resolves once the
+/// The durability of one log record, as a future: resolves once the
 /// flush covering the record's ticket has returned. Built by
 /// [`Wal::durable`]; owns a handle on the log, so it may outlive the
 /// borrow it was made from.
@@ -611,7 +511,6 @@ impl Drop for Wal {
 /// appended and the next flush writes it regardless.
 pub struct Durable {
     inner: Arc<WalInner>,
-    shard: u32,
     ticket: u64,
     /// This future's registry key while a waker is registered.
     slot: Option<u64>,
@@ -620,7 +519,6 @@ pub struct Durable {
 impl std::fmt::Debug for Durable {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Durable")
-            .field("shard", &self.shard)
             .field("ticket", &self.ticket)
             .finish()
     }
@@ -646,8 +544,11 @@ impl Future for Durable {
         if this.inner.policy != FsyncPolicy::GroupCommit {
             return Poll::Ready(());
         }
-        let log = this.inner.log(this.shard);
-        let mut durable = log.durable.lock().expect("wal durable state poisoned by a panic");
+        let mut durable = this
+            .inner
+            .durable
+            .lock()
+            .expect("wal durable state poisoned by a panic");
         if durable.through >= this.ticket {
             // The flush that covered the ticket removed any entry.
             this.slot = None;
@@ -669,7 +570,7 @@ impl Drop for Durable {
         if let Some(slot) = self.slot.take() {
             // A poisoned lock only means another thread panicked; leave
             // the entry to the next flush rather than panic in drop.
-            if let Ok(mut durable) = self.inner.log(self.shard).durable.lock() {
+            if let Ok(mut durable) = self.inner.durable.lock() {
                 durable.waiters.remove(&(self.ticket, slot));
             }
         }
@@ -715,8 +616,8 @@ mod tests {
         }
     }
 
-    /// A one-shard log in a fresh directory; the directory is removed on
-    /// drop, after the log.
+    /// A log in a fresh directory; the directory is removed on drop,
+    /// after the log.
     struct TestLog {
         wal: Option<Wal>,
         dir: PathBuf,
@@ -724,7 +625,7 @@ mod tests {
 
     impl TestLog {
         /// Under `GroupCommit` the virtual clock never fires, so only an
-        /// explicit `flush_shard` makes a record durable.
+        /// explicit [`TestLog::flush`] makes a record durable.
         fn open(tag: &str, fsync: FsyncPolicy) -> TestLog {
             let never_fires: GroupClock = Arc::new(|| Some(false));
             TestLog::with_clock(tag, fsync, Some(never_fires))
@@ -746,20 +647,23 @@ mod tests {
             self.wal.as_ref().unwrap()
         }
 
+        /// Flush now, without waiting for the flusher.
+        fn flush(&self) {
+            self.wal().inner.flush();
+        }
+
         /// The highest ticket published as durable.
         fn durable_through(&self) -> u64 {
-            self.wal().inner.log(0).durable.lock().unwrap().through
+            self.wal().inner.durable.lock().unwrap().through
         }
 
         fn file_len(&self) -> u64 {
-            std::fs::metadata(shard_log_path(&self.dir, 0))
-                .unwrap()
-                .len()
+            std::fs::metadata(log_path(&self.dir)).unwrap().len()
         }
 
         /// The tickets with a registered waker, in key order.
         fn waiting(&self) -> Vec<u64> {
-            let durable = self.wal().inner.log(0).durable.lock().unwrap();
+            let durable = self.wal().inner.durable.lock().unwrap();
             durable.waiters.keys().map(|&(ticket, _)| ticket).collect()
         }
     }
@@ -806,7 +710,7 @@ mod tests {
         let log = TestLog::with_clock("kick", FsyncPolicy::GroupCommit, None);
         for _ in 0..3 {
             let ticket = log.wal().append_commit(0, None, &[]);
-            let durable = log.wal().durable(0, ticket);
+            let durable = log.wal().durable(ticket);
             returns_promptly("a durable wait with no explicit flush", move || {
                 durable.wait()
             });
@@ -839,7 +743,7 @@ mod tests {
         assert_eq!(log.file_len(), 0, "written while the clock held");
 
         released.store(true, Ordering::Release);
-        let last = log.wal().durable(0, *tickets.last().unwrap());
+        let last = log.wal().durable(*tickets.last().unwrap());
         returns_promptly("the wait after the clock fired", move || last.wait());
         assert_eq!(log.durable_through(), 4);
         assert!(log.file_len() > 0);
@@ -849,14 +753,14 @@ mod tests {
     fn repolling_a_ticket_keeps_one_registry_entry_and_drop_removes_it() {
         let log = TestLog::open("repoll", FsyncPolicy::GroupCommit);
         let ticket = log.wal().append_commit(0, None, &[]);
-        let mut waiting = log.wal().durable(0, ticket);
+        let mut waiting = log.wal().durable(ticket);
         // A fresh waker on every poll, as an executor that re-wraps its
         // task would pass: each one replaces the last.
         for _ in 0..1_000 {
             assert!(poll_with(&mut waiting, &counter()).is_pending());
         }
         assert_eq!(log.waiting(), vec![ticket]);
-        let mut second = log.wal().durable(0, ticket);
+        let mut second = log.wal().durable(ticket);
         assert!(poll_with(&mut second, &counter()).is_pending());
         assert_eq!(log.waiting(), vec![ticket, ticket], "one entry per future");
         drop(second);
@@ -870,14 +774,14 @@ mod tests {
         let first = log.wal().append_commit(0, None, &[]);
         let second = log.wal().append_commit(0, None, &[]);
         let (covered, later) = (counter(), counter());
-        let mut a = log.wal().durable(0, first);
-        let mut b = log.wal().durable(0, second);
-        let mut c = log.wal().durable(0, second + 1);
+        let mut a = log.wal().durable(first);
+        let mut b = log.wal().durable(second);
+        let mut c = log.wal().durable(second + 1);
         assert!(poll_with(&mut a, &covered).is_pending());
         assert!(poll_with(&mut b, &covered).is_pending());
         assert!(poll_with(&mut c, &later).is_pending());
 
-        log.wal().flush_shard(0);
+        log.flush();
         assert_eq!(covered.0.load(Ordering::Relaxed), 2);
         assert_eq!(later.0.load(Ordering::Relaxed), 0);
         assert_eq!(log.waiting(), vec![second + 1], "no covered entry is left");
@@ -886,7 +790,7 @@ mod tests {
         assert_eq!(log.waiting(), vec![second + 1]);
 
         assert_eq!(log.wal().append_commit(0, None, &[]), second + 1);
-        log.wal().flush_shard(0);
+        log.flush();
         assert_eq!(later.0.load(Ordering::Relaxed), 1);
         assert!(poll_with(&mut c, &later).is_ready());
         assert!(log.waiting().is_empty());
@@ -901,7 +805,7 @@ mod tests {
             scope.spawn(|| {
                 std::thread::sleep(Duration::from_millis(20));
                 flushed.store(true, Ordering::Release);
-                log.wal().flush_shard(0);
+                log.flush();
             });
             log.wal().wait_durable(0, ticket);
             assert!(flushed.load(Ordering::Acquire), "returned before the flush");
@@ -914,7 +818,7 @@ mod tests {
         for fsync in [FsyncPolicy::Never, FsyncPolicy::Always] {
             let log = TestLog::open(&format!("{fsync:?}"), fsync);
             let ticket = log.wal().append_commit(0, None, &[]);
-            let mut durable = log.wal().durable(0, ticket);
+            let mut durable = log.wal().durable(ticket);
             assert!(poll_with(&mut durable, &counter()).is_ready());
             assert!(log.waiting().is_empty());
         }

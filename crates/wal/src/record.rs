@@ -11,12 +11,11 @@
 //! ## Body layout
 //!
 //! ```text
-//! seq: u64 LE          — global sequence number (total order across files)
-//! tag: u8              — 1 Register, 2 Commit, 3 Marker
+//! seq: u64 LE          — sequence number (the record's place in the log)
+//! tag: u8              — 1 Register, 2 Commit
 //! Register:  name: str, type_name: str
-//! Commit:    multi: u8 (0|1) [, gid: u64], n_ops: u32,
+//! Commit:    n_ops: u32,
 //!            n_ops × { object: str, call: OpCall, result: OpResult }
-//! Marker:    gid: u64
 //! ```
 //!
 //! Strings, calls and results use the layout of [`sbcc_adt::codec`],
@@ -35,7 +34,6 @@ pub const MAX_RECORD_LEN: usize = 1 << 24;
 
 const TAG_REGISTER: u8 = 1;
 const TAG_COMMIT: u8 = 2;
-const TAG_MARKER: u8 = 3;
 
 /// One logged operation of a committed transaction: the object's
 /// registration name plus the executed call and its observed result (the
@@ -62,29 +60,23 @@ pub enum WalRecord {
         /// The ADT's [`sbcc_adt::SemanticObject::type_name`].
         type_name: String,
     },
-    /// A committed transaction's operations against one shard.
-    /// `multi_gid` is `None` for single-shard commits; multi-shard commits
-    /// carry the group id that ties their per-shard records to the commit
-    /// marker — a multi record whose gid has no durable [`WalRecord::Marker`]
-    /// is skipped wholesale at recovery (never half-applied).
+    /// A committed transaction's operations, in every shard it touched:
+    /// one record per transaction, so recovery replays it whole or, when
+    /// a crash tore the record, not at all.
     Commit {
-        /// Cross-shard group id, when part of a multi-shard commit.
+        /// Ignored when encoding and always `None` when decoding. Kept only
+        /// while the benchmark crate (`bench/`) still names it.
         multi_gid: Option<u64>,
-        /// The transaction's operations on this shard, in execution order.
+        /// The transaction's operations, shard by shard, each shard's in
+        /// execution order.
         ops: Vec<LoggedOp>,
-    },
-    /// The cross-shard commit marker for group `gid`: durable iff every
-    /// member shard's data record was flushed first.
-    Marker {
-        /// The group id the marker commits.
-        gid: u64,
     },
 }
 
 /// A record plus its global sequence number.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SequencedRecord {
-    /// Global sequence number (strictly increasing within each file).
+    /// Sequence number (strictly increasing along the file).
     pub seq: u64,
     /// The decoded record.
     pub record: WalRecord,
@@ -130,25 +122,14 @@ pub fn encode_record(seq: u64, record: &WalRecord) -> Vec<u8> {
             put_str(&mut body, name);
             put_str(&mut body, type_name);
         }
-        WalRecord::Commit { multi_gid, ops } => {
+        WalRecord::Commit { ops, .. } => {
             body.push(TAG_COMMIT);
-            match multi_gid {
-                Some(gid) => {
-                    body.push(1);
-                    put_u64(&mut body, *gid);
-                }
-                None => body.push(0),
-            }
             put_u32(&mut body, ops.len() as u32);
             for op in ops {
                 put_str(&mut body, &op.object);
                 put_call(&mut body, &op.call);
                 put_result(&mut body, &op.result);
             }
-        }
-        WalRecord::Marker { gid } => {
-            body.push(TAG_MARKER);
-            put_u64(&mut body, *gid);
         }
     }
     let mut frame = Vec::with_capacity(body.len() + 12);
@@ -172,11 +153,6 @@ fn decode_body(body: &[u8]) -> Result<SequencedRecord, CodecError> {
             type_name: r.string()?,
         },
         TAG_COMMIT => {
-            let multi_gid = match r.u8()? {
-                0 => None,
-                1 => Some(r.u64()?),
-                tag => return Err(CodecError::UnknownTag("multi flag", tag)),
-            };
             let n = r.u32()? as usize;
             let mut ops = Vec::with_capacity(n.min(1024));
             for _ in 0..n {
@@ -186,9 +162,11 @@ fn decode_body(body: &[u8]) -> Result<SequencedRecord, CodecError> {
                     result: r.result()?,
                 });
             }
-            WalRecord::Commit { multi_gid, ops }
+            WalRecord::Commit {
+                multi_gid: None,
+                ops,
+            }
         }
-        TAG_MARKER => WalRecord::Marker { gid: r.u64()? },
         tag => return Err(CodecError::UnknownTag("record", tag)),
     };
     r.finish()?;
@@ -241,6 +219,13 @@ mod tests {
     use super::*;
     use sbcc_adt::Value;
 
+    fn commit(ops: Vec<LoggedOp>) -> WalRecord {
+        WalRecord::Commit {
+            multi_gid: None,
+            ops,
+        }
+    }
+
     fn sample_records() -> Vec<SequencedRecord> {
         vec![
             SequencedRecord {
@@ -252,44 +237,34 @@ mod tests {
             },
             SequencedRecord {
                 seq: 2,
-                record: WalRecord::Commit {
-                    multi_gid: None,
-                    ops: vec![LoggedOp {
-                        object: "journal".to_owned(),
-                        call: OpCall {
-                            kind: 0,
-                            params: vec![
-                                Value::Int(-7),
-                                Value::Str("x".to_owned()),
-                                Value::Bool(true),
-                                Value::Null,
-                            ],
-                        },
-                        result: OpResult::Value(Value::Int(3)),
-                    }],
-                },
+                record: commit(vec![LoggedOp {
+                    object: "journal".to_owned(),
+                    call: OpCall {
+                        kind: 0,
+                        params: vec![
+                            Value::Int(-7),
+                            Value::Str("x".to_owned()),
+                            Value::Bool(true),
+                            Value::Null,
+                        ],
+                    },
+                    result: OpResult::Value(Value::Int(3)),
+                }]),
             },
             SequencedRecord {
                 seq: 3,
-                record: WalRecord::Commit {
-                    multi_gid: Some(99),
-                    ops: vec![
-                        LoggedOp {
-                            object: "a".to_owned(),
-                            call: OpCall { kind: 2, params: vec![] },
-                            result: OpResult::Null,
-                        },
-                        LoggedOp {
-                            object: "b".to_owned(),
-                            call: OpCall { kind: 1, params: vec![Value::Bool(false)] },
-                            result: OpResult::Failure,
-                        },
-                    ],
-                },
-            },
-            SequencedRecord {
-                seq: 4,
-                record: WalRecord::Marker { gid: 99 },
+                record: commit(vec![
+                    LoggedOp {
+                        object: "a".to_owned(),
+                        call: OpCall { kind: 2, params: vec![] },
+                        result: OpResult::Null,
+                    },
+                    LoggedOp {
+                        object: "b".to_owned(),
+                        call: OpCall { kind: 1, params: vec![Value::Bool(false)] },
+                        result: OpResult::Failure,
+                    },
+                ]),
             },
         ]
     }
@@ -312,31 +287,15 @@ mod tests {
         assert!(parsed.torn.is_none());
     }
 
-    /// Record bytes captured before the codec moved into
-    /// `sbcc_adt::codec`: the on-disk format is whatever these say.
+    /// The on-disk format is whatever these bytes say.
     #[test]
     fn golden_commit_record_pins_the_disk_format() {
-        let record = WalRecord::Commit {
-            multi_gid: Some(99),
-            ops: vec![LoggedOp {
-                object: "journal".to_owned(),
-                call: OpCall {
-                    kind: 0,
-                    params: vec![
-                        Value::Int(-7),
-                        Value::Str("x".to_owned()),
-                        Value::Bool(true),
-                        Value::Null,
-                    ],
-                },
-                result: OpResult::Value(Value::Int(3)),
-            }],
-        };
-        let golden: [u8; 81] = [
-            0x45, 0, 0, 0, // body length
+        // The one-op commit of `sample_records`, at the same seq.
+        let record = sample_records().swap_remove(1).record;
+        let golden: [u8; 72] = [
+            0x3c, 0, 0, 0, // body length
             2, 0, 0, 0, 0, 0, 0, 0, // seq
             2, // Commit
-            1, 0x63, 0, 0, 0, 0, 0, 0, 0, // multi, gid 99
             1, 0, 0, 0, // one op
             7, 0, 0, 0, b'j', b'o', b'u', b'r', b'n', b'a', b'l', // object
             0, 0, 0, 0, // op kind
@@ -346,7 +305,7 @@ mod tests {
             1, 1, // Bool(true)
             0, // Null
             3, 2, 3, 0, 0, 0, 0, 0, 0, 0, // result Value(Int(3))
-            0xe2, 0x4c, 0x07, 0x0b, 0x01, 0x91, 0x1d, 0x61, // fnv1a64(body)
+            0x48, 0xec, 0xb9, 0x2c, 0x79, 0xda, 0xb4, 0xf1, // fnv1a64(body)
         ];
         assert_eq!(encode_record(2, &record), golden);
         let parsed = parse_log(&golden);

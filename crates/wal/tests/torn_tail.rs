@@ -1,20 +1,16 @@
-//! Engine-level torn-tail and marker recovery tests.
+//! Engine-level torn-tail recovery tests.
 //!
 //! These drive [`Wal::open`]'s repair path with crafted crash images:
-//! copies of a real log directory with files truncated at chosen offsets.
-//! Surgery respects the *valid crash-image space*: a cross-shard marker is
-//! flushed only after every member fragment is flushed, so an image may
-//! lose a marker while keeping its data, or lose data *and* the marker —
-//! but never keep a marker whose member data is gone. The random-offset
-//! proptest therefore truncates a single-shard-commit-only log (any offset
-//! is a reachable crash state there), while the marker scenarios use
-//! targeted surgery.
+//! copies of a real log directory with the one log file truncated at
+//! chosen offsets. A flush writes the buffer in append order, so every
+//! cut of the file is a crash image some interleaving of flushes and
+//! power loss could produce, and recovery must return exactly the
+//! records wholly before the cut.
 
 use proptest::prelude::*;
 use sbcc_adt::{OpCall, OpResult};
 use sbcc_wal::{
-    marker_path, shard_log_path, FsyncPolicy, LoggedOp, SequencedRecord, Wal, WalConfig,
-    WalRecord,
+    log_path, FsyncPolicy, LoggedOp, SequencedRecord, Wal, WalConfig, WalError, WalRecord,
 };
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -75,32 +71,36 @@ fn config(dir: &Path) -> WalConfig {
     WalConfig::new(dir).with_fsync(FsyncPolicy::Always)
 }
 
-fn reopen(dir: &Path, shards: usize) -> Vec<SequencedRecord> {
-    let (_wal, records) = Wal::open(&config(dir), shards, None).unwrap();
+fn reopen(dir: &Path) -> Vec<SequencedRecord> {
+    let (_wal, records) = Wal::open(&config(dir), 1, None).unwrap();
     records
 }
 
-/// Build a two-shard log with registrations and `n` single-shard commits
-/// alternating between the shards; return the canonical record list.
-fn build_single_commit_log(dir: &Path, n: i64) -> Vec<SequencedRecord> {
-    let (wal, existing) = Wal::open(&config(dir), 2, None).unwrap();
+/// Build a log of two registrations and `n` commits on two objects, every
+/// third of which touches both (a multi-shard transaction is one record
+/// of all its ops); return the canonical record list.
+fn build_log(dir: &Path, n: i64) -> Vec<SequencedRecord> {
+    let (wal, existing) = Wal::open(&config(dir), 1, None).unwrap();
     assert!(existing.is_empty());
-    wal.append_register(0, "stack-a", "stack");
-    wal.append_register(1, "stack-b", "stack");
+    wal.append_register("stack-a", "stack");
+    wal.append_register("stack-b", "stack");
     for i in 0..n {
-        let shard = (i % 2) as u32;
-        let name = if shard == 0 { "stack-a" } else { "stack-b" };
-        wal.append_commit(shard, None, &[op(name, i)]);
+        let ops = match i % 3 {
+            0 => vec![op("stack-a", i)],
+            1 => vec![op("stack-b", i)],
+            _ => vec![op("stack-a", i), op("stack-b", i)],
+        };
+        wal.append_commit(0, None, &ops);
     }
     drop(wal);
-    reopen(dir, 2)
+    reopen(dir)
 }
 
 #[test]
 fn clean_reopen_returns_every_record_in_seq_order() {
     let dir = ScratchDir::new("clean");
-    let records = build_single_commit_log(dir.path(), 10);
-    // 2 registrations + 10 commits, globally seq-sorted.
+    let records = build_log(dir.path(), 10);
+    // 2 registrations + 10 commits, seq-sorted.
     assert_eq!(records.len(), 12);
     for pair in records.windows(2) {
         assert!(pair[0].seq < pair[1].seq);
@@ -112,100 +112,46 @@ fn clean_reopen_returns_every_record_in_seq_order() {
         .count();
     assert_eq!(commits, 10);
     // Reopening repeatedly is idempotent.
-    assert_eq!(reopen(dir.path(), 2), records);
+    assert_eq!(reopen(dir.path()), records);
+}
+
+/// Open a directory that also holds `name`, a file of the per-shard
+/// layout, and expect the refusal to name it.
+fn refuses_old_layout_file(name: &str) {
+    let dir = ScratchDir::new("old-layout");
+    build_log(dir.path(), 3);
+    let old = dir.path().join(name);
+    std::fs::write(&old, b"").unwrap();
+    match Wal::open(&config(dir.path()), 1, None) {
+        Err(WalError::OldLayout { path }) => assert_eq!(path, old),
+        other => panic!("expected the old layout to be refused, got {other:?}"),
+    }
+    let message = Wal::open(&config(dir.path()), 1, None).unwrap_err().to_string();
+    assert!(message.contains(name), "{message}");
+    // Nothing was converted or repaired: the log is as it was.
+    std::fs::remove_file(&old).unwrap();
+    assert_eq!(reopen(dir.path()).len(), 5);
 }
 
 #[test]
-fn reopen_with_fewer_shards_still_replays_every_file() {
-    let dir = ScratchDir::new("reshard");
-    let records = build_single_commit_log(dir.path(), 10);
-    // A later run with SBCC_SHARDS=1 must still see shard-1.log's records.
-    assert_eq!(reopen(dir.path(), 1), records);
+fn a_per_shard_log_file_is_refused_by_name() {
+    refuses_old_layout_file("shard-0.log");
 }
 
 #[test]
-fn truncated_marker_drops_every_fragment_of_the_multi_commit() {
-    let dir = ScratchDir::new("marker");
-    let (wal, _) = Wal::open(&config(dir.path()), 2, None).unwrap();
-    wal.append_register(0, "stack-a", "stack");
-    wal.append_register(1, "stack-b", "stack");
-    wal.append_commit(0, None, &[op("stack-a", 1)]);
-    let gid = wal.next_gid();
-    wal.append_commit(0, Some(gid), &[op("stack-a", 2)]);
-    wal.append_commit(1, Some(gid), &[op("stack-b", 2)]);
-    wal.flush_shard(0);
-    wal.flush_shard(1);
-    wal.commit_marker(gid);
-    drop(wal);
-
-    let full = reopen(dir.path(), 2);
-    let multi = full
-        .iter()
-        .filter(|r| matches!(r.record, WalRecord::Commit { multi_gid: Some(_), .. }))
-        .count();
-    assert_eq!(multi, 2, "marker present: both fragments replayed");
-
-    // Crash image: the marker never hit the disk (crash after the data
-    // flushes, before the marker flush). Both fragments must vanish; the
-    // earlier single-shard commit must survive.
-    let crashed = ScratchDir::new("marker-crash");
-    copy_dir(dir.path(), crashed.path());
-    truncate(&marker_path(crashed.path()), 0);
-    let recovered = reopen(crashed.path(), 2);
-    assert!(
-        recovered
-            .iter()
-            .all(|r| !matches!(r.record, WalRecord::Commit { multi_gid: Some(_), .. })),
-        "no fragment of an unmarked multi-shard commit may be replayed"
-    );
-    let singles = recovered
-        .iter()
-        .filter(|r| matches!(r.record, WalRecord::Commit { multi_gid: None, .. }))
-        .count();
-    assert_eq!(singles, 1);
-}
-
-#[test]
-fn crash_between_per_shard_flushes_loses_the_whole_multi_commit() {
-    let dir = ScratchDir::new("between");
-    let (wal, _) = Wal::open(&config(dir.path()), 2, None).unwrap();
-    wal.append_register(0, "stack-a", "stack");
-    wal.append_register(1, "stack-b", "stack");
-    let before_fragment = std::fs::metadata(shard_log_path(dir.path(), 1))
-        .unwrap()
-        .len();
-    let gid = wal.next_gid();
-    wal.append_commit(0, Some(gid), &[op("stack-a", 7)]);
-    wal.append_commit(1, Some(gid), &[op("stack-b", 7)]);
-    wal.flush_shard(0);
-    wal.flush_shard(1);
-    wal.commit_marker(gid);
-    drop(wal);
-
-    // Crash image: shard 0's fragment reached the disk, shard 1's did not,
-    // so the marker (flushed strictly after both) is gone too.
-    let crashed = ScratchDir::new("between-crash");
-    copy_dir(dir.path(), crashed.path());
-    truncate(&shard_log_path(crashed.path(), 1), before_fragment);
-    truncate(&marker_path(crashed.path()), 0);
-    let recovered = reopen(crashed.path(), 2);
-    assert!(
-        recovered
-            .iter()
-            .all(|r| matches!(r.record, WalRecord::Register { .. })),
-        "surviving fragment must be dropped: only registrations remain, got {recovered:?}"
-    );
+fn a_markers_file_is_refused_by_name() {
+    refuses_old_layout_file("commit-markers.log");
 }
 
 #[test]
 fn seq_counter_resumes_past_every_recovered_record() {
     let dir = ScratchDir::new("seqresume");
-    let records = build_single_commit_log(dir.path(), 6);
+    let records = build_log(dir.path(), 6);
     let max_seq = records.iter().map(|r| r.seq).max().unwrap();
-    let (wal, _) = Wal::open(&config(dir.path()), 2, None).unwrap();
+    let (wal, _) = Wal::open(&config(dir.path()), 1, None).unwrap();
     wal.append_commit(0, None, &[op("stack-a", 99)]);
     drop(wal);
-    let after = reopen(dir.path(), 2);
+    let after = reopen(dir.path());
     let new_seq = after.iter().map(|r| r.seq).max().unwrap();
     assert!(new_seq > max_seq, "fresh appends must sort after recovery");
 }
@@ -213,54 +159,39 @@ fn seq_counter_resumes_past_every_recovered_record() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Truncating a single-commit-only log at ANY byte offset recovers a
-    /// clean prefix of that shard's records (and the torn file is repaired
-    /// in place, so a second open parses it without loss).
+    /// Truncating the log at ANY byte offset recovers the records wholly
+    /// before the cut: a prefix of the whole log, so of each object's
+    /// records too, and a record that spans both objects survives whole
+    /// or not at all. The torn file is repaired in place, so a second
+    /// open parses it without loss.
     #[test]
     fn random_truncation_recovers_a_per_shard_prefix(cut_permille in 0u64..1000) {
         let dir = ScratchDir::new("prop");
-        let full = build_single_commit_log(dir.path(), 16);
-        let shard0 = shard_log_path(dir.path(), 0);
-        let full_len = std::fs::metadata(&shard0).unwrap().len();
+        let full = build_log(dir.path(), 16);
+        let full_len = std::fs::metadata(log_path(dir.path())).unwrap().len();
         let cut = full_len * cut_permille / 1000;
 
         let crashed = ScratchDir::new("prop-crash");
         copy_dir(dir.path(), crashed.path());
-        truncate(&shard_log_path(crashed.path(), 0), cut);
+        truncate(&log_path(crashed.path()), cut);
 
-        let recovered = reopen(crashed.path(), 2);
-        // Shard 1 is untouched: all of its records survive.
-        let shard1_full: Vec<_> = full
+        let recovered = reopen(crashed.path());
+        prop_assert!(recovered.len() <= full.len());
+        prop_assert_eq!(&full[..recovered.len()], &recovered[..]);
+        // The recovered prefix ends exactly where the next record would
+        // have started: every whole record before the cut survives.
+        let kept: u64 = recovered
             .iter()
-            .filter(|r| record_object(r) == Some("stack-b"))
-            .collect();
-        let shard1_rec: Vec<_> = recovered
-            .iter()
-            .filter(|r| record_object(r) == Some("stack-b"))
-            .collect();
-        prop_assert_eq!(shard1_full, shard1_rec);
-        // Shard 0 recovers a prefix of its own record sequence.
-        let shard0_full: Vec<_> = full
-            .iter()
-            .filter(|r| record_object(r) == Some("stack-a"))
-            .collect();
-        let shard0_rec: Vec<_> = recovered
-            .iter()
-            .filter(|r| record_object(r) == Some("stack-a"))
-            .collect();
-        prop_assert!(shard0_rec.len() <= shard0_full.len());
-        prop_assert_eq!(&shard0_full[..shard0_rec.len()], &shard0_rec[..]);
+            .map(|r| sbcc_wal::record::encode_record(r.seq, &r.record).len() as u64)
+            .sum();
+        prop_assert!(kept <= cut);
+        if let Some(next) = full.get(recovered.len()) {
+            let next_len = sbcc_wal::record::encode_record(next.seq, &next.record).len() as u64;
+            prop_assert!(kept + next_len > cut);
+        }
         // Repair is stable: the truncated file now ends on a record
         // boundary and a fresh open sees the identical record set.
-        prop_assert_eq!(reopen(crashed.path(), 2), recovered);
-    }
-}
-
-/// The object a record concerns, for attributing records to a shard.
-fn record_object(r: &SequencedRecord) -> Option<&str> {
-    match &r.record {
-        WalRecord::Register { name, .. } => Some(name),
-        WalRecord::Commit { ops, .. } => ops.first().map(|o| o.object.as_str()),
-        WalRecord::Marker { .. } => None,
+        prop_assert_eq!(std::fs::metadata(log_path(crashed.path())).unwrap().len(), kept);
+        prop_assert_eq!(reopen(crashed.path()), recovered);
     }
 }
