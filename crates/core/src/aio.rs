@@ -5,7 +5,7 @@
 //! # Why this exists
 //!
 //! The paper's scheduler admits far more interleavings than
-//! commutativity-based locking, but the sync front-end
+//! commutativity-based locking, but the blocking entry point
 //! ([`crate::Database`]) parks one OS thread per blocked transaction, so
 //! the concurrency the semantics buy is capped by thread count. This
 //! module removes that cap: an [`AsyncTransaction`] operation that
@@ -17,16 +17,17 @@
 //!
 //! # How it works
 //!
-//! There is **no new kernel, batching or event-delivery code** here. Both
-//! front-ends drive the same [`Database`] internals through the same
-//! per-transaction rendezvous: a blocked request registers a private
-//! waiter slot, and whichever thread drains the kernel event that settles
-//! the transaction fills exactly that slot. The slot is two-variant — a
-//! condvar for a parked thread, a [`std::task::Waker`] for a suspended
-//! future — and the fill path serves both, so every scheduling decision,
-//! admission, blocking and wakeup is *identical* between the two APIs
-//! (pinned by the async-vs-sync differential proptest suite in
-//! `crates/core/tests/async_differential.rs`).
+//! There is **one session implementation**, and it is async. An
+//! [`AsyncTransaction`] and a blocking [`crate::Transaction`] hold the
+//! same session type, and every blocking method is [`block_on`] of the
+//! future this module awaits. A blocked request registers a private
+//! waiter slot holding its future's [`std::task::Waker`], and whichever
+//! thread drains the kernel event that settles the transaction fills
+//! exactly that slot and wakes that waker: an executor's task, or a
+//! thread parked in `block_on`. So every scheduling decision, admission,
+//! blocking and wakeup is the same code for both APIs.
+//! `crates/core/tests/async_differential.rs` drives its scenarios through
+//! both entry points.
 //!
 //! # Executor-agnostic
 //!
@@ -116,7 +117,7 @@
 //! assert_eq!(top, OpResult::Value(Value::Int(42)));
 //! ```
 
-use crate::db::{Batch, BatchPass, Database, Handle, ObjectHandle, SessionCore, WaiterSlot};
+use crate::db::{Batch, Database, Handle, ObjectHandle, Session};
 use crate::errors::CoreError;
 use crate::events::{CommitOutcome, RequestOutcome};
 use crate::policy::SchedulerConfig;
@@ -206,12 +207,7 @@ impl AsyncDatabase {
     /// explicit [`AsyncTransaction::commit`] / [`AsyncTransaction::abort`].
     pub fn begin(&self) -> AsyncTransaction {
         AsyncTransaction {
-            inner: Rc::new(TxnInner {
-                core: self.db.begin_session(),
-                db: self.db.clone(),
-                fate: Cell::new(None),
-                waiting: Cell::new(false),
-            }),
+            inner: Rc::new(self.db.begin_session()),
         }
     }
 
@@ -222,20 +218,15 @@ impl AsyncDatabase {
     /// [`Database::begin_snapshot`], which documents the semantics.
     pub fn begin_snapshot(&self) -> AsyncTransaction {
         AsyncTransaction {
-            inner: Rc::new(TxnInner {
-                core: self.db.begin_snapshot_session(),
-                db: self.db.clone(),
-                fate: Cell::new(None),
-                waiting: Cell::new(false),
-            }),
+            inner: Rc::new(self.db.begin_snapshot_session()),
         }
     }
 
     /// Run a transaction body, committing on success and transparently
     /// **retrying from scratch** when the scheduler aborts the transaction
     /// (deadlock cycle or commit-dependency cycle) —
-    /// the async analogue of [`Database::run`], which documents the exact
-    /// retry classes both front-ends share in one table (see *Retry
+    /// the async entry point of the one retry loop behind [`Database::run`],
+    /// which documents its retry classes in one table (see *Retry
     /// classes* there; this runner adds no class of its own).
     ///
     /// The closure receives a fresh [`AsyncTransaction`] per attempt and
@@ -270,29 +261,20 @@ impl AsyncDatabase {
     where
         Fut: Future<Output = Result<R, CoreError>>,
     {
-        let max_retries = self.db.max_retries();
-        let mut attempts: usize = 0;
-        loop {
-            attempts += 1;
-            let txn = self.begin();
-            let keeper = txn.clone();
-            let id = keeper.id();
-            let err = match body(txn).await {
-                Ok(value) => match keeper.commit().await {
-                    Ok(_) => return Ok(value),
-                    Err(e) => e,
-                },
-                Err(e) => e,
-            };
-            // `InvalidState { state: Aborted }` here is a cancellation
-            // abort of one of this attempt's own operation futures.
-            if !err.is_retryable_for(id) {
-                return Err(err);
-            }
-            if attempts > max_retries {
-                return Err(CoreError::RetriesExhausted { txn: id, attempts });
-            }
-        }
+        self.db
+            .run_attempts(|session| {
+                let txn = AsyncTransaction {
+                    inner: Rc::new(session),
+                };
+                let keeper = txn.clone();
+                let body = body(txn);
+                async move {
+                    let value = body.await?;
+                    keeper.commit().await?;
+                    Ok(value)
+                }
+            })
+            .await
     }
 
     /// The current state of a transaction. A terminated transaction's fate
@@ -332,36 +314,6 @@ impl AsyncDatabase {
 // AsyncTransaction
 // ---------------------------------------------------------------------
 
-/// The session state behind every clone of one [`AsyncTransaction`].
-#[derive(Debug)]
-struct TxnInner {
-    db: Database,
-    core: SessionCore,
-    /// The fate this session gave its transaction: set by a successful
-    /// commit, by an explicit abort and by the cancellation abort in
-    /// [`Settled`]'s drop glue. Once set, the session answers later calls
-    /// itself instead of asking the database, which remembers only recent
-    /// terminations.
-    fate: Cell<Option<TxnState>>,
-    /// `true` while a [`Settled`] future of this session holds the
-    /// registered waiter slot. A session has **one** waiter slot, so a
-    /// second clone trying to await concurrently (e.g. two
-    /// `settle_pending` calls racing) is rejected instead of silently
-    /// overwriting the first waiter's slot — which would strand the first
-    /// future forever.
-    waiting: Cell<bool>,
-}
-
-impl Drop for TxnInner {
-    fn drop(&mut self) {
-        if self.fate.get().is_none() {
-            // Best effort, exactly like the sync guard: the transaction
-            // may already be terminated (scheduler abort, pseudo-commit).
-            let _ = self.db.abort_raw(self.core.id());
-        }
-    }
-}
-
 /// An async transaction session: the futures-based counterpart of
 /// [`crate::Transaction`].
 ///
@@ -379,21 +331,26 @@ impl Drop for TxnInner {
 /// [`AsyncTransaction::abort`]. The handle is deliberately `!Send`: a
 /// session is driven by one thread, like the sync guard (the `Database`
 /// and its wakeups remain fully thread-safe underneath).
+///
+/// ```compile_fail
+/// fn sent<T: Send>() {}
+/// sent::<sbcc_core::aio::AsyncTransaction>();
+/// ```
 #[derive(Clone, Debug)]
 pub struct AsyncTransaction {
-    inner: Rc<TxnInner>,
+    inner: Rc<Session>,
 }
 
 impl AsyncTransaction {
     /// The raw transaction id (for diagnostics and the inspection APIs on
     /// [`AsyncDatabase`]).
     pub fn id(&self) -> TxnId {
-        self.inner.core.id()
+        self.inner.id()
     }
 
     /// The transaction's current scheduler state.
     pub fn state(&self) -> Option<TxnState> {
-        self.inner.db.txn_state(self.id())
+        self.inner.state()
     }
 
     /// Execute a typed operation; the future resolves once the operation
@@ -415,17 +372,7 @@ impl AsyncTransaction {
         object: &ObjectHandle,
         call: OpCall,
     ) -> Result<OpResult, CoreError> {
-        self.ensure_no_fate("request an operation")?;
-        let inner = &self.inner;
-        let id = inner.core.id();
-        let outcome = inner.db.try_exec_call_raw(&inner.core, object.loc(), call)?;
-        let outcome = if outcome.is_blocked() {
-            self.settled()?.await
-        } else {
-            outcome
-        };
-        inner.core.set_pending(false);
-        outcome.into_result(id)
+        self.inner.exec_call(object.loc(), call).await
     }
 
     /// Submit an operation without suspending: returns the raw kernel
@@ -438,10 +385,7 @@ impl AsyncTransaction {
         object: &ObjectHandle,
         call: OpCall,
     ) -> Result<RequestOutcome, CoreError> {
-        self.ensure_no_fate("request an operation")?;
-        self.inner
-            .db
-            .try_exec_call_raw(&self.inner.core, object.loc(), call)
+        self.inner.try_exec_call(object.loc(), call)
     }
 
     /// Claim the outcome of a previously blocked submission
@@ -451,14 +395,7 @@ impl AsyncTransaction {
     /// result that settled while nothing awaited it (kept in the
     /// database's `delivered` map) is claimed without suspending at all.
     pub async fn settle_pending(&self) -> Result<OpResult, CoreError> {
-        let inner = &self.inner;
-        let id = inner.core.id();
-        if !inner.core.pending() {
-            return Err(CoreError::NoPendingOperation(id));
-        }
-        let outcome = self.settled()?.await;
-        inner.core.set_pending(false);
-        outcome.into_result(id)
+        self.inner.settle_pending().await
     }
 
     /// Start building a grouped submission. See [`AsyncBatch`] (and
@@ -486,133 +423,13 @@ impl AsyncTransaction {
     /// transaction stays committed, its record is flushed with the next
     /// group, and reopening the log replays it.
     pub async fn commit(self) -> Result<CommitOutcome, CoreError> {
-        self.ensure_no_fate("commit")?;
-        let (outcome, durable) = self.inner.db.commit_raw(self.id())?;
-        self.inner.fate.set(Some(if outcome.is_full_commit() {
-            TxnState::Committed
-        } else {
-            TxnState::PseudoCommitted
-        }));
-        if let Some(durable) = durable {
-            durable.await;
-        }
-        Ok(outcome)
+        self.inner.commit().await
     }
 
     /// Explicitly abort the transaction. Never suspends; a future for API
     /// symmetry only.
     pub async fn abort(self) -> Result<(), CoreError> {
-        self.ensure_no_fate("abort")?;
-        self.inner.fate.set(Some(TxnState::Aborted));
-        self.inner.db.abort_raw(self.id())
-    }
-
-    /// The prologue of every call that would reach the database: once this
-    /// session committed or aborted its transaction, it reports that fate
-    /// itself. The database's own answer would degrade to
-    /// [`CoreError::UnknownTransaction`] once the transaction falls out of
-    /// its window of recent terminations, and [`AsyncDatabase::run`]
-    /// retries only `InvalidState { state: Aborted }`.
-    fn ensure_no_fate(&self, action: &'static str) -> Result<(), CoreError> {
-        match self.inner.fate.get() {
-            Some(state) => Err(CoreError::InvalidState {
-                txn: self.id(),
-                state,
-                action,
-            }),
-            None => Ok(()),
-        }
-    }
-
-    /// A future resolving to the settled outcome of this session's
-    /// pending request: either claims an already-delivered outcome or
-    /// registers this session's waiter slot **now** (before first poll),
-    /// so a wakeup can never slip between submission and registration.
-    ///
-    /// Errors when another clone of this session is already awaiting the
-    /// outcome: a session has exactly one waiter slot, and a second
-    /// registration would orphan the first waiter.
-    fn settled(&self) -> Result<Settled, CoreError> {
-        if self.inner.waiting.get() {
-            return Err(CoreError::InvalidState {
-                txn: self.id(),
-                state: TxnState::Blocked,
-                action: "await an outcome another clone is already awaiting",
-            });
-        }
-        self.inner.waiting.set(true);
-        Ok(match self.inner.db.claim_or_wait(self.id()) {
-            Ok(outcome) => Settled {
-                inner: self.inner.clone(),
-                slot: None,
-                ready: Some(outcome),
-                completed: false,
-            },
-            Err(slot) => Settled {
-                inner: self.inner.clone(),
-                slot: Some(slot),
-                ready: None,
-                completed: false,
-            },
-        })
-    }
-}
-
-/// Future for the settled outcome of a session's pending request.
-///
-/// **Cancellation aborts**: dropping this future before it resolves
-/// leaves nobody to claim the outcome of a request that may stay blocked
-/// inside a shard kernel indefinitely — so the drop glue unregisters the
-/// waiter slot and aborts the transaction, which also unblocks every
-/// session waiting *on* this transaction. See the [module docs](self).
-struct Settled {
-    inner: Rc<TxnInner>,
-    slot: Option<Arc<WaiterSlot>>,
-    ready: Option<RequestOutcome>,
-    completed: bool,
-}
-
-impl Future for Settled {
-    type Output = RequestOutcome;
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<RequestOutcome> {
-        let this = self.get_mut();
-        if let Some(outcome) = this.ready.take() {
-            this.completed = true;
-            this.inner.waiting.set(false);
-            return Poll::Ready(outcome);
-        }
-        let slot = this.slot.as_ref().expect("Settled polled after completion");
-        match slot.poll_outcome(cx) {
-            Poll::Ready(outcome) => {
-                this.completed = true;
-                this.inner.waiting.set(false);
-                this.slot = None;
-                Poll::Ready(outcome)
-            }
-            Poll::Pending => Poll::Pending,
-        }
-    }
-}
-
-impl Drop for Settled {
-    fn drop(&mut self) {
-        if self.completed {
-            return;
-        }
-        self.inner.waiting.set(false);
-        // Cancelled mid-wait. Unregister the slot first so the abort's own
-        // event delivery does not fill a waiter nobody owns anymore; an
-        // outcome that raced in is deliberately discarded — the caller
-        // abandoned it.
-        if let Some(slot) = self.slot.take() {
-            let _ = self.inner.db.cancel_wait(self.inner.core.id(), &slot);
-        }
-        self.inner.core.set_pending(false);
-        if self.inner.fate.get().is_none() {
-            self.inner.fate.set(Some(TxnState::Aborted));
-            let _ = self.inner.db.abort_raw(self.inner.core.id());
-        }
+        self.inner.abort()
     }
 }
 
@@ -622,8 +439,8 @@ impl Drop for Settled {
 
 /// Builder for an async grouped submission: [`crate::Batch`] over an
 /// [`AsyncTransaction`], with identical builder methods and
-/// partial-admission semantics (the two share the batch state machine;
-/// only the waiting differs). Calls execute in the order they were added;
+/// partial-admission semantics (the blocking `submit` is [`block_on`] of
+/// this one). Calls execute in the order they were added;
 /// `submit` resolves once every call has executed, suspending as often as
 /// needed.
 pub type AsyncBatch = Batch<AsyncTransaction>;
@@ -634,28 +451,7 @@ impl Batch<AsyncTransaction> {
     /// the abort error if the scheduler aborts the transaction along the
     /// way.
     pub async fn submit(self) -> Result<Vec<OpResult>, CoreError> {
-        if self.is_empty() {
-            return Ok(Vec::new());
-        }
-        let Batch { txn, mut run } = self;
-        txn.ensure_no_fate("submit a batch")?;
-        let inner = &txn.inner;
-        loop {
-            match inner.db.batch_pass(&inner.core, &mut run)? {
-                BatchPass::Complete => return Ok(run.results),
-                BatchPass::MustWait => {
-                    // Guard the session against concurrent submissions
-                    // from other clones while the terminator is pending,
-                    // exactly like a blocked `try_exec_call`.
-                    inner.core.set_pending(true);
-                    let outcome = txn.settled()?.await;
-                    inner.core.set_pending(false);
-                    if inner.db.batch_resume(&inner.core, &mut run, outcome)? {
-                        return Ok(run.results);
-                    }
-                }
-            }
-        }
+        self.txn.inner.submit(self.run).await
     }
 }
 
@@ -697,16 +493,28 @@ impl Wake for Signal {
 /// thread between polls.
 ///
 /// This is the minimal current-thread entry point the module's futures
-/// need — no runtime crate involved. Wakeups may come from any thread
-/// (e.g. a sync session's commit delivering an outcome), so the waker is
-/// a thread-safe condvar signal. For *many* concurrent sessions, spawn
+/// need — no runtime crate involved — and every blocking
+/// [`crate::Transaction`] call runs through it. Wakeups may come from any
+/// thread (e.g. another session's commit delivering an outcome), so the
+/// waker is a thread-safe condvar signal, built only once the future
+/// returns `Pending`. For *many* concurrent sessions, spawn
 /// them on a [`LocalExecutor`] (or any other executor) instead of
 /// chaining `block_on` calls.
 pub fn block_on<F: Future>(future: F) -> F::Output {
+    let mut future = std::pin::pin!(future);
+    // A future that is ready at once never needs waking, so the first poll
+    // takes the no-op waker and the signal is built only when it returns
+    // `Pending`. Polling again with the real waker is allowed by the
+    // `Future` contract, and the session's own futures re-register their
+    // waker on every poll. So a blocking session call that does not block
+    // allocates nothing here.
+    let mut noop = Context::from_waker(Waker::noop());
+    if let Poll::Ready(value) = future.as_mut().poll(&mut noop) {
+        return value;
+    }
     let signal = Signal::new();
     let waker = Waker::from(signal.clone());
     let mut cx = Context::from_waker(&waker);
-    let mut future = std::pin::pin!(future);
     loop {
         match future.as_mut().poll(&mut cx) {
             Poll::Ready(value) => return value,

@@ -54,26 +54,28 @@
 //!
 //! # Blocking and wakeups
 //!
-//! A blocked request parks the calling OS thread until a conflicting
-//! transaction terminates. Wakeups are **per transaction**: each parked
-//! invocation registers a private waiter slot, and the kernel's event
-//! stream delivers an outcome directly into the slot of exactly the
-//! transaction it concerns. A commit therefore wakes only the threads
-//! whose transactions it actually unblocked — there is no global
-//! broadcast that stampedes every parked thread on every termination.
+//! A blocked request waits until a conflicting transaction terminates.
+//! Wakeups are **per transaction**: each waiting invocation registers a
+//! private waiter slot, and the kernel's event stream delivers an outcome
+//! directly into the slot of exactly the transaction it concerns. A
+//! commit therefore wakes only the sessions it actually unblocked — there
+//! is no global broadcast that stampedes every waiter on every
+//! termination.
 //!
-//! The slot is **two-variant**: a sync session sleeps on its condvar,
-//! while an async session ([`crate::aio`]) registers a
-//! [`std::task::Waker`] in the same slot and suspends its future. The
-//! fill path serves both, so the kernel, batching and event-delivery
-//! layers are completely agnostic to how a waiter sleeps — if parking a
-//! thread per blocked transaction is your bottleneck, switch to
-//! [`crate::aio::AsyncDatabase`] (migration table in the [`crate::aio`]
-//! module docs) and multiplex thousands of sessions on one thread.
+//! There is **one session implementation**, and it is async: a waiting
+//! request is a future that stores its [`std::task::Waker`] in the slot,
+//! and the fill wakes that waker. Every [`Transaction`] method that can
+//! wait is [`crate::aio::block_on`] of the same future an
+//! [`crate::aio::AsyncTransaction`] awaits, so the blocking API parks the
+//! calling OS thread in `block_on` and takes exactly the async session's
+//! scheduling decisions. If parking a thread per blocked transaction is
+//! your bottleneck, switch to [`crate::aio::AsyncDatabase`] (migration
+//! table in the [`crate::aio`] module docs) and multiplex thousands of
+//! sessions on one thread.
 //!
-//! An outcome that settles while no thread is parked (possible after a
+//! An outcome that settles while nothing waits for it (possible after a
 //! non-blocking [`Transaction::try_exec_call`], or when the kernel's
-//! internal retry settles a request before the caller parks) is kept in a
+//! internal retry settles a request before the caller waits) is kept in a
 //! `delivered` map and claimed by the next [`Transaction::settle_pending`]
 //! call.
 //!
@@ -109,7 +111,8 @@
 //! assert_eq!(top, OpResult::Value(Value::Int(42)));
 //! ```
 
-use crate::chaos::{self, sync::Condvar, sync::Mutex, ChaosPoint};
+use crate::aio::block_on;
+use crate::chaos::{self, sync::Mutex, ChaosPoint};
 use crate::errors::CoreError;
 use crate::events::{BatchStop, CommitOutcome, KernelEvent, RequestOutcome};
 use crate::object::ObjectId;
@@ -118,10 +121,13 @@ use crate::shard::{DatabaseConfig, ObjectLoc, ShardedKernel};
 use crate::stats::{KernelStats, StatsSnapshot};
 use crate::txn::{BatchCall, TxnId, TxnState};
 use sbcc_adt::{AdtOp, AdtSpec, AdtType, OpCall, OpResult, SemanticObject};
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
+use std::future::Future;
 use std::marker::PhantomData;
+use std::pin::Pin;
 use std::sync::Arc;
+use std::task::{Context, Poll, Waker};
 
 /// A handle to an object registered with a [`Database`].
 ///
@@ -206,63 +212,44 @@ impl<A: AdtSpec> Handle<A> {
 }
 
 /// One waiting invocation's private rendezvous: the delivering thread
-/// stores the outcome and wakes the owner — *however the owner sleeps*.
+/// stores the outcome and wakes the owner's [`Waker`].
 ///
-/// The slot is the two-variant waiter the async front-end rides on:
-///
-/// * a **sync** session parks its OS thread on the condvar
-///   ([`WaiterSlot::await_outcome`]);
-/// * an **async** session stores a [`Waker`] and suspends its future
-///   ([`WaiterSlot::poll_outcome`]).
-///
-/// [`WaiterSlot::fill`] serves both at once (it signals the condvar *and*
-/// wakes a registered waker), so every shard wakeup path stays completely
-/// agnostic to which front-end is waiting. A slot has exactly one owner;
+/// Every waiter is a [`Settled`] future: an async session's, polled by
+/// its executor, or a blocking call's, polled by
+/// [`crate::aio::block_on`], whose waker unparks the calling thread. So
+/// the slot holds a waker and nothing else, and every shard wakeup path
+/// wakes sync and async sessions alike. A slot has exactly one owner;
 /// only the delivery side is shared.
 #[derive(Default)]
-pub(crate) struct WaiterSlot {
+struct WaiterSlot {
     state: Mutex<SlotState>,
-    cond: Condvar,
 }
 
 #[derive(Default)]
 struct SlotState {
     outcome: Option<RequestOutcome>,
-    /// The waker of the async task awaiting this slot, when the owner is a
-    /// future rather than a parked thread. Re-registered on every poll, so
-    /// a task that migrates executors between polls still wakes correctly.
-    waker: Option<std::task::Waker>,
+    /// The waker of the future awaiting this slot. Re-registered on every
+    /// poll, so a task that migrates executors between polls (or a
+    /// `block_on` that swapped its first no-op waker for a real one)
+    /// still wakes correctly.
+    waker: Option<Waker>,
 }
 
 impl WaiterSlot {
-    /// Deliver an outcome and wake the (single) owner, whether it is a
-    /// parked thread or a suspended future.
+    /// Deliver an outcome and wake the (single) owner.
     fn fill(&self, outcome: RequestOutcome) {
         let waker = {
             let mut state = self.state.lock();
             state.outcome = Some(outcome);
             state.waker.take()
         };
-        self.cond.notify_one();
         if let Some(waker) = waker {
             waker.wake();
         }
     }
 
-    /// Park the calling OS thread until an outcome is delivered (the sync
-    /// variant).
-    fn await_outcome(&self) -> RequestOutcome {
-        let mut state = self.state.lock();
-        loop {
-            if let Some(outcome) = state.outcome.take() {
-                return outcome;
-            }
-            self.cond.wait(&mut state);
-        }
-    }
-
-    /// The async variant: return the outcome if it has been delivered,
-    /// otherwise register `cx`'s waker and suspend.
+    /// Return the outcome if it has been delivered, otherwise register
+    /// `cx`'s waker and suspend.
     ///
     /// The outcome check and the waker registration happen under the same
     /// lock [`WaiterSlot::fill`] takes, so the wake-before-poll race is
@@ -270,112 +257,453 @@ impl WaiterSlot {
     /// (returned now), and a fill racing this poll either sees the freshly
     /// stored waker or lost the lock to us and its outcome is already
     /// visible.
-    pub(crate) fn poll_outcome(&self, cx: &mut std::task::Context<'_>) -> std::task::Poll<RequestOutcome> {
+    fn poll_outcome(&self, cx: &mut Context<'_>) -> Poll<RequestOutcome> {
         let mut state = self.state.lock();
         match state.outcome.take() {
-            Some(outcome) => std::task::Poll::Ready(outcome),
+            Some(outcome) => Poll::Ready(outcome),
             None => {
                 state.waker = Some(cx.waker().clone());
-                std::task::Poll::Pending
+                Poll::Pending
             }
         }
     }
 
     /// Take the outcome if one has been delivered (used when a cancelled
-    /// async waiter unregisters itself).
-    pub(crate) fn try_take(&self) -> Option<RequestOutcome> {
+    /// waiter unregisters itself).
+    fn try_take(&self) -> Option<RequestOutcome> {
         self.state.lock().outcome.take()
     }
 }
 
 /// The rendezvous state: one map of settled-but-unclaimed outcomes, one map
-/// of parked invocations. Guarded by its own small mutex, separate from the
+/// of waiting invocations. Guarded by its own small mutex, separate from the
 /// shard kernels — delivering a wakeup never holds a kernel lock.
 #[derive(Default)]
 struct SessionState {
     /// Outcomes delivered to transactions whose pending request completed
-    /// while no thread was parked waiting for it (e.g. after a
-    /// non-blocking [`Transaction::try_exec_call`]); claimed by
+    /// while nothing waited for it (e.g. after a non-blocking
+    /// [`Transaction::try_exec_call`]); claimed by
     /// [`Transaction::settle_pending`] or discarded by the transaction's
     /// next submission or termination.
     delivered: HashMap<TxnId, RequestOutcome>,
-    /// The waiter slot of every currently waiting invocation (parked
-    /// thread or suspended future), by transaction.
+    /// The waiter slot of every currently waiting invocation, by
+    /// transaction.
     waiters: HashMap<TxnId, Arc<WaiterSlot>>,
 }
 
-/// The session-local bookkeeping shared by the sync [`Transaction`] guard
-/// and the async [`crate::aio::AsyncTransaction`]: the transaction id, the
-/// enrollment cache and the pending-request flag. Both front-ends drive
-/// the same [`Database`] internals through this one core, so the kernel,
-/// batching and event-delivery paths never know which of the two is
-/// calling.
-pub(crate) struct SessionCore {
+/// One transaction session: the state behind a blocking [`Transaction`]
+/// (which owns it) and behind every clone of an
+/// [`crate::aio::AsyncTransaction`] (which share it through an `Rc`).
+///
+/// Every session operation is implemented once, here, and the waiting
+/// ones are async: a blocked request awaits [`Settled`]. The blocking API
+/// drives the same futures through [`block_on`], so both entry points take
+/// the same scheduling decisions by construction. `Cell`s suffice because
+/// a session is `!Sync`: one thread drives it at a time.
+#[derive(Debug)]
+pub(crate) struct Session {
+    db: Database,
     id: TxnId,
     /// Session-local cache of the shards this transaction is enrolled in.
     /// Lets the steady-state exec path skip the cross-shard coordinator
     /// (the cache is sound because enrollment only ever grows while the
-    /// transaction is live). A `RefCell` suffices: sessions are `!Sync`.
+    /// transaction is live).
     enrolled: RefCell<Vec<u32>>,
-    /// `true` while a non-blocking submission is blocked inside a shard
-    /// kernel with its outcome unclaimed. The session layer uses it to
-    /// enforce the single-kernel contract across shards (no further
-    /// submissions while blocked — another shard's kernel would not know)
-    /// and to settle without racing the outcome delivery.
-    pending: std::cell::Cell<bool>,
+    /// `true` while a submission is blocked inside a shard kernel with
+    /// its outcome unclaimed. The session uses it to enforce the
+    /// single-kernel contract across shards (no further submissions while
+    /// blocked — another shard's kernel would not know) and to settle
+    /// without racing the outcome delivery.
+    pending: Cell<bool>,
     /// `Some(begin stamp)` for sessions opened through
     /// [`Database::begin_snapshot`] / `AsyncDatabase::begin_snapshot`:
     /// read-only operations route to the multi-version snapshot path
     /// (reading the newest committed version at or below the stamp);
     /// everything else takes the ordinary classified path.
     snapshot: Option<u64>,
+    /// The fate this session gave its transaction: set by a successful
+    /// commit, by an explicit abort and by the cancellation abort in
+    /// [`Settled`]'s drop glue. Once set, the session answers later calls
+    /// itself instead of asking the database, which remembers only recent
+    /// terminations; while unset, dropping the session aborts.
+    fate: Cell<Option<TxnState>>,
+    /// `true` while a [`Settled`] future of this session holds the
+    /// registered waiter slot. A session has **one** waiter slot, so a
+    /// second async clone trying to await concurrently (e.g. two
+    /// `settle_pending` calls racing) is rejected instead of silently
+    /// overwriting the first waiter's slot — which would strand the first
+    /// future forever.
+    waiting: Cell<bool>,
 }
 
-impl std::fmt::Debug for SessionCore {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SessionCore")
-            .field("id", &self.id)
-            .field("pending", &self.pending.get())
-            .finish_non_exhaustive()
-    }
-}
-
-impl SessionCore {
-    fn new(id: TxnId) -> Self {
-        SessionCore {
-            id,
-            enrolled: RefCell::new(Vec::new()),
-            pending: std::cell::Cell::new(false),
-            snapshot: None,
-        }
-    }
-
-    fn new_snapshot(id: TxnId, begin: u64) -> Self {
-        SessionCore {
-            snapshot: Some(begin),
-            ..SessionCore::new(id)
-        }
-    }
-
+impl Session {
     /// The transaction this session drives.
     pub(crate) fn id(&self) -> TxnId {
         self.id
     }
 
-    /// The snapshot begin stamp, for sessions opened through
-    /// `begin_snapshot`.
-    pub(crate) fn snapshot(&self) -> Option<u64> {
-        self.snapshot
+    /// The transaction's current scheduler state, as the database knows it.
+    pub(crate) fn state(&self) -> Option<TxnState> {
+        self.db.txn_state(self.id)
     }
 
-    /// Whether a blocked submission's outcome is still unclaimed.
-    pub(crate) fn pending(&self) -> bool {
-        self.pending.get()
+    /// The prologue of every call that would reach the database: once this
+    /// session committed or aborted its transaction, it reports that fate
+    /// itself. The database's own answer would degrade to
+    /// [`CoreError::UnknownTransaction`] once the transaction falls out of
+    /// its window of recent terminations, and the retry loop retries only
+    /// `InvalidState { state: Aborted }`.
+    fn ensure_no_fate(&self, action: &'static str) -> Result<(), CoreError> {
+        match self.fate.get() {
+            Some(state) => Err(CoreError::InvalidState {
+                txn: self.id,
+                state,
+                action,
+            }),
+            None => Ok(()),
+        }
     }
 
-    /// Set or clear the pending flag.
-    pub(crate) fn set_pending(&self, pending: bool) {
-        self.pending.set(pending);
+    /// Gate a new submission on the session's previous one.
+    ///
+    /// A `delivered` entry exists when an earlier request settled while
+    /// nothing waited for it and the caller never claimed it with
+    /// `settle_pending`. A stale *abort* makes the whole transaction dead
+    /// and is surfaced now; a stale *result* was deliberately left
+    /// unclaimed and is discarded so it cannot be mistaken for the outcome
+    /// of the submission that follows.
+    ///
+    /// While a non-blocking submission is still **pending** (blocked
+    /// inside a shard kernel, no outcome delivered yet), the submission is
+    /// rejected with the same `InvalidState { state: Blocked }` error the
+    /// unsharded kernel returns — without this gate, a request routed to a
+    /// *different* shard would be admitted there, because only the shard
+    /// holding the pending request knows the transaction is blocked.
+    fn admit_submission(&self, action: &'static str) -> Result<(), CoreError> {
+        let id = self.id;
+        let delivered = self.db.shared.take_delivered(id);
+        if self.pending.get() {
+            return match delivered {
+                Some(RequestOutcome::Executed { .. }) => {
+                    // Settled while unclaimed: the stale result is
+                    // discarded and the session is submittable again.
+                    self.pending.set(false);
+                    Ok(())
+                }
+                Some(RequestOutcome::Aborted { reason }) => {
+                    self.pending.set(false);
+                    Err(CoreError::Aborted { txn: id, reason })
+                }
+                Some(RequestOutcome::Blocked { .. }) => {
+                    unreachable!("blocked outcomes are never delivered")
+                }
+                None => Err(CoreError::InvalidState {
+                    txn: id,
+                    state: TxnState::Blocked,
+                    action,
+                }),
+            };
+        }
+        match delivered {
+            Some(RequestOutcome::Aborted { reason }) => {
+                Err(CoreError::Aborted { txn: id, reason })
+            }
+            _ => Ok(()),
+        }
+    }
+
+    /// Enroll the transaction into a shard if the session-local cache has
+    /// not seen the shard yet. Steady state (every shard already touched)
+    /// skips the coordinator entirely: the only lock an exec takes is the
+    /// owning shard's.
+    fn ensure_enrolled(&self, shard: u32, action: &'static str) -> Result<(), CoreError> {
+        if self.enrolled.borrow().contains(&shard) {
+            return Ok(());
+        }
+        self.db
+            .shared
+            .kernel
+            .ensure_enrolled(self.id, shard, action)?;
+        self.enrolled.borrow_mut().push(shard);
+        Ok(())
+    }
+
+    /// Submit an operation without waiting: the raw kernel outcome. On
+    /// [`RequestOutcome::Blocked`] the request stays pending inside the
+    /// kernel and the session is marked pending.
+    pub(crate) fn try_exec_call(
+        &self,
+        loc: ObjectLoc,
+        call: OpCall,
+    ) -> Result<RequestOutcome, CoreError> {
+        const ACTION: &str = "request an operation";
+        self.ensure_no_fate(ACTION)?;
+        let db = &self.db;
+        db.check_loc(loc)?;
+        self.admit_submission(ACTION)?;
+        if self.snapshot.is_some() {
+            // A snapshot session tries the multi-version read first;
+            // `None` (not a pure observer, or an object this transaction
+            // has written) falls through to the classified path. Deliver
+            // before `?`: an SSI abort inside the read releases the
+            // transaction's claims, and the resulting grants to blocked
+            // sessions sit in the event queue.
+            let read = db.shared.kernel.snapshot_read(self.id, loc, &call);
+            db.deliver_events();
+            if let Some(result) = read? {
+                return Ok(RequestOutcome::Executed {
+                    result,
+                    commit_deps: Vec::new(),
+                });
+            }
+        }
+        self.ensure_enrolled(loc.shard, ACTION)?;
+        // Deliver before `?`: a rejected request can still have mutated the
+        // kernel (a `Requester`-policy conflict aborts the requester, which
+        // releases its claims and settles other sessions' waiters), so the
+        // generated events must be drained on the error path too. Skipping
+        // delivery here strands those waiters until the *next* kernel entry
+        // — which never comes if this thread was the last one in.
+        let outcome = db.shared.kernel.request_enrolled(self.id, loc, call);
+        db.deliver_events();
+        let outcome = outcome?;
+        if outcome.is_blocked() {
+            self.pending.set(true);
+        }
+        Ok(outcome)
+    }
+
+    /// Execute an operation, waiting while it conflicts with uncommitted
+    /// operations of other transactions.
+    pub(crate) async fn exec_call(
+        &self,
+        loc: ObjectLoc,
+        call: OpCall,
+    ) -> Result<OpResult, CoreError> {
+        let outcome = self.try_exec_call(loc, call)?;
+        if outcome.is_blocked() {
+            return self.settle_pending().await;
+        }
+        outcome.into_result(self.id)
+    }
+
+    /// Claim the outcome of a previously blocked submission, waiting until
+    /// it settles. A result that settled while nothing waited for it (kept
+    /// in the database's `delivered` map) is claimed without waiting.
+    pub(crate) async fn settle_pending(&self) -> Result<OpResult, CoreError> {
+        if !self.pending.get() {
+            return Err(CoreError::NoPendingOperation(self.id));
+        }
+        // There IS an operation in flight, so an outcome is guaranteed to
+        // be delivered (the thread that settles the request always runs
+        // `deliver_events` after publishing): the wait cannot be lost, and
+        // no kernel-state check is needed — querying it here would race
+        // the delivery (settled-but-not-yet-delivered would look like
+        // "nothing pending").
+        let outcome = self.settled()?.await;
+        self.pending.set(false);
+        outcome.into_result(self.id)
+    }
+
+    /// Submit a grouped submission: one kernel pass over the remaining
+    /// calls (admit, enroll, classify in one index walk per touched shard;
+    /// see [`ShardedKernel::request_batch_enrolled`]), waiting for the
+    /// blocking terminator of each pass that stops on a conflict before
+    /// resuming with the suffix.
+    pub(crate) async fn submit(&self, run: BatchRun) -> Result<Vec<OpResult>, CoreError> {
+        const ACTION: &str = "submit a batch";
+        let BatchRun {
+            mut calls,
+            mut locs,
+            mut results,
+        } = run;
+        if calls.is_empty() {
+            return Ok(results);
+        }
+        self.ensure_no_fate(ACTION)?;
+        let db = &self.db;
+        loop {
+            self.admit_submission(ACTION)?;
+            // Enrollment through the session cache: steady state takes no
+            // coordinator lock, exactly like the per-call exec path.
+            for loc in &locs {
+                db.check_loc(*loc)?;
+                self.ensure_enrolled(loc.shard, ACTION)?;
+            }
+            let locs_kept = locs.clone();
+            // Deliver before `?` (see `try_exec_call`): a rejected batch
+            // may still have settled other sessions' waiters.
+            let outcome = db.shared.kernel.request_batch_enrolled(
+                self.id,
+                std::mem::take(&mut calls),
+                std::mem::take(&mut locs),
+            );
+            db.deliver_events();
+            let outcome = outcome?;
+            results.extend(outcome.executed);
+            match outcome.stopped {
+                None => return Ok(results),
+                Some(BatchStop::Aborted { reason, .. }) => {
+                    return Err(CoreError::Aborted {
+                        txn: self.id,
+                        reason,
+                    })
+                }
+                Some(BatchStop::Blocked { rest, index, .. }) => {
+                    // The unprocessed suffix keeps its original locations
+                    // (`rest` is always a suffix of the submitted batch).
+                    locs = locs_kept[index + 1..].to_vec();
+                    debug_assert_eq!(locs.len(), rest.len());
+                    calls = rest;
+                }
+            }
+            // The blocking terminator is the pending request: guard the
+            // session against concurrent submissions from other async
+            // clones while it waits, exactly like a blocked exec.
+            self.pending.set(true);
+            results.push(self.settle_pending().await?);
+            if calls.is_empty() {
+                return Ok(results);
+            }
+        }
+    }
+
+    /// Commit in the kernel, deliver the grants the commit released, and
+    /// wait for the commit record's flush on a durable database. A commit
+    /// never waits for another transaction: one whose commit dependencies
+    /// are still live pseudo-commits.
+    pub(crate) async fn commit(&self) -> Result<CommitOutcome, CoreError> {
+        self.ensure_no_fate("commit")?;
+        let _ = self.db.shared.take_delivered(self.id);
+        // Deliver before `?`: a commit whose vote aborts the *committer*
+        // (`Err(Aborted)`) has released the transaction's claims, and the
+        // resulting grants to blocked sessions are sitting in the event
+        // queue. They must be drained even though commit itself failed —
+        // found by the DST harness as a cross-session liveness hang when
+        // the aborted committer's session was the last thread to enter the
+        // kernel (seed 133's endless `poll T19` tail). Deliver before the
+        // durable wait too: the sessions this commit unblocked run while
+        // its record waits for the flush.
+        let result = self.db.shared.kernel.commit(self.id);
+        self.db.deliver_events();
+        let (outcome, durable) = result?;
+        // Committed in memory: from here on, cancelling the wait gives up
+        // only the acknowledgement, never the commit.
+        self.fate.set(Some(if outcome.is_full_commit() {
+            TxnState::Committed
+        } else {
+            TxnState::PseudoCommitted
+        }));
+        if let Some(durable) = durable {
+            durable.await;
+        }
+        Ok(outcome)
+    }
+
+    /// Explicitly abort the transaction.
+    pub(crate) fn abort(&self) -> Result<(), CoreError> {
+        self.ensure_no_fate("abort")?;
+        self.fate.set(Some(TxnState::Aborted));
+        self.abort_in_kernel()
+    }
+
+    fn abort_in_kernel(&self) -> Result<(), CoreError> {
+        let _ = self.db.shared.take_delivered(self.id);
+        let result = self.db.shared.kernel.abort(self.id);
+        self.db.deliver_events();
+        result
+    }
+
+    /// A future resolving to the settled outcome of this session's
+    /// pending request: either claims an already-delivered outcome or
+    /// registers this session's waiter slot **now** (before first poll),
+    /// so a wakeup can never slip between submission and registration.
+    ///
+    /// Errors when another async clone of this session is already
+    /// awaiting the outcome: a session has exactly one waiter slot, and a
+    /// second registration would orphan the first waiter.
+    fn settled(&self) -> Result<Settled<'_>, CoreError> {
+        if self.waiting.get() {
+            return Err(CoreError::InvalidState {
+                txn: self.id,
+                state: TxnState::Blocked,
+                action: "await an outcome another clone is already awaiting",
+            });
+        }
+        self.waiting.set(true);
+        Ok(Settled {
+            session: self,
+            wait: Some(self.db.claim_or_wait(self.id)),
+        })
+    }
+}
+
+impl Drop for Session {
+    fn drop(&mut self) {
+        if self.fate.get().is_none() {
+            // Best effort: the transaction may already be terminated (e.g.
+            // aborted by the scheduler, or pseudo-committed, which by
+            // construction cannot abort) — those errors are ignored.
+            let _ = self.abort_in_kernel();
+        }
+    }
+}
+
+/// Future for the settled outcome of a session's pending request.
+///
+/// **Cancellation aborts**: dropping this future before it resolves
+/// leaves nobody to claim the outcome of a request that may stay blocked
+/// inside a shard kernel indefinitely — so the drop glue unregisters the
+/// waiter slot and aborts the transaction, which also unblocks every
+/// session waiting *on* this transaction. See the [`crate::aio`] module
+/// docs. A blocking call never drops it unresolved: `block_on` polls it
+/// to completion.
+struct Settled<'a> {
+    session: &'a Session,
+    /// The claimed outcome, or the slot to poll for it; `None` once the
+    /// future has resolved.
+    wait: Option<Result<RequestOutcome, Arc<WaiterSlot>>>,
+}
+
+impl Future for Settled<'_> {
+    type Output = RequestOutcome;
+
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<RequestOutcome> {
+        let this = self.get_mut();
+        let outcome = match this.wait.take().expect("Settled polled after completion") {
+            Ok(outcome) => outcome,
+            Err(slot) => match slot.poll_outcome(cx) {
+                Poll::Ready(outcome) => outcome,
+                Poll::Pending => {
+                    this.wait = Some(Err(slot));
+                    return Poll::Pending;
+                }
+            },
+        };
+        this.session.waiting.set(false);
+        Poll::Ready(outcome)
+    }
+}
+
+impl Drop for Settled<'_> {
+    fn drop(&mut self) {
+        let Some(wait) = self.wait.take() else {
+            return;
+        };
+        let session = self.session;
+        session.waiting.set(false);
+        // Cancelled mid-wait. Unregister the slot first so the abort's own
+        // event delivery does not fill a waiter nobody owns anymore; an
+        // outcome that raced in is deliberately discarded — the caller
+        // abandoned it.
+        if let Err(slot) = wait {
+            let _ = session.db.cancel_wait(session.id, &slot);
+        }
+        session.pending.set(false);
+        if session.fate.get().is_none() {
+            session.fate.set(Some(TxnState::Aborted));
+            let _ = session.abort_in_kernel();
+        }
     }
 }
 
@@ -628,17 +956,26 @@ impl Database {
     /// explicit [`Transaction::commit`] or [`Transaction::abort`].
     pub fn begin(&self) -> Transaction {
         Transaction {
-            core: self.begin_session(),
-            db: self.clone(),
-            finished: false,
-            _not_sync: PhantomData,
+            session: self.begin_session(),
         }
     }
 
-    /// Begin a transaction and hand back the bare session core (shared
-    /// entry point of the sync and async front-ends).
-    pub(crate) fn begin_session(&self) -> SessionCore {
-        SessionCore::new(self.shared.kernel.begin())
+    /// Begin a transaction and hand back the bare session (shared entry
+    /// point of [`Transaction`] and [`crate::aio::AsyncTransaction`]).
+    pub(crate) fn begin_session(&self) -> Session {
+        self.session(self.shared.kernel.begin(), None)
+    }
+
+    fn session(&self, id: TxnId, snapshot: Option<u64>) -> Session {
+        Session {
+            db: self.clone(),
+            id,
+            enrolled: RefCell::new(Vec::new()),
+            pending: Cell::new(false),
+            snapshot,
+            fate: Cell::new(None),
+            waiting: Cell::new(false),
+        }
     }
 
     /// Begin a **snapshot** transaction session: read-only operations
@@ -678,18 +1015,14 @@ impl Database {
     /// ```
     pub fn begin_snapshot(&self) -> Transaction {
         Transaction {
-            core: self.begin_snapshot_session(),
-            db: self.clone(),
-            finished: false,
-            _not_sync: PhantomData,
+            session: self.begin_snapshot_session(),
         }
     }
 
-    /// [`Database::begin_snapshot`] returning the bare session core
-    /// (shared entry point of the sync and async front-ends).
-    pub(crate) fn begin_snapshot_session(&self) -> SessionCore {
+    /// [`Database::begin_snapshot`] returning the bare session.
+    pub(crate) fn begin_snapshot_session(&self) -> Session {
         let (id, begin) = self.shared.kernel.begin_snapshot();
-        SessionCore::new_snapshot(id, begin)
+        self.session(id, Some(begin))
     }
 
     /// Run a transaction body, committing on success and transparently
@@ -703,8 +1036,8 @@ impl Database {
     ///
     /// # Retry classes
     ///
-    /// This table is the retry contract, shared verbatim by the async
-    /// front-end ([`crate::aio::AsyncDatabase::run`]): exactly these
+    /// This table is the retry contract of the one retry loop, which
+    /// [`crate::aio::AsyncDatabase::run`] drives too: exactly these
     /// errors, observed for **the current attempt's own transaction**,
     /// restart the body with a fresh transaction; everything else is
     /// returned to the caller as-is.
@@ -776,17 +1109,39 @@ impl Database {
         &self,
         mut body: impl FnMut(&Transaction) -> Result<R, CoreError>,
     ) -> Result<R, CoreError> {
-        let max_retries = self.max_retries();
+        block_on(self.run_attempts(|session| {
+            let txn = Transaction { session };
+            let result = body(&txn);
+            async move {
+                let value = result?;
+                txn.session.commit().await?;
+                Ok(value)
+            }
+        }))
+    }
+
+    /// The one retry loop behind [`Database::run`] and
+    /// [`crate::aio::AsyncDatabase::run`]: begin a session, run one
+    /// attempt on it (the body, then the commit), and restart with a fresh
+    /// session while the attempt fails with an error of a retry class
+    /// (the table on [`Database::run`]) for its own transaction, up to
+    /// [`SchedulerConfig::max_retries`] retries. A failed attempt's
+    /// session is dropped, and so aborted, before the next one begins.
+    pub(crate) async fn run_attempts<R, Fut>(
+        &self,
+        mut attempt: impl FnMut(Session) -> Fut,
+    ) -> Result<R, CoreError>
+    where
+        Fut: Future<Output = Result<R, CoreError>>,
+    {
+        let max_retries = self.shared.kernel.config().scheduler.max_retries;
         let mut attempts: usize = 0;
         loop {
             attempts += 1;
-            let txn = self.begin();
-            let id = txn.id();
-            let err = match body(&txn) {
-                Ok(value) => match txn.commit() {
-                    Ok(_) => return Ok(value),
-                    Err(e) => e,
-                },
+            let session = self.begin_session();
+            let id = session.id();
+            let err = match attempt(session).await {
+                Ok(value) => return Ok(value),
                 Err(e) => e,
             };
             if !err.is_retryable_for(id) {
@@ -796,11 +1151,6 @@ impl Database {
                 return Err(CoreError::RetriesExhausted { txn: id, attempts });
             }
         }
-    }
-
-    /// The configured retry budget shared by both closure runners.
-    pub(crate) fn max_retries(&self) -> usize {
-        self.shared.kernel.config().scheduler.max_retries
     }
 
     /// The current state of a transaction.
@@ -894,80 +1244,10 @@ impl Database {
     }
 
     // ------------------------------------------------------------------
-    // Session internals (reached through `Transaction`)
+    // Session internals (reached through `Session`)
     // ------------------------------------------------------------------
 
-    /// Gate a new submission on the session's previous one.
-    ///
-    /// A `delivered` entry exists when an earlier request settled while no
-    /// thread was parked and the caller never claimed it with
-    /// [`Transaction::settle_pending`]. A stale *abort* makes the whole
-    /// transaction dead and is surfaced now; a stale *result* was
-    /// deliberately left unclaimed and is discarded so it cannot be
-    /// mistaken for the outcome of the submission that follows.
-    ///
-    /// While a non-blocking submission is still **pending** (blocked
-    /// inside a shard kernel, no outcome delivered yet), the submission is
-    /// rejected with the same `InvalidState { state: Blocked }` error the
-    /// unsharded kernel returns — without this gate, a request routed to a
-    /// *different* shard would be admitted there, because only the shard
-    /// holding the pending request knows the transaction is blocked.
-    pub(crate) fn admit_submission(
-        &self,
-        txn: &SessionCore,
-        action: &'static str,
-    ) -> Result<(), CoreError> {
-        let id = txn.id;
-        let delivered = self.shared.take_delivered(id);
-        if txn.pending.get() {
-            return match delivered {
-                Some(RequestOutcome::Executed { .. }) => {
-                    // Settled while unclaimed: the stale result is
-                    // discarded and the session is submittable again.
-                    txn.pending.set(false);
-                    Ok(())
-                }
-                Some(RequestOutcome::Aborted { reason }) => {
-                    txn.pending.set(false);
-                    Err(CoreError::Aborted { txn: id, reason })
-                }
-                Some(RequestOutcome::Blocked { .. }) => {
-                    unreachable!("blocked outcomes are never delivered")
-                }
-                None => Err(CoreError::InvalidState {
-                    txn: id,
-                    state: TxnState::Blocked,
-                    action,
-                }),
-            };
-        }
-        match delivered {
-            Some(RequestOutcome::Aborted { reason }) => {
-                Err(CoreError::Aborted { txn: id, reason })
-            }
-            _ => Ok(()),
-        }
-    }
-
-    /// Enroll the session's transaction into a shard if its session-local
-    /// cache has not seen the shard yet. Steady state (every shard already
-    /// touched) skips the coordinator entirely: the only lock an exec
-    /// takes is the owning shard's.
-    fn ensure_session_enrolled(
-        &self,
-        txn: &SessionCore,
-        shard: u32,
-        action: &'static str,
-    ) -> Result<(), CoreError> {
-        if txn.enrolled.borrow().contains(&shard) {
-            return Ok(());
-        }
-        self.shared.kernel.ensure_enrolled(txn.id, shard, action)?;
-        txn.enrolled.borrow_mut().push(shard);
-        Ok(())
-    }
-
-    pub(crate) fn check_loc(&self, loc: ObjectLoc) -> Result<(), CoreError> {
+    fn check_loc(&self, loc: ObjectLoc) -> Result<(), CoreError> {
         if (loc.shard as usize) < self.shared.kernel.shard_count() {
             Ok(())
         } else {
@@ -979,56 +1259,16 @@ impl Database {
         }
     }
 
-    /// Snapshot-path routing shared by the sync and async exec paths: for
-    /// a snapshot session, try the multi-version read first. `Ok(Some)` is
-    /// the settled result; `Ok(None)` (not a snapshot session, not a pure
-    /// observer, or an object this transaction has written) falls through
-    /// to the classified path.
-    fn snapshot_read_raw(
-        &self,
-        txn: &SessionCore,
-        loc: ObjectLoc,
-        call: &OpCall,
-    ) -> Result<Option<OpResult>, CoreError> {
-        if txn.snapshot.is_none() {
-            return Ok(None);
-        }
-        let result = self.shared.kernel.snapshot_read(txn.id, loc, call);
-        // Deliver before `?`: an SSI abort inside the read releases the
-        // transaction's claims, and the resulting grants to blocked
-        // sessions sit in the event queue.
-        self.deliver_events();
-        result
-    }
-
-    fn exec_call_raw(
-        &self,
-        txn: &SessionCore,
-        loc: ObjectLoc,
-        call: OpCall,
-    ) -> Result<OpResult, CoreError> {
-        let outcome = match self.try_exec_call_raw(txn, loc, call)? {
-            RequestOutcome::Blocked { .. } => {
-                let settled = self.park_for_outcome(txn.id);
-                txn.pending.set(false);
-                settled
-            }
-            settled => settled,
-        };
-        outcome.into_result(txn.id)
-    }
-
     /// Claim the settled outcome for `txn`'s pending request if it has
     /// already been delivered, or register a fresh [`WaiterSlot`] to wait
     /// on.
     ///
     /// This is the database's **single rendezvous seam**: every waiting
-    /// path — per-call exec, grouped submission, `settle_pending`, their
-    /// async counterparts, and every shard-originated wakeup — funnels
-    /// through this one claim/register pair. The sync front-end parks the
-    /// OS thread on the returned slot ([`Database::park_for_outcome`]);
-    /// the async front-end polls it ([`WaiterSlot::poll_outcome`]).
-    pub(crate) fn claim_or_wait(&self, txn: TxnId) -> Result<RequestOutcome, Arc<WaiterSlot>> {
+    /// path — exec, grouped submission, `settle_pending`, through either
+    /// entry point — and every shard-originated wakeup funnels through
+    /// this one claim/register pair, and [`Settled`] polls the returned
+    /// slot.
+    fn claim_or_wait(&self, txn: TxnId) -> Result<RequestOutcome, Arc<WaiterSlot>> {
         // The claim half of the rendezvous: a fill by a concurrent
         // deliverer may land just before or just after this window.
         chaos::reach(ChaosPoint::RendezvousClaim, Some(txn));
@@ -1048,10 +1288,9 @@ impl Database {
                 // Wait on a private slot: whichever thread later drains
                 // the kernel event that settles this transaction fills
                 // the slot and wakes only this session. One slot per
-                // transaction — the sync session is `!Sync` and the async
-                // session's `waiting` flag rejects a second awaiter, so an
-                // existing entry here would be a front-end bug that
-                // orphans the first waiter.
+                // transaction — the session's `waiting` flag rejects a
+                // second awaiter, so an existing entry here would be a
+                // session bug that orphans the first waiter.
                 let slot = Arc::new(WaiterSlot::default());
                 let previous = sessions.waiters.insert(txn, slot.clone());
                 debug_assert!(
@@ -1063,14 +1302,10 @@ impl Database {
         }
     }
 
-    /// Unregister an async waiter that is being cancelled (its future was
-    /// dropped before the outcome arrived). Returns the outcome if the
-    /// delivery raced the cancellation and already filled the slot.
-    pub(crate) fn cancel_wait(
-        &self,
-        txn: TxnId,
-        slot: &Arc<WaiterSlot>,
-    ) -> Option<RequestOutcome> {
+    /// Unregister a waiter that is being cancelled (its future was dropped
+    /// before the outcome arrived). Returns the outcome if the delivery
+    /// raced the cancellation and already filled the slot.
+    fn cancel_wait(&self, txn: TxnId, slot: &Arc<WaiterSlot>) -> Option<RequestOutcome> {
         {
             let mut sessions = self.shared.sessions.lock();
             if let Some(registered) = sessions.waiters.get(&txn) {
@@ -1085,170 +1320,6 @@ impl Database {
         // The deliverer removed the slot from the map before the lock was
         // acquired; the outcome (if any) is inside the slot itself.
         slot.try_take()
-    }
-
-    /// Take the settled outcome for `txn`'s pending request, parking the
-    /// calling OS thread if it has not settled yet (the sync half of the
-    /// rendezvous seam; [`crate::aio`] awaits the same slot instead).
-    fn park_for_outcome(&self, txn: TxnId) -> RequestOutcome {
-        match self.claim_or_wait(txn) {
-            Ok(outcome) => outcome,
-            Err(slot) => slot.await_outcome(),
-        }
-    }
-
-    pub(crate) fn try_exec_call_raw(
-        &self,
-        txn: &SessionCore,
-        loc: ObjectLoc,
-        call: OpCall,
-    ) -> Result<RequestOutcome, CoreError> {
-        let id = txn.id;
-        self.check_loc(loc)?;
-        self.admit_submission(txn, "request an operation")?;
-        if let Some(result) = self.snapshot_read_raw(txn, loc, &call)? {
-            return Ok(RequestOutcome::Executed {
-                result,
-                commit_deps: Vec::new(),
-            });
-        }
-        self.ensure_session_enrolled(txn, loc.shard, "request an operation")?;
-        // Deliver before `?`: a rejected request can still have mutated the
-        // kernel (a `Requester`-policy conflict aborts the requester, which
-        // releases its claims and settles other sessions' waiters), so the
-        // generated events must be drained on the error path too. Skipping
-        // delivery here strands those waiters until the *next* kernel entry
-        // — which never comes if this thread was the last one in.
-        let outcome = self.shared.kernel.request_enrolled(id, loc, call);
-        self.deliver_events();
-        let outcome = outcome?;
-        if outcome.is_blocked() {
-            txn.pending.set(true);
-        }
-        Ok(outcome)
-    }
-
-    fn settle_pending_raw(&self, txn: &SessionCore) -> Result<OpResult, CoreError> {
-        let id = txn.id;
-        if !txn.pending.get() {
-            return Err(CoreError::NoPendingOperation(id));
-        }
-        // There IS an operation in flight, so an outcome is guaranteed to
-        // be delivered (the thread that settles the request always runs
-        // `deliver_events` after publishing): parking cannot be lost, and
-        // no kernel-state check is needed — querying it here would race
-        // the delivery (settled-but-not-yet-delivered would look like
-        // "nothing pending").
-        let outcome = match self.shared.take_delivered(id) {
-            Some(outcome) => outcome,
-            None => self.park_for_outcome(id),
-        };
-        txn.pending.set(false);
-        outcome.into_result(id)
-    }
-
-    /// One kernel pass over a grouped submission's remaining calls:
-    /// admit, enroll, classify in one index walk per touched shard (see
-    /// [`ShardedKernel::request_batch_enrolled`] and
-    /// [`crate::SchedulerKernel::request_batch`]).
-    ///
-    /// On [`BatchPass::MustWait`] the blocking terminator is the
-    /// transaction's pending request inside the kernel; the caller waits
-    /// for it to settle (parking or awaiting) and feeds the outcome back
-    /// through [`Database::batch_resume`]. This split is what lets the
-    /// sync and async batch loops share every line of batch logic and
-    /// differ only in *how* they sleep.
-    pub(crate) fn batch_pass(
-        &self,
-        txn: &SessionCore,
-        run: &mut BatchRun,
-    ) -> Result<BatchPass, CoreError> {
-        let id = txn.id;
-        self.admit_submission(txn, "submit a batch")?;
-        // Enrollment through the session cache: steady state takes no
-        // coordinator lock, exactly like the per-call exec path.
-        for loc in &run.locs {
-            self.check_loc(*loc)?;
-            self.ensure_session_enrolled(txn, loc.shard, "submit a batch")?;
-        }
-        let locs_kept = run.locs.clone();
-        // Deliver before `?` (see `try_exec_call_raw`): a rejected batch may
-        // still have settled other sessions' waiters.
-        let outcome = self.shared.kernel.request_batch_enrolled(
-            id,
-            std::mem::take(&mut run.calls),
-            std::mem::take(&mut run.locs),
-        );
-        self.deliver_events();
-        let outcome = outcome?;
-        run.results.extend(outcome.executed);
-        match outcome.stopped {
-            None => Ok(BatchPass::Complete),
-            Some(BatchStop::Aborted { reason, .. }) => {
-                Err(CoreError::Aborted { txn: id, reason })
-            }
-            Some(BatchStop::Blocked { rest, index, .. }) => {
-                // The unprocessed suffix keeps its original locations
-                // (`rest` is always a suffix of the submitted batch).
-                run.locs = locs_kept[index + 1..].to_vec();
-                debug_assert_eq!(run.locs.len(), rest.len());
-                run.calls = rest;
-                Ok(BatchPass::MustWait)
-            }
-        }
-    }
-
-    /// Feed the settled outcome of a batch's blocking terminator back into
-    /// the run. Returns `Ok(true)` when the batch is complete, `Ok(false)`
-    /// when the remaining suffix needs another [`Database::batch_pass`].
-    pub(crate) fn batch_resume(
-        &self,
-        txn: &SessionCore,
-        run: &mut BatchRun,
-        outcome: RequestOutcome,
-    ) -> Result<bool, CoreError> {
-        match outcome {
-            RequestOutcome::Executed { result, .. } => {
-                run.results.push(result);
-                Ok(run.calls.is_empty())
-            }
-            RequestOutcome::Aborted { reason } => {
-                Err(CoreError::Aborted { txn: txn.id, reason })
-            }
-            RequestOutcome::Blocked { .. } => {
-                unreachable!("blocked outcomes are never delivered")
-            }
-        }
-    }
-
-    /// Commit in the kernel and deliver the grants the commit released.
-    /// The returned [`sbcc_wal::Durable`], when present, is the commit
-    /// record's flush: the front-end awaits (or blocks on) it before it
-    /// acknowledges `Committed`.
-    pub(crate) fn commit_raw(
-        &self,
-        txn: TxnId,
-    ) -> Result<(CommitOutcome, Option<sbcc_wal::Durable>), CoreError> {
-        let _ = self.shared.take_delivered(txn);
-        // Deliver before `?`: a commit whose vote aborts the *committer*
-        // (`Err(Aborted)`) has released the transaction's claims, and the
-        // resulting grants to blocked sessions are sitting in the event
-        // queue. They must be drained even though commit itself failed —
-        // found by the DST harness as a cross-session liveness hang when
-        // the aborted committer's session was the last thread to enter the
-        // kernel (seed 133's endless `poll T19` tail). Deliver before the
-        // durable wait too: the sessions this commit unblocked run while
-        // its record waits for the flush.
-        let outcome = self.shared.kernel.commit(txn);
-        self.deliver_events();
-        outcome
-    }
-
-    pub(crate) fn abort_raw(&self, txn: TxnId) -> Result<(), CoreError> {
-        let _ = self.shared.take_delivered(txn);
-        let result = self.shared.kernel.abort(txn);
-        self.deliver_events();
-        result
     }
 
     fn deliver_events(&self) {
@@ -1282,7 +1353,7 @@ impl Database {
             events
         };
         // Claim the waiter slots under the sessions lock, but *fill* them
-        // (which signals condvars and runs arbitrary `Waker::wake` code of
+        // (which runs arbitrary `Waker::wake` code of
         // whatever executor the async front-end sits on) only after the
         // lock is released — a waker that takes its own scheduling lock
         // must never be invoked under the database-wide sessions mutex,
@@ -1336,34 +1407,36 @@ impl Database {
 /// **aborts the transaction on drop** unless [`Transaction::commit`] or
 /// [`Transaction::abort`] consumed it first.
 ///
+/// Each method that can wait is [`crate::aio::block_on`] of the
+/// [`crate::aio::AsyncTransaction`] method of the same name: one session
+/// implementation serves both entry points.
+///
 /// A `Transaction` is driven by one thread at a time: it is `Send` (it may
 /// move between threads) but deliberately **not `Sync`** — two threads
 /// blocking on the same session would race for its single wakeup slot, so
 /// sharing `&Transaction` across threads is a compile error. Start one
 /// session per thread instead; that is what the scheduler is for.
+///
+/// ```compile_fail
+/// fn shared<T: Sync>() {}
+/// shared::<sbcc_core::Transaction>();
+/// ```
 #[derive(Debug)]
 pub struct Transaction {
-    db: Database,
-    /// The session bookkeeping shared with the async front-end (id,
-    /// enrollment cache, pending-request flag); see [`SessionCore`].
-    core: SessionCore,
-    finished: bool,
-    /// Suppresses `Sync` (a `Cell` is `Send + !Sync`) without affecting
-    /// `Send`; see the type-level docs.
-    _not_sync: PhantomData<std::cell::Cell<()>>,
+    session: Session,
 }
 
 impl Transaction {
     /// The raw transaction id (for diagnostics and the inspection APIs on
     /// [`Database`]).
     pub fn id(&self) -> TxnId {
-        self.core.id()
+        self.session.id()
     }
 
     /// The snapshot begin stamp for sessions opened through
     /// [`Database::begin_snapshot`], `None` for ordinary sessions.
     pub fn snapshot_stamp(&self) -> Option<u64> {
-        self.core.snapshot()
+        self.session.snapshot
     }
 
     /// Execute a typed operation, blocking while it conflicts with
@@ -1380,7 +1453,7 @@ impl Transaction {
     ///
     /// Typed [`Handle`]s coerce to [`ObjectHandle`], so this accepts both.
     pub fn exec_call(&self, object: &ObjectHandle, call: OpCall) -> Result<OpResult, CoreError> {
-        self.db.exec_call_raw(&self.core, object.loc(), call)
+        block_on(self.session.exec_call(object.loc(), call))
     }
 
     /// Submit an operation without blocking: returns the raw kernel
@@ -1394,7 +1467,7 @@ impl Transaction {
         object: &ObjectHandle,
         call: OpCall,
     ) -> Result<RequestOutcome, CoreError> {
-        self.db.try_exec_call_raw(&self.core, object.loc(), call)
+        self.session.try_exec_call(object.loc(), call)
     }
 
     /// Claim the outcome of a previously blocked submission
@@ -1403,7 +1476,7 @@ impl Transaction {
     /// settles if it has not yet. Returns
     /// [`CoreError::NoPendingOperation`] when there is nothing in flight.
     pub fn settle_pending(&self) -> Result<OpResult, CoreError> {
-        self.db.settle_pending_raw(&self.core)
+        block_on(self.session.settle_pending())
     }
 
     /// Start building a grouped submission. See [`Batch`].
@@ -1422,38 +1495,18 @@ impl Transaction {
     /// On a durable database an actual commit parks the calling thread
     /// until the flush covering its log record has returned; sessions this
     /// commit unblocked are woken before that wait.
-    pub fn commit(mut self) -> Result<CommitOutcome, CoreError> {
-        let result = self.db.commit_raw(self.id());
-        self.finished = result.is_ok();
-        let (outcome, durable) = result?;
-        if let Some(durable) = durable {
-            durable.wait();
-        }
-        Ok(outcome)
+    pub fn commit(self) -> Result<CommitOutcome, CoreError> {
+        block_on(self.session.commit())
     }
 
     /// Explicitly abort the transaction. Consumes the session.
-    pub fn abort(mut self) -> Result<(), CoreError> {
-        self.finished = true;
-        self.db.abort_raw(self.id())
+    pub fn abort(self) -> Result<(), CoreError> {
+        self.session.abort()
     }
 }
 
-impl Drop for Transaction {
-    fn drop(&mut self) {
-        if !self.finished {
-            // Best effort: the transaction may already be terminated (e.g.
-            // aborted by the scheduler, or pseudo-committed, which by
-            // construction cannot abort) — those errors are ignored.
-            let _ = self.db.abort_raw(self.id());
-        }
-    }
-}
-
-/// The state of a grouped submission, shared by the sync and async batch
-/// loops ([`Database::batch_pass`] / [`Database::batch_resume`]): the
-/// calls still to run with their shard locations and the results
-/// accumulated so far.
+/// The calls of a grouped submission still to run, with their shard
+/// locations, and the results accumulated so far.
 #[derive(Debug, Default)]
 pub(crate) struct BatchRun {
     calls: Vec<BatchCall>,
@@ -1461,18 +1514,7 @@ pub(crate) struct BatchRun {
     /// batch never consults the object directory).
     locs: Vec<ObjectLoc>,
     /// One result per executed call, in submission order.
-    pub(crate) results: Vec<OpResult>,
-}
-
-/// What a [`Database::batch_pass`] left behind.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum BatchPass {
-    /// Every remaining call executed; the run is complete.
-    Complete,
-    /// A call blocked and is now the transaction's pending request; wait
-    /// for it to settle, then feed the outcome to
-    /// [`Database::batch_resume`].
-    MustWait,
+    results: Vec<OpResult>,
 }
 
 /// Builder for a grouped submission: several operation calls — often
@@ -1490,9 +1532,9 @@ pub(crate) enum BatchPass {
 /// semantics).
 ///
 /// `S` is the session handle the batch submits through: `&Transaction`
-/// for the sync front-end ([`Transaction::batch`]), an
+/// for the blocking entry point ([`Transaction::batch`]), an
 /// [`crate::aio::AsyncTransaction`] for the async one
-/// ([`crate::aio::AsyncBatch`]). Everything but `submit` is shared.
+/// ([`crate::aio::AsyncBatch`]). Both submit through the one session.
 #[derive(Debug)]
 pub struct Batch<S> {
     pub(crate) txn: S,
@@ -1540,21 +1582,7 @@ impl Batch<&Transaction> {
     /// Returns one result per call, in submission order, or the abort
     /// error if the scheduler aborts the transaction along the way.
     pub fn submit(self) -> Result<Vec<OpResult>, CoreError> {
-        if self.is_empty() {
-            return Ok(Vec::new());
-        }
-        let Batch { txn, mut run } = self;
-        loop {
-            match txn.db.batch_pass(&txn.core, &mut run)? {
-                BatchPass::Complete => return Ok(run.results),
-                BatchPass::MustWait => {
-                    let outcome = txn.db.park_for_outcome(txn.id());
-                    if txn.db.batch_resume(&txn.core, &mut run, outcome)? {
-                        return Ok(run.results);
-                    }
-                }
-            }
-        }
+        block_on(self.txn.session.submit(self.run))
     }
 }
 
@@ -1567,6 +1595,22 @@ mod tests {
 
     fn db() -> Database {
         Database::new(SchedulerConfig::default())
+    }
+
+    #[test]
+    fn a_transaction_may_move_between_threads() {
+        // `Send` but not `Sync` (the `compile_fail` example on
+        // `Transaction` pins the second half).
+        fn send<T: Send>() {}
+        send::<Transaction>();
+        let db = db();
+        let s = db.register("s", Stack::new());
+        let t = db.begin();
+        t.exec(&s, StackOp::Push(Value::Int(1))).unwrap();
+        let outcome = std::thread::spawn(move || t.commit().unwrap())
+            .join()
+            .unwrap();
+        assert!(outcome.is_full_commit());
     }
 
     #[test]

@@ -1,21 +1,21 @@
-//! Async-vs-sync differential tests: the same randomized transaction
-//! scripts driven through the blocking session front-end
-//! ([`sbcc_core::Database`]) and through the async front-end
-//! ([`sbcc_core::aio::AsyncDatabase`]) must be **behaviourally
-//! identical** — same per-operation results, same blocking decisions,
-//! same transaction fates, same final committed object states and same
-//! kernel statistics — at one shard and at several.
+//! One session, two entry points. The blocking API
+//! ([`sbcc_core::Database`]) is `block_on` over the async session that
+//! [`sbcc_core::aio::AsyncDatabase`] hands out, so the same randomized
+//! transaction scripts driven through either must give the same
+//! per-operation results, blocking decisions, transaction fates, final
+//! committed object states and kernel statistics, at one shard and at
+//! four. A divergence means an entry point dropped, added or reordered a
+//! step of the one session: the blocking wrapper's submission, settle or
+//! commit, or the async handle's delegation to them.
 //!
 //! Both drivers impose the *same deterministic interleaving*: sessions
 //! take turns in index order, a session runs until its next operation
 //! blocks (or its script ends in a commit), and a blocked session resumes
-//! the moment its turn comes around after the conflict cleared. The sync
-//! driver realises this with `try_exec_call` + `settle_pending` (never
-//! parking the test thread); the async driver realises it by polling each
-//! session's future round-robin — a poll runs the session exactly until
-//! its next suspension point, which is the same "turn". Any divergence in
-//! scheduling decisions between the two front-ends therefore shows up as
-//! a trace mismatch.
+//! the moment its turn comes around after the conflict cleared. The
+//! blocking driver realises this with `try_exec_call` + `settle_pending`
+//! (never parking the test thread); the async driver realises it by
+//! polling each session's future round-robin — a poll runs the session
+//! exactly until its next suspension point, which is the same "turn".
 
 mod common;
 
@@ -119,8 +119,8 @@ enum DriverState {
     Done,
 }
 
-/// The sync reference: deterministic single-threaded round-robin over
-/// blocking sessions, using the non-parking submission API.
+/// The blocking entry point: deterministic single-threaded round-robin
+/// over `Transaction`s, using the non-parking submission API.
 fn run_sync(scripts: &[Vec<ScriptOp>], policy_choice: bool, shards: usize) -> Trace {
     let db = Database::with_config(
         DatabaseConfig::new(config(policy_choice)).with_shards(shards),
@@ -256,9 +256,9 @@ fn run_sync(scripts: &[Vec<ScriptOp>], policy_choice: bool, shards: usize) -> Tr
     }
 }
 
-/// The async driver: one future per transaction, polled round-robin in
-/// index order. A poll advances the session until its next conflict
-/// suspends it, which mirrors the sync driver's "turn" exactly.
+/// The async entry point: one future per transaction, polled round-robin
+/// in index order. A poll advances the session until its next conflict
+/// suspends it, which mirrors the blocking driver's "turn" exactly.
 fn run_async(scripts: &[Vec<ScriptOp>], policy_choice: bool, shards: usize) -> Trace {
     let db = AsyncDatabase::with_config(
         DatabaseConfig::new(config(policy_choice)).with_shards(shards),
@@ -367,18 +367,17 @@ fn assert_equivalent(scripts: &[Vec<ScriptOp>], policy_choice: bool, shards: usi
     let async_trace = run_async(scripts, policy_choice, shards);
     assert_eq!(
         sync_trace, async_trace,
-        "sync and async executions diverged at {shards} shard(s)"
+        "the blocking and async entry points diverged at {shards} shard(s)"
     );
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The headline property: the async front-end is observationally
-    /// equivalent to the sync front-end under a deterministic
-    /// interleaving — per-op results, blocking decisions, fates, final
-    /// committed states and kernel counters all match — both unsharded
-    /// and sharded.
+    /// The headline property: the two entry points of the one session are
+    /// observationally equivalent under a deterministic interleaving —
+    /// per-op results, blocking decisions, fates, final committed states
+    /// and kernel counters all match — both unsharded and sharded.
     #[test]
     fn async_equals_sync(
         scripts in arb_scripts(),
@@ -391,8 +390,8 @@ proptest! {
 }
 
 /// A deterministic pin of the classic conflict shape (push held, pop
-/// blocked, resumed by the commit) so a differential break is debuggable
-/// without shrinking a random case.
+/// blocked, resumed by the commit) through both entry points, so a break
+/// is debuggable without shrinking a random case.
 #[test]
 fn pinned_conflict_scenario_matches() {
     let scripts: Vec<Vec<ScriptOp>> = vec![
