@@ -26,8 +26,9 @@
 //! exactly that slot and wakes that waker: an executor's task, or a
 //! thread parked in `block_on`. So every scheduling decision, admission,
 //! blocking and wakeup is the same code for both APIs.
-//! `crates/core/tests/async_differential.rs` drives its scenarios through
-//! both entry points.
+//! `crates/core/tests/async_differential.rs` checks that the session adds
+//! no scheduling decision of its own: async sessions polled round-robin
+//! match a driver that calls the kernel directly on the same schedule.
 //!
 //! # Executor-agnostic
 //!
@@ -54,8 +55,6 @@
 //! | `db.begin() -> Transaction`          | `db.begin() -> AsyncTransaction`                |
 //! | `txn.exec(&h, op)?`                  | `txn.exec(&h, op).await?`                       |
 //! | `txn.exec_call(&h, call)?`           | `txn.exec_call(&h, call).await?`                |
-//! | `txn.try_exec_call(&h, call)?`       | `txn.try_exec_call(&h, call)?` (still sync)     |
-//! | `txn.settle_pending()?`              | `txn.settle_pending().await?`                   |
 //! | `txn.batch().op(…).submit()?`        | `txn.batch().op(…).submit().await?`             |
 //! | `txn.commit()?` / `txn.abort()?`     | `txn.commit().await?` / `txn.abort().await?`    |
 //! | `db.run(\|txn\| …)?`                 | `db.run(\|txn\| async move { … }).await?`       |
@@ -69,11 +68,10 @@
 //!   move` block while the runner keeps a clone for the commit. All
 //!   clones name the same transaction; the auto-abort fires when the last
 //!   clone drops without a commit/abort.
-//! * **Cancellation aborts.** Dropping an `exec`/`submit`/`settle`
-//!   future *before it resolves* while the operation is blocked inside
-//!   the kernel aborts the transaction (there is no one left to claim the
-//!   outcome, and a forever-blocked transaction would stall every
-//!   conflicting session). Transactions whose futures you may cancel
+//! * **Cancellation aborts.** Dropping an `exec`/`submit` future *before
+//!   it resolves* while the operation is blocked inside the kernel aborts
+//!   the transaction (there is no one left to claim the outcome, and a
+//!   forever-blocked transaction would stall every conflicting session). Transactions whose futures you may cancel
 //!   should be wrapped in [`AsyncDatabase::run`], which treats the abort
 //!   like any other scheduler abort: every later call on the session
 //!   fails with `InvalidState { state: Aborted }`, which the session
@@ -119,7 +117,7 @@
 
 use crate::db::{Batch, Database, Handle, ObjectHandle, Session};
 use crate::errors::CoreError;
-use crate::events::{CommitOutcome, RequestOutcome};
+use crate::events::CommitOutcome;
 use crate::policy::SchedulerConfig;
 use crate::shard::DatabaseConfig;
 use crate::stats::{KernelStats, StatsSnapshot};
@@ -235,9 +233,9 @@ impl AsyncDatabase {
     /// commit or abort itself). A cancellation abort (a dropped operation
     /// future, see the [module docs](self)) surfaces as the
     /// `InvalidState { state: Aborted }` row of that table and is retried
-    /// like any other scheduler abort. The same
-    /// [`SchedulerConfig::max_retries`] budget applies: once exhausted the
-    /// runner returns [`CoreError::RetriesExhausted`] instead of looping.
+    /// like any other scheduler abort. The same budget of 10 000 retries
+    /// applies: once exhausted the runner returns
+    /// [`CoreError::RetriesExhausted`] instead of looping.
     ///
     /// ```
     /// use sbcc_core::aio::{block_on, AsyncDatabase};
@@ -367,35 +365,14 @@ impl AsyncTransaction {
     /// Execute an erased operation call, suspending while in conflict.
     ///
     /// Typed [`Handle`]s coerce to [`ObjectHandle`], so this accepts both.
+    /// While another clone of this session awaits a blocked operation, the
+    /// call fails with `InvalidState { state: Blocked }`.
     pub async fn exec_call(
         &self,
         object: &ObjectHandle,
         call: OpCall,
     ) -> Result<OpResult, CoreError> {
         self.inner.exec_call(object.loc(), call).await
-    }
-
-    /// Submit an operation without suspending: returns the raw kernel
-    /// outcome, exactly like [`crate::Transaction::try_exec_call`]. On
-    /// [`RequestOutcome::Blocked`] the request stays pending inside the
-    /// kernel; claim its eventual outcome with
-    /// [`AsyncTransaction::settle_pending`].
-    pub fn try_exec_call(
-        &self,
-        object: &ObjectHandle,
-        call: OpCall,
-    ) -> Result<RequestOutcome, CoreError> {
-        self.inner.try_exec_call(object.loc(), call)
-    }
-
-    /// Claim the outcome of a previously blocked submission
-    /// ([`AsyncTransaction::try_exec_call`] returning
-    /// [`RequestOutcome::Blocked`]), suspending until it settles. The
-    /// async counterpart of [`crate::Transaction::settle_pending`]: a
-    /// result that settled while nothing awaited it (kept in the
-    /// database's `delivered` map) is claimed without suspending at all.
-    pub async fn settle_pending(&self) -> Result<OpResult, CoreError> {
-        self.inner.settle_pending().await
     }
 
     /// Start building a grouped submission. See [`AsyncBatch`] (and
@@ -414,8 +391,8 @@ impl AsyncTransaction {
     /// unblocked are woken before it suspends.
     ///
     /// On success no clone of the handle will abort on drop. A failed
-    /// commit (e.g. a pending blocked request) leaves the auto-abort
-    /// armed, exactly like the sync guard.
+    /// commit (e.g. while another clone awaits a blocked operation) leaves
+    /// the auto-abort armed, exactly like the sync guard.
     ///
     /// **Cancelling the durable wait does not abort.** The transaction is
     /// committed in memory before the future first suspends, so dropping
@@ -1057,6 +1034,11 @@ mod tests {
         db.check_invariants().unwrap();
     }
 
+    /// Poll a session future once, as an executor's first turn would.
+    fn poll_once<F: Future + ?Sized>(fut: Pin<&mut F>) -> Poll<F::Output> {
+        fut.poll(&mut Context::from_waker(Waker::noop()))
+    }
+
     #[test]
     fn cancelled_settle_discards_a_raced_outcome() {
         // The outcome settles concurrently with the cancellation: the
@@ -1068,15 +1050,9 @@ mod tests {
 
         let t2 = db.begin();
         let id2 = t2.id();
-        assert!(t2
-            .try_exec_call(&s, StackOp::Pop.to_call())
-            .unwrap()
-            .is_blocked());
         {
-            let fut = t2.settle_pending();
-            let mut fut = Box::pin(fut);
-            let mut cx = Context::from_waker(Waker::noop());
-            assert!(fut.as_mut().poll(&mut cx).is_pending());
+            let mut fut = Box::pin(t2.exec(&s, StackOp::Pop));
+            assert!(poll_once(fut.as_mut()).is_pending());
             // The holder commits: T2's pop executes and fills the slot...
             t1.commit().unwrap();
             // ...but the future is dropped without being polled again.
@@ -1092,11 +1068,23 @@ mod tests {
         db.verify_serializable().unwrap();
     }
 
+    /// `true` when `r` is the refusal a clone gets while another clone of
+    /// its session awaits a blocked operation.
+    fn refused_as_blocked<T>(r: Result<T, CoreError>) -> bool {
+        matches!(
+            r,
+            Err(CoreError::InvalidState {
+                state: TxnState::Blocked,
+                ..
+            })
+        )
+    }
+
     #[test]
     fn second_concurrent_awaiter_is_rejected_not_orphaned() {
-        // Two clones of one session must not both register waiter slots:
-        // the second awaiter errors instead of silently replacing the
-        // first one's slot (which would strand the first future forever).
+        // Two clones of one session must not both wait: the second
+        // submission errors instead of silently replacing the first one's
+        // waiter slot (which would strand the first future forever).
         let db = db();
         let s = db.register("jobs", Stack::new());
         let t1 = db.database().begin();
@@ -1104,61 +1092,18 @@ mod tests {
 
         let t2 = db.begin();
         let t2b = t2.clone();
-        assert!(t2
-            .try_exec_call(&s, StackOp::Pop.to_call())
-            .unwrap()
-            .is_blocked());
-        let first = t2.settle_pending();
-        let mut first = Box::pin(first);
-        let mut cx = Context::from_waker(Waker::noop());
-        assert!(first.as_mut().poll(&mut cx).is_pending());
-        // The clone's competing await is rejected up front...
-        assert!(matches!(
-            block_on(t2b.settle_pending()),
-            Err(CoreError::InvalidState {
-                state: TxnState::Blocked,
-                ..
-            })
-        ));
+        let mut first = Box::pin(t2.exec(&s, StackOp::Pop));
+        assert!(poll_once(first.as_mut()).is_pending());
+        // The clone's competing submission is rejected up front...
+        assert!(refused_as_blocked(block_on(t2b.exec(&s, StackOp::Pop))));
         // ...and the original waiter still receives its outcome.
         t1.commit().unwrap();
-        match first.as_mut().poll(&mut cx) {
-            Poll::Ready(Ok(r)) => assert_eq!(r, OpResult::Value(Value::Int(9))),
-            other => panic!("first awaiter must win, got {other:?}"),
-        }
+        assert_eq!(
+            poll_once(first.as_mut()),
+            Poll::Ready(Ok(OpResult::Value(Value::Int(9))))
+        );
         drop(first);
         block_on(t2.commit()).unwrap();
-        db.verify_serializable().unwrap();
-    }
-
-    #[test]
-    fn settle_pending_claims_a_delivered_outcome() {
-        // The `delivered`-map path for an async session: the request
-        // settles while nothing awaits it, and `settle_pending` claims it
-        // without suspending.
-        let db = db();
-        let s = db.register("jobs", Stack::new());
-        let t1 = db.database().begin();
-        t1.exec(&s, StackOp::Push(Value::Int(7))).unwrap();
-
-        let t2 = db.begin();
-        assert!(t2
-            .try_exec_call(&s, StackOp::Pop.to_call())
-            .unwrap()
-            .is_blocked());
-        // Settles with no waiter registered -> delivered map.
-        t1.commit().unwrap();
-        block_on(async {
-            assert_eq!(
-                t2.settle_pending().await.unwrap(),
-                OpResult::Value(Value::Int(7))
-            );
-            t2.commit().await.unwrap();
-        });
-        assert!(matches!(
-            block_on(db.begin().settle_pending()),
-            Err(CoreError::NoPendingOperation(_))
-        ));
         db.verify_serializable().unwrap();
     }
 
@@ -1422,10 +1367,10 @@ mod tests {
 
     #[test]
     fn sharded_cancelled_settle_discards_a_raced_outcome() {
-        // The PR-4 cancellation/delivery race, re-run on the sharded path:
-        // the pending request lives in one shard while the session is also
-        // enrolled in another, so the cancellation abort must fan out
-        // through the coordinator and undo both shards' effects.
+        // The cancellation/delivery race on the sharded path: the blocked
+        // request lives in one shard while the session is also enrolled in
+        // another, so the cancellation abort must fan out through the
+        // coordinator and undo both shards' effects.
         let (db, names) = sharded_db_with_names(2);
         let contested = db.register(&names[0], Stack::new());
         let other = db.register(&names[1], Stack::new());
@@ -1436,15 +1381,9 @@ mod tests {
         let id2 = t2.id();
         // Enroll in a second shard before blocking in the first.
         block_on(t2.exec(&other, StackOp::Push(Value::Int(8)))).unwrap();
-        assert!(t2
-            .try_exec_call(&contested, StackOp::Pop.to_call())
-            .unwrap()
-            .is_blocked());
         {
-            let fut = t2.settle_pending();
-            let mut fut = Box::pin(fut);
-            let mut cx = Context::from_waker(Waker::noop());
-            assert!(fut.as_mut().poll(&mut cx).is_pending());
+            let mut fut = Box::pin(t2.exec(&contested, StackOp::Pop));
+            assert!(poll_once(fut.as_mut()).is_pending());
             // The holder commits: T2's pop executes and fills the slot...
             t1.commit().unwrap();
             // ...but the future is dropped without being polled again.
@@ -1469,10 +1408,10 @@ mod tests {
 
     #[test]
     fn sharded_second_concurrent_awaiter_is_rejected_not_orphaned() {
-        // Second-awaiter rejection at 4 shards: the pending-request gate
-        // lives in the session layer, so a clone awaiting from the same
-        // session must be rejected even when the pending request is parked
-        // in a different shard than the clone last touched.
+        // Second-submitter rejection at 4 shards: while one clone awaits a
+        // pop blocked in one shard, the other clone submits to a
+        // *different* shard, whose kernel does not know the transaction is
+        // blocked. The session's `waiting` gate must refuse it there.
         let (db, names) = sharded_db_with_names(2);
         let contested = db.register(&names[0], Stack::new());
         let other = db.register(&names[1], Stack::new());
@@ -1482,29 +1421,28 @@ mod tests {
         let t2 = db.begin();
         let t2b = t2.clone();
         block_on(t2.exec(&other, StackOp::Push(Value::Int(1)))).unwrap();
-        assert!(t2
-            .try_exec_call(&contested, StackOp::Pop.to_call())
-            .unwrap()
-            .is_blocked());
-        let first = t2.settle_pending();
-        let mut first = Box::pin(first);
-        let mut cx = Context::from_waker(Waker::noop());
-        assert!(first.as_mut().poll(&mut cx).is_pending());
-        // The clone's competing await is rejected up front...
-        assert!(matches!(
-            block_on(t2b.settle_pending()),
-            Err(CoreError::InvalidState {
-                state: TxnState::Blocked,
-                ..
-            })
-        ));
+        let mut first = Box::pin(t2.exec(&contested, StackOp::Pop));
+        assert!(poll_once(first.as_mut()).is_pending());
+        // The clone's submissions to the other shard are refused up
+        // front, per call and as a batch...
+        assert!(refused_as_blocked(block_on(
+            t2b.exec(&other, StackOp::Push(Value::Int(2)))
+        )));
+        assert!(refused_as_blocked(block_on(
+            t2b.batch().op(&other, StackOp::Top).submit()
+        )));
         // ...and the original waiter still receives its outcome.
         t1.commit().unwrap();
-        match first.as_mut().poll(&mut cx) {
-            Poll::Ready(Ok(r)) => assert_eq!(r, OpResult::Value(Value::Int(9))),
-            other => panic!("first awaiter must win, got {other:?}"),
-        }
+        assert_eq!(
+            poll_once(first.as_mut()),
+            Poll::Ready(Ok(OpResult::Value(Value::Int(9))))
+        );
         drop(first);
+        // Nothing the refused calls asked for reached the other shard.
+        assert_eq!(
+            block_on(t2b.exec(&other, StackOp::Pop)).unwrap(),
+            OpResult::Value(Value::Int(1))
+        );
         block_on(t2.commit()).unwrap();
         db.verify_serializable().unwrap();
         db.check_invariants().unwrap();

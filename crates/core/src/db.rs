@@ -73,12 +73,6 @@
 //! table in the [`crate::aio`] module docs) and multiplex thousands of
 //! sessions on one thread.
 //!
-//! An outcome that settles while nothing waits for it (possible after a
-//! non-blocking [`Transaction::try_exec_call`], or when the kernel's
-//! internal retry settles a request before the caller waits) is kept in a
-//! `delivered` map and claimed by the next [`Transaction::settle_pending`]
-//! call.
-//!
 //! The [`Database`] handle is cheaply cloneable and can be shared across
 //! threads; each [`Transaction`] is owned by (and intended for) one thread
 //! at a time.
@@ -128,6 +122,10 @@ use std::marker::PhantomData;
 use std::pin::Pin;
 use std::sync::Arc;
 use std::task::{Context, Poll, Waker};
+
+/// Retries the closure runners allow before [`CoreError::RetriesExhausted`]
+/// (see *Retry classes* on [`Database::run`]).
+const MAX_RETRIES: usize = 10_000;
 
 /// A handle to an object registered with a [`Database`].
 ///
@@ -280,11 +278,12 @@ impl WaiterSlot {
 /// shard kernels — delivering a wakeup never holds a kernel lock.
 #[derive(Default)]
 struct SessionState {
-    /// Outcomes delivered to transactions whose pending request completed
-    /// while nothing waited for it (e.g. after a non-blocking
-    /// [`Transaction::try_exec_call`]); claimed by
-    /// [`Transaction::settle_pending`] or discarded by the transaction's
-    /// next submission or termination.
+    /// Outcomes of blocked submissions that settled before their session
+    /// registered a waiter slot (another thread's termination raced the
+    /// window between the kernel call and [`Database::claim_or_wait`]);
+    /// claimed by the `claim_or_wait` that follows. An outcome drained
+    /// before a waiter's cancellation and inserted after it stays here
+    /// unclaimed: its transaction is aborted and its id never reused.
     delivered: HashMap<TxnId, RequestOutcome>,
     /// The waiter slot of every currently waiting invocation, by
     /// transaction.
@@ -309,12 +308,6 @@ pub(crate) struct Session {
     /// (the cache is sound because enrollment only ever grows while the
     /// transaction is live).
     enrolled: RefCell<Vec<u32>>,
-    /// `true` while a submission is blocked inside a shard kernel with
-    /// its outcome unclaimed. The session uses it to enforce the
-    /// single-kernel contract across shards (no further submissions while
-    /// blocked — another shard's kernel would not know) and to settle
-    /// without racing the outcome delivery.
-    pending: Cell<bool>,
     /// `Some(begin stamp)` for sessions opened through
     /// [`Database::begin_snapshot`] / `AsyncDatabase::begin_snapshot`:
     /// read-only operations route to the multi-version snapshot path
@@ -327,12 +320,15 @@ pub(crate) struct Session {
     /// itself instead of asking the database, which remembers only recent
     /// terminations; while unset, dropping the session aborts.
     fate: Cell<Option<TxnState>>,
-    /// `true` while a [`Settled`] future of this session holds the
-    /// registered waiter slot. A session has **one** waiter slot, so a
-    /// second async clone trying to await concurrently (e.g. two
-    /// `settle_pending` calls racing) is rejected instead of silently
-    /// overwriting the first waiter's slot — which would strand the first
-    /// future forever.
+    /// `true` while a [`Settled`] future of this session awaits the outcome
+    /// of a blocked submission: the one in-flight gate. While it is set,
+    /// every other submission or commit (from another clone of an
+    /// [`crate::aio::AsyncTransaction`]) is refused with
+    /// `InvalidState { state: Blocked }`, the error the unsharded kernel
+    /// gives. Without it, a request routed to a *different* shard would be
+    /// admitted there, because only the shard holding the blocked request
+    /// knows the transaction is blocked; and a second waiter would
+    /// overwrite the session's one waiter slot and strand the first.
     waiting: Cell<bool>,
 }
 
@@ -364,52 +360,18 @@ impl Session {
         }
     }
 
-    /// Gate a new submission on the session's previous one.
-    ///
-    /// A `delivered` entry exists when an earlier request settled while
-    /// nothing waited for it and the caller never claimed it with
-    /// `settle_pending`. A stale *abort* makes the whole transaction dead
-    /// and is surfaced now; a stale *result* was deliberately left
-    /// unclaimed and is discarded so it cannot be mistaken for the outcome
-    /// of the submission that follows.
-    ///
-    /// While a non-blocking submission is still **pending** (blocked
-    /// inside a shard kernel, no outcome delivered yet), the submission is
-    /// rejected with the same `InvalidState { state: Blocked }` error the
-    /// unsharded kernel returns — without this gate, a request routed to a
-    /// *different* shard would be admitted there, because only the shard
-    /// holding the pending request knows the transaction is blocked.
-    fn admit_submission(&self, action: &'static str) -> Result<(), CoreError> {
-        let id = self.id;
-        let delivered = self.db.shared.take_delivered(id);
-        if self.pending.get() {
-            return match delivered {
-                Some(RequestOutcome::Executed { .. }) => {
-                    // Settled while unclaimed: the stale result is
-                    // discarded and the session is submittable again.
-                    self.pending.set(false);
-                    Ok(())
-                }
-                Some(RequestOutcome::Aborted { reason }) => {
-                    self.pending.set(false);
-                    Err(CoreError::Aborted { txn: id, reason })
-                }
-                Some(RequestOutcome::Blocked { .. }) => {
-                    unreachable!("blocked outcomes are never delivered")
-                }
-                None => Err(CoreError::InvalidState {
-                    txn: id,
-                    state: TxnState::Blocked,
-                    action,
-                }),
-            };
+    /// The prologue of a submission or commit: no fate yet, and no other
+    /// clone awaiting a blocked submission (see `waiting`).
+    fn ensure_idle(&self, action: &'static str) -> Result<(), CoreError> {
+        self.ensure_no_fate(action)?;
+        if self.waiting.get() {
+            return Err(CoreError::InvalidState {
+                txn: self.id,
+                state: TxnState::Blocked,
+                action,
+            });
         }
-        match delivered {
-            Some(RequestOutcome::Aborted { reason }) => {
-                Err(CoreError::Aborted { txn: id, reason })
-            }
-            _ => Ok(()),
-        }
+        Ok(())
     }
 
     /// Enroll the transaction into a shard if the session-local cache has
@@ -428,19 +390,17 @@ impl Session {
         Ok(())
     }
 
-    /// Submit an operation without waiting: the raw kernel outcome. On
-    /// [`RequestOutcome::Blocked`] the request stays pending inside the
-    /// kernel and the session is marked pending.
-    pub(crate) fn try_exec_call(
+    /// Execute an operation, waiting while it conflicts with uncommitted
+    /// operations of other transactions.
+    pub(crate) async fn exec_call(
         &self,
         loc: ObjectLoc,
         call: OpCall,
-    ) -> Result<RequestOutcome, CoreError> {
+    ) -> Result<OpResult, CoreError> {
         const ACTION: &str = "request an operation";
-        self.ensure_no_fate(ACTION)?;
+        self.ensure_idle(ACTION)?;
         let db = &self.db;
         db.check_loc(loc)?;
-        self.admit_submission(ACTION)?;
         if self.snapshot.is_some() {
             // A snapshot session tries the multi-version read first;
             // `None` (not a pure observer, or an object this transaction
@@ -451,10 +411,7 @@ impl Session {
             let read = db.shared.kernel.snapshot_read(self.id, loc, &call);
             db.deliver_events();
             if let Some(result) = read? {
-                return Ok(RequestOutcome::Executed {
-                    result,
-                    commit_deps: Vec::new(),
-                });
+                return Ok(result);
             }
         }
         self.ensure_enrolled(loc.shard, ACTION)?;
@@ -466,42 +423,10 @@ impl Session {
         // — which never comes if this thread was the last one in.
         let outcome = db.shared.kernel.request_enrolled(self.id, loc, call);
         db.deliver_events();
-        let outcome = outcome?;
-        if outcome.is_blocked() {
-            self.pending.set(true);
-        }
-        Ok(outcome)
-    }
-
-    /// Execute an operation, waiting while it conflicts with uncommitted
-    /// operations of other transactions.
-    pub(crate) async fn exec_call(
-        &self,
-        loc: ObjectLoc,
-        call: OpCall,
-    ) -> Result<OpResult, CoreError> {
-        let outcome = self.try_exec_call(loc, call)?;
-        if outcome.is_blocked() {
-            return self.settle_pending().await;
-        }
-        outcome.into_result(self.id)
-    }
-
-    /// Claim the outcome of a previously blocked submission, waiting until
-    /// it settles. A result that settled while nothing waited for it (kept
-    /// in the database's `delivered` map) is claimed without waiting.
-    pub(crate) async fn settle_pending(&self) -> Result<OpResult, CoreError> {
-        if !self.pending.get() {
-            return Err(CoreError::NoPendingOperation(self.id));
-        }
-        // There IS an operation in flight, so an outcome is guaranteed to
-        // be delivered (the thread that settles the request always runs
-        // `deliver_events` after publishing): the wait cannot be lost, and
-        // no kernel-state check is needed — querying it here would race
-        // the delivery (settled-but-not-yet-delivered would look like
-        // "nothing pending").
-        let outcome = self.settled()?.await;
-        self.pending.set(false);
+        let outcome = match outcome? {
+            RequestOutcome::Blocked { .. } => self.settled().await,
+            outcome => outcome,
+        };
         outcome.into_result(self.id)
     }
 
@@ -520,24 +445,21 @@ impl Session {
         if calls.is_empty() {
             return Ok(results);
         }
-        self.ensure_no_fate(ACTION)?;
+        self.ensure_idle(ACTION)?;
         let db = &self.db;
+        // Enrollment through the session cache: steady state takes no
+        // coordinator lock, exactly like the per-call exec path.
+        for loc in &locs {
+            db.check_loc(*loc)?;
+            self.ensure_enrolled(loc.shard, ACTION)?;
+        }
         loop {
-            self.admit_submission(ACTION)?;
-            // Enrollment through the session cache: steady state takes no
-            // coordinator lock, exactly like the per-call exec path.
-            for loc in &locs {
-                db.check_loc(*loc)?;
-                self.ensure_enrolled(loc.shard, ACTION)?;
-            }
-            let locs_kept = locs.clone();
-            // Deliver before `?` (see `try_exec_call`): a rejected batch
-            // may still have settled other sessions' waiters.
-            let outcome = db.shared.kernel.request_batch_enrolled(
-                self.id,
-                std::mem::take(&mut calls),
-                std::mem::take(&mut locs),
-            );
+            // Deliver before `?` (see `exec_call`): a rejected batch may
+            // still have settled other sessions' waiters.
+            let outcome =
+                db.shared
+                    .kernel
+                    .request_batch_enrolled(self.id, std::mem::take(&mut calls), &locs);
             db.deliver_events();
             let outcome = outcome?;
             results.extend(outcome.executed);
@@ -550,18 +472,14 @@ impl Session {
                     })
                 }
                 Some(BatchStop::Blocked { rest, index, .. }) => {
-                    // The unprocessed suffix keeps its original locations
-                    // (`rest` is always a suffix of the submitted batch).
-                    locs = locs_kept[index + 1..].to_vec();
+                    // `rest` is the suffix after the blocking terminator,
+                    // so its locations are `locs[index + 1..]`.
+                    locs.drain(..=index);
                     debug_assert_eq!(locs.len(), rest.len());
                     calls = rest;
                 }
             }
-            // The blocking terminator is the pending request: guard the
-            // session against concurrent submissions from other async
-            // clones while it waits, exactly like a blocked exec.
-            self.pending.set(true);
-            results.push(self.settle_pending().await?);
+            results.push(self.settled().await.into_result(self.id)?);
             if calls.is_empty() {
                 return Ok(results);
             }
@@ -573,8 +491,7 @@ impl Session {
     /// never waits for another transaction: one whose commit dependencies
     /// are still live pseudo-commits.
     pub(crate) async fn commit(&self) -> Result<CommitOutcome, CoreError> {
-        self.ensure_no_fate("commit")?;
-        let _ = self.db.shared.take_delivered(self.id);
+        self.ensure_idle("commit")?;
         // Deliver before `?`: a commit whose vote aborts the *committer*
         // (`Err(Aborted)`) has released the transaction's claims, and the
         // resulting grants to blocked sessions are sitting in the event
@@ -608,33 +525,25 @@ impl Session {
     }
 
     fn abort_in_kernel(&self) -> Result<(), CoreError> {
-        let _ = self.db.shared.take_delivered(self.id);
         let result = self.db.shared.kernel.abort(self.id);
         self.db.deliver_events();
         result
     }
 
-    /// A future resolving to the settled outcome of this session's
-    /// pending request: either claims an already-delivered outcome or
+    /// A future resolving to the settled outcome of the submission that
+    /// just blocked: either claims an already-delivered outcome or
     /// registers this session's waiter slot **now** (before first poll),
     /// so a wakeup can never slip between submission and registration.
-    ///
-    /// Errors when another async clone of this session is already
-    /// awaiting the outcome: a session has exactly one waiter slot, and a
-    /// second registration would orphan the first waiter.
-    fn settled(&self) -> Result<Settled<'_>, CoreError> {
-        if self.waiting.get() {
-            return Err(CoreError::InvalidState {
-                txn: self.id,
-                state: TxnState::Blocked,
-                action: "await an outcome another clone is already awaiting",
-            });
-        }
+    /// No other clone is waiting: the caller passed
+    /// [`Session::ensure_idle`], or finished its own previous wait, with
+    /// no await since.
+    fn settled(&self) -> Settled<'_> {
+        debug_assert!(!self.waiting.get(), "second waiter on {}", self.id);
         self.waiting.set(true);
-        Ok(Settled {
+        Settled {
             session: self,
             wait: Some(self.db.claim_or_wait(self.id)),
-        })
+        }
     }
 }
 
@@ -649,7 +558,7 @@ impl Drop for Session {
     }
 }
 
-/// Future for the settled outcome of a session's pending request.
+/// Future for the settled outcome of a session's blocked submission.
 ///
 /// **Cancellation aborts**: dropping this future before it resolves
 /// leaves nobody to claim the outcome of a request that may stay blocked
@@ -699,7 +608,6 @@ impl Drop for Settled<'_> {
         if let Err(slot) = wait {
             let _ = session.db.cancel_wait(session.id, &slot);
         }
-        session.pending.set(false);
         if session.fate.get().is_none() {
             session.fate.set(Some(TxnState::Aborted));
             let _ = session.abort_in_kernel();
@@ -712,30 +620,6 @@ struct Shared {
     /// [`crate::shard`]).
     kernel: ShardedKernel,
     sessions: Mutex<SessionState>,
-    /// Lock-free count of entries in `sessions.delivered`, so the exec
-    /// fast path (nothing ever delivered — the overwhelmingly common
-    /// case) skips the sessions mutex entirely. Only advisory: a zero
-    /// reading is sound because a delivery for transaction `T` can only
-    /// exist while `T` has a parked/pending request, and `T`'s own session
-    /// thread — the only reader of `T`'s entries — is not submitting then.
-    delivered_count: std::sync::atomic::AtomicUsize,
-}
-
-impl Shared {
-    /// Remove and return `txn`'s delivered outcome, skipping the lock when
-    /// the map is known empty.
-    fn take_delivered(&self, txn: TxnId) -> Option<RequestOutcome> {
-        use std::sync::atomic::Ordering;
-        if self.delivered_count.load(Ordering::Acquire) == 0 {
-            return None;
-        }
-        let mut sessions = self.sessions.lock();
-        let outcome = sessions.delivered.remove(&txn);
-        if outcome.is_some() {
-            self.delivered_count.fetch_sub(1, Ordering::Release);
-        }
-        outcome
-    }
 }
 
 /// A thread-safe transactional object store implementing the paper's
@@ -796,7 +680,6 @@ impl Database {
             shared: Arc::new(Shared {
                 kernel: ShardedKernel::new(config),
                 sessions: Mutex::new(SessionState::default()),
-                delivered_count: std::sync::atomic::AtomicUsize::new(0),
             }),
         };
         if let Some(wal_config) = wal_config {
@@ -971,7 +854,6 @@ impl Database {
             db: self.clone(),
             id,
             enrolled: RefCell::new(Vec::new()),
-            pending: Cell::new(false),
             snapshot,
             fate: Cell::new(None),
             waiting: Cell::new(false),
@@ -1048,7 +930,7 @@ impl Database {
     /// | Commit-dependency refusal: a recoverable execution would close a commit-dependency cycle (the paper's Lemma-4 guard) | [`CoreError::Aborted`] with [`AbortReason::CommitDependencyCycle`](crate::AbortReason::CommitDependencyCycle) | yes |
     /// | Terminated out from under the attempt: in the async runner, a dropped operation future's cancellation abort | [`CoreError::InvalidState`] with `state:` [`TxnState::Aborted`] for the attempt's own transaction, from a body operation **or** from the final commit | yes |
     /// | Explicit aborts, validation errors, aborts of *other* transactions the body propagates | any other [`CoreError`] | no — returned as-is |
-    /// | Retry budget exhausted: a retryable class above recurred more than [`SchedulerConfig::max_retries`] times | [`CoreError::RetriesExhausted`] | no — the livelock guardrail |
+    /// | Retry budget exhausted: a retryable class above recurred more than 10 000 times | [`CoreError::RetriesExhausted`] | no — the livelock guardrail |
     ///
     /// The `InvalidState { state: Aborted }` row is safe to retry because
     /// the guard API gives the closure no way to abort its own transaction
@@ -1063,10 +945,9 @@ impl Database {
     /// operations, so some participant of each cycle always makes
     /// progress. As a guardrail against adversarial schedules (and
     /// against fault-injection harnesses deliberately aborting every
-    /// attempt), the loop gives up after
-    /// [`SchedulerConfig::max_retries`] retries with
-    /// [`CoreError::RetriesExhausted`]; the default budget (10 000) is far
-    /// beyond anything a healthy workload reaches.
+    /// attempt), the loop gives up after 10 000 retries with
+    /// [`CoreError::RetriesExhausted`], a budget far beyond anything a
+    /// healthy workload reaches.
     ///
     /// # Example
     ///
@@ -1125,7 +1006,7 @@ impl Database {
     /// attempt on it (the body, then the commit), and restart with a fresh
     /// session while the attempt fails with an error of a retry class
     /// (the table on [`Database::run`]) for its own transaction, up to
-    /// [`SchedulerConfig::max_retries`] retries. A failed attempt's
+    /// `MAX_RETRIES` retries. A failed attempt's
     /// session is dropped, and so aborted, before the next one begins.
     pub(crate) async fn run_attempts<R, Fut>(
         &self,
@@ -1134,7 +1015,6 @@ impl Database {
     where
         Fut: Future<Output = Result<R, CoreError>>,
     {
-        let max_retries = self.shared.kernel.config().scheduler.max_retries;
         let mut attempts: usize = 0;
         loop {
             attempts += 1;
@@ -1147,7 +1027,7 @@ impl Database {
             if !err.is_retryable_for(id) {
                 return Err(err);
             }
-            if attempts > max_retries {
+            if attempts > MAX_RETRIES {
                 return Err(CoreError::RetriesExhausted { txn: id, attempts });
             }
         }
@@ -1259,13 +1139,13 @@ impl Database {
         }
     }
 
-    /// Claim the settled outcome for `txn`'s pending request if it has
+    /// Claim the settled outcome for `txn`'s blocked request if it has
     /// already been delivered, or register a fresh [`WaiterSlot`] to wait
     /// on.
     ///
     /// This is the database's **single rendezvous seam**: every waiting
-    /// path — exec, grouped submission, `settle_pending`, through either
-    /// entry point — and every shard-originated wakeup funnels through
+    /// path — exec and grouped submission, through either entry point —
+    /// and every shard-originated wakeup funnels through
     /// this one claim/register pair, and [`Settled`] polls the returned
     /// slot.
     fn claim_or_wait(&self, txn: TxnId) -> Result<RequestOutcome, Arc<WaiterSlot>> {
@@ -1278,12 +1158,7 @@ impl Database {
         // to fixpoint before returning) or by another thread's
         // termination racing this claim.
         match sessions.delivered.remove(&txn) {
-            Some(outcome) => {
-                self.shared
-                    .delivered_count
-                    .fetch_sub(1, std::sync::atomic::Ordering::Release);
-                Ok(outcome)
-            }
+            Some(outcome) => Ok(outcome),
             None => {
                 // Wait on a private slot: whichever thread later drains
                 // the kernel event that settles this transaction fills
@@ -1377,11 +1252,7 @@ impl Database {
                 match sessions.waiters.remove(&txn) {
                     Some(slot) => fills.push((txn, slot, outcome)),
                     None => {
-                        if sessions.delivered.insert(txn, outcome).is_none() {
-                            self.shared
-                                .delivered_count
-                                .fetch_add(1, std::sync::atomic::Ordering::Release);
-                        }
+                        sessions.delivered.insert(txn, outcome);
                     }
                 }
             }
@@ -1456,29 +1327,6 @@ impl Transaction {
         block_on(self.session.exec_call(object.loc(), call))
     }
 
-    /// Submit an operation without blocking: returns the raw kernel
-    /// outcome. On [`RequestOutcome::Blocked`] the request stays pending
-    /// inside the kernel and its eventual outcome is claimed with
-    /// [`Transaction::settle_pending`] (an unclaimed executed result is
-    /// discarded by the next submission). Intended for tests and tools
-    /// that want to observe the scheduler's decisions directly.
-    pub fn try_exec_call(
-        &self,
-        object: &ObjectHandle,
-        call: OpCall,
-    ) -> Result<RequestOutcome, CoreError> {
-        self.session.try_exec_call(object.loc(), call)
-    }
-
-    /// Claim the outcome of a previously blocked submission
-    /// ([`Transaction::try_exec_call`] returning
-    /// [`RequestOutcome::Blocked`]), parking the calling thread until it
-    /// settles if it has not yet. Returns
-    /// [`CoreError::NoPendingOperation`] when there is nothing in flight.
-    pub fn settle_pending(&self) -> Result<OpResult, CoreError> {
-        block_on(self.session.settle_pending())
-    }
-
     /// Start building a grouped submission. See [`Batch`].
     pub fn batch(&self) -> Batch<&Transaction> {
         Batch::new(self)
@@ -1487,10 +1335,9 @@ impl Transaction {
     /// Commit the transaction (actual or pseudo-commit, per the protocol).
     /// Consumes the session; on success the guard will not abort on drop.
     ///
-    /// A commit can fail while the transaction is still live — e.g. a
-    /// [`Transaction::try_exec_call`] left a blocked request pending — and
-    /// in that case the guard still aborts on drop, so the failed session
-    /// cannot leak a live transaction that would block others forever.
+    /// A commit that fails without terminating the transaction still
+    /// leaves the drop-abort armed, so a failed session cannot leak a live
+    /// transaction that would block others forever.
     ///
     /// On a durable database an actual commit parks the calling thread
     /// until the flush covering its log record has returned; sessions this
@@ -1589,12 +1436,18 @@ impl Batch<&Transaction> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::aio::AsyncDatabase;
     use crate::policy::ConflictPolicy;
     use sbcc_adt::{Stack, StackOp, TableObject, TableOp, Value};
     use std::time::Duration;
 
     fn db() -> Database {
         Database::new(SchedulerConfig::default())
+    }
+
+    /// Poll a session future once, as an executor's first turn would.
+    fn poll_once<F: Future + ?Sized>(fut: Pin<&mut F>) -> Poll<F::Output> {
+        fut.poll(&mut Context::from_waker(Waker::noop()))
     }
 
     #[test]
@@ -1835,11 +1688,11 @@ mod tests {
     #[test]
     fn run_retry_budget_surfaces_retries_exhausted() {
         // Every attempt's transaction is aborted out from under the runner
-        // (as a cancellation abort would do it each time): with
-        // `max_retries = 2` the runner gives up on the third attempt and
-        // reports the budget, not the underlying per-attempt error.
+        // (as a cancellation abort would do it each time): after
+        // `MAX_RETRIES` retries the runner gives up and reports the
+        // budget, not the underlying per-attempt error.
         let db = Database::with_config(DatabaseConfig::new(
-            SchedulerConfig::default().with_max_retries(2),
+            SchedulerConfig::default().with_history(false),
         ));
         let s = db.register("c", Stack::new());
         let mut attempts = 0usize;
@@ -1854,28 +1707,11 @@ mod tests {
             .unwrap_err();
         match err {
             CoreError::RetriesExhausted { attempts: a, .. } => {
-                assert_eq!(a, 3, "budget of 2 retries = 3 attempts");
+                assert_eq!(a, MAX_RETRIES + 1, "the budget plus the first attempt");
             }
             other => panic!("expected RetriesExhausted, got {other:?}"),
         }
-        assert_eq!(attempts, 3);
-        // A zero budget fails on the very first retryable error.
-        let db0 = Database::with_config(DatabaseConfig::new(
-            SchedulerConfig::default().with_max_retries(0),
-        ));
-        let s0 = db0.register("c", Stack::new());
-        let err = db0
-            .run(|txn| {
-                txn.exec(&s0, StackOp::Push(Value::Int(1)))?;
-                let id = txn.id();
-                db0.with_sharded_kernel(|k| k.abort(id)).unwrap();
-                Ok(())
-            })
-            .unwrap_err();
-        assert!(
-            matches!(err, CoreError::RetriesExhausted { attempts: 1, .. }),
-            "got {err:?}"
-        );
+        assert_eq!(attempts, 10_001);
     }
 
     #[test]
@@ -1981,183 +1817,92 @@ mod tests {
     }
 
     #[test]
-    fn delivered_outcome_is_claimed_by_settle_pending() {
-        // The `delivered` map path: a request settles while *no* thread is
-        // parked waiting for it, and the outcome is picked up by a later
-        // blocking call.
-        let db = db();
-        let s = db.register("s", Stack::new());
-        let t1 = db.begin();
-        t1.exec(&s, StackOp::Push(Value::Int(7))).unwrap();
-
-        let t2 = db.begin();
-        // Non-blocking submission: the pop conflicts and stays pending
-        // inside the kernel; this thread does NOT park.
-        let outcome = t2.try_exec_call(&s, StackOp::Pop.to_call()).unwrap();
-        assert!(outcome.is_blocked());
-
-        // The holder commits on this same thread: the retried pop executes
-        // and its outcome is delivered with no waiter registered, so it
-        // lands in the `delivered` map.
-        t1.commit().unwrap();
-
-        // ... and is claimed by the later blocking call.
-        assert_eq!(
-            t2.settle_pending().unwrap(),
-            OpResult::Value(Value::Int(7))
-        );
-        t2.commit().unwrap();
-        db.verify_serializable().unwrap();
-    }
-
-    #[test]
-    fn settle_pending_parks_until_the_outcome_arrives() {
-        // Same scenario, but the waiter parks *before* the holder commits:
-        // settle_pending must block and be woken by the delivery.
-        let db = db();
-        let s = db.register("s", Stack::new());
-        let t1 = db.begin();
-        t1.exec(&s, StackOp::Push(Value::Int(3))).unwrap();
-
-        let t2 = db.begin();
-        assert!(t2
-            .try_exec_call(&s, StackOp::Pop.to_call())
-            .unwrap()
-            .is_blocked());
-
-        let worker = std::thread::spawn(move || {
-            let popped = t2.settle_pending().unwrap();
-            t2.commit().unwrap();
-            popped
-        });
-        std::thread::sleep(Duration::from_millis(50));
-        t1.commit().unwrap();
-        assert_eq!(
-            worker.join().expect("worker"),
-            OpResult::Value(Value::Int(3))
-        );
-        db.verify_serializable().unwrap();
-    }
-
-    #[test]
-    fn settle_pending_without_a_pending_operation_errors() {
-        let db = db();
-        let s = db.register("s", Stack::new());
-        let t = db.begin();
-        assert!(matches!(
-            t.settle_pending(),
-            Err(CoreError::NoPendingOperation(_))
-        ));
-        t.exec(&s, StackOp::Push(Value::Int(1))).unwrap();
-        assert!(matches!(
-            t.settle_pending(),
-            Err(CoreError::NoPendingOperation(_)),
-        ), "an executed operation leaves nothing pending");
-        t.commit().unwrap();
-    }
-
-    #[test]
     fn blocked_session_cannot_submit_elsewhere() {
-        // The single-kernel contract: a transaction with a pending blocked
-        // request rejects every further submission with
-        // InvalidState{Blocked}. Across shards only the shard holding the
-        // pending request knows, so the session layer enforces it — this
-        // must behave identically at every shard count (exercised under
-        // both SBCC_SHARDS CI configurations, and pinned here at 4 shards
-        // with objects spread wide).
-        let db = Database::with_config(
-            crate::shard::DatabaseConfig::new(SchedulerConfig::default()).with_shards(4),
+        // The single-kernel contract: while one clone of a session awaits
+        // a blocked request, every further submission and the commit are
+        // refused with InvalidState{Blocked}. Across shards only the shard
+        // holding the blocked request knows, so the session's `waiting`
+        // gate enforces it — pinned here at 4 shards with objects spread
+        // wide.
+        let db = AsyncDatabase::with_config(
+            DatabaseConfig::new(SchedulerConfig::default()).with_shards(4),
         );
-        let handles: Vec<_> = (0..8).map(|i| db.register(format!("s{i}"), Stack::new())).collect();
-        let t1 = db.begin();
+        let handles: Vec<_> = (0..8)
+            .map(|i| db.register(format!("s{i}"), Stack::new()))
+            .collect();
+        let t1 = db.database().begin();
         t1.exec(&handles[0], StackOp::Push(Value::Int(7))).unwrap();
 
         let t2 = db.begin();
-        assert!(t2
-            .try_exec_call(&handles[0], StackOp::Pop.to_call())
-            .unwrap()
-            .is_blocked());
-        // Every other object — wherever it lives — must reject t2 now.
-        for h in &handles[1..] {
+        let t2b = t2.clone();
+        let mut pop = Box::pin(t2.exec(&handles[0], StackOp::Pop));
+        assert!(poll_once(pop.as_mut()).is_pending());
+        let refused = |r: Result<(), CoreError>| {
+            matches!(
+                r,
+                Err(CoreError::InvalidState {
+                    state: TxnState::Blocked,
+                    ..
+                })
+            )
+        };
+        // Every object — wherever it lives — must refuse the clone now.
+        for h in &handles {
             assert!(
-                matches!(
-                    t2.exec_call(h, StackOp::Push(Value::Int(1)).to_call()),
-                    Err(CoreError::InvalidState {
-                        state: TxnState::Blocked,
-                        ..
-                    })
-                ),
+                refused(block_on(t2b.exec(h, StackOp::Push(Value::Int(1)))).map(drop)),
                 "blocked session must not execute on {}",
                 h.name()
             );
         }
-        assert!(matches!(
-            t2.batch().op(&handles[1], StackOp::Top).submit(),
-            Err(CoreError::InvalidState {
-                state: TxnState::Blocked,
-                ..
-            })
+        assert!(refused(
+            block_on(t2b.batch().op(&handles[1], StackOp::Top).submit()).map(drop)
         ));
-        // Once the conflict clears, the pending pop settles and the
+        assert!(refused(block_on(t2b.clone().commit()).map(drop)));
+        // Once the conflict clears, the awaited pop settles and the
         // session is usable again.
         t1.commit().unwrap();
-        assert_eq!(t2.settle_pending().unwrap(), OpResult::Value(Value::Int(7)));
-        t2.exec(&handles[3], StackOp::Push(Value::Int(2))).unwrap();
-        t2.commit().unwrap();
+        assert_eq!(
+            poll_once(pop.as_mut()),
+            Poll::Ready(Ok(OpResult::Value(Value::Int(7))))
+        );
+        drop(pop);
+        block_on(t2b.exec(&handles[3], StackOp::Push(Value::Int(2)))).unwrap();
+        block_on(t2.commit()).unwrap();
         db.verify_serializable().unwrap();
         db.check_invariants().unwrap();
     }
 
     #[test]
-    fn stale_delivered_result_is_discarded_by_the_next_submission() {
-        let db = db();
-        let s = db.register("s", Stack::new());
-        let t1 = db.begin();
-        t1.exec(&s, StackOp::Push(Value::Int(7))).unwrap();
-
-        let t2 = db.begin();
-        assert!(t2
-            .try_exec_call(&s, StackOp::Pop.to_call())
-            .unwrap()
-            .is_blocked());
-        t1.commit().unwrap(); // settles T2's pop into the delivered map
-
-        // T2 never claims the pop's result and submits something new: the
-        // stale result must not be mistaken for the new call's outcome.
-        assert_eq!(
-            t2.exec(&s, StackOp::Push(Value::Int(9))).unwrap(),
-            OpResult::Ok
-        );
-        t2.commit().unwrap();
-        db.verify_serializable().unwrap();
-    }
-
-    #[test]
     fn failed_commit_still_aborts_the_session_on_drop() {
-        let db = db();
+        let db = AsyncDatabase::new(SchedulerConfig::default());
         let s = db.register("s", Stack::new());
-        let t1 = db.begin();
+        let t1 = db.database().begin();
         t1.exec(&s, StackOp::Push(Value::Int(1))).unwrap();
         let t2 = db.begin();
         let id2 = t2.id();
-        // A non-blocking conflicting submission leaves T2 blocked inside
-        // the kernel...
-        assert!(t2
-            .try_exec_call(&s, StackOp::Pop.to_call())
-            .unwrap()
-            .is_blocked());
-        // ...so the commit is rejected — and the consumed guard must still
-        // abort the transaction instead of leaking it in the blocked state
-        // (where it would stall every future conflicting session).
+        // One clone awaits a conflicting pop...
+        let mut pop = Box::pin(t2.exec(&s, StackOp::Pop));
+        assert!(poll_once(pop.as_mut()).is_pending());
+        // ...so another clone's commit is rejected, and the transaction
+        // stays live.
         assert!(matches!(
-            t2.commit(),
+            block_on(t2.clone().commit()),
             Err(CoreError::InvalidState {
                 state: TxnState::Blocked,
                 ..
             })
         ));
-        assert_eq!(db.txn_state(id2), Some(TxnState::Aborted));
         t1.commit().unwrap();
+        assert_eq!(
+            poll_once(pop.as_mut()),
+            Poll::Ready(Ok(OpResult::Value(Value::Int(1))))
+        );
+        drop(pop);
+        assert_eq!(db.txn_state(id2), Some(TxnState::Active));
+        // The last handle still aborts on drop instead of leaking the
+        // transaction (where it would stall every conflicting session).
+        drop(t2);
+        assert_eq!(db.txn_state(id2), Some(TxnState::Aborted));
         db.verify_serializable().unwrap();
         db.check_invariants().unwrap();
     }
@@ -2173,49 +1918,21 @@ mod tests {
 
     #[test]
     fn abort_reason_is_surfaced_after_unparked_abort() {
-        // A transaction aborted while its outcome sits in the delivered map
-        // reports the abort on its next submission.
-        let db = Database::new(
+        // The holder's abort unparks the waiter: its push is retried and
+        // executes.
+        let db = AsyncDatabase::new(
             SchedulerConfig::default().with_policy(ConflictPolicy::CommutativityOnly),
         );
         let s = db.register("s", Stack::new());
-        let t1 = db.begin();
+        let t1 = db.database().begin();
         t1.exec(&s, StackOp::Push(Value::Int(1))).unwrap();
         let t2 = db.begin();
-        assert!(t2
-            .try_exec_call(&s, StackOp::Push(Value::Int(2)).to_call())
-            .unwrap()
-            .is_blocked());
-        // T1 aborts; T2's pending push is retried and executes.
+        let mut push = Box::pin(t2.exec(&s, StackOp::Push(Value::Int(2))));
+        assert!(poll_once(push.as_mut()).is_pending());
         t1.abort().unwrap();
-        assert_eq!(t2.settle_pending().unwrap(), OpResult::Ok);
-        t2.commit().unwrap();
+        assert_eq!(poll_once(push.as_mut()), Poll::Ready(Ok(OpResult::Ok)));
+        drop(push);
+        block_on(t2.commit()).unwrap();
         assert_eq!(db.stats().aborts_explicit, 1);
-    }
-
-    #[test]
-    fn stale_delivered_abort_is_reported_by_the_next_submission() {
-        let db = Database::new(
-            SchedulerConfig::default().with_policy(ConflictPolicy::CommutativityOnly),
-        );
-        let s = db.register("s", Stack::new());
-        let s2 = db.register("s2", Stack::new());
-        let t1 = db.begin();
-        let t2 = db.begin();
-        t1.exec(&s, StackOp::Push(Value::Int(1))).unwrap();
-        t2.exec(&s2, StackOp::Push(Value::Int(2))).unwrap();
-        // T2 parks a conflicting push inside the kernel (non-blocking).
-        assert!(t2
-            .try_exec_call(&s, StackOp::Push(Value::Int(3)).to_call())
-            .unwrap()
-            .is_blocked());
-        // T1 requests a push on s2 -> wait-for cycle -> T1 (the requester)
-        // is aborted; T2's pending push then executes and is delivered with
-        // no waiter parked.
-        assert!(t1.exec(&s2, StackOp::Push(Value::Int(4))).is_err());
-        drop(t1);
-        assert_eq!(t2.settle_pending().unwrap(), OpResult::Ok);
-        t2.commit().unwrap();
-        db.verify_serializable().unwrap();
     }
 }

@@ -33,20 +33,15 @@ pub enum CoreError {
     },
     /// An object with this name is already registered.
     DuplicateObject(String),
-    /// [`crate::db::Transaction::settle_pending`] was called while the
-    /// transaction had no blocked operation in flight and no settled outcome
-    /// waiting to be claimed.
-    NoPendingOperation(TxnId),
     /// A retry runner ([`crate::Database::run`] /
-    /// [`crate::aio::AsyncDatabase::run`]) exhausted its
-    /// [`crate::SchedulerConfig::max_retries`] budget: every attempt ended
-    /// in a scheduler abort. The livelock guardrail for adversarial
-    /// schedules and fault-injection harnesses.
+    /// [`crate::aio::AsyncDatabase::run`]) exhausted its budget of
+    /// 10 000 retries: every attempt ended in a scheduler abort. The
+    /// livelock guardrail for adversarial schedules and fault-injection
+    /// harnesses.
     RetriesExhausted {
         /// The last attempt's transaction.
         txn: TxnId,
-        /// Total attempts made (the configured budget plus the initial
-        /// attempt).
+        /// Total attempts made (the budget plus the initial attempt).
         attempts: usize,
     },
     /// A durability (write-ahead log) failure: the log directory could not
@@ -70,9 +65,6 @@ impl fmt::Display for CoreError {
             }
             CoreError::DuplicateObject(name) => {
                 write!(f, "an object named {name:?} is already registered")
-            }
-            CoreError::NoPendingOperation(txn) => {
-                write!(f, "transaction {txn} has no pending operation to settle")
             }
             CoreError::RetriesExhausted { txn, attempts } => {
                 write!(
@@ -138,7 +130,6 @@ mod tests {
         };
         assert!(e.to_string().contains("aborted"));
         assert!(CoreError::DuplicateObject("x".into()).to_string().contains("x"));
-        assert!(CoreError::NoPendingOperation(t).to_string().contains("T3"));
         let e = CoreError::RetriesExhausted { txn: t, attempts: 11 };
         assert!(e.to_string().contains("11 attempts"));
         assert!(e.to_string().contains("T3"));

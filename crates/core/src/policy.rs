@@ -63,14 +63,6 @@ pub struct SchedulerConfig {
     /// Record the full execution history (needed by the serializability
     /// checker; adds memory proportional to the number of operations).
     pub record_history: bool,
-    /// Retry budget for the closure runners ([`crate::Database::run`] and
-    /// [`crate::aio::AsyncDatabase::run`]): how many times a scheduler
-    /// abort may restart the body before the runner gives up with
-    /// [`crate::CoreError::RetriesExhausted`]. The default (10 000) is far
-    /// beyond anything a healthy workload reaches — the budget exists so
-    /// adversarial schedules and fault-injection harnesses surface as an
-    /// error instead of a livelock.
-    pub max_retries: usize,
 }
 
 impl Default for SchedulerConfig {
@@ -79,7 +71,6 @@ impl Default for SchedulerConfig {
             policy: ConflictPolicy::Recoverability,
             fair_scheduling: true,
             record_history: true,
-            max_retries: 10_000,
         }
     }
 }
@@ -110,12 +101,6 @@ impl SchedulerConfig {
         self.record_history = record;
         self
     }
-
-    /// Builder-style: set the retry budget of the closure runners.
-    pub fn with_max_retries(mut self, max_retries: usize) -> Self {
-        self.max_retries = max_retries;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -128,7 +113,6 @@ mod tests {
         assert_eq!(c.policy, ConflictPolicy::Recoverability);
         assert!(c.fair_scheduling);
         assert!(c.record_history);
-        assert_eq!(c.max_retries, 10_000);
     }
 
     #[test]
@@ -149,12 +133,10 @@ mod tests {
         let c = SchedulerConfig::default()
             .with_policy(ConflictPolicy::CommutativityOnly)
             .with_fair_scheduling(false)
-            .with_history(false)
-            .with_max_retries(7);
+            .with_history(false);
         assert_eq!(c.policy, ConflictPolicy::CommutativityOnly);
         assert!(!c.fair_scheduling);
         assert!(!c.record_history);
-        assert_eq!(c.max_retries, 7);
     }
 
     #[test]

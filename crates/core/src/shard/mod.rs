@@ -601,7 +601,7 @@ impl ShardedKernel {
         for run in locs.chunk_by(|a, b| a.shard == b.shard) {
             self.ensure_enrolled(txn, run[0].shard, "submit a batch")?;
         }
-        self.request_batch_enrolled(txn, calls, locs)
+        self.request_batch_enrolled(txn, calls, &locs)
     }
 
     /// Grouped submission across shards for a transaction the caller has
@@ -617,7 +617,7 @@ impl ShardedKernel {
         &self,
         txn: TxnId,
         mut calls: Vec<BatchCall>,
-        locs: Vec<ObjectLoc>,
+        locs: &[ObjectLoc],
     ) -> Result<BatchOutcome, CoreError> {
         assert_eq!(calls.len(), locs.len(), "one location per call");
         if calls.is_empty() {

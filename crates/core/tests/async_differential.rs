@@ -1,49 +1,51 @@
-//! One session, two entry points. The blocking API
-//! ([`sbcc_core::Database`]) is `block_on` over the async session that
-//! [`sbcc_core::aio::AsyncDatabase`] hands out, so the same randomized
-//! transaction scripts driven through either must give the same
-//! per-operation results, blocking decisions, transaction fates, final
-//! committed object states and kernel statistics, at one shard and at
-//! four. A divergence means an entry point dropped, added or reordered a
-//! step of the one session: the blocking wrapper's submission, settle or
-//! commit, or the async handle's delegation to them.
+//! Sessions against the bare kernel. [`sbcc_core::aio::AsyncDatabase`]
+//! sessions (and so the blocking [`sbcc_core::Database`], which is
+//! `block_on` over the same futures) must add no scheduling semantics of
+//! their own: the same randomized transaction scripts, driven once
+//! through async sessions and once by calling
+//! [`sbcc_core::ShardedKernel::request`] and
+//! [`sbcc_core::ShardedKernel::drain_events`] directly, must give the
+//! same per-operation results, blocking decisions, transaction fates,
+//! final committed object states and [`sbcc_core::KernelStats`], at one
+//! shard and at four. A divergence means the session dropped, added or
+//! reordered a kernel call: its submission, its wait for a blocked
+//! request's outcome, its commit, or its drop-abort.
 //!
 //! Both drivers impose the *same deterministic interleaving*: sessions
 //! take turns in index order, a session runs until its next operation
 //! blocks (or its script ends in a commit), and a blocked session resumes
 //! the moment its turn comes around after the conflict cleared. The
-//! blocking driver realises this with `try_exec_call` + `settle_pending`
-//! (never parking the test thread); the async driver realises it by
-//! polling each session's future round-robin — a poll runs the session
-//! exactly until its next suspension point, which is the same "turn".
+//! async driver realises this by polling each session's future
+//! round-robin — a poll runs the session exactly until its next
+//! suspension point, which is one "turn". The kernel driver realises it
+//! by hand: after every kernel call it drains the event queue and keeps
+//! each blocked transaction's delivered outcome until that
+//! transaction's turn.
 
 mod common;
 
 use common::{arb_call_for, register_objects, N_OBJECTS};
 use proptest::prelude::*;
-use sbcc_adt::{AdtOp, CounterOp, OpCall, StackOp, Value};
+use sbcc_adt::{AdtOp, CounterOp, OpCall, OpResult, StackOp, Value};
 use sbcc_core::aio::AsyncDatabase;
 use sbcc_core::{
-    CoreError, Database, DatabaseConfig, ObjectHandle, SchedulerConfig, TxnState,
+    CoreError, DatabaseConfig, KernelEvent, KernelStats, ObjectId, RequestOutcome, SchedulerConfig,
+    ShardedKernel, TxnId,
 };
 use std::cell::RefCell;
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
 
-fn config(policy_choice: bool) -> SchedulerConfig {
+fn config(policy_choice: bool, shards: usize) -> DatabaseConfig {
     let policy = if policy_choice {
         sbcc_core::ConflictPolicy::Recoverability
     } else {
         sbcc_core::ConflictPolicy::CommutativityOnly
     };
-    SchedulerConfig::default().with_policy(policy)
-}
-
-fn register_all(db: &Database) -> Vec<ObjectHandle> {
-    register_objects(|name, object| db.register_object(name, object).unwrap())
+    DatabaseConfig::new(SchedulerConfig::default().with_policy(policy)).with_shards(shards)
 }
 
 /// One scripted operation: target object, call, and whether the session
@@ -78,38 +80,29 @@ struct Trace {
     fates: Vec<String>,
     /// Final committed state of every object.
     states: Vec<String>,
-    /// The comparable subset of the kernel counters.
-    stats: String,
+    /// The kernel counters.
+    stats: KernelStats,
 }
 
-fn stats_line(db: &Database) -> String {
-    let s = db.stats();
-    format!(
-        "requests={} executed={} blocks={} unblocks={} commit_deps={} commits={} pseudo={} \
-         ab_dead={} ab_ccycle={} ab_explicit={}",
-        s.requests,
-        s.operations_executed,
-        s.blocks,
-        s.unblocks,
-        s.commit_dependencies,
-        s.commits,
-        s.pseudo_commits,
-        s.aborts_deadlock,
-        s.aborts_commit_cycle,
-        s.aborts_explicit
-    )
-}
-
-fn committed_states(db: &Database, handles: &[ObjectHandle]) -> Vec<String> {
-    handles
+/// Validate the finished kernel and read its committed states and
+/// counters.
+fn finish(kernel: &ShardedKernel, objects: &[ObjectId]) -> (Vec<String>, KernelStats) {
+    kernel.verify_serializable().unwrap();
+    kernel.verify_commit_dependencies().unwrap();
+    kernel.check_invariants().unwrap();
+    let states = objects
         .iter()
-        .map(|h| {
-            db.with_sharded_kernel(|k| {
-                k.with_object_committed(h.id(), |o| o.debug_state())
-                    .expect("registered object")
-            })
+        .map(|id| {
+            kernel
+                .with_object_committed(*id, |o| o.debug_state())
+                .expect("registered object")
         })
-        .collect()
+        .collect();
+    (states, kernel.stats())
+}
+
+fn aborted(reason: impl std::fmt::Display) -> String {
+    format!("aborted: {reason}")
 }
 
 #[derive(Clone, Copy, PartialEq)]
@@ -119,122 +112,117 @@ enum DriverState {
     Done,
 }
 
-/// The blocking entry point: deterministic single-threaded round-robin
-/// over `Transaction`s, using the non-parking submission API.
-fn run_sync(scripts: &[Vec<ScriptOp>], policy_choice: bool, shards: usize) -> Trace {
-    let db = Database::with_config(
-        DatabaseConfig::new(config(policy_choice)).with_shards(shards),
-    );
-    let handles = register_all(&db);
+/// The bare kernel: every request, commit and drop-abort a session would
+/// make, called directly, and every event drained right after the call
+/// that produced it.
+struct KernelDriver<'a> {
+    kernel: &'a ShardedKernel,
+    /// Delivered outcomes of blocked requests, by transaction, until that
+    /// transaction's turn claims them.
+    delivered: HashMap<TxnId, RequestOutcome>,
+}
+
+impl KernelDriver<'_> {
+    fn drain(&mut self) {
+        for event in self.kernel.drain_events() {
+            if let KernelEvent::Unblocked { txn, outcome } = event {
+                self.delivered.insert(txn, outcome);
+            }
+        }
+    }
+
+    fn request(&mut self, txn: TxnId, object: ObjectId, call: OpCall) -> RequestOutcome {
+        let outcome = self.kernel.request(txn, object, call);
+        self.drain();
+        match outcome {
+            Ok(outcome) => outcome,
+            Err(CoreError::Aborted { reason, .. }) => RequestOutcome::Aborted { reason },
+            Err(e) => panic!("unexpected kernel request error for {txn}: {e}"),
+        }
+    }
+
+    /// What a session's drop does to a transaction it did not commit.
+    fn drop_abort(&mut self, txn: TxnId) {
+        let _ = self.kernel.abort(txn);
+        self.drain();
+    }
+}
+
+/// The kernel driver: deterministic round-robin over bare transaction ids.
+fn run_kernel(scripts: &[Vec<ScriptOp>], policy_choice: bool, shards: usize) -> Trace {
+    let kernel = ShardedKernel::new(config(policy_choice, shards));
+    let objects = register_objects(|name, object| kernel.register_object(name, object).unwrap().0);
+    let mut driver = KernelDriver {
+        kernel: &kernel,
+        delivered: HashMap::new(),
+    };
     let n = scripts.len();
-    let mut txns: Vec<Option<sbcc_core::Transaction>> =
-        (0..n).map(|_| Some(db.begin())).collect();
+    let txns: Vec<TxnId> = (0..n).map(|_| kernel.begin()).collect();
     let mut state = vec![DriverState::Running; n];
     let mut next = vec![0usize; n];
     let mut results: Vec<Vec<String>> = vec![Vec::new(); n];
     let mut blocked: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); n];
     let mut fates: Vec<String> = vec![String::new(); n];
 
-    // Runs session `i` until it blocks, yields or finishes; called on
-    // its turn. Returns the new driver state.
-    fn turn(
-        i: usize,
-        script: &[ScriptOp],
-        txn: &mut Option<sbcc_core::Transaction>,
-        handles: &[ObjectHandle],
-        next: &mut usize,
-        results: &mut Vec<String>,
-        blocked: &mut BTreeSet<usize>,
-        fate: &mut String,
-    ) -> DriverState {
-        let t = txn.as_ref().expect("live session");
-        while *next < script.len() {
-            let (object, call, yield_after) = &script[*next];
-            match t.try_exec_call(&handles[*object], call.clone()) {
-                Ok(outcome) => match outcome {
-                    sbcc_core::RequestOutcome::Executed { result, .. } => {
-                        results.push(format!("{result}"));
-                        *next += 1;
-                        if *yield_after {
-                            // Hand the turn to the next session; resume
-                            // here on the next round (still Running).
-                            return DriverState::Running;
-                        }
-                    }
-                    sbcc_core::RequestOutcome::Blocked { .. } => {
-                        blocked.insert(*next);
-                        return DriverState::Waiting;
-                    }
-                    sbcc_core::RequestOutcome::Aborted { reason } => {
-                        *fate = format!("aborted: {reason}");
-                        drop(txn.take());
-                        return DriverState::Done;
-                    }
-                },
-                Err(CoreError::Aborted { reason, .. }) => {
-                    *fate = format!("aborted: {reason}");
-                    drop(txn.take());
-                    return DriverState::Done;
-                }
-                Err(e) => panic!("unexpected sync submission error for T{i}: {e}"),
-            }
-        }
-        let outcome = txn.take().expect("live session").commit().unwrap();
-        *fate = format!("commit pseudo={}", outcome.is_pseudo_commit());
-        DriverState::Done
-    }
-
     let mut safety = 0usize;
     loop {
         safety += 1;
-        assert!(safety < 100_000, "sync driver failed to make progress");
+        assert!(safety < 100_000, "kernel driver failed to make progress");
         let mut all_done = true;
         for i in 0..n {
-            match state[i] {
+            let txn = txns[i];
+            let script = &scripts[i];
+            // The outcome of the operation at `next[i]`: a settled blocked
+            // request on a waiting turn, a fresh request otherwise.
+            let mut settled = match state[i] {
                 DriverState::Done => continue,
-                DriverState::Running => {}
-                DriverState::Waiting => {
-                    let t = txns[i].as_ref().expect("waiting session");
-                    if db.txn_state(t.id()) == Some(TxnState::Blocked) {
+                DriverState::Waiting => match driver.delivered.remove(&txn) {
+                    Some(outcome) => Some(outcome),
+                    None => {
                         all_done = false;
                         continue;
                     }
-                    // The pending request settled (executed or aborted).
-                    match t.settle_pending() {
-                        Ok(result) => {
-                            let yield_after = scripts[i][next[i]].2;
-                            results[i].push(format!("{result}"));
-                            next[i] += 1;
-                            state[i] = DriverState::Running;
-                            if yield_after {
-                                // The settled op carries a yield: the turn
-                                // ends here, exactly like the async future
-                                // suspending on `yield_now` right after
-                                // its resumed exec.
-                                all_done = false;
-                                continue;
-                            }
+                },
+                DriverState::Running => None,
+            };
+            state[i] = loop {
+                if settled.is_none() && next[i] == script.len() {
+                    let (commit, _) = kernel.commit(txn).unwrap();
+                    driver.drain();
+                    fates[i] = format!("commit pseudo={}", commit.is_pseudo_commit());
+                    break DriverState::Done;
+                }
+                let (object, call, yield_after) = &script[next[i]];
+                let outcome = settled
+                    .take()
+                    .unwrap_or_else(|| driver.request(txn, objects[*object], call.clone()));
+                match outcome {
+                    RequestOutcome::Executed { result, .. } => {
+                        results[i].push(format!("{result}"));
+                        next[i] += 1;
+                        if *yield_after {
+                            // Hand the turn to the next session; resume
+                            // here on the next round.
+                            break DriverState::Running;
                         }
-                        Err(CoreError::Aborted { reason, .. }) => {
-                            fates[i] = format!("aborted: {reason}");
-                            drop(txns[i].take());
-                            state[i] = DriverState::Done;
+                    }
+                    RequestOutcome::Blocked { .. } => {
+                        // A session claims an outcome its own submission's
+                        // drain already delivered, without suspending.
+                        settled = driver.delivered.remove(&txn);
+                        if settled.is_some() {
                             continue;
                         }
-                        Err(e) => panic!("unexpected settle error for T{i}: {e}"),
+                        blocked[i].insert(next[i]);
+                        break DriverState::Waiting;
+                    }
+                    RequestOutcome::Aborted { reason } => {
+                        fates[i] = aborted(reason);
+                        driver.drop_abort(txn);
+                        break DriverState::Done;
                     }
                 }
-            }
-            state[i] = turn(
-                i,
-                &scripts[i],
-                &mut txns[i],
-                &handles,
-                &mut next[i],
-                &mut results[i],
-                &mut blocked[i],
-                &mut fates[i],
-            );
+            };
             all_done &= state[i] == DriverState::Done;
         }
         if all_done {
@@ -242,11 +230,7 @@ fn run_sync(scripts: &[Vec<ScriptOp>], policy_choice: bool, shards: usize) -> Tr
         }
     }
 
-    db.verify_serializable().unwrap();
-    db.verify_commit_dependencies().unwrap();
-    db.check_invariants().unwrap();
-    let states = committed_states(&db, &handles);
-    let stats = stats_line(&db);
+    let (states, stats) = finish(&kernel, &objects);
     Trace {
         results,
         blocked,
@@ -256,14 +240,12 @@ fn run_sync(scripts: &[Vec<ScriptOp>], policy_choice: bool, shards: usize) -> Tr
     }
 }
 
-/// The async entry point: one future per transaction, polled round-robin
-/// in index order. A poll advances the session until its next conflict
-/// suspends it, which mirrors the blocking driver's "turn" exactly.
+/// The async sessions: one future per transaction, polled round-robin in
+/// index order. A poll advances the session until its next conflict
+/// suspends it, which mirrors the kernel driver's "turn" exactly.
 fn run_async(scripts: &[Vec<ScriptOp>], policy_choice: bool, shards: usize) -> Trace {
-    let db = AsyncDatabase::with_config(
-        DatabaseConfig::new(config(policy_choice)).with_shards(shards),
-    );
-    let handles = register_all(db.database());
+    let db = AsyncDatabase::with_config(config(policy_choice, shards));
+    let handles = register_objects(|name, object| db.register_object(name, object).unwrap());
     let n = scripts.len();
 
     #[derive(Default)]
@@ -278,8 +260,9 @@ fn run_async(scripts: &[Vec<ScriptOp>], policy_choice: bool, shards: usize) -> T
 
     // Distinguishes a cooperative-yield suspension from a blocked-in-
     // the-kernel suspension when a poll returns `Pending`.
-    let yielding: Vec<Rc<std::cell::Cell<bool>>> =
-        (0..n).map(|_| Rc::new(std::cell::Cell::new(false))).collect();
+    let yielding: Vec<Rc<std::cell::Cell<bool>>> = (0..n)
+        .map(|_| Rc::new(std::cell::Cell::new(false)))
+        .collect();
     let mut futures: Vec<Option<Pin<Box<dyn Future<Output = ()>>>>> = scripts
         .iter()
         .enumerate()
@@ -296,7 +279,7 @@ fn run_async(scripts: &[Vec<ScriptOp>], policy_choice: bool, shards: usize) -> T
                             shared.borrow_mut().results[i].push(format!("{result}"));
                         }
                         Err(CoreError::Aborted { reason, .. }) => {
-                            shared.borrow_mut().fates[i] = format!("aborted: {reason}");
+                            shared.borrow_mut().fates[i] = aborted(reason);
                             return;
                         }
                         Err(e) => panic!("unexpected async exec error for T{i}: {e}"),
@@ -344,11 +327,10 @@ fn run_async(scripts: &[Vec<ScriptOp>], policy_choice: bool, shards: usize) -> T
         }
     }
 
-    db.verify_serializable().unwrap();
-    db.database().verify_commit_dependencies().unwrap();
-    db.check_invariants().unwrap();
-    let states = committed_states(db.database(), &handles);
-    let stats = stats_line(db.database());
+    let ids: Vec<ObjectId> = handles.iter().map(|h| h.id()).collect();
+    let (states, stats) = db
+        .database()
+        .with_sharded_kernel(|kernel| finish(kernel, &ids));
     let shared = Rc::try_unwrap(shared)
         .ok()
         .expect("all futures dropped")
@@ -362,24 +344,25 @@ fn run_async(scripts: &[Vec<ScriptOp>], policy_choice: bool, shards: usize) -> T
     }
 }
 
-fn assert_equivalent(scripts: &[Vec<ScriptOp>], policy_choice: bool, shards: usize) {
-    let sync_trace = run_sync(scripts, policy_choice, shards);
-    let async_trace = run_async(scripts, policy_choice, shards);
+fn assert_equivalent(scripts: &[Vec<ScriptOp>], policy_choice: bool, shards: usize) -> Trace {
+    let kernel_trace = run_kernel(scripts, policy_choice, shards);
+    let session_trace = run_async(scripts, policy_choice, shards);
     assert_eq!(
-        sync_trace, async_trace,
-        "the blocking and async entry points diverged at {shards} shard(s)"
+        kernel_trace, session_trace,
+        "the sessions and the bare kernel diverged at {shards} shard(s)"
     );
+    kernel_trace
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The headline property: the two entry points of the one session are
-    /// observationally equivalent under a deterministic interleaving —
+    /// The headline property: sessions are observationally equivalent to
+    /// the kernel calls they make under a deterministic interleaving —
     /// per-op results, blocking decisions, fates, final committed states
     /// and kernel counters all match — both unsharded and sharded.
     #[test]
-    fn async_equals_sync(
+    fn sessions_equal_kernel(
         scripts in arb_scripts(),
         policy_choice in any::<bool>(),
     ) {
@@ -390,8 +373,8 @@ proptest! {
 }
 
 /// A deterministic pin of the classic conflict shape (push held, pop
-/// blocked, resumed by the commit) through both entry points, so a break
-/// is debuggable without shrinking a random case.
+/// blocked, resumed by the commit) through both drivers, so a break is
+/// debuggable without shrinking a random case.
 #[test]
 fn pinned_conflict_scenario_matches() {
     let scripts: Vec<Vec<ScriptOp>> = vec![
@@ -411,19 +394,19 @@ fn pinned_conflict_scenario_matches() {
     ];
     for policy_choice in [false, true] {
         for shards in [1usize, 4] {
-            let t = run_sync(&scripts, policy_choice, shards);
-            assert_eq!(
-                t,
-                run_async(&scripts, policy_choice, shards),
-                "pinned scenario diverged (policy_choice={policy_choice}, {shards} shards)"
-            );
+            let t = assert_equivalent(&scripts, policy_choice, shards);
             // Under recoverability the pop still blocks (pop does not
             // commute with and is not recoverable relative to push).
             assert!(
                 t.blocked[1].contains(&0),
                 "T1's pop must block (policy_choice={policy_choice})"
             );
-            assert_eq!(t.fates.len(), 3);
+            assert_eq!(
+                t.results[1],
+                vec![OpResult::Value(Value::Int(7)).to_string()]
+            );
+            assert_eq!(t.stats.blocks, 1);
+            assert_eq!(t.stats.unblocks, 1);
         }
     }
 }

@@ -54,8 +54,6 @@ const CANCEL_PERMILLE: u32 = 200;
 const REORDER_PERMILLE: u32 = 250;
 /// Virtual-time liveness deadline: yields before the run is declared hung.
 pub const MAX_STEPS: usize = 50_000;
-/// Retry budget handed to [`SchedulerConfig::max_retries`].
-const MAX_RETRIES: usize = 10_000;
 /// Wall-clock backstop for non-yielding livelocks.
 const REAL_TIME_GUARD: Duration = Duration::from_secs(30);
 
@@ -337,9 +335,8 @@ pub fn execute(seed: u64, cfg: &DstConfig, script: Option<Vec<u32>>) -> RunRepor
     let sched = Arc::new(Scheduler::new(total, MAX_STEPS, seed, script));
     let faults = Arc::new(FaultPlan::new(seed, REORDER_PERMILLE));
 
-    let scheduler_cfg = SchedulerConfig::default().with_max_retries(MAX_RETRIES);
     let db = Database::with_config(
-        DatabaseConfig::new(scheduler_cfg).with_shards(ShardCount::Fixed(SHARDS)),
+        DatabaseConfig::new(SchedulerConfig::default()).with_shards(ShardCount::Fixed(SHARDS)),
     );
     let objects: Arc<Vec<Handle<Counter>>> = Arc::new(
         (0..OBJECTS)

@@ -74,8 +74,7 @@ fn virtual_clock_drives_read_timeout_and_auto_abort() {
         AsyncDatabase::new(SchedulerConfig::default()),
         ServerConfig::default()
             .with_workers(1)
-            .with_read_timeout(Duration::from_secs(3600))
-            .with_poll_interval(Duration::from_millis(1)),
+            .with_read_timeout(Duration::from_secs(3600)),
     )
     .expect("bind loopback server");
     let addr = server.local_addr();

@@ -136,10 +136,11 @@ fn adt_from_tag(tag: u8) -> Result<AdtType, ProtoError> {
     })
 }
 
-/// Error category carried by a [`Response::Error`] frame. Codes `1..=7`
-/// mirror [`sbcc_core::CoreError`] variants one-to-one (the detail
-/// string is the kernel error's `Display`); codes `32+` are the
-/// server's own refusals.
+/// Error category carried by a [`Response::Error`] frame. Codes `1..=5`
+/// and `7..=8` mirror [`sbcc_core::CoreError`] variants one-to-one (the
+/// detail string is the kernel error's `Display`); code `6` is retired
+/// and decodes as an unknown tag; codes `32+` are the server's own
+/// refusals.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ErrorCode {
     /// Wire transaction id not live on this connection.
@@ -152,8 +153,6 @@ pub enum ErrorCode {
     Aborted,
     /// Registration race against a name the server does not manage.
     DuplicateObject,
-    /// `settle` with no pending operation (not reachable over the wire).
-    NoPendingOperation,
     /// The server-side retry budget was exhausted.
     RetriesExhausted,
     /// A durability (write-ahead log) refusal — e.g. registering an
@@ -180,7 +179,6 @@ impl ErrorCode {
             ErrorCode::InvalidState => 3,
             ErrorCode::Aborted => 4,
             ErrorCode::DuplicateObject => 5,
-            ErrorCode::NoPendingOperation => 6,
             ErrorCode::RetriesExhausted => 7,
             ErrorCode::Durability => 8,
             ErrorCode::Busy => 32,
@@ -197,7 +195,6 @@ impl ErrorCode {
             3 => ErrorCode::InvalidState,
             4 => ErrorCode::Aborted,
             5 => ErrorCode::DuplicateObject,
-            6 => ErrorCode::NoPendingOperation,
             7 => ErrorCode::RetriesExhausted,
             8 => ErrorCode::Durability,
             32 => ErrorCode::Busy,
@@ -217,7 +214,6 @@ impl fmt::Display for ErrorCode {
             ErrorCode::InvalidState => "invalid-state",
             ErrorCode::Aborted => "aborted",
             ErrorCode::DuplicateObject => "duplicate-object",
-            ErrorCode::NoPendingOperation => "no-pending-operation",
             ErrorCode::RetriesExhausted => "retries-exhausted",
             ErrorCode::Durability => "durability",
             ErrorCode::Busy => "busy",
@@ -764,6 +760,28 @@ mod tests {
         assert_eq!(
             Request::decode(&body),
             Err(ProtoError::UnknownTag("adt type", 99))
+        );
+        // Error codes keep their bytes; the retired code 6 is unknown.
+        let pinned = [
+            (ErrorCode::UnknownTransaction, 1u8),
+            (ErrorCode::UnknownObject, 2),
+            (ErrorCode::InvalidState, 3),
+            (ErrorCode::Aborted, 4),
+            (ErrorCode::DuplicateObject, 5),
+            (ErrorCode::RetriesExhausted, 7),
+            (ErrorCode::Durability, 8),
+            (ErrorCode::Busy, 32),
+            (ErrorCode::Protocol, 33),
+            (ErrorCode::TenantRequired, 34),
+            (ErrorCode::Shutdown, 35),
+        ];
+        for (code, byte) in pinned {
+            assert_eq!(code.to_u8(), byte);
+            assert_eq!(ErrorCode::from_u8(byte), Ok(code));
+        }
+        assert_eq!(
+            ErrorCode::from_u8(6),
+            Err(ProtoError::UnknownTag("error code", 6))
         );
         // Trailing garbage after a valid request.
         let mut frame = Request::Ping.encode(1);

@@ -82,10 +82,11 @@ pub struct ServerConfig {
     /// Inactivity budget for a connection with live transactions; on
     /// expiry the connection closes and its sessions auto-abort.
     pub read_timeout: Duration,
-    /// Reader-thread poll tick (the granularity of timeout checks and
-    /// shutdown observation).
-    pub poll_interval: Duration,
 }
+
+/// Reader-thread poll tick: the granularity of timeout checks and
+/// shutdown observation.
+const POLL_INTERVAL: Duration = Duration::from_millis(5);
 
 impl Default for ServerConfig {
     fn default() -> Self {
@@ -94,7 +95,6 @@ impl Default for ServerConfig {
             workers: 2,
             max_in_flight_per_conn: 32,
             read_timeout: Duration::from_secs(5),
-            poll_interval: Duration::from_millis(5),
         }
     }
 }
@@ -121,12 +121,6 @@ impl ServerConfig {
     /// Replace the read-inactivity budget.
     pub fn with_read_timeout(mut self, timeout: Duration) -> Self {
         self.read_timeout = timeout;
-        self
-    }
-
-    /// Replace the reader poll tick.
-    pub fn with_poll_interval(mut self, tick: Duration) -> Self {
-        self.poll_interval = tick;
         self
     }
 }
@@ -415,7 +409,6 @@ fn error_response(e: &CoreError) -> Response {
         CoreError::InvalidState { .. } => ErrorCode::InvalidState,
         CoreError::Aborted { .. } => ErrorCode::Aborted,
         CoreError::DuplicateObject(_) => ErrorCode::DuplicateObject,
-        CoreError::NoPendingOperation(_) => ErrorCode::NoPendingOperation,
         CoreError::RetriesExhausted { .. } => ErrorCode::RetriesExhausted,
         CoreError::Durability(_) => ErrorCode::Durability,
     };
@@ -621,7 +614,7 @@ fn spawn_connection(exec: &Rc<LocalExecutor>, shared: &Arc<ServerShared>, stream
 /// out.
 fn reader_main(mut stream: TcpStream, conn: Arc<ConnShared>, shared: Arc<ServerShared>) {
     let config = &shared.config;
-    let _ = stream.set_read_timeout(Some(config.poll_interval));
+    let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
     let mut frames = FrameBuffer::new();
     let mut chunk = [0u8; 4096];
     let mut last_activity = Instant::now();

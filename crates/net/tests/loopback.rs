@@ -425,8 +425,7 @@ fn read_timeout_fires_only_with_live_transactions() {
     let server = start_server(
         ServerConfig::default()
             .with_workers(1)
-            .with_read_timeout(Duration::from_millis(40))
-            .with_poll_interval(Duration::from_millis(2)),
+            .with_read_timeout(Duration::from_millis(40)),
     );
     let addr = server.local_addr();
 

@@ -186,7 +186,6 @@ fn normalize_core_error(e: &CoreError) -> String {
         CoreError::InvalidState { .. } => ErrorCode::InvalidState,
         CoreError::Aborted { .. } => ErrorCode::Aborted,
         CoreError::DuplicateObject(_) => ErrorCode::DuplicateObject,
-        CoreError::NoPendingOperation(_) => ErrorCode::NoPendingOperation,
         CoreError::RetriesExhausted { .. } => ErrorCode::RetriesExhausted,
         CoreError::Durability(_) => ErrorCode::Durability,
     };

@@ -17,7 +17,6 @@ fn config_structs_have_exactly_the_documented_fields() {
         policy: _,
         fair_scheduling: _,
         record_history: _,
-        max_retries: _,
     } = SchedulerConfig::default();
     let DatabaseConfig {
         scheduler: _,
@@ -31,7 +30,6 @@ fn config_structs_have_exactly_the_documented_fields() {
         workers: _,
         max_in_flight_per_conn: _,
         read_timeout: _,
-        poll_interval: _,
     } = ServerConfig::default();
 }
 
