@@ -229,13 +229,21 @@ mod tests {
     fn hostile_bytes_are_refused() {
         let call = OpCall {
             kind: 2,
-            params: vec![Value::Int(-7), Value::Str("x".to_owned()), Value::Bool(true), Value::Null],
+            params: vec![
+                Value::Int(-7),
+                Value::Str("x".to_owned()),
+                Value::Bool(true),
+                Value::Null,
+            ],
         };
         let mut bytes = Vec::new();
         put_call(&mut bytes, &call);
         assert_eq!(Reader::new(&bytes).call(), Ok(call));
         for cut in 0..bytes.len() {
-            assert_eq!(Reader::new(&bytes[..cut]).call(), Err(CodecError::Truncated));
+            assert_eq!(
+                Reader::new(&bytes[..cut]).call(),
+                Err(CodecError::Truncated)
+            );
         }
         // A lying parameter count neither allocates nor decodes.
         let mut lying = Vec::new();
@@ -246,9 +254,18 @@ mod tests {
         let mut r = Reader::new(&[1, 2, 3]);
         assert_eq!(r.u8(), Ok(1));
         assert_eq!(r.take(usize::MAX), Err(CodecError::Truncated));
-        assert_eq!(Reader::new(&[9]).value(), Err(CodecError::UnknownTag("value", 9)));
-        assert_eq!(Reader::new(&[7]).result(), Err(CodecError::UnknownTag("op result", 7)));
-        assert_eq!(Reader::new(&[2, 0, 0, 0, 0xff, 0xfe]).string(), Err(CodecError::BadUtf8));
+        assert_eq!(
+            Reader::new(&[9]).value(),
+            Err(CodecError::UnknownTag("value", 9))
+        );
+        assert_eq!(
+            Reader::new(&[7]).result(),
+            Err(CodecError::UnknownTag("op result", 7))
+        );
+        assert_eq!(
+            Reader::new(&[2, 0, 0, 0, 0xff, 0xfe]).string(),
+            Err(CodecError::BadUtf8)
+        );
         assert_eq!(Reader::new(&[0]).finish(), Err(CodecError::TrailingBytes));
     }
 }

@@ -39,8 +39,7 @@ pub enum Compatibility {
     NonRecoverable,
 }
 
-impl Compatibility {
-}
+impl Compatibility {}
 
 impl fmt::Display for Compatibility {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -152,8 +151,14 @@ impl CompatibilityTable {
     /// Raw entry for a `(requested, executed)` pair of operation kinds.
     pub fn entry(&self, requested_kind: usize, executed_kind: usize) -> TableEntry {
         let n = self.arity();
-        assert!(requested_kind < n, "requested kind {requested_kind} out of range");
-        assert!(executed_kind < n, "executed kind {executed_kind} out of range");
+        assert!(
+            requested_kind < n,
+            "requested kind {requested_kind} out of range"
+        );
+        assert!(
+            executed_kind < n,
+            "executed kind {executed_kind} out of range"
+        );
         self.entries[requested_kind * n + executed_kind]
     }
 
@@ -173,7 +178,10 @@ impl CompatibilityTable {
             width = width.max(n.len() + 2);
         }
         let mut out = String::new();
-        out.push_str(&format!("{} (rows: requested, columns: executed)\n", self.name));
+        out.push_str(&format!(
+            "{} (rows: requested, columns: executed)\n",
+            self.name
+        ));
         out.push_str(&format!("{:width$}", "", width = width));
         for n in &self.op_names {
             out.push_str(&format!("{:width$}", n, width = width));
@@ -182,7 +190,11 @@ impl CompatibilityTable {
         for (i, row_name) in self.op_names.iter().enumerate() {
             out.push_str(&format!("{:width$}", row_name, width = width));
             for j in 0..self.arity() {
-                out.push_str(&format!("{:width$}", self.entry(i, j).label(), width = width));
+                out.push_str(&format!(
+                    "{:width$}",
+                    self.entry(i, j).label(),
+                    width = width
+                ));
             }
             out.push('\n');
         }
@@ -268,7 +280,10 @@ impl ConflictTable {
     ///
     /// Panics if `p_c` is odd, or if `p_c + p_r > n_ops^2`.
     pub fn random<R: Rng + ?Sized>(n_ops: usize, p_c: usize, p_r: usize, rng: &mut R) -> Self {
-        assert!(p_c.is_multiple_of(2), "p_c must be even (entries are symmetric pairs)");
+        assert!(
+            p_c.is_multiple_of(2),
+            "p_c must be even (entries are symmetric pairs)"
+        );
         assert!(
             p_c + p_r <= n_ops * n_ops,
             "p_c + p_r must not exceed the number of table entries"
@@ -434,10 +449,7 @@ mod tests {
         let c = ConflictTable::all_commutative(2);
         assert_eq!(c.count(Compatibility::Commutative), 4);
 
-        let e = ConflictTable::from_entries(
-            1,
-            vec![Compatibility::Recoverable],
-        );
+        let e = ConflictTable::from_entries(1, vec![Compatibility::Recoverable]);
         assert_eq!(e.get(0, 0), Compatibility::Recoverable);
     }
 

@@ -130,11 +130,7 @@ impl AdtSpec for FifoQueue {
             CompatibilityTable::from_rows(
                 "Queue commutativity",
                 QUEUE_OP_NAMES,
-                &[
-                    &[YesSameParam, No, No],
-                    &[No, No, No],
-                    &[No, No, Yes],
-                ],
+                &[&[YesSameParam, No, No], &[No, No, No], &[No, No, Yes]],
             )
         })
     }
@@ -153,11 +149,7 @@ impl AdtSpec for FifoQueue {
             CompatibilityTable::from_rows(
                 "Queue recoverability",
                 QUEUE_OP_NAMES,
-                &[
-                    &[Yes, Yes, Yes],
-                    &[No, No, Yes],
-                    &[No, No, Yes],
-                ],
+                &[&[Yes, Yes, Yes], &[No, No, Yes], &[No, No, Yes]],
             )
         })
     }
@@ -209,8 +201,14 @@ mod tests {
             FifoQueue::classify(&e, &QueueOp::Enqueue(Value::Int(1))),
             Compatibility::Recoverable
         );
-        assert_eq!(FifoQueue::classify(&e, &QueueOp::Dequeue), Compatibility::Recoverable);
-        assert_eq!(FifoQueue::classify(&e, &QueueOp::Front), Compatibility::Recoverable);
+        assert_eq!(
+            FifoQueue::classify(&e, &QueueOp::Dequeue),
+            Compatibility::Recoverable
+        );
+        assert_eq!(
+            FifoQueue::classify(&e, &QueueOp::Front),
+            Compatibility::Recoverable
+        );
         assert_eq!(
             FifoQueue::classify(&QueueOp::Dequeue, &e),
             Compatibility::NonRecoverable

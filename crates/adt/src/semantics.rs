@@ -75,12 +75,14 @@ pub fn check_recoverable_to_sequence<A: AdtSpec>(
     uncommitted: &[A::Op],
 ) -> bool {
     let n = uncommitted.len();
-    assert!(n <= 16, "subsequence enumeration is exponential; keep sequences short");
+    assert!(
+        n <= 16,
+        "subsequence enumeration is exponential; keep sequences short"
+    );
     states.iter().all(|s| {
         let reference = return_after_subsequence(s, later, uncommitted, (1u32 << n) - 1);
-        (0..(1u32 << n)).all(|mask| {
-            return_after_subsequence(s, later, uncommitted, mask) == reference
-        })
+        (0..(1u32 << n))
+            .all(|mask| return_after_subsequence(s, later, uncommitted, mask) == reference)
     })
 }
 
@@ -267,7 +269,10 @@ mod tests {
         ];
         for a in &ops {
             for b in &ops {
-                assert!(check_lemma1(&states, a, b), "lemma 1 violated for {a:?},{b:?}");
+                assert!(
+                    check_lemma1(&states, a, b),
+                    "lemma 1 violated for {a:?},{b:?}"
+                );
             }
         }
     }

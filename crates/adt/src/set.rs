@@ -201,12 +201,18 @@ mod tests {
     #[test]
     fn set_semantics() {
         let mut s = Set::new();
-        assert_eq!(s.apply(&SetOp::Member(Value::Int(3))), OpResult::Value(Value::Bool(false)));
+        assert_eq!(
+            s.apply(&SetOp::Member(Value::Int(3))),
+            OpResult::Value(Value::Bool(false))
+        );
         assert_eq!(s.apply(&SetOp::Insert(Value::Int(3))), OpResult::Ok);
         assert_eq!(s.apply(&SetOp::Insert(Value::Int(3))), OpResult::Ok);
         assert_eq!(s, Set::from_values([Value::Int(3)]));
         assert!(s.contains(&Value::Int(3)));
-        assert_eq!(s.apply(&SetOp::Member(Value::Int(3))), OpResult::Value(Value::Bool(true)));
+        assert_eq!(
+            s.apply(&SetOp::Member(Value::Int(3))),
+            OpResult::Value(Value::Bool(true))
+        );
         assert_eq!(s.apply(&SetOp::Delete(Value::Int(3))), OpResult::Success);
         assert_eq!(s.apply(&SetOp::Delete(Value::Int(3))), OpResult::Failure);
         assert_eq!(s, Set::new());
@@ -216,9 +222,18 @@ mod tests {
     fn table_v_commutativity_entries() {
         let t = Set::commutativity_table();
         assert_eq!(t.entry(SET_INSERT, SET_INSERT), TableEntry::Yes);
-        assert_eq!(t.entry(SET_INSERT, SET_DELETE), TableEntry::YesDifferentParam);
-        assert_eq!(t.entry(SET_INSERT, SET_MEMBER), TableEntry::YesDifferentParam);
-        assert_eq!(t.entry(SET_DELETE, SET_DELETE), TableEntry::YesDifferentParam);
+        assert_eq!(
+            t.entry(SET_INSERT, SET_DELETE),
+            TableEntry::YesDifferentParam
+        );
+        assert_eq!(
+            t.entry(SET_INSERT, SET_MEMBER),
+            TableEntry::YesDifferentParam
+        );
+        assert_eq!(
+            t.entry(SET_DELETE, SET_DELETE),
+            TableEntry::YesDifferentParam
+        );
         assert_eq!(t.entry(SET_MEMBER, SET_MEMBER), TableEntry::Yes);
     }
 
@@ -229,8 +244,14 @@ mod tests {
         assert_eq!(t.entry(SET_INSERT, SET_INSERT), TableEntry::Yes);
         assert_eq!(t.entry(SET_INSERT, SET_DELETE), TableEntry::Yes);
         assert_eq!(t.entry(SET_INSERT, SET_MEMBER), TableEntry::Yes);
-        assert_eq!(t.entry(SET_DELETE, SET_INSERT), TableEntry::YesDifferentParam);
-        assert_eq!(t.entry(SET_MEMBER, SET_INSERT), TableEntry::YesDifferentParam);
+        assert_eq!(
+            t.entry(SET_DELETE, SET_INSERT),
+            TableEntry::YesDifferentParam
+        );
+        assert_eq!(
+            t.entry(SET_MEMBER, SET_INSERT),
+            TableEntry::YesDifferentParam
+        );
         assert_eq!(t.entry(SET_MEMBER, SET_MEMBER), TableEntry::Yes);
     }
 
@@ -296,9 +317,7 @@ mod tests {
     }
 
     fn arb_set() -> impl Strategy<Value = Set> {
-        proptest::collection::btree_set(arb_elem(), 0..6).prop_map(|s| Set {
-            items: s,
-        })
+        proptest::collection::btree_set(arb_elem(), 0..6).prop_map(|s| Set { items: s })
     }
 
     fn arb_op() -> impl Strategy<Value = SetOp> {

@@ -260,7 +260,10 @@ mod tests {
         assert!(!a.state_eq(&b));
 
         let set = AdtObject::new(crate::set::Set::new());
-        assert!(!a.state_eq(&set), "different data types never compare equal");
+        assert!(
+            !a.state_eq(&set),
+            "different data types never compare equal"
+        );
     }
 
     #[test]

@@ -143,11 +143,7 @@ impl AdtSpec for Stack {
             CompatibilityTable::from_rows(
                 "Stack commutativity (Table III)",
                 STACK_OP_NAMES,
-                &[
-                    &[YesSameParam, No, No],
-                    &[No, No, No],
-                    &[No, No, Yes],
-                ],
+                &[&[YesSameParam, No, No], &[No, No, No], &[No, No, Yes]],
             )
         })
     }
@@ -166,11 +162,7 @@ impl AdtSpec for Stack {
             CompatibilityTable::from_rows(
                 "Stack recoverability (Table IV)",
                 STACK_OP_NAMES,
-                &[
-                    &[Yes, Yes, Yes],
-                    &[No, No, Yes],
-                    &[No, No, Yes],
-                ],
+                &[&[Yes, Yes, Yes], &[No, No, Yes], &[No, No, Yes]],
             )
         })
     }

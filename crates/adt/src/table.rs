@@ -180,11 +180,35 @@ impl AdtSpec for TableObject {
                 "Table commutativity (Table VII)",
                 TABLE_OP_NAMES,
                 &[
-                    &[YesDifferentParam, YesDifferentParam, YesDifferentParam, No, YesDifferentParam],
-                    &[YesDifferentParam, YesDifferentParam, YesDifferentParam, No, YesDifferentParam],
-                    &[YesDifferentParam, YesDifferentParam, Yes, Yes, YesDifferentParam],
+                    &[
+                        YesDifferentParam,
+                        YesDifferentParam,
+                        YesDifferentParam,
+                        No,
+                        YesDifferentParam,
+                    ],
+                    &[
+                        YesDifferentParam,
+                        YesDifferentParam,
+                        YesDifferentParam,
+                        No,
+                        YesDifferentParam,
+                    ],
+                    &[
+                        YesDifferentParam,
+                        YesDifferentParam,
+                        Yes,
+                        Yes,
+                        YesDifferentParam,
+                    ],
                     &[No, No, Yes, Yes, Yes],
-                    &[YesDifferentParam, YesDifferentParam, YesDifferentParam, Yes, YesDifferentParam],
+                    &[
+                        YesDifferentParam,
+                        YesDifferentParam,
+                        YesDifferentParam,
+                        Yes,
+                        YesDifferentParam,
+                    ],
                 ],
             )
         })
@@ -209,7 +233,13 @@ impl AdtSpec for TableObject {
                 &[
                     &[YesDifferentParam, YesDifferentParam, Yes, Yes, Yes],
                     &[YesDifferentParam, YesDifferentParam, Yes, Yes, Yes],
-                    &[YesDifferentParam, YesDifferentParam, Yes, Yes, YesDifferentParam],
+                    &[
+                        YesDifferentParam,
+                        YesDifferentParam,
+                        Yes,
+                        Yes,
+                        YesDifferentParam,
+                    ],
                     &[No, No, Yes, Yes, Yes],
                     &[YesDifferentParam, YesDifferentParam, Yes, Yes, Yes],
                 ],
@@ -297,7 +327,10 @@ mod tests {
         assert_eq!(t.entry(TABLE_SIZE, TABLE_LOOKUP), TableEntry::Yes);
         assert_eq!(t.entry(TABLE_SIZE, TABLE_MODIFY), TableEntry::Yes);
         assert_eq!(t.entry(TABLE_LOOKUP, TABLE_LOOKUP), TableEntry::Yes);
-        assert_eq!(t.entry(TABLE_INSERT, TABLE_INSERT), TableEntry::YesDifferentParam);
+        assert_eq!(
+            t.entry(TABLE_INSERT, TABLE_INSERT),
+            TableEntry::YesDifferentParam
+        );
         assert_eq!(t.entry(TABLE_MODIFY, TABLE_SIZE), TableEntry::Yes);
     }
 
@@ -312,7 +345,10 @@ mod tests {
         assert_eq!(t.entry(TABLE_SIZE, TABLE_DELETE), TableEntry::No);
         assert_eq!(t.entry(TABLE_INSERT, TABLE_MODIFY), TableEntry::Yes);
         assert_eq!(t.entry(TABLE_MODIFY, TABLE_MODIFY), TableEntry::Yes);
-        assert_eq!(t.entry(TABLE_LOOKUP, TABLE_MODIFY), TableEntry::YesDifferentParam);
+        assert_eq!(
+            t.entry(TABLE_LOOKUP, TABLE_MODIFY),
+            TableEntry::YesDifferentParam
+        );
     }
 
     #[test]

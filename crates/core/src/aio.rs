@@ -115,6 +115,7 @@
 //! assert_eq!(top, OpResult::Value(Value::Int(42)));
 //! ```
 
+use crate::chaos::sync::{Condvar, Mutex};
 use crate::db::{Batch, Database, Handle, ObjectHandle, Session};
 use crate::errors::CoreError;
 use crate::events::CommitOutcome;
@@ -122,7 +123,6 @@ use crate::policy::SchedulerConfig;
 use crate::shard::DatabaseConfig;
 use crate::stats::{KernelStats, StatsSnapshot};
 use crate::txn::{TxnId, TxnState};
-use crate::chaos::sync::{Condvar, Mutex};
 use sbcc_adt::{AdtOp, AdtSpec, OpCall, OpResult, SemanticObject};
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, VecDeque};
@@ -1139,11 +1139,7 @@ mod tests {
         executor.run();
         assert_eq!(
             *results.borrow(),
-            vec![
-                OpResult::Ok,
-                OpResult::Value(Value::Int(7)),
-                OpResult::Ok
-            ]
+            vec![OpResult::Ok, OpResult::Value(Value::Int(7)), OpResult::Ok]
         );
         let stats = db.stats();
         assert_eq!(stats.blocks, 1);
@@ -1216,7 +1212,11 @@ mod tests {
         }));
         assert!(matches!(err, Err(CoreError::UnknownObject(_))));
         assert_eq!(calls, 1, "non-scheduler errors are not retried");
-        assert_eq!(db.stats().aborts_explicit, 1, "attempt aborted by its handle");
+        assert_eq!(
+            db.stats().aborts_explicit,
+            1,
+            "attempt aborted by its handle"
+        );
     }
 
     #[test]
@@ -1246,9 +1246,7 @@ mod tests {
                     h.commit().unwrap();
                 }
             }
-            async move {
-                txn.exec(&s, StackOp::Push(Value::Int(3))).await
-            }
+            async move { txn.exec(&s, StackOp::Push(Value::Int(3))).await }
         }));
         assert_eq!(r.unwrap(), OpResult::Ok);
         assert!(attempts >= 2, "cancellation abort must be retried");

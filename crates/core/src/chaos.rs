@@ -468,7 +468,11 @@ mod tests {
         clear_thread_hook();
         assert!(!active());
         reach(ChaosPoint::DeliverDrain, None);
-        assert_eq!(hook.reached.load(Ordering::Relaxed), 1, "cleared hook not called");
+        assert_eq!(
+            hook.reached.load(Ordering::Relaxed),
+            1,
+            "cleared hook not called"
+        );
     }
 
     struct FixedClock(Option<bool>);

@@ -1312,11 +1312,7 @@ impl Transaction {
 
     /// Execute a typed operation, blocking while it conflicts with
     /// uncommitted operations of other transactions.
-    pub fn exec<A: AdtSpec>(
-        &self,
-        object: &Handle<A>,
-        op: A::Op,
-    ) -> Result<OpResult, CoreError> {
+    pub fn exec<A: AdtSpec>(&self, object: &Handle<A>, op: A::Op) -> Result<OpResult, CoreError> {
         self.exec_call(object, op.to_call())
     }
 
@@ -1601,11 +1597,10 @@ mod tests {
         t2.exec(&s2, StackOp::Push(Value::Int(2))).unwrap();
 
         let s_clone = s.clone();
-        let blocker =
-            std::thread::spawn(move || {
-                let r = t2.exec(&s_clone, StackOp::Push(Value::Int(3)));
-                (t2, r)
-            });
+        let blocker = std::thread::spawn(move || {
+            let r = t2.exec(&s_clone, StackOp::Push(Value::Int(3)));
+            (t2, r)
+        });
         std::thread::sleep(Duration::from_millis(50));
         // T1 now requests a push on s2 -> wait-for cycle -> T1 is aborted.
         let result = t1.exec(&s2, StackOp::Push(Value::Int(4)));
@@ -1746,11 +1741,7 @@ mod tests {
             .unwrap();
         assert_eq!(
             results,
-            vec![
-                OpResult::Ok,
-                OpResult::Ok,
-                OpResult::Value(Value::Int(2))
-            ]
+            vec![OpResult::Ok, OpResult::Ok, OpResult::Value(Value::Int(2))]
         );
         t.commit().unwrap();
         let stats = db.stats();
@@ -1769,7 +1760,11 @@ mod tests {
         assert!(b.is_empty());
         assert_eq!(b.len(), 0);
         assert_eq!(b.submit().unwrap(), vec![]);
-        assert_eq!(db.stats().batches, 0, "empty batches never reach the kernel");
+        assert_eq!(
+            db.stats().batches,
+            0,
+            "empty batches never reach the kernel"
+        );
         let _ = t.exec(&s, StackOp::Top).unwrap();
         t.commit().unwrap();
     }
@@ -1805,11 +1800,7 @@ mod tests {
         let results = worker.join().expect("worker thread");
         assert_eq!(
             results,
-            vec![
-                OpResult::Ok,
-                OpResult::Value(Value::Int(7)),
-                OpResult::Ok
-            ]
+            vec![OpResult::Ok, OpResult::Value(Value::Int(7)), OpResult::Ok]
         );
         assert_eq!(db.stats().blocks, 1);
         assert_eq!(db.stats().unblocks, 1);

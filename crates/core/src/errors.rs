@@ -129,8 +129,13 @@ mod tests {
             reason: AbortReason::DeadlockCycle,
         };
         assert!(e.to_string().contains("aborted"));
-        assert!(CoreError::DuplicateObject("x".into()).to_string().contains("x"));
-        let e = CoreError::RetriesExhausted { txn: t, attempts: 11 };
+        assert!(CoreError::DuplicateObject("x".into())
+            .to_string()
+            .contains("x"));
+        let e = CoreError::RetriesExhausted {
+            txn: t,
+            attempts: 11,
+        };
         assert!(e.to_string().contains("11 attempts"));
         assert!(e.to_string().contains("T3"));
     }
@@ -148,7 +153,10 @@ mod tests {
             txn: t,
             reason: AbortReason::Explicit,
         };
-        assert!(!explicit.is_scheduler_abort_of(t), "explicit aborts are not retried");
+        assert!(
+            !explicit.is_scheduler_abort_of(t),
+            "explicit aborts are not retried"
+        );
         assert!(!CoreError::UnknownTransaction(t).is_scheduler_abort_of(t));
 
         // The retry rule adds exactly one class: the attempt's own

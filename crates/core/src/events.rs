@@ -111,10 +111,7 @@ impl RequestOutcome {
     /// Panics on [`RequestOutcome::Blocked`] — blocked outcomes are never
     /// delivered to a session (the rendezvous only ever fills with the
     /// settled retry), so reaching one here is a front-end bug.
-    pub(crate) fn into_result(
-        self,
-        txn: TxnId,
-    ) -> Result<OpResult, crate::errors::CoreError> {
+    pub(crate) fn into_result(self, txn: TxnId) -> Result<OpResult, crate::errors::CoreError> {
         match self {
             RequestOutcome::Executed { result, .. } => Ok(result),
             RequestOutcome::Aborted { reason } => {
@@ -310,10 +307,7 @@ mod tests {
 
     #[test]
     fn kernel_event_txn_accessor() {
-        assert_eq!(
-            KernelEvent::Committed { txn: TxnId(4) }.txn(),
-            TxnId(4)
-        );
+        assert_eq!(KernelEvent::Committed { txn: TxnId(4) }.txn(), TxnId(4));
         assert_eq!(
             KernelEvent::Unblocked {
                 txn: TxnId(6),

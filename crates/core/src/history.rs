@@ -83,12 +83,7 @@ impl HistoryRecorder {
     /// `ops` is the terminated transaction's own operation list, moved
     /// out of its record: the recorder holds no per-operation copy while a
     /// transaction is live.
-    pub(crate) fn record_committed(
-        &mut self,
-        txn: TxnId,
-        commit_index: u64,
-        ops: Vec<ExecutedOp>,
-    ) {
+    pub(crate) fn record_committed(&mut self, txn: TxnId, commit_index: u64, ops: Vec<ExecutedOp>) {
         if let Some(h) = self.txns.get_mut(&txn) {
             h.ops = ops;
             h.fate = Some(TxnFate::Committed);
@@ -97,12 +92,7 @@ impl HistoryRecorder {
         self.commit_sequence.push(txn);
     }
 
-    pub(crate) fn record_aborted(
-        &mut self,
-        txn: TxnId,
-        reason: AbortReason,
-        ops: Vec<ExecutedOp>,
-    ) {
+    pub(crate) fn record_aborted(&mut self, txn: TxnId, reason: AbortReason, ops: Vec<ExecutedOp>) {
         if let Some(h) = self.txns.get_mut(&txn) {
             h.ops = ops;
             h.fate = Some(TxnFate::Aborted(reason));

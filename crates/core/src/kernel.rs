@@ -457,7 +457,10 @@ impl SchedulerKernel {
     /// transactions return an empty list (their detailed records are
     /// dropped; enable history recording to keep full per-operation data).
     pub fn ops_of(&self, txn: TxnId) -> Vec<ExecutedOp> {
-        self.txns.get(&txn).map(|r| r.ops.clone()).unwrap_or_default()
+        self.txns
+            .get(&txn)
+            .map(|r| r.ops.clone())
+            .unwrap_or_default()
     }
 
     /// The write-ahead-log payload of a *live* transaction: its executed
@@ -508,8 +511,10 @@ impl SchedulerKernel {
     /// multi-shard holder that already terminated here keeps its node until
     /// it left every shard (rule 3), but blocks no one here: its edge goes.
     fn waits_for_here(&self, txn: TxnId) -> Vec<TxnId> {
-        let (held, gone): (Vec<TxnId>, Vec<TxnId>) =
-            self.waits_for(txn).into_iter().partition(|h| self.txns.contains_key(h));
+        let (held, gone): (Vec<TxnId>, Vec<TxnId>) = self
+            .waits_for(txn)
+            .into_iter()
+            .partition(|h| self.txns.contains_key(h));
         self.graph_drop_wait_edges(txn, &gone);
         held
     }
@@ -822,7 +827,9 @@ impl SchedulerKernel {
     /// snapshot transaction observing `committed_stamp > begin` has an
     /// incoming rw-antidependency from the committing writer.
     pub fn object_commit_stamp(&self, object: ObjectId) -> Option<u64> {
-        self.objects.get(object.0 as usize).map(|o| o.committed_stamp())
+        self.objects
+            .get(object.0 as usize)
+            .map(|o| o.committed_stamp())
     }
 
     /// Number of historical versions retained across all objects.
@@ -910,7 +917,10 @@ impl SchedulerKernel {
         let nodes: std::collections::HashSet<TxnId> = graph.nodes().collect();
         for rec in self.txns.values() {
             if rec.state == TxnState::Blocked && rec.pending.is_none() {
-                return Err(format!("blocked transaction {} has no pending request", rec.id));
+                return Err(format!(
+                    "blocked transaction {} has no pending request",
+                    rec.id
+                ));
             }
             if rec.state != TxnState::Blocked && rec.pending.is_some() {
                 return Err(format!(
@@ -925,7 +935,10 @@ impl SchedulerKernel {
                 return Err(format!("{id} has in_graph {in_graph} but node {has_node}"));
             }
         }
-        let pseudo = self.txns.values().filter(|r| r.state == TxnState::PseudoCommitted);
+        let pseudo = self
+            .txns
+            .values()
+            .filter(|r| r.state == TxnState::PseudoCommitted);
         if pseudo.map(|r| r.id).collect::<BTreeSet<_>>() != self.pseudo {
             return Err("the pseudo-committed set disagrees with the records".to_owned());
         }
@@ -1244,8 +1257,7 @@ impl SchedulerKernel {
             _ => None,
         };
         self.next_commit_index += 1;
-        let stamp =
-            stamp.unwrap_or_else(|| self.commit_clock.fetch_add(1, Ordering::SeqCst) + 1);
+        let stamp = stamp.unwrap_or_else(|| self.commit_clock.fetch_add(1, Ordering::SeqCst) + 1);
         let watermark = self.version_floor.load(Ordering::SeqCst);
         let touched: Vec<ObjectId> = rec.touched.iter().copied().collect();
         for obj in &touched {
@@ -1398,11 +1410,13 @@ impl SchedulerKernel {
             // Every entry still waits here: an abort removes its own entry,
             // and retrying one entry can abort no other transaction.
             debug_assert!(
-                self.txns.get(&request.txn).is_some_and(|rec| rec.state == TxnState::Blocked
-                    && rec
-                        .pending
-                        .as_ref()
-                        .is_some_and(|p| p.object == object && p.call == request.call)),
+                self.txns
+                    .get(&request.txn)
+                    .is_some_and(|rec| rec.state == TxnState::Blocked
+                        && rec
+                            .pending
+                            .as_ref()
+                            .is_some_and(|p| p.object == object && p.call == request.call)),
                 "stale blocked entry for {}",
                 request.txn
             );
@@ -1421,7 +1435,8 @@ impl SchedulerKernel {
                 if stale.len() < held.len() {
                     self.graph_drop_wait_edges(request.txn, &stale);
                     debug_assert_eq!(
-                        self.classify_for(request.txn, object, &request.call).conflicts,
+                        self.classify_for(request.txn, object, &request.call)
+                            .conflicts,
                         {
                             let mut kept = self.waits_for(request.txn);
                             kept.sort_unstable();
@@ -1430,7 +1445,8 @@ impl SchedulerKernel {
                         "the skipped retry of {} would wait for other holders",
                         request.txn
                     );
-                    self.object_mut(object).push_blocked(request.txn, request.call);
+                    self.object_mut(object)
+                        .push_blocked(request.txn, request.call);
                     continue;
                 }
             }
@@ -1591,7 +1607,11 @@ mod tests {
         assert_eq!(k.waits_for(pusher), vec![second]);
         assert_eq!(multiplicity(&k, pusher, first, EdgeKind::WaitFor), 0);
         assert_eq!(multiplicity(&k, pusher, second, EdgeKind::WaitFor), 1);
-        assert_eq!(graph_work(&k), before, "the stale edge went without an add or a check");
+        assert_eq!(
+            graph_work(&k),
+            before,
+            "the stale edge went without an add or a check"
+        );
         assert_eq!(k.figure2_retries, 1, "only the first pop ran Figure 2");
         k.check_invariants().unwrap();
     }
@@ -1615,7 +1635,10 @@ mod tests {
         assert_eq!(multiplicity(&k, waiter, second, EdgeKind::WaitFor), 1);
         assert_eq!(graph_work(&k), before, "no edge added or checked");
         assert_eq!(k.figure2_retries, 0, "the pop was not classified again");
-        assert!(k.drain_events().is_empty(), "a re-queued request raises no event");
+        assert!(
+            k.drain_events().is_empty(),
+            "a re-queued request raises no event"
+        );
         k.check_invariants().unwrap();
     }
 
@@ -1636,7 +1659,12 @@ mod tests {
             other => panic!("expected the push to wait behind the pop, got {other:?}"),
         }
         k.abort(first).unwrap();
-        let queued: Vec<TxnId> = k.object_ref(s).blocked_queue().iter().map(|r| r.txn).collect();
+        let queued: Vec<TxnId> = k
+            .object_ref(s)
+            .blocked_queue()
+            .iter()
+            .map(|r| r.txn)
+            .collect();
         assert_eq!(queued, vec![popper, pusher], "both re-queued in FIFO order");
         assert_eq!(k.figure2_retries, 0);
         // A fresh classification of the push still sees the pop ahead of it.

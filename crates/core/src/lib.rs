@@ -100,10 +100,10 @@ pub use history::{
 pub use kernel::SchedulerKernel;
 pub use object::{BlockedRequest, Classification, LogEntry, ManagedObject, ObjectId};
 pub use policy::{ConflictPolicy, RecoveryStrategy, SchedulerConfig};
-pub use sbcc_wal::{FsyncPolicy, WalConfig};
 /// The write-ahead-log crate, re-exported for crash-image surgery in
 /// tests and tools (log-file paths, record codec).
 pub use sbcc_wal as wal;
+pub use sbcc_wal::{FsyncPolicy, WalConfig};
 pub use shard::{shard_of_name, DatabaseConfig, ObjectLoc, ShardCount, ShardedKernel};
 pub use stats::{KernelStats, NetStats, OrderTelemetry, ShardStats, StatsSnapshot};
 pub use txn::{BatchCall, ExecutedOp, PendingRequest, TxnId, TxnRecord, TxnState};

@@ -381,13 +381,14 @@ impl ManagedObject {
                 // Every entry of the bucket is in the Incomparable class
                 // (SP/DP can never hold without a parameter on both sides).
                 if !bucket.is_empty() {
-                    severity = self.rel_severity(policy, call, kind, ParamRelation::Incomparable, || {
-                        if bucket.nullary > 0 {
-                            OpCall::nullary(kind)
-                        } else {
-                            OpCall::unary(kind, bucket.any_param().expect("non-empty").clone())
-                        }
-                    });
+                    severity =
+                        self.rel_severity(policy, call, kind, ParamRelation::Incomparable, || {
+                            if bucket.nullary > 0 {
+                                OpCall::nullary(kind)
+                            } else {
+                                OpCall::unary(kind, bucket.any_param().expect("non-empty").clone())
+                            }
+                        });
                 }
             }
             Some(p) => {
@@ -921,7 +922,12 @@ mod tests {
         assert_eq!(c.conflicts, vec![TxnId(1)]);
         // An incoming push also waits: executing it would further delay the
         // blocked pop (the fairness test is symmetric).
-        let c = obj.classify(ConflictPolicy::Recoverability, TxnId(2), &push(5), &fairness);
+        let c = obj.classify(
+            ConflictPolicy::Recoverability,
+            TxnId(2),
+            &push(5),
+            &fairness,
+        );
         assert_eq!(c.conflicts, vec![TxnId(1)]);
         // ... while a blocked top does not hold up an incoming top.
         let c = obj.classify(
@@ -1035,9 +1041,7 @@ mod tests {
             OpResult::Value(Value::Int(4))
         );
         // committed state still empty
-        assert!(obj
-            .committed_state()
-            .state_eq(obj.initial_state()));
+        assert!(obj.committed_state().state_eq(obj.initial_state()));
     }
 
     #[test]

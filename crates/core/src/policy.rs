@@ -141,7 +141,10 @@ mod tests {
 
     #[test]
     fn labels_and_display() {
-        assert_eq!(ConflictPolicy::CommutativityOnly.to_string(), "commutativity");
+        assert_eq!(
+            ConflictPolicy::CommutativityOnly.to_string(),
+            "commutativity"
+        );
         assert_eq!(ConflictPolicy::Recoverability.to_string(), "recoverability");
     }
 }

@@ -66,7 +66,9 @@ impl ShardedKernel {
                             rec.pseudo = true;
                         }
                         self.ssi.mark_pseudo(txn);
-                        self.lifecycle.pseudo_commits.fetch_add(1, Ordering::Relaxed);
+                        self.lifecycle
+                            .pseudo_commits
+                            .fetch_add(1, Ordering::Relaxed);
                     }
                     Err(_) => {}
                 }
@@ -142,7 +144,9 @@ impl ShardedKernel {
                 if let Some(rec) = self.enroll.lock().live.get_mut(&txn) {
                     rec.pseudo = true;
                 }
-                self.lifecycle.pseudo_commits.fetch_add(1, Ordering::Relaxed);
+                self.lifecycle
+                    .pseudo_commits
+                    .fetch_add(1, Ordering::Relaxed);
                 CommitOutcome::PseudoCommitted { waiting_on: deps }
             }
         };
@@ -210,7 +214,9 @@ impl ShardedKernel {
             _ => {
                 let fxs = {
                     let _termination = self.termination.lock();
-                    self.terminate_in_shards(txn, enrolled, None, |k| k.abort_coordinated(txn, reason))
+                    self.terminate_in_shards(txn, enrolled, None, |k| {
+                        k.abort_coordinated(txn, reason)
+                    })
                 };
                 self.terminate(txn, fate);
                 for (shard, fx) in fxs {
@@ -310,8 +316,9 @@ impl ShardedKernel {
                     let order: Vec<u32> = std::iter::once(origin)
                         .chain(shards.into_iter().filter(|s| *s != origin))
                         .collect();
-                    let mut fxs = self
-                        .terminate_in_shards(txn, &order, None, |k| k.abort_coordinated(txn, reason));
+                    let mut fxs = self.terminate_in_shards(txn, &order, None, |k| {
+                        k.abort_coordinated(txn, reason)
+                    });
                     let refusing = fxs.remove(0);
                     pending.extend(fxs);
                     pending.push(refusing);

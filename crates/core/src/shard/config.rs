@@ -204,7 +204,10 @@ mod tests {
         assert!(config.shards.resolve() >= 1);
         let config = config.with_shards(4);
         assert_eq!(config.shards, ShardCount::Fixed(4));
-        assert_eq!(DatabaseConfig::default().scheduler, SchedulerConfig::default());
+        assert_eq!(
+            DatabaseConfig::default().scheduler,
+            SchedulerConfig::default()
+        );
     }
 
     #[test]

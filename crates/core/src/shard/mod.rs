@@ -337,7 +337,9 @@ impl ShardedKernel {
             }
         }
         let shard = shard_of_name(&name, self.shards.len());
-        let local = self.peek_shard(shard).register_object(name.clone(), object)?;
+        let local = self
+            .peek_shard(shard)
+            .register_object(name.clone(), object)?;
         if let Some(wal) = self.wal.get() {
             // Flushed at append: the registration is durable before any
             // commit can name the object.
@@ -371,7 +373,11 @@ impl ShardedKernel {
 
     /// The location of a global object id.
     pub fn object_loc(&self, object: ObjectId) -> Option<ObjectLoc> {
-        self.registry.lock().directory.get(object.0 as usize).copied()
+        self.registry
+            .lock()
+            .directory
+            .get(object.0 as usize)
+            .copied()
     }
 
     /// Run a closure against an object's committed state (under its
@@ -421,11 +427,7 @@ impl ShardedKernel {
         (id, begin)
     }
 
-    fn missing_txn_error(
-        enroll: &Enrollments,
-        txn: TxnId,
-        action: &'static str,
-    ) -> CoreError {
+    fn missing_txn_error(enroll: &Enrollments, txn: TxnId, action: &'static str) -> CoreError {
         match enroll.finished.get(txn) {
             Some(state) => CoreError::InvalidState { txn, state, action },
             None => CoreError::UnknownTransaction(txn),
@@ -455,7 +457,8 @@ impl ShardedKernel {
         if rec.shards.len() == 2 {
             // The transaction spans shards from now on: its terminations
             // go through the coordinator in every shard.
-            self.lock_shard(first.expect("two shards")).mark_coordinated(txn);
+            self.lock_shard(first.expect("two shards"))
+                .mark_coordinated(txn);
         }
         self.lock_shard(shard).adopt(txn, coordinated);
         Ok(true)
@@ -685,19 +688,33 @@ impl ShardedKernel {
                     rest,
                 } => {
                     let g = start + index;
-                    (g, rest, None, BatchStop::Blocked {
-                        index: g,
-                        waiting_on,
-                        rest: Vec::new(),
-                    })
+                    (
+                        g,
+                        rest,
+                        None,
+                        BatchStop::Blocked {
+                            index: g,
+                            waiting_on,
+                            rest: Vec::new(),
+                        },
+                    )
                 }
-                BatchStop::Aborted { index, reason, rest } => {
+                BatchStop::Aborted {
+                    index,
+                    reason,
+                    rest,
+                } => {
                     let g = start + index;
-                    (g, rest, Some((txn, reason)), BatchStop::Aborted {
-                        index: g,
-                        reason,
-                        rest: Vec::new(),
-                    })
+                    (
+                        g,
+                        rest,
+                        Some((txn, reason)),
+                        BatchStop::Aborted {
+                            index: g,
+                            reason,
+                            rest: Vec::new(),
+                        },
+                    )
                 }
             };
             // Re-globalize the run's unprocessed suffix, then append the
@@ -710,7 +727,9 @@ impl ShardedKernel {
             rest_out.extend(calls.drain(end..));
             self.absorb(shard, requester, fx);
             let stop = match stop {
-                BatchStop::Blocked { index, waiting_on, .. } => BatchStop::Blocked {
+                BatchStop::Blocked {
+                    index, waiting_on, ..
+                } => BatchStop::Blocked {
                     index,
                     waiting_on,
                     rest: rest_out,
@@ -746,8 +765,7 @@ impl ShardedKernel {
         aggregate.commits = self.lifecycle.commits.load(Ordering::Relaxed);
         aggregate.pseudo_commits = self.lifecycle.pseudo_commits.load(Ordering::Relaxed);
         aggregate.aborts_deadlock = self.lifecycle.aborts_deadlock.load(Ordering::Relaxed);
-        aggregate.aborts_commit_cycle =
-            self.lifecycle.aborts_commit_cycle.load(Ordering::Relaxed);
+        aggregate.aborts_commit_cycle = self.lifecycle.aborts_commit_cycle.load(Ordering::Relaxed);
         aggregate.aborts_ssi = self.lifecycle.aborts_ssi.load(Ordering::Relaxed);
         aggregate.aborts_explicit = self.lifecycle.aborts_explicit.load(Ordering::Relaxed);
     }
@@ -864,14 +882,16 @@ mod tests {
         assert_eq!(kernel.shard_count(), ShardCount::Auto.resolve());
         // The resolved topology is recorded in the snapshot, so harness
         // reports and bug reports capture what `auto` actually meant.
-        assert_eq!(kernel.stats_snapshot().shard_count, ShardCount::Auto.resolve());
+        assert_eq!(
+            kernel.stats_snapshot().shard_count,
+            ShardCount::Auto.resolve()
+        );
     }
 
     #[test]
     fn registration_routes_by_name_hash_and_ids_stay_dense() {
-        let kernel = ShardedKernel::new(
-            DatabaseConfig::new(SchedulerConfig::default()).with_shards(4),
-        );
+        let kernel =
+            ShardedKernel::new(DatabaseConfig::new(SchedulerConfig::default()).with_shards(4));
         for i in 0..16 {
             let name = format!("obj{i}");
             let (id, loc) = kernel.register(name.clone(), Counter::new()).unwrap();
@@ -881,7 +901,10 @@ mod tests {
             assert_eq!(kernel.object_loc(id), Some(loc));
         }
         assert_eq!(kernel.object_count(), 16);
-        assert!(kernel.register("obj0", Counter::new()).is_err(), "duplicate name");
+        assert!(
+            kernel.register("obj0", Counter::new()).is_err(),
+            "duplicate name"
+        );
         assert!(kernel.object_loc(ObjectId(99)).is_none());
     }
 
@@ -899,7 +922,10 @@ mod tests {
         // errors the unsharded kernel produces.
         assert!(matches!(
             kernel.commit(t),
-            Err(CoreError::InvalidState { state: TxnState::Committed, .. })
+            Err(CoreError::InvalidState {
+                state: TxnState::Committed,
+                ..
+            })
         ));
         assert!(matches!(
             kernel.abort(t),
@@ -916,9 +942,8 @@ mod tests {
     /// whether it commits or aborts.
     #[test]
     fn edge_free_transactions_never_touch_the_graph() {
-        let kernel = ShardedKernel::new(
-            DatabaseConfig::new(SchedulerConfig::default()).with_shards(4),
-        );
+        let kernel =
+            ShardedKernel::new(DatabaseConfig::new(SchedulerConfig::default()).with_shards(4));
         let counters: Vec<ObjectId> = one_name_per_shard(4)
             .into_iter()
             .map(|name| kernel.register(name, Counter::new()).unwrap().0)
@@ -927,7 +952,10 @@ mod tests {
         for round in 0..4 {
             let single = kernel.begin();
             let multi = kernel.begin();
-            assert!(kernel.request(single, counters[round], inc()).unwrap().is_executed());
+            assert!(kernel
+                .request(single, counters[round], inc())
+                .unwrap()
+                .is_executed());
             for &c in &counters {
                 assert!(kernel.request(multi, c, inc()).unwrap().is_executed());
             }
@@ -950,16 +978,21 @@ mod tests {
 
     #[test]
     fn stats_snapshot_reports_per_shard_lock_traffic() {
-        let kernel = ShardedKernel::new(
-            DatabaseConfig::new(SchedulerConfig::default()).with_shards(2),
-        );
+        let kernel =
+            ShardedKernel::new(DatabaseConfig::new(SchedulerConfig::default()).with_shards(2));
         let names = one_name_per_shard(2);
         let (a, loc_a) = kernel.register(names[0].clone(), Counter::new()).unwrap();
         let (b, loc_b) = kernel.register(names[1].clone(), Counter::new()).unwrap();
         assert_ne!(loc_a.shard, loc_b.shard);
         let t = kernel.begin();
-        assert!(kernel.request(t, a, CounterOp::Increment(1).to_call()).unwrap().is_executed());
-        assert!(kernel.request(t, b, CounterOp::Increment(1).to_call()).unwrap().is_executed());
+        assert!(kernel
+            .request(t, a, CounterOp::Increment(1).to_call())
+            .unwrap()
+            .is_executed());
+        assert!(kernel
+            .request(t, b, CounterOp::Increment(1).to_call())
+            .unwrap()
+            .is_executed());
         let _ = kernel.commit(t).unwrap();
         let snapshot = kernel.stats_snapshot();
         assert!(snapshot.shards[0].lock_acquisitions >= 1);
@@ -968,8 +1001,7 @@ mod tests {
         assert_eq!(snapshot.aggregate.commits, 1);
         // Per-shard lifecycle counters count local applications: the
         // multi-shard commit shows up in both kernels.
-        let per_shard_commits: u64 =
-            snapshot.shards.iter().map(|s| s.stats.commits).sum();
+        let per_shard_commits: u64 = snapshot.shards.iter().map(|s| s.stats.commits).sum();
         assert_eq!(per_shard_commits, 2);
         assert!(!snapshot.shard_summary().is_empty());
     }
@@ -1015,9 +1047,8 @@ mod tests {
     #[test]
     fn fate_maps_keep_only_recent_terminations() {
         use crate::txn::RECENT_FATES;
-        let kernel = ShardedKernel::new(
-            DatabaseConfig::new(SchedulerConfig::default()).with_shards(4),
-        );
+        let kernel =
+            ShardedKernel::new(DatabaseConfig::new(SchedulerConfig::default()).with_shards(4));
         let counters: Vec<ObjectId> = one_name_per_shard(4)
             .into_iter()
             .map(|name| kernel.register(name, Counter::new()).unwrap().0)

@@ -269,7 +269,9 @@ impl SsiTable {
             }
         }
         for w in flagged {
-            let Some(wrec) = ssi.txns.get_mut(&w) else { continue };
+            let Some(wrec) = ssi.txns.get_mut(&w) else {
+                continue;
+            };
             wrec.in_conflict = true;
             if wrec.out_conflict {
                 // Dangerous structure pivoting at the writer: a live
@@ -305,7 +307,9 @@ impl SsiTable {
     /// entry.
     pub(super) fn note_classified(&self, txn: TxnId, outcome: &RequestOutcome, object_stamp: u64) {
         let mut ssi = self.state.lock();
-        let Some(rec) = ssi.txns.get_mut(&txn) else { return };
+        let Some(rec) = ssi.txns.get_mut(&txn) else {
+            return;
+        };
         if !rec.snapshot {
             return;
         }
@@ -393,7 +397,9 @@ impl SsiTable {
             }
             let mut in_edge = false;
             for r in flagged {
-                let Some(rrec) = ssi.txns.get_mut(&r) else { continue };
+                let Some(rrec) = ssi.txns.get_mut(&r) else {
+                    continue;
+                };
                 // Skip only readers that committed before this writer
                 // began — a reader that committed *while* the writer was
                 // live is still concurrent (write skew hides exactly

@@ -21,8 +21,8 @@ use proptest::prelude::*;
 use sbcc_adt::{AdtOp, Counter, CounterOp, OpCall, Stack, StackOp, Value};
 use sbcc_core::{
     verify_commit_order_respects_dependencies, verify_commit_order_serializable, BatchCall,
-    BatchStop, ConflictPolicy, KernelEvent, KernelStats, ObjectId, RequestOutcome,
-    SchedulerConfig, SchedulerKernel, TxnId, TxnState,
+    BatchStop, ConflictPolicy, KernelEvent, KernelStats, ObjectId, RequestOutcome, SchedulerConfig,
+    SchedulerKernel, TxnId, TxnState,
 };
 use std::collections::{HashMap, VecDeque};
 
@@ -126,10 +126,8 @@ fn run_chunked(
                     Some(chunk) => current[i] = chunk,
                     None => {
                         let outcome = kernel.commit(txns[i]).unwrap();
-                        decisions.push(format!(
-                            "commit {i}: pseudo={}",
-                            outcome.is_pseudo_commit()
-                        ));
+                        decisions
+                            .push(format!("commit {i}: pseudo={}", outcome.is_pseudo_commit()));
                         state[i] = DriverState::Done;
                         pump_events!();
                         continue;
@@ -142,8 +140,7 @@ fn run_chunked(
                     // or the transaction blocks/aborts.
                     while !current[i].is_empty() {
                         let (object, call) = current[i].remove(0);
-                        let outcome =
-                            kernel.request(txns[i], objects[object], call).unwrap();
+                        let outcome = kernel.request(txns[i], objects[object], call).unwrap();
                         pump_events!();
                         match outcome {
                             RequestOutcome::Executed { result, .. } => {
@@ -310,8 +307,14 @@ fn batch_executes_across_objects_in_one_submission() {
         .unwrap();
     assert!(outcome.is_complete());
     assert_eq!(outcome.executed.len(), 4);
-    assert_eq!(outcome.executed[2], sbcc_adt::OpResult::Value(Value::Int(1)));
-    assert_eq!(outcome.executed[3], sbcc_adt::OpResult::Value(Value::Int(2)));
+    assert_eq!(
+        outcome.executed[2],
+        sbcc_adt::OpResult::Value(Value::Int(1))
+    );
+    assert_eq!(
+        outcome.executed[3],
+        sbcc_adt::OpResult::Value(Value::Int(2))
+    );
     assert!(outcome.commit_deps.is_empty());
     assert_eq!(k.stats().batches, 1);
     assert_eq!(k.stats().batched_calls, 4);
@@ -369,7 +372,10 @@ fn blocked_batch_reports_prefix_terminator_and_rest() {
     )));
     // The caller then resubmits the rest (what `Database` does).
     let resumed = k
-        .request_batch(t, vec![BatchCall::new(c, CounterOp::Increment(1).to_call())])
+        .request_batch(
+            t,
+            vec![BatchCall::new(c, CounterOp::Increment(1).to_call())],
+        )
         .unwrap();
     assert!(resumed.is_complete());
     assert!(k.commit(t).unwrap().is_full_commit());
@@ -452,7 +458,9 @@ fn aborted_batch_reports_void_prefix_results_and_the_rest() {
     // have returned it) but the abort has undone its effects.
     assert_eq!(outcome.executed, vec![sbcc_adt::OpResult::Ok]);
     match outcome.stopped {
-        Some(BatchStop::Aborted { index, ref rest, .. }) => {
+        Some(BatchStop::Aborted {
+            index, ref rest, ..
+        }) => {
             assert_eq!(index, 1);
             assert_eq!(rest.len(), 1);
         }
@@ -491,4 +499,3 @@ fn empty_and_invalid_batches_are_rejected_cleanly() {
         .request_batch(t, vec![BatchCall::new(s, StackOp::Pop.to_call())])
         .is_err());
 }
-

@@ -4,8 +4,8 @@
 
 use proptest::prelude::*;
 use sbcc_adt::{
-    AdtObject, AdtOp, Counter, CounterOp, OpCall, Page, PageOp, SemanticObject, Set, SetOp,
-    Stack, StackOp, TableObject, TableOp, Value,
+    AdtObject, AdtOp, Counter, CounterOp, OpCall, Page, PageOp, SemanticObject, Set, SetOp, Stack,
+    StackOp, TableObject, TableOp, Value,
 };
 
 /// Size of the object universe; scripts name objects by index below it.

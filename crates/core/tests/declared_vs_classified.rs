@@ -146,7 +146,11 @@ fn run(steps: &[Step], declared: bool) -> Observed {
     k.check_invariants().unwrap();
     let fates = begun.iter().map(|t| k.txn_state(*t)).collect();
     let states = (0..N_OBJECTS)
-        .map(|o| k.object_committed_state(ObjectId(o as u32)).unwrap().debug_state())
+        .map(|o| {
+            k.object_committed_state(ObjectId(o as u32))
+                .unwrap()
+                .debug_state()
+        })
         .collect();
     (trace, fates, states, k.stats().clone())
 }
@@ -182,8 +186,11 @@ fn arb_spec_op(object: usize) -> BoxedStrategy<SpecOp> {
         ]
         .boxed(),
         3 => prop_oneof![
-            (0i64..4, 0i64..50)
-                .prop_map(|(k, v)| (3, TableOp::Insert(Value::Int(k), Value::Int(v)).to_call(), true)),
+            (0i64..4, 0i64..50).prop_map(|(k, v)| (
+                3,
+                TableOp::Insert(Value::Int(k), Value::Int(v)).to_call(),
+                true
+            )),
             (0i64..4).prop_map(|k| (3, TableOp::Delete(Value::Int(k)).to_call(), true)),
             (0i64..4).prop_map(|k| (3, TableOp::Lookup(Value::Int(k)).to_call(), false)),
         ]
@@ -198,7 +205,11 @@ fn arb_spec_op(object: usize) -> BoxedStrategy<SpecOp> {
 
 fn arb_step() -> impl Strategy<Value = Step> {
     let ops = proptest::collection::vec((0..N_OBJECTS).prop_flat_map(arb_spec_op), 1..5);
-    let decl = prop_oneof![Just(Decl::WriteAll), Just(Decl::Precise), Just(Decl::DropOne)];
+    let decl = prop_oneof![
+        Just(Decl::WriteAll),
+        Just(Decl::Precise),
+        Just(Decl::DropOne)
+    ];
     // Four batches to two commits to one abort.
     (0u8..7, 0..SLOTS, ops, decl).prop_map(|(kind, slot, ops, decl)| match kind {
         0..=3 => Step::Batch { slot, ops, decl },
@@ -259,7 +270,11 @@ fn quiescent_declared_batch_group_admits() {
     assert_eq!(k.commit(txn).unwrap(), CommitOutcome::Committed);
     let stats = k.stats();
     assert_eq!(
-        (stats.declared_batches, stats.declared_admitted, stats.graph_edges),
+        (
+            stats.declared_batches,
+            stats.declared_admitted,
+            stats.graph_edges
+        ),
         (1, 1, 0)
     );
 }
@@ -300,7 +315,11 @@ fn write_through_read_declaration_escalates() {
     assert_eq!(outcome.executed[1], OpResult::Value(Value::Int(5)));
     let stats = k.stats();
     assert_eq!(
-        (stats.declared_batches, stats.declared_admitted, stats.declared_escalations),
+        (
+            stats.declared_batches,
+            stats.declared_admitted,
+            stats.declared_escalations
+        ),
         (1, 0, 1)
     );
 }
@@ -311,7 +330,8 @@ fn write_through_read_declaration_escalates() {
 fn busy_footprint_falls_back_to_classifier() {
     let mut k = kernel();
     let pinner = k.begin();
-    k.request(pinner, COUNTER, CounterOp::Increment(1).to_call()).unwrap();
+    k.request(pinner, COUNTER, CounterOp::Increment(1).to_call())
+        .unwrap();
 
     let txn = k.begin();
     let outcome = k
@@ -329,12 +349,18 @@ fn busy_footprint_falls_back_to_classifier() {
     assert_eq!(k.commit(txn).unwrap(), CommitOutcome::Committed);
     let stats = k.stats();
     assert_eq!(
-        (stats.declared_batches, stats.declared_admitted, stats.declared_fallbacks),
+        (
+            stats.declared_batches,
+            stats.declared_admitted,
+            stats.declared_fallbacks
+        ),
         (1, 0, 1)
     );
     let reader = k.begin();
     assert_eq!(
-        k.request(reader, COUNTER, CounterOp::Read.to_call()).unwrap().result(),
+        k.request(reader, COUNTER, CounterOp::Read.to_call())
+            .unwrap()
+            .result(),
         Some(&OpResult::Value(Value::Int(3))),
         "both increments survive the fallback"
     );

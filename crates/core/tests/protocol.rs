@@ -28,13 +28,9 @@ fn paper_example_two_pushes_run_in_parallel_with_commit_dependency() {
     let t1 = k.begin();
     let t2 = k.begin();
 
-    let r1 = k
-        .request_op(t1, s, &StackOp::Push(Value::Int(4)))
-        .unwrap();
+    let r1 = k.request_op(t1, s, &StackOp::Push(Value::Int(4))).unwrap();
     assert!(executed(&r1));
-    let r2 = k
-        .request_op(t2, s, &StackOp::Push(Value::Int(2)))
-        .unwrap();
+    let r2 = k.request_op(t2, s, &StackOp::Push(Value::Int(2))).unwrap();
     match &r2 {
         RequestOutcome::Executed { commit_deps, .. } => assert_eq!(commit_deps, &vec![t1]),
         other => panic!("expected execution with a commit dependency, got {other:?}"),
@@ -66,9 +62,7 @@ fn under_commutativity_only_the_second_push_waits() {
     assert!(executed(
         &k.request_op(t1, s, &StackOp::Push(Value::Int(4))).unwrap()
     ));
-    let r2 = k
-        .request_op(t2, s, &StackOp::Push(Value::Int(2)))
-        .unwrap();
+    let r2 = k.request_op(t2, s, &StackOp::Push(Value::Int(2))).unwrap();
     match &r2 {
         RequestOutcome::Blocked { waiting_on } => assert_eq!(waiting_on, &vec![t1]),
         other => panic!("expected blocking under the baseline, got {other:?}"),
@@ -100,9 +94,7 @@ fn paper_sequence_1_member_after_insert_must_wait() {
     assert!(executed(
         &k.request_op(t1, x, &SetOp::Insert(Value::Int(3))).unwrap()
     ));
-    let r = k
-        .request_op(t2, x, &SetOp::Member(Value::Int(3)))
-        .unwrap();
+    let r = k.request_op(t2, x, &SetOp::Member(Value::Int(3))).unwrap();
     assert!(r.is_blocked(), "member(3) must wait for the insert(3)");
 
     // Once T1 aborts, the member executes and does NOT see the insert.
@@ -137,9 +129,7 @@ fn paper_sequence_3_recoverable_operations_do_not_wait() {
     assert!(executed(
         &k.request_op(t1, s, &StackOp::Push(Value::Int(4))).unwrap()
     ));
-    let member = k
-        .request_op(t1, x, &SetOp::Member(Value::Int(3)))
-        .unwrap();
+    let member = k.request_op(t1, x, &SetOp::Member(Value::Int(3))).unwrap();
     assert_eq!(
         member.result(),
         Some(&sbcc_adt::OpResult::Value(Value::Bool(false)))
@@ -169,9 +159,7 @@ fn read_write_model_only_read_after_write_conflicts() {
 
     assert!(executed(&k.request_op(t1, p, &PageOp::Read).unwrap()));
     // write after read: recoverable
-    let w = k
-        .request_op(t2, p, &PageOp::Write(Value::Int(5)))
-        .unwrap();
+    let w = k.request_op(t2, p, &PageOp::Write(Value::Int(5))).unwrap();
     match &w {
         RequestOutcome::Executed { commit_deps, .. } => assert_eq!(commit_deps, &vec![t1]),
         other => panic!("write after read should be recoverable, got {other:?}"),
@@ -219,9 +207,7 @@ fn commit_dependency_cycle_aborts_the_requester() {
     assert!(executed(
         &k.request_op(t1, b, &StackOp::Push(Value::Int(3))).unwrap()
     ));
-    let r = k
-        .request_op(t2, a, &StackOp::Push(Value::Int(4)))
-        .unwrap();
+    let r = k.request_op(t2, a, &StackOp::Push(Value::Int(4))).unwrap();
     assert_eq!(
         r,
         RequestOutcome::Aborted {
@@ -255,9 +241,7 @@ fn wait_for_deadlock_aborts_the_requester() {
         .request_op(t1, b, &StackOp::Push(Value::Int(3)))
         .unwrap()
         .is_blocked());
-    let r = k
-        .request_op(t2, a, &StackOp::Push(Value::Int(4)))
-        .unwrap();
+    let r = k.request_op(t2, a, &StackOp::Push(Value::Int(4))).unwrap();
     assert_eq!(
         r,
         RequestOutcome::Aborted {
@@ -470,9 +454,7 @@ fn commit_cycle_aborts_the_requester_not_the_younger_participant() {
     // T1 now requests a push on B: commit-dep T1 -> T2 plus T2 -> T1 closes
     // a cycle. The requester T1 is aborted, even though T2 is younger, and
     // no event reports an abort of anyone else.
-    let r = k
-        .request_op(t1, b, &StackOp::Push(Value::Int(4)))
-        .unwrap();
+    let r = k.request_op(t1, b, &StackOp::Push(Value::Int(4))).unwrap();
     assert_eq!(
         r,
         RequestOutcome::Aborted {
@@ -505,9 +487,17 @@ fn pseudo_commit_abort_and_cascade_leave_the_serial_state() {
         (t2, s, StackOp::Push(Value::Int(2)).to_call()),
         (t1, c, CounterOp::Increment(5).to_call()),
         (t2, c, CounterOp::Decrement(2).to_call()),
-        (t3, tbl, TableOp::Insert(Value::Int(1), Value::Int(10)).to_call()),
+        (
+            t3,
+            tbl,
+            TableOp::Insert(Value::Int(1), Value::Int(10)).to_call(),
+        ),
         (t3, c, CounterOp::Increment(7).to_call()),
-        (t1, tbl, TableOp::Insert(Value::Int(2), Value::Int(20)).to_call()),
+        (
+            t1,
+            tbl,
+            TableOp::Insert(Value::Int(2), Value::Int(20)).to_call(),
+        ),
     ] {
         assert!(executed(&k.request(t, o, call).unwrap()));
     }
@@ -541,7 +531,10 @@ fn pseudo_commit_abort_and_cascade_leave_the_serial_state() {
         .inner()
         .items()
         .to_vec();
-    assert_eq!(counter_state, 3, "committed counter value is +5 -2 (T3's +7 aborted)");
+    assert_eq!(
+        counter_state, 3,
+        "committed counter value is +5 -2 (T3's +7 aborted)"
+    );
     assert_eq!(stack_items, vec![Value::Int(1), Value::Int(2)]);
 }
 
@@ -559,8 +552,14 @@ fn error_paths_are_reported() {
         k.request_op(bogus_txn, s, &StackOp::Top),
         Err(CoreError::UnknownTransaction(_))
     ));
-    assert!(matches!(k.commit(bogus_txn), Err(CoreError::UnknownTransaction(_))));
-    assert!(matches!(k.abort(bogus_txn), Err(CoreError::UnknownTransaction(_))));
+    assert!(matches!(
+        k.commit(bogus_txn),
+        Err(CoreError::UnknownTransaction(_))
+    ));
+    assert!(matches!(
+        k.abort(bogus_txn),
+        Err(CoreError::UnknownTransaction(_))
+    ));
 
     let t1 = k.begin();
     assert!(matches!(
@@ -722,7 +721,10 @@ fn table_audit_scenario_insert_recoverable_relative_to_size() {
     // The reverse is not allowed: another auditor's size must wait for the
     // writer now.
     let audit2 = k.begin();
-    assert!(k.request_op(audit2, tbl, &TableOp::Size).unwrap().is_blocked());
+    assert!(k
+        .request_op(audit2, tbl, &TableOp::Size)
+        .unwrap()
+        .is_blocked());
 
     assert!(k.commit(writer).unwrap().is_pseudo_commit());
     assert_eq!(k.commit(audit).unwrap(), CommitOutcome::Committed);

@@ -57,9 +57,9 @@ fn run_scripts(
     let index_of: HashMap<TxnId, usize> = txns.iter().enumerate().map(|(i, t)| (*t, i)).collect();
 
     let process_events = |kernel: &mut SchedulerKernel,
-                              state: &mut Vec<DriverState>,
-                              next_op: &mut Vec<usize>,
-                              results: &mut HashMap<(usize, usize), String>| {
+                          state: &mut Vec<DriverState>,
+                          next_op: &mut Vec<usize>,
+                          results: &mut HashMap<(usize, usize), String>| {
         for event in kernel.drain_events() {
             match event {
                 KernelEvent::Unblocked { txn, outcome } => {

@@ -17,9 +17,8 @@ use common::{arb_call_for, register_objects, N_OBJECTS};
 use proptest::prelude::*;
 use sbcc_adt::{AdtOp, Counter, CounterOp, OpCall, Stack, StackOp, Value};
 use sbcc_core::{
-    shard_of_name, BatchCall, BatchStop, ConflictPolicy, DatabaseConfig, KernelEvent,
-    KernelStats, ObjectId, RequestOutcome, SchedulerConfig, SchedulerKernel, ShardedKernel,
-    TxnId, TxnState,
+    shard_of_name, BatchCall, BatchStop, ConflictPolicy, DatabaseConfig, KernelEvent, KernelStats,
+    ObjectId, RequestOutcome, SchedulerConfig, SchedulerKernel, ShardedKernel, TxnId, TxnState,
 };
 use std::collections::{HashMap, VecDeque};
 
@@ -62,11 +61,7 @@ impl Driver {
         }
     }
 
-    fn request_batch(
-        &mut self,
-        txn: TxnId,
-        calls: Vec<BatchCall>,
-    ) -> sbcc_core::BatchOutcome {
+    fn request_batch(&mut self, txn: TxnId, calls: Vec<BatchCall>) -> sbcc_core::BatchOutcome {
         match self {
             Driver::Single(k) => k.request_batch(txn, calls).unwrap(),
             Driver::Sharded(k) => k.request_batch(txn, calls).unwrap(),
@@ -238,10 +233,8 @@ fn run_chunked(
                     Some(chunk) => current[i] = chunk,
                     None => {
                         let outcome = driver.commit(txns[i]);
-                        decisions.push(format!(
-                            "commit {i}: pseudo={}",
-                            outcome.is_pseudo_commit()
-                        ));
+                        decisions
+                            .push(format!("commit {i}: pseudo={}", outcome.is_pseudo_commit()));
                         state[i] = DriverState::Done;
                         pump_events!();
                         continue;
@@ -450,7 +443,10 @@ fn retry_order_within_a_drain_is_the_only_divergence_of_case_127() {
         .position(|d| d == "commit 2: pseudo=false")
         .expect("T2 commits")
         + 1;
-    assert_eq!(d_one[released..released + 2], ["unblocked 3", "unblocked 0"]);
+    assert_eq!(
+        d_one[released..released + 2],
+        ["unblocked 3", "unblocked 0"]
+    );
     let mut expected = d_one.clone();
     expected.swap(released, released + 1);
     assert_eq!(d_sh, expected, "only the drain's retry order may differ");
@@ -459,7 +455,10 @@ fn retry_order_within_a_drain_is_the_only_divergence_of_case_127() {
     assert_eq!(f_one, f_sh, "transaction fates diverge");
     assert_eq!(comparable(&one.stats()), comparable(&sh.stats()));
     for object in (0..N_OBJECTS as u32).map(ObjectId) {
-        assert!(sh.committed_state_eq(object, &one), "final state of {object} differs");
+        assert!(
+            sh.committed_state_eq(object, &one),
+            "final state of {object} differs"
+        );
     }
     one.validate().unwrap();
     sh.validate().unwrap();
@@ -564,7 +563,9 @@ fn cross_shard_commit_dependency_cycle_is_refused() {
     }
     // T1's push on B would create commit-dep T1 -> T2 in shard y, closing
     // a dependency cycle that only the union sees.
-    let outcome = kernel.request(t1, b, StackOp::Push(Value::Int(4)).to_call()).unwrap();
+    let outcome = kernel
+        .request(t1, b, StackOp::Push(Value::Int(4)).to_call())
+        .unwrap();
     assert!(
         matches!(
             &outcome,
@@ -659,7 +660,10 @@ fn cross_shard_abort_undoes_everything() {
 
     let reader = kernel.begin();
     for obj in [a, b] {
-        match kernel.request(reader, obj, CounterOp::Read.to_call()).unwrap() {
+        match kernel
+            .request(reader, obj, CounterOp::Read.to_call())
+            .unwrap()
+        {
             RequestOutcome::Executed { result, .. } => {
                 assert_eq!(result, sbcc_adt::OpResult::Value(Value::Int(0)));
             }

@@ -20,8 +20,8 @@ use sbcc_adt::{
     AdtObject, AdtOp, Counter, CounterOp, OpCall, PageOp, SetOp, StackOp, TableOp, Value,
 };
 use sbcc_core::{
-    shard_of_name, AbortReason, CommitOutcome, CoreError, Database, DatabaseConfig,
-    KernelStats, ObjectHandle, SchedulerConfig, ShardCount, Transaction,
+    shard_of_name, AbortReason, CommitOutcome, CoreError, Database, DatabaseConfig, KernelStats,
+    ObjectHandle, SchedulerConfig, ShardCount, Transaction,
 };
 
 fn config(shards: usize) -> DatabaseConfig {
@@ -249,8 +249,12 @@ fn names_on_distinct_shards(shards: usize) -> (String, String) {
 fn write_skew_is_refused(shards: usize) {
     let db = Database::with_config(config(shards));
     let (name_x, name_y) = names_on_distinct_shards(shards);
-    let x = db.register_object(&name_x, Box::new(AdtObject::new(Counter::new()))).unwrap();
-    let y = db.register_object(&name_y, Box::new(AdtObject::new(Counter::new()))).unwrap();
+    let x = db
+        .register_object(&name_x, Box::new(AdtObject::new(Counter::new())))
+        .unwrap();
+    let y = db
+        .register_object(&name_y, Box::new(AdtObject::new(Counter::new())))
+        .unwrap();
 
     let t1 = db.begin_snapshot();
     let t2 = db.begin_snapshot();
@@ -304,11 +308,15 @@ fn write_skew_is_refused_across_shards() {
 #[test]
 fn single_antidependency_commits_on_both_sides() {
     let db = Database::with_config(config(2));
-    let c = db.register_object("c", Box::new(AdtObject::new(Counter::new()))).unwrap();
+    let c = db
+        .register_object("c", Box::new(AdtObject::new(Counter::new())))
+        .unwrap();
 
     let snap = db.begin_snapshot();
     let writer = db.begin();
-    writer.exec_call(&c, CounterOp::Increment(7).to_call()).unwrap();
+    writer
+        .exec_call(&c, CounterOp::Increment(7).to_call())
+        .unwrap();
     assert_eq!(writer.commit().unwrap(), CommitOutcome::Committed);
 
     // The snapshot read now carries an rw-antidependency out-edge to the
@@ -328,7 +336,9 @@ fn single_antidependency_commits_on_both_sides() {
 #[test]
 fn snapshot_transactions_read_their_own_writes() {
     let db = Database::with_config(config(1));
-    let c = db.register_object("c", Box::new(AdtObject::new(Counter::new()))).unwrap();
+    let c = db
+        .register_object("c", Box::new(AdtObject::new(Counter::new())))
+        .unwrap();
 
     let w = db.begin();
     w.exec_call(&c, CounterOp::Increment(10).to_call()).unwrap();
@@ -339,7 +349,8 @@ fn snapshot_transactions_read_their_own_writes() {
         snap.exec_call(&c, CounterOp::Read.to_call()).unwrap(),
         sbcc_adt::OpResult::Value(Value::Int(10))
     );
-    snap.exec_call(&c, CounterOp::Increment(5).to_call()).unwrap();
+    snap.exec_call(&c, CounterOp::Increment(5).to_call())
+        .unwrap();
     assert_eq!(
         snap.exec_call(&c, CounterOp::Read.to_call()).unwrap(),
         sbcc_adt::OpResult::Value(Value::Int(15)),
@@ -354,7 +365,9 @@ fn snapshot_transactions_read_their_own_writes() {
 #[test]
 fn gc_prunes_only_after_the_oldest_snapshot_closes() {
     let db = Database::with_config(config(1));
-    let c = db.register_object("c", Box::new(AdtObject::new(Counter::new()))).unwrap();
+    let c = db
+        .register_object("c", Box::new(AdtObject::new(Counter::new())))
+        .unwrap();
 
     let w = db.begin();
     w.exec_call(&c, CounterOp::Increment(1).to_call()).unwrap();

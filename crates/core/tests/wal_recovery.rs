@@ -107,11 +107,14 @@ fn run_txn(db: &Database, objects: &Objects, k: usize) {
     let txn = db.begin();
     let v = Value::Int(k as i64);
     if k % 3 == 2 {
-        txn.exec(&objects.stacks[k % STACKS], StackOp::Push(v.clone())).unwrap();
-        txn.exec(&objects.stacks[(k + 1) % STACKS], StackOp::Push(v)).unwrap();
+        txn.exec(&objects.stacks[k % STACKS], StackOp::Push(v.clone()))
+            .unwrap();
+        txn.exec(&objects.stacks[(k + 1) % STACKS], StackOp::Push(v))
+            .unwrap();
         txn.exec(&objects.hits, CounterOp::Increment(1)).unwrap();
     } else {
-        txn.exec(&objects.stacks[k % STACKS], StackOp::Push(v)).unwrap();
+        txn.exec(&objects.stacks[k % STACKS], StackOp::Push(v))
+            .unwrap();
         // An observer too, so replay checks a value-carrying result.
         txn.exec(&objects.stacks[k % STACKS], StackOp::Top).unwrap();
     }
@@ -294,7 +297,10 @@ fn recovered_version_chains_serve_snapshots_and_prune() {
 
     // ...and once the oldest (only) snapshot closes, everything goes.
     assert_eq!(recovered.oldest_snapshot_stamp(), None);
-    assert!(recovered.prune_versions() > 0, "retained versions reclaimed");
+    assert!(
+        recovered.prune_versions() > 0,
+        "retained versions reclaimed"
+    );
     assert_eq!(recovered.version_depth(), 0);
     assert!(recovered.stats().versions_pruned > 0);
 }
@@ -327,7 +333,11 @@ fn pseudo_committed_transaction_is_not_durable() {
     let image = ScratchDir::new("pseudo-image");
     copy_dir(dir.path(), image.path());
     let (_s, recovered) = recover(image.path(), 1);
-    assert_eq!(recovered.stats().commits, 0, "no commit may have been logged");
+    assert_eq!(
+        recovered.stats().commits,
+        0,
+        "no commit may have been logged"
+    );
 
     // A commits; the cascade actually-commits B, and both become durable
     // in dependency order (A's record precedes B's).
@@ -341,7 +351,10 @@ fn pseudo_committed_transaction_is_not_durable() {
         let id = k.object_id("s").unwrap();
         k.with_object_committed(id, |o| o.debug_state()).unwrap()
     });
-    assert!(top.contains('1') && top.contains('2'), "both pushes recovered: {state:?}");
+    assert!(
+        top.contains('1') && top.contains('2'),
+        "both pushes recovered: {state:?}"
+    );
 }
 
 // ---------------------------------------------------------------------
@@ -386,12 +399,21 @@ fn run_txn_batched(db: &Database, objects: &Objects, k: usize) {
     let v = Value::Int(k as i64);
     let mut batch = txn.batch();
     if k % 3 == 2 {
-        batch.add_call(&objects.stacks[k % STACKS], StackOp::Push(v.clone()).to_call());
-        batch.add_call(&objects.stacks[(k + 1) % STACKS], StackOp::Push(v).to_call());
+        batch.add_call(
+            &objects.stacks[k % STACKS],
+            StackOp::Push(v.clone()).to_call(),
+        );
+        batch.add_call(
+            &objects.stacks[(k + 1) % STACKS],
+            StackOp::Push(v).to_call(),
+        );
         batch.add_call(&objects.hits, CounterOp::Increment(1).to_call());
         assert_eq!(batch.submit().unwrap().len(), 3);
     } else {
-        batch.add_call(&objects.stacks[k % STACKS], StackOp::Push(v.clone()).to_call());
+        batch.add_call(
+            &objects.stacks[k % STACKS],
+            StackOp::Push(v.clone()).to_call(),
+        );
         batch.add_call(&objects.stacks[k % STACKS], StackOp::Top.to_call());
         let results = batch.submit().unwrap();
         assert_eq!(results.last(), Some(&sbcc_adt::OpResult::Value(v)));
@@ -490,7 +512,8 @@ fn multi_shard_commit_is_all_or_nothing_at_recovery() {
 
     // A durable single-shard commit first, as the survivor control.
     let txn = db.begin();
-    txn.exec(&objects.stacks[i], StackOp::Push(Value::Int(100))).unwrap();
+    txn.exec(&objects.stacks[i], StackOp::Push(Value::Int(100)))
+        .unwrap();
     txn.commit().unwrap();
 
     let log_file = sbcc_wal::log_path(dir.path());
@@ -498,8 +521,10 @@ fn multi_shard_commit_is_all_or_nothing_at_recovery() {
 
     // The multi-shard transaction.
     let txn = db.begin();
-    txn.exec(&objects.stacks[i], StackOp::Push(Value::Int(7))).unwrap();
-    txn.exec(&objects.stacks[j], StackOp::Push(Value::Int(7))).unwrap();
+    txn.exec(&objects.stacks[i], StackOp::Push(Value::Int(7)))
+        .unwrap();
+    txn.exec(&objects.stacks[j], StackOp::Push(Value::Int(7)))
+        .unwrap();
     assert_eq!(txn.commit().unwrap(), CommitOutcome::Committed);
 
     // Sanity: a clean image recovers the whole transaction.
@@ -509,7 +534,10 @@ fn multi_shard_commit_is_all_or_nothing_at_recovery() {
     assert_eq!(full.stats().commits, 2);
 
     let len_after = std::fs::metadata(&log_file).unwrap().len();
-    assert!(len_after > len_before, "the multi-shard commit wrote a record");
+    assert!(
+        len_after > len_before,
+        "the multi-shard commit wrote a record"
+    );
 
     // A crash that tore the multi-shard record, at every byte offset
     // inside it: recovery loses the transaction in BOTH shards and keeps
@@ -525,9 +553,18 @@ fn multi_shard_commit_is_all_or_nothing_at_recovery() {
             "cut at {cut}: a torn multi-shard record must not replay"
         );
         let di = digests(&recovered);
-        assert!(di[i].as_ref().unwrap().contains("100"), "control commit survives");
-        assert!(!di[i].as_ref().unwrap().contains('7'), "cut at {cut}: half a txn: {di:?}");
-        assert!(!di[j].as_ref().unwrap().contains('7'), "cut at {cut}: half a txn: {di:?}");
+        assert!(
+            di[i].as_ref().unwrap().contains("100"),
+            "control commit survives"
+        );
+        assert!(
+            !di[i].as_ref().unwrap().contains('7'),
+            "cut at {cut}: half a txn: {di:?}"
+        );
+        assert!(
+            !di[j].as_ref().unwrap().contains('7'),
+            "cut at {cut}: half a txn: {di:?}"
+        );
     }
 }
 
@@ -543,7 +580,8 @@ fn hundreds_of_multi_shard_commits_recover_to_the_uncrashed_state() {
         for k in 0..MULTIS {
             let txn = db.begin();
             let v = Value::Int(k as i64);
-            txn.exec(&objects.stacks[i], StackOp::Push(v.clone())).unwrap();
+            txn.exec(&objects.stacks[i], StackOp::Push(v.clone()))
+                .unwrap();
             txn.exec(&objects.stacks[j], StackOp::Push(v)).unwrap();
             assert_eq!(txn.commit().unwrap(), CommitOutcome::Committed);
             if k % 4 == 0 {
@@ -560,7 +598,10 @@ fn hundreds_of_multi_shard_commits_recover_to_the_uncrashed_state() {
     let (_scratch, recovered) = recover(dir.path(), 4);
     assert_eq!(digests(&recovered), digests(&reference));
     assert_eq!(recovered.stats().commits, reference.stats().commits);
-    assert_eq!(recovered.stats().commits, (MULTIS + MULTIS.div_ceil(4)) as u64);
+    assert_eq!(
+        recovered.stats().commits,
+        (MULTIS + MULTIS.div_ceil(4)) as u64
+    );
 }
 
 // ---------------------------------------------------------------------

@@ -79,7 +79,10 @@ impl TraceEvent {
     fn render(&self, out: &mut String) {
         let _ = write!(out, "step={:<6} vt={} ", self.step, self.vt);
         match &self.kind {
-            TraceKind::Chaos { point, txn: Some(t) } => {
+            TraceKind::Chaos {
+                point,
+                txn: Some(t),
+            } => {
                 let _ = writeln!(out, "{point} {t}");
             }
             TraceKind::Chaos { point, txn: None } => {
@@ -376,7 +379,10 @@ mod tests {
             }
             s2.finish(0);
         });
-        assert!(!sched.wait_all_finished(Duration::from_secs(10)), "hang detected");
+        assert!(
+            !sched.wait_all_finished(Duration::from_secs(10)),
+            "hang detected"
+        );
         assert!(sched.hung());
         h.join().unwrap();
     }

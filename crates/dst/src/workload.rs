@@ -14,8 +14,7 @@
 use sbcc_adt::{Counter, CounterOp};
 use sbcc_core::chaos;
 use sbcc_core::{
-    AsyncDatabase, CoreError, Database, DatabaseConfig, Handle, SchedulerConfig, ShardCount,
-    TxnId,
+    AsyncDatabase, CoreError, Database, DatabaseConfig, Handle, SchedulerConfig, ShardCount, TxnId,
 };
 use std::sync::{Arc, Mutex};
 use std::task::{Context, Poll, Wake, Waker};
@@ -241,11 +240,20 @@ fn async_session(
                 Some((op_idx, polls)) if op_idx == i => Some(polls),
                 _ => None,
             };
-            match drive(txn.exec(&objects[*obj], op.clone()), vt, id, cancel_at, sched) {
+            match drive(
+                txn.exec(&objects[*obj], op.clone()),
+                vt,
+                id,
+                cancel_at,
+                sched,
+            ) {
                 Some(Ok(_)) => {}
                 Some(Err(e)) => {
                     if !tolerated(&e) {
-                        errors.lock().unwrap().push(format!("vt{vt} async exec: {e}"));
+                        errors
+                            .lock()
+                            .unwrap()
+                            .push(format!("vt{vt} async exec: {e}"));
                     }
                     alive = false;
                     break;
@@ -262,7 +270,10 @@ fn async_session(
         if alive {
             match drive(txn.commit(), vt, id, None, sched) {
                 Some(Err(e)) if !tolerated(&e) => {
-                    errors.lock().unwrap().push(format!("vt{vt} async commit: {e}"));
+                    errors
+                        .lock()
+                        .unwrap()
+                        .push(format!("vt{vt} async commit: {e}"));
                 }
                 _ => {}
             }
@@ -308,7 +319,10 @@ fn snapshot_session(
             };
             if let Err(e) = txn.exec(&objects[obj], op) {
                 if !tolerated(&e) {
-                    errors.lock().unwrap().push(format!("vt{vt} snapshot exec: {e}"));
+                    errors
+                        .lock()
+                        .unwrap()
+                        .push(format!("vt{vt} snapshot exec: {e}"));
                 }
                 alive = false;
                 break;
@@ -317,7 +331,10 @@ fn snapshot_session(
         if alive {
             if let Err(e) = txn.commit() {
                 if !tolerated(&e) {
-                    errors.lock().unwrap().push(format!("vt{vt} snapshot commit: {e}"));
+                    errors
+                        .lock()
+                        .unwrap()
+                        .push(format!("vt{vt} snapshot commit: {e}"));
                 }
             }
         } else {

@@ -74,5 +74,9 @@ fn every_corpus_seed_passes() {
             ));
         }
     }
-    assert!(failures.is_empty(), "corpus failures:\n{}", failures.join("\n"));
+    assert!(
+        failures.is_empty(),
+        "corpus failures:\n{}",
+        failures.join("\n")
+    );
 }

@@ -26,7 +26,10 @@ fn scripted_replay_of_recorded_decisions_reproduces_the_run() {
         let live = run_seed(seed, &cfg);
         assert_eq!(live.verdict, Verdict::Pass, "seed {seed} must be clean");
         let replay = run_scripted(seed, &cfg, live.decisions.clone());
-        assert_eq!(replay.trace, live.trace, "seed {seed}: replay trace diverged");
+        assert_eq!(
+            replay.trace, live.trace,
+            "seed {seed}: replay trace diverged"
+        );
         assert_eq!(replay.verdict, live.verdict);
         assert_eq!(replay.decisions, live.decisions);
     }

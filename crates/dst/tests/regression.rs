@@ -16,7 +16,9 @@ fn parse(trace: &str) -> Vec<Line<'_>> {
         .lines()
         .map(|l| {
             let rest = l.split_once("vt=").expect("trace line without vt=").1;
-            let (vt, desc) = rest.split_once(' ').expect("trace line without description");
+            let (vt, desc) = rest
+                .split_once(' ')
+                .expect("trace line without description");
             Line {
                 vt: vt.parse().expect("non-numeric vt"),
                 desc: desc.trim(),
@@ -190,8 +192,8 @@ fn seed_234_ssi_doomed_writers_retry_once_instead_of_storming() {
 fn multi_shard_re_blocking_keeps_every_invariant_at_every_step() {
     use sbcc_adt::{AdtOp, Counter, CounterOp, OpCall, Stack, StackOp, Value};
     use sbcc_core::{
-        shard_of_name, DatabaseConfig, ObjectId, RequestOutcome, SchedulerConfig,
-        ShardedKernel, TxnId, TxnState,
+        shard_of_name, DatabaseConfig, ObjectId, RequestOutcome, SchedulerConfig, ShardedKernel,
+        TxnId, TxnState,
     };
     use sbcc_dst::rng::SplitMix64;
     use std::collections::{HashMap, HashSet};
@@ -212,13 +214,18 @@ fn multi_shard_re_blocking_keeps_every_invariant_at_every_step() {
 
     let (mut re_blocks, mut unblocks, mut cycle_aborts, mut explicit_aborts) = (0, 0, 0, 0);
     for seed in [28u64, 30] {
-        let kernel = ShardedKernel::new(
-            DatabaseConfig::new(SchedulerConfig::default()).with_shards(SHARDS),
-        );
+        let kernel =
+            ShardedKernel::new(DatabaseConfig::new(SchedulerConfig::default()).with_shards(SHARDS));
         let mut taken = Vec::new();
         let stacks = [
-            kernel.register(name_on_fresh_shard("stack", &mut taken), Stack::new()).unwrap().0,
-            kernel.register(name_on_fresh_shard("stack", &mut taken), Stack::new()).unwrap().0,
+            kernel
+                .register(name_on_fresh_shard("stack", &mut taken), Stack::new())
+                .unwrap()
+                .0,
+            kernel
+                .register(name_on_fresh_shard("stack", &mut taken), Stack::new())
+                .unwrap()
+                .0,
         ];
         let counter = kernel
             .register(name_on_fresh_shard("counter", &mut taken), Counter::new())
@@ -229,7 +236,10 @@ fn multi_shard_re_blocking_keeps_every_invariant_at_every_step() {
         let draw = |rng: &mut SplitMix64| -> (ObjectId, OpCall) {
             let stack = stacks[rng.below(2)];
             match rng.below(6) {
-                0 | 1 => (stack, StackOp::Push(Value::Int(rng.below(3) as i64)).to_call()),
+                0 | 1 => (
+                    stack,
+                    StackOp::Push(Value::Int(rng.below(3) as i64)).to_call(),
+                ),
                 2 | 3 => (stack, StackOp::Pop.to_call()),
                 4 => (counter, CounterOp::Increment(1).to_call()),
                 _ => (counter, CounterOp::Read.to_call()),
@@ -463,8 +473,14 @@ fn a_refused_multi_shard_retry_leaves_no_edge_behind() {
             .find(|n| shard_of_name(n, 2) == shard)
             .unwrap()
     };
-    let table = kernel.register(name_in("table", 0), TableObject::new()).unwrap().0;
-    let stack = kernel.register(name_in("stack", 1), Stack::new()).unwrap().0;
+    let table = kernel
+        .register(name_in("table", 0), TableObject::new())
+        .unwrap()
+        .0;
+    let stack = kernel
+        .register(name_in("stack", 1), Stack::new())
+        .unwrap()
+        .0;
     let key = || Value::Int(1);
     let check = |step: &str| {
         kernel
@@ -472,7 +488,12 @@ fn a_refused_multi_shard_retry_leaves_no_edge_behind() {
             .unwrap_or_else(|e| panic!("{step}: {e}"));
     };
 
-    let (g, j, h, r) = (kernel.begin(), kernel.begin(), kernel.begin(), kernel.begin());
+    let (g, j, h, r) = (
+        kernel.begin(),
+        kernel.begin(),
+        kernel.begin(),
+        kernel.begin(),
+    );
     let push = |v: i64| StackOp::Push(Value::Int(v)).to_call();
     assert!(kernel.request(h, stack, push(1)).unwrap().is_executed());
     match kernel.request(j, stack, push(2)).unwrap() {

@@ -60,10 +60,8 @@ struct ScratchDir(PathBuf);
 impl ScratchDir {
     fn new(tag: &str) -> ScratchDir {
         let n = DIR_COUNTER.fetch_add(1, Ordering::Relaxed);
-        let path = std::env::temp_dir().join(format!(
-            "sbcc-dst-wal-{tag}-{}-{n}",
-            std::process::id()
-        ));
+        let path =
+            std::env::temp_dir().join(format!("sbcc-dst-wal-{tag}-{}-{n}", std::process::id()));
         let _ = std::fs::remove_dir_all(&path);
         std::fs::create_dir_all(&path).unwrap();
         ScratchDir(path)
@@ -275,7 +273,10 @@ fn async_acknowledgements_wait_for_the_flush_without_stalling_the_executor() {
     assert_eq!(db.stats().commits, 16, "every session committed in memory");
     assert_eq!(acknowledged.get(), 0, "no ack before the flush");
     assert_eq!(executor.pending_tasks(), 16);
-    assert_eq!(recover_counter(dir.path(), "hits"), (0, OpResult::Value(Value::Int(0))));
+    assert_eq!(
+        recover_counter(dir.path(), "hits"),
+        (0, OpResult::Value(Value::Int(0)))
+    );
 
     clock.release();
     executor.run();
@@ -604,7 +605,8 @@ fn sweep_workload(db: &Database, txns: u64) {
     for k in 0..txns {
         let txn = db.begin();
         if k % 3 != 1 {
-            txn.exec(&stack, StackOp::Push(Value::Int(k as i64))).unwrap();
+            txn.exec(&stack, StackOp::Push(Value::Int(k as i64)))
+                .unwrap();
         }
         if k % 3 != 0 {
             txn.exec(&hits, CounterOp::Increment(k as i64)).unwrap();
@@ -682,7 +684,10 @@ fn seeded_truncation_sweep_recovers_identically_at_1_and_4_shards() {
         drop(file);
 
         let (commits, _) = recover_digest(image.path(), 1);
-        assert!(commits <= SWEEP_TXNS, "cut at {cut}: more commits than were run");
+        assert!(
+            commits <= SWEEP_TXNS,
+            "cut at {cut}: more commits than were run"
+        );
         for shards in [1, 4] {
             let (got_commits, got) = recover_digest(image.path(), shards);
             let want = reference_digest(commits, shards);

@@ -148,8 +148,7 @@ mod tests {
             ServerConfig::default().with_workers(1),
         )
         .expect("bind");
-        let report =
-            closed_loop_timed(server.local_addr(), 2, 2, Duration::from_millis(50));
+        let report = closed_loop_timed(server.local_addr(), 2, 2, Duration::from_millis(50));
         assert!(report.txns_committed > 0, "made progress within the budget");
         assert_eq!(report.ops_executed, report.txns_committed * 2);
         assert!(report.render_text().contains("2 conn(s)"));

@@ -48,7 +48,8 @@ fn run_txn(db: &Database, objects: &Objects, k: u64) {
     if k % 4 == 3 {
         txn.exec(&objects.left, CounterOp::Increment(k as i64))
             .expect("left");
-        txn.exec(&objects.right, CounterOp::Increment(1)).expect("right");
+        txn.exec(&objects.right, CounterOp::Increment(1))
+            .expect("right");
     }
     txn.commit().expect("commit");
 }

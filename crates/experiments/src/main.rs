@@ -75,13 +75,17 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         match arg {
             "--table" | "-t" => {
                 let v = take_value(&mut i)?;
-                args.tables
-                    .push(v.parse().map_err(|_| format!("invalid table number {v:?}"))?);
+                args.tables.push(
+                    v.parse()
+                        .map_err(|_| format!("invalid table number {v:?}"))?,
+                );
             }
             "--figure" | "-f" => {
                 let v = take_value(&mut i)?;
-                args.figures
-                    .push(v.parse().map_err(|_| format!("invalid figure number {v:?}"))?);
+                args.figures.push(
+                    v.parse()
+                        .map_err(|_| format!("invalid figure number {v:?}"))?,
+                );
             }
             "--figures" => args.all_figures = true,
             "--summary" => args.summary = true,
@@ -93,18 +97,21 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             }
             "--serve-for-ms" => {
                 let v = take_value(&mut i)?;
-                args.serve_for_ms =
-                    Some(v.parse().map_err(|_| format!("invalid serve budget {v:?}"))?);
+                args.serve_for_ms = Some(
+                    v.parse()
+                        .map_err(|_| format!("invalid serve budget {v:?}"))?,
+                );
             }
             "--conns" => {
                 let v = take_value(&mut i)?;
-                args.conns =
-                    Some(v.parse().map_err(|_| format!("invalid connection count {v:?}"))?);
+                args.conns = Some(
+                    v.parse()
+                        .map_err(|_| format!("invalid connection count {v:?}"))?,
+                );
             }
             "--duration-ms" => {
                 let v = take_value(&mut i)?;
-                args.duration_ms =
-                    Some(v.parse().map_err(|_| format!("invalid duration {v:?}"))?);
+                args.duration_ms = Some(v.parse().map_err(|_| format!("invalid duration {v:?}"))?);
             }
             "--dst" => args.dst = true,
             "--dst-snapshots" => args.dst_snapshots = true,
@@ -114,13 +121,14 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             }
             "--seed-start" => {
                 let v = take_value(&mut i)?;
-                args.dst_seed_start =
-                    v.parse().map_err(|_| format!("invalid start seed {v:?}"))?;
+                args.dst_seed_start = v.parse().map_err(|_| format!("invalid start seed {v:?}"))?;
             }
             "--dst-replay" => {
                 let v = take_value(&mut i)?;
-                args.dst_replay =
-                    Some(v.parse().map_err(|_| format!("invalid replay seed {v:?}"))?);
+                args.dst_replay = Some(
+                    v.parse()
+                        .map_err(|_| format!("invalid replay seed {v:?}"))?,
+                );
             }
             "--wal" => {
                 args.wal = Some(take_value(&mut i)?);
@@ -132,8 +140,10 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             }
             "--linger-ms" => {
                 let v = take_value(&mut i)?;
-                args.linger_ms =
-                    Some(v.parse().map_err(|_| format!("invalid linger budget {v:?}"))?);
+                args.linger_ms = Some(
+                    v.parse()
+                        .map_err(|_| format!("invalid linger budget {v:?}"))?,
+                );
             }
             "--quick" => args.quick = true,
             "--full" => args.full = true,
@@ -144,12 +154,15 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             }
             "--completions" => {
                 let v = take_value(&mut i)?;
-                args.completions =
-                    Some(v.parse().map_err(|_| format!("invalid completion count {v:?}"))?);
+                args.completions = Some(
+                    v.parse()
+                        .map_err(|_| format!("invalid completion count {v:?}"))?,
+                );
             }
             "--mpl" => {
                 let v = take_value(&mut i)?;
-                let levels: Result<Vec<usize>, _> = v.split(',').map(|s| s.trim().parse()).collect();
+                let levels: Result<Vec<usize>, _> =
+                    v.split(',').map(|s| s.trim().parse()).collect();
                 args.mpl = Some(levels.map_err(|_| format!("invalid mpl list {v:?}"))?);
             }
             "--help" | "-h" => args.help = true,
@@ -240,7 +253,10 @@ fn run_dst(args: &Args) -> Result<(), ExitCode> {
             report.verdict, report.steps, report.commits, report.shard_count
         );
         if report.failed() {
-            eprintln!("# shrinking the failing schedule ({} decisions)", report.decisions.len());
+            eprintln!(
+                "# shrinking the failing schedule ({} decisions)",
+                report.decisions.len()
+            );
             let shrunk = shrink_failure(&report, &cfg, 400);
             println!(
                 "shrunk: {} of {} decisions, verdict={}",
@@ -256,14 +272,23 @@ fn run_dst(args: &Args) -> Result<(), ExitCode> {
         print!("{}", report.trace);
     }
     if args.dst {
-        let count = if args.dst_seeds == 0 { 1000 } else { args.dst_seeds };
+        let count = if args.dst_seeds == 0 {
+            1000
+        } else {
+            args.dst_seeds
+        };
         let start = args.dst_seed_start;
         eprintln!("# exploring DST seeds {start}..{}", start + count);
         let mut done: u64 = 0;
         let summary = explore(start, count, &cfg, |r| {
             done += 1;
             if r.failed() {
-                eprintln!("FAILING SEED {}: {} ({})", r.seed, r.verdict, r.repro_command());
+                eprintln!(
+                    "FAILING SEED {}: {} ({})",
+                    r.seed,
+                    r.verdict,
+                    r.repro_command()
+                );
             } else if done % 500 == 0 {
                 eprintln!("# {done}/{count} seeds, all passing so far");
             }
@@ -294,14 +319,16 @@ fn run_serve(args: &Args) -> ExitCode {
     use sbcc_net::{Server, ServerConfig};
     use std::io::Write;
 
-    let addr = args.addr.clone().unwrap_or_else(|| "127.0.0.1:0".to_owned());
+    let addr = args
+        .addr
+        .clone()
+        .unwrap_or_else(|| "127.0.0.1:0".to_owned());
     // `--wal DIR` layers durability under the served database (recovery
     // runs before the listener binds); without the flag nothing is logged.
     // Nothing reads a served database's history, and the recorder keeps
     // every operation for the life of the process.
-    let mut config = sbcc_core::DatabaseConfig::new(
-        sbcc_core::SchedulerConfig::default().with_history(false),
-    );
+    let mut config =
+        sbcc_core::DatabaseConfig::new(sbcc_core::SchedulerConfig::default().with_history(false));
     if let Some(dir) = &args.wal {
         config = config.with_wal(sbcc_core::WalConfig::new(dir));
     }
@@ -397,7 +424,9 @@ fn run_bench_net(args: &Args) -> ExitCode {
             bench_net::closed_loop_timed(target, conns, ops_per_txn, budget)
         }
         None => {
-            eprintln!("# driving {conns} closed-loop conns against an in-process server for {budget:?}");
+            eprintln!(
+                "# driving {conns} closed-loop conns against an in-process server for {budget:?}"
+            );
             let server = match Server::start(
                 AsyncDatabase::new(sbcc_core::SchedulerConfig::default().with_history(false)),
                 ServerConfig::default(),

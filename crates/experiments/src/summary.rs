@@ -131,9 +131,7 @@ pub fn compute_summary(runner: &mut FigureRunner) -> Summary {
         let mut values: Vec<(usize, f64)> = fig7
             .rows
             .iter()
-            .filter_map(|(x, _)| {
-                Some((x.parse::<usize>().ok()?, fig7.value(x, col)?))
-            })
+            .filter_map(|(x, _)| Some((x.parse::<usize>().ok()?, fig7.value(x, col)?)))
             .filter(|(mpl, _)| *mpl >= 50)
             .collect();
         values.sort_by_key(|(mpl, _)| *mpl);
@@ -152,7 +150,8 @@ pub fn compute_summary(runner: &mut FigureRunner) -> Summary {
     let (_, unfair_peak_com) = peak(&fig8, "commutativity");
     let (_, fair_peak_rec) = peak(&fig4, "recoverability");
     let (_, fair_peak_com) = peak(&fig4, "commutativity");
-    let unfair_higher = unfair_peak_rec >= fair_peak_rec * 0.98 && unfair_peak_com >= fair_peak_com * 0.98;
+    let unfair_higher =
+        unfair_peak_rec >= fair_peak_rec * 0.98 && unfair_peak_com >= fair_peak_com * 0.98;
     claims.push(Claim {
         name: "RW/∞: fair vs unfair peak throughput".into(),
         paper: "peak throughput without fair scheduling is higher for both policies".into(),
@@ -208,7 +207,11 @@ pub fn compute_summary(runner: &mut FigureRunner) -> Summary {
     claims.push(Claim {
         name: "ADT/∞ Pc=4: Pr=4 vs Pr=0 at mpl=25".into(),
         paper: "≈15% higher throughput".into(),
-        measured: format!("{imp_pr4:.0}% higher ({:.1} vs {:.1} tps)", v("25", pr4), v("25", pr0)),
+        measured: format!(
+            "{imp_pr4:.0}% higher ({:.1} vs {:.1} tps)",
+            v("25", pr4),
+            v("25", pr0)
+        ),
         holds: imp_pr4 > 0.0,
     });
     let ratio_pr8 = if v("50", pr0) > 0.0 {
@@ -219,7 +222,11 @@ pub fn compute_summary(runner: &mut FigureRunner) -> Summary {
     claims.push(Claim {
         name: "ADT/∞ Pc=4: Pr=8 vs Pr=0 at mpl=50".into(),
         paper: "more than double the throughput".into(),
-        measured: format!("{ratio_pr8:.2}x ({:.1} vs {:.1} tps)", v("50", pr8), v("50", pr0)),
+        measured: format!(
+            "{ratio_pr8:.2}x ({:.1} vs {:.1} tps)",
+            v("50", pr8),
+            v("50", pr0)
+        ),
         holds: ratio_pr8 > 1.3,
     });
     let knee_shifts = {
@@ -243,7 +250,11 @@ pub fn compute_summary(runner: &mut FigureRunner) -> Summary {
     claims.push(Claim {
         name: "ADT/5RU Pc=4: Pr=8 vs Pr=0 at mpl=50".into(),
         paper: "≈35% higher throughput".into(),
-        measured: format!("{imp17:.0}% higher ({:.1} vs {:.1} tps)", v17("50", pr8), v17("50", pr0)),
+        measured: format!(
+            "{imp17:.0}% higher ({:.1} vs {:.1} tps)",
+            v17("50", pr8),
+            v17("50", pr0)
+        ),
         holds: imp17 > 0.0,
     });
 

@@ -14,7 +14,10 @@ pub fn render_table(number: usize) -> Option<String> {
         4 => format!("Table IV — {}", Stack::recoverability_table().render()),
         5 => format!("Table V — {}", Set::commutativity_table().render()),
         6 => format!("Table VI — {}", Set::recoverability_table().render()),
-        7 => format!("Table VII — {}", TableObject::commutativity_table().render()),
+        7 => format!(
+            "Table VII — {}",
+            TableObject::commutativity_table().render()
+        ),
         8 => format!(
             "Table VIII — {}",
             TableObject::recoverability_table().render()
@@ -32,8 +35,14 @@ pub fn render_parameter_meanings() -> String {
         ("database_size", "Number of objects in the database"),
         ("num_of_terminals", "Number of terminals"),
         ("transaction_length", "Mean transaction length"),
-        ("max_length", "Maximum number of operations in a transaction"),
-        ("min_length", "Minimum number of operations in a transaction"),
+        (
+            "max_length",
+            "Maximum number of operations in a transaction",
+        ),
+        (
+            "min_length",
+            "Minimum number of operations in a transaction",
+        ),
         ("mpl_level", "Level of multiprogramming"),
         ("step_time", "Execution time of each operation"),
         ("cpu_time", "CPU time for accessing an object"),
@@ -53,8 +62,14 @@ pub fn render_parameter_meanings() -> String {
 pub fn render_nominal_values() -> String {
     let p = SimParams::default();
     let mut out = String::from("Table X — Parameters and their nominal values\n");
-    out.push_str(&format!("  {:<20} {} objects\n", "database_size", p.db_size));
-    out.push_str(&format!("  {:<20} {}\n", "num_of_terminals", p.num_terminals));
+    out.push_str(&format!(
+        "  {:<20} {} objects\n",
+        "database_size", p.db_size
+    ));
+    out.push_str(&format!(
+        "  {:<20} {}\n",
+        "num_of_terminals", p.num_terminals
+    ));
     out.push_str(&format!(
         "  {:<20} {} steps\n",
         "transaction_length",

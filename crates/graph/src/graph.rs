@@ -191,7 +191,13 @@ impl<N: NodeId> DependencyGraph<N> {
             return false;
         }
         self.nodes.entry(to).or_default().incoming.insert(from);
-        let counts = self.nodes.entry(from).or_default().out.entry(to).or_default();
+        let counts = self
+            .nodes
+            .entry(from)
+            .or_default()
+            .out
+            .entry(to)
+            .or_default();
         *counts.get_mut(kind) += 1;
         true
     }
@@ -281,7 +287,11 @@ impl<N: NodeId> DependencyGraph<N> {
     /// depth-first search runs from the targets over out-edges.
     pub fn would_close_cycle(&mut self, from: N, targets: &[N]) -> bool {
         self.cycle_checks += 1;
-        if self.nodes.get(&from).map_or(true, |adj| adj.incoming.is_empty()) {
+        if self
+            .nodes
+            .get(&from)
+            .map_or(true, |adj| adj.incoming.is_empty())
+        {
             return false;
         }
         let mut stack: Vec<N> = Vec::new();
@@ -414,7 +424,10 @@ mod tests {
         assert!(g.remove_edge(1, 2, EdgeKind::CommitDep));
         assert!(!g.has_edge(1, 2, EdgeKind::CommitDep));
         assert!(!g.remove_edge(1, 2, EdgeKind::CommitDep));
-        assert!(g.has_edge(1, 2, EdgeKind::WaitFor), "wait-for edge still present");
+        assert!(
+            g.has_edge(1, 2, EdgeKind::WaitFor),
+            "wait-for edge still present"
+        );
         assert!(g.remove_edge(1, 2, EdgeKind::WaitFor));
         assert!(!g.has_edge(1, 2, EdgeKind::WaitFor));
         assert!(g.to_adjacency()[&1].is_empty());
@@ -467,10 +480,7 @@ mod tests {
     fn would_close_cycle_detects_exactly_the_cycles() {
         let mut g = G::new();
         g.add_edge(2, 1, EdgeKind::CommitDep); // T2 depends on T1
-        assert!(
-            !g.would_close_cycle(3, &[1]),
-            "3 -> 1 creates no cycle"
-        );
+        assert!(!g.would_close_cycle(3, &[1]), "3 -> 1 creates no cycle");
         assert!(
             g.would_close_cycle(1, &[2]),
             "1 -> 2 plus existing 2 -> 1 closes a cycle"

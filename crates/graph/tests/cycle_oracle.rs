@@ -37,7 +37,10 @@ fn arb_op(n_nodes: u32, max_targets: usize) -> impl Strategy<Value = Op> {
         add(),
         (0..n_nodes, 0..n_nodes, arb_kind()).prop_map(|(a, b, k)| Op::RemoveEdge(a, b, k)),
         (0..n_nodes).prop_map(Op::RemoveNode),
-        (0..n_nodes, proptest::collection::vec(0..n_nodes, 0..max_targets + 1))
+        (
+            0..n_nodes,
+            proptest::collection::vec(0..n_nodes, 0..max_targets + 1)
+        )
             .prop_map(|(from, targets)| Op::Query(from, targets)),
     ]
 }

@@ -51,7 +51,6 @@ pub mod server;
 
 pub use client::{NetClient, NetError};
 pub use protocol::{
-    AdtType, ErrorCode, FrameBuffer, ProtoError, Request, Response, MAX_FRAME_LEN,
-    PROTOCOL_VERSION,
+    AdtType, ErrorCode, FrameBuffer, ProtoError, Request, Response, MAX_FRAME_LEN, PROTOCOL_VERSION,
 };
 pub use server::{Server, ServerConfig};

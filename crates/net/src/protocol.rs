@@ -666,7 +666,7 @@ mod tests {
         };
         let exec_frame: [u8; 46] = [
             0x2a, 0, 0, 0, // body length
-            0x4d, 0, 0, 0, 0, 0, 0, 0, // request id 77
+            0x4d, 0, 0, 0, 0, 0, 0, 0,    // request id 77
             0x04, // Exec
             0x2a, 0, 0, 0, 0, 0, 0, 0, // txn 42
             4, 0, 0, 0, b'j', b'o', b'b', b's', // object
@@ -682,7 +682,7 @@ mod tests {
             0x10, 0, 0, 0, // body length
             0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, // request id
             0x84, // Result
-            3, // OpResult::Value
+            3,    // OpResult::Value
             3, 1, 0, 0, 0, b'x', // Str("x")
         ];
         assert_eq!(result.encode(u64::MAX), result_frame);
@@ -713,7 +713,7 @@ mod tests {
             };
             let frame = [
                 0x12, 0, 0, 0, // body length
-                1, 0, 0, 0, 0, 0, 0, 0, // request id
+                1, 0, 0, 0, 0, 0, 0, 0,    // request id
                 0x02, // Register
                 4, 0, 0, 0, b'h', b'i', b't', b's', // object name
                 tag,
@@ -722,7 +722,10 @@ mod tests {
             assert_eq!(Request::decode(&frame[4..]), Ok((1, register)));
         }
         for tag in [0u8, 7] {
-            assert_eq!(adt_from_tag(tag), Err(ProtoError::UnknownTag("adt type", tag)));
+            assert_eq!(
+                adt_from_tag(tag),
+                Err(ProtoError::UnknownTag("adt type", tag))
+            );
         }
     }
 

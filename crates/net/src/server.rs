@@ -497,7 +497,12 @@ impl Server {
     /// committed state of an object a remote client mutated).
     pub fn object_handle(&self, tenant: &str, name: &str) -> Option<ObjectHandle> {
         let qualified = format!("{tenant}/{name}");
-        self.shared.registry.lock().unwrap().get(&qualified).cloned()
+        self.shared
+            .registry
+            .lock()
+            .unwrap()
+            .get(&qualified)
+            .cloned()
     }
 
     /// Current server counters. After [`Server::shutdown`] returns, a
@@ -588,7 +593,11 @@ fn spawn_connection(exec: &Rc<LocalExecutor>, shared: &Arc<ServerShared>, stream
     shared.connections_open.fetch_add(1, Ordering::Relaxed);
     // Bound writes so a peer that stops draining cannot wedge the worker.
     let _ = stream.set_write_timeout(Some(shared.config.read_timeout.max(Duration::from_secs(1))));
-    shared.conns.lock().unwrap().insert(conn_id, shutdown_stream);
+    shared
+        .conns
+        .lock()
+        .unwrap()
+        .insert(conn_id, shutdown_stream);
 
     let conn = Arc::new(ConnShared::new());
     {
@@ -645,8 +654,7 @@ fn reader_main(mut stream: TcpStream, conn: Arc<ConnShared>, shared: Arc<ServerS
                 }
             }
             Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock
-                    || e.kind() == io::ErrorKind::TimedOut =>
+                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
             {
                 if conn.live_txns.load(Ordering::Acquire) == 0 {
                     // No transaction at risk: idle connections live on,
@@ -701,7 +709,14 @@ async fn router_task(
             Some(ConnEvent::Frame(id, req)) => (id, req),
         };
         let response = route(
-            &exec, &shared, &conn, &writer, &mut tenant, &mut txns, id, req,
+            &exec,
+            &shared,
+            &conn,
+            &writer,
+            &mut tenant,
+            &mut txns,
+            id,
+            req,
         );
         if let Some(resp) = response {
             write_frame(&writer, &conn, &resp.encode(id));
@@ -787,7 +802,10 @@ fn route(
             if registry.contains_key(&qualified) {
                 return Some(Response::Registered);
             }
-            match shared.db.register_object(qualified.clone(), adt.instantiate()) {
+            match shared
+                .db
+                .register_object(qualified.clone(), adt.instantiate())
+            {
                 Ok(handle) => {
                     registry.insert(qualified, handle);
                     Some(Response::Registered)
@@ -822,7 +840,9 @@ fn route(
             let queue = Rc::new(TxnQueue::default());
             txns.insert(wire, queue.clone());
             conn.live_txns.fetch_add(1, Ordering::AcqRel);
-            shared.transactions_in_flight.fetch_add(1, Ordering::Relaxed);
+            shared
+                .transactions_in_flight
+                .fetch_add(1, Ordering::Relaxed);
             let shared = shared.clone();
             let conn = conn.clone();
             let writer = writer.clone();
@@ -974,7 +994,9 @@ async fn txn_task(
         }
     }
     conn.live_txns.fetch_sub(1, Ordering::AcqRel);
-    shared.transactions_in_flight.fetch_sub(1, Ordering::Relaxed);
+    shared
+        .transactions_in_flight
+        .fetch_sub(1, Ordering::Relaxed);
 }
 
 /// Tear down a session orphaned by its connection: abort it unless it
@@ -982,7 +1004,10 @@ async fn txn_task(
 /// aborts on drop; a pseudo-committed session is guaranteed to commit
 /// and must not be touched).
 async fn auto_abort(shared: &Arc<ServerShared>, txn: &AsyncTransaction) {
-    if matches!(txn.state(), Some(TxnState::Active) | Some(TxnState::Blocked)) {
+    if matches!(
+        txn.state(),
+        Some(TxnState::Active) | Some(TxnState::Blocked)
+    ) {
         let session = txn.clone();
         let _ = session.abort().await;
     }

@@ -112,10 +112,18 @@ fn snapshot_transactions_read_their_begin_stamp_over_the_wire() {
         .unwrap();
     client.commit(w2).unwrap();
 
-    let r = client.exec(snap, "hits", CounterOp::Read.to_call()).unwrap();
+    let r = client
+        .exec(snap, "hits", CounterOp::Read.to_call())
+        .unwrap();
     assert_eq!(r, OpResult::Value(Value::Int(5)), "snapshot ignores w2");
-    let r = client.exec(snap, "hits", CounterOp::Read.to_call()).unwrap();
-    assert_eq!(r, OpResult::Value(Value::Int(5)), "snapshot reads are stable");
+    let r = client
+        .exec(snap, "hits", CounterOp::Read.to_call())
+        .unwrap();
+    assert_eq!(
+        r,
+        OpResult::Value(Value::Int(5)),
+        "snapshot reads are stable"
+    );
     client.commit(snap).unwrap();
 
     // A fresh classified transaction sees the full committed total.
@@ -141,7 +149,9 @@ fn tenants_get_disjoint_namespaces() {
     bob.register("c", AdtType::Counter).unwrap();
 
     let ta = alice.begin().unwrap();
-    alice.exec(ta, "c", CounterOp::Increment(10).to_call()).unwrap();
+    alice
+        .exec(ta, "c", CounterOp::Increment(10).to_call())
+        .unwrap();
     alice.commit(ta).unwrap();
 
     // Bob's `c` is a different object: his read sees zero, immediately —
@@ -232,7 +242,7 @@ fn unknown_opcode_gets_protocol_error_then_close() {
 fn retired_declared_batch_frame_is_refused() {
     let frame: [u8; 66] = [
         0x3e, 0, 0, 0, // body length
-        0x4d, 0, 0, 0, 0, 0, 0, 0, // request id 77
+        0x4d, 0, 0, 0, 0, 0, 0, 0,    // request id 77
         0x0a, // the retired opcode
         0x2a, 0, 0, 0, 0, 0, 0, 0, // txn 42
         1, 0, 0, 0, // one op
@@ -402,7 +412,9 @@ fn begin_beyond_in_flight_cap_is_shed_with_busy() {
     let mut client = NetClient::connect(addr, "t").expect("connect");
     let a = client.begin().unwrap();
     let b = client.begin().unwrap();
-    let err = client.begin().expect_err("third concurrent begin must shed");
+    let err = client
+        .begin()
+        .expect_err("third concurrent begin must shed");
     assert!(err.is_busy(), "expected busy shed, got {err}");
     assert!(server.net_stats().shed_busy >= 1);
 
@@ -544,6 +556,9 @@ fn reconnect_rejoins_the_same_tenant_namespace() {
 
     drop(client);
     let stats = server.shutdown();
-    assert_eq!(stats.connections_accepted, 2, "one reconnect = one new accept");
+    assert_eq!(
+        stats.connections_accepted, 2,
+        "one reconnect = one new accept"
+    );
     assert_eq!(stats.transactions_in_flight, 0, "no leaked sessions");
 }

@@ -21,9 +21,7 @@
 use proptest::prelude::*;
 use sbcc_adt::{AdtOp, CounterOp, OpCall, QueueOp, SetOp, StackOp, Value};
 use sbcc_core::aio::{AsyncDatabase, AsyncTransaction, LocalExecutor};
-use sbcc_core::{
-    CoreError, DatabaseConfig, Database, ObjectHandle, SchedulerConfig, TxnState,
-};
+use sbcc_core::{CoreError, Database, DatabaseConfig, ObjectHandle, SchedulerConfig, TxnState};
 use sbcc_net::{AdtType, ErrorCode, NetClient, Request, Response, Server, ServerConfig};
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
@@ -474,7 +472,10 @@ fn wire_conflicts_block_in_the_kernel() {
     client.ping().unwrap();
     let deadline = Instant::now() + Duration::from_secs(10);
     while server.db().txn_state(sbcc_core::TxnId(t2)) != Some(TxnState::Blocked) {
-        assert!(Instant::now() < deadline, "the pop must be admitted and blocked");
+        assert!(
+            Instant::now() < deadline,
+            "the pop must be admitted and blocked"
+        );
         std::thread::sleep(Duration::from_millis(1));
     }
     client.commit(t1).unwrap();

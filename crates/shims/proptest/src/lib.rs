@@ -622,10 +622,7 @@ mod tests {
     #[test]
     fn map_flat_map_oneof_and_just() {
         let mut rng = rand::SeedableRng::seed_from_u64(2);
-        let s = prop_oneof![
-            Just(100u32),
-            (0u32..10).prop_map(|v| v + 50),
-        ];
+        let s = prop_oneof![Just(100u32), (0u32..10).prop_map(|v| v + 50),];
         let flat = (1usize..4).prop_flat_map(|n| crate::collection::vec(0u32..2, n..n + 1));
         let mut saw_just = false;
         let mut saw_mapped = false;

@@ -326,39 +326,66 @@ mod tests {
     fn validation_rejects_bad_parameters() {
         let base = SimParams::default();
         for (mutate, _name) in [
-            (Box::new(|p: &mut SimParams| p.db_size = 0) as Box<dyn Fn(&mut SimParams)>, "db"),
-            (Box::new(|p: &mut SimParams| p.num_terminals = 0), "terminals"),
+            (
+                Box::new(|p: &mut SimParams| p.db_size = 0) as Box<dyn Fn(&mut SimParams)>,
+                "db",
+            ),
+            (
+                Box::new(|p: &mut SimParams| p.num_terminals = 0),
+                "terminals",
+            ),
             (Box::new(|p: &mut SimParams| p.mpl_level = 0), "mpl"),
             (Box::new(|p: &mut SimParams| p.min_length = 0), "min"),
-            (Box::new(|p: &mut SimParams| {
-                p.min_length = 10;
-                p.max_length = 4;
-            }), "min>max"),
+            (
+                Box::new(|p: &mut SimParams| {
+                    p.min_length = 10;
+                    p.max_length = 4;
+                }),
+                "min>max",
+            ),
             (Box::new(|p: &mut SimParams| p.step_time = 0.0), "step"),
-            (Box::new(|p: &mut SimParams| p.ext_think_time = -1.0), "think"),
-            (Box::new(|p: &mut SimParams| p.target_completions = 0), "completions"),
-            (Box::new(|p: &mut SimParams| {
-                p.data_model = DataModel::ReadWrite {
-                    write_probability: 1.5,
-                }
-            }), "writeprob"),
-            (Box::new(|p: &mut SimParams| {
-                p.data_model = DataModel::AbstractAdt {
-                    ops_per_object: 4,
-                    p_c: 3,
-                    p_r: 0,
-                }
-            }), "odd pc"),
-            (Box::new(|p: &mut SimParams| {
-                p.data_model = DataModel::AbstractAdt {
-                    ops_per_object: 2,
-                    p_c: 2,
-                    p_r: 8,
-                }
-            }), "overfull"),
-            (Box::new(|p: &mut SimParams| {
-                p.resource_mode = ResourceMode::Finite { resource_units: 0 }
-            }), "resources"),
+            (
+                Box::new(|p: &mut SimParams| p.ext_think_time = -1.0),
+                "think",
+            ),
+            (
+                Box::new(|p: &mut SimParams| p.target_completions = 0),
+                "completions",
+            ),
+            (
+                Box::new(|p: &mut SimParams| {
+                    p.data_model = DataModel::ReadWrite {
+                        write_probability: 1.5,
+                    }
+                }),
+                "writeprob",
+            ),
+            (
+                Box::new(|p: &mut SimParams| {
+                    p.data_model = DataModel::AbstractAdt {
+                        ops_per_object: 4,
+                        p_c: 3,
+                        p_r: 0,
+                    }
+                }),
+                "odd pc",
+            ),
+            (
+                Box::new(|p: &mut SimParams| {
+                    p.data_model = DataModel::AbstractAdt {
+                        ops_per_object: 2,
+                        p_c: 2,
+                        p_r: 8,
+                    }
+                }),
+                "overfull",
+            ),
+            (
+                Box::new(|p: &mut SimParams| {
+                    p.resource_mode = ResourceMode::Finite { resource_units: 0 }
+                }),
+                "resources",
+            ),
             (Box::new(|p: &mut SimParams| p.shards = 0), "shards"),
         ] {
             let mut p = base.clone();

@@ -134,11 +134,12 @@ mod tests {
         q.schedule_in(2.0, Event::TerminalSubmit { terminal: 2 });
         q.schedule_in(1.0, Event::TerminalSubmit { terminal: 1 });
         q.schedule_in(3.0, Event::TerminalSubmit { terminal: 3 });
-        let order: Vec<usize> = std::iter::from_fn(|| q.pop()).map(|(_, e)| match e {
-            Event::TerminalSubmit { terminal } => terminal,
-            _ => unreachable!(),
-        })
-        .collect();
+        let order: Vec<usize> = std::iter::from_fn(|| q.pop())
+            .map(|(_, e)| match e {
+                Event::TerminalSubmit { terminal } => terminal,
+                _ => unreachable!(),
+            })
+            .collect();
         assert_eq!(order, vec![1, 2, 3]);
         assert_eq!(q.pop(), None);
         assert!((q.now() - 3.0).abs() < 1e-12);
@@ -150,25 +151,44 @@ mod tests {
         for terminal in 0..5 {
             q.schedule_in(1.0, Event::TerminalSubmit { terminal });
         }
-        let order: Vec<usize> = std::iter::from_fn(|| q.pop()).map(|(_, e)| match e {
-            Event::TerminalSubmit { terminal } => terminal,
-            _ => unreachable!(),
-        })
-        .collect();
+        let order: Vec<usize> = std::iter::from_fn(|| q.pop())
+            .map(|(_, e)| match e {
+                Event::TerminalSubmit { terminal } => terminal,
+                _ => unreachable!(),
+            })
+            .collect();
         assert_eq!(order, vec![0, 1, 2, 3, 4]);
     }
 
     #[test]
     fn clock_advances_with_pops() {
         let mut q = EventQueue::new();
-        q.schedule_in(0.5, Event::ServiceDone { txn: 1, stage: ServiceStage::Step });
+        q.schedule_in(
+            0.5,
+            Event::ServiceDone {
+                txn: 1,
+                stage: ServiceStage::Step,
+            },
+        );
         let (t, _) = q.pop().unwrap();
         assert!((t - 0.5).abs() < 1e-12);
         // scheduling relative to the new now
-        q.schedule_in(0.25, Event::ServiceDone { txn: 2, stage: ServiceStage::Cpu });
+        q.schedule_in(
+            0.25,
+            Event::ServiceDone {
+                txn: 2,
+                stage: ServiceStage::Cpu,
+            },
+        );
         let (t, e) = q.pop().unwrap();
         assert!((t - 0.75).abs() < 1e-12);
-        assert_eq!(e, Event::ServiceDone { txn: 2, stage: ServiceStage::Cpu });
+        assert_eq!(
+            e,
+            Event::ServiceDone {
+                txn: 2,
+                stage: ServiceStage::Cpu
+            }
+        );
         assert_eq!(q.pop(), None);
     }
 

@@ -237,7 +237,12 @@ impl Simulator {
         let (done, kernel_txn, object, call) = {
             let txn = &self.txns[key];
             if txn.next_op >= txn.script.len() {
-                (true, txn.kernel_txn.expect("admitted"), ObjectId(0), OpCall::nullary(0))
+                (
+                    true,
+                    txn.kernel_txn.expect("admitted"),
+                    ObjectId(0),
+                    OpCall::nullary(0),
+                )
             } else {
                 let (object, call) = txn.script[txn.next_op].clone();
                 (false, txn.kernel_txn.expect("admitted"), object, call)
@@ -362,7 +367,10 @@ impl Simulator {
         let kernel_txn = self.txns[key].kernel_txn.expect("admitted");
         // The simulated kernel has no write-ahead log, so there is no
         // durability ticket to wait on.
-        let (outcome, _) = self.kernel.commit(kernel_txn).expect("commit of active txn");
+        let (outcome, _) = self
+            .kernel
+            .commit(kernel_txn)
+            .expect("commit of active txn");
         self.process_kernel_events();
 
         let now = self.queue.now();

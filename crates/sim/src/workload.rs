@@ -70,7 +70,11 @@ impl WorkloadGenerator {
     /// Generate a transaction script: a uniformly distributed number of
     /// operations, each on a uniformly chosen object, with the operation
     /// kind drawn according to the data model.
-    pub fn generate_script(&self, objects: &[ObjectId], rng: &mut SimRng) -> Vec<(ObjectId, OpCall)> {
+    pub fn generate_script(
+        &self,
+        objects: &[ObjectId],
+        rng: &mut SimRng,
+    ) -> Vec<(ObjectId, OpCall)> {
         let length = rng.uniform_inclusive(self.min_length, self.max_length);
         let mut script = Vec::with_capacity(length);
         for _ in 0..length {
@@ -196,7 +200,10 @@ mod tests {
         let ids2 = gen.populate(&k2, &mut r2);
         assert_eq!(ids1, ids2);
         for _ in 0..10 {
-            assert_eq!(gen.generate_script(&ids1, &mut r1), gen.generate_script(&ids2, &mut r2));
+            assert_eq!(
+                gen.generate_script(&ids1, &mut r1),
+                gen.generate_script(&ids2, &mut r2)
+            );
         }
     }
 }

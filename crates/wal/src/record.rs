@@ -196,7 +196,9 @@ pub fn parse_log(bytes: &[u8]) -> ParsedLog {
         }
         let body = &bytes[pos + 4..pos + 4 + body_len];
         let stored = u64::from_le_bytes(
-            bytes[pos + 4 + body_len..pos + frame_len].try_into().unwrap(),
+            bytes[pos + 4 + body_len..pos + frame_len]
+                .try_into()
+                .unwrap(),
         );
         if fnv1a64(body) != stored {
             break Some("checksum mismatch".to_owned());
@@ -256,12 +258,18 @@ mod tests {
                 record: commit(vec![
                     LoggedOp {
                         object: "a".to_owned(),
-                        call: OpCall { kind: 2, params: vec![] },
+                        call: OpCall {
+                            kind: 2,
+                            params: vec![],
+                        },
                         result: OpResult::Null,
                     },
                     LoggedOp {
                         object: "b".to_owned(),
-                        call: OpCall { kind: 1, params: vec![Value::Bool(false)] },
+                        call: OpCall {
+                            kind: 1,
+                            params: vec![Value::Bool(false)],
+                        },
                         result: OpResult::Failure,
                     },
                 ]),

@@ -23,10 +23,8 @@ struct ScratchDir(PathBuf);
 impl ScratchDir {
     fn new(tag: &str) -> ScratchDir {
         let n = DIR_COUNTER.fetch_add(1, Ordering::Relaxed);
-        let path = std::env::temp_dir().join(format!(
-            "sbcc-wal-torn-{tag}-{}-{n}",
-            std::process::id()
-        ));
+        let path =
+            std::env::temp_dir().join(format!("sbcc-wal-torn-{tag}-{}-{n}", std::process::id()));
         let _ = std::fs::remove_dir_all(&path);
         std::fs::create_dir_all(&path).unwrap();
         ScratchDir(path)
@@ -126,7 +124,9 @@ fn refuses_old_layout_file(name: &str) {
         Err(WalError::OldLayout { path }) => assert_eq!(path, old),
         other => panic!("expected the old layout to be refused, got {other:?}"),
     }
-    let message = Wal::open(&config(dir.path()), 1, None).unwrap_err().to_string();
+    let message = Wal::open(&config(dir.path()), 1, None)
+        .unwrap_err()
+        .to_string();
     assert!(message.contains(name), "{message}");
     // Nothing was converted or repaired: the log is as it was.
     std::fs::remove_file(&old).unwrap();

@@ -138,7 +138,10 @@ fn main() {
         "the gate guarantees every transaction was live simultaneously"
     );
     if txns >= 1_000 {
-        assert!(peak.get() >= 1_000, "at least 1k concurrent in-flight sessions");
+        assert!(
+            peak.get() >= 1_000,
+            "at least 1k concurrent in-flight sessions"
+        );
     }
 
     // ------------------------------------------------------------------

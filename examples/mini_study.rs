@@ -21,7 +21,10 @@ fn main() {
 
     println!("mini Figure-4 study: read/write model, infinite resources");
     println!("(5 000 completions per point, 2 runs — see `repro --figure 4` for full scale)\n");
-    println!("{:>6} {:>18} {:>18} {:>12}", "mpl", "commutativity", "recoverability", "speedup");
+    println!(
+        "{:>6} {:>18} {:>18} {:>12}",
+        "mpl", "commutativity", "recoverability", "speedup"
+    );
 
     for mpl in mpl_levels {
         let mut row = Vec::new();

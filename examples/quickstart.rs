@@ -33,7 +33,10 @@ fn main() {
     // the user's perspective, guaranteed to commit — and actually commits
     // once T1 terminates.
     let outcome2 = t2.commit().unwrap();
-    println!("T2 commit outcome: pseudo-commit = {}", outcome2.is_pseudo_commit());
+    println!(
+        "T2 commit outcome: pseudo-commit = {}",
+        outcome2.is_pseudo_commit()
+    );
 
     // A third transaction that wants to *observe* the stack must wait: a pop
     // is not recoverable relative to uncommitted pushes. Run it on its own
@@ -49,14 +52,18 @@ fn main() {
     // order: first T1's push, then T2's) and the blocked pop wakes up.
     std::thread::sleep(std::time::Duration::from_millis(20));
     t1.commit().unwrap();
-    println!("T1 committed; T2 cascaded to a full commit: {:?}", db.outcome_of(t2_id));
+    println!(
+        "T1 committed; T2 cascaded to a full commit: {:?}",
+        db.outcome_of(t2_id)
+    );
 
     let popped = observer.join().expect("observer thread");
     println!("observer popped the top of the stack: {popped}");
     assert_eq!(popped, OpResult::Value(Value::Int(2)));
 
     // The execution is serializable in commit order.
-    db.verify_serializable().expect("execution must be serializable");
+    db.verify_serializable()
+        .expect("execution must be serializable");
     let stats = db.stats();
     println!(
         "stats: {} commits, {} pseudo-commits, {} blocks, {} commit dependencies",

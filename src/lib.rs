@@ -70,15 +70,15 @@ pub const VERSION: &str = env!("CARGO_PKG_VERSION");
 pub mod prelude {
     pub use crate::adt::{
         AbstractObject, AdtObject, AdtOp, AdtSpec, Compatibility, CompatibilityTable,
-        ConflictTable, Counter, CounterOp, FifoQueue, OpCall, OpResult, Page, PageOp, QueueOp,
-        Set, SetOp, Stack, StackOp, TableEntry, TableObject, TableOp, Value,
+        ConflictTable, Counter, CounterOp, FifoQueue, OpCall, OpResult, Page, PageOp, QueueOp, Set,
+        SetOp, Stack, StackOp, TableEntry, TableObject, TableOp, Value,
     };
     pub use crate::core::{
         AbortReason, AsyncBatch, AsyncDatabase, AsyncTransaction, Batch, BatchCall, BatchOutcome,
         BatchStop, CommitOutcome, ConflictPolicy, CoreError, Database, DatabaseConfig, Handle,
         KernelEvent, KernelStats, LocalExecutor, ObjectHandle, ObjectId, RecoveryStrategy,
-        RequestOutcome, SchedulerConfig, SchedulerKernel, ShardCount, ShardedKernel,
-        StatsSnapshot, Transaction, TxnId, TxnState,
+        RequestOutcome, SchedulerConfig, SchedulerKernel, ShardCount, ShardedKernel, StatsSnapshot,
+        Transaction, TxnId, TxnState,
     };
     pub use crate::graph::{DependencyGraph, EdgeKind};
     pub use crate::sim::{DataModel, ResourceMode, SimParams, SimulationResult, Simulator};

@@ -31,7 +31,10 @@ fn concurrent_counter_increments_never_lose_updates() {
     let t = db.begin();
     let value = t.exec(&counter, CounterOp::Read).unwrap();
     t.commit().unwrap();
-    assert_eq!(value, OpResult::Value(Value::Int(threads as i64 * per_thread)));
+    assert_eq!(
+        value,
+        OpResult::Value(Value::Int(threads as i64 * per_thread))
+    );
     db.verify_serializable().unwrap();
     assert_eq!(db.stats().blocks, 0, "increments commute and never block");
 }

@@ -64,7 +64,11 @@ fn relative_links_in_root_docs_resolve() {
         checked >= 10,
         "the root docs should cross-link each other (found only {checked} relative links)"
     );
-    assert!(broken.is_empty(), "broken relative links:\n{}", broken.join("\n"));
+    assert!(
+        broken.is_empty(),
+        "broken relative links:\n{}",
+        broken.join("\n")
+    );
 }
 
 #[test]
@@ -72,9 +76,9 @@ fn readme_covers_the_required_sections() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let readme = std::fs::read_to_string(root.join("README.md")).expect("README.md exists");
     for needle in [
-        "Beyond Commutativity",          // what the paper is
-        "Crate map",                     // the crate map
-        "Quickstart",                    // the quickstart
+        "Beyond Commutativity",                   // what the paper is
+        "Crate map",                              // the crate map
+        "Quickstart",                             // the quickstart
         "cargo build --release && cargo test -q", // the tier-1 command
         "ARCHITECTURE.md",
         "ROADMAP.md",
@@ -129,8 +133,15 @@ fn source_files_named_in_the_docs_exist() {
             }
         }
     }
-    assert!(checked >= 10, "the docs should name source files (found {checked})");
-    assert!(missing.is_empty(), "source files named in the docs but absent:\n{}", missing.join("\n"));
+    assert!(
+        checked >= 10,
+        "the docs should name source files (found {checked})"
+    );
+    assert!(
+        missing.is_empty(),
+        "source files named in the docs but absent:\n{}",
+        missing.join("\n")
+    );
 }
 
 /// Every `.rs` file under `dir`, recursively.
@@ -175,8 +186,15 @@ fn markdown_files_named_in_rustdoc_exist() {
             }
         }
     }
-    assert!(checked >= 3, "rustdoc should point at the root docs (found {checked} mentions)");
-    assert!(missing.is_empty(), "documents named in rustdoc but absent:\n{}", missing.join("\n"));
+    assert!(
+        checked >= 3,
+        "rustdoc should point at the root docs (found {checked} mentions)"
+    );
+    assert!(
+        missing.is_empty(),
+        "documents named in rustdoc but absent:\n{}",
+        missing.join("\n")
+    );
 }
 
 /// The `--flag`s a document attributes to the `repro` binary: every flag
@@ -186,7 +204,8 @@ fn markdown_files_named_in_rustdoc_exist() {
 /// after cargo's `--` separator.
 fn repro_flags(markdown: &str) -> Vec<String> {
     let trim = |tok: &str| {
-        tok.trim_matches(|c: char| !(c.is_ascii_alphanumeric() || c == '-')).to_owned()
+        tok.trim_matches(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .to_owned()
     };
     let mut flags = Vec::new();
     let mut tokens = markdown.split_whitespace().map(trim).peekable();
@@ -228,7 +247,10 @@ fn repro_flags_in_the_docs_exist_in_the_usage_text() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let main = std::fs::read_to_string(root.join("crates/experiments/src/main.rs"))
         .expect("repro's main.rs exists");
-    let usage = main.split("fn usage()").nth(1).expect("main.rs defines usage()");
+    let usage = main
+        .split("fn usage()")
+        .nth(1)
+        .expect("main.rs defines usage()");
     let usage = usage.split("\nfn ").next().unwrap_or(usage);
     let mut checked = 0usize;
     let mut stale = Vec::new();
@@ -241,6 +263,13 @@ fn repro_flags_in_the_docs_exist_in_the_usage_text() {
             }
         }
     }
-    assert!(checked >= 5, "the docs should show repro invocations (found {checked} flags)");
-    assert!(stale.is_empty(), "flags missing from `repro --help`:\n{}", stale.join("\n"));
+    assert!(
+        checked >= 5,
+        "the docs should show repro invocations (found {checked} flags)"
+    );
+    assert!(
+        stale.is_empty(),
+        "flags missing from `repro --help`:\n{}",
+        stale.join("\n")
+    );
 }

@@ -84,7 +84,10 @@ fn database_round_trip_across_all_data_types() {
     );
     assert_eq!(stats.batched_calls, 6);
     if db.shard_count() == 1 {
-        assert_eq!(stats.batches, 1, "single shard admits the batch in one pass");
+        assert_eq!(
+            stats.batches, 1,
+            "single shard admits the batch in one pass"
+        );
     }
 }
 

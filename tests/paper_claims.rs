@@ -52,8 +52,11 @@ fn improvement_shrinks_under_resource_contention() {
     // smaller than with infinite resources.
     let mpl = 40;
     let gain = |mode: ResourceMode| {
-        let comm = Simulator::new(small(ConflictPolicy::CommutativityOnly, mpl).with_resources(mode)).run();
-        let rec = Simulator::new(small(ConflictPolicy::Recoverability, mpl).with_resources(mode)).run();
+        let comm =
+            Simulator::new(small(ConflictPolicy::CommutativityOnly, mpl).with_resources(mode))
+                .run();
+        let rec =
+            Simulator::new(small(ConflictPolicy::Recoverability, mpl).with_resources(mode)).run();
         rec.throughput / comm.throughput.max(f64::EPSILON)
     };
     let gain_infinite = gain(ResourceMode::Infinite);
@@ -94,7 +97,8 @@ fn unfair_scheduling_has_higher_peak_throughput() {
     let mpl = 40;
     let fair = Simulator::new(small(ConflictPolicy::Recoverability, mpl)).run();
     let unfair =
-        Simulator::new(small(ConflictPolicy::Recoverability, mpl).with_fair_scheduling(false)).run();
+        Simulator::new(small(ConflictPolicy::Recoverability, mpl).with_fair_scheduling(false))
+            .run();
     assert!(
         unfair.throughput >= fair.throughput * 0.95,
         "unfair {:.1} tps should be at least fair {:.1} tps",
