@@ -55,7 +55,6 @@
 //! | `db.begin() -> Transaction`          | `db.begin() -> AsyncTransaction`                |
 //! | `txn.exec(&h, op)?`                  | `txn.exec(&h, op).await?`                       |
 //! | `txn.exec_call(&h, call)?`           | `txn.exec_call(&h, call).await?`                |
-//! | `txn.batch().op(…).submit()?`        | `txn.batch().op(…).submit().await?`             |
 //! | `txn.commit()?` / `txn.abort()?`     | `txn.commit().await?` / `txn.abort().await?`    |
 //! | `db.run(\|txn\| …)?`                 | `db.run(\|txn\| async move { … }).await?`       |
 //! | blocked ⇒ the OS thread parks        | blocked ⇒ the future suspends                   |
@@ -68,7 +67,7 @@
 //!   move` block while the runner keeps a clone for the commit. All
 //!   clones name the same transaction; the auto-abort fires when the last
 //!   clone drops without a commit/abort.
-//! * **Cancellation aborts.** Dropping an `exec`/`submit` future *before
+//! * **Cancellation aborts.** Dropping an `exec` future *before
 //!   it resolves* while the operation is blocked inside the kernel aborts
 //!   the transaction (there is no one left to claim the outcome, and a
 //!   forever-blocked transaction would stall every conflicting session). Transactions whose futures you may cancel
@@ -92,16 +91,11 @@
 //! let hits = db.register("hits", Counter::new());
 //!
 //! let top = block_on(async {
-//!     // A grouped submission: both operations admitted in one kernel
-//!     // pass, exactly like the sync `Batch`.
+//!     // Each operation is one request; a conflicting one suspends its
+//!     // future instead of the thread.
 //!     let txn = db.begin();
-//!     let results = txn
-//!         .batch()
-//!         .op(&jobs, StackOp::Push(Value::Int(42)))
-//!         .op(&hits, CounterOp::Increment(1))
-//!         .submit()
-//!         .await?;
-//!     assert_eq!(results, vec![OpResult::Ok, OpResult::Ok]);
+//!     assert_eq!(txn.exec(&jobs, StackOp::Push(Value::Int(42))).await?, OpResult::Ok);
+//!     assert_eq!(txn.exec(&hits, CounterOp::Increment(1)).await?, OpResult::Ok);
 //!     txn.commit().await?;
 //!
 //!     // The closure runner retries on scheduler aborts and commits on Ok.
@@ -116,7 +110,7 @@
 //! ```
 
 use crate::chaos::sync::{Condvar, Mutex};
-use crate::db::{Batch, Database, Handle, ObjectHandle, Session};
+use crate::db::{Database, Handle, ObjectHandle, Session};
 use crate::errors::CoreError;
 use crate::events::CommitOutcome;
 use crate::policy::SchedulerConfig;
@@ -375,12 +369,6 @@ impl AsyncTransaction {
         self.inner.exec_call(object.loc(), call).await
     }
 
-    /// Start building a grouped submission. See [`AsyncBatch`] (and
-    /// [`crate::Batch`] for the shared partial-admission semantics).
-    pub fn batch(&self) -> AsyncBatch {
-        Batch::new(self.clone())
-    }
-
     /// Commit the transaction (actual or pseudo-commit, per the
     /// protocol). A commit never waits for another transaction — one whose
     /// commit dependencies are still live **pseudo-commits** and the
@@ -407,28 +395,6 @@ impl AsyncTransaction {
     /// symmetry only.
     pub async fn abort(self) -> Result<(), CoreError> {
         self.inner.abort()
-    }
-}
-
-// ---------------------------------------------------------------------
-// AsyncBatch
-// ---------------------------------------------------------------------
-
-/// Builder for an async grouped submission: [`crate::Batch`] over an
-/// [`AsyncTransaction`], with identical builder methods and
-/// partial-admission semantics (the blocking `submit` is [`block_on`] of
-/// this one). Calls execute in the order they were added;
-/// `submit` resolves once every call has executed, suspending as often as
-/// needed.
-pub type AsyncBatch = Batch<AsyncTransaction>;
-
-impl Batch<AsyncTransaction> {
-    /// Submit the group; the future resolves once **every** call has
-    /// executed, with one result per call in submission order, or with
-    /// the abort error if the scheduler aborts the transaction along the
-    /// way.
-    pub async fn submit(self) -> Result<Vec<OpResult>, CoreError> {
-        self.txn.inner.submit(self.run).await
     }
 }
 
@@ -1108,62 +1074,6 @@ mod tests {
     }
 
     #[test]
-    fn async_batch_resumes_across_conflicts() {
-        let db = db();
-        let s = db.register("jobs", Stack::new());
-        let c = db.register("hits", sbcc_adt::Counter::new());
-        let t1 = db.database().begin();
-        t1.exec(&s, StackOp::Push(Value::Int(7))).unwrap();
-
-        let executor = LocalExecutor::new();
-        let results = Rc::new(RefCell::new(Vec::new()));
-        let (db2, s2, c2, results2) = (db.clone(), s.clone(), c.clone(), results.clone());
-        executor.spawn(async move {
-            let t2 = db2.begin();
-            // Increment commutes; the pop conflicts and suspends the
-            // batch; the final increment resumes after T1 commits.
-            let r = t2
-                .batch()
-                .op(&c2, sbcc_adt::CounterOp::Increment(1))
-                .op(&s2, StackOp::Pop)
-                .op(&c2, sbcc_adt::CounterOp::Increment(1))
-                .submit()
-                .await
-                .unwrap();
-            t2.commit().await.unwrap();
-            *results2.borrow_mut() = r;
-        });
-        executor.run_until_stalled();
-        assert!(results.borrow().is_empty(), "batch is parked mid-group");
-        t1.commit().unwrap();
-        executor.run();
-        assert_eq!(
-            *results.borrow(),
-            vec![OpResult::Ok, OpResult::Value(Value::Int(7)), OpResult::Ok]
-        );
-        let stats = db.stats();
-        assert_eq!(stats.blocks, 1);
-        assert_eq!(stats.unblocks, 1);
-        // At least the initial pass and the post-block resumption pass
-        // (under SBCC_SHARDS > 1 the group additionally splits into
-        // per-shard runs, each a pass of its own).
-        assert!(stats.batches >= 2, "initial + resumption passes");
-        db.verify_serializable().unwrap();
-
-        // Empty async batches never reach the kernel.
-        let batches_before = db.stats().batches;
-        block_on(async {
-            let t = db.begin();
-            let b = t.batch();
-            assert!(b.is_empty());
-            assert_eq!(b.len(), 0);
-            assert_eq!(b.submit().await.unwrap(), vec![]);
-            t.commit().await.unwrap();
-        });
-        assert_eq!(db.stats().batches, batches_before);
-    }
-
-    #[test]
     fn run_retries_scheduler_aborts_across_tasks() {
         // Two `run` bodies deadlock each other on one executor thread; the
         // requester that closes the cycle is aborted and retried, and both
@@ -1291,9 +1201,6 @@ mod tests {
             )
         };
         assert!(reports_abort(block_on(t2.exec(&s, StackOp::Top)).map(drop)));
-        assert!(reports_abort(
-            block_on(t2.batch().op(&s, StackOp::Top).submit()).map(drop)
-        ));
         assert!(reports_abort(block_on(t2.commit()).map(drop)));
         db.verify_serializable().unwrap();
     }
@@ -1421,13 +1328,10 @@ mod tests {
         block_on(t2.exec(&other, StackOp::Push(Value::Int(1)))).unwrap();
         let mut first = Box::pin(t2.exec(&contested, StackOp::Pop));
         assert!(poll_once(first.as_mut()).is_pending());
-        // The clone's submissions to the other shard are refused up
-        // front, per call and as a batch...
+        // The clone's submission to the other shard is refused up
+        // front...
         assert!(refused_as_blocked(block_on(
             t2b.exec(&other, StackOp::Push(Value::Int(2)))
-        )));
-        assert!(refused_as_blocked(block_on(
-            t2b.batch().op(&other, StackOp::Top).submit()
         )));
         // ...and the original waiter still receives its outcome.
         t1.commit().unwrap();

@@ -1,7 +1,6 @@
 //! The session-based, thread-safe front-end over the sharded scheduler
-//! kernel ([`ShardedKernel`]): typed [`Handle`]s, [`Transaction`] guards,
-//! grouped submission through [`Batch`], and the [`Database::run`] retry
-//! runner.
+//! kernel ([`ShardedKernel`]): typed [`Handle`]s, [`Transaction`] guards
+//! and the [`Database::run`] retry runner.
 //!
 //! # Sessions, not bare transaction ids
 //!
@@ -13,9 +12,7 @@
 //! * executes typed operations ([`Transaction::exec`]) against typed
 //!   [`Handle<A>`]s — `txn.exec(&stack, StackOp::Push(..))` is statically
 //!   checked to be a stack operation — while [`Transaction::exec_call`]
-//!   remains for erased callers;
-//! * submits *groups* of operations in one kernel pass under one lock
-//!   acquisition ([`Transaction::batch`]);
+//!   remains for erased callers, one operation per kernel request;
 //! * consumes itself on [`Transaction::commit`] / [`Transaction::abort`],
 //!   so a terminated session cannot be used again by construction; and
 //! * **auto-aborts on drop** when neither was called — an early return or
@@ -47,7 +44,7 @@
 //!
 //! With one shard the behaviour is exactly that of a single
 //! [`crate::SchedulerKernel`]. With several, everything session-visible
-//! stays the same — handles, blocking, batches, retry semantics, aggregate
+//! stays the same — handles, blocking, retry semantics, aggregate
 //! [`KernelStats`] — and [`Database::stats_snapshot`] additionally exposes
 //! the per-shard breakdown. See the [`crate::shard`] module docs for the sharding
 //! invariants and the cross-shard commit protocol.
@@ -87,15 +84,10 @@
 //! let jobs = db.register("jobs", Stack::new());
 //! let hits = db.register("hits", Counter::new());
 //!
-//! // A grouped submission: both operations admitted in one kernel pass.
+//! // Each operation is one request, admitted (or blocked) on its own.
 //! let txn = db.begin();
-//! let results = txn
-//!     .batch()
-//!     .op(&jobs, StackOp::Push(Value::Int(42)))
-//!     .op(&hits, CounterOp::Increment(1))
-//!     .submit()
-//!     .unwrap();
-//! assert_eq!(results, vec![OpResult::Ok, OpResult::Ok]);
+//! assert_eq!(txn.exec(&jobs, StackOp::Push(Value::Int(42))).unwrap(), OpResult::Ok);
+//! assert_eq!(txn.exec(&hits, CounterOp::Increment(1)).unwrap(), OpResult::Ok);
 //! txn.commit().unwrap();
 //!
 //! // The closure runner retries on scheduler aborts and commits on Ok.
@@ -108,12 +100,12 @@
 use crate::aio::block_on;
 use crate::chaos::{self, sync::Mutex, ChaosPoint};
 use crate::errors::CoreError;
-use crate::events::{BatchStop, CommitOutcome, KernelEvent, RequestOutcome};
+use crate::events::{CommitOutcome, KernelEvent, RequestOutcome};
 use crate::object::ObjectId;
 use crate::policy::SchedulerConfig;
 use crate::shard::{DatabaseConfig, ObjectLoc, ShardedKernel};
 use crate::stats::{KernelStats, StatsSnapshot};
-use crate::txn::{BatchCall, TxnId, TxnState};
+use crate::txn::{TxnId, TxnState};
 use sbcc_adt::{AdtOp, AdtSpec, AdtType, OpCall, OpResult, SemanticObject};
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
@@ -430,62 +422,6 @@ impl Session {
         outcome.into_result(self.id)
     }
 
-    /// Submit a grouped submission: one kernel pass over the remaining
-    /// calls (admit, enroll, classify in one index walk per touched shard;
-    /// see [`ShardedKernel::request_batch_enrolled`]), waiting for the
-    /// blocking terminator of each pass that stops on a conflict before
-    /// resuming with the suffix.
-    pub(crate) async fn submit(&self, run: BatchRun) -> Result<Vec<OpResult>, CoreError> {
-        const ACTION: &str = "submit a batch";
-        let BatchRun {
-            mut calls,
-            mut locs,
-            mut results,
-        } = run;
-        if calls.is_empty() {
-            return Ok(results);
-        }
-        self.ensure_idle(ACTION)?;
-        let db = &self.db;
-        // Enrollment through the session cache: steady state takes no
-        // coordinator lock, exactly like the per-call exec path.
-        for loc in &locs {
-            db.check_loc(*loc)?;
-            self.ensure_enrolled(loc.shard, ACTION)?;
-        }
-        loop {
-            // Deliver before `?` (see `exec_call`): a rejected batch may
-            // still have settled other sessions' waiters.
-            let outcome =
-                db.shared
-                    .kernel
-                    .request_batch_enrolled(self.id, std::mem::take(&mut calls), &locs);
-            db.deliver_events();
-            let outcome = outcome?;
-            results.extend(outcome.executed);
-            match outcome.stopped {
-                None => return Ok(results),
-                Some(BatchStop::Aborted { reason, .. }) => {
-                    return Err(CoreError::Aborted {
-                        txn: self.id,
-                        reason,
-                    })
-                }
-                Some(BatchStop::Blocked { rest, index, .. }) => {
-                    // `rest` is the suffix after the blocking terminator,
-                    // so its locations are `locs[index + 1..]`.
-                    locs.drain(..=index);
-                    debug_assert_eq!(locs.len(), rest.len());
-                    calls = rest;
-                }
-            }
-            results.push(self.settled().await.into_result(self.id)?);
-            if calls.is_empty() {
-                return Ok(results);
-            }
-        }
-    }
-
     /// Commit in the kernel, deliver the grants the commit released, and
     /// wait for the commit record's flush on a durable database. A commit
     /// never waits for another transaction: one whose commit dependencies
@@ -693,8 +629,9 @@ impl Database {
         Ok(db)
     }
 
-    /// Re-apply recovered log records through the session API. Sequential
-    /// and single-threaded, so every commit must be an actual commit (a
+    /// Re-apply recovered log records through the session API, one
+    /// transaction per commit record and one [`Transaction::exec_call`]
+    /// per logged operation. Sequential and single-threaded, so every commit must be an actual commit (a
     /// pseudo-commit would mean a dependency on a live transaction — there
     /// are none) and every replayed result must equal the logged one (the
     /// log replays deterministically from the empty state).
@@ -713,11 +650,7 @@ impl Database {
                     handles.insert(name, handle);
                 }
                 sbcc_wal::WalRecord::Commit { ops, .. } => {
-                    // Replay the whole commit as one batch; the per-op
-                    // result comparison below validates every call
-                    // against the log.
                     let txn = self.begin();
-                    let mut batch = txn.batch();
                     for op in ops {
                         let handle = handles.get(op.object.as_str()).ok_or_else(|| {
                             CoreError::Durability(format!(
@@ -725,12 +658,8 @@ impl Database {
                                 op.object
                             ))
                         })?;
-                        batch.add_call(handle, op.call.clone());
-                    }
-                    let results = batch.submit()?;
-                    debug_assert_eq!(results.len(), ops.len());
-                    for (result, op) in results.iter().zip(ops) {
-                        if *result != op.result {
+                        let result = txn.exec_call(handle, op.call.clone())?;
+                        if result != op.result {
                             return Err(CoreError::Durability(format!(
                                 "replay diverged on object {:?} op {}: logged result \
                                  {}, replayed {}",
@@ -1144,8 +1073,8 @@ impl Database {
     /// on.
     ///
     /// This is the database's **single rendezvous seam**: every waiting
-    /// path — exec and grouped submission, through either entry point —
-    /// and every shard-originated wakeup funnels through
+    /// exec, through either entry point, and every shard-originated wakeup
+    /// funnels through
     /// this one claim/register pair, and [`Settled`] polls the returned
     /// slot.
     fn claim_or_wait(&self, txn: TxnId) -> Result<RequestOutcome, Arc<WaiterSlot>> {
@@ -1323,11 +1252,6 @@ impl Transaction {
         block_on(self.session.exec_call(object.loc(), call))
     }
 
-    /// Start building a grouped submission. See [`Batch`].
-    pub fn batch(&self) -> Batch<&Transaction> {
-        Batch::new(self)
-    }
-
     /// Commit the transaction (actual or pseudo-commit, per the protocol).
     /// Consumes the session; on success the guard will not abort on drop.
     ///
@@ -1345,87 +1269,6 @@ impl Transaction {
     /// Explicitly abort the transaction. Consumes the session.
     pub fn abort(self) -> Result<(), CoreError> {
         self.session.abort()
-    }
-}
-
-/// The calls of a grouped submission still to run, with their shard
-/// locations, and the results accumulated so far.
-#[derive(Debug, Default)]
-pub(crate) struct BatchRun {
-    calls: Vec<BatchCall>,
-    /// Shard locations, parallel to `calls` (handles carry them, so a
-    /// batch never consults the object directory).
-    locs: Vec<ObjectLoc>,
-    /// One result per executed call, in submission order.
-    results: Vec<OpResult>,
-}
-
-/// Builder for a grouped submission: several operation calls — often
-/// multiple operations on the same object — admitted by the kernel in
-/// **one classification pass under one lock acquisition** instead of one
-/// kernel round-trip per call.
-///
-/// Calls execute in the order they were added. Admission is *partial* in
-/// exactly the way per-call submission is: a call that conflicts parks the
-/// session until the conflict clears, the already-executed prefix stays
-/// executed, and [`Batch::submit`] resumes the remainder afterwards — the
-/// returned results always cover every call, in order, unless the
-/// transaction is aborted (see
-/// [`crate::BatchOutcome`] for the precise kernel-level
-/// semantics).
-///
-/// `S` is the session handle the batch submits through: `&Transaction`
-/// for the blocking entry point ([`Transaction::batch`]), an
-/// [`crate::aio::AsyncTransaction`] for the async one
-/// ([`crate::aio::AsyncBatch`]). Both submit through the one session.
-#[derive(Debug)]
-pub struct Batch<S> {
-    pub(crate) txn: S,
-    pub(crate) run: BatchRun,
-}
-
-impl<S> Batch<S> {
-    pub(crate) fn new(txn: S) -> Self {
-        Batch {
-            txn,
-            run: BatchRun::default(),
-        }
-    }
-
-    /// Append a typed operation (chaining form).
-    pub fn op<A: AdtSpec>(mut self, object: &Handle<A>, op: A::Op) -> Self {
-        self.add_op(object, op);
-        self
-    }
-
-    /// Append a typed operation (mutating form, for loops).
-    pub fn add_op<A: AdtSpec>(&mut self, object: &Handle<A>, op: A::Op) {
-        self.add_call(object, op.to_call());
-    }
-
-    /// Append an erased call (mutating form, for loops).
-    pub fn add_call(&mut self, object: &ObjectHandle, call: OpCall) {
-        self.run.calls.push(BatchCall::new(object.id(), call));
-        self.run.locs.push(object.loc());
-    }
-
-    /// Number of calls queued so far.
-    pub fn len(&self) -> usize {
-        self.run.calls.len()
-    }
-
-    /// `true` when no calls are queued.
-    pub fn is_empty(&self) -> bool {
-        self.run.calls.is_empty()
-    }
-}
-
-impl Batch<&Transaction> {
-    /// Submit the group, blocking until **every** call has executed.
-    /// Returns one result per call, in submission order, or the abort
-    /// error if the scheduler aborts the transaction along the way.
-    pub fn submit(self) -> Result<Vec<OpResult>, CoreError> {
-        block_on(self.txn.session.submit(self.run))
     }
 }
 
@@ -1728,86 +1571,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_executes_all_calls_under_one_submission() {
-        let db = db();
-        let s = db.register("s", Stack::new());
-        let t = db.begin();
-        let results = t
-            .batch()
-            .op(&s, StackOp::Push(Value::Int(1)))
-            .op(&s, StackOp::Push(Value::Int(2)))
-            .op(&s, StackOp::Top)
-            .submit()
-            .unwrap();
-        assert_eq!(
-            results,
-            vec![OpResult::Ok, OpResult::Ok, OpResult::Value(Value::Int(2))]
-        );
-        t.commit().unwrap();
-        let stats = db.stats();
-        assert_eq!(stats.batches, 1);
-        assert_eq!(stats.batched_calls, 3);
-        assert_eq!(stats.requests, 3, "each batched call counts as a request");
-        db.verify_serializable().unwrap();
-    }
-
-    #[test]
-    fn empty_batch_is_a_no_op() {
-        let db = db();
-        let s = db.register("s", Stack::new());
-        let t = db.begin();
-        let b = t.batch();
-        assert!(b.is_empty());
-        assert_eq!(b.len(), 0);
-        assert_eq!(b.submit().unwrap(), vec![]);
-        assert_eq!(
-            db.stats().batches,
-            0,
-            "empty batches never reach the kernel"
-        );
-        let _ = t.exec(&s, StackOp::Top).unwrap();
-        t.commit().unwrap();
-    }
-
-    #[test]
-    fn blocked_batch_resumes_and_returns_every_result() {
-        let db = db();
-        let s = db.register("s", Stack::new());
-        let c = db.register("c", sbcc_adt::Counter::new());
-        let t1 = db.begin();
-        t1.exec(&s, StackOp::Push(Value::Int(7))).unwrap();
-
-        let db2 = db.clone();
-        let (s2, c2) = (s.clone(), c.clone());
-        let worker = std::thread::spawn(move || {
-            let t2 = db2.begin();
-            // Increment commutes (executes immediately); the pop conflicts
-            // with T1's uncommitted push and parks the batch; the final
-            // increment is resumed after T1 commits.
-            let results = t2
-                .batch()
-                .op(&c2, sbcc_adt::CounterOp::Increment(1))
-                .op(&s2, StackOp::Pop)
-                .op(&c2, sbcc_adt::CounterOp::Increment(1))
-                .submit()
-                .unwrap();
-            t2.commit().unwrap();
-            results
-        });
-
-        std::thread::sleep(Duration::from_millis(50));
-        t1.commit().unwrap();
-        let results = worker.join().expect("worker thread");
-        assert_eq!(
-            results,
-            vec![OpResult::Ok, OpResult::Value(Value::Int(7)), OpResult::Ok]
-        );
-        assert_eq!(db.stats().blocks, 1);
-        assert_eq!(db.stats().unblocks, 1);
-        db.verify_serializable().unwrap();
-    }
-
-    #[test]
     fn blocked_session_cannot_submit_elsewhere() {
         // The single-kernel contract: while one clone of a session awaits
         // a blocked request, every further submission and the commit are
@@ -1845,9 +1608,6 @@ mod tests {
                 h.name()
             );
         }
-        assert!(refused(
-            block_on(t2b.batch().op(&handles[1], StackOp::Top).submit()).map(drop)
-        ));
         assert!(refused(block_on(t2b.clone().commit()).map(drop)));
         // Once the conflict clears, the awaited pop settles and the
         // session is usable again.

@@ -16,9 +16,9 @@
 //!   invariants and the protocol).
 //! * [`Database`] — the thread-safe, session-based front-end over the
 //!   sharded kernel: typed [`Handle`]s, [`Transaction`] guards that
-//!   auto-abort on drop, grouped submission via [`Transaction::batch`],
-//!   and the [`Database::run`] retry runner (see the [`db`] module docs
-//!   for the full session model).
+//!   auto-abort on drop, one kernel request per operation, and the
+//!   [`Database::run`] retry runner (see the [`db`] module docs for the
+//!   full session model).
 //! * [`aio::AsyncDatabase`] — the **async** session front-end over the
 //!   same database: operations are futures that suspend instead of
 //!   parking OS threads, so one executor thread multiplexes thousands of
@@ -86,9 +86,9 @@ pub mod shard;
 pub mod stats;
 pub mod txn;
 
-pub use aio::{race, AsyncBatch, AsyncDatabase, AsyncTransaction, LocalExecutor, RaceWinner};
+pub use aio::{race, AsyncDatabase, AsyncTransaction, LocalExecutor, RaceWinner};
 pub use chaos::{ChaosHook, ChaosPoint, ClockHook, TimeoutPoint};
-pub use db::{Batch, Database, Handle, ObjectHandle, Transaction};
+pub use db::{Database, Handle, ObjectHandle, Transaction};
 pub use errors::CoreError;
 pub use events::{
     AbortReason, BatchOutcome, BatchStop, CommitOutcome, KernelEvent, RequestOutcome,

@@ -100,11 +100,11 @@ pub use config::{shard_of_name, DatabaseConfig, ObjectLoc, ShardCount, SHARDS_EN
 
 use crate::chaos::{self, sync::Mutex, sync::MutexGuard, ChaosPoint};
 use crate::errors::CoreError;
-use crate::events::{BatchOutcome, BatchStop, KernelEvent, RequestOutcome};
+use crate::events::{KernelEvent, RequestOutcome};
 use crate::kernel::{check_shared_invariants, SchedulerKernel, SharedGraph};
 use crate::object::ObjectId;
 use crate::stats::{KernelStats, OrderTelemetry, ShardStats, StatsSnapshot};
-use crate::txn::{BatchCall, RecentFates, TxnId, TxnState};
+use crate::txn::{RecentFates, TxnId, TxnState};
 use sbcc_adt::{AdtObject, AdtSpec, AdtType, OpCall, SemanticObject};
 use sbcc_graph::EdgeKind;
 use ssi::SsiTable;
@@ -586,174 +586,6 @@ impl ShardedKernel {
         result
     }
 
-    /// Grouped submission by global object id: resolves every call's shard
-    /// through the directory, enrolls in each touched shard, then runs
-    /// [`Self::request_batch_enrolled`].
-    pub fn request_batch(
-        &self,
-        txn: TxnId,
-        calls: Vec<BatchCall>,
-    ) -> Result<BatchOutcome, CoreError> {
-        let locs = calls
-            .iter()
-            .map(|bc| {
-                self.object_loc(bc.object)
-                    .ok_or_else(|| CoreError::UnknownObject(format!("{}", bc.object)))
-            })
-            .collect::<Result<Vec<ObjectLoc>, CoreError>>()?;
-        for run in locs.chunk_by(|a, b| a.shard == b.shard) {
-            self.ensure_enrolled(txn, run[0].shard, "submit a batch")?;
-        }
-        self.request_batch_enrolled(txn, calls, &locs)
-    }
-
-    /// Grouped submission across shards for a transaction the caller has
-    /// already enrolled in every touched shard (`locs[i]` must locate
-    /// `calls[i].object`). The batch is split into maximal same-shard
-    /// runs, each classified by its shard in one pass
-    /// ([`SchedulerKernel::request_batch`]), strictly in submission order.
-    /// The documented partial-admission semantics of [`BatchOutcome`] are
-    /// preserved: indices in the outcome refer to the submitted batch, and
-    /// a blocking or aborting terminator hands back the unprocessed suffix
-    /// (including the untouched later runs).
-    pub fn request_batch_enrolled(
-        &self,
-        txn: TxnId,
-        mut calls: Vec<BatchCall>,
-        locs: &[ObjectLoc],
-    ) -> Result<BatchOutcome, CoreError> {
-        assert_eq!(calls.len(), locs.len(), "one location per call");
-        if calls.is_empty() {
-            // Mirror the kernel's validation without enrolling anywhere.
-            let enroll = self.enroll.lock();
-            if !enroll.live.contains_key(&txn) {
-                return Err(Self::missing_txn_error(&enroll, txn, "submit a batch"));
-            }
-            return Ok(BatchOutcome {
-                executed: Vec::new(),
-                commit_deps: Vec::new(),
-                stopped: None,
-            });
-        }
-        self.ssi.note_batch(txn);
-        let total = calls.len();
-        let mut executed = Vec::with_capacity(total);
-        let mut all_deps: Vec<TxnId> = Vec::new();
-        let mut start = 0usize;
-        while start < total {
-            let shard = locs[start].shard;
-            let mut end = start + 1;
-            while end < total && locs[end].shard == shard {
-                end += 1;
-            }
-            // Localize the run by moving the payloads out of the original
-            // slots (the suffix after a stop is reconstructed below).
-            let run: Vec<BatchCall> = (start..end)
-                .map(|i| {
-                    BatchCall::new(
-                        locs[i].local,
-                        std::mem::replace(&mut calls[i].call, OpCall::nullary(0)),
-                    )
-                })
-                .collect();
-            let (result, fx) = {
-                let mut kernel = self.lock_shard(shard);
-                let result = kernel.request_batch(txn, run);
-                let fx = drain_fx(&mut kernel);
-                (result, fx)
-            };
-            let outcome = match result {
-                Ok(o) => o,
-                Err(e) => {
-                    self.absorb(shard, None, fx);
-                    return Err(e);
-                }
-            };
-            executed.extend(outcome.executed);
-            all_deps.extend(outcome.commit_deps);
-            let stopped = match outcome.stopped {
-                None => {
-                    self.absorb(shard, None, fx);
-                    start = end;
-                    continue;
-                }
-                Some(s) => s,
-            };
-            all_deps.sort_unstable();
-            all_deps.dedup();
-            let (index, rest_local, requester, stop) = match stopped {
-                BatchStop::Blocked {
-                    index,
-                    waiting_on,
-                    rest,
-                } => {
-                    let g = start + index;
-                    (
-                        g,
-                        rest,
-                        None,
-                        BatchStop::Blocked {
-                            index: g,
-                            waiting_on,
-                            rest: Vec::new(),
-                        },
-                    )
-                }
-                BatchStop::Aborted {
-                    index,
-                    reason,
-                    rest,
-                } => {
-                    let g = start + index;
-                    (
-                        g,
-                        rest,
-                        Some((txn, reason)),
-                        BatchStop::Aborted {
-                            index: g,
-                            reason,
-                            rest: Vec::new(),
-                        },
-                    )
-                }
-            };
-            // Re-globalize the run's unprocessed suffix, then append the
-            // untouched later runs.
-            let mut rest_out: Vec<BatchCall> = rest_local
-                .into_iter()
-                .enumerate()
-                .map(|(i, bc)| BatchCall::new(calls[index + 1 + i].object, bc.call))
-                .collect();
-            rest_out.extend(calls.drain(end..));
-            self.absorb(shard, requester, fx);
-            let stop = match stop {
-                BatchStop::Blocked {
-                    index, waiting_on, ..
-                } => BatchStop::Blocked {
-                    index,
-                    waiting_on,
-                    rest: rest_out,
-                },
-                BatchStop::Aborted { index, reason, .. } => BatchStop::Aborted {
-                    index,
-                    reason,
-                    rest: rest_out,
-                },
-            };
-            return Ok(BatchOutcome {
-                executed,
-                commit_deps: all_deps,
-                stopped: Some(stop),
-            });
-        }
-        all_deps.sort_unstable();
-        all_deps.dedup();
-        Ok(BatchOutcome {
-            executed,
-            commit_deps: all_deps,
-            stopped: None,
-        })
-    }
     // ------------------------------------------------------------------
     // Observability and validation
     // ------------------------------------------------------------------

@@ -325,23 +325,6 @@ impl SsiTable {
         }
     }
 
-    /// Batched classified submission by a snapshot transaction: marked
-    /// in-conflict unconditionally (a documented simplification — the
-    /// per-call outcomes inside a batch are not individually re-derived
-    /// here, so the conservative flag stands in for all of them).
-    #[inline]
-    pub(super) fn note_batch(&self, txn: TxnId) {
-        if !self.enabled() {
-            return;
-        }
-        let mut ssi = self.state.lock();
-        if let Some(rec) = ssi.txns.get_mut(&txn) {
-            if rec.snapshot {
-                rec.in_conflict = true;
-            }
-        }
-    }
-
     /// Record that `txn` pseudo-committed: from here on it can no longer
     /// be chosen as a dangerous-structure victim (the in-hand transaction
     /// aborts instead).

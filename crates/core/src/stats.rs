@@ -16,9 +16,8 @@ pub struct KernelStats {
     /// submission.
     pub requests: u64,
     /// Grouped submission passes ([`crate::SchedulerKernel::request_batch`]).
-    /// A batch whose blocked terminator later settles is resumed by the
-    /// session layer as a fresh pass over the remaining calls, which counts
-    /// again here.
+    /// Kernel-only: no session submits a batch, so on a database this and
+    /// `batched_calls` stay 0.
     pub batches: u64,
     /// Calls *processed* by batch passes: each counts one request, so this
     /// is always a subset of `requests` (a blocked batch's unprocessed

@@ -93,8 +93,8 @@ pub struct PendingRequest {
 
 /// One element of a grouped submission: an operation call aimed at a
 /// specific object. A batch is an ordered `Vec<BatchCall>` handed to
-/// [`crate::SchedulerKernel::request_batch`] (or built through the
-/// [`crate::db::Batch`] session builder).
+/// [`crate::SchedulerKernel::request_batch`]; the sessions above the
+/// kernel submit one call at a time.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchCall {
     /// Object the call targets.

@@ -8,11 +8,7 @@
 //! * a conflict-free `T8` (eight increments of a private counter, then
 //!   commit; history off) allocates no more per transaction through
 //!   [`Database`] than through [`AsyncDatabase`], and no more than
-//!   `BLOCKING_T8_CEILING`, at 1 and at 4 shards;
-//! * the same eight increments submitted as one batch (batched `T8`)
-//!   allocate no more through [`Database`] than through
-//!   [`AsyncDatabase`], and exactly `BLOCKING_BATCHED_T8` times through
-//!   [`Database`], at 1 and at 4 shards.
+//!   `BLOCKING_T8_CEILING`, at 1 and at 4 shards.
 //!
 //! Counts are per thread, because the tests of one binary run in parallel.
 //! Counts do not drift with the load of the machine, unlike times.
@@ -79,11 +75,6 @@ const T8_OPS: usize = 8;
 /// The blocking `T8`'s allocations per transaction. A change that moves
 /// this count updates it here and names the move and its cause.
 const BLOCKING_T8_CEILING: f64 = 35.0;
-/// The blocking batched `T8`'s allocations per transaction, pinned. It
-/// was 49 while the session copied the batch's locations before each
-/// kernel pass; the kernel now borrows them, and the session drops an
-/// executed prefix in place.
-const BLOCKING_BATCHED_T8: f64 = 48.0;
 
 fn config(shards: usize) -> DatabaseConfig {
     DatabaseConfig::new(SchedulerConfig::default().with_history(false)).with_shards(shards)
@@ -103,28 +94,6 @@ fn async_t8(db: &AsyncDatabase, counter: &Handle<Counter>) {
         for _ in 0..T8_OPS {
             txn.exec(counter, CounterOp::Increment(1)).await.unwrap();
         }
-        txn.commit().await.unwrap();
-    });
-}
-
-fn sync_batched_t8(db: &Database, counter: &Handle<Counter>) {
-    let txn = db.begin();
-    let mut batch = txn.batch();
-    for _ in 0..T8_OPS {
-        batch.add_op(counter, CounterOp::Increment(1));
-    }
-    batch.submit().unwrap();
-    txn.commit().unwrap();
-}
-
-fn async_batched_t8(db: &AsyncDatabase, counter: &Handle<Counter>) {
-    block_on(async {
-        let txn = db.begin();
-        let mut batch = txn.batch();
-        for _ in 0..T8_OPS {
-            batch.add_op(counter, CounterOp::Increment(1));
-        }
-        batch.submit().await.unwrap();
         txn.commit().await.unwrap();
     });
 }
@@ -171,30 +140,6 @@ fn blocking_t8_allocates_no_more_than_async_t8() {
             blocking <= BLOCKING_T8_CEILING,
             "{shards} shard(s): a blocking T8 makes {blocking:.2} allocations, \
              over the ceiling of {BLOCKING_T8_CEILING}"
-        );
-    }
-}
-
-#[test]
-fn blocking_batched_t8_allocates_no_more_than_async_and_is_pinned() {
-    for shards in [1, 4] {
-        let db = Database::with_config(config(shards));
-        let counter = db.register("c", Counter::new());
-        let blocking = per_txn(db, &counter, sync_batched_t8);
-
-        let db = AsyncDatabase::with_config(config(shards));
-        let counter = db.register("c", Counter::new());
-        let futures = per_txn(db, &counter, async_batched_t8);
-
-        println!("{shards} shard(s): Database {blocking:.2}, AsyncDatabase {futures:.2} allocations per batched T8");
-        assert!(
-            blocking <= futures,
-            "{shards} shard(s): a blocking batched T8 makes {blocking:.2} allocations, \
-             the async one it wraps {futures:.2}"
-        );
-        assert_eq!(
-            blocking, BLOCKING_BATCHED_T8,
-            "{shards} shard(s): a blocking batched T8 makes {blocking:.2} allocations"
         );
     }
 }

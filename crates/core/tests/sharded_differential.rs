@@ -17,8 +17,8 @@ use common::{arb_call_for, register_objects, N_OBJECTS};
 use proptest::prelude::*;
 use sbcc_adt::{AdtOp, Counter, CounterOp, OpCall, Stack, StackOp, Value};
 use sbcc_core::{
-    shard_of_name, BatchCall, BatchStop, ConflictPolicy, DatabaseConfig, KernelEvent, KernelStats,
-    ObjectId, RequestOutcome, SchedulerConfig, SchedulerKernel, ShardedKernel, TxnId, TxnState,
+    shard_of_name, ConflictPolicy, DatabaseConfig, KernelEvent, KernelStats, ObjectId,
+    RequestOutcome, SchedulerConfig, SchedulerKernel, ShardedKernel, TxnId, TxnState,
 };
 use std::collections::{HashMap, VecDeque};
 
@@ -58,13 +58,6 @@ impl Driver {
         match self {
             Driver::Single(k) => k.request(txn, object, call).unwrap(),
             Driver::Sharded(k) => k.request(txn, object, call).unwrap(),
-        }
-    }
-
-    fn request_batch(&mut self, txn: TxnId, calls: Vec<BatchCall>) -> sbcc_core::BatchOutcome {
-        match self {
-            Driver::Single(k) => k.request_batch(txn, calls).unwrap(),
-            Driver::Sharded(k) => k.request_batch(txn, calls).unwrap(),
         }
     }
 
@@ -155,14 +148,11 @@ enum DriverState {
     Done,
 }
 
-/// Drive a kernel with the chunked scripts; `batched` submits each chunk
-/// through `request_batch` (exercising the per-shard batch split) instead
-/// of call by call.
+/// Drive a kernel with the chunked scripts, call by call.
 fn run_chunked(
     scripts: &[Vec<Vec<(usize, OpCall)>>],
     config: SchedulerConfig,
     shards: Option<usize>,
-    batched: bool,
 ) -> (
     HashMap<(usize, usize), String>,
     Vec<String>,
@@ -241,61 +231,25 @@ fn run_chunked(
                     }
                 }
             }
-            if batched {
-                let calls: Vec<BatchCall> = current[i]
-                    .drain(..)
-                    .map(|(object, call)| BatchCall::new(objects[object], call))
-                    .collect();
-                let outcome = driver.request_batch(txns[i], calls);
+            while !current[i].is_empty() {
+                let (object, call) = current[i].remove(0);
+                let outcome = driver.request(txns[i], objects[object], call);
                 pump_events!();
-                for result in &outcome.executed {
-                    results.insert((i, next_op[i]), format!("{result}"));
-                    next_op[i] += 1;
-                }
-                match outcome.stopped {
-                    None => {}
-                    Some(BatchStop::Blocked {
-                        waiting_on, rest, ..
-                    }) => {
+                match outcome {
+                    RequestOutcome::Executed { result, .. } => {
+                        results.insert((i, next_op[i]), format!("{result}"));
+                        next_op[i] += 1;
+                    }
+                    RequestOutcome::Blocked { waiting_on } => {
                         decisions.push(format!("blocked {i} on {waiting_on:?}"));
                         state[i] = DriverState::Waiting;
-                        current[i] = rest
-                            .into_iter()
-                            .map(|bc| {
-                                let object = objects
-                                    .iter()
-                                    .position(|o| *o == bc.object)
-                                    .expect("known object");
-                                (object, bc.call)
-                            })
-                            .collect();
+                        break;
                     }
-                    Some(BatchStop::Aborted { reason, .. }) => {
+                    RequestOutcome::Aborted { reason } => {
                         decisions.push(format!("aborted {i}: {reason}"));
                         state[i] = DriverState::Done;
-                    }
-                }
-            } else {
-                while !current[i].is_empty() {
-                    let (object, call) = current[i].remove(0);
-                    let outcome = driver.request(txns[i], objects[object], call);
-                    pump_events!();
-                    match outcome {
-                        RequestOutcome::Executed { result, .. } => {
-                            results.insert((i, next_op[i]), format!("{result}"));
-                            next_op[i] += 1;
-                        }
-                        RequestOutcome::Blocked { waiting_on } => {
-                            decisions.push(format!("blocked {i} on {waiting_on:?}"));
-                            state[i] = DriverState::Waiting;
-                            break;
-                        }
-                        RequestOutcome::Aborted { reason } => {
-                            decisions.push(format!("aborted {i}: {reason}"));
-                            state[i] = DriverState::Done;
-                            current[i].clear();
-                            break;
-                        }
+                        current[i].clear();
+                        break;
                     }
                 }
             }
@@ -312,17 +266,6 @@ fn run_chunked(
     (results, decisions, fates, driver)
 }
 
-/// Strip the counters that legitimately differ between the systems:
-/// `batches` (a cross-shard batch counts one kernel pass per touched
-/// shard). Both keep one dependency graph, so `graph_edges` must agree.
-fn comparable(stats: &KernelStats) -> KernelStats {
-    KernelStats {
-        batches: 0,
-        batched_calls: 0,
-        ..stats.clone()
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -336,7 +279,6 @@ proptest! {
         shards in 2usize..5,
         fair in any::<bool>(),
         policy_choice in any::<bool>(),
-        batched in any::<bool>(),
     ) {
         let policy = if policy_choice {
             ConflictPolicy::Recoverability
@@ -348,18 +290,14 @@ proptest! {
             .with_fair_scheduling(fair);
 
         let (r_one, d_one, f_one, mut one) =
-            run_chunked(&scripts, config.clone(), None, batched);
+            run_chunked(&scripts, config.clone(), None);
         let (r_sh, d_sh, f_sh, mut sh) =
-            run_chunked(&scripts, config, Some(shards), batched);
+            run_chunked(&scripts, config, Some(shards));
 
         prop_assert_eq!(r_one, r_sh, "per-operation results diverge");
         prop_assert_eq!(d_one, d_sh, "scheduling decisions diverge");
         prop_assert_eq!(f_one, f_sh, "transaction fates diverge");
-        prop_assert_eq!(
-            comparable(&one.stats()),
-            comparable(&sh.stats()),
-            "kernel statistics diverge"
-        );
+        prop_assert_eq!(one.stats(), sh.stats(), "kernel statistics diverge");
         prop_assert_eq!(one.cycle_checks(), sh.cycle_checks(), "cycle checks diverge");
         for object in (0..N_OBJECTS as u32).map(ObjectId) {
             prop_assert!(
@@ -435,8 +373,8 @@ fn retry_order_within_a_drain_is_the_only_divergence_of_case_127() {
         .with_policy(ConflictPolicy::CommutativityOnly)
         .with_fair_scheduling(false);
 
-    let (r_one, d_one, f_one, mut one) = run_chunked(&scripts, config.clone(), None, false);
-    let (r_sh, d_sh, f_sh, mut sh) = run_chunked(&scripts, config, Some(3), false);
+    let (r_one, d_one, f_one, mut one) = run_chunked(&scripts, config.clone(), None);
+    let (r_sh, d_sh, f_sh, mut sh) = run_chunked(&scripts, config, Some(3));
 
     let released = d_one
         .iter()
@@ -453,7 +391,7 @@ fn retry_order_within_a_drain_is_the_only_divergence_of_case_127() {
 
     assert_eq!(r_one, r_sh, "per-operation results diverge");
     assert_eq!(f_one, f_sh, "transaction fates diverge");
-    assert_eq!(comparable(&one.stats()), comparable(&sh.stats()));
+    assert_eq!(one.stats(), sh.stats());
     for object in (0..N_OBJECTS as u32).map(ObjectId) {
         assert!(
             sh.committed_state_eq(object, &one),

@@ -389,105 +389,6 @@ fn group_commit_acknowledged_commits_survive_a_crash() {
 }
 
 // ---------------------------------------------------------------------
-// Batches: group-commit durability equals the per-op path.
-// ---------------------------------------------------------------------
-
-/// Transaction `k` of the same workload, submitted as one batch (all
-/// calls through [`sbcc_core::Batch::submit`]) instead of per-op execs.
-fn run_txn_batched(db: &Database, objects: &Objects, k: usize) {
-    let txn = db.begin();
-    let v = Value::Int(k as i64);
-    let mut batch = txn.batch();
-    if k % 3 == 2 {
-        batch.add_call(
-            &objects.stacks[k % STACKS],
-            StackOp::Push(v.clone()).to_call(),
-        );
-        batch.add_call(
-            &objects.stacks[(k + 1) % STACKS],
-            StackOp::Push(v).to_call(),
-        );
-        batch.add_call(&objects.hits, CounterOp::Increment(1).to_call());
-        assert_eq!(batch.submit().unwrap().len(), 3);
-    } else {
-        batch.add_call(
-            &objects.stacks[k % STACKS],
-            StackOp::Push(v.clone()).to_call(),
-        );
-        batch.add_call(&objects.stacks[k % STACKS], StackOp::Top.to_call());
-        let results = batch.submit().unwrap();
-        assert_eq!(results.last(), Some(&sbcc_adt::OpResult::Value(v)));
-    }
-    assert_eq!(txn.commit().unwrap(), CommitOutcome::Committed);
-}
-
-/// A batch workload under group commit, killed mid-flight, must recover
-/// to exactly the state a per-op exec reference run of the same committed
-/// prefix shows — the log records executed operations, not submission
-/// granularity, so the two are indistinguishable at recovery. Two kill
-/// points: a live-copy image (every acknowledged commit flushed, the
-/// group-commit flusher possibly mid-pass) and an image cut back to the
-/// log's length before the final multi-shard commit (killed before the
-/// flush that would have covered it).
-#[test]
-fn batches_killed_mid_group_commit_recover_to_per_op_replay() {
-    let dir = ScratchDir::new("batch-group");
-    let wal = WalConfig::new(dir.path()).with_fsync(FsyncPolicy::GroupCommit);
-    let db = Database::with_config(config(4, Some(wal)));
-    let objects = register_all(&db);
-
-    let log_file = sbcc_wal::log_path(dir.path());
-    for k in 0..TXNS - 1 {
-        run_txn_batched(&db, &objects, k);
-    }
-    // The final transaction is multi-shard (TXNS-1 ≡ 2 mod 3). Every
-    // commit above was acknowledged, so flushed: record the log's length
-    // before the tail commit so a cut can drop exactly that commit.
-    assert_eq!((TXNS - 1) % 3, 2, "the cut needs a multi-shard tail");
-    let len_before = std::fs::metadata(&log_file).unwrap().len();
-    run_txn_batched(&db, &objects, TXNS - 1);
-
-    // Kill point A: copy the live directory. Every commit above was
-    // acknowledged, and a group-commit acknowledgement is a durability
-    // promise, so the full workload must recover.
-    let image = ScratchDir::new("batch-group-image");
-    copy_dir(dir.path(), image.path());
-    let (_s, recovered) = recover(image.path(), 4);
-    assert_eq!(recovered.stats().commits, TXNS as u64);
-
-    let reference = Database::with_config(config(4, None));
-    let ref_objects = register_all(&reference);
-    for k in 0..TXNS {
-        run_txn(&reference, &ref_objects, k);
-    }
-    assert_eq!(
-        digests(&recovered),
-        digests(&reference),
-        "batch recovery must equal the per-op reference run"
-    );
-
-    // Kill point B: the flush covering the tail commit never landed.
-    // Recovery keeps exactly the first TXNS-1 commits and equals the
-    // per-op prefix run.
-    let image_b = ScratchDir::new("batch-group-image-b");
-    copy_dir(dir.path(), image_b.path());
-    truncate(&sbcc_wal::log_path(image_b.path()), len_before);
-    let (_s2, rec_b) = recover(image_b.path(), 4);
-    assert_eq!(rec_b.stats().commits, (TXNS - 1) as u64);
-    let ref_prefix = Database::with_config(config(4, None));
-    let ref_prefix_objects = register_all(&ref_prefix);
-    for k in 0..TXNS - 1 {
-        run_txn(&ref_prefix, &ref_prefix_objects, k);
-    }
-    assert_eq!(
-        digests(&rec_b),
-        digests(&ref_prefix),
-        "the unflushed tail commit must vanish whole"
-    );
-    drop(db);
-}
-
-// ---------------------------------------------------------------------
 // Multi-shard commits: all-or-nothing under a torn record.
 // ---------------------------------------------------------------------
 
@@ -684,6 +585,78 @@ fn durable_databases_refuse_unreconstructible_registrations() {
     plain
         .register_object("full", Box::new(AdtObject::new(populated)))
         .unwrap();
+}
+
+// ---------------------------------------------------------------------
+// Replay refuses a log it cannot reproduce.
+// ---------------------------------------------------------------------
+
+/// Write a log holding a `hits` counter registration and one commit of
+/// `ops`, through the log crate itself, so the records can say what no
+/// database would have written.
+fn write_log(dir: &Path, ops: Vec<sbcc_wal::LoggedOp>) {
+    let (wal, records) = sbcc_wal::Wal::open(&wal_always(dir), 1, None).unwrap();
+    assert!(records.is_empty());
+    wal.append_register("hits", Counter::TYPE_NAME);
+    wal.append_commit(0, None, &ops);
+}
+
+/// Opening `dir` must fail with a durability error whose message names
+/// `object` and contains `reason`.
+fn assert_refused(dir: &Path, object: &str, reason: &str) {
+    for shards in [1, 4] {
+        match Database::try_with_config(config(shards, Some(wal_always(dir)))) {
+            Err(CoreError::Durability(msg)) => {
+                assert!(msg.contains(&format!("{object:?}")), "{msg}");
+                assert!(msg.contains(reason), "{msg}");
+            }
+            Err(other) => panic!("expected a Durability error, got {other:?}"),
+            Ok(_) => panic!("a log naming {object:?} replayed at {shards} shard(s)"),
+        }
+    }
+}
+
+#[test]
+fn replay_refuses_a_commit_whose_logged_result_differs() {
+    let dir = ScratchDir::new("diverged");
+    write_log(
+        dir.path(),
+        vec![
+            sbcc_wal::LoggedOp {
+                object: "hits".to_owned(),
+                call: CounterOp::Increment(2).to_call(),
+                result: sbcc_adt::OpResult::Ok,
+            },
+            // The counter reads 2 here; the record claims 3.
+            sbcc_wal::LoggedOp {
+                object: "hits".to_owned(),
+                call: CounterOp::Read.to_call(),
+                result: sbcc_adt::OpResult::Value(Value::Int(3)),
+            },
+        ],
+    );
+    assert_refused(dir.path(), "hits", "replay diverged");
+}
+
+#[test]
+fn replay_refuses_a_commit_naming_an_unregistered_object() {
+    let dir = ScratchDir::new("unregistered");
+    write_log(
+        dir.path(),
+        vec![
+            sbcc_wal::LoggedOp {
+                object: "hits".to_owned(),
+                call: CounterOp::Increment(1).to_call(),
+                result: sbcc_adt::OpResult::Ok,
+            },
+            sbcc_wal::LoggedOp {
+                object: "ghost".to_owned(),
+                call: StackOp::Top.to_call(),
+                result: sbcc_adt::OpResult::Null,
+            },
+        ],
+    );
+    assert_refused(dir.path(), "ghost", "unregistered object");
 }
 
 // ---------------------------------------------------------------------

@@ -10,9 +10,6 @@
 //! * Under recoverability, `insert` and `delete` are recoverable relative to
 //!   `size`: tellers proceed immediately and merely commit after the audit.
 //!
-//! Each teller submits its two operations as one batch — one kernel pass,
-//! one lock acquisition per teller transaction.
-//!
 //! Run with: `cargo run --example banking_audit`
 
 use sbcc::prelude::*;
@@ -26,16 +23,16 @@ fn run(policy: ConflictPolicy) -> (u64, u64) {
     );
     let accounts = db.register("accounts", TableObject::new());
 
-    // Seed a few accounts with one batched setup transaction.
+    // Seed a few accounts with one setup transaction.
     let setup = db.begin();
-    let mut seed = setup.batch();
     for i in 0..4 {
-        seed.add_op(
-            &accounts,
-            TableOp::Insert(Value::Int(i), Value::Int(1_000 + i)),
-        );
+        setup
+            .exec(
+                &accounts,
+                TableOp::Insert(Value::Int(i), Value::Int(1_000 + i)),
+            )
+            .unwrap();
     }
-    seed.submit().unwrap();
     setup.commit().unwrap();
 
     // The long-running audit: count the accounts, then look at some balances.
@@ -52,21 +49,19 @@ fn run(policy: ConflictPolicy) -> (u64, u64) {
         let accounts = accounts.clone();
         tellers.push(std::thread::spawn(move || {
             let t = db.begin();
-            t.batch()
-                // Open a new account (recoverable relative to the audit's
-                // size).
-                .op(
-                    &accounts,
-                    TableOp::Insert(Value::Int(100 + teller), Value::Int(500)),
-                )
-                // Adjust an untouched balance (commutes with the audit's
-                // lookup of account 1 because the keys differ).
-                .op(
-                    &accounts,
-                    TableOp::Modify(Value::Int(2), Value::Int(2_000 + teller)),
-                )
-                .submit()
-                .unwrap();
+            // Open a new account (recoverable relative to the audit's size).
+            t.exec(
+                &accounts,
+                TableOp::Insert(Value::Int(100 + teller), Value::Int(500)),
+            )
+            .unwrap();
+            // Adjust an untouched balance (commutes with the audit's lookup
+            // of account 1 because the keys differ).
+            t.exec(
+                &accounts,
+                TableOp::Modify(Value::Int(2), Value::Int(2_000 + teller)),
+            )
+            .unwrap();
             let outcome = t.commit().unwrap();
             outcome.is_pseudo_commit()
         }));

@@ -1,10 +1,8 @@
 //! A multithreaded job pipeline: many producers, one consumer, one metrics
 //! counter — all as transactions on atomic data types.
 //!
-//! Producers append jobs to a FIFO queue and bump a counter **in one
-//! batched submission**: both operations are classified against the log
-//! index in a single kernel pass under a single lock acquisition, instead
-//! of one round-trip each. Under recoverability the producers never block
+//! Producers append jobs to a FIFO queue and bump a counter in one
+//! transaction. Under recoverability the producers never block
 //! each other (enqueue is recoverable relative to enqueue, increments
 //! commute), while the consumer — whose `dequeue` genuinely observes
 //! state — waits only as long as uncommitted producers exist.
@@ -25,8 +23,7 @@ fn main() {
 
     let blocked_producer_ops = Arc::new(AtomicU64::new(0));
 
-    // Producers: each job is its own transaction (enqueue + increment),
-    // submitted as one two-call batch.
+    // Producers: each job is its own transaction (enqueue + increment).
     let mut handles = Vec::new();
     for p in 0..PRODUCERS {
         let db = db.clone();
@@ -38,11 +35,9 @@ fn main() {
                 let job_id = (p as i64) * 1_000 + j;
                 let t = db.begin();
                 let before = db.stats().blocks;
-                t.batch()
-                    .op(&queue, QueueOp::Enqueue(Value::Int(job_id)))
-                    .op(&submitted, CounterOp::Increment(1))
-                    .submit()
+                t.exec(&queue, QueueOp::Enqueue(Value::Int(job_id)))
                     .unwrap();
+                t.exec(&submitted, CounterOp::Increment(1)).unwrap();
                 if db.stats().blocks > before {
                     blocked.fetch_add(1, Ordering::Relaxed);
                 }
@@ -87,13 +82,11 @@ fn main() {
     let stats = db.stats();
     println!(
         "stats: {} commits, {} pseudo-commits, {} blocks, {} commit dependencies, \
-         {} batches ({} calls), {} cycle checks",
+         {} cycle checks",
         stats.commits,
         stats.pseudo_commits,
         stats.blocks,
         stats.commit_dependencies,
-        stats.batches,
-        stats.batched_calls,
         db.cycle_checks()
     );
 }

@@ -74,11 +74,11 @@ pub mod prelude {
         SetOp, Stack, StackOp, TableEntry, TableObject, TableOp, Value,
     };
     pub use crate::core::{
-        AbortReason, AsyncBatch, AsyncDatabase, AsyncTransaction, Batch, BatchCall, BatchOutcome,
-        BatchStop, CommitOutcome, ConflictPolicy, CoreError, Database, DatabaseConfig, Handle,
-        KernelEvent, KernelStats, LocalExecutor, ObjectHandle, ObjectId, RecoveryStrategy,
-        RequestOutcome, SchedulerConfig, SchedulerKernel, ShardCount, ShardedKernel, StatsSnapshot,
-        Transaction, TxnId, TxnState,
+        AbortReason, AsyncDatabase, AsyncTransaction, BatchCall, BatchOutcome, BatchStop,
+        CommitOutcome, ConflictPolicy, CoreError, Database, DatabaseConfig, Handle, KernelEvent,
+        KernelStats, LocalExecutor, ObjectHandle, ObjectId, RecoveryStrategy, RequestOutcome,
+        SchedulerConfig, SchedulerKernel, ShardCount, ShardedKernel, StatsSnapshot, Transaction,
+        TxnId, TxnState,
     };
     pub use crate::graph::{DependencyGraph, EdgeKind};
     pub use crate::sim::{DataModel, ResourceMode, SimParams, SimulationResult, Simulator};

@@ -49,16 +49,16 @@ fn concurrent_bank_transfers_preserve_the_total_balance() {
     let n_accounts = 6i64;
     let initial_balance = 100i64;
 
-    // Seed through a batched setup session.
+    // Seed through a setup session.
     let setup = db.begin();
-    let mut seed = setup.batch();
     for a in 0..n_accounts {
-        seed.add_op(
-            &accounts,
-            TableOp::Insert(Value::Int(a), Value::Int(initial_balance)),
-        );
+        setup
+            .exec(
+                &accounts,
+                TableOp::Insert(Value::Int(a), Value::Int(initial_balance)),
+            )
+            .unwrap();
     }
-    seed.submit().unwrap();
     setup.commit().unwrap();
 
     let retries = Arc::new(AtomicI64::new(0));
@@ -126,17 +126,14 @@ fn try_transfer(
         OpResult::Value(Value::Int(v)) => v,
         other => panic!("unexpected lookup result {other:?}"),
     };
-    // The two updates go out as one batched submission.
-    txn.batch()
-        .op(
-            accounts,
-            TableOp::Modify(Value::Int(from), Value::Int(from_balance - amount)),
-        )
-        .op(
-            accounts,
-            TableOp::Modify(Value::Int(to), Value::Int(to_balance + amount)),
-        )
-        .submit()?;
+    txn.exec(
+        accounts,
+        TableOp::Modify(Value::Int(from), Value::Int(from_balance - amount)),
+    )?;
+    txn.exec(
+        accounts,
+        TableOp::Modify(Value::Int(to), Value::Int(to_balance + amount)),
+    )?;
     txn.commit()?;
     Ok(())
 }
@@ -152,14 +149,14 @@ fn concurrent_transfers_through_the_run_helper_always_complete() {
     let initial_balance = 100i64;
 
     let setup = db.begin();
-    let mut seed = setup.batch();
     for a in 0..n_accounts {
-        seed.add_op(
-            &accounts,
-            TableOp::Insert(Value::Int(a), Value::Int(initial_balance)),
-        );
+        setup
+            .exec(
+                &accounts,
+                TableOp::Insert(Value::Int(a), Value::Int(initial_balance)),
+            )
+            .unwrap();
     }
-    seed.submit().unwrap();
     setup.commit().unwrap();
 
     std::thread::scope(|scope| {
@@ -221,8 +218,7 @@ fn mixed_producers_and_auditors_on_sets_and_stacks() {
 
     std::thread::scope(|scope| {
         // Producers push log entries and insert into the set — all
-        // recoverable or commutative, so they never block each other. Each
-        // producer transaction is one two-call batch.
+        // recoverable or commutative, so they never block each other.
         for p in 0..4i64 {
             let db = db.clone();
             let log = log.clone();
@@ -231,11 +227,8 @@ fn mixed_producers_and_auditors_on_sets_and_stacks() {
                 for i in 0..30 {
                     let t = db.begin();
                     let id = p * 1_000 + i;
-                    t.batch()
-                        .op(&log, StackOp::Push(Value::Int(id)))
-                        .op(&seen, SetOp::Insert(Value::Int(id)))
-                        .submit()
-                        .unwrap();
+                    t.exec(&log, StackOp::Push(Value::Int(id))).unwrap();
+                    t.exec(&seen, SetOp::Insert(Value::Int(id))).unwrap();
                     t.commit().unwrap();
                 }
             });

@@ -28,20 +28,17 @@ fn database_round_trip_across_all_data_types() {
     let page = db.register("page", Page::new());
     let queue = db.register("queue", FifoQueue::new());
 
-    // One typed session writing every data type — as a single batched
-    // submission (one kernel pass, one lock acquisition).
+    // One typed session writing every data type.
     let t = db.begin();
-    let results = t
-        .batch()
-        .op(&stack, StackOp::Push(Value::Int(1)))
-        .op(&set, SetOp::Insert(Value::Int(2)))
-        .op(&counter, CounterOp::Increment(3))
-        .op(&table, TableOp::Insert(Value::Int(4), Value::str("four")))
-        .op(&page, PageOp::Write(Value::Int(5)))
-        .op(&queue, QueueOp::Enqueue(Value::Int(6)))
-        .submit()
-        .unwrap();
-    assert_eq!(results.len(), 6);
+    let results = [
+        t.exec(&stack, StackOp::Push(Value::Int(1))),
+        t.exec(&set, SetOp::Insert(Value::Int(2))),
+        t.exec(&counter, CounterOp::Increment(3)),
+        t.exec(&table, TableOp::Insert(Value::Int(4), Value::str("four"))),
+        t.exec(&page, PageOp::Write(Value::Int(5))),
+        t.exec(&queue, QueueOp::Enqueue(Value::Int(6))),
+    ];
+    assert!(results.iter().all(Result::is_ok), "{results:?}");
     assert!(t.commit().unwrap().is_full_commit());
 
     let t2 = db.begin();
@@ -75,20 +72,11 @@ fn database_round_trip_across_all_data_types() {
     db.verify_commit_dependencies().unwrap();
     db.check_invariants().unwrap();
     let stats = db.stats();
-    // One batch pass per *touched shard*: exactly 1 with a single shard,
-    // up to 6 when SBCC_SHARDS spreads the six objects across kernels.
-    assert!(
-        (1..=6).contains(&stats.batches),
-        "unexpected batch pass count {}",
-        stats.batches
-    );
-    assert_eq!(stats.batched_calls, 6);
-    if db.shard_count() == 1 {
-        assert_eq!(
-            stats.batches, 1,
-            "single shard admits the batch in one pass"
-        );
-    }
+    // Six writes and six reads, one kernel request each, at any shard
+    // count.
+    assert_eq!(stats.requests, 12);
+    assert_eq!(stats.batches, 0);
+    assert_eq!(stats.commits, 2);
 }
 
 #[test]
