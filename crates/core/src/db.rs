@@ -257,12 +257,6 @@ impl WaiterSlot {
             }
         }
     }
-
-    /// Take the outcome if one has been delivered (used when a cancelled
-    /// waiter unregisters itself).
-    fn try_take(&self) -> Option<RequestOutcome> {
-        self.state.lock().outcome.take()
-    }
 }
 
 /// The rendezvous state: one map of settled-but-unclaimed outcomes, one map
@@ -273,12 +267,11 @@ struct SessionState {
     /// Outcomes of blocked submissions that settled before their session
     /// registered a waiter slot (another thread's termination raced the
     /// window between the kernel call and [`Database::claim_or_wait`]);
-    /// claimed by the `claim_or_wait` that follows. An outcome drained
-    /// before a waiter's cancellation and inserted after it stays here
-    /// unclaimed: its transaction is aborted and its id never reused.
+    /// claimed by the `claim_or_wait` that follows.
     delivered: HashMap<TxnId, RequestOutcome>,
     /// The waiter slot of every currently waiting invocation, by
-    /// transaction.
+    /// transaction, and of every cancelled one whose outcome is still on
+    /// its way (see [`Database::cancel_wait`]).
     waiters: HashMap<TxnId, Arc<WaiterSlot>>,
 }
 
@@ -322,6 +315,11 @@ pub(crate) struct Session {
     /// knows the transaction is blocked; and a second waiter would
     /// overwrite the session's one waiter slot and strand the first.
     waiting: Cell<bool>,
+    /// Whether this session's last abort took the transaction's blocked
+    /// request out of its queue ([`ShardedKernel::abort_dequeuing`]). A
+    /// cancelled waiter reads it to learn whether an outcome is still on
+    /// its way to the slot.
+    dequeued: Cell<bool>,
 }
 
 impl Session {
@@ -461,9 +459,10 @@ impl Session {
     }
 
     fn abort_in_kernel(&self) -> Result<(), CoreError> {
-        let result = self.db.shared.kernel.abort(self.id);
+        let result = self.db.shared.kernel.abort_dequeuing(self.id);
         self.db.deliver_events();
-        result
+        self.dequeued.set(matches!(result, Ok(true)));
+        result.map(drop)
     }
 
     /// A future resolving to the settled outcome of the submission that
@@ -537,16 +536,18 @@ impl Drop for Settled<'_> {
         };
         let session = self.session;
         session.waiting.set(false);
-        // Cancelled mid-wait. Unregister the slot first so the abort's own
-        // event delivery does not fill a waiter nobody owns anymore; an
-        // outcome that raced in is deliberately discarded — the caller
-        // abandoned it.
-        if let Err(slot) = wait {
-            let _ = session.db.cancel_wait(session.id, &slot);
-        }
+        // Cancelled mid-wait: abort (unless another clone already did)
+        // with the slot still registered, then settle the slot by what the
+        // abort found. An outcome that reaches the slot is discarded with
+        // it — the caller abandoned it.
         if session.fate.get().is_none() {
             session.fate.set(Some(TxnState::Aborted));
             let _ = session.abort_in_kernel();
+        }
+        if let Err(slot) = wait {
+            session
+                .db
+                .cancel_wait(session.id, &slot, session.dequeued.get());
         }
     }
 }
@@ -786,6 +787,7 @@ impl Database {
             snapshot,
             fate: Cell::new(None),
             waiting: Cell::new(false),
+            dequeued: Cell::new(false),
         }
     }
 
@@ -1106,28 +1108,34 @@ impl Database {
         }
     }
 
-    /// Unregister a waiter that is being cancelled (its future was dropped
-    /// before the outcome arrived). Returns the outcome if the delivery
-    /// raced the cancellation and already filled the slot.
-    fn cancel_wait(&self, txn: TxnId, slot: &Arc<WaiterSlot>) -> Option<RequestOutcome> {
-        {
-            let mut sessions = self.shared.sessions.lock();
-            if let Some(registered) = sessions.waiters.get(&txn) {
-                // Only remove *our* slot: the session may already have
-                // registered a new waiter for a later submission.
-                if Arc::ptr_eq(registered, slot) {
-                    sessions.waiters.remove(&txn);
-                    return None;
-                }
-            }
+    /// Settle the slot of a cancelled waiter whose transaction is now
+    /// aborted. If the abort `dequeued` the blocked request, no outcome
+    /// will ever come, and the slot is unregistered. Otherwise the request
+    /// had settled first, and its outcome is on its way: in the kernel's
+    /// event queue, or drained by a deliverer that has not routed it yet
+    /// (or already in the slot). The slot then stays registered, so the
+    /// late deliverer takes it, fills it and drops it. Unregistered, the
+    /// outcome would land in `delivered`, where nothing ever claims it.
+    /// The session's own abort is the only one that can dequeue its
+    /// request: the kernel refuses a cycle by aborting the requester, and
+    /// the SSI guard aborts only the transaction in hand.
+    fn cancel_wait(&self, txn: TxnId, slot: &Arc<WaiterSlot>, dequeued: bool) {
+        if dequeued {
+            let removed = self.shared.sessions.lock().waiters.remove(&txn);
+            debug_assert!(
+                removed.is_some_and(|r| Arc::ptr_eq(&r, slot)),
+                "a dequeued request's slot is still registered for {txn}"
+            );
         }
-        // The deliverer removed the slot from the map before the lock was
-        // acquired; the outcome (if any) is inside the slot itself.
-        slot.try_take()
     }
 
     fn deliver_events(&self) {
-        let events = self.shared.kernel.drain_events();
+        self.route_events(self.shared.kernel.drain_events());
+    }
+
+    /// The second half of [`Database::deliver_events`]: route drained
+    /// events to the waiter slots of their transactions.
+    fn route_events(&self, events: Vec<KernelEvent>) {
         if events.is_empty() {
             return;
         }
@@ -1656,6 +1664,44 @@ mod tests {
         assert_eq!(db.txn_state(id2), Some(TxnState::Aborted));
         db.verify_serializable().unwrap();
         db.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn an_outcome_drained_before_its_waiter_is_cancelled_is_not_stranded() {
+        // A deliverer drains the outcome of T2's blocked pop; before it
+        // routes it, T2's waiter is cancelled (its future dropped, which
+        // aborts T2). The late routing must leave nothing behind: no
+        // session will ever claim an outcome of T2.
+        for shards in [1, 4] {
+            let db = AsyncDatabase::with_config(
+                DatabaseConfig::new(SchedulerConfig::default()).with_shards(shards),
+            );
+            let s = db.register("s", Stack::new());
+            let t1 = db.database().begin();
+            t1.exec(&s, StackOp::Push(Value::Int(7))).unwrap();
+            let t2 = db.begin();
+            let mut pop = Box::pin(t2.exec(&s, StackOp::Pop));
+            assert!(poll_once(pop.as_mut()).is_pending());
+
+            let inner = db.database();
+            inner.shared.kernel.commit(t1.id()).unwrap();
+            let drained = inner.shared.kernel.drain_events();
+            assert_eq!(drained.len(), 1, "T1's commit settles T2's pop");
+            drop(pop);
+            inner.route_events(drained);
+
+            let sessions = inner.shared.sessions.lock();
+            assert!(
+                sessions.delivered.is_empty(),
+                "{shards} shard(s): stranded outcome"
+            );
+            assert!(
+                sessions.waiters.is_empty(),
+                "{shards} shard(s): stranded slot"
+            );
+            drop(sessions);
+            assert_eq!(db.txn_state(t2.id()), Some(TxnState::Aborted));
+        }
     }
 
     #[test]

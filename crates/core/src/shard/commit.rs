@@ -158,6 +158,16 @@ impl ShardedKernel {
 
     /// Explicitly abort an active or blocked transaction (all shards).
     pub fn abort(&self, txn: TxnId) -> Result<(), CoreError> {
+        self.abort_dequeuing(txn).map(drop)
+    }
+
+    /// [`Self::abort`], reporting whether the abort took the transaction's
+    /// blocked request out of its object's queue, so that request never
+    /// settles. `false` when no request was queued: one that was blocked
+    /// and already retried (executed, or refused) has its
+    /// [`KernelEvent::Unblocked`](crate::KernelEvent::Unblocked)
+    /// published, or about to be.
+    pub(crate) fn abort_dequeuing(&self, txn: TxnId) -> Result<bool, CoreError> {
         let enrolled = self.live_shards(txn, "abort")?;
         self.abort_enrolled(txn, &enrolled, AbortReason::Explicit)
     }
@@ -183,25 +193,28 @@ impl ShardedKernel {
     }
 
     /// Abort a live transaction for `reason` in every shard of `enrolled`
-    /// (as returned by [`Self::live_shards`]). Only ever runs on the
-    /// transaction's own session thread: an explicit abort, or the SSI
-    /// guard refusing the operation in hand.
+    /// (as returned by [`Self::live_shards`]), reporting whether the abort
+    /// dequeued its blocked request (see [`Self::abort_dequeuing`]). Only
+    /// ever runs on the transaction's own session thread: an explicit
+    /// abort, or the SSI guard refusing the operation in hand.
     pub(super) fn abort_enrolled(
         &self,
         txn: TxnId,
         enrolled: &[u32],
         reason: AbortReason,
-    ) -> Result<(), CoreError> {
+    ) -> Result<bool, CoreError> {
         let fate = TermFate::Aborted(reason);
+        let queued_in = |kernel: &SchedulerKernel| kernel.txn_state(txn) == Some(TxnState::Blocked);
         match *enrolled {
             [] => {
                 self.terminate(txn, fate);
-                Ok(())
+                Ok(false)
             }
             [shard] => {
                 let (result, fx) = {
                     let mut kernel = self.lock_shard(shard);
-                    let result = kernel.abort_with(txn, reason);
+                    let queued = queued_in(&kernel);
+                    let result = kernel.abort_with(txn, reason).map(|()| queued);
                     let fx = drain_fx(&mut kernel);
                     (result, fx)
                 };
@@ -212,9 +225,11 @@ impl ShardedKernel {
                 result
             }
             _ => {
+                let mut queued = false;
                 let fxs = {
                     let _termination = self.termination.lock();
                     self.terminate_in_shards(txn, enrolled, None, |k| {
+                        queued |= queued_in(k);
                         k.abort_coordinated(txn, reason)
                     })
                 };
@@ -222,7 +237,7 @@ impl ShardedKernel {
                 for (shard, fx) in fxs {
                     self.absorb(shard, None, fx);
                 }
-                Ok(())
+                Ok(queued)
             }
         }
     }
