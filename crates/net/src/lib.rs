@@ -53,4 +53,4 @@ pub use client::{NetClient, NetError};
 pub use protocol::{
     AdtType, ErrorCode, FrameBuffer, ProtoError, Request, Response, MAX_FRAME_LEN, PROTOCOL_VERSION,
 };
-pub use server::{Server, ServerConfig};
+pub use server::{Server, ServerConfig, MAX_IN_FLIGHT_PER_CONN};

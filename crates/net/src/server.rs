@@ -21,7 +21,7 @@
 //! # Backpressure and admission control
 //!
 //! * **Per-connection in-flight cap**: a [`Request::Begin`] beyond
-//!   [`ServerConfig::max_in_flight_per_conn`] live transactions is shed
+//!   [`MAX_IN_FLIGHT_PER_CONN`] live transactions is shed
 //!   with an [`ErrorCode::Busy`] error frame instead of being queued —
 //!   overload produces explicit, retryable refusals, not an unbounded
 //!   queue.
@@ -76,13 +76,14 @@ pub struct ServerConfig {
     /// Worker threads, each owning a [`LocalExecutor`]; connections are
     /// dealt round-robin.
     pub workers: usize,
-    /// Live-transaction cap per connection; `Begin` beyond it is shed
-    /// with [`ErrorCode::Busy`].
-    pub max_in_flight_per_conn: usize,
     /// Inactivity budget for a connection with live transactions; on
     /// expiry the connection closes and its sessions auto-abort.
     pub read_timeout: Duration,
 }
+
+/// Live-transaction cap per connection; a `Begin` beyond it is shed with
+/// [`ErrorCode::Busy`].
+pub const MAX_IN_FLIGHT_PER_CONN: usize = 32;
 
 /// Reader-thread poll tick: the granularity of timeout checks and
 /// shutdown observation.
@@ -93,7 +94,6 @@ impl Default for ServerConfig {
         ServerConfig {
             addr: "127.0.0.1:0".to_owned(),
             workers: 2,
-            max_in_flight_per_conn: 32,
             read_timeout: Duration::from_secs(5),
         }
     }
@@ -109,12 +109,6 @@ impl ServerConfig {
     /// Replace the worker-thread count (minimum 1).
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
-        self
-    }
-
-    /// Replace the per-connection live-transaction cap (minimum 1).
-    pub fn with_max_in_flight(mut self, cap: usize) -> Self {
-        self.max_in_flight_per_conn = cap.max(1);
         self
     }
 
@@ -821,13 +815,13 @@ fn route(
                 });
             }
             let live = conn.live_txns.load(Ordering::Acquire);
-            if live >= shared.config.max_in_flight_per_conn {
+            if live >= MAX_IN_FLIGHT_PER_CONN {
                 shared.shed_busy.fetch_add(1, Ordering::Relaxed);
                 return Some(Response::Error {
                     code: ErrorCode::Busy,
                     detail: format!(
-                        "{live} transactions in flight on this connection (cap {})",
-                        shared.config.max_in_flight_per_conn
+                        "{live} transactions in flight on this connection \
+                         (cap {MAX_IN_FLIGHT_PER_CONN})"
                     ),
                 });
             }

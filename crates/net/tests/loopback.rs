@@ -7,6 +7,7 @@ use sbcc_core::aio::AsyncDatabase;
 use sbcc_core::{SchedulerConfig, TxnId, TxnState};
 use sbcc_net::{
     AdtType, ErrorCode, NetClient, NetError, ProtoError, Request, Response, Server, ServerConfig,
+    MAX_IN_FLIGHT_PER_CONN,
 };
 use std::net::Shutdown;
 use std::time::{Duration, Instant};
@@ -402,30 +403,28 @@ fn blocked_exec_with_pipelined_commit_is_aborted_on_disconnect() {
 
 #[test]
 fn begin_beyond_in_flight_cap_is_shed_with_busy() {
-    let server = start_server(
-        ServerConfig::default()
-            .with_workers(1)
-            .with_max_in_flight(2),
-    );
+    let server = start_server(ServerConfig::default().with_workers(1));
     let addr = server.local_addr();
 
     let mut client = NetClient::connect(addr, "t").expect("connect");
-    let a = client.begin().unwrap();
-    let b = client.begin().unwrap();
+    let mut live: Vec<_> = (0..MAX_IN_FLIGHT_PER_CONN)
+        .map(|_| client.begin().unwrap())
+        .collect();
     let err = client
         .begin()
-        .expect_err("third concurrent begin must shed");
+        .expect_err("a begin beyond the cap must shed");
     assert!(err.is_busy(), "expected busy shed, got {err}");
     assert!(server.net_stats().shed_busy >= 1);
 
     // Retiring one admits the next — backpressure, not a hard cap.
-    client.abort(a).unwrap();
+    client.abort(live.pop().unwrap()).unwrap();
     wait_until("slot to free", || {
-        server.net_stats().transactions_in_flight < 2
+        server.net_stats().transactions_in_flight < MAX_IN_FLIGHT_PER_CONN as u64
     });
-    let c = client.begin().expect("slot freed by abort");
-    client.abort(b).unwrap();
-    client.abort(c).unwrap();
+    live.push(client.begin().expect("slot freed by abort"));
+    for txn in live {
+        client.abort(txn).unwrap();
+    }
 
     let stats = server.shutdown();
     assert!(stats.shed_busy >= 1);

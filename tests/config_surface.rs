@@ -28,7 +28,6 @@ fn config_structs_have_exactly_the_documented_fields() {
     let ServerConfig {
         addr: _,
         workers: _,
-        max_in_flight_per_conn: _,
         read_timeout: _,
     } = ServerConfig::default();
 }
