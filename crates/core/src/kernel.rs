@@ -12,7 +12,7 @@
 //!   commit dependencies *pseudo-commits*; when a transaction terminates,
 //!   pseudo-committed transactions whose out-degree drops to zero actually
 //!   commit (cascading through chains of dependencies);
-//! * **recovery** (Section 4.4) via intentions lists or replay-based undo;
+//! * **recovery** (Section 4.4) via intentions lists;
 //! * **fair scheduling** (Section 5.2): an incoming request that conflicts
 //!   with a blocked request waits behind it. So a blocked request's
 //!   conflicts can only shrink while it waits, and a termination re-runs
@@ -564,6 +564,10 @@ impl SchedulerKernel {
     /// transaction can terminate mid-batch (a cycle aborts only the
     /// requester, which ends the batch), so the logs it was computed
     /// against only change by the batch's own executions.
+    ///
+    /// Kernel-only: no session above the kernel submits a batch. The
+    /// frozen `bench/` probes `core.kernel.batch_ns_per_call` and
+    /// `pair.batched_over_percall` call it.
     pub fn request_batch(
         &mut self,
         txn: TxnId,
