@@ -681,7 +681,7 @@ pub enum RaceWinner<A, B> {
 /// front-ends: race a session's operation future (left) against a
 /// disconnect notification (right). When the notification wins, dropping
 /// the in-flight operation future triggers this module's cancellation
-/// contract — the waiter slot is unregistered and the transaction aborts,
+/// contract — the transaction aborts and its waiter slot is released,
 /// which also unblocks every session waiting *on* it (see the [module
 /// docs](self) on cancellation). No orphaned session outlives its
 /// connection, and no waiter is left stranded behind one.

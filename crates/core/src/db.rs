@@ -497,11 +497,11 @@ impl Drop for Session {
 ///
 /// **Cancellation aborts**: dropping this future before it resolves
 /// leaves nobody to claim the outcome of a request that may stay blocked
-/// inside a shard kernel indefinitely — so the drop glue unregisters the
-/// waiter slot and aborts the transaction, which also unblocks every
-/// session waiting *on* this transaction. See the [`crate::aio`] module
-/// docs. A blocking call never drops it unresolved: `block_on` polls it
-/// to completion.
+/// inside a shard kernel indefinitely — so the drop glue aborts the
+/// transaction, which also unblocks every session waiting *on* it, and
+/// releases the waiter slot (see [`Database::cancel_wait`]). See the
+/// [`crate::aio`] module docs. A blocking call never drops it
+/// unresolved: `block_on` polls it to completion.
 struct Settled<'a> {
     session: &'a Session,
     /// The claimed outcome, or the slot to poll for it; `None` once the
@@ -632,10 +632,11 @@ impl Database {
 
     /// Re-apply recovered log records through the session API, one
     /// transaction per commit record and one [`Transaction::exec_call`]
-    /// per logged operation. Sequential and single-threaded, so every commit must be an actual commit (a
-    /// pseudo-commit would mean a dependency on a live transaction — there
-    /// are none) and every replayed result must equal the logged one (the
-    /// log replays deterministically from the empty state).
+    /// per logged operation. Sequential and single-threaded, so every
+    /// commit must be an actual commit (a pseudo-commit would mean a
+    /// dependency on a live transaction — there are none) and every
+    /// replayed result must equal the logged one (the log replays
+    /// deterministically from the empty state).
     fn replay(&self, records: &[sbcc_wal::SequencedRecord]) -> Result<(), CoreError> {
         let mut handles: HashMap<&str, ObjectHandle> = HashMap::new();
         for rec in records {
@@ -1076,9 +1077,8 @@ impl Database {
     ///
     /// This is the database's **single rendezvous seam**: every waiting
     /// exec, through either entry point, and every shard-originated wakeup
-    /// funnels through
-    /// this one claim/register pair, and [`Settled`] polls the returned
-    /// slot.
+    /// funnels through this one claim/register pair, and [`Settled`] polls
+    /// the returned slot.
     fn claim_or_wait(&self, txn: TxnId) -> Result<RequestOutcome, Arc<WaiterSlot>> {
         // The claim half of the rendezvous: a fill by a concurrent
         // deliverer may land just before or just after this window.
