@@ -40,8 +40,8 @@
 //! sufficient to multiplex thousands of sessions on one thread (see
 //! `examples/async_front_end.rs` for 10 000 concurrent transactions).
 //!
-//! [`AsyncTransaction`] is intentionally `!Send` (it is an [`Rc`]-shared
-//! handle): a session is driven by one thread, exactly like the sync
+//! [`AsyncTransaction`] is intentionally `!Send` (it holds its session in
+//! an [`Rc`]): a session is driven by one thread, exactly like the sync
 //! guard. The [`Database`] underneath is shared freely — sync and async
 //! sessions interleave on the same objects (see
 //! [`AsyncDatabase::from_database`]).
@@ -58,15 +58,15 @@
 //! | `txn.commit()?` / `txn.abort()?`     | `txn.commit().await?` / `txn.abort().await?`    |
 //! | `db.run(\|txn\| …)?`                 | `db.run(\|txn\| async move { … }).await?`       |
 //! | blocked ⇒ the OS thread parks        | blocked ⇒ the future suspends                   |
-//! | dropping the guard aborts            | dropping the last handle aborts                 |
+//! | dropping the guard aborts            | dropping the handle aborts                      |
 //!
 //! Two deliberate differences:
 //!
-//! * [`AsyncTransaction`] is a cheaply **cloneable handle** (the clones
-//!   share one session), because `run` moves it into the body's `async
-//!   move` block while the runner keeps a clone for the commit. All
-//!   clones name the same transaction; the auto-abort fires when the last
-//!   clone drops without a commit/abort.
+//! * [`AsyncTransaction`] is **not `Clone`**, like the sync guard. Its
+//!   operation futures borrow it and `commit`/`abort` consume it, so a
+//!   session cannot be terminated while one of its operations is in
+//!   flight. [`AsyncDatabase::run`] keeps a private handle of its own for
+//!   the commit.
 //! * **Cancellation aborts.** Dropping an `exec` future *before
 //!   it resolves* while the operation is blocked inside the kernel aborts
 //!   the transaction (there is no one left to claim the outcome, and a
@@ -195,8 +195,8 @@ impl AsyncDatabase {
     ///
     /// Beginning never blocks, so this is an ordinary method; every
     /// operation on the returned session is a future. The transaction
-    /// aborts when the last clone of the handle is dropped without an
-    /// explicit [`AsyncTransaction::commit`] / [`AsyncTransaction::abort`].
+    /// aborts when the handle is dropped without an explicit
+    /// [`AsyncTransaction::commit`] / [`AsyncTransaction::abort`].
     pub fn begin(&self) -> AsyncTransaction {
         AsyncTransaction {
             inner: Rc::new(self.db.begin_session()),
@@ -223,8 +223,8 @@ impl AsyncDatabase {
     ///
     /// The closure receives a fresh [`AsyncTransaction`] per attempt and
     /// should move it into an `async move` block; the runner keeps a
-    /// clone and commits once the body returns `Ok` (the body must not
-    /// commit or abort itself). A cancellation abort (a dropped operation
+    /// second handle to the session and commits once the body returns
+    /// `Ok` (the body must not commit or abort itself). A cancellation abort (a dropped operation
     /// future, see the [module docs](self)) surfaces as the
     /// `InvalidState { state: Aborted }` row of that table and is retried
     /// like any other scheduler abort. The same budget of 10 000 retries
@@ -255,11 +255,10 @@ impl AsyncDatabase {
     {
         self.db
             .run_attempts(|session| {
-                let txn = AsyncTransaction {
-                    inner: Rc::new(session),
-                };
-                let keeper = txn.clone();
-                let body = body(txn);
+                let keeper = Rc::new(session);
+                let body = body(AsyncTransaction {
+                    inner: keeper.clone(),
+                });
                 async move {
                     let value = body.await?;
                     keeper.commit().await?;
@@ -316,20 +315,30 @@ impl AsyncDatabase {
 /// parked, so one executor thread can hold thousands of sessions
 /// mid-conflict at once.
 ///
-/// Cloning is cheap and yields another handle to the *same* session
-/// (needed so [`AsyncDatabase::run`] can move the handle into the body's
-/// future while retaining one for the commit). The transaction aborts
-/// when the last clone drops without [`AsyncTransaction::commit`] /
-/// [`AsyncTransaction::abort`]. The handle is deliberately `!Send`: a
-/// session is driven by one thread, like the sync guard (the `Database`
-/// and its wakeups remain fully thread-safe underneath).
+/// The transaction aborts when the handle drops without
+/// [`AsyncTransaction::commit`] / [`AsyncTransaction::abort`]. The handle
+/// is deliberately `!Send`: a session is driven by one thread, like the
+/// sync guard (the `Database` and its wakeups remain fully thread-safe
+/// underneath).
 ///
 /// ```compile_fail
 /// fn sent<T: Send>() {}
 /// sent::<sbcc_core::aio::AsyncTransaction>();
 /// ```
-#[derive(Clone, Debug)]
+///
+/// It is not `Clone` either. `commit` and `abort` consume the one
+/// handle, so no second handle can end the session while an operation
+/// future borrows it:
+///
+/// ```compile_fail
+/// let db = sbcc_core::aio::AsyncDatabase::new(sbcc_core::SchedulerConfig::default());
+/// let txn = db.begin();
+/// let other = txn.clone();
+/// ```
+#[derive(Debug)]
 pub struct AsyncTransaction {
+    // An `Rc` only so `AsyncDatabase::run` can keep a second handle for
+    // its commit; no public handle is ever shared.
     inner: Rc<Session>,
 }
 
@@ -359,8 +368,8 @@ impl AsyncTransaction {
     /// Execute an erased operation call, suspending while in conflict.
     ///
     /// Typed [`Handle`]s coerce to [`ObjectHandle`], so this accepts both.
-    /// While another clone of this session awaits a blocked operation, the
-    /// call fails with `InvalidState { state: Blocked }`.
+    /// While another operation future of this session awaits a blocked
+    /// operation, the call fails with `InvalidState { state: Blocked }`.
     pub async fn exec_call(
         &self,
         object: &ObjectHandle,
@@ -378,9 +387,8 @@ impl AsyncTransaction {
     /// executor runs other sessions meanwhile. Sessions this commit
     /// unblocked are woken before it suspends.
     ///
-    /// On success no clone of the handle will abort on drop. A failed
-    /// commit (e.g. while another clone awaits a blocked operation) leaves
-    /// the auto-abort armed, exactly like the sync guard.
+    /// A failed commit leaves the auto-abort armed, exactly like the sync
+    /// guard: the session aborts when the consumed handle drops.
     ///
     /// **Cancelling the durable wait does not abort.** The transaction is
     /// committed in memory before the future first suspends, so dropping
@@ -470,33 +478,68 @@ pub fn block_on<F: Future>(future: F) -> F::Output {
 /// push task ids into. `Send + Sync` so outcomes delivered by *other* OS
 /// threads (sync sessions, other executors) can wake tasks here.
 struct ReadyQueue {
-    ready: Mutex<VecDeque<usize>>,
+    state: Mutex<ReadyState>,
     cond: Condvar,
 }
 
+struct ReadyState {
+    ready: VecDeque<usize>,
+    /// Set by the executor thread before it waits on `cond`, cleared by
+    /// the push that notifies it. While it is clear the executor is
+    /// running and will pop the pushed id without a signal.
+    sleeping: bool,
+    /// Notifications sent, for the executor's own tests.
+    #[cfg(test)]
+    notifies: usize,
+}
+
 impl ReadyQueue {
+    fn new() -> Self {
+        ReadyQueue {
+            state: Mutex::new(ReadyState {
+                ready: VecDeque::new(),
+                sleeping: false,
+                #[cfg(test)]
+                notifies: 0,
+            }),
+            cond: Condvar::new(),
+        }
+    }
+
+    /// Queue `id`. Signals the executor thread only if it sleeps, so a
+    /// wake from the executor's own thread costs no system call, and a
+    /// burst of wakes sent while it sleeps signals it once.
     fn push(&self, id: usize) {
-        self.ready.lock().push_back(id);
-        self.cond.notify_one();
+        let mut state = self.state.lock();
+        state.ready.push_back(id);
+        if std::mem::take(&mut state.sleeping) {
+            #[cfg(test)]
+            {
+                state.notifies += 1;
+            }
+            self.cond.notify_one();
+        }
     }
 
     fn pop_or_wait(&self) -> usize {
-        let mut ready = self.ready.lock();
+        let mut state = self.state.lock();
         loop {
-            if let Some(id) = ready.pop_front() {
+            if let Some(id) = state.ready.pop_front() {
                 return id;
             }
-            self.cond.wait(&mut ready);
+            state.sleeping = true;
+            self.cond.wait(&mut state);
         }
     }
 
     fn try_pop(&self) -> Option<usize> {
-        self.ready.lock().pop_front()
+        self.state.lock().ready.pop_front()
     }
 }
 
 /// Wakes one [`LocalExecutor`] task: pushes its id back onto the ready
-/// queue (and unparks the executor thread if it is sleeping).
+/// queue (and signals the executor thread if it is sleeping). Built once
+/// per task, at spawn.
 struct TaskWaker {
     id: usize,
     queue: Arc<ReadyQueue>,
@@ -504,8 +547,20 @@ struct TaskWaker {
 
 impl Wake for TaskWaker {
     fn wake(self: Arc<Self>) {
+        self.wake_by_ref();
+    }
+
+    fn wake_by_ref(self: &Arc<Self>) {
         self.queue.push(self.id);
     }
+}
+
+type LocalFuture = Pin<Box<dyn Future<Output = ()>>>;
+
+/// A spawned task: its future and the waker every poll of it is given.
+struct Task {
+    future: LocalFuture,
+    waker: Waker,
 }
 
 /// A minimal single-threaded executor: spawn any number of `!Send`
@@ -516,6 +571,13 @@ impl Wake for TaskWaker {
 /// a woken task re-queues behind already-ready ones. Wakers are
 /// thread-safe, so sessions blocked in the kernel are woken by whichever
 /// thread (this one or any sync session's) delivers their outcome.
+///
+/// A task's [`Waker`] is built once, at spawn, and handed to every poll
+/// of it, so a poll allocates nothing and [`Waker::will_wake`] holds
+/// across polls. A wake pushes the task onto a mutex-guarded queue and
+/// signals the executor's thread only when that thread is asleep waiting
+/// for work: a wake from a running task (a [`yield_now`], or a session
+/// this thread settles) makes no system call.
 ///
 /// This is a demonstration-grade harness, deliberately tiny; the async
 /// front-end itself is executor-agnostic and runs unchanged under any
@@ -549,7 +611,7 @@ pub struct LocalExecutor {
     /// The spawned tasks, by id. A task is temporarily removed from the
     /// map while it is being polled (which also makes re-entrant spawns
     /// from inside a poll safe).
-    tasks: RefCell<HashMap<usize, Pin<Box<dyn Future<Output = ()>>>>>,
+    tasks: RefCell<HashMap<usize, Task>>,
     next_id: Cell<usize>,
     live: Cell<usize>,
 }
@@ -564,10 +626,7 @@ impl LocalExecutor {
     /// An executor with no tasks.
     pub fn new() -> Self {
         LocalExecutor {
-            queue: Arc::new(ReadyQueue {
-                ready: Mutex::new(VecDeque::new()),
-                cond: Condvar::new(),
-            }),
+            queue: Arc::new(ReadyQueue::new()),
             tasks: RefCell::new(HashMap::new()),
             next_id: Cell::new(0),
             live: Cell::new(0),
@@ -581,7 +640,15 @@ impl LocalExecutor {
     pub fn spawn(&self, future: impl Future<Output = ()> + 'static) {
         let id = self.next_id.get();
         self.next_id.set(id + 1);
-        self.tasks.borrow_mut().insert(id, Box::pin(future));
+        let waker = Waker::from(Arc::new(TaskWaker {
+            id,
+            queue: self.queue.clone(),
+        }));
+        let task = Task {
+            future: Box::pin(future),
+            waker,
+        };
+        self.tasks.borrow_mut().insert(id, task);
         self.live.set(self.live.get() + 1);
         self.queue.push(id);
     }
@@ -621,12 +688,8 @@ impl LocalExecutor {
         let Some(mut task) = self.tasks.borrow_mut().remove(&id) else {
             return;
         };
-        let waker = Waker::from(Arc::new(TaskWaker {
-            id,
-            queue: self.queue.clone(),
-        }));
-        let mut cx = Context::from_waker(&waker);
-        match task.as_mut().poll(&mut cx) {
+        let mut cx = Context::from_waker(&task.waker);
+        match task.future.as_mut().poll(&mut cx) {
             Poll::Ready(()) => self.live.set(self.live.get() - 1),
             Poll::Pending => {
                 self.tasks.borrow_mut().insert(id, task);
@@ -674,8 +737,9 @@ pub enum RaceWinner<A, B> {
     Right(B),
 }
 
-/// Race two futures; the loser is **dropped** when the winner resolves.
-/// Polls left-biased, so a tie resolves `Left`.
+/// Race two futures; the loser is **dropped** before the winner's value
+/// is returned. Polls left-biased, so a tie resolves `Left`. Both futures
+/// live inside the returned future, so a race allocates nothing.
 ///
 /// This is the session-teardown primitive for connection-oriented
 /// front-ends: race a session's operation future (left) against a
@@ -685,42 +749,19 @@ pub enum RaceWinner<A, B> {
 /// which also unblocks every session waiting *on* it (see the [module
 /// docs](self) on cancellation). No orphaned session outlives its
 /// connection, and no waiter is left stranded behind one.
-pub fn race<A: Future, B: Future>(left: A, right: B) -> Race<A, B> {
-    Race {
-        left: Some(Box::pin(left)),
-        right: Some(Box::pin(right)),
-    }
-}
-
-/// Future returned by [`race`].
-#[derive(Debug)]
-pub struct Race<A: Future, B: Future> {
-    // Boxed so the combinator needs no unsafe pin projection; the races a
-    // front-end runs wrap socket-bound operations, where one small
-    // allocation per operation is noise.
-    left: Option<Pin<Box<A>>>,
-    right: Option<Pin<Box<B>>>,
-}
-
-impl<A: Future, B: Future> Future for Race<A, B> {
-    type Output = RaceWinner<A::Output, B::Output>;
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let this = self.get_mut();
-        let left = this.left.as_mut().expect("Race polled after completion");
+pub async fn race<A: Future, B: Future>(left: A, right: B) -> RaceWinner<A::Output, B::Output> {
+    // Pinned locals of this future: both drop when it returns, inside the
+    // poll that resolves it, so the loser's cancellation has run before
+    // the caller sees the winner.
+    let mut left = std::pin::pin!(left);
+    let mut right = std::pin::pin!(right);
+    std::future::poll_fn(|cx| {
         if let Poll::Ready(value) = left.as_mut().poll(cx) {
-            this.left = None;
-            this.right = None; // drop the loser now, not at Race's drop
             return Poll::Ready(RaceWinner::Left(value));
         }
-        let right = this.right.as_mut().expect("Race polled after completion");
-        if let Poll::Ready(value) = right.as_mut().poll(cx) {
-            this.left = None; // drop the loser: cancellation contract fires
-            this.right = None;
-            return Poll::Ready(RaceWinner::Right(value));
-        }
-        Poll::Pending
-    }
+        right.as_mut().poll(cx).map(RaceWinner::Right)
+    })
+    .await
 }
 
 #[cfg(test)]
@@ -765,6 +806,23 @@ mod tests {
             )),
             RaceWinner::Right(2)
         );
+        // The loser drops inside the poll that returns the winner, while
+        // the race future itself is still alive.
+        struct SetOnDrop(Rc<Cell<bool>>);
+        impl Drop for SetOnDrop {
+            fn drop(&mut self) {
+                self.0.set(true);
+            }
+        }
+        let dropped = Rc::new(Cell::new(false));
+        let guard = SetOnDrop(dropped.clone());
+        let loser = async move {
+            let _guard = guard;
+            std::future::pending::<()>().await
+        };
+        let mut raced = Box::pin(race(loser, async { 2 }));
+        assert_eq!(poll_once(raced.as_mut()), Poll::Ready(RaceWinner::Right(2)));
+        assert!(dropped.get(), "the loser outlived the race's result");
     }
 
     #[test]
@@ -836,6 +894,127 @@ mod tests {
         executor.run();
         assert_eq!(executor.pending_tasks(), 0);
         assert_eq!(*order.borrow(), vec![0, 1, 2, 3, 10, 11, 12, 13]);
+    }
+
+    /// Notifications `executor`'s ready queue has sent so far.
+    fn notifies(executor: &LocalExecutor) -> usize {
+        executor.queue.state.lock().notifies
+    }
+
+    #[test]
+    fn wakes_from_the_executor_thread_send_no_notification() {
+        let executor = LocalExecutor::new();
+        for _ in 0..2 {
+            executor.spawn(async {
+                for _ in 0..1_000 {
+                    yield_now().await;
+                }
+            });
+        }
+        executor.run();
+        assert_eq!(notifies(&executor), 0);
+    }
+
+    /// A task parked until another thread releases it: the waker of its
+    /// last pending poll, and whether a release is waiting to be taken.
+    #[derive(Default)]
+    struct Gate {
+        state: std::sync::Mutex<(Option<Waker>, bool)>,
+    }
+
+    impl Gate {
+        /// Resolves once per [`Gate::release`].
+        fn released(&self) -> impl Future<Output = ()> + '_ {
+            std::future::poll_fn(|cx| {
+                let mut state = self.state.lock().unwrap();
+                if std::mem::take(&mut state.1) {
+                    Poll::Ready(())
+                } else {
+                    state.0 = Some(cx.waker().clone());
+                    Poll::Pending
+                }
+            })
+        }
+
+        /// Wait until a task is parked on the gate, then release it and
+        /// wake it (outside the lock).
+        fn release(&self) {
+            let waker = loop {
+                let mut state = self.state.lock().unwrap();
+                if let Some(waker) = state.0.take() {
+                    state.1 = true;
+                    break waker;
+                }
+                drop(state);
+                std::thread::yield_now();
+            };
+            waker.wake();
+        }
+    }
+
+    /// Runs `f` on a thread of its own and returns what it returns,
+    /// failing after a minute instead: a lost wake-up hangs the executor
+    /// inside `f`, and the test must fail rather than hang with it (the
+    /// stuck thread is left behind).
+    fn within_a_minute<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (done, finished) = std::sync::mpsc::channel();
+        let thread = std::thread::spawn(move || {
+            let _ = done.send(f());
+        });
+        let value = finished
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("the executor lost a wake-up and never finished");
+        thread.join().unwrap();
+        value
+    }
+
+    #[test]
+    fn a_wake_from_another_thread_signals_a_sleeping_executor_once() {
+        let sent = within_a_minute(|| {
+            let executor = LocalExecutor::new();
+            let gate = Arc::new(Gate::default());
+            let gate2 = gate.clone();
+            executor.spawn(async move { gate2.released().await });
+            let queue = executor.queue.clone();
+            let helper = std::thread::spawn(move || {
+                // Wake only once the executor has gone to sleep.
+                while !queue.state.lock().sleeping {
+                    std::thread::yield_now();
+                }
+                gate.release();
+            });
+            executor.run();
+            helper.join().unwrap();
+            notifies(&executor)
+        });
+        assert_eq!(sent, 1);
+    }
+
+    #[test]
+    fn a_hand_off_with_another_thread_never_loses_a_wake_up() {
+        // Each round parks the task and a helper thread releases it, so
+        // the helper's wake lands sometimes while the executor sleeps and
+        // sometimes while it is still running.
+        const ROUNDS: usize = 10_000;
+        let sent = within_a_minute(|| {
+            let executor = LocalExecutor::new();
+            let gate = Arc::new(Gate::default());
+            let gate2 = gate.clone();
+            executor.spawn(async move {
+                for _ in 0..ROUNDS {
+                    gate2.released().await;
+                }
+            });
+            let helper = std::thread::spawn(move || {
+                for _ in 0..ROUNDS {
+                    gate.release();
+                }
+            });
+            executor.run();
+            helper.join().unwrap();
+            notifies(&executor)
+        });
+        assert!(sent <= ROUNDS, "{sent} notifications for {ROUNDS} wakes");
     }
 
     #[test]
@@ -1034,8 +1213,8 @@ mod tests {
         db.verify_serializable().unwrap();
     }
 
-    /// `true` when `r` is the refusal a clone gets while another clone of
-    /// its session awaits a blocked operation.
+    /// `true` when `r` is the refusal a submission gets while another
+    /// future of its session awaits a blocked operation.
     fn refused_as_blocked<T>(r: Result<T, CoreError>) -> bool {
         matches!(
             r,
@@ -1048,20 +1227,19 @@ mod tests {
 
     #[test]
     fn second_concurrent_awaiter_is_rejected_not_orphaned() {
-        // Two clones of one session must not both wait: the second
-        // submission errors instead of silently replacing the first one's
-        // waiter slot (which would strand the first future forever).
+        // Two futures borrowed from one session must not both wait: the
+        // second submission errors instead of silently replacing the first
+        // one's waiter slot (which would strand the first future forever).
         let db = db();
         let s = db.register("jobs", Stack::new());
         let t1 = db.database().begin();
         t1.exec(&s, StackOp::Push(Value::Int(9))).unwrap();
 
         let t2 = db.begin();
-        let t2b = t2.clone();
         let mut first = Box::pin(t2.exec(&s, StackOp::Pop));
         assert!(poll_once(first.as_mut()).is_pending());
-        // The clone's competing submission is rejected up front...
-        assert!(refused_as_blocked(block_on(t2b.exec(&s, StackOp::Pop))));
+        // The competing submission is rejected up front...
+        assert!(refused_as_blocked(block_on(t2.exec(&s, StackOp::Pop))));
         // ...and the original waiter still receives its outcome.
         t1.commit().unwrap();
         assert_eq!(
@@ -1313,10 +1491,11 @@ mod tests {
 
     #[test]
     fn sharded_second_concurrent_awaiter_is_rejected_not_orphaned() {
-        // Second-submitter rejection at 4 shards: while one clone awaits a
-        // pop blocked in one shard, the other clone submits to a
-        // *different* shard, whose kernel does not know the transaction is
-        // blocked. The session's `waiting` gate must refuse it there.
+        // Second-submitter rejection at 4 shards: while one future awaits a
+        // pop blocked in one shard, a second future of the same session
+        // submits to a *different* shard, whose kernel does not know the
+        // transaction is blocked. The session's `waiting` gate must refuse
+        // it there.
         let (db, names) = sharded_db_with_names(2);
         let contested = db.register(&names[0], Stack::new());
         let other = db.register(&names[1], Stack::new());
@@ -1324,14 +1503,12 @@ mod tests {
         t1.exec(&contested, StackOp::Push(Value::Int(9))).unwrap();
 
         let t2 = db.begin();
-        let t2b = t2.clone();
         block_on(t2.exec(&other, StackOp::Push(Value::Int(1)))).unwrap();
         let mut first = Box::pin(t2.exec(&contested, StackOp::Pop));
         assert!(poll_once(first.as_mut()).is_pending());
-        // The clone's submission to the other shard is refused up
-        // front...
+        // The submission to the other shard is refused up front...
         assert!(refused_as_blocked(block_on(
-            t2b.exec(&other, StackOp::Push(Value::Int(2)))
+            t2.exec(&other, StackOp::Push(Value::Int(2)))
         )));
         // ...and the original waiter still receives its outcome.
         t1.commit().unwrap();
@@ -1342,7 +1519,7 @@ mod tests {
         drop(first);
         // Nothing the refused calls asked for reached the other shard.
         assert_eq!(
-            block_on(t2b.exec(&other, StackOp::Pop)).unwrap(),
+            block_on(t2.exec(&other, StackOp::Pop)).unwrap(),
             OpResult::Value(Value::Int(1))
         );
         block_on(t2.commit()).unwrap();

@@ -276,8 +276,9 @@ struct SessionState {
 }
 
 /// One transaction session: the state behind a blocking [`Transaction`]
-/// (which owns it) and behind every clone of an
-/// [`crate::aio::AsyncTransaction`] (which share it through an `Rc`).
+/// (which owns it) and behind an [`crate::aio::AsyncTransaction`] (which
+/// holds it in an `Rc`, so `AsyncDatabase::run` can keep a second handle
+/// for its commit).
 ///
 /// Every session operation is implemented once, here, and the waiting
 /// ones are async: a blocked request awaits [`Settled`]. The blocking API
@@ -307,8 +308,8 @@ pub(crate) struct Session {
     fate: Cell<Option<TxnState>>,
     /// `true` while a [`Settled`] future of this session awaits the outcome
     /// of a blocked submission: the one in-flight gate. While it is set,
-    /// every other submission or commit (from another clone of an
-    /// [`crate::aio::AsyncTransaction`]) is refused with
+    /// every other submission or commit (from a second operation future
+    /// borrowing the same [`crate::aio::AsyncTransaction`]) is refused with
     /// `InvalidState { state: Blocked }`, the error the unsharded kernel
     /// gives. Without it, a request routed to a *different* shard would be
     /// admitted there, because only the shard holding the blocked request
@@ -351,7 +352,8 @@ impl Session {
     }
 
     /// The prologue of a submission or commit: no fate yet, and no other
-    /// clone awaiting a blocked submission (see `waiting`).
+    /// future of this session awaiting a blocked submission (see
+    /// `waiting`).
     fn ensure_idle(&self, action: &'static str) -> Result<(), CoreError> {
         self.ensure_no_fate(action)?;
         if self.waiting.get() {
@@ -469,7 +471,7 @@ impl Session {
     /// just blocked: either claims an already-delivered outcome or
     /// registers this session's waiter slot **now** (before first poll),
     /// so a wakeup can never slip between submission and registration.
-    /// No other clone is waiting: the caller passed
+    /// No other future of this session is waiting: the caller passed
     /// [`Session::ensure_idle`], or finished its own previous wait, with
     /// no await since.
     fn settled(&self) -> Settled<'_> {
@@ -536,7 +538,7 @@ impl Drop for Settled<'_> {
         };
         let session = self.session;
         session.waiting.set(false);
-        // Cancelled mid-wait: abort (unless another clone already did)
+        // Cancelled mid-wait: abort (unless the session already ended)
         // with the slot still registered, then settle the slot by what the
         // abort found. An outcome that reaches the slot is discarded with
         // it — the caller abandoned it.
@@ -1580,12 +1582,13 @@ mod tests {
 
     #[test]
     fn blocked_session_cannot_submit_elsewhere() {
-        // The single-kernel contract: while one clone of a session awaits
+        // The single-kernel contract: while one future of a session awaits
         // a blocked request, every further submission and the commit are
         // refused with InvalidState{Blocked}. Across shards only the shard
         // holding the blocked request knows, so the session's `waiting`
         // gate enforces it — pinned here at 4 shards with objects spread
-        // wide.
+        // wide. The session is driven directly: a public handle's
+        // consuming `commit` cannot run while an operation borrows it.
         let db = AsyncDatabase::with_config(
             DatabaseConfig::new(SchedulerConfig::default()).with_shards(4),
         );
@@ -1595,9 +1598,9 @@ mod tests {
         let t1 = db.database().begin();
         t1.exec(&handles[0], StackOp::Push(Value::Int(7))).unwrap();
 
-        let t2 = db.begin();
-        let t2b = t2.clone();
-        let mut pop = Box::pin(t2.exec(&handles[0], StackOp::Pop));
+        let t2 = db.database().begin_session();
+        let push = |v| StackOp::Push(Value::Int(v)).to_call();
+        let mut pop = Box::pin(t2.exec_call(handles[0].loc(), StackOp::Pop.to_call()));
         assert!(poll_once(pop.as_mut()).is_pending());
         let refused = |r: Result<(), CoreError>| {
             matches!(
@@ -1608,15 +1611,16 @@ mod tests {
                 })
             )
         };
-        // Every object — wherever it lives — must refuse the clone now.
+        // Every object — wherever it lives — must refuse a second
+        // submission now.
         for h in &handles {
             assert!(
-                refused(block_on(t2b.exec(h, StackOp::Push(Value::Int(1)))).map(drop)),
+                refused(block_on(t2.exec_call(h.loc(), push(1))).map(drop)),
                 "blocked session must not execute on {}",
                 h.name()
             );
         }
-        assert!(refused(block_on(t2b.clone().commit()).map(drop)));
+        assert!(refused(block_on(t2.commit()).map(drop)));
         // Once the conflict clears, the awaited pop settles and the
         // session is usable again.
         t1.commit().unwrap();
@@ -1625,7 +1629,7 @@ mod tests {
             Poll::Ready(Ok(OpResult::Value(Value::Int(7))))
         );
         drop(pop);
-        block_on(t2b.exec(&handles[3], StackOp::Push(Value::Int(2)))).unwrap();
+        block_on(t2.exec_call(handles[3].loc(), push(2))).unwrap();
         block_on(t2.commit()).unwrap();
         db.verify_serializable().unwrap();
         db.check_invariants().unwrap();
@@ -1637,15 +1641,16 @@ mod tests {
         let s = db.register("s", Stack::new());
         let t1 = db.database().begin();
         t1.exec(&s, StackOp::Push(Value::Int(1))).unwrap();
-        let t2 = db.begin();
+        // Driven as a session: a public handle's consuming `commit` cannot
+        // run while an operation borrows it.
+        let t2 = db.database().begin_session();
         let id2 = t2.id();
-        // One clone awaits a conflicting pop...
-        let mut pop = Box::pin(t2.exec(&s, StackOp::Pop));
+        // One future awaits a conflicting pop...
+        let mut pop = Box::pin(t2.exec_call(s.loc(), StackOp::Pop.to_call()));
         assert!(poll_once(pop.as_mut()).is_pending());
-        // ...so another clone's commit is rejected, and the transaction
-        // stays live.
+        // ...so the commit is rejected, and the transaction stays live.
         assert!(matches!(
-            block_on(t2.clone().commit()),
+            block_on(t2.commit()),
             Err(CoreError::InvalidState {
                 state: TxnState::Blocked,
                 ..
@@ -1658,7 +1663,7 @@ mod tests {
         );
         drop(pop);
         assert_eq!(db.txn_state(id2), Some(TxnState::Active));
-        // The last handle still aborts on drop instead of leaking the
+        // The session still aborts on drop instead of leaking the
         // transaction (where it would stall every conflicting session).
         drop(t2);
         assert_eq!(db.txn_state(id2), Some(TxnState::Aborted));

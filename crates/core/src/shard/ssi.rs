@@ -251,7 +251,7 @@ impl SsiTable {
             .map(|entries| {
                 entries
                     .iter()
-                    .filter(|(w, stamp)| *w != txn && stamp.map_or(true, |s| s > begin))
+                    .filter(|(w, stamp)| *w != txn && stamp.is_none_or(|s| s > begin))
                     .map(|(w, _)| *w)
                     .collect()
             })
@@ -357,7 +357,7 @@ impl SsiTable {
             }
             None => (false, 0),
         };
-        if !doom_self && !(writes.is_empty() && !snapshot) {
+        if !doom_self && (!writes.is_empty() || snapshot) {
             // Publish the writer entries *before* any fold: a concurrent
             // snapshot read between the fold and a later publication
             // would miss the rw-antidependency entirely. Entries stay

@@ -5,6 +5,8 @@
 //! allocator pins that cost at zero for a call that never blocks:
 //!
 //! * `block_on` of a ready future allocates nothing;
+//! * a [`LocalExecutor`] task allocates only when it is spawned: polling
+//!   it, and waking it from its own thread, allocate nothing;
 //! * a conflict-free `T8` (eight increments of a private counter, then
 //!   commit; history off) allocates no more per transaction through
 //!   [`Database`] than through [`AsyncDatabase`], and no more than
@@ -14,7 +16,7 @@
 //! Counts do not drift with the load of the machine, unlike times.
 
 use sbcc_adt::{Counter, CounterOp};
-use sbcc_core::aio::{block_on, AsyncDatabase};
+use sbcc_core::aio::{block_on, yield_now, AsyncDatabase, LocalExecutor};
 use sbcc_core::{Database, DatabaseConfig, Handle, SchedulerConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -117,6 +119,19 @@ fn block_on_a_ready_future_allocates_nothing() {
     let n = allocations_in(|| value = block_on(async { 40 + 2 }));
     assert_eq!(value, 42);
     assert_eq!(n, 0, "block_on of a ready future allocated {n} times");
+}
+
+#[test]
+fn a_yielding_executor_task_allocates_only_at_spawn() {
+    let executor = LocalExecutor::new();
+    executor.spawn(async {
+        for _ in 0..1_000 {
+            yield_now().await;
+        }
+    });
+    let n = allocations_in(|| executor.run());
+    assert_eq!(executor.pending_tasks(), 0);
+    assert_eq!(n, 0, "1 000 yields of a spawned task allocated {n} times");
 }
 
 #[test]

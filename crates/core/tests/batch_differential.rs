@@ -51,19 +51,22 @@ enum DriverState {
     Done,
 }
 
-/// Drive the kernel with the given chunked scripts. Returns the trace of
-/// per-operation results (keyed by transaction index and operation index),
-/// the blocking decisions observed, the final fates and the kernel.
-fn run_chunked(
-    scripts: &[Vec<Vec<(usize, OpCall)>>],
-    config: SchedulerConfig,
-    mode: SubmissionMode,
-) -> (
+/// What [`run_chunked`] returns: per-operation results (keyed by
+/// transaction index and operation index), the blocking decisions
+/// observed, the final fates and the kernel.
+type ChunkedRun = (
     HashMap<(usize, usize), String>,
     Vec<String>,
     Vec<TxnState>,
     SchedulerKernel,
-) {
+);
+
+/// Drive the kernel with the given chunked scripts (see [`ChunkedRun`]).
+fn run_chunked(
+    scripts: &[Vec<Vec<(usize, OpCall)>>],
+    config: SchedulerConfig,
+    mode: SubmissionMode,
+) -> ChunkedRun {
     let mut kernel = SchedulerKernel::new(config);
     let objects = register_objects(|name, object| kernel.register_object(name, object).unwrap());
 

@@ -148,17 +148,21 @@ enum DriverState {
     Done,
 }
 
+/// What [`run_chunked`] returns: per-operation results, blocking
+/// decisions, final fates and the driver.
+type ChunkedRun = (
+    HashMap<(usize, usize), String>,
+    Vec<String>,
+    Vec<TxnState>,
+    Driver,
+);
+
 /// Drive a kernel with the chunked scripts, call by call.
 fn run_chunked(
     scripts: &[Vec<Vec<(usize, OpCall)>>],
     config: SchedulerConfig,
     shards: Option<usize>,
-) -> (
-    HashMap<(usize, usize), String>,
-    Vec<String>,
-    Vec<TxnState>,
-    Driver,
-) {
+) -> ChunkedRun {
     let mut driver = Driver::new(config, shards);
     let objects = driver.register_objects();
 

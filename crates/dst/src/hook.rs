@@ -23,7 +23,7 @@ impl FaultPlan {
     pub fn new(seed: u64, reorder_permille: u32) -> Self {
         FaultPlan {
             reorder_permille,
-            rng: Mutex::new(SplitMix64::new(seed ^ 0xFA17_BAD_5EED)),
+            rng: Mutex::new(SplitMix64::new(seed ^ 0x0FA1_7BAD_5EED)),
         }
     }
 

@@ -290,7 +290,7 @@ impl<N: NodeId> DependencyGraph<N> {
         if self
             .nodes
             .get(&from)
-            .map_or(true, |adj| adj.incoming.is_empty())
+            .is_none_or(|adj| adj.incoming.is_empty())
         {
             return false;
         }

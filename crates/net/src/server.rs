@@ -279,9 +279,10 @@ impl Future for Closed {
                 slots.len() - 1
             })
         });
-        // The executor hands a fresh waker to every poll: overwrite the
-        // slot, and skip the clone when the stored waker wakes the same
-        // task.
+        // `LocalExecutor` hands a task the same waker on every poll, so a
+        // re-poll skips the clone; a waker that would wake another task
+        // (or comes from an executor that builds one per poll) overwrites
+        // the slot.
         match &mut slots[i] {
             Some(stored) if stored.will_wake(cx.waker()) => {}
             entry => *entry = Some(cx.waker().clone()),
@@ -919,7 +920,7 @@ async fn txn_task(
         let work = match next {
             RaceWinner::Left(work) => work,
             RaceWinner::Right(()) => {
-                auto_abort(&shared, &txn).await;
+                auto_abort(&shared, txn).await;
                 break 'task;
             }
         };
@@ -940,7 +941,7 @@ async fn txn_task(
                         // The dropped exec future already cancelled (and
                         // aborted) the session; `auto_abort` settles the
                         // remaining cases and counts the teardown.
-                        auto_abort(&shared, &txn).await;
+                        auto_abort(&shared, txn).await;
                         break 'task;
                     }
                 }
@@ -957,7 +958,7 @@ async fn txn_task(
                             break;
                         }
                         RaceWinner::Right(()) => {
-                            auto_abort(&shared, &txn).await;
+                            auto_abort(&shared, txn).await;
                             break 'task;
                         }
                     }
@@ -966,8 +967,7 @@ async fn txn_task(
                 write_frame(&writer, &conn, &resp.encode(id));
             }
             TxnWork::Commit { id } => {
-                let session = txn.clone();
-                let resp = match session.commit().await {
+                let resp = match txn.commit().await {
                     Ok(outcome) => Response::Committed {
                         pseudo: outcome.is_pseudo_commit(),
                     },
@@ -977,8 +977,7 @@ async fn txn_task(
                 break 'task;
             }
             TxnWork::Abort { id } => {
-                let session = txn.clone();
-                let resp = match session.abort().await {
+                let resp = match txn.abort().await {
                     Ok(()) => Response::Aborted,
                     Err(e) => error_response(&e),
                 };
@@ -997,13 +996,12 @@ async fn txn_task(
 /// already reached a terminal state (a cancelled in-flight operation
 /// aborts on drop; a pseudo-committed session is guaranteed to commit
 /// and must not be touched).
-async fn auto_abort(shared: &Arc<ServerShared>, txn: &AsyncTransaction) {
+async fn auto_abort(shared: &Arc<ServerShared>, txn: AsyncTransaction) {
     if matches!(
         txn.state(),
         Some(TxnState::Active) | Some(TxnState::Blocked)
     ) {
-        let session = txn.clone();
-        let _ = session.abort().await;
+        let _ = txn.abort().await;
     }
     // Counted after the abort: whoever observes the count sees the
     // session terminated.
@@ -1015,8 +1013,9 @@ mod tests {
     use super::*;
     use std::task::Wake;
 
-    /// Counts wakes into a shared total, so a fresh `Arc` per poll (the
-    /// way `LocalExecutor` builds its wakers) never `will_wake` the last.
+    /// Counts wakes into a shared total. A fresh `Arc` per poll never
+    /// `will_wake` the last, so these tests see the worst case: an
+    /// executor that builds a new waker for every poll.
     struct CountWakes(Arc<AtomicUsize>);
 
     impl Wake for CountWakes {

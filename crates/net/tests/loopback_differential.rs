@@ -324,7 +324,7 @@ async fn reference_session(
                 results.borrow_mut().insert(index, entry);
             }
             Work::Commit => {
-                let entry = match txn.clone().commit().await {
+                let entry = match txn.commit().await {
                     Ok(outcome) => format!("commit pseudo={}", outcome.is_pseudo_commit()),
                     Err(e) => normalize_core_error(&e),
                 };
@@ -381,7 +381,6 @@ fn run_reference(steps: &[Step], policy_choice: bool, shards: usize) -> Trace {
     let stats = stats_line(db.database());
     drop(queues);
     let results = Rc::try_unwrap(results)
-        .ok()
         .expect("all session futures finished")
         .into_inner();
     Trace {

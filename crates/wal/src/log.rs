@@ -66,7 +66,7 @@
 //! recovery far more honestly than an in-process error path would.
 //! Recovery-time errors (in [`Wal::open`]) are returned as [`WalError`].
 
-use crate::record::{encode_record, parse_log, LoggedOp, SequencedRecord, WalRecord};
+use crate::record::{encode_into, parse_log, LoggedOp, RecordRef, SequencedRecord};
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::future::Future;
@@ -177,6 +177,10 @@ struct LogFile {
     file: File,
     /// Highest ticket written (and fsynced, unless the policy is `Never`).
     synced: u64,
+    /// The bytes being written: the buffer a flush took from `state`
+    /// (swapped for this one, so both keep their capacity), or the frame
+    /// of an unbuffered append.
+    out: Vec<u8>,
 }
 
 struct LogState {
@@ -222,7 +226,7 @@ struct WalInner {
 impl WalInner {
     /// Append one record; returns its ticket. Under `GroupCommit` this
     /// only buffers the record, under `state` alone.
-    fn append(&self, record: &WalRecord) -> u64 {
+    fn append(&self, record: RecordRef<'_>) -> u64 {
         let next = |state: &mut LogState| {
             let seq = state.appended;
             state.appended += 1;
@@ -231,13 +235,15 @@ impl WalInner {
         if self.policy == FsyncPolicy::GroupCommit {
             let mut state = self.state.lock().unwrap();
             let (seq, ticket) = next(&mut state);
-            state.buf.extend_from_slice(&encode_record(seq, record));
+            encode_into(&mut state.buf, seq, record);
             return ticket;
         }
         let mut io = self.io.lock().unwrap();
         let (seq, ticket) = next(&mut self.state.lock().unwrap());
-        io.file
-            .write_all(&encode_record(seq, record))
+        let LogFile { file, out, .. } = &mut *io;
+        out.clear();
+        encode_into(out, seq, record);
+        file.write_all(out)
             .unwrap_or_else(|e| panic!("wal append to {}: {e}", self.path.display()));
         if self.policy == FsyncPolicy::Always {
             io.file
@@ -255,16 +261,18 @@ impl WalInner {
     /// the buffer, so appends go on while the device works.
     fn flush(&self) {
         let mut io = self.io.lock().unwrap();
-        let (buf, covered) = {
+        let LogFile { file, synced, out } = &mut *io;
+        out.clear();
+        let covered = {
             let mut state = self.state.lock().unwrap();
-            if state.appended <= io.synced {
+            if state.appended <= *synced {
                 return; // nothing appended since the last flush
             }
-            (std::mem::take(&mut state.buf), state.appended)
+            std::mem::swap(&mut state.buf, out);
+            state.appended
         };
-        if !buf.is_empty() {
-            io.file
-                .write_all(&buf)
+        if !out.is_empty() {
+            file.write_all(out)
                 .unwrap_or_else(|e| panic!("wal flush to {}: {e}", self.path.display()));
         }
         if self.policy != FsyncPolicy::Never {
@@ -408,6 +416,7 @@ impl Wal {
             io: Mutex::new(LogFile {
                 file,
                 synced: appended,
+                out: Vec::new(),
             }),
             state: Mutex::new(LogState {
                 buf: Vec::new(),
@@ -440,10 +449,7 @@ impl Wal {
     /// registration is durable when this returns. Every commit naming the
     /// object is appended after it, so none can be durable without it.
     pub fn append_register(&self, name: &str, type_name: &str) {
-        self.inner.append(&WalRecord::Register {
-            name: name.to_owned(),
-            type_name: type_name.to_owned(),
-        });
+        self.inner.append(RecordRef::Register { name, type_name });
         self.inner.flush();
     }
 
@@ -455,11 +461,7 @@ impl Wal {
     /// `shard` and `multi_gid` are ignored. They are kept only while the
     /// benchmark crate (`bench/`) still passes them.
     pub fn append_commit(&self, _shard: u32, _multi_gid: Option<u64>, ops: &[LoggedOp]) -> u64 {
-        let record = WalRecord::Commit {
-            multi_gid: None,
-            ops: ops.to_vec(),
-        };
-        let ticket = self.inner.append(&record);
+        let ticket = self.inner.append(RecordRef::Commit(ops));
         if self.inner.policy == FsyncPolicy::GroupCommit {
             self.inner.kick();
         }
@@ -703,6 +705,56 @@ mod tests {
         returned
             .recv_timeout(Duration::from_secs(10))
             .unwrap_or_else(|_| panic!("{what} did not return"));
+    }
+
+    #[test]
+    fn appended_bytes_match_encode_record() {
+        use crate::record::{encode_record, WalRecord};
+        use sbcc_adt::{OpCall, OpResult, Value};
+        let ops = vec![
+            LoggedOp {
+                object: "journal".to_owned(),
+                call: OpCall {
+                    kind: 0,
+                    params: vec![Value::Int(-7), Value::Str("x".into())],
+                },
+                result: OpResult::Value(Value::Int(3)),
+            },
+            LoggedOp {
+                object: "b".to_owned(),
+                call: OpCall {
+                    kind: 1,
+                    params: vec![],
+                },
+                result: OpResult::Failure,
+            },
+        ];
+        let mut expected = encode_record(
+            0,
+            &WalRecord::Register {
+                name: "journal".to_owned(),
+                type_name: "stack".to_owned(),
+            },
+        );
+        for seq in 1..3 {
+            expected.extend(encode_record(
+                seq,
+                &WalRecord::Commit {
+                    multi_gid: None,
+                    ops: ops.clone(),
+                },
+            ));
+        }
+        // Buffered and unbuffered appends write the same frames.
+        for fsync in [FsyncPolicy::GroupCommit, FsyncPolicy::Never] {
+            let log = TestLog::open(&format!("bytes-{fsync:?}"), fsync);
+            log.wal().append_register("journal", "stack");
+            log.wal().append_commit(0, None, &ops);
+            log.wal().append_commit(0, None, &ops);
+            log.flush();
+            let written = std::fs::read(log_path(&log.dir)).unwrap();
+            assert_eq!(written, expected, "{fsync:?}");
+        }
     }
 
     #[test]

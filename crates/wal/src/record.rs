@@ -112,31 +112,58 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 // Writers
 // ---------------------------------------------------------------------
 
-/// Encode one record into its framed wire form.
-pub fn encode_record(seq: u64, record: &WalRecord) -> Vec<u8> {
-    let mut body = Vec::with_capacity(64);
-    put_u64(&mut body, seq);
-    match record {
-        WalRecord::Register { name, type_name } => {
-            body.push(TAG_REGISTER);
-            put_str(&mut body, name);
-            put_str(&mut body, type_name);
+/// A record to encode, borrowing its fields: the log appends a commit's
+/// operations without copying them into a [`WalRecord`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum RecordRef<'a> {
+    Register { name: &'a str, type_name: &'a str },
+    Commit(&'a [LoggedOp]),
+}
+
+impl WalRecord {
+    fn as_ref(&self) -> RecordRef<'_> {
+        match self {
+            WalRecord::Register { name, type_name } => RecordRef::Register { name, type_name },
+            WalRecord::Commit { ops, .. } => RecordRef::Commit(ops),
         }
-        WalRecord::Commit { ops, .. } => {
-            body.push(TAG_COMMIT);
-            put_u32(&mut body, ops.len() as u32);
+    }
+}
+
+/// Append one record's frame to `out`. The body is written in place
+/// behind a placeholder length, which is patched once the body is
+/// complete; the checksum is taken over the written body.
+pub(crate) fn encode_into(out: &mut Vec<u8>, seq: u64, record: RecordRef<'_>) {
+    let start = out.len();
+    put_u32(out, 0);
+    put_u64(out, seq);
+    match record {
+        RecordRef::Register { name, type_name } => {
+            out.push(TAG_REGISTER);
+            put_str(out, name);
+            put_str(out, type_name);
+        }
+        RecordRef::Commit(ops) => {
+            out.push(TAG_COMMIT);
+            put_u32(out, ops.len() as u32);
             for op in ops {
-                put_str(&mut body, &op.object);
-                put_call(&mut body, &op.call);
-                put_result(&mut body, &op.result);
+                put_str(out, &op.object);
+                put_call(out, &op.call);
+                put_result(out, &op.result);
             }
         }
     }
-    let mut frame = Vec::with_capacity(body.len() + 12);
-    put_u32(&mut frame, body.len() as u32);
-    let checksum = fnv1a64(&body);
-    frame.extend_from_slice(&body);
-    put_u64(&mut frame, checksum);
+    let body = start + 4;
+    let body_len = (out.len() - body) as u32;
+    out[start..body].copy_from_slice(&body_len.to_le_bytes());
+    let checksum = fnv1a64(&out[body..]);
+    put_u64(out, checksum);
+}
+
+/// Encode one record into its framed wire form, in a fresh buffer. The
+/// log's appends write the same bytes straight into their own buffer.
+pub fn encode_record(seq: u64, record: &WalRecord) -> Vec<u8> {
+    let mut frame = Vec::with_capacity(76);
+    encode_into(&mut frame, seq, record.as_ref());
     frame
 }
 
@@ -319,6 +346,19 @@ mod tests {
         let parsed = parse_log(&golden);
         assert_eq!(parsed.records, vec![SequencedRecord { seq: 2, record }]);
         assert!(parsed.torn.is_none());
+    }
+
+    #[test]
+    fn encode_into_appends_the_frame_encode_record_returns() {
+        // Behind earlier bytes, so the length patch and the checksum must
+        // find the body at an offset.
+        let mut out = vec![0xAB; 5];
+        let mut expected = out.clone();
+        for r in sample_records() {
+            encode_into(&mut out, r.seq, r.record.as_ref());
+            expected.extend(encode_record(r.seq, &r.record));
+        }
+        assert_eq!(out, expected);
     }
 
     #[test]
