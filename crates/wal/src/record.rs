@@ -162,7 +162,8 @@ pub(crate) fn encode_into(out: &mut Vec<u8>, seq: u64, record: RecordRef<'_>) {
 /// Encode one record into its framed wire form, in a fresh buffer. The
 /// log's appends write the same bytes straight into their own buffer.
 pub fn encode_record(seq: u64, record: &WalRecord) -> Vec<u8> {
-    let mut frame = Vec::with_capacity(76);
+    // Length, a typical body, checksum.
+    let mut frame = Vec::with_capacity(4 + 64 + 8);
     encode_into(&mut frame, seq, record.as_ref());
     frame
 }
